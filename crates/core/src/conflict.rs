@@ -14,10 +14,10 @@
 //!
 //! As in the paper, each record is extended with `to` (time of the last
 //! preceding open) and `tc` (time of the first succeeding close/commit by
-//! the same process); both a scan variant (mark records by traversing each
-//! process in timestamp order) and a binary-search variant (search the
-//! per-process open/commit tables) are implemented — they must agree, and
-//! the benchmark suite compares their cost.
+//! the same process). Production searches the per-process open/commit
+//! tables (binary search); [`extend_scan`] marks records by traversing each
+//! process in timestamp order and is the independent oracle the tests hold
+//! the tables to.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +25,6 @@ use recorder::{AccessKind, DataAccess, PathId, ResolvedTrace, SyncKind};
 
 use crate::context::AnalysisContext;
 use crate::overlap::FileGroups;
-use crate::parallel::analyze_files_parallel;
 
 /// Which relaxed model the detector is checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,16 +102,6 @@ impl ConflictReport {
             (ConflictKind::Raw, ConflictScope::Distinct) => self.raw_distinct += 1,
         }
         self.pairs.push(pair);
-    }
-
-    /// Append another (per-file partial) report; partials arrive sorted by
-    /// file, so appending keeps the pair order of the serial detector.
-    pub(crate) fn merge(&mut self, other: ConflictReport) {
-        self.pairs.extend(other.pairs);
-        self.waw_same += other.waw_same;
-        self.waw_distinct += other.waw_distinct;
-        self.raw_same += other.raw_same;
-        self.raw_distinct += other.raw_distinct;
     }
 }
 
@@ -245,13 +234,8 @@ pub struct ExtendedAccess {
 }
 
 /// Extend every access via binary search in the per-process sync tables
-/// (the paper's suggested O(log n)-per-record variant).
-pub fn extend_binary_search(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
-    extend_with_tables(resolved).1
-}
-
-/// [`extend_binary_search`], also returning the sync tables themselves so
-/// the context can keep them alongside the extension.
+/// (the paper's suggested O(log n)-per-record variant), returning the
+/// tables too so the context can keep them alongside the extension.
 pub(crate) fn extend_with_tables(resolved: &ResolvedTrace) -> (SyncTables, Vec<ExtendedAccess>) {
     let tables = SyncTables::build(resolved);
     let extended = resolved
@@ -272,8 +256,9 @@ pub(crate) fn extend_with_tables(resolved: &ResolvedTrace) -> (SyncTables, Vec<E
 
 /// Extend every access by one forward + one backward scan over each
 /// process's records in timestamp order (the paper's alternative "mark
-/// while traversing" variant). Must agree with
-/// [`extend_binary_search`]; the benchmarks compare their cost.
+/// while traversing" variant). Shares nothing with the sync tables the
+/// context builds, which is what makes it the extension oracle:
+/// `tests/fused.rs` holds the fused detector to it on random traces.
 pub fn extend_scan(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
     // Merge accesses and syncs per (rank, file) in time order.
     #[derive(Clone, Copy)]
@@ -359,7 +344,8 @@ pub fn extend_scan(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
 /// Options for conflict detection.
 #[derive(Debug, Clone, Copy)]
 pub struct ConflictOptions {
-    /// Use binary-search extension (true, default) or the scan variant.
+    /// Use the binary-search extension (true, default) or the
+    /// [`extend_scan`] oracle.
     pub binary_search: bool,
     /// For the session condition, treat any commit (fsync) as if it were
     /// the close — the paper's combined-`tc` formalization. Off by default:
@@ -383,56 +369,36 @@ pub fn detect_conflicts(resolved: &ResolvedTrace, model: AnalysisModel) -> Confl
 }
 
 /// Detect conflicts with explicit options.
-pub fn detect_conflicts_opt(
-    resolved: &ResolvedTrace,
-    model: AnalysisModel,
-    opts: ConflictOptions,
-) -> ConflictReport {
-    detect_conflicts_opt_threaded(resolved, model, opts, 1)
-}
-
-/// [`detect_conflicts`] with per-file work fanned across `threads` scoped
-/// worker threads (`0` = one per core, `1` = serial). The report is
-/// identical to the serial one for every thread count: files are merged
-/// in [`PathId`] order regardless of completion order.
-pub fn detect_conflicts_threaded(
-    resolved: &ResolvedTrace,
-    model: AnalysisModel,
-    threads: usize,
-) -> ConflictReport {
-    detect_conflicts_opt_threaded(resolved, model, ConflictOptions::default(), threads)
-}
-
-/// Threaded conflict detection with explicit options.
 ///
 /// The default binary-search variant is a thin wrapper over a fresh
 /// [`AnalysisContext`]; the scan variant keeps its own fully independent
 /// path (extension and per-file sort), which is what the equivalence
 /// tests compare the fused detector against.
-pub fn detect_conflicts_opt_threaded(
+pub fn detect_conflicts_opt(
     resolved: &ResolvedTrace,
     model: AnalysisModel,
     opts: ConflictOptions,
-    threads: usize,
 ) -> ConflictReport {
     if opts.binary_search {
-        let ctx = AnalysisContext::new(resolved);
-        return detect_conflicts_in(&ctx, model, opts, threads);
+        return detect_conflicts_in(&AnalysisContext::new(resolved), model, opts);
     }
     let extended = extend_scan(resolved);
-
-    // Group by file (zero-copy index ranges) and run the overlap sweep per
-    // file, one work item per file.
-    let groups = FileGroups::new(&resolved.accesses);
     let mut report = ConflictReport {
         model_checked: Some(model),
         ..Default::default()
     };
-    let extended = &extended;
-    for (_, partial) in analyze_files_parallel(&groups, threads, |file, idxs| {
-        file_conflicts(extended, file, idxs, model, opts)
-    }) {
-        report.merge(partial);
+    for (file, idxs) in FileGroups::new(&resolved.accesses).iter() {
+        let mut order = idxs.to_vec();
+        // Stable: ties keep input order, the same key the context sorts by.
+        order.sort_by_key(|&i| {
+            let a = &extended[i as usize].access;
+            (a.offset, a.end())
+        });
+        sweep_pairs(&extended, &order, |first, second| {
+            if conflicting(first, second, model, opts) {
+                report.add(classify_pair(file, first, second));
+            }
+        });
     }
     report
 }
@@ -440,27 +406,22 @@ pub fn detect_conflicts_opt_threaded(
 /// Single-model detection over a prebuilt [`AnalysisContext`]: reuses the
 /// context's extension and per-file offset-sorted order instead of
 /// re-deriving both.
-pub fn detect_conflicts_in(
+pub(crate) fn detect_conflicts_in(
     ctx: &AnalysisContext,
     model: AnalysisModel,
     opts: ConflictOptions,
-    threads: usize,
 ) -> ConflictReport {
     let mut report = ConflictReport {
         model_checked: Some(model),
         ..Default::default()
     };
-    for partial in crate::parallel::parallel_map_indexed(ctx.file_count(), threads, |k| {
+    for k in 0..ctx.file_count() {
         let (file, order) = ctx.conflict_group(k);
-        let mut partial = ConflictReport::default();
         sweep_pairs(ctx.extended(), order, |first, second| {
             if conflicting(first, second, model, opts) {
-                partial.add(classify_pair(file, first, second));
+                report.add(classify_pair(file, first, second));
             }
         });
-        partial
-    }) {
-        report.merge(partial);
     }
     report
 }
@@ -480,13 +441,6 @@ pub struct FusedReports {
 /// Both reports are exactly equal (pairs, order, counts) to what the two
 /// separate runs produce; `tests/fused.rs` asserts this on random traces.
 pub fn detect_conflicts_fused(ctx: &AnalysisContext) -> FusedReports {
-    detect_conflicts_fused_threaded(ctx, 1)
-}
-
-/// [`detect_conflicts_fused`] with per-file work fanned across `threads`
-/// worker threads (`0` = one per core). Deterministic: per-file partials
-/// merge in [`PathId`] order regardless of completion order.
-pub fn detect_conflicts_fused_threaded(ctx: &AnalysisContext, threads: usize) -> FusedReports {
     let opts = ConflictOptions::default();
     let mut out = FusedReports {
         session: ConflictReport {
@@ -498,10 +452,8 @@ pub fn detect_conflicts_fused_threaded(ctx: &AnalysisContext, threads: usize) ->
             ..Default::default()
         },
     };
-    for (session, commit) in crate::parallel::parallel_map_indexed(ctx.file_count(), threads, |k| {
+    for k in 0..ctx.file_count() {
         let (file, order) = ctx.conflict_group(k);
-        let mut session = ConflictReport::default();
-        let mut commit = ConflictReport::default();
         sweep_pairs(ctx.extended(), order, |first, second| {
             let on_session = conflicting(first, second, AnalysisModel::Session, opts);
             let on_commit = conflicting(first, second, AnalysisModel::Commit, opts);
@@ -510,16 +462,12 @@ pub fn detect_conflicts_fused_threaded(ctx: &AnalysisContext, threads: usize) ->
             }
             let pair = classify_pair(file, first, second);
             if on_session {
-                session.add(pair);
+                out.session.add(pair);
             }
             if on_commit {
-                commit.add(pair);
+                out.commit.add(pair);
             }
         });
-        (session, commit)
-    }) {
-        out.session.merge(session);
-        out.commit.merge(commit);
     }
     out
 }
@@ -615,31 +563,6 @@ pub(crate) fn classify_pair(
         kind,
         scope,
     }
-}
-
-/// The §5.2 check over the accesses of one file (given as indices into the
-/// extended slice, in input order).
-fn file_conflicts(
-    extended: &[ExtendedAccess],
-    file: PathId,
-    idxs: &[u32],
-    model: AnalysisModel,
-    opts: ConflictOptions,
-) -> ConflictReport {
-    let mut order = idxs.to_vec();
-    // Stable: ties keep input order, so pair order matches the serial
-    // detector exactly.
-    order.sort_by_key(|&i| {
-        let a = &extended[i as usize].access;
-        (a.offset, a.end())
-    });
-    let mut report = ConflictReport::default();
-    sweep_pairs(extended, &order, |first, second| {
-        if conflicting(first, second, model, opts) {
-            report.add(classify_pair(file, first, second));
-        }
-    });
-    report
 }
 
 #[cfg(test)]

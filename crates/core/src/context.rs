@@ -21,20 +21,22 @@
 //!
 //! Every index is derived with the *same* stable sort keys the standalone
 //! entry points use, so routing an analysis through the context changes
-//! its cost, never its output — the byte-identity tests in
-//! `crates/report` hold the artifacts to that.
+//! its cost, never its output — `tests/fused.rs` holds the fused sweep to
+//! the separate detections and to the scan-variant oracle, and
+//! `crates/report/tests/incremental_identity.rs` holds every rendered
+//! artifact to the independently written streaming analyzer.
 
 use std::sync::OnceLock;
 
 use recorder::{DataAccess, PathId, ResolvedTrace, TraceSet};
 
 use crate::conflict::{
-    detect_conflicts_fused, detect_conflicts_fused_threaded, detect_conflicts_in, AnalysisModel,
-    ConflictOptions, ConflictReport, ExtendedAccess, FusedReports, SyncTables,
+    detect_conflicts_fused, detect_conflicts_in, AnalysisModel, ConflictOptions, ConflictReport,
+    ExtendedAccess, FusedReports, SyncTables,
 };
 use crate::hb::{validate_conflicts_with, HbIndex, HbValidation};
 use crate::metadata::MetadataCensus;
-use crate::overlap::{count_overlaps_in, FileGroups, OverlapCount};
+use crate::overlap::FileGroups;
 use crate::patterns::highlevel::{self, ClassifyOptions, HighLevelReport};
 use crate::patterns::lowlevel::{classify_global_in, classify_local_in, PatternStats};
 
@@ -195,21 +197,15 @@ impl<'a> AnalysisContext<'a> {
         (file, &self.conflict_order[lo..hi])
     }
 
-    /// Fused session+commit conflict detection (serial).
+    /// Fused session+commit conflict detection.
     pub fn fused_conflicts(&self) -> FusedReports {
         let _span = obs::span("core", "conflicts:fused");
         detect_conflicts_fused(self)
     }
 
-    /// Fused session+commit conflict detection across `threads` workers.
-    pub fn fused_conflicts_threaded(&self, threads: usize) -> FusedReports {
-        let _span = obs::span("core", "conflicts:fused").with_arg("threads", threads);
-        detect_conflicts_fused_threaded(self, threads)
-    }
-
     /// Single-model detection reusing this context's indexes.
     pub fn conflicts(&self, model: AnalysisModel) -> ConflictReport {
-        detect_conflicts_in(self, model, ConflictOptions::default(), 1)
+        detect_conflicts_in(self, model, ConflictOptions::default())
     }
 
     /// Figure 1(b): the local pattern, streaming per `(rank, file)`.
@@ -280,14 +276,6 @@ impl<'a> AnalysisContext<'a> {
     pub fn validate(&self, report: &ConflictReport) -> HbValidation {
         let _span = obs::span("core", "hb:validate").with_arg("pairs", report.pairs.len());
         validate_conflicts_with(self.hb_index(), report)
-    }
-
-    /// Algorithm 1 pair counts per file, reusing the grouping.
-    pub fn overlap_counts(&self, threads: usize) -> Vec<(PathId, OverlapCount)> {
-        let accs = self.accesses();
-        crate::parallel::analyze_files_parallel(&self.groups, threads, |_, idxs| {
-            count_overlaps_in(accs, idxs)
-        })
     }
 
     fn require_adjusted(&self) -> &'a TraceSet {

@@ -137,46 +137,14 @@ impl HbIndex {
     /// time, so iterating until fixpoint over the (few) barrier epochs and
     /// time-sorted messages terminates quickly.
     pub fn happens_before(&self, r1: u32, t1: u64, r2: u32, t2: u64) -> bool {
-        self.happens_before_scratch(&mut Vec::new(), r1, t1, r2, t2)
-    }
-
-    /// [`HbIndex::happens_before`] with a caller-provided scratch buffer
-    /// for the per-rank reach times. [`validate_conflicts`] issues one
-    /// query per conflict pair; reusing one buffer across all of them
-    /// removes a `vec![None; nranks]` allocation per pair.
-    pub fn happens_before_scratch(
-        &self,
-        reach: &mut Vec<Option<u64>>,
-        r1: u32,
-        t1: u64,
-        r2: u32,
-        t2: u64,
-    ) -> bool {
         if r1 == r2 {
             return t1 <= t2;
         }
         if self.barrier_separates(r1, t1, t2) {
             return true;
         }
-        self.fixpoint_reach(reach, r1, t1);
-        matches!(reach[r2 as usize], Some(rt) if rt <= t2)
-    }
-
-    /// [`HbIndex::happens_before`] by the exact fixpoint alone — no barrier
-    /// shortcut, no memoization. This is the pre-optimization query path,
-    /// kept so benchmarks can reconstruct the unoptimized cost honestly.
-    pub fn happens_before_exact(
-        &self,
-        reach: &mut Vec<Option<u64>>,
-        r1: u32,
-        t1: u64,
-        r2: u32,
-        t2: u64,
-    ) -> bool {
-        if r1 == r2 {
-            return t1 <= t2;
-        }
-        self.fixpoint_reach(reach, r1, t1);
+        let mut reach = Vec::new();
+        self.fixpoint_reach(&mut reach, r1, t1);
         matches!(reach[r2 as usize], Some(rt) if rt <= t2)
     }
 
@@ -280,34 +248,6 @@ pub fn validate_conflicts_with(
             } else {
                 v.racy += 1;
             }
-        }
-    }
-    v
-}
-
-/// [`validate_conflicts_with`] with every optimization disabled: exact
-/// fixpoint per pair, no barrier shortcut, no memo. Semantically identical
-/// to [`validate_conflicts_with`]; exists so the benchmark harness can
-/// measure the unoptimized validation cost on the same box.
-pub fn validate_conflicts_with_baseline(
-    index: &HbIndex,
-    report: &crate::conflict::ConflictReport,
-) -> HbValidation {
-    let mut v = HbValidation::default();
-    let mut reach: Vec<Option<u64>> = Vec::new();
-    for p in &report.pairs {
-        if p.first.rank == p.second.rank {
-            v.same_process += 1;
-        } else if index.happens_before_exact(
-            &mut reach,
-            p.first.rank,
-            p.first.t_end,
-            p.second.rank,
-            p.second.t_start,
-        ) {
-            v.synchronized += 1;
-        } else {
-            v.racy += 1;
         }
     }
     v
@@ -456,5 +396,116 @@ mod tests {
         assert!(idx.happens_before(0, 5, 0, 6));
         assert!(idx.happens_before(0, 5, 0, 5));
         assert!(!idx.happens_before(0, 6, 0, 5));
+    }
+
+    /// The optimized validation (barrier shortcut + per-source memo) against
+    /// the plain definition — one exact fixpoint per pair, no shortcut, no
+    /// memo — on seeded random send/recv/barrier traces.
+    #[test]
+    fn memoized_validation_equals_per_pair_fixpoint() {
+        use crate::conflict::{ConflictKind, ConflictPair, ConflictReport, ConflictScope};
+        use recorder::{AccessKind, DataAccess, PathId};
+        use simrng::SimRng;
+
+        let mut rng = SimRng::seed_from_u64(0x4B5EED);
+        let (mut synchronized, mut racy) = (0, 0);
+        for _ in 0..64 {
+            let nranks = rng.range_u32(2, 7);
+            let mut ranks: Vec<Vec<Record>> = vec![Vec::new(); nranks as usize];
+            let (mut t, mut seq, mut epoch) = (0u64, 0u64, 0u64);
+            for _ in 0..rng.range_usize(0, 40) {
+                t += rng.range_u64(1, 50);
+                if rng.gen_bool(0.2) {
+                    // Staggered entries, one common exit; a rank may miss
+                    // the epoch (fail-stopped ranks leave such holes).
+                    let exit = t + 40;
+                    for r in 0..nranks {
+                        if rng.gen_bool(0.9) {
+                            let enter = t + rng.range_u64(0, 30);
+                            ranks[r as usize].push(mpi(r, enter, exit, Func::MpiBarrier { epoch }));
+                        }
+                    }
+                    epoch += 1;
+                    t = exit;
+                } else {
+                    let src = rng.range_u32(0, nranks);
+                    let dst = (src + rng.range_u32(1, nranks)) % nranks;
+                    let recv_end = t + rng.range_u64(1, 60);
+                    ranks[src as usize].push(mpi(
+                        src,
+                        t,
+                        t + 1,
+                        Func::MpiSend { dst, tag: 0, seq },
+                    ));
+                    ranks[dst as usize].push(mpi(
+                        dst,
+                        recv_end - 1,
+                        recv_end,
+                        Func::MpiRecv { src, tag: 0, seq },
+                    ));
+                    seq += 1;
+                }
+            }
+            let trace = TraceSet {
+                paths: vec![],
+                skews_ns: vec![0; nranks as usize],
+                ranks,
+            };
+            let idx = HbIndex::build(&trace);
+
+            // Few distinct sources, many targets: the shape that makes the
+            // memo matter.
+            let horizon = t + 100;
+            let sources: Vec<(u32, u64)> = (0..4)
+                .map(|_| (rng.range_u32(0, nranks), rng.range_u64(0, horizon)))
+                .collect();
+            let access = |rank, t_start, kind| DataAccess {
+                rank,
+                t_start,
+                t_end: t_start + 1,
+                file: PathId(0),
+                offset: 0,
+                len: 8,
+                kind,
+                origin: Layer::App,
+                fd: 3,
+            };
+            let mut report = ConflictReport::default();
+            for _ in 0..60 {
+                let (r1, t1) = sources[rng.range_usize(0, sources.len())];
+                let r2 = rng.range_u32(0, nranks);
+                report.add(ConflictPair {
+                    file: PathId(0),
+                    first: access(r1, t1, AccessKind::Write),
+                    second: access(r2, rng.range_u64(t1, horizon + 1), AccessKind::Read),
+                    kind: ConflictKind::Raw,
+                    scope: if r1 == r2 {
+                        ConflictScope::Same
+                    } else {
+                        ConflictScope::Distinct
+                    },
+                });
+            }
+
+            let mut exact = HbValidation::default();
+            let mut reach = Vec::new();
+            for p in &report.pairs {
+                if p.first.rank == p.second.rank {
+                    exact.same_process += 1;
+                    continue;
+                }
+                idx.fixpoint_reach(&mut reach, p.first.rank, p.first.t_end);
+                if matches!(reach[p.second.rank as usize], Some(rt) if rt <= p.second.t_start) {
+                    exact.synchronized += 1;
+                } else {
+                    exact.racy += 1;
+                }
+            }
+            assert_eq!(validate_conflicts_with(&idx, &report), exact);
+            synchronized += exact.synchronized;
+            racy += exact.racy;
+        }
+        // The generator must exercise both answers, or the test is vacuous.
+        assert!(synchronized > 100 && racy > 100, "{synchronized} / {racy}");
     }
 }

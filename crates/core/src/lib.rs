@@ -15,8 +15,8 @@
 //! * [`conflict`] — §5.2: which overlaps are potential conflicts
 //!   (RAW-[S|D] / WAW-[S|D]) under commit and session semantics, using the
 //!   per-record `to` (last preceding open) / `tc` (first succeeding
-//!   close-or-commit) extension, in both the scan and binary-search
-//!   variants the paper describes.
+//!   close-or-commit) extension — binary search in production, the
+//!   paper's scan variant as the test oracle.
 //! * [`patterns`] — §4/§6.2: local and global consecutive / monotonic /
 //!   random classification (Figure 1) and the high-level X-Y pattern
 //!   classification of Table 3.
@@ -56,8 +56,8 @@ pub mod verdict;
 
 pub use cachekey::{CacheKey, CacheKeyBuilder};
 pub use conflict::{
-    detect_conflicts_fused, detect_conflicts_fused_threaded, detect_conflicts_threaded,
-    AnalysisModel, ConflictKind, ConflictPair, ConflictReport, ConflictScope, FusedReports,
+    detect_conflicts_fused, AnalysisModel, ConflictKind, ConflictPair, ConflictReport,
+    ConflictScope, FusedReports,
 };
 pub use context::{AnalysisContext, SweepColumns};
 pub use incremental::{IncrementalOutput, StreamingAnalyzer};
@@ -66,5 +66,5 @@ pub use overlap::{
     count_overlaps, detect_overlaps, detect_overlaps_bruteforce, detect_overlaps_merge, FileGroups,
     OverlapCount, OverlapResult,
 };
-pub use parallel::{analyze_files_parallel, parallel_map_indexed};
+pub use parallel::parallel_map_indexed;
 pub use verdict::{required_model, Completeness, Verdict};

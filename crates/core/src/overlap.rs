@@ -68,36 +68,13 @@ fn sweep(
     }
 }
 
-fn offset_order(accesses: &[DataAccess], idxs: Option<&[u32]>) -> Vec<u32> {
-    let mut order: Vec<u32> = match idxs {
-        Some(idxs) => idxs.to_vec(),
-        None => (0..accesses.len() as u32).collect(),
-    };
+fn offset_order(accesses: &[DataAccess]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..accesses.len() as u32).collect();
     order.sort_by_key(|&i| {
         let a = &accesses[i as usize];
         (a.offset, a.end(), a.t_start)
     });
     order
-}
-
-fn detect_in_order(accesses: &[DataAccess], order: &[u32]) -> OverlapResult {
-    let mut out = OverlapResult::default();
-    // Streaming dedup of the rank table: a seen-set instead of pushing one
-    // entry per pair and sort+dedup afterwards.
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    sweep(accesses, order, |i, j, a, b| {
-        out.pairs.push((i, j));
-        let rp = if a.rank <= b.rank {
-            (a.rank, b.rank)
-        } else {
-            (b.rank, a.rank)
-        };
-        if seen.insert(rp) {
-            out.rank_pairs.push(rp);
-        }
-    });
-    out.rank_pairs.sort_unstable();
-    out
 }
 
 /// Algorithm 1 over the accesses of **one file**. The input order is
@@ -116,14 +93,23 @@ fn detect_in_order(accesses: &[DataAccess], order: &[u32]) -> OverlapResult {
 /// assert!(r.involves_distinct_ranks());
 /// ```
 pub fn detect_overlaps(accesses: &[DataAccess]) -> OverlapResult {
-    detect_in_order(accesses, &offset_order(accesses, None))
-}
-
-/// Algorithm 1 over the subset of `accesses` named by `idxs` (typically
-/// one [`FileGroups`] group). Pair indices refer to the full `accesses`
-/// slice, so no per-file copies are needed.
-pub fn detect_overlaps_in(accesses: &[DataAccess], idxs: &[u32]) -> OverlapResult {
-    detect_in_order(accesses, &offset_order(accesses, Some(idxs)))
+    let mut out = OverlapResult::default();
+    // Streaming dedup of the rank table: a seen-set instead of pushing one
+    // entry per pair and sort+dedup afterwards.
+    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+    sweep(accesses, &offset_order(accesses), |i, j, a, b| {
+        out.pairs.push((i, j));
+        let rp = if a.rank <= b.rank {
+            (a.rank, b.rank)
+        } else {
+            (b.rank, a.rank)
+        };
+        if seen.insert(rp) {
+            out.rank_pairs.push(rp);
+        }
+    });
+    out.rank_pairs.sort_unstable();
+    out
 }
 
 /// Counting-only Algorithm 1: identical sweep, but only the pair count
@@ -131,18 +117,9 @@ pub fn detect_overlaps_in(accesses: &[DataAccess], idxs: &[u32]) -> OverlapResul
 /// `detect_overlaps(accesses).count()` / `.rank_pairs` without
 /// materializing the (worst-case quadratic) pair list.
 pub fn count_overlaps(accesses: &[DataAccess]) -> OverlapCount {
-    count_in_order(accesses, &offset_order(accesses, None))
-}
-
-/// Counting-only Algorithm 1 over the subset named by `idxs`.
-pub fn count_overlaps_in(accesses: &[DataAccess], idxs: &[u32]) -> OverlapCount {
-    count_in_order(accesses, &offset_order(accesses, Some(idxs)))
-}
-
-fn count_in_order(accesses: &[DataAccess], order: &[u32]) -> OverlapCount {
     let mut out = OverlapCount::default();
     let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    sweep(accesses, order, |_, _, a, b| {
+    sweep(accesses, &offset_order(accesses), |_, _, a, b| {
         out.pairs += 1;
         let rp = if a.rank <= b.rank {
             (a.rank, b.rank)
@@ -402,36 +379,6 @@ mod tests {
         let count = count_overlaps(&accs);
         assert_eq!(count.pairs, full.count() as u64);
         assert_eq!(count.rank_pairs, full.rank_pairs);
-    }
-
-    #[test]
-    fn subset_detection_matches_filtered_input() {
-        // Accesses over two interleaved "logical" sets; detect on one set
-        // by indices and compare against detecting on a filtered copy.
-        let accs: Vec<DataAccess> = (0..40)
-            .map(|i| acc(i % 3, i as u64, (i as u64 * 7) % 50, 12))
-            .collect();
-        let idxs: Vec<u32> = (0..accs.len() as u32).filter(|i| i % 2 == 0).collect();
-        let subset: Vec<DataAccess> = idxs.iter().map(|&i| accs[i as usize]).collect();
-        let by_idx = detect_overlaps_in(&accs, &idxs);
-        let by_copy = detect_overlaps(&subset);
-        // Map the copy's local indices back to global ones.
-        let remap: Vec<(u32, u32)> = by_copy
-            .pairs
-            .iter()
-            .map(|&(i, j)| (idxs[i as usize], idxs[j as usize]))
-            .collect();
-        let canon = |mut v: Vec<(u32, u32)>| {
-            for p in &mut v {
-                if p.0 > p.1 {
-                    *p = (p.1, p.0);
-                }
-            }
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(canon(by_idx.pairs), canon(remap));
-        assert_eq!(by_idx.rank_pairs, by_copy.rank_pairs);
     }
 
     #[test]

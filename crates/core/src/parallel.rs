@@ -10,10 +10,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use recorder::PathId;
-
-use crate::overlap::FileGroups;
-
 /// Resolve a requested thread count: `0` means "one per available core".
 pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
@@ -67,22 +63,6 @@ where
         .into_iter()
         .map(|r| r.expect("every index produced exactly once"))
         .collect()
-}
-
-/// Fan per-file analysis across `threads` worker threads: `f` is called
-/// once per [`FileGroups`] group with `(file, indices into accesses)`,
-/// files are claimed work-stealing style, and the results come back
-/// sorted by [`PathId`] (the group order), so any merge over them is
-/// deterministic.
-pub fn analyze_files_parallel<R, F>(groups: &FileGroups, threads: usize, f: F) -> Vec<(PathId, R)>
-where
-    R: Send,
-    F: Fn(PathId, &[u32]) -> R + Sync,
-{
-    parallel_map_indexed(groups.len(), threads, |k| {
-        let (file, idxs) = groups.group(k);
-        (file, f(file, idxs))
-    })
 }
 
 #[cfg(test)]

@@ -1,20 +1,17 @@
 //! Equivalence of the fused session+commit conflict sweep.
 //!
-//! The contract: for any trace and any thread count,
-//! [`detect_conflicts_fused_threaded`] produces a session report and a
-//! commit report *equal* (pairs, pair order, counters) to two separate
-//! [`detect_conflicts`] runs — and to the scan-variant extension — so the
-//! fused pipeline can replace the separate passes without changing a byte
-//! of any artifact.
+//! The contract: for any trace, [`detect_conflicts_fused`] produces a
+//! session report and a commit report *equal* (pairs, pair order,
+//! counters) to two separate [`detect_conflicts`] runs — and to the
+//! scan-variant extension — so the fused pipeline can replace the separate
+//! passes without changing a byte of any artifact.
 
 use recorder::{AccessKind, DataAccess, Layer, PathId, ResolvedTrace, SyncEvent, SyncKind};
 use semantics_core::conflict::{
     detect_conflicts, detect_conflicts_opt, AnalysisModel, ConflictOptions,
 };
-use semantics_core::{detect_conflicts_fused_threaded, AnalysisContext};
+use semantics_core::{detect_conflicts_fused, AnalysisContext};
 use simrng::SimRng;
-
-const THREAD_COUNTS: [usize; 5] = [0, 1, 2, 4, 8];
 
 fn random_access(rng: &mut SimRng, n_ranks: u32, n_files: u32) -> DataAccess {
     let t = rng.range_u64(0, 2000);
@@ -61,8 +58,8 @@ fn random_trace(rng: &mut SimRng, n_files: u32) -> ResolvedTrace {
     }
 }
 
-/// Fused reports equal the two separate detections for every thread count
-/// on random multi-file traces.
+/// Fused reports equal the two separate detections on random multi-file
+/// traces.
 #[test]
 fn fused_equals_separate_on_random_traces() {
     let mut rng = SimRng::seed_from_u64(0xF05E_D);
@@ -71,11 +68,9 @@ fn fused_equals_separate_on_random_traces() {
         let session = detect_conflicts(&trace, AnalysisModel::Session);
         let commit = detect_conflicts(&trace, AnalysisModel::Commit);
         let ctx = AnalysisContext::new(&trace);
-        for threads in THREAD_COUNTS {
-            let fused = detect_conflicts_fused_threaded(&ctx, threads);
-            assert_eq!(fused.session, session, "threads={threads}");
-            assert_eq!(fused.commit, commit, "threads={threads}");
-        }
+        let fused = detect_conflicts_fused(&ctx);
+        assert_eq!(fused.session, session);
+        assert_eq!(fused.commit, commit);
     }
 }
 
@@ -92,7 +87,7 @@ fn fused_equals_scan_variant() {
     for _ in 0..48 {
         let trace = random_trace(&mut rng, 5);
         let ctx = AnalysisContext::new(&trace);
-        let fused = detect_conflicts_fused_threaded(&ctx, 1);
+        let fused = detect_conflicts_fused(&ctx);
         assert_eq!(
             fused.session,
             detect_conflicts_opt(&trace, AnalysisModel::Session, scan)

@@ -1,14 +1,10 @@
-//! Equivalence and determinism of the parallel analysis engine.
-//!
-//! The contract is strict: for any thread count, the threaded drivers must
-//! produce *identical* results to the serial path — same pairs in the same
-//! order, same counters — so every artifact rendered downstream is
-//! byte-identical regardless of the machine it ran on.
+//! The per-configuration fan-out (`parallel_map_indexed`) returns results
+//! in index order for any thread count, and counting-mode overlap
+//! detection agrees with the full one.
 
-use recorder::{AccessKind, DataAccess, Layer, PathId, ResolvedTrace, SyncEvent, SyncKind};
-use semantics_core::conflict::{detect_conflicts, detect_conflicts_threaded, AnalysisModel};
-use semantics_core::overlap::{count_overlaps, detect_overlaps, FileGroups};
-use semantics_core::parallel::{analyze_files_parallel, parallel_map_indexed};
+use recorder::{AccessKind, DataAccess, Layer, PathId};
+use semantics_core::overlap::{count_overlaps, detect_overlaps};
+use semantics_core::parallel::parallel_map_indexed;
 use simrng::SimRng;
 
 const THREAD_COUNTS: [usize; 5] = [0, 1, 2, 4, 8];
@@ -32,65 +28,6 @@ fn random_access(rng: &mut SimRng, n_ranks: u32, n_files: u32) -> DataAccess {
     }
 }
 
-fn random_trace(rng: &mut SimRng, n_files: u32) -> ResolvedTrace {
-    let n = rng.range_usize(0, 120);
-    let mut accesses: Vec<DataAccess> = (0..n).map(|_| random_access(rng, 4, n_files)).collect();
-    accesses.sort_by_key(|a| (a.t_start, a.rank));
-    accesses.dedup_by_key(|a| a.t_start);
-    let mut syncs: Vec<SyncEvent> = (0..rng.range_usize(0, 30))
-        .map(|_| SyncEvent {
-            rank: rng.range_u32(0, 4),
-            t: rng.range_u64(0, 2000),
-            file: PathId(rng.range_u32(0, n_files)),
-            kind: match rng.range_u32(0, 3) {
-                0 => SyncKind::Open,
-                1 => SyncKind::Close,
-                _ => SyncKind::Commit,
-            },
-        })
-        .collect();
-    syncs.sort_by_key(|s| (s.t, s.rank));
-    ResolvedTrace {
-        accesses,
-        syncs,
-        seek_mismatches: 0,
-        short_reads: 0,
-    }
-}
-
-/// `detect_conflicts_threaded` returns a report *equal* to the serial one
-/// (pairs, pair order, and counters) for every thread count, on random
-/// multi-file traces under both models.
-#[test]
-fn threaded_conflicts_equal_serial() {
-    let mut rng = SimRng::seed_from_u64(0x9A11E1);
-    for _ in 0..64 {
-        let trace = random_trace(&mut rng, 6);
-        for model in [AnalysisModel::Commit, AnalysisModel::Session] {
-            let serial = detect_conflicts(&trace, model);
-            for threads in THREAD_COUNTS {
-                let par = detect_conflicts_threaded(&trace, model, threads);
-                assert_eq!(par, serial, "threads={threads} model={model:?}");
-            }
-        }
-    }
-}
-
-/// Re-running the threaded detector at one thread count is deterministic:
-/// two runs give identical reports.
-#[test]
-fn threaded_conflicts_deterministic() {
-    let mut rng = SimRng::seed_from_u64(0xDE7);
-    for _ in 0..32 {
-        let trace = random_trace(&mut rng, 5);
-        for model in [AnalysisModel::Commit, AnalysisModel::Session] {
-            let a = detect_conflicts_threaded(&trace, model, 4);
-            let b = detect_conflicts_threaded(&trace, model, 4);
-            assert_eq!(a, b);
-        }
-    }
-}
-
 /// Counting mode agrees with full detection: same pair count and the same
 /// deduplicated rank-pair list, without materializing the pairs.
 #[test]
@@ -103,30 +40,6 @@ fn counting_mode_equals_detection() {
         let count = count_overlaps(&accesses);
         assert_eq!(count.pairs, full.pairs.len() as u64);
         assert_eq!(count.rank_pairs, full.rank_pairs);
-    }
-}
-
-/// `analyze_files_parallel` visits every file group exactly once, in
-/// `PathId` order, with the group's accesses in input order — for any
-/// thread count.
-#[test]
-fn file_fanout_is_ordered_and_complete() {
-    let mut rng = SimRng::seed_from_u64(0xF11E);
-    for _ in 0..32 {
-        let trace = random_trace(&mut rng, 8);
-        let groups = FileGroups::new(&trace.accesses);
-        let serial: Vec<(PathId, usize)> = groups
-            .iter()
-            .map(|(file, idxs)| (file, idxs.len()))
-            .collect();
-        for threads in THREAD_COUNTS {
-            let par = analyze_files_parallel(&groups, threads, |_, idxs| idxs.len());
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        // Groups cover the whole trace and are sorted by file.
-        let covered: usize = serial.iter().map(|(_, n)| n).sum();
-        assert_eq!(covered, trace.accesses.len());
-        assert!(serial.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }
 

@@ -28,6 +28,7 @@
 //! Strings (request id, detail) are truncated into fixed-width byte
 //! fields at write time; the ring never allocates.
 
+use crate::trace::json_escape;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -368,30 +369,14 @@ impl FlightRecorder {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Process-global recorder + postmortem sink
 // ---------------------------------------------------------------------
 
 /// Recording on/off. On by default — the recorder exists precisely for
-/// the requests nobody planned to watch. The switch exists so `obsbench`
-/// can measure the layer's cost and so byte-identity tests can prove the
-/// off/on states produce identical artifacts.
+/// the requests nobody planned to watch. The switch exists so the
+/// byte-identity tests can prove the off/on states produce identical
+/// artifacts.
 static FLIGHT_ON: AtomicBool = AtomicBool::new(true);
 
 /// Whether flight recording (and the live SLO layer gated with it) is

@@ -31,10 +31,10 @@
 //! relaxed atomic load ([`tracing_enabled`] / [`metrics_enabled`]), and
 //! instrumented layers keep their emission off the per-op fast path
 //! (simulators flush aggregate counters once per run), so the measured
-//! end-to-end overhead stays under the 2% budget `BENCH_PR4.json`
-//! records. Enabling observability never changes a single artifact byte:
-//! spans and counters are write-only side channels, enforced by
-//! `crates/report/tests/obs.rs`.
+//! end-to-end overhead stays under the 2% budget (the benchmark's
+//! `trace.overhead_pct`). Enabling observability never changes a single
+//! artifact byte: spans and counters are write-only side channels,
+//! enforced by `crates/report/tests/obs.rs`.
 
 pub mod flight;
 pub mod log;

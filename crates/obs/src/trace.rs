@@ -16,7 +16,7 @@ use crate::span::{Arg, Phase, TraceEvent};
 use std::collections::BTreeSet;
 
 /// Escape a string for a JSON literal.
-fn esc(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -55,7 +55,7 @@ fn arg_json(a: &Arg) -> String {
                 "null".to_string()
             }
         }
-        Arg::S(v) => format!("\"{}\"", esc(v)),
+        Arg::S(v) => format!("\"{}\"", json_escape(v)),
     }
 }
 
@@ -67,8 +67,8 @@ fn event_json(ev: &TraceEvent) -> String {
     };
     let mut out = format!(
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-        esc(&ev.name),
-        esc(ev.cat),
+        json_escape(&ev.name),
+        json_escape(ev.cat),
         ph,
         us(ev.ts_ns),
         ev.pid,
@@ -87,7 +87,7 @@ fn event_json(ev: &TraceEvent) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", esc(k), arg_json(v)));
+            out.push_str(&format!("\"{}\":{}", json_escape(k), arg_json(v)));
         }
         out.push('}');
     }

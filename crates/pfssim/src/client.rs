@@ -14,7 +14,7 @@ use crate::image::FileImage;
 use crate::namespace::{normalize, DirEntry};
 use crate::state::{lock_state, FileId, PfsState};
 use crate::stats::MetaOp;
-use crate::tag::{TagRun, WriteTag};
+use crate::tag::{digest_runs, fnv_mix, TagRun, WriteTag, FNV_OFFSET};
 
 /// Result of a write: where it landed and its provenance tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -390,7 +390,8 @@ impl PfsClient {
         st.stats
             .stripe_account(offset, data.len() as u64, stripe, false);
         drop(st);
-        let digest = digest_runs(data.len() as u64, &tags);
+        // FNV-1a over the read's length, then its provenance runs.
+        let digest = digest_runs(fnv_mix(FNV_OFFSET, data.len() as u64), &tags);
         self.observations.push(Observation {
             op_idx: self.next_obs,
             file,
@@ -778,27 +779,4 @@ fn truncate_node(st: &mut PfsState, file: FileId, len: u64) {
             }
         })
         .collect();
-}
-
-/// FNV-1a digest over a read's length and provenance runs.
-fn digest_runs(len: u64, runs: &[TagRun]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(len);
-    for r in runs {
-        mix(r.len);
-        match r.tag {
-            Some(t) => {
-                mix(t.rank as u64 + 1);
-                mix(t.seq + 1);
-            }
-            None => mix(0),
-        }
-    }
-    h
 }

@@ -175,25 +175,31 @@ impl SegMap {
     /// the observation log to compare what reads saw across engines without
     /// storing full runs.
     pub fn digest(&self, start: u64, end: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for run in self.query(start, end) {
-            mix(run.len);
-            match run.tag {
-                Some(t) => {
-                    mix(t.rank as u64 + 1);
-                    mix(t.seq + 1);
-                }
-                None => mix(0),
-            }
-        }
-        h
+        digest_runs(FNV_OFFSET, &self.query(start, end))
     }
+}
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step over the little-endian bytes of `v`.
+pub(crate) fn fnv_mix(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// Fold the provenance of `runs` into the FNV-1a state `h`.
+pub(crate) fn digest_runs(mut h: u64, runs: &[TagRun]) -> u64 {
+    for run in runs {
+        h = fnv_mix(h, run.len);
+        h = match run.tag {
+            Some(t) => fnv_mix(fnv_mix(h, t.rank as u64 + 1), t.seq + 1),
+            None => fnv_mix(h, 0),
+        };
+    }
+    h
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT] [--clients N] [--warm-requests N]
-//!         [--configs N] [--ranks R] [--out FILE] [--out-json FILE]
-//!         [--smoke]
+//!         [--configs N] [--ranks R] [--out-json FILE] [--smoke]
 //! ```
 //!
-//! Without `--addr` it self-hosts an in-process server (the same
-//! `ReportBackend` that `report serve` runs) on an OS-assigned port, so
-//! the benchmark is one command. Two phases:
+//! A correctness driver, not a benchmark: `benchmark/` is the only place
+//! numbers are measured and gated. Without `--addr` it self-hosts an
+//! in-process server (the same `ReportBackend` that `report serve` runs)
+//! on an OS-assigned port. Two phases:
 //!
 //! * **cold** — one serial `GET /v1/verdict/{app}/{config}` per distinct
 //!   configuration; every request misses the cache and runs the full
@@ -19,20 +19,16 @@
 //!
 //! Between the phases each cold body is re-fetched once and compared
 //! byte-for-byte — the warm-equals-cold guarantee is asserted on every
-//! run, not just in the test suite. The summary (and `--out` JSON, the
-//! `BENCH_PR5.json` artifact) reports both throughputs and the warm/cold
-//! ratio. `--smoke` shrinks everything for the CI gate and is quiet on
-//! success. Exit codes: 0 ok, 1 failure (bad status, byte mismatch, or
+//! run, not just in the test suite. The summary line reports both
+//! throughputs for orientation only. `--smoke` shrinks everything for the
+//! CI gate. Exit codes: 0 ok, 1 failure (bad status, byte mismatch, or
 //! unreachable server), 64 usage error.
 //!
-//! `--restart --store-dir DIR` runs the crash-recovery benchmark
-//! instead: spawn a real `report serve` child on DIR, load it cold,
-//! SIGKILL it mid-traffic, restart it on the same DIR, and assert the
-//! restarted process answers *warm* — every body byte-identical to the
-//! pre-kill cold bytes, served from the recovered store without
-//! re-simulating. Reports recovery wall time, recovered record count,
-//! and the warm-after-restart/cold throughput ratio (gated at ≥ 10×
-//! outside `--smoke`); the JSON lands in `BENCH_PR8.json`.
+//! `--restart --store-dir DIR` runs the crash-recovery check instead:
+//! spawn a real `report serve` child on DIR, load it cold, SIGKILL it
+//! mid-traffic, restart it on the same DIR, and assert the restarted
+//! process answers *warm* — every body byte-identical to the pre-kill
+//! cold bytes, served from the recovered store without re-simulating.
 //!
 //! `--out-json FILE` writes a structured *run report* alongside the
 //! normal summary: exact per-phase latency quantiles (p50/p99 from the
@@ -48,18 +44,8 @@
 //! byte-identical regardless of which node answered the door — the
 //! cluster-tier contract. Per-node cache-hit and forward/redirect ratios
 //! are reported from each node's `/v1/metrics`.
-//!
-//! `--cluster-bench` is the scaling benchmark behind `BENCH_PR10.json`:
-//! it self-hosts a 1-node and then a 2-node fleet (redirect forwarding)
-//! whose per-node verdict cache is sized *below* the working set. The
-//! single node LRU-thrashes — cyclic access over K keys with a K-1 cache
-//! re-simulates every request — while the fleet's consistent-hash ring
-//! splits the key space so each node's slice fits its cache and warm
-//! requests are pure hits. That is the honest cluster win on any core
-//! count: aggregate cache capacity scales with membership. Gated at
-//! ≥ 1.7x aggregate warm throughput outside `--smoke`.
 
-use std::io::{BufRead as _, Write as _};
+use std::io::BufRead as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -79,7 +65,6 @@ struct Args {
     /// Distinct configurations in the query set (cold-phase size).
     configs: usize,
     ranks: u32,
-    out: Option<String>,
     /// Structured run report: per-phase quantiles, errors, rid sample.
     out_json: Option<String>,
     smoke: bool,
@@ -89,8 +74,6 @@ struct Args {
     store_dir: Option<String>,
     /// Fleet mode: entry-node addresses of a running cluster.
     cluster: Option<Vec<String>>,
-    /// Cluster scaling benchmark: self-host 1-node vs 2-node fleets.
-    cluster_bench: bool,
 }
 
 fn usage() -> &'static str {
@@ -100,21 +83,18 @@ fn usage() -> &'static str {
      \x20 --warm-requests N warm-phase request count (default 400)\n\
      \x20 --configs N       distinct configurations to query (default 6)\n\
      \x20 --ranks R         world size per query (default 8)\n\
-     \x20 --out FILE        write the JSON summary here\n\
      \x20 --out-json FILE   write a structured run report: per-phase\n\
      \x20                   p50/p99 latency, error counts, and a sample\n\
      \x20                   of echoed X-Request-Id values (not with\n\
      \x20                   --restart)\n\
      \x20 --smoke           tiny quick-check shape (CI smoke)\n\
-     \x20 --restart         crash-recovery benchmark: spawn `report serve`,\n\
+     \x20 --restart         crash-recovery check: spawn `report serve`,\n\
      \x20                   SIGKILL it mid-traffic, restart, assert the\n\
      \x20                   restarted process answers warm byte-identically\n\
      \x20 --store-dir DIR   store directory for --restart (required there)\n\
      \x20 --cluster A1,A2   drive a running fleet: fetch every query via\n\
      \x20                   every entry node, assert byte identity, report\n\
-     \x20                   per-node hit and forward/redirect ratios\n\
-     \x20 --cluster-bench   1-node vs 2-node aggregate-cache scaling\n\
-     \x20                   benchmark (gated at 1.7x outside --smoke)\n"
+     \x20                   per-node hit and forward/redirect ratios\n"
 }
 
 fn flag_value<T: std::str::FromStr>(
@@ -137,13 +117,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         warm_requests: 400,
         configs: 6,
         ranks: 8,
-        out: None,
         out_json: None,
         smoke: false,
         restart: false,
         store_dir: None,
         cluster: None,
-        cluster_bench: false,
     };
     let mut i = 0;
     while i < argv.len() {
@@ -153,7 +131,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--warm-requests" => args.warm_requests = flag_value(argv, &mut i, "--warm-requests")?,
             "--configs" => args.configs = flag_value(argv, &mut i, "--configs")?,
             "--ranks" => args.ranks = flag_value(argv, &mut i, "--ranks")?,
-            "--out" => args.out = Some(flag_value(argv, &mut i, "--out")?),
             "--out-json" => args.out_json = Some(flag_value(argv, &mut i, "--out-json")?),
             "--smoke" => args.smoke = true,
             "--restart" => args.restart = true,
@@ -170,7 +147,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.cluster = Some(addrs);
             }
-            "--cluster-bench" => args.cluster_bench = true,
             other => return Err(format!("unknown argument {other}")),
         }
         i += 1;
@@ -194,11 +170,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.restart && args.out_json.is_some() {
         return Err("--out-json is not available with --restart".to_string());
     }
-    if args.cluster.is_some() && (args.addr.is_some() || args.restart || args.cluster_bench) {
-        return Err("--cluster conflicts with --addr, --restart, and --cluster-bench".to_string());
-    }
-    if args.cluster_bench && (args.addr.is_some() || args.restart) {
-        return Err("--cluster-bench self-hosts its fleets; drop --addr/--restart".to_string());
+    if args.cluster.is_some() && (args.addr.is_some() || args.restart) {
+        return Err("--cluster conflicts with --addr and --restart".to_string());
     }
     Ok(args)
 }
@@ -337,7 +310,7 @@ fn spawn_server(store_dir: &str) -> (std::process::Child, SocketAddr) {
     (child, addr)
 }
 
-/// The crash-recovery benchmark: cold-load a spawned server, SIGKILL it
+/// The crash-recovery check: cold-load a spawned server, SIGKILL it
 /// mid-traffic, restart it on the same store dir, and require the
 /// restarted process to answer warm with byte-identical bodies.
 fn run_restart(args: &Args) -> ! {
@@ -451,48 +424,17 @@ fn run_restart(args: &Args) -> ! {
     let rps = |n: usize, ns: u64| n as f64 / (ns.max(1) as f64 / 1e9);
     let cold_rps = rps(cold_bodies.len(), cold_ns);
     let warm_rps = rps(args.warm_requests, warm_ns);
-    let ratio = warm_rps / cold_rps.max(f64::MIN_POSITIVE);
-    if !args.smoke && ratio < 10.0 {
-        fail(&format!(
-            "warm-after-restart is only {ratio:.1}x cold (gate: 10x)"
-        ));
-    }
-
     println!(
         "loadgen: restart: cold {} reqs ({:.1} req/s); kill -9; recovery {:.1} ms, {} records; \
-         warm-after-restart {} reqs ({:.0} req/s, {:.0}x cold, {} store hits); bytes identical",
+         warm-after-restart {} reqs ({:.0} req/s, {} store hits); bytes identical",
         cold_bodies.len(),
         cold_rps,
         recovery_ns as f64 / 1e6,
         recovered,
         args.warm_requests,
         warm_rps,
-        ratio,
         store_hits,
     );
-
-    if let Some(out) = &args.out {
-        let doc = Json::obj()
-            .field("bench", "serve-restart")
-            .field("configs", cold_bodies.len())
-            .field("ranks", u64::from(args.ranks))
-            .field("cold_requests", cold_bodies.len())
-            .field("cold_wall_ns", cold_ns)
-            .field("cold_rps", cold_rps)
-            .field("recovery_wall_ns", recovery_ns)
-            .field("recovered_records", recovered)
-            .field("store_hits_after_restart", store_hits)
-            .field("warm_requests", args.warm_requests)
-            .field("warm_clients", args.clients)
-            .field("warm_wall_ns", warm_ns)
-            .field("warm_after_restart_rps", warm_rps)
-            .field("warm_after_restart_over_cold", ratio)
-            .field("bytes_identical_after_restart", true)
-            .pretty();
-        std::fs::write(out, doc + "\n")
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!("loadgen: wrote {out}");
-    }
 
     let _ = child.kill();
     let _ = child.wait();
@@ -673,148 +615,6 @@ fn run_cluster(args: &Args) -> ! {
     std::process::exit(0);
 }
 
-/// The scaling benchmark behind `BENCH_PR10.json`: same per-node
-/// resources, 1 node vs a 2-node ring, per-node verdict cache one entry
-/// smaller than the working set. The single node thrashes (cyclic access
-/// over K keys with a K-1 LRU misses every time, and a miss is a full
-/// simulation); the fleet's ring splits the keys so each slice fits and
-/// warm traffic is pure cache hits — aggregate cache capacity is the
-/// cluster win that holds on any core count.
-fn run_cluster_bench(args: &Args) -> ! {
-    obs::set_metrics(true);
-    let paths = query_paths(args.configs, args.ranks);
-    if paths.len() < 2 {
-        fail("--cluster-bench needs at least 2 configs");
-    }
-    let cache_cap = paths.len() - 1;
-    let backend = || Arc::new(ReportBackend::new());
-
-    // ---- Phase 1: one node, cache one entry short of the working set.
-    let h1 = serve::serve(
-        ServeConfig {
-            cache_entries: cache_cap,
-            ..ServeConfig::default()
-        },
-        backend(),
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot self-host single node: {e}")));
-    let addr1 = h1.addr();
-    let mut reference = Vec::with_capacity(paths.len());
-    for path in &paths {
-        match get_once(addr1, path) {
-            Ok(r) if r.status == 200 => reference.push(r.body),
-            Ok(r) => fail(&format!("{path}: single-node status {}", r.status)),
-            Err(e) => fail(&format!("{path}: {e}")),
-        }
-    }
-    let shared = Arc::new(paths.clone());
-    let (single_ns, errors, _) = closed_loop(addr1, &shared, args.clients, args.warm_requests);
-    if errors > 0 {
-        fail(&format!("{errors} single-node warm requests failed"));
-    }
-    h1.shutdown();
-
-    // ---- Phase 2: two-node ring, same per-node cache, redirect
-    // forwarding so steady-state warm traffic goes straight to owners.
-    let pick_port = || {
-        std::net::TcpListener::bind(("127.0.0.1", 0))
-            .and_then(|l| l.local_addr())
-            .map(|a| a.port())
-            .unwrap_or_else(|e| fail(&format!("cannot pick a port: {e}")))
-    };
-    let (p1, p2) = (pick_port(), pick_port());
-    let peers = vec![
-        cluster::Peer {
-            id: 1,
-            addr: format!("127.0.0.1:{p1}"),
-        },
-        cluster::Peer {
-            id: 2,
-            addr: format!("127.0.0.1:{p2}"),
-        },
-    ];
-    let node = |id: u32, port: u16| ServeConfig {
-        port,
-        cache_entries: cache_cap,
-        cluster: Some(serve::ClusterConfig {
-            node_id: id,
-            peers: peers.clone(),
-            forwarding: serve::Forwarding::Redirect,
-        }),
-        ..ServeConfig::default()
-    };
-    let ha = serve::serve(node(1, p1), backend())
-        .unwrap_or_else(|e| fail(&format!("cannot self-host fleet node 1: {e}")));
-    let hb = serve::serve(node(2, p2), backend())
-        .unwrap_or_else(|e| fail(&format!("cannot self-host fleet node 2: {e}")));
-    let entries = vec![peers[0].addr.clone(), peers[1].addr.clone()];
-
-    // Cold through node 1, then byte identity through *both* entries
-    // against the single-node reference bodies.
-    for (path, reference) in paths.iter().zip(&reference) {
-        for entry in &entries {
-            match serve::get_redirecting(entry, path, 4) {
-                Ok((r, _)) if r.status == 200 && &r.body == reference => {}
-                Ok((r, by)) if r.status != 200 => fail(&format!(
-                    "{path} via {entry}: status {} from {by}",
-                    r.status
-                )),
-                Ok((_, by)) => fail(&format!(
-                    "{path} via {entry} (served by {by}): bytes differ from single-node"
-                )),
-                Err(e) => fail(&format!("{path} via {entry}: {e}")),
-            }
-        }
-    }
-
-    let (fleet_ns, errors) = fleet_closed_loop(&entries, &shared, args.clients, args.warm_requests);
-    if errors > 0 {
-        fail(&format!("{errors} fleet warm requests failed"));
-    }
-    ha.shutdown();
-    hb.shutdown();
-
-    let rps = |ns: u64| args.warm_requests as f64 / (ns.max(1) as f64 / 1e9);
-    let (single_rps, fleet_rps) = (rps(single_ns), rps(fleet_ns));
-    let speedup = fleet_rps / single_rps.max(f64::MIN_POSITIVE);
-    println!(
-        "loadgen: cluster-bench: {} configs, {}-entry caches; 1 node {:.1} req/s (thrashing), \
-         2 nodes {:.1} req/s (sharded, all hits); speedup {speedup:.1}x",
-        paths.len(),
-        cache_cap,
-        single_rps,
-        fleet_rps,
-    );
-    if !args.smoke && speedup < 1.7 {
-        fail(&format!(
-            "2-node aggregate warm throughput is only {speedup:.2}x the single node (gate: 1.7x)"
-        ));
-    }
-
-    if let Some(out) = &args.out {
-        let doc = Json::obj()
-            .field("bench", "serve-cluster")
-            .field("configs", paths.len())
-            .field("ranks", u64::from(args.ranks))
-            .field("cache_entries_per_node", cache_cap)
-            .field("forwarding", "redirect")
-            .field("warm_requests", args.warm_requests)
-            .field("warm_clients", args.clients)
-            .field("single_node_wall_ns", single_ns)
-            .field("single_node_rps", single_rps)
-            .field("fleet_nodes", 2u64)
-            .field("fleet_wall_ns", fleet_ns)
-            .field("fleet_rps", fleet_rps)
-            .field("fleet_over_single", speedup)
-            .field("bytes_identical_across_entry_nodes", true)
-            .pretty();
-        std::fs::write(out, doc + "\n")
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!("loadgen: wrote {out}");
-    }
-    std::process::exit(0);
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -831,9 +631,6 @@ fn main() {
     }
     if args.cluster.is_some() {
         run_cluster(&args);
-    }
-    if args.cluster_bench {
-        run_cluster_bench(&args);
     }
 
     // Self-host unless pointed at an external server.
@@ -913,10 +710,9 @@ fn main() {
     let rps = |n: usize, ns: u64| n as f64 / (ns.max(1) as f64 / 1e9);
     let cold_rps = rps(cold_bodies.len(), cold_ns);
     let warm_rps = rps(args.warm_requests, warm_ns);
-    let ratio = warm_rps / cold_rps.max(f64::MIN_POSITIVE);
 
     println!(
-        "loadgen: cold {} reqs in {:.1} ms ({:.1} req/s); warm {} reqs x {} clients in {:.1} ms ({:.0} req/s); warm/cold {:.0}x",
+        "loadgen: cold {} reqs in {:.1} ms ({:.1} req/s); warm {} reqs x {} clients in {:.1} ms ({:.0} req/s)",
         cold_bodies.len(),
         cold_ns as f64 / 1e6,
         cold_rps,
@@ -924,31 +720,7 @@ fn main() {
         args.clients,
         warm_ns as f64 / 1e6,
         warm_rps,
-        ratio,
     );
-
-    if let Some(out) = &args.out {
-        let doc = Json::obj()
-            .field("bench", "serve-loadgen")
-            .field("configs", cold_bodies.len())
-            .field("ranks", u64::from(args.ranks))
-            .field("cold_requests", cold_bodies.len())
-            .field("cold_wall_ns", cold_ns)
-            .field("cold_rps", cold_rps)
-            .field("warm_requests", args.warm_requests)
-            .field("warm_clients", args.clients)
-            .field("warm_wall_ns", warm_ns)
-            .field("warm_rps", warm_rps)
-            .field("warm_over_cold", ratio)
-            .field("warm_bytes_identical", true)
-            .pretty();
-        let mut f = std::fs::File::create(out)
-            .unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
-        f.write_all(doc.as_bytes())
-            .and_then(|()| f.write_all(b"\n"))
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!("loadgen: wrote {out}");
-    }
 
     if let Some(out) = &args.out_json {
         let phase =

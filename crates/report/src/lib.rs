@@ -34,7 +34,6 @@ pub mod tables;
 pub use serve_backend::ReportBackend;
 
 pub use runner::{
-    analyze, analyze_all, analyze_all_isolated, analyze_all_threaded, analyze_all_threaded_unfused,
-    analyze_incremental, analyze_isolated, analyze_with_faults, analyze_with_params,
-    analyze_with_params_unfused, AnalyzedRun, ConfigOutcome, ReportCfg,
+    analyze, analyze_all_isolated, analyze_all_threaded, analyze_incremental, analyze_isolated,
+    analyze_with_faults, analyze_with_params, AnalyzedRun, ConfigOutcome, ReportCfg,
 };

@@ -875,8 +875,8 @@ fn run(args: &Args) -> i32 {
                     return 1;
                 }
             };
-            // The CI smoke test and serve_bench.sh grep this exact line
-            // for the OS-assigned port.
+            // The CI smoke test and `loadgen --restart` grep this exact
+            // line for the OS-assigned port.
             println!("serve: listening on 127.0.0.1:{}", handle.port());
             let _ = std::io::stdout().flush();
             obs::info!(

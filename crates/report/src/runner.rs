@@ -5,22 +5,23 @@
 //! runs every analysis against it — fused session+commit conflict
 //! detection, both Figure 1 pattern views, the Table 3 classification,
 //! the metadata census, and the §5.2 happens-before validation all share
-//! the context's grouping, sync tables, and sort orders. The pre-context
-//! pipeline ([`analyze_with_params_unfused`]) is kept as the reference
-//! implementation: the byte-identity test and the perf harness compare
-//! the two.
+//! the context's grouping, sync tables, and sort orders. That batch
+//! pipeline serves `report all`; single configurations (the serve cold
+//! path, `--keep-going`) go through the streaming pipeline
+//! ([`analyze_incremental`]), an independent implementation that
+//! `tests/incremental_identity.rs` holds byte-identical to the batch one.
 
 use std::sync::Arc;
 
 use hpcapps::{AppSpec, ScaleParams};
-use iolibs::{run_app, run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle};
+use iolibs::{run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle};
 use recorder::{adjust, offset, Record, ResolvedTrace};
-use semantics_core::conflict::{detect_conflicts, AnalysisModel, ConflictReport};
+use semantics_core::conflict::ConflictReport;
 use semantics_core::context::AnalysisContext;
 use semantics_core::hb::{validate_conflicts, HbValidation};
 use semantics_core::incremental::StreamingAnalyzer;
 use semantics_core::metadata::MetadataCensus;
-use semantics_core::patterns::{global_pattern, highlevel, local_pattern, PatternStats};
+use semantics_core::patterns::{highlevel, PatternStats};
 use semantics_core::verdict::{required_model, Completeness, Verdict};
 
 /// Global knobs for a report run.
@@ -86,37 +87,57 @@ pub fn analyze_with_params(
     spec: &'static AppSpec,
     params: &ScaleParams,
 ) -> AnalyzedRun {
-    let mut span = obs::span("report", "config").with_arg("config", spec.config_name());
-    let t0 = std::time::Instant::now();
-    let run_cfg = RunConfig::new(cfg.nranks, cfg.seed)
-        .with_max_skew_ns(cfg.max_skew_ns)
-        .with_label(spec.config_name());
-    let outcome = run_app(&run_cfg, |ctx| spec.run_with(ctx, params));
-    span.set_arg(
-        "outcome",
-        if outcome.is_degraded() {
-            "partial"
-        } else {
-            "ok"
-        },
-    );
-    record_config_metrics(&outcome, t0);
-    finish_analysis(cfg, spec, outcome)
+    analyze_with_faults(cfg, spec, params, &FaultPlan::none())
+        .unwrap_or_else(|e| panic!("simulated run failed: {e}"))
 }
 
-/// Flush the per-config aggregate metrics: one counter bump per config
+/// The prologue every pipeline shares: run the configuration under a
+/// `report:<span_name>` span, stamp the span with the outcome, and flush
+/// the per-config aggregate metrics — one counter bump per config
 /// (deterministic) and one wall-time histogram sample (timing-only, never
-/// compared across runs).
-fn record_config_metrics(outcome: &RunOutcome, t0: std::time::Instant) {
-    if !obs::metrics_enabled() {
-        return;
+/// compared across runs). The span comes back with the outcome so it keeps
+/// covering the analysis the caller does next.
+fn run_config(
+    span_name: &'static str,
+    cfg: &ReportCfg,
+    spec: &'static AppSpec,
+    params: &ScaleParams,
+    faults: &FaultPlan,
+    sink: Option<SinkHandle>,
+) -> Result<(obs::SpanGuard, RunOutcome), SimError> {
+    let mut span = obs::span("report", span_name).with_arg("config", spec.config_name());
+    let t0 = std::time::Instant::now();
+    let mut run_cfg = RunConfig::new(cfg.nranks, cfg.seed)
+        .with_max_skew_ns(cfg.max_skew_ns)
+        .with_faults(faults.clone())
+        .with_label(spec.config_name());
+    // A streamed cross-rank order is only reproducible under the
+    // deterministic scheduler.
+    debug_assert!(sink.is_none() || matches!(run_cfg.mode, mpisim::SchedMode::Deterministic));
+    run_cfg.sink = sink;
+    let result = run_app_result(&run_cfg, |ctx| spec.run_with(ctx, params));
+    span.set_arg(
+        "outcome",
+        match &result {
+            Ok(o) if o.is_degraded() => "partial",
+            Ok(_) => "ok",
+            Err(_) => "error",
+        },
+    );
+    if obs::metrics_enabled() {
+        let m = obs::metrics();
+        m.add("report.configs", 1);
+        match &result {
+            Ok(o) => {
+                if o.is_degraded() {
+                    m.add("report.configs_partial", 1);
+                }
+                m.observe("report.config_wall_ns", t0.elapsed().as_nanos() as u64);
+            }
+            Err(_) => m.add("report.configs_failed", 1),
+        }
     }
-    let m = obs::metrics();
-    m.add("report.configs", 1);
-    if outcome.is_degraded() {
-        m.add("report.configs_partial", 1);
-    }
-    m.observe("report.config_wall_ns", t0.elapsed().as_nanos() as u64);
+    result.map(|outcome| (span, outcome))
 }
 
 /// Run one configuration under an injected [`FaultPlan`] and analyze
@@ -130,32 +151,7 @@ pub fn analyze_with_faults(
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
-    let mut span = obs::span("report", "config").with_arg("config", spec.config_name());
-    let t0 = std::time::Instant::now();
-    let run_cfg = RunConfig::new(cfg.nranks, cfg.seed)
-        .with_max_skew_ns(cfg.max_skew_ns)
-        .with_faults(faults.clone())
-        .with_label(spec.config_name());
-    let outcome = match run_app_result(&run_cfg, |ctx| spec.run_with(ctx, params)) {
-        Ok(o) => o,
-        Err(e) => {
-            span.set_arg("outcome", "error");
-            if obs::metrics_enabled() {
-                obs::metrics().add("report.configs", 1);
-                obs::metrics().add("report.configs_failed", 1);
-            }
-            return Err(e);
-        }
-    };
-    span.set_arg(
-        "outcome",
-        if outcome.is_degraded() {
-            "partial"
-        } else {
-            "ok"
-        },
-    );
-    record_config_metrics(&outcome, t0);
+    let (_span, outcome) = run_config("config", cfg, spec, params, faults, None)?;
     Ok(finish_analysis(cfg, spec, outcome))
 }
 
@@ -233,37 +229,9 @@ pub fn analyze_incremental(
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
-    let mut span = obs::span("report", "config:incremental").with_arg("config", spec.config_name());
-    let t0 = std::time::Instant::now();
     let analyzer = Arc::new(StreamingAnalyzer::new(cfg.nranks));
-    let run_cfg = RunConfig::new(cfg.nranks, cfg.seed)
-        .with_max_skew_ns(cfg.max_skew_ns)
-        .with_faults(faults.clone())
-        .with_label(spec.config_name())
-        .with_sink(SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(
-            &analyzer,
-        )))));
-    debug_assert!(matches!(run_cfg.mode, mpisim::SchedMode::Deterministic));
-    let outcome = match run_app_result(&run_cfg, |ctx| spec.run_with(ctx, params)) {
-        Ok(o) => o,
-        Err(e) => {
-            span.set_arg("outcome", "error");
-            if obs::metrics_enabled() {
-                obs::metrics().add("report.configs", 1);
-                obs::metrics().add("report.configs_failed", 1);
-            }
-            return Err(e);
-        }
-    };
-    span.set_arg(
-        "outcome",
-        if outcome.is_degraded() {
-            "partial"
-        } else {
-            "ok"
-        },
-    );
-    record_config_metrics(&outcome, t0);
+    let sink = SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(&analyzer))));
+    let (_span, outcome) = run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
     let inc = analyzer.finalize();
     // The remaining passes want the adjusted trace (identical input to the
     // batch pipeline's): the census walks metadata records the stream does
@@ -292,50 +260,6 @@ pub fn analyze_incremental(
     })
 }
 
-/// The pre-context pipeline, kept as the reference: six independent full
-/// passes over the same resolved trace (two conflict detections, three
-/// pattern passes, the census), each re-deriving its own grouping and
-/// sort order. Must produce a run identical to [`analyze_with_params`];
-/// `tests/byte_identity.rs` asserts it and the perf harness measures the
-/// difference.
-pub fn analyze_with_params_unfused(
-    cfg: &ReportCfg,
-    spec: &'static AppSpec,
-    params: &ScaleParams,
-) -> AnalyzedRun {
-    let run_cfg = RunConfig::new(cfg.nranks, cfg.seed)
-        .with_max_skew_ns(cfg.max_skew_ns)
-        .with_label(spec.config_name());
-    let outcome = run_app(&run_cfg, |ctx| spec.run_with(ctx, params));
-    let adjusted = adjust::apply(&outcome.trace);
-    let resolved = offset::resolve(&adjusted);
-    let session = detect_conflicts(&resolved, AnalysisModel::Session);
-    let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
-    let highlevel = highlevel::classify(&resolved, cfg.nranks);
-    let local = local_pattern(&resolved);
-    let global = global_pattern(&resolved);
-    let census = MetadataCensus::from_trace(&adjusted);
-    let verdict = required_model(&session, &commit);
-    let hb = validate_conflicts(&adjusted, &session);
-    let completeness = Completeness::from_crashed(outcome.faults.iter().map(|(r, _)| *r).collect());
-    AnalyzedRun {
-        spec,
-        name: spec.config_name(),
-        outcome,
-        resolved,
-        session,
-        commit,
-        highlevel,
-        local,
-        global,
-        census,
-        verdict,
-        hb,
-        nranks: cfg.nranks,
-        completeness,
-    }
-}
-
 /// The analyzed configurations, borrowed from the `'static` registry (no
 /// per-call `AppSpec` clones).
 fn selected_specs(include_variants: bool) -> Vec<&'static AppSpec> {
@@ -346,16 +270,8 @@ fn selected_specs(include_variants: bool) -> Vec<&'static AppSpec> {
 }
 
 /// Analyze every Table 4 configuration (plus, optionally, the extra
-/// variants).
-pub fn analyze_all(cfg: &ReportCfg, include_variants: bool) -> Vec<AnalyzedRun> {
-    selected_specs(include_variants)
-        .into_iter()
-        .map(|s| analyze(cfg, s))
-        .collect()
-}
-
-/// [`analyze_all`] with the configurations fanned across `threads` worker
-/// threads (`0` = one per core, `1` = serial). Each configuration is an
+/// variants), fanned across `threads` worker threads (`0` = one per core,
+/// `1` = serial). Each configuration is an
 /// independent simulation + analysis, so this is the app-level
 /// parallelism; results come back in spec order, so every artifact
 /// rendered from them is byte-identical to the serial run.
@@ -381,19 +297,6 @@ pub fn analyze_all_isolated(
     let clean = FaultPlan::none();
     semantics_core::parallel_map_indexed(specs.len(), threads, |k| {
         analyze_isolated(cfg, specs[k], &specs[k].params, &clean)
-    })
-}
-
-/// [`analyze_all_threaded`] through the unfused reference pipeline — the
-/// perf harness's baseline.
-pub fn analyze_all_threaded_unfused(
-    cfg: &ReportCfg,
-    include_variants: bool,
-    threads: usize,
-) -> Vec<AnalyzedRun> {
-    let specs = selected_specs(include_variants);
-    semantics_core::parallel_map_indexed(specs.len(), threads, |k| {
-        analyze_with_params_unfused(cfg, specs[k], &specs[k].params)
     })
 }
 

@@ -1,7 +1,7 @@
 //! Rendering tests for the report generators: every artifact renders, and
 //! the rendered text carries the headline facts.
 
-use report_gen::{analyze, figures, hbval, matrix, tables, ReportCfg};
+use report_gen::{analyze, analyze_all_threaded, figures, hbval, matrix, tables, ReportCfg};
 
 fn cfg() -> ReportCfg {
     ReportCfg {
@@ -104,4 +104,20 @@ fn flash_fix_table_tells_the_story() {
         text.contains("required: session"),
         "fixed variants drop to session"
     );
+}
+
+/// The reproduction gate as a test: Tables 3 and 4 rendered the way
+/// `report all` renders them (64 ranks, seed 2021) are the checked-in
+/// `reports/` bytes.
+#[test]
+fn paper_scale_tables_match_checked_in_reports() {
+    let runs = analyze_all_threaded(&ReportCfg::default(), false, 0);
+    let reports = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");
+    for (name, rendered) in [
+        ("table3.txt", tables::table3(&runs)),
+        ("table4.txt", tables::table4(&runs)),
+    ] {
+        let golden = std::fs::read_to_string(reports.join(name)).expect(name);
+        assert_eq!(rendered, golden, "{name} no longer matches reports/{name}");
+    }
 }

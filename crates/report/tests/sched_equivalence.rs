@@ -212,8 +212,8 @@ fn tasks_identical_to_threads_with_streaming_sink() {
 /// A 1024-rank synthetic N-N checkpoint: two event-loop runs with the same
 /// seed produce identical bytes — determinism holds at scale, not just at
 /// the paper's rank counts. (Thread-per-rank is far too slow at this size
-/// to oracle here; `rankbench` covers the cross-executor comparison at
-/// scale, and the tests above pin equivalence exhaustively at 8 ranks.)
+/// to oracle here; the tests above pin equivalence exhaustively at 8
+/// ranks.)
 #[test]
 fn event_loop_deterministic_at_1024_ranks() {
     let nranks: u32 = 1024;

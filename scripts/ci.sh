@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The CI gate, in dependency order: formatting, a clean release build,
-# the full test suite, and a perf-harness smoke run (tiny sizes — checks
-# the harness itself, not the numbers).
+# the full test suite, the functional smokes, and a smoke run of the one
+# benchmark (benchmark/ — 1 s per workload; checks the driver and its
+# in-run correctness checks, not the numbers).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,9 +14,6 @@ cargo build --release
 
 echo "ci: cargo test -q"
 cargo test -q
-
-echo "ci: perf smoke"
-./target/release/perf --smoke --out target/BENCH_SMOKE.json
 
 echo "ci: fault smoke"
 # Reduced campaign: 2 seeds per (app, fault-kind) cell plus the FLASH
@@ -119,8 +117,7 @@ echo "ci: store crash-recovery smoke"
 # restarts it on the same directory, and asserts the restarted process
 # answers warm — recovered records >= configs, responses byte-identical
 # to the pre-kill cold bytes, and served from the store (store.hits),
-# not recomputed. scripts/serve_bench.sh runs the gated (>= 10x)
-# measurement into BENCH_PR8.json.
+# not recomputed.
 rm -rf target/ci_store
 ./target/release/loadgen --restart --smoke --store-dir target/ci_store
 
@@ -129,35 +126,22 @@ echo "ci: streaming equivalence smoke"
 # batch oracle. The debug suite above already ran the full matrix
 # (every app x every semantics model x fault campaigns); this re-checks
 # a 3-app x 2-model slice in release mode — optimizer-sensitive
-# ordering bugs would surface here — then exercises the cold-path
-# benchmark harness end-to-end, including its incremental-vs-baseline
-# verdict cross-check (--smoke sizes, speedup gate not enforced;
-# scripts/bench.sh runs the gated measurement into BENCH_PR6.json).
+# ordering bugs would surface here.
 cargo test --release -q -p report-gen --test incremental_identity \
     smoke_three_apps_two_models
-./target/release/coldbench --smoke --out target/BENCH_COLD_SMOKE.json
 
 echo "ci: rank-scale smoke"
-# The event-loop executor at scale: a 64/256-rank executor comparison
-# (gate not enforced, but the deterministic-metrics identity check —
-# sim.live_tasks, mpisim.task_switches — always asserts), then one
-# 1024-rank application end-to-end through the streaming pipeline,
-# verdict included, under a wall budget. scripts/bench.sh runs the
-# gated 256-4096 measurement into BENCH_PR7.json.
-./target/release/rankbench --smoke --out target/BENCH_PR7_SMOKE.json
-./target/release/rankbench --pipeline --ranks 1024 --budget-s 120
+# One 1024-rank application end-to-end through the streaming pipeline
+# (--keep-going routes through analyze_isolated -> analyze_incremental),
+# verdict included, under a wall budget.
+timeout 120 ./target/release/report app-report --config FLASH-fbs \
+    --ranks 1024 --keep-going > /dev/null
 
-echo "ci: observability overhead smoke"
-# One interleaved off/on rep at small size — checks the harness and a
-# loose budget, not the headline number (CI boxes are noisy and often
-# single-core; BENCH_PR4.json records the real measurement: 10 ns per
-# disabled site, +0.15% end-to-end).
-./target/release/obsbench --smoke --budget-pct 10 \
-    --out target/BENCH_OBS_SMOKE.json
-# Live-layer overhead on the warm serve path (flight ring + request ids
-# + SLO window), same loose CI budget; BENCH_PR9.json records the real
-# measurement from scripts/serve_bench.sh.
-./target/release/obsbench --serve --smoke --budget-pct 10 \
-    --out target/BENCH_PR9_SMOKE.json
+echo "ci: benchmark smoke"
+# The one measurement path: every workload for 1 s, each run asserting
+# its own correctness checks (paper verdicts, reports/table4.txt bytes,
+# warm == cold bytes), then the benchmark package's own tests.
+bash benchmark/run.sh all --smoke
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "ci: OK"
