@@ -16,19 +16,20 @@
 //!   set, the ring built from it, an **ownership epoch** that increments
 //!   on every committed membership change (so stale routing is
 //!   detectable, not silently wrong), and per-peer liveness bits fed by
-//!   [`probe_healthz`].
+//!   the serve tier's prober.
+//! * [`plan_change`] — the *decisions* of a join or decommission (who
+//!   may ask, the next member set and epoch, which slices move where),
+//!   as a pure function of the current view.
 //!
 //! What this crate deliberately does **not** contain: HTTP, the store,
-//! or any I/O beyond the liveness probe. Routing decisions, proxying,
-//! and segment handoff live in `crates/serve`, which composes this
-//! table with its existing client/server machinery.
+//! or any I/O at all. Routing decisions, proxying, liveness probing and
+//! segment handoff live in `crates/serve`, which executes these
+//! decisions over its client/server machinery.
 
 mod membership;
-mod probe;
 mod ring;
 
 pub use membership::{format_members, parse_members, parse_peers, Peer};
-pub use probe::probe_healthz;
 pub use ring::{Ring, VNODES_PER_NODE};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -177,6 +178,62 @@ impl ClusterState {
     }
 }
 
+/// A membership change a node asks for on its own behalf.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Change {
+    Join,
+    Decommission,
+}
+
+/// Why a change is refused before anything moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    AlreadyMember,
+    NotMember,
+    LastMember,
+}
+
+/// The view a change commits to, and what must move before it may.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    pub epoch: u64,
+    /// The new member set, ascending.
+    pub members: Vec<u32>,
+    /// `(src, dst)` transfers: `dst` pulls from `src` the records the
+    /// new ring assigns to `dst`. All must verify before any commit.
+    pub pulls: Vec<(u32, u32)>,
+}
+
+/// Decide a membership change for `node` against the committed view
+/// `(epoch, members)`. A joiner pulls its slice from every current
+/// member; a leaver's records are pulled by every remaining member.
+pub fn plan_change(
+    change: Change,
+    node: u32,
+    epoch: u64,
+    members: &[u32],
+) -> Result<Plan, Refusal> {
+    let is_member = members.contains(&node);
+    let mut next: Vec<u32> = members.iter().copied().filter(|&m| m != node).collect();
+    next.sort_unstable();
+    let pulls = match change {
+        Change::Join if is_member => return Err(Refusal::AlreadyMember),
+        Change::Decommission if !is_member => return Err(Refusal::NotMember),
+        Change::Decommission if next.is_empty() => return Err(Refusal::LastMember),
+        Change::Join => next.iter().map(|&m| (m, node)).collect(),
+        Change::Decommission => next.iter().map(|&m| (node, m)).collect(),
+    };
+    if change == Change::Join {
+        next.push(node);
+        next.sort_unstable();
+    }
+    Ok(Plan {
+        epoch: epoch + 1,
+        members: next,
+        pulls,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,5 +293,33 @@ mod tests {
         assert!(!st.set_alive(1, false), "self cannot be marked dead");
         assert!(st.is_alive(1));
         assert!(!st.is_alive(42), "unknown ids are dead");
+    }
+
+    #[test]
+    fn plan_refuses_changes_that_make_no_sense() {
+        use {Change::*, Refusal::*};
+        assert_eq!(plan_change(Join, 2, 1, &[1, 2, 3]), Err(AlreadyMember));
+        assert_eq!(plan_change(Decommission, 3, 4, &[1, 2]), Err(NotMember));
+        assert_eq!(plan_change(Decommission, 2, 7, &[2]), Err(LastMember));
+    }
+
+    #[test]
+    fn plan_join_pulls_from_every_member_into_the_joiner() {
+        let plan = plan_change(Change::Join, 2, 5, &[3, 1]).unwrap();
+        assert_eq!(plan.epoch, 6);
+        assert_eq!(plan.members, vec![1, 2, 3], "member set is sorted");
+        assert_eq!(plan.pulls, vec![(1, 2), (3, 2)]);
+    }
+
+    #[test]
+    fn plan_decommission_hands_the_leaver_to_every_remaining_member() {
+        let plan = plan_change(Change::Decommission, 3, 1, &[1, 2, 3]).unwrap();
+        assert_eq!(plan.epoch, 2);
+        assert_eq!(plan.members, vec![1, 2]);
+        assert_eq!(plan.pulls, vec![(3, 1), (3, 2)]);
+        // The plan is exactly what ClusterState::commit accepts next.
+        let st = ClusterState::new(3, peers3()).unwrap();
+        st.commit(plan.epoch, &plan.members).unwrap();
+        assert_eq!(st.view(), (2, vec![1, 2]));
     }
 }

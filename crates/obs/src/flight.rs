@@ -30,7 +30,7 @@
 
 use crate::trace::json_escape;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Events kept in the global ring. Power of two; at ~136 bytes per slot
@@ -373,35 +373,15 @@ impl FlightRecorder {
 // Process-global recorder + postmortem sink
 // ---------------------------------------------------------------------
 
-/// Recording on/off. On by default — the recorder exists precisely for
-/// the requests nobody planned to watch. The switch exists so the
-/// byte-identity tests can prove the off/on states produce identical
-/// artifacts.
-static FLIGHT_ON: AtomicBool = AtomicBool::new(true);
-
-/// Whether flight recording (and the live SLO layer gated with it) is
-/// on. One relaxed load.
-#[inline(always)]
-pub fn flight_enabled() -> bool {
-    FLIGHT_ON.load(Ordering::Relaxed)
-}
-
-/// Toggle flight recording process-wide.
-pub fn set_flight(on: bool) {
-    FLIGHT_ON.store(on, Ordering::Relaxed);
-}
-
 /// The process-global ring ([`DEFAULT_CAPACITY`] slots).
 pub fn flight() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightRecorder::new(DEFAULT_CAPACITY))
 }
 
-/// Record into the global ring, if recording is on.
+/// Record into the global ring.
 pub fn record(kind: FlightKind, code: u64, a: u64, b: u64, rid: &str, detail: &str) {
-    if flight_enabled() {
-        flight().record(kind, code, a, b, rid, detail);
-    }
+    flight().record(kind, code, a, b, rid, detail);
 }
 
 fn postmortem_slot() -> &'static Mutex<Option<PathBuf>> {

@@ -46,8 +46,7 @@ pub mod trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use flight::{
-    dump_postmortem, flight, flight_enabled, set_flight, set_postmortem_path, FlightEvent,
-    FlightKind, FlightRecorder,
+    dump_postmortem, flight, set_postmortem_path, FlightEvent, FlightKind, FlightRecorder,
 };
 pub use log::Level;
 pub use metrics::{metrics, Counter, Histogram, Registry};

@@ -14,6 +14,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::trace::json_escape;
+
 /// Number of independently-locked name maps.
 const SHARDS: usize = 16;
 
@@ -251,7 +253,7 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    {}: {v}", json_str(k)));
+            out.push_str(&format!("\n    \"{}\": {v}", json_escape(k)));
         }
         out.push_str(if counters.is_empty() {
             "},\n"
@@ -267,8 +269,8 @@ impl Registry {
             }
             first = false;
             out.push_str(&format!(
-                "\n    {}: {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [",
-                json_str(k)
+                "\n    \"{}\": {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [",
+                json_escape(k)
             ));
             for (i, (floor, n)) in buckets.iter().enumerate() {
                 if i > 0 {
@@ -285,23 +287,6 @@ impl Registry {
         });
         out
     }
-}
-
-/// Minimal JSON string escaping for metric names.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The process-global registry every instrumented layer records into.

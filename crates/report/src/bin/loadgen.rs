@@ -43,7 +43,7 @@
 //! fleet runs redirect forwarding) and the bodies are asserted
 //! byte-identical regardless of which node answered the door — the
 //! cluster-tier contract. Per-node cache-hit and forward/redirect ratios
-//! are reported from each node's `/v1/metrics`.
+//! are reported from each node's `/metricsz`.
 
 use std::io::BufRead as _;
 use std::net::SocketAddr;
@@ -53,6 +53,7 @@ use std::time::{Duration, Instant};
 
 use report_gen::ReportBackend;
 use semantics_core::json::Json;
+use serve::fleet::json_u64_field;
 use serve::{get_once, HttpClient, ServeConfig};
 
 const EXIT_USAGE: i32 = 64;
@@ -263,16 +264,21 @@ fn quantile_ns(latencies: &mut [u64], q_pct: usize) -> u64 {
     latencies[idx]
 }
 
-/// Pull an integer field out of a (flat) JSON body without a parser —
-/// enough for /healthz and the metrics counter dump.
-fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let at = body.find(&format!("\"{key}\""))?;
-    let rest = &body[at..];
-    let rest = rest[rest.find(':')? + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Scrape a node's `/metricsz` and return a lookup over its registry
+/// counters (the `obs_counter{name="…"}` family); absent reads as 0.
+fn scrape_counters(addr: &str) -> impl Fn(&str) -> u64 {
+    let text = match HttpClient::connect_str(addr).and_then(|mut c| c.get("/metricsz")) {
+        Ok(r) if r.status == 200 => r.body_text(),
+        _ => fail(&format!("{addr}: /metricsz unreachable")),
+    };
+    let samples = obs::parse_exposition(&text)
+        .unwrap_or_else(|e| fail(&format!("{addr}: /metricsz does not parse: {e}")));
+    move |name| {
+        samples
+            .iter()
+            .find(|s| s.name == "obs_counter" && s.label("name") == Some(name))
+            .map_or(0, |s| s.value as u64)
+    }
 }
 
 /// Spawn a real `report serve --store-dir DIR` child (the binary sits
@@ -380,7 +386,7 @@ fn run_restart(args: &Args) -> ! {
         Ok(r) if r.status == 200 => r.body_text(),
         _ => fail("restarted server failed /healthz"),
     };
-    let recovered = json_u64(&health, "store_recovered_records")
+    let recovered = json_u64_field(&health, "store_recovered_records")
         .unwrap_or_else(|| fail("healthz has no store_recovered_records field"));
     if recovered < paths.len() as u64 {
         fail(&format!(
@@ -404,11 +410,7 @@ fn run_restart(args: &Args) -> ! {
     }
 
     // And they must have come from the store, not recomputation.
-    let metrics = match get_once(addr, "/v1/metrics") {
-        Ok(r) if r.status == 200 => r.body_text(),
-        _ => fail("restarted server failed /v1/metrics"),
-    };
-    let store_hits = json_u64(&metrics, "store.hits").unwrap_or(0);
+    let store_hits = scrape_counters(&addr.to_string())("store.hits");
     if store_hits < paths.len() as u64 {
         fail(&format!(
             "only {store_hits} store hit(s) after restart — responses were recomputed, not recovered"
@@ -539,7 +541,7 @@ fn run_cluster(args: &Args) -> ! {
             Ok(r) => fail(&format!("{a}: /healthz returned {}", r.status)),
             Err(e) => fail(&format!("{a}: {e}")),
         };
-        if json_u64(&health, "cluster_id").is_none() {
+        if json_u64_field(&health, "cluster_id").is_none() {
             fail(&format!("{a} is not running in cluster mode"));
         }
     }
@@ -594,15 +596,12 @@ fn run_cluster(args: &Args) -> ! {
     // Per-node serving profile: hit ratio and how much of its traffic
     // the node handed to a peer.
     for a in addrs {
-        let m = match HttpClient::connect_str(a).and_then(|mut c| c.get("/v1/metrics")) {
-            Ok(r) if r.status == 200 => r.body_text(),
-            _ => fail(&format!("{a}: /v1/metrics unreachable")),
-        };
-        let hits = json_u64(&m, "serve.cache_hits").unwrap_or(0);
-        let misses = json_u64(&m, "serve.cache_misses").unwrap_or(0);
-        let forwarded = json_u64(&m, "cluster.forwarded").unwrap_or(0);
-        let redirects = json_u64(&m, "cluster.redirects").unwrap_or(0);
-        let requests = json_u64(&m, "serve.requests").unwrap_or(0);
+        let counter = scrape_counters(a);
+        let hits = counter("serve.cache_hits");
+        let misses = counter("serve.cache_misses");
+        let forwarded = counter("cluster.forwarded");
+        let redirects = counter("cluster.redirects");
+        let requests = counter("serve.requests");
         let pct = |n: u64, d: u64| 100.0 * n as f64 / (d.max(1) as f64);
         println!(
             "loadgen:   {a}: {requests} reqs, hit {:.0}% ({hits}/{}), \

@@ -801,7 +801,7 @@ fn run(args: &Args) -> i32 {
             // The long-lived analysis service: the fused pipeline behind a
             // zero-dependency HTTP front-end with a sharded verdict cache.
             // `--metrics` still works (the dump happens after shutdown);
-            // live counters are also queryable at /v1/metrics, so serving
+            // live counters are also queryable at /metricsz, so serving
             // turns metrics on even without the flag.
             obs::set_metrics(true);
             // Open the persistent store before binding: a locked or

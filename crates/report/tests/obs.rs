@@ -61,12 +61,8 @@ fn observability_is_invisible_and_deterministic() {
     }
 
     // --- 1b. the live layer (flight ring + SLO window) is invisible ----
-    // The flight recorder defaults *on*, so the interesting direction is
-    // proving artifacts don't change when it is off — and that hammering
-    // the ring and an SLO window mid-analysis changes nothing either.
-    obs::set_flight(false);
-    let quiet = render_artifacts(&cfg);
-    obs::set_flight(true);
+    // The flight recorder is always on; hammering the ring and an SLO
+    // window mid-analysis must change nothing either.
     static LABELS: &[&str] = &["a", "b"];
     let window = obs::SloWindow::new(LABELS, 1_000_000, 4);
     for i in 0..512u64 {
@@ -82,7 +78,7 @@ fn observability_is_invisible_and_deterministic() {
         window.observe((i % 2) as usize, 200, i * 100, i * 10_000);
     }
     let live = render_artifacts(&cfg);
-    for ((name, a), (_, b)) in quiet.iter().zip(&live) {
+    for ((name, a), (_, b)) in plain.iter().zip(&live) {
         assert_eq!(a, b, "{name}: artifact changed under live flight/SLO load");
     }
 

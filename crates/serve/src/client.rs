@@ -27,6 +27,17 @@ impl ClientResponse {
     }
 }
 
+/// Connect and read deadline of [`HttpClient::connect`]: generous,
+/// because the general-purpose client also waits out cold analyses.
+const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Resolve `host:port` to its first socket address.
+pub(crate) fn resolve(addr: &str) -> io::Result<SocketAddr> {
+    std::net::ToSocketAddrs::to_socket_addrs(addr)?
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing"))
+}
+
 /// A keep-alive connection to one server.
 pub struct HttpClient {
     stream: TcpStream,
@@ -35,24 +46,30 @@ pub struct HttpClient {
 
 impl HttpClient {
     pub fn connect(addr: SocketAddr) -> io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        Ok(HttpClient {
-            stream,
-            buf: Vec::new(),
-        })
+        HttpClient::connect_with(addr, DEFAULT_TIMEOUT, DEFAULT_TIMEOUT)
     }
 
     /// Connect by `host:port` string — how cluster peers are named in
     /// the seed table.
     pub fn connect_str(addr: &str) -> io::Result<HttpClient> {
-        let sockaddr = std::net::ToSocketAddrs::to_socket_addrs(addr)?
-            .next()
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
-            })?;
-        HttpClient::connect(sockaddr)
+        HttpClient::connect(resolve(addr)?)
+    }
+
+    /// Connect with explicit deadlines: one on the TCP connect, one on
+    /// every read of a response — a caller that must not hang on a peer
+    /// that accepts and never answers picks both.
+    pub fn connect_with(
+        addr: SocketAddr,
+        connect_timeout: Duration,
+        read_timeout: Duration,
+    ) -> io::Result<HttpClient> {
+        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(read_timeout))?;
+        Ok(HttpClient {
+            stream,
+            buf: Vec::new(),
+        })
     }
 
     /// Issue `GET path` and read the full response.

@@ -25,11 +25,12 @@
 
 use std::io;
 use std::sync::Mutex;
+use std::time::Duration;
 
 use cluster::{ClusterState, Peer, MAX_HOPS};
 use obs::FlightKind;
 
-use crate::client::{ClientResponse, HttpClient};
+use crate::client::{resolve, ClientResponse, HttpClient};
 use crate::http::{Request, Response};
 
 /// What to do with a request whose key another node owns.
@@ -70,31 +71,63 @@ pub const EPOCH_HEADER: &str = "X-Cluster-Epoch";
 /// On a 307: the authoritative peer, as `id@host:port`.
 pub const OWNER_HEADER: &str = "X-Cluster-Owner";
 
-/// A small pool of keep-alive connections to one peer. Connections are
-/// checked out per request and returned on success; a failed request
-/// drops its connection (the next checkout dials fresh).
-struct PeerPool {
-    addr: String,
-    conns: Mutex<Vec<HttpClient>>,
+/// Node→node deadlines — constants, not options. A peer that does not
+/// complete a loopback-or-LAN handshake in `CONNECT_TIMEOUT` is down; a
+/// control-plane answer is a few hundred bytes rendered from memory; a
+/// forwarded 4096-rank cold analysis on the owner is legitimately
+/// seconds.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+const CONTROL_READ_TIMEOUT: Duration = Duration::from_secs(2);
+const TRANSFER_READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The deadline class of one node→node call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Call {
+    /// Status sync, commit, liveness probe: a fresh dial (the connect
+    /// is part of what is being asked) under the short read deadline.
+    Control,
+    /// Forwarded analyses and segment transfers: pooled keep-alive
+    /// connections under the long read deadline.
+    Transfer,
 }
 
-impl PeerPool {
-    fn request(&self, path: &str, headers: &[(&str, String)]) -> io::Result<ClientResponse> {
-        let pooled = self.conns.lock().unwrap().pop();
-        let mut conn = match pooled {
-            Some(c) => c,
-            None => HttpClient::connect_str(&self.addr)?,
+/// The one node→node HTTP client: every request this node sends to a
+/// seed peer goes through [`PeerClient::get`]. Keep-alive connections
+/// are checked out per `Transfer` call and returned on success; a failed
+/// request drops its connection (the next checkout dials fresh).
+struct PeerClient {
+    id: u32,
+    addr: String,
+    idle: Mutex<Vec<HttpClient>>,
+    /// `cluster.forward_to.{id}` / `cluster.redirect_to.{id}`, resolved
+    /// once so the forward path does not format a name per request.
+    forward_to: obs::Counter,
+    redirect_to: obs::Counter,
+}
+
+impl PeerClient {
+    fn get(
+        &self,
+        call: Call,
+        path: &str,
+        headers: &[(&str, String)],
+    ) -> io::Result<ClientResponse> {
+        let (read_timeout, pooled) = match call {
+            Call::Control => (CONTROL_READ_TIMEOUT, None),
+            Call::Transfer => (TRANSFER_READ_TIMEOUT, self.idle.lock().unwrap().pop()),
         };
-        match conn.get_with_headers(path, headers) {
-            Ok(resp) => {
-                let mut conns = self.conns.lock().unwrap();
-                if conns.len() < 8 {
-                    conns.push(conn);
-                }
-                Ok(resp)
+        let mut conn = match pooled {
+            Some(conn) => conn,
+            None => HttpClient::connect_with(resolve(&self.addr)?, CONNECT_TIMEOUT, read_timeout)?,
+        };
+        let resp = conn.get_with_headers(path, headers)?;
+        if call == Call::Transfer {
+            let mut idle = self.idle.lock().unwrap();
+            if idle.len() < 8 {
+                idle.push(conn);
             }
-            Err(e) => Err(e),
         }
+        Ok(resp)
     }
 }
 
@@ -108,35 +141,33 @@ pub enum RouteDecision {
     Respond(Response),
 }
 
-/// Per-node cluster runtime: route table + liveness + peer pools.
+/// Per-node cluster runtime: route table + liveness + peer clients.
 pub struct ClusterRuntime {
     state: ClusterState,
     forwarding: Forwarding,
-    /// One pool per seed peer except self, in seed-table order.
-    pools: Vec<(u32, PeerPool)>,
+    /// One client per seed peer except self, in seed-table order.
+    peers: Vec<PeerClient>,
 }
 
 impl ClusterRuntime {
     pub fn new(cfg: ClusterConfig) -> Result<ClusterRuntime, String> {
         let state = ClusterState::new(cfg.node_id, cfg.peers)?;
-        let pools = state
+        let peers = state
             .peers()
             .iter()
             .filter(|p| p.id != cfg.node_id)
-            .map(|p| {
-                (
-                    p.id,
-                    PeerPool {
-                        addr: p.addr.clone(),
-                        conns: Mutex::new(Vec::new()),
-                    },
-                )
+            .map(|p| PeerClient {
+                id: p.id,
+                addr: p.addr.clone(),
+                idle: Mutex::new(Vec::new()),
+                forward_to: obs::metrics().counter(&format!("cluster.forward_to.{}", p.id)),
+                redirect_to: obs::metrics().counter(&format!("cluster.redirect_to.{}", p.id)),
             })
             .collect();
         Ok(ClusterRuntime {
             state,
             forwarding: cfg.forwarding,
-            pools,
+            peers,
         })
     }
 
@@ -224,10 +255,13 @@ impl ClusterRuntime {
             }
         }
 
+        let peer = self.peer(owner).expect(
+            "ring members are seed peers (ClusterState::commit checks) and owner is not self",
+        );
         let path_query = render_path_query(req);
         match self.forwarding {
             Forwarding::Redirect => {
-                let addr = self.state.peer_addr(owner).unwrap_or("");
+                let addr = peer.addr.as_str();
                 obs::flight::record(
                     FlightKind::ClusterRedirect,
                     u64::from(owner),
@@ -237,9 +271,8 @@ impl ClusterRuntime {
                     &req.path,
                 );
                 if obs::metrics_enabled() {
-                    let m = obs::metrics();
-                    m.add("cluster.redirects", 1);
-                    m.add(&format!("cluster.redirect_to.{owner}"), 1);
+                    obs::metrics().add("cluster.redirects", 1);
+                    peer.redirect_to.inc();
                 }
                 let mut resp = Response::json(
                     307,
@@ -261,7 +294,13 @@ impl ClusterRuntime {
                     }
                     return RouteDecision::Local { persist: false };
                 }
-                match self.proxy_to(owner, &path_query, hops, epoch) {
+                // Forward with hop and epoch stamped, so the receiver can
+                // cut loops and detect skew.
+                let stamped = [
+                    (HOPS_HEADER, (hops + 1).to_string()),
+                    (EPOCH_HEADER, epoch.to_string()),
+                ];
+                match peer.get(Call::Transfer, &path_query, &stamped) {
                     Ok(resp) => {
                         obs::flight::record(
                             FlightKind::ClusterForward,
@@ -272,9 +311,8 @@ impl ClusterRuntime {
                             &req.path,
                         );
                         if obs::metrics_enabled() {
-                            let m = obs::metrics();
-                            m.add("cluster.forwarded", 1);
-                            m.add(&format!("cluster.forward_to.{owner}"), 1);
+                            obs::metrics().add("cluster.forwarded", 1);
+                            peer.forward_to.inc();
                         }
                         RouteDecision::Respond(client_to_response(owner, resp))
                     }
@@ -293,36 +331,24 @@ impl ClusterRuntime {
         }
     }
 
-    /// Forward a GET to `owner` with hop and epoch headers stamped.
-    fn proxy_to(
-        &self,
-        owner: u32,
-        path_query: &str,
-        hops: u32,
-        epoch: u64,
-    ) -> io::Result<ClientResponse> {
-        let pool = self
-            .pools
-            .iter()
-            .find(|(id, _)| *id == owner)
-            .map(|(_, p)| p)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no pool for owner"))?;
-        pool.request(
-            path_query,
-            &[
-                (HOPS_HEADER, (hops + 1).to_string()),
-                (EPOCH_HEADER, epoch.to_string()),
-            ],
-        )
+    fn peer(&self, id: u32) -> Option<&PeerClient> {
+        self.peers.iter().find(|p| p.id == id)
     }
 
-    /// A probe pass over every peer (used by the server's prober thread).
-    pub fn probe_all(&self, timeout: std::time::Duration) {
-        for peer in self.state.peers() {
-            if peer.id == self.state.node_id() {
-                continue;
-            }
-            let alive = cluster::probe_healthz(&peer.addr, timeout);
+    /// One GET to seed peer `id` under `call`'s deadlines — the only way
+    /// this node talks to another.
+    pub(crate) fn get(&self, id: u32, call: Call, path: &str) -> io::Result<ClientResponse> {
+        self.peer(id)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "not a seed peer"))?
+            .get(call, path, &[])
+    }
+
+    /// A probe pass over every peer (the server's prober thread runs
+    /// one per cycle): alive iff `/healthz` answers 200 in time.
+    pub fn probe_all(&self) {
+        for peer in &self.peers {
+            let alive =
+                matches!(peer.get(Call::Control, "/healthz", &[]), Ok(r) if r.status == 200);
             self.mark_alive(peer.id, alive);
         }
     }
@@ -430,6 +456,56 @@ mod tests {
             forwarding,
         })
         .unwrap()
+    }
+
+    /// Node 1 of a two-node table whose peer 2 lives at `addr`; returns
+    /// whether one probe pass finds peer 2 alive.
+    fn probe_finds_alive(addr: &str) -> bool {
+        let peer = |id, addr: &str| Peer {
+            id,
+            addr: addr.to_string(),
+        };
+        let rt = ClusterRuntime::new(ClusterConfig {
+            node_id: 1,
+            peers: vec![peer(1, "127.0.0.1:19001"), peer(2, addr)],
+            forwarding: Forwarding::Proxy,
+        })
+        .unwrap();
+        rt.probe_all();
+        rt.state().is_alive(2)
+    }
+
+    #[test]
+    fn unreachable_peer_is_dead() {
+        // Bind-then-drop: the port is (almost certainly) closed now.
+        let port = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().port()
+        };
+        assert!(!probe_finds_alive(&format!("127.0.0.1:{port}")));
+        assert!(!probe_finds_alive("not-an-addr"));
+    }
+
+    #[test]
+    fn healthy_listener_is_alive_and_non_200_is_dead() {
+        use std::io::{Read, Write};
+        for (status, want) in [("200 OK", true), ("503 Service Unavailable", false)] {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = format!("127.0.0.1:{}", l.local_addr().unwrap().port());
+            let handle = std::thread::spawn(move || {
+                let (mut s, _) = l.accept().unwrap();
+                let mut buf = [0u8; 512];
+                let _ = s.read(&mut buf);
+                let body = "{}";
+                let resp = format!(
+                    "HTTP/1.1 {status}\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let _ = s.write_all(resp.as_bytes());
+            });
+            assert_eq!(probe_finds_alive(&addr), want, "status {status}");
+            handle.join().unwrap();
+        }
     }
 
     /// A fingerprint point owned by the given node under the 2-node ring.

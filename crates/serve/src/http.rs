@@ -413,6 +413,15 @@ impl Response {
         }
     }
 
+    /// A plain-text body under the Prometheus exposition content type
+    /// (`/metricsz`, the rendered ring table).
+    pub fn text(status: u16, body: String) -> Response {
+        Response {
+            content_type: "text/plain; version=0.0.4",
+            ..Response::json(status, body)
+        }
+    }
+
     /// A JSON error body: `{"error": "..."}`. Error responses close the
     /// connection — after a protocol-level failure the stream state is
     /// not trustworthy.

@@ -7,36 +7,25 @@
 //! simulating anything.
 //!
 //! ```text
-//! GET /healthz
+//! GET /healthz                                  (exposition.rs)
+//! GET /metricsz                                 (exposition.rs)
 //! GET /v1/apps
 //! GET /v1/verdict/{app}/{config}?ranks=&seed=&model=&faults=
 //! GET /v1/conflicts/{app}/{config}?...
 //! GET /v1/patterns/{app}/{config}?...
-//! GET /v1/metrics
+//! GET /v1/debug/flightrec
+//! GET /v1/cluster/{verb}                        (rebalance.rs)
 //! ```
 //!
 //! The three analysis endpoints share one cache entry per canonical query
 //! — the backend computes all three views in a single cold run (they are
 //! one fused pipeline pass), so a verdict request warms the conflicts and
-//! patterns responses for free.
-//!
-//! Two tiers sit under the LRU:
-//!
-//! * **Single-flight coalescing** — N concurrent misses on one canonical
-//!   key run *one* backend analysis; followers park on the leader's
-//!   flight and reuse its bytes. A leader that panics publishes an abort
-//!   (via a drop guard, so unwinding cannot leave followers parked
-//!   forever) and every follower retries with its own attempt.
-//! * **The persistent [`store::Store`]** (optional) — healthy views are
-//!   encoded and journaled on the cold path, and a miss consults the
-//!   store before the backend, so a restarted process answers warm with
-//!   bytes identical to what the dead process served. Stored bytes are
-//!   keyed by the full canonical string and re-verified structurally on
-//!   decode; anything unreadable is treated as a miss and recomputed,
-//!   never served.
+//! patterns responses for free. This file holds the protocol types, the
+//! request bracket ([`Router::handle`]), dispatch, and the analysis path
+//! as one straight line: ring → LRU → miss path (`miss.rs`) → render.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use obs::FlightKind;
@@ -44,10 +33,10 @@ use semantics_core::json::Json;
 use semantics_core::{CacheKey, CacheKeyBuilder};
 
 use crate::cache::ShardedLru;
-use crate::client::HttpClient;
-use crate::fleet::{self, ClusterRuntime, RouteDecision};
+use crate::fleet::{ClusterRuntime, RouteDecision};
 use crate::http::{Request, Response};
-use crate::reqid;
+use crate::miss::{Flight, LoadOrigin};
+use crate::{rebalance, reqid};
 
 /// Defaults for the analysis query parameters. The service default world
 /// is deliberately smaller than the paper's 64 ranks: a verdict is
@@ -64,10 +53,9 @@ pub const MAX_QUERY_RANKS: u32 = 4096;
 
 /// Endpoint labels for SLO accounting, in index order. Fixed at compile
 /// time so an observation is an array index, not a hash lookup.
-pub static SLO_ENDPOINTS: [&str; 9] = [
+pub static SLO_ENDPOINTS: [&str; 8] = [
     "healthz",
     "apps",
-    "metrics",
     "metricsz",
     "flightrec",
     "verdict",
@@ -79,10 +67,6 @@ pub static SLO_ENDPOINTS: [&str; 9] = [
 /// SLO window shape: 16 epochs of 15 s — a four-minute sliding window.
 const SLO_EPOCH_NS: u64 = 15_000_000_000;
 const SLO_EPOCHS: usize = 16;
-
-/// Availability target backing the error-budget exposition: 99.9%, i.e.
-/// one 5xx allowed per thousand windowed requests.
-const SLO_BUDGET_DENOMINATOR: u64 = 1000;
 
 /// One canonicalized analysis query — the cache-key domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,120 +137,18 @@ pub trait Backend: Send + Sync + 'static {
 
 /// Cached outcome: success and degraded runs are both deterministic
 /// functions of the query, so both are cacheable.
-type CachedResult = Arc<Result<AnalysisViews, ApiError>>;
-
-/// Magic prefix of an encoded [`AnalysisViews`] bundle in the store.
-const VIEWS_MAGIC: &[u8; 4] = b"AVW1";
-
-/// Encode the three rendered views as one store value: magic, then each
-/// view as `u32` LE length + bytes. Only healthy results are persisted.
-pub fn encode_views(views: &AnalysisViews) -> Vec<u8> {
-    let parts = [&views.verdict, &views.conflicts, &views.patterns];
-    let total = 4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>();
-    let mut buf = Vec::with_capacity(total);
-    buf.extend_from_slice(VIEWS_MAGIC);
-    for part in parts {
-        buf.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        buf.extend_from_slice(part.as_bytes());
-    }
-    buf
-}
-
-/// Decode a stored bundle. `None` means the bytes are not a valid bundle
-/// (version skew or corruption the store's checksums cannot see into) —
-/// the caller treats that as a miss and recomputes; it never improvises.
-pub fn decode_views(bytes: &[u8]) -> Option<AnalysisViews> {
-    let rest = bytes.strip_prefix(VIEWS_MAGIC)?;
-    let mut offset = 0usize;
-    let mut parts = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let len = u32::from_le_bytes(rest.get(offset..offset + 4)?.try_into().ok()?) as usize;
-        offset += 4;
-        let body = rest.get(offset..offset + len)?;
-        offset += len;
-        parts.push(std::str::from_utf8(body).ok()?.to_string());
-    }
-    if offset != rest.len() {
-        return None;
-    }
-    let mut parts = parts.into_iter();
-    Some(AnalysisViews {
-        verdict: parts.next().unwrap(),
-        conflicts: parts.next().unwrap(),
-        patterns: parts.next().unwrap(),
-    })
-}
-
-/// A cold run in progress: followers park on `done` until the leader
-/// publishes an outcome.
-enum FlightOutcome {
-    Running,
-    Done(CachedResult),
-    /// The leader unwound without publishing; followers retry themselves.
-    Aborted,
-}
-
-struct Flight {
-    state: Mutex<FlightOutcome>,
-    done: Condvar,
-    /// The leading request's id — how a coalesced follower names its
-    /// leader (in its `X-Coalesced-Leader` response header and its
-    /// flight-recorder event).
-    leader_rid: String,
-}
-
-/// Where a resolved analysis result came from — drives the follower's
-/// leader-attribution header.
-enum LoadOrigin {
-    Cache,
-    Store,
-    Computed,
-    Coalesced { leader: String },
-}
-
-/// Unwind-safety for the single-flight protocol: if the leader's
-/// `analyze` panics, this guard publishes `Aborted` and unlinks the
-/// flight, so followers wake into their own attempts instead of parking
-/// forever on a flight nobody owns.
-struct FlightGuard<'a> {
-    flights: &'a Mutex<HashMap<String, Arc<Flight>>>,
-    key: &'a str,
-    flight: &'a Arc<Flight>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        if obs::metrics_enabled() {
-            obs::metrics().add("serve.singleflight_aborts", 1);
-        }
-        obs::flight::record(
-            FlightKind::SfAbort,
-            0,
-            0,
-            0,
-            &self.flight.leader_rid,
-            self.key,
-        );
-        *self.flight.state.lock().unwrap() = FlightOutcome::Aborted;
-        self.flight.done.notify_all();
-        self.flights.lock().unwrap().remove(self.key);
-    }
-}
+pub(crate) type CachedResult = Arc<Result<AnalysisViews, ApiError>>;
 
 /// Routes requests, consulting the verdict cache before the backend.
 pub struct Router {
-    backend: Arc<dyn Backend>,
-    cache: ShardedLru<CachedResult>,
-    store: Option<Arc<store::Store>>,
-    cluster: Option<Arc<ClusterRuntime>>,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
+    pub(crate) backend: Arc<dyn Backend>,
+    pub(crate) cache: ShardedLru<CachedResult>,
+    pub(crate) store: Option<Arc<store::Store>>,
+    pub(crate) cluster: Option<Arc<ClusterRuntime>>,
+    pub(crate) flights: Mutex<HashMap<String, Arc<Flight>>>,
     apps_body: String,
-    started: Instant,
-    slo: obs::SloWindow,
+    pub(crate) started: Instant,
+    pub(crate) slo: obs::SloWindow,
 }
 
 impl Router {
@@ -327,7 +209,6 @@ impl Router {
             "/healthz" => "healthz",
             "/metricsz" => "metricsz",
             "/v1/apps" => "apps",
-            "/v1/metrics" => "metrics",
             "/v1/debug/flightrec" => "flightrec",
             p if p.starts_with("/v1/verdict") => "verdict",
             p if p.starts_with("/v1/conflicts") => "conflicts",
@@ -345,30 +226,20 @@ impl Router {
         self.cache.len()
     }
 
-    /// Handle one parsed request, recording latency and outcome metrics.
-    ///
-    /// When the live-observability layer is on (the default), the
-    /// request also gets an id (inbound `X-Request-Id` honored, echoed
-    /// back in the response headers), a pair of flight-recorder events
-    /// bracketing it, and an SLO window observation. With the layer off
-    /// this is byte-for-byte the pre-observability request path.
+    /// Handle one parsed request: give it an id (inbound `X-Request-Id`
+    /// honored, echoed back in the response headers), bracket it with a
+    /// pair of flight-recorder events, and record its latency and
+    /// outcome in the SLO window and the metrics registry.
     pub fn handle(&self, req: &Request) -> Response {
         let t0 = Instant::now();
-        let live = obs::flight_enabled();
-        let rid = if live {
-            reqid::request_id(req)
-        } else {
-            String::new()
-        };
-        // `t0` is already in hand, so the live layer stamps its ring
-        // events and SLO observation with a pure subtraction — zero
+        let rid = reqid::request_id(req);
+        // `t0` is already in hand, so the ring events and the SLO
+        // observation are stamped with a pure subtraction — zero
         // additional clock reads per request.
-        let start_ns = if live { obs::wall_ns_at(t0) } else { 0 };
-        if live {
-            obs::flight().record_at(start_ns, FlightKind::ReqStart, 0, 0, 0, &rid, &req.path);
-        }
+        let start_ns = obs::wall_ns_at(t0);
+        obs::flight().record_at(start_ns, FlightKind::ReqStart, 0, 0, 0, &rid, &req.path);
         let mut span = obs::span("serve", "request").with_arg("path", req.path.clone());
-        if live && obs::tracing_enabled() {
+        if obs::tracing_enabled() {
             span = span.with_arg("rid", rid.clone());
         }
         let mut resp = {
@@ -383,21 +254,19 @@ impl Router {
         };
         span.set_arg("status", u64::from(resp.status));
         let lat_ns = t0.elapsed().as_nanos() as u64;
-        if live {
-            let label = Self::endpoint_index(&req.path);
-            self.slo
-                .observe(label, resp.status, lat_ns, start_ns + lat_ns);
-            obs::flight().record_at(
-                start_ns + lat_ns,
-                FlightKind::ReqEnd,
-                u64::from(resp.status),
-                lat_ns,
-                0,
-                &rid,
-                &req.path,
-            );
-            resp.extra_headers.push((reqid::REQUEST_ID_HEADER, rid));
-        }
+        let end_ns = start_ns + lat_ns;
+        self.slo
+            .observe(Self::endpoint_index(&req.path), resp.status, lat_ns, end_ns);
+        obs::flight().record_at(
+            end_ns,
+            FlightKind::ReqEnd,
+            u64::from(resp.status),
+            lat_ns,
+            0,
+            &rid,
+            &req.path,
+        );
+        resp.extra_headers.push((reqid::REQUEST_ID_HEADER, rid));
         if obs::metrics_enabled() {
             let m = obs::metrics();
             m.add("serve.requests", 1);
@@ -423,14 +292,10 @@ impl Router {
             ["healthz"] => self.healthz(),
             ["metricsz"] => self.metricsz(),
             ["v1", "apps"] => Response::json(200, self.apps_body.clone()),
-            ["v1", "metrics"] => self.metrics(),
             ["v1", "debug", "flightrec"] => Response::json(200, obs::flight().dump_json()),
-            ["v1", "cluster", "status"] => self.cluster_status(req),
-            ["v1", "cluster", "segment"] => self.cluster_segment(req),
-            ["v1", "cluster", "pull"] => self.cluster_pull(req),
-            ["v1", "cluster", "commit"] => self.cluster_commit(req),
-            ["v1", "cluster", "join"] => self.cluster_join(),
-            ["v1", "cluster", "decommission"] => self.cluster_decommission(),
+            ["v1", "cluster", verb] => {
+                rebalance::handle(self.cluster.as_deref(), self.store.as_deref(), verb, req)
+            }
             ["v1", endpoint @ ("verdict" | "conflicts" | "patterns"), app, config] => {
                 self.analysis(endpoint, app, config, req, rid, now_ns)
             }
@@ -442,187 +307,25 @@ impl Router {
         }
     }
 
-    fn healthz(&self) -> Response {
-        let ring = obs::flight();
-        let mut doc = Json::obj()
-            .field("status", "ok")
-            .field("build", env!("CARGO_PKG_VERSION"))
-            .field("uptime_ms", self.started.elapsed().as_millis() as u64)
-            .field("cache_entries", self.cache.len())
-            .field("flightrec_depth", ring.depth())
-            .field("flightrec_total", ring.total());
-        if let Some(store) = &self.store {
-            let rec = store.recovery();
-            doc = doc
-                .field("store_entries", store.len())
-                .field("store_generation", store.generation())
-                .field("store_recovered_records", rec.recovered_records())
-                .field("store_quarantined_bytes", rec.quarantined_bytes);
+    /// Parse, range-check and canonicalize the query of an analysis
+    /// request; malformed values are client errors.
+    fn query(&self, app: &str, config: &str, req: &Request) -> Result<AnalysisQuery, Response> {
+        let ranks = parse_param(req, "ranks", DEFAULT_RANKS)?;
+        let seed = parse_param(req, "seed", DEFAULT_SEED)?;
+        if ranks == 0 || ranks > MAX_QUERY_RANKS {
+            return Err(Response::error(400, "ranks must be in [1, 4096]"));
         }
-        // Cluster fields appear only when the node runs clustered, so
-        // existing /healthz parsers see exactly the document they always
-        // did on a standalone node.
-        if let Some(cl) = &self.cluster {
-            let st = cl.state();
-            let (epoch, members) = st.view();
-            doc = doc
-                .field("cluster_id", st.node_id())
-                .field("cluster_epoch", epoch)
-                .field("cluster_members", members.len())
-                .field("cluster_slice", st.slice_fraction(st.node_id()));
-        }
-        Response::json(200, doc.pretty() + "\n")
-    }
-
-    /// Prometheus-style text exposition of the SLO window, the flight
-    /// recorder's vitals, and the deterministic obs counters. Wall-clock
-    /// data — explicitly outside the byte-identity contract of the
-    /// analysis endpoints. The format is validated by
-    /// [`obs::parse_exposition`] in tests, CI, and `tracetool`.
-    fn metricsz(&self) -> Response {
-        let rows = self.slo.snapshot(obs::wall_ns());
-        let mut out = String::with_capacity(4096);
-        out.push_str("# HELP serve_requests_total Cumulative requests by endpoint and class.\n");
-        out.push_str("# TYPE serve_requests_total counter\n");
-        for row in &rows {
-            for (c, class) in obs::slo::CLASSES.iter().enumerate() {
-                out.push_str(&format!(
-                    "serve_requests_total{{endpoint=\"{}\",class=\"{class}\"}} {}\n",
-                    row.label, row.total[c]
-                ));
-            }
-        }
-        out.push_str("# HELP serve_window_requests Requests in the sliding SLO window.\n");
-        out.push_str("# TYPE serve_window_requests gauge\n");
-        for row in &rows {
-            for (c, class) in obs::slo::CLASSES.iter().enumerate() {
-                out.push_str(&format!(
-                    "serve_window_requests{{endpoint=\"{}\",class=\"{class}\"}} {}\n",
-                    row.label, row.window[c]
-                ));
-            }
-        }
-        out.push_str(
-            "# HELP serve_window_latency_ns Windowed latency quantiles \
-             (inclusive log2-bucket upper bounds).\n",
-        );
-        out.push_str("# TYPE serve_window_latency_ns gauge\n");
-        for row in &rows {
-            if row.lat_count == 0 {
-                continue;
-            }
-            for (q, v) in [("0.5", row.p50_ns), ("0.99", row.p99_ns)] {
-                out.push_str(&format!(
-                    "serve_window_latency_ns{{endpoint=\"{}\",quantile=\"{q}\"}} {v}\n",
-                    row.label
-                ));
-            }
-            out.push_str(&format!(
-                "serve_window_latency_sum_ns{{endpoint=\"{}\"}} {}\n",
-                row.label, row.lat_sum
-            ));
-            out.push_str(&format!(
-                "serve_window_latency_count{{endpoint=\"{}\"}} {}\n",
-                row.label, row.lat_count
-            ));
-        }
-        out.push_str(
-            "# HELP serve_error_budget_remaining Windowed 5xx budget left at a \
-             99.9% availability target (burned = windowed 5xx count).\n",
-        );
-        out.push_str("# TYPE serve_error_budget_remaining gauge\n");
-        for row in &rows {
-            let total: u64 = row.window.iter().sum();
-            let allowed = total / SLO_BUDGET_DENOMINATOR;
-            let burned = row.window[2];
-            out.push_str(&format!(
-                "serve_error_budget_remaining{{endpoint=\"{}\"}} {}\n",
-                row.label,
-                allowed.saturating_sub(burned)
-            ));
-            out.push_str(&format!(
-                "serve_error_budget_burned{{endpoint=\"{}\"}} {burned}\n",
-                row.label
-            ));
-        }
-        let ring = obs::flight();
-        out.push_str("# TYPE serve_flightrec_events_total counter\n");
-        out.push_str(&format!("serve_flightrec_events_total {}\n", ring.total()));
-        out.push_str("# TYPE serve_flightrec_depth gauge\n");
-        out.push_str(&format!("serve_flightrec_depth {}\n", ring.depth()));
-        out.push_str("# TYPE serve_uptime_ms gauge\n");
-        out.push_str(&format!(
-            "serve_uptime_ms {}\n",
-            self.started.elapsed().as_millis()
-        ));
-        out.push_str("# TYPE serve_cache_entries gauge\n");
-        out.push_str(&format!("serve_cache_entries {}\n", self.cache.len()));
-        if let Some(cl) = &self.cluster {
-            let st = cl.state();
-            let (epoch, members) = st.view();
-            out.push_str("# TYPE serve_cluster_epoch gauge\n");
-            out.push_str(&format!("serve_cluster_epoch {epoch}\n"));
-            out.push_str("# TYPE serve_cluster_members gauge\n");
-            out.push_str(&format!("serve_cluster_members {}\n", members.len()));
-            out.push_str("# TYPE serve_cluster_slice gauge\n");
-            out.push_str(&format!(
-                "serve_cluster_slice {:.6}\n",
-                st.slice_fraction(st.node_id())
-            ));
-            out.push_str("# TYPE serve_cluster_peer_alive gauge\n");
-            for peer in st.peers() {
-                out.push_str(&format!(
-                    "serve_cluster_peer_alive{{peer=\"{}\"}} {}\n",
-                    peer.id,
-                    u8::from(st.is_alive(peer.id))
-                ));
-            }
-        }
-        // The deterministic registry counters, dots and all, as one
-        // labeled family — so the exposition carries the same numbers
-        // the byte-identity tests compare.
-        out.push_str("# TYPE obs_counter gauge\n");
-        for (name, value) in obs::metrics().snapshot_counters() {
-            out.push_str(&format!("obs_counter{{name=\"{name}\"}} {value}\n"));
-        }
-        Response {
-            status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: out.into_bytes(),
-            extra_headers: Vec::new(),
-            close: false,
-        }
-    }
-
-    /// The obs registry dump plus service-level latency quantiles derived
-    /// from the request histogram. Wall-clock data — explicitly outside
-    /// the byte-identity contract of the analysis endpoints.
-    fn metrics(&self) -> Response {
-        let registry = obs::metrics();
-        let lat = registry.histogram("serve.request_ns");
-        let latency = Json::obj()
-            .field("count", lat.count())
-            .field("p50_ns_le", lat.quantile(0.50))
-            .field("p99_ns_le", lat.quantile(0.99));
-        let queue = registry.histogram("serve.queue_depth");
-        let queue_doc = Json::obj()
-            .field("samples", queue.count())
-            .field("p50_depth_le", queue.quantile(0.50))
-            .field("p99_depth_le", queue.quantile(0.99));
-        let summary = Json::obj()
-            .field("cache_hits", registry.counter("serve.cache_hits").get())
-            .field("cache_misses", registry.counter("serve.cache_misses").get())
-            .field("latency", latency)
-            .field("queue", queue_doc)
-            .pretty();
-        // Splice the already-rendered registry dump in as the final field;
-        // both fragments are complete JSON objects.
-        let registry_dump = registry.dump_json();
-        let body = format!(
-            "{{\n\"serve\": {summary},\n\"registry\": {}}}\n",
-            registry_dump.trim_end()
-        );
-        Response::json(200, body)
+        let raw = AnalysisQuery {
+            app: app.to_string(),
+            config: config.to_string(),
+            ranks,
+            seed,
+            model: req.query_param("model").unwrap_or("both").to_string(),
+            faults: req.query_param("faults").unwrap_or("none").to_string(),
+        };
+        self.backend
+            .canonicalize(raw)
+            .map_err(|e| error_response(&e))
     }
 
     fn analysis(
@@ -634,29 +337,9 @@ impl Router {
         rid: &str,
         now_ns: u64,
     ) -> Response {
-        // Parse query parameters; malformed values are client errors.
-        let ranks = match parse_param(req, "ranks", DEFAULT_RANKS) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let seed = match parse_param(req, "seed", DEFAULT_SEED) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        if ranks == 0 || ranks > MAX_QUERY_RANKS {
-            return Response::error(400, "ranks must be in [1, 4096]");
-        }
-        let raw = AnalysisQuery {
-            app: app.to_string(),
-            config: config.to_string(),
-            ranks,
-            seed,
-            model: req.query_param("model").unwrap_or("both").to_string(),
-            faults: req.query_param("faults").unwrap_or("none").to_string(),
-        };
-        let query = match self.backend.canonicalize(raw) {
+        let query = match self.query(app, config, req) {
             Ok(q) => q,
-            Err(e) => return error_response(&e),
+            Err(resp) => return resp,
         };
         let key = query.cache_key();
         // Clustered: the ring decides before any local tier is touched.
@@ -672,10 +355,9 @@ impl Router {
             }
         }
         let cached = self.cache.get(&key);
-        let hit = cached.is_some();
         if obs::metrics_enabled() {
             obs::metrics().add(
-                if hit {
+                if cached.is_some() {
                     "serve.cache_hits"
                 } else {
                     "serve.cache_misses"
@@ -683,19 +365,27 @@ impl Router {
                 1,
             );
         }
-        // Misses go to the ring; hits do not. A warm server takes
-        // thousands of hits a second, and an event per hit would evict
-        // every forensically interesting entry (misses, store traffic,
-        // single-flight transitions, degradations) from the fixed-size
-        // ring within milliseconds. Hits stay visible through the
-        // `serve.cache_hits` counter and the request's ReqStart/ReqEnd
-        // bracket.
-        if !hit && obs::flight_enabled() {
-            obs::flight().record_at(now_ns, FlightKind::CacheMiss, 0, 0, 0, rid, key.canonical());
-        }
         let (result, origin) = match cached {
             Some(r) => (r, LoadOrigin::Cache),
-            None => self.load_or_compute(&key, &query, rid, persist),
+            None => {
+                // Misses go to the ring; hits do not. A warm server takes
+                // thousands of hits a second, and an event per hit would
+                // evict every forensically interesting entry (misses,
+                // store traffic, single-flight transitions, degradations)
+                // from the fixed-size ring within milliseconds. Hits stay
+                // visible through the `serve.cache_hits` counter and the
+                // request's ReqStart/ReqEnd bracket.
+                obs::flight().record_at(
+                    now_ns,
+                    FlightKind::CacheMiss,
+                    0,
+                    0,
+                    0,
+                    rid,
+                    key.canonical(),
+                );
+                self.load_or_compute(&key, &query, rid, persist)
+            }
         };
         match result.as_ref() {
             Ok(views) => {
@@ -722,138 +412,6 @@ impl Router {
         }
     }
 
-    /// Resolve a cache miss: persistent store, then single-flight
-    /// coalesced backend analysis. `persist` gates journaling the result
-    /// (false for cluster-foreign keys computed here as a degradation —
-    /// they belong in the owner's store slice, not ours).
-    fn load_or_compute(
-        &self,
-        key: &CacheKey,
-        query: &AnalysisQuery,
-        rid: &str,
-        persist: bool,
-    ) -> (CachedResult, LoadOrigin) {
-        let canonical = key.canonical();
-        loop {
-            // Store tier first — a restarted process answers from disk.
-            if let Some(store) = &self.store {
-                if let Some(bytes) = store.get(canonical) {
-                    if let Some(views) = decode_views(&bytes) {
-                        let result: CachedResult = Arc::new(Ok(views));
-                        self.cache.insert(key, Arc::clone(&result));
-                        if obs::metrics_enabled() {
-                            obs::metrics().add("store.hits", 1);
-                        }
-                        obs::flight::record(
-                            FlightKind::StoreHit,
-                            0,
-                            bytes.len() as u64,
-                            0,
-                            rid,
-                            canonical,
-                        );
-                        return (result, LoadOrigin::Store);
-                    }
-                    // Undecodable bundle (version skew): recompute below.
-                    obs::warn!(
-                        "store: undecodable bundle for {canonical:?} (rid {rid}); recomputing"
-                    );
-                }
-            }
-
-            // Single-flight: first miss leads, the rest park.
-            let (flight, leader) = {
-                let mut flights = self.flights.lock().unwrap();
-                match flights.get(canonical) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(Flight {
-                            state: Mutex::new(FlightOutcome::Running),
-                            done: Condvar::new(),
-                            leader_rid: rid.to_string(),
-                        });
-                        flights.insert(canonical.to_string(), Arc::clone(&f));
-                        (f, true)
-                    }
-                }
-            };
-
-            if !leader {
-                if obs::metrics_enabled() {
-                    obs::metrics().add("serve.coalesced_waiters", 1);
-                }
-                obs::flight::record(FlightKind::SfFollow, 0, 0, 0, rid, &flight.leader_rid);
-                let mut state = flight.state.lock().unwrap();
-                loop {
-                    match &*state {
-                        FlightOutcome::Running => state = flight.done.wait(state).unwrap(),
-                        FlightOutcome::Done(result) => {
-                            return (
-                                Arc::clone(result),
-                                LoadOrigin::Coalesced {
-                                    leader: flight.leader_rid.clone(),
-                                },
-                            )
-                        }
-                        // Leader died: take another lap — maybe lead.
-                        FlightOutcome::Aborted => break,
-                    }
-                }
-                continue;
-            }
-
-            obs::flight::record(FlightKind::SfLead, 0, 0, 0, rid, canonical);
-            let mut guard = FlightGuard {
-                flights: &self.flights,
-                key: canonical,
-                flight: &flight,
-                armed: true,
-            };
-            let mut span = obs::span("serve", "analyze-cold")
-                .with_arg("app", query.app.clone())
-                .with_arg("cfg", query.config.clone());
-            let computed: CachedResult = Arc::new(self.backend.analyze(query));
-            span.set_arg("ok", u64::from(computed.is_ok()));
-            // Degraded outcomes are admitted under the cache's smaller
-            // degraded quota so a burst of failing queries cannot evict
-            // healthy verdicts — and they are *not* persisted: a restart
-            // deserves a fresh attempt.
-            match computed.as_ref() {
-                Ok(views) => {
-                    self.cache.insert(key, Arc::clone(&computed));
-                    if let (Some(store), true) = (&self.store, persist) {
-                        let encoded = encode_views(views);
-                        match store.put(canonical, &encoded) {
-                            Ok(()) => obs::flight::record(
-                                FlightKind::StorePut,
-                                0,
-                                encoded.len() as u64,
-                                0,
-                                rid,
-                                canonical,
-                            ),
-                            Err(e) => {
-                                // Durability degraded, service alive: the
-                                // bytes still come from memory.
-                                obs::warn!(
-                                    "store: persist failed for {canonical:?} (rid {rid}): {e}"
-                                );
-                            }
-                        }
-                    }
-                }
-                Err(_) => self.cache.insert_degraded(key, Arc::clone(&computed)),
-            }
-            // Publish before unlinking so late arrivals either find the
-            // flight Done or miss it entirely and hit the cache.
-            *flight.state.lock().unwrap() = FlightOutcome::Done(Arc::clone(&computed));
-            flight.done.notify_all();
-            self.flights.lock().unwrap().remove(canonical);
-            guard.armed = false;
-            return (computed, LoadOrigin::Computed);
-        }
-    }
-
     /// Drain-time flush: compact the store's journal into a snapshot so
     /// the next open recovers from one segment. Called by the server
     /// after the worker pool finishes.
@@ -874,508 +432,6 @@ impl Router {
     /// The cluster runtime, when the node runs clustered.
     pub fn cluster(&self) -> Option<&Arc<ClusterRuntime>> {
         self.cluster.as_ref()
-    }
-
-    /// `/v1/cluster/*` guard: these endpoints exist only on a clustered
-    /// node.
-    fn clustered(&self) -> Result<&Arc<ClusterRuntime>, Response> {
-        self.cluster
-            .as_ref()
-            .ok_or_else(|| Response::error(400, "this node is not running in cluster mode"))
-    }
-
-    /// Ring view: JSON by default, a rendered table with `?format=table`
-    /// (what `report cluster status` prints).
-    fn cluster_status(&self, req: &Request) -> Response {
-        let cl = match self.clustered() {
-            Ok(cl) => cl,
-            Err(resp) => return resp,
-        };
-        let st = cl.state();
-        let (epoch, members) = st.view();
-        let mode = match cl.forwarding() {
-            fleet::Forwarding::Proxy => "proxy",
-            fleet::Forwarding::Redirect => "redirect",
-        };
-        if req.query_param("format") == Some("table") {
-            let mut out = format!(
-                "cluster: node {} @ {}  epoch {epoch}  forwarding {mode}\n\
-                 {:>4}  {:<21}  {:>6}  {:>5}  {:>7}\n",
-                st.node_id(),
-                st.self_addr(),
-                "id",
-                "addr",
-                "member",
-                "alive",
-                "slice"
-            );
-            for peer in st.peers() {
-                out.push_str(&format!(
-                    "{:>4}  {:<21}  {:>6}  {:>5}  {:>6.1}%\n",
-                    peer.id,
-                    peer.addr,
-                    if st.is_member(peer.id) { "yes" } else { "no" },
-                    if st.is_alive(peer.id) { "yes" } else { "no" },
-                    st.slice_fraction(peer.id) * 100.0
-                ));
-            }
-            return Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: out.into_bytes(),
-                extra_headers: Vec::new(),
-                close: false,
-            };
-        }
-        let peers: Vec<Json> = st
-            .peers()
-            .iter()
-            .map(|p| {
-                Json::obj()
-                    .field("id", p.id)
-                    .field("addr", p.addr.as_str())
-                    .field("member", st.is_member(p.id))
-                    .field("alive", st.is_alive(p.id))
-                    .field("slice", st.slice_fraction(p.id))
-            })
-            .collect();
-        let doc = Json::obj()
-            .field("node", st.node_id())
-            .field("addr", st.self_addr())
-            .field("epoch", epoch)
-            .field("forwarding", mode)
-            .field(
-                "members",
-                members
-                    .iter()
-                    .map(|&m| Json::U64(u64::from(m)))
-                    .collect::<Vec<_>>(),
-            )
-            .field("peers", peers);
-        Response::json(200, doc.pretty() + "\n")
-    }
-
-    /// Parse the common rebalance query triple: target node id, the
-    /// epoch under negotiation, and the proposed member csv.
-    fn rebalance_params(req: &Request) -> Result<(u64, Vec<u32>), Response> {
-        let epoch: u64 = req
-            .query_param("epoch")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| Response::error(400, "missing or invalid epoch parameter"))?;
-        let members = req
-            .query_param("members")
-            .ok_or_else(|| Response::error(400, "missing members parameter"))
-            .and_then(|csv| cluster::parse_members(csv).map_err(|e| Response::error(400, &e)))?;
-        Ok((epoch, members))
-    }
-
-    /// Export this node's store records that belong to `node` under the
-    /// proposed ring, as one checksummed snapshot segment stamped with
-    /// the epoch under negotiation.
-    fn cluster_segment(&self, req: &Request) -> Response {
-        let cl = match self.clustered() {
-            Ok(cl) => cl,
-            Err(resp) => return resp,
-        };
-        let Some(store) = &self.store else {
-            return Response::error(400, "no store attached; nothing to hand off");
-        };
-        let node: u32 = match req.query_param("node").and_then(|v| v.parse().ok()) {
-            Some(n) => n,
-            None => return Response::error(400, "missing or invalid node parameter"),
-        };
-        let (epoch, members) = match Self::rebalance_params(req) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let current = cl.state().epoch();
-        if epoch <= current {
-            return Response::error(
-                409,
-                &format!("stale rebalance epoch {epoch} (current {current})"),
-            );
-        }
-        let ring = cluster::Ring::build(&members);
-        let segment = store.export_segment(epoch, |canonical| {
-            let fp = CacheKey::from_canonical(canonical.to_string()).fingerprint();
-            ring.owner(fp.0) == Some(node)
-        });
-        let records = u64::from_le_bytes(segment[16..24].try_into().unwrap());
-        if obs::metrics_enabled() {
-            let m = obs::metrics();
-            m.add("cluster.segments_out", 1);
-            m.add("cluster.segment_records_out", records);
-            m.add(&format!("cluster.rebalance_out_to.{node}"), records);
-        }
-        obs::flight::record(
-            FlightKind::ClusterRebalance,
-            epoch,
-            records,
-            segment.len() as u64,
-            "",
-            "segment-export",
-        );
-        Response {
-            status: 200,
-            content_type: "application/octet-stream",
-            body: segment,
-            extra_headers: vec![(fleet::EPOCH_HEADER, epoch.to_string())],
-            close: false,
-        }
-    }
-
-    /// Pull a segment from the losing node named in `from` and replay it
-    /// through normal store recovery. All-or-nothing: verification
-    /// failure imports zero records and is reported as an error.
-    fn cluster_pull(&self, req: &Request) -> Response {
-        let cl = match self.clustered() {
-            Ok(cl) => cl,
-            Err(resp) => return resp,
-        };
-        let Some(store) = &self.store else {
-            return Response::error(400, "no store attached; cannot import a segment");
-        };
-        let Some(from) = req.query_param("from") else {
-            return Response::error(400, "missing from parameter");
-        };
-        let (epoch, members) = match Self::rebalance_params(req) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let current = cl.state().epoch();
-        if epoch <= current {
-            return Response::error(
-                409,
-                &format!("stale rebalance epoch {epoch} (current {current})"),
-            );
-        }
-        let me = cl.state().node_id();
-        let path = format!(
-            "/v1/cluster/segment?node={me}&epoch={epoch}&members={}",
-            cluster::format_members(&members)
-        );
-        let resp = match HttpClient::connect_str(from).and_then(|mut c| c.get(&path)) {
-            Ok(r) => r,
-            Err(e) => {
-                return Response::error(502, &format!("segment fetch from {from} failed: {e}"))
-            }
-        };
-        if resp.status != 200 {
-            return Response::error(
-                502,
-                &format!("segment fetch from {from} answered {}", resp.status),
-            );
-        }
-        let bytes = resp.body.len() as u64;
-        let imported = match store.import_segment(epoch, &resp.body) {
-            Ok(n) => n,
-            Err(e) => return Response::error(500, &format!("segment verification failed: {e}")),
-        };
-        if obs::metrics_enabled() {
-            let m = obs::metrics();
-            m.add("cluster.segments_in", 1);
-            m.add("cluster.segment_records_in", imported);
-        }
-        obs::flight::record(
-            FlightKind::ClusterRebalance,
-            epoch,
-            imported,
-            bytes,
-            "",
-            "segment-import",
-        );
-        let doc = Json::obj()
-            .field("imported", imported)
-            .field("bytes", bytes)
-            .field("epoch", epoch);
-        Response::json(200, doc.pretty() + "\n")
-    }
-
-    /// Switch to the proposed member set at the negotiated epoch. Only
-    /// issued by the orchestrating node *after* byte-verified handoff.
-    fn cluster_commit(&self, req: &Request) -> Response {
-        let cl = match self.clustered() {
-            Ok(cl) => cl,
-            Err(resp) => return resp,
-        };
-        let (epoch, members) = match Self::rebalance_params(req) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        if let Err(e) = cl.state().commit(epoch, &members) {
-            return Response::error(409, &e);
-        }
-        if obs::metrics_enabled() {
-            obs::metrics().add("cluster.commits", 1);
-        }
-        obs::flight::record(FlightKind::ClusterRebalance, epoch, 0, 0, "", "commit");
-        let doc = Json::obj().field("epoch", epoch).field(
-            "members",
-            members
-                .iter()
-                .map(|&m| Json::U64(u64::from(m)))
-                .collect::<Vec<_>>(),
-        );
-        Response::json(200, doc.pretty() + "\n")
-    }
-
-    /// Join orchestration, run on the *gaining* node: pull the slice it
-    /// will own from every current member, then bump the epoch
-    /// everywhere. The epoch moves only after every segment verified.
-    fn cluster_join(&self) -> Response {
-        let cl = match self.clustered() {
-            Ok(cl) => cl,
-            Err(resp) => return resp,
-        };
-        let Some(store) = &self.store else {
-            return Response::error(400, "no store attached; cannot rebalance");
-        };
-        // A freshly booted node defaults to "every seed peer is a member
-        // at epoch 1" — adopt the running fleet's freshest view before
-        // deciding whether we are actually in it.
-        self.sync_view_from_peers(cl);
-        let st = cl.state();
-        let me = st.node_id();
-        let (epoch, members) = st.view();
-        if members.contains(&me) {
-            return Response::error(409, "this node is already a ring member");
-        }
-        let mut new_members = members.clone();
-        new_members.push(me);
-        new_members.sort_unstable();
-        let new_epoch = epoch + 1;
-        let csv = cluster::format_members(&new_members);
-
-        // Handoff: every current member exports the slice the new ring
-        // assigns to us; each segment is checksum-verified on import.
-        let mut imported = 0u64;
-        let mut moved_bytes = 0u64;
-        for &m in &members {
-            let addr = st.peer_addr(m).unwrap_or_default().to_string();
-            let path = format!("/v1/cluster/segment?node={me}&epoch={new_epoch}&members={csv}");
-            let resp = match HttpClient::connect_str(&addr).and_then(|mut c| c.get(&path)) {
-                Ok(r) => r,
-                Err(e) => {
-                    return Response::error(
-                        502,
-                        &format!("join aborted: segment fetch from node {m} failed: {e}"),
-                    )
-                }
-            };
-            if resp.status != 200 {
-                return Response::error(
-                    502,
-                    &format!("join aborted: node {m} answered {}", resp.status),
-                );
-            }
-            moved_bytes += resp.body.len() as u64;
-            match store.import_segment(new_epoch, &resp.body) {
-                Ok(n) => imported += n,
-                Err(e) => {
-                    return Response::error(
-                        500,
-                        &format!("join aborted: segment from node {m} failed verification: {e}"),
-                    )
-                }
-            }
-        }
-
-        // Byte-verified handoff complete: commit locally, then on peers.
-        if let Err(e) = st.commit(new_epoch, &new_members) {
-            return Response::error(409, &e);
-        }
-        let peer_commits = self.commit_on_peers(cl, new_epoch, &csv, &members);
-        obs::flight::record(
-            FlightKind::ClusterRebalance,
-            new_epoch,
-            imported,
-            moved_bytes,
-            "",
-            "join",
-        );
-        let doc = Json::obj()
-            .field("epoch", new_epoch)
-            .field("imported", imported)
-            .field("bytes", moved_bytes)
-            .field("peer_commits", peer_commits)
-            .field(
-                "members",
-                new_members
-                    .iter()
-                    .map(|&m| Json::U64(u64::from(m)))
-                    .collect::<Vec<_>>(),
-            );
-        Response::json(200, doc.pretty() + "\n")
-    }
-
-    /// Decommission orchestration, run on the *losing* node: every
-    /// gaining member pulls its share of our records, each pull's count
-    /// is verified against what the new ring says it should have moved,
-    /// and only then does the epoch bump fleet-wide.
-    fn cluster_decommission(&self) -> Response {
-        let cl = match self.clustered() {
-            Ok(cl) => cl,
-            Err(resp) => return resp,
-        };
-        let Some(store) = &self.store else {
-            return Response::error(400, "no store attached; cannot rebalance");
-        };
-        self.sync_view_from_peers(cl);
-        let st = cl.state();
-        let me = st.node_id();
-        let (epoch, members) = st.view();
-        if !members.contains(&me) {
-            return Response::error(409, "this node is not a ring member");
-        }
-        if members.len() == 1 {
-            return Response::error(400, "cannot decommission the last ring member");
-        }
-        let new_members: Vec<u32> = members.iter().copied().filter(|&m| m != me).collect();
-        let new_epoch = epoch + 1;
-        let csv = cluster::format_members(&new_members);
-        let ring = cluster::Ring::build(&new_members);
-
-        // What the new ring says each gaining member should receive.
-        let mut expected: HashMap<u32, u64> = HashMap::new();
-        for key in store.keys() {
-            let fp = CacheKey::from_canonical(key).fingerprint();
-            if let Some(owner) = ring.owner(fp.0) {
-                *expected.entry(owner).or_insert(0) += 1;
-            }
-        }
-
-        let self_addr = st.self_addr().to_string();
-        let mut moved = 0u64;
-        for &m in &new_members {
-            let want = expected.get(&m).copied().unwrap_or(0);
-            if want == 0 {
-                continue;
-            }
-            let addr = st.peer_addr(m).unwrap_or_default().to_string();
-            let path = format!("/v1/cluster/pull?from={self_addr}&epoch={new_epoch}&members={csv}");
-            let resp = match HttpClient::connect_str(&addr).and_then(|mut c| c.get(&path)) {
-                Ok(r) => r,
-                Err(e) => {
-                    return Response::error(
-                        502,
-                        &format!("decommission aborted: pull by node {m} failed: {e}"),
-                    )
-                }
-            };
-            if resp.status != 200 {
-                return Response::error(
-                    502,
-                    &format!(
-                        "decommission aborted: node {m} answered {}: {}",
-                        resp.status,
-                        resp.body_text().trim()
-                    ),
-                );
-            }
-            let got = fleet::json_u64_field(&resp.body_text(), "imported").unwrap_or(u64::MAX);
-            if got != want {
-                return Response::error(
-                    500,
-                    &format!(
-                        "decommission aborted: node {m} imported {got} records, expected {want}"
-                    ),
-                );
-            }
-            moved += got;
-        }
-
-        // Every gaining member verified its share: bump the epoch — on
-        // this node first (it starts forwarding everything immediately),
-        // then fleet-wide.
-        if let Err(e) = st.commit(new_epoch, &new_members) {
-            return Response::error(409, &e);
-        }
-        let peer_commits = self.commit_on_peers(cl, new_epoch, &csv, &new_members);
-        obs::flight::record(
-            FlightKind::ClusterRebalance,
-            new_epoch,
-            moved,
-            0,
-            "",
-            "decommission",
-        );
-        let doc = Json::obj()
-            .field("epoch", new_epoch)
-            .field("moved", moved)
-            .field("peer_commits", peer_commits)
-            .field(
-                "members",
-                new_members
-                    .iter()
-                    .map(|&m| Json::U64(u64::from(m)))
-                    .collect::<Vec<_>>(),
-            );
-        Response::json(200, doc.pretty() + "\n")
-    }
-
-    /// Adopt the freshest committed view any seed peer holds; best
-    /// effort (unreachable peers are skipped, a losing race is a no-op —
-    /// `commit` rejects stale epochs).
-    fn sync_view_from_peers(&self, cl: &ClusterRuntime) {
-        let st = cl.state();
-        let ours = st.epoch();
-        let mut best: Option<(u64, Vec<u32>)> = None;
-        for peer in st.peers() {
-            if peer.id == st.node_id() {
-                continue;
-            }
-            let Ok(resp) =
-                HttpClient::connect_str(&peer.addr).and_then(|mut c| c.get("/v1/cluster/status"))
-            else {
-                continue;
-            };
-            if resp.status != 200 {
-                continue;
-            }
-            let body = resp.body_text();
-            let Some(epoch) = fleet::json_u64_field(&body, "epoch") else {
-                continue;
-            };
-            if epoch > ours && best.as_ref().is_none_or(|(e, _)| epoch > *e) {
-                if let Some(members) = fleet::json_u32_array(&body, "members") {
-                    best = Some((epoch, members));
-                }
-            }
-        }
-        if let Some((epoch, members)) = best {
-            let _ = st.commit(epoch, &members);
-        }
-    }
-
-    /// Push a commit to each peer in `targets` (self excluded); returns
-    /// how many acknowledged. A peer that misses the commit catches up
-    /// through epoch-skew handling on its next forwarded request.
-    fn commit_on_peers(
-        &self,
-        cl: &ClusterRuntime,
-        epoch: u64,
-        members_csv: &str,
-        targets: &[u32],
-    ) -> u64 {
-        let st = cl.state();
-        let mut acked = 0u64;
-        for &m in targets {
-            if m == st.node_id() {
-                continue;
-            }
-            let Some(addr) = st.peer_addr(m) else {
-                continue;
-            };
-            let path = format!("/v1/cluster/commit?epoch={epoch}&members={members_csv}");
-            match HttpClient::connect_str(addr).and_then(|mut c| c.get(&path)) {
-                Ok(resp) if resp.status == 200 => acked += 1,
-                Ok(resp) => {
-                    obs::warn!("cluster: commit on node {m} answered {}", resp.status)
-                }
-                Err(e) => obs::warn!("cluster: commit on node {m} failed: {e}"),
-            }
-        }
-        acked
     }
 }
 
@@ -1482,12 +538,13 @@ mod tests {
         let r = router();
         assert_eq!(r.handle(&request("/healthz")).status, 200);
         assert_eq!(r.handle(&request("/v1/apps")).status, 200);
-        assert_eq!(r.handle(&request("/v1/metrics")).status, 200);
         assert_eq!(r.handle(&request("/v1/verdict/a/b")).status, 200);
         assert_eq!(r.handle(&request("/v1/conflicts/a/b")).status, 200);
         assert_eq!(r.handle(&request("/v1/patterns/a/b")).status, 200);
         assert_eq!(r.handle(&request("/nope")).status, 404);
         assert_eq!(r.handle(&request("/v1/verdict/only-app")).status, 404);
+        // Retired in favour of /metricsz, which carries every counter.
+        assert_eq!(r.handle(&request("/v1/metrics")).status, 404);
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
             .name("serve-cluster-probe".into())
             .spawn(move || {
                 while !stop_flag.load(Ordering::SeqCst) && !signal::shutdown_requested() {
-                    cl.probe_all(Duration::from_millis(250));
+                    cl.probe_all();
                     // Sleep in small steps so drain isn't held up.
                     for _ in 0..6 {
                         if stop_flag.load(Ordering::SeqCst) || signal::shutdown_requested() {
@@ -204,10 +204,10 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
                 let job_slot = Arc::clone(&slot);
                 let router = Arc::clone(router);
                 let draining = Arc::clone(&draining);
-                let conn_cfg = cfg.clone();
+                let (read_timeout, limits) = (cfg.read_timeout, cfg.limits);
                 let submitted = pool.try_submit(Box::new(move || {
                     if let Some(stream) = job_slot.lock().unwrap().take() {
-                        handle_connection(stream, &conn_cfg, &router, &draining);
+                        handle_connection(stream, read_timeout, &limits, &router, &draining);
                     }
                 }));
                 if submitted.is_err() {
@@ -245,8 +245,14 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
     obs::flight::dump_postmortem("sigterm-drain");
 }
 
-fn handle_connection(stream: TcpStream, cfg: &ServeConfig, router: &Router, draining: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
+fn handle_connection(
+    stream: TcpStream,
+    read_timeout: Duration,
+    limits: &HttpLimits,
+    router: &Router,
+    draining: &AtomicBool,
+) {
+    let _ = stream.set_read_timeout(Some(read_timeout));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -257,7 +263,7 @@ fn handle_connection(stream: TcpStream, cfg: &ServeConfig, router: &Router, drai
         if draining.load(Ordering::SeqCst) || signal::shutdown_requested() {
             return;
         }
-        match parse_request(&mut reader, &cfg.limits) {
+        match parse_request(&mut reader, limits) {
             Ok(req) => {
                 let mut resp = router.handle(&req);
                 // Honor the peer's connection preference, and stop serving

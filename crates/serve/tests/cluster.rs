@@ -10,15 +10,22 @@
 //! * a wrong-node request mid-rebalance (epoch skew) is served locally
 //!   with correct bytes instead of ping-ponging;
 //! * decommission + rejoin under live traffic moves snapshot segments
-//!   with zero wrong-byte responses.
+//!   with zero wrong-byte responses;
+//! * a decommission whose orchestrator dies after every pull verified
+//!   but before any commit leaves the old view serving, and the retry
+//!   succeeds;
+//! * a mute seed peer (accepts, never answers) costs a bounded wait, and
+//!   a proxy to it degrades to local recompute.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use serve::fleet::{json_u32_array, json_u64_field};
 use serve::{
-    get_once, get_redirecting, serve, AnalysisQuery, AnalysisViews, ApiError, Backend,
-    ClusterConfig, Forwarding, HttpClient, ServeConfig, ServerHandle,
+    get_once, get_redirecting, parse_request, serve, AnalysisQuery, AnalysisViews, ApiError,
+    Backend, ClusterConfig, ClusterRuntime, ConnReader, Forwarding, HttpClient, HttpLimits, Router,
+    ServeConfig, ServerHandle,
 };
 use store::{Store, StoreOptions};
 
@@ -394,13 +401,9 @@ fn decommission_and_rejoin_move_segments_with_zero_wrong_bytes_under_traffic() {
         .unwrap();
     assert_eq!(resp.status, 200, "decommission: {}", resp.body_text());
     let body = resp.body_text();
-    let moved = serve::fleet::json_u64_field(&body, "moved").unwrap();
+    let moved = json_u64_field(&body, "moved").unwrap();
     assert!(moved > 0, "node 3 owned none of 12 keys? {body}");
-    assert_eq!(
-        serve::fleet::json_u64_field(&body, "epoch"),
-        Some(2),
-        "{body}"
-    );
+    assert_eq!(json_u64_field(&body, "epoch"), Some(2), "{body}");
 
     // And rejoins: pulls its slice back, epoch bumps again.
     let resp = HttpClient::connect_str(&addrs[2])
@@ -409,13 +412,9 @@ fn decommission_and_rejoin_move_segments_with_zero_wrong_bytes_under_traffic() {
         .unwrap();
     assert_eq!(resp.status, 200, "join: {}", resp.body_text());
     let body = resp.body_text();
-    assert_eq!(
-        serve::fleet::json_u64_field(&body, "epoch"),
-        Some(3),
-        "{body}"
-    );
+    assert_eq!(json_u64_field(&body, "epoch"), Some(3), "{body}");
     assert!(
-        serve::fleet::json_u64_field(&body, "imported").unwrap() > 0,
+        json_u64_field(&body, "imported").unwrap() > 0,
         "rejoin pulled nothing back: {body}"
     );
 
@@ -458,4 +457,156 @@ fn decommission_and_rejoin_move_segments_with_zero_wrong_bytes_under_traffic() {
     for d in &dirs {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+#[test]
+fn crash_between_verify_and_commit_leaves_the_old_view_serving() {
+    let dirs: Vec<PathBuf> = (1..=3).map(|i| tmpdir(&format!("crash-{i}"))).collect();
+    let stores: Vec<Arc<Store>> = dirs.iter().map(|d| open_store(d)).collect();
+    let (handles, addrs) = boot_fleet(3, Forwarding::Proxy, Some(&stores));
+
+    let all = paths(12);
+    let expected: Vec<Vec<u8>> = all
+        .iter()
+        .map(|p| get_once(addrs[0].parse().unwrap(), p).unwrap().body)
+        .collect();
+    let identical_from_every_entry = |when: &str| {
+        for (p, want) in all.iter().zip(&expected) {
+            for addr in &addrs {
+                let (r, _) = get_redirecting(addr, p, 8).unwrap();
+                assert_eq!(r.status, 200, "{p} via {addr} {when}");
+                assert_eq!(&r.body, want, "{p} via {addr} {when}");
+            }
+        }
+    };
+    let keys_on_3 = stores[2].len() as u64;
+    assert!(keys_on_3 > 0, "node 3 owned none of 12 keys?");
+
+    // The first half of a decommission of node 3, by hand: both gaining
+    // members pull and verify their share — and then the orchestrator is
+    // gone. Nobody commits.
+    let mut pulled = 0;
+    for gaining in &addrs[..2] {
+        let pull = format!("/v1/cluster/pull?from={}&epoch=2&members=1,2", addrs[2]);
+        let resp = get_once(gaining.parse().unwrap(), &pull).unwrap();
+        assert_eq!(resp.status, 200, "pull on {gaining}: {}", resp.body_text());
+        pulled += json_u64_field(&resp.body_text(), "imported").unwrap();
+    }
+    assert_eq!(pulled, keys_on_3, "the pulls moved node 3's whole slice");
+    // A pull names a seed peer or nothing: the peer client has no other
+    // destinations.
+    let stray = "/v1/cluster/pull?from=127.0.0.1:9&epoch=2&members=1,2";
+    assert_eq!(
+        get_once(addrs[0].parse().unwrap(), stray).unwrap().status,
+        400
+    );
+
+    // Every node is still on the old view, and it still serves.
+    for addr in &addrs {
+        let status = get_once(addr.parse().unwrap(), "/v1/cluster/status").unwrap();
+        let body = status.body_text();
+        assert_eq!(json_u64_field(&body, "epoch"), Some(1), "{addr}: {body}");
+        assert_eq!(json_u32_array(&body, "members"), Some(vec![1, 2, 3]));
+    }
+    identical_from_every_entry("after the aborted handoff");
+
+    // The retry is the real thing: re-pulled records land on top of
+    // themselves, the counts verify, the epoch moves.
+    let resp = get_once(addrs[2].parse().unwrap(), "/v1/cluster/decommission").unwrap();
+    let body = resp.body_text();
+    assert_eq!(resp.status, 200, "decommission: {body}");
+    assert_eq!(json_u64_field(&body, "moved"), Some(keys_on_3), "{body}");
+    assert_eq!(json_u64_field(&body, "epoch"), Some(2), "{body}");
+    assert_eq!(json_u64_field(&body, "peer_commits"), Some(2), "{body}");
+    identical_from_every_entry("after the retried decommission");
+
+    for h in handles {
+        h.shutdown();
+    }
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn mute_seed_peer_costs_a_bounded_wait_and_a_proxy_to_it_degrades() {
+    use std::time::{Duration, Instant};
+    obs::set_metrics(true);
+
+    // Peer 2 accepts and never answers. Accepted sockets are handed to
+    // the test, which holds them open (mute) or drops them (hang up).
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let mute_addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let acceptor = std::thread::spawn(move || {
+        while let Ok((stream, _)) = listener.accept() {
+            if held_tx.send(stream).is_err() {
+                return;
+            }
+        }
+    });
+
+    let dir = tmpdir("mute");
+    let spec = format!("1=127.0.0.1:{},2={mute_addr}", pick_port());
+    let runtime = ClusterRuntime::new(ClusterConfig {
+        node_id: 1,
+        peers: cluster::parse_peers(&spec).unwrap(),
+        forwarding: Forwarding::Proxy,
+    })
+    .unwrap();
+    let router = Router::with_cluster(
+        Arc::new(PureBackend),
+        16,
+        Some(open_store(&dir)),
+        Some(Arc::new(runtime)),
+    );
+    let request = |line: &str| {
+        let raw = format!("GET {line} HTTP/1.1\r\n\r\n");
+        parse_request(&mut ConnReader::new(raw.as_bytes()), &HttpLimits::default()).unwrap()
+    };
+
+    // Join syncs its view from every seed peer first. The mute one must
+    // cost the control-plane read deadline, not a 30 s worker.
+    let t0 = Instant::now();
+    let resp = router.handle(&request("/v1/cluster/join"));
+    let waited = t0.elapsed();
+    assert_eq!(resp.status, 409, "node 1 is a member already");
+    assert!(waited < Duration::from_secs(5), "join took {waited:?}");
+    let _status_conn = held_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+
+    // A key the ring gives to the mute peer. PureBackend canonicalizes
+    // nothing, so the router's defaults are the whole key.
+    let ring = cluster::Ring::build(&[1, 2]);
+    let foreign = (0..64)
+        .find(|i| {
+            let query = AnalysisQuery {
+                app: format!("app-{i}"),
+                config: "cfg".into(),
+                ranks: 4,
+                seed: serve::router::DEFAULT_SEED,
+                model: "both".into(),
+                faults: "none".into(),
+            };
+            ring.owner(query.cache_key().fingerprint().0) == Some(2)
+        })
+        .expect("some key must be owned by node 2");
+    let errors_before = obs::metrics().counter("cluster.proxy_errors").get();
+    let path = format!("/v1/verdict/app-{foreign}/cfg?ranks=4");
+    let resp = std::thread::scope(|s| {
+        let proxied = s.spawn(|| router.handle(&request(&path)));
+        // The forward is connected and waiting; the peer hangs up on it.
+        drop(held_rx.recv_timeout(Duration::from_secs(5)).unwrap());
+        proxied.join().unwrap()
+    });
+    assert_eq!(resp.status, 200, "a failed proxy must degrade, not error");
+    assert_eq!(
+        resp.body,
+        format!("verdict:app-{foreign}:cfg:4\n").into_bytes()
+    );
+    assert!(obs::metrics().counter("cluster.proxy_errors").get() > errors_before);
+
+    drop(held_rx);
+    let _ = std::net::TcpStream::connect(&mute_addr); // wake the acceptor
+    acceptor.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -59,7 +59,6 @@ impl Backend for EchoBackend {
 
 #[test]
 fn request_ids_are_minted_echoed_and_kept_out_of_bodies() {
-    obs::set_flight(true);
     let r = Router::new(Arc::new(EchoBackend), 16);
 
     // No inbound id: a fresh deterministic-format one is minted.
@@ -88,7 +87,6 @@ fn request_ids_are_minted_echoed_and_kept_out_of_bodies() {
 
 #[test]
 fn flight_ring_records_the_request_lifecycle() {
-    obs::set_flight(true);
     let r = Router::new(Arc::new(EchoBackend), 16);
     let rid = "rid-lifecycle-77";
     r.handle(&request_with_rid("/v1/verdict/life/x?ranks=2", rid));
@@ -130,7 +128,7 @@ fn flight_ring_records_the_request_lifecycle() {
 
 #[test]
 fn metricsz_is_a_valid_exposition_with_slo_rows() {
-    obs::set_flight(true);
+    obs::set_metrics(true);
     let r = Router::new(Arc::new(EchoBackend), 16);
     for _ in 0..5 {
         assert_eq!(r.handle(&request("/v1/verdict/m/x?ranks=2")).status, 200);
@@ -169,6 +167,11 @@ fn metricsz_is_a_valid_exposition_with_slo_rows() {
         .iter()
         .any(|s| s.name == "serve_flightrec_depth" && s.value > 0.0));
     assert!(samples.iter().any(|s| s.name == "serve_uptime_ms"));
+    // The registry counters ride along as one labeled family — the only
+    // metrics surface there is. Five identical queries: four were hits.
+    assert!(samples.iter().any(|s| {
+        s.name == "obs_counter" && s.label("name") == Some("serve.cache_hits") && s.value >= 4.0
+    }));
 }
 
 /// Blocks every `analyze` call until the gate opens (same technique as
@@ -205,7 +208,6 @@ impl Backend for GatedBackend {
 
 #[test]
 fn coalesced_followers_name_their_leader() {
-    obs::set_flight(true);
     obs::set_metrics(true);
     let backend = Arc::new(GatedBackend {
         gate: Mutex::new(false),
@@ -291,7 +293,6 @@ impl Backend for PanickyBackend {
 
 #[test]
 fn handler_panic_dumps_postmortem_naming_the_request() {
-    obs::set_flight(true);
     let dir = std::env::temp_dir().join(format!("flightrec-panic-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let postmortem = dir.join("postmortem.jsonl");

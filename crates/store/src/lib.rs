@@ -423,8 +423,9 @@ impl Store {
     /// in the snapshot byte format, stamped with `tag` (the cluster tier
     /// passes the ownership epoch under negotiation). Keys are sorted,
     /// so the same map slice always yields the same bytes — the importer
-    /// can compare counts and the transfer is reproducible.
-    pub fn export_segment(&self, tag: u64, pred: impl Fn(&str) -> bool) -> Vec<u8> {
+    /// can compare counts and the transfer is reproducible. Returns the
+    /// segment and the number of records in it.
+    pub fn export_segment(&self, tag: u64, pred: impl Fn(&str) -> bool) -> (Vec<u8>, u64) {
         let inner = self.inner.lock().unwrap();
         let mut items: Vec<(&str, &[u8])> = inner
             .map
@@ -433,7 +434,8 @@ impl Store {
             .map(|(k, v)| (k.as_str(), v.as_slice()))
             .collect();
         items.sort_unstable_by_key(|&(k, _)| k);
-        snapshot::encode(tag, items.into_iter())
+        let records = items.len() as u64;
+        (snapshot::encode(tag, items.into_iter()), records)
     }
 
     /// Verify `raw` against `tag` and replay every record through the
@@ -657,9 +659,10 @@ mod tests {
                 .unwrap();
         }
         // Export only the even keys; tag is the epoch under negotiation.
-        let seg = src.export_segment(7, |k| {
+        let (seg, records) = src.export_segment(7, |k| {
             k.trim_start_matches("key-").parse::<u32>().unwrap() % 2 == 0
         });
+        assert_eq!(records, 4);
         {
             let dst = open(&dst_dir);
             assert_eq!(dst.import_segment(7, &seg).unwrap(), 4);
@@ -682,7 +685,7 @@ mod tests {
         let src = open(&src_dir);
         src.put("a", b"1").unwrap();
         src.put("b", b"2").unwrap();
-        let seg = src.export_segment(3, |_| true);
+        let (seg, _) = src.export_segment(3, |_| true);
         let dst = open(&dst_dir);
         // Wrong epoch tag: rejected before any replay.
         assert!(matches!(

@@ -35,8 +35,9 @@ echo "ci: serve smoke"
 # load generator (cold + warm phases, byte-identity asserted inside
 # loadgen), exercise the observability surface (flight-recorder dump,
 # /metricsz scraped and re-parsed by the from-scratch exposition
-# parser), then check SIGTERM drains to a clean exit 0 and writes the
-# postmortem flight-ring dump.
+# parser; the retired JSON metrics endpoint must stay a 404), then
+# check SIGTERM drains to a clean exit 0 and writes the postmortem
+# flight-ring dump.
 rm -f target/serve_postmortem.jsonl
 ./target/release/report serve --port 0 --workers 2 --cache-entries 32 \
     --postmortem target/serve_postmortem.jsonl \
@@ -56,6 +57,10 @@ SERVE_PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' target/ser
 ./target/release/report slo --addr "127.0.0.1:${SERVE_PORT}" \
     --raw target/metricsz.txt
 ./target/release/tracetool validate-prom target/metricsz.txt
+if ./target/release/report get --addr "127.0.0.1:${SERVE_PORT}" \
+    --path /v1/metrics > /dev/null 2>&1; then
+    echo "/v1/metrics answered 200; /metricsz is the one metrics surface"; exit 1
+fi
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 grep -q "shutdown complete" target/serve_smoke.log || {
@@ -70,7 +75,10 @@ echo "ci: cluster smoke"
 # on ephemeral ports with separate store dirs, cold through node A, the
 # same queries warm through node B (forwarded to their owners — byte
 # identity across entry nodes is asserted inside loadgen), ring status
-# rendered through the CLI, then SIGTERM both and require clean drains.
+# rendered through the CLI, node B decommissioned and rejoined through
+# the CLI (store segments handed off and back over the peer client,
+# epoch 1 -> 2 -> 3) with byte identity re-asserted afterwards, then
+# SIGTERM both and require clean drains.
 rm -rf target/ci_cluster_a target/ci_cluster_b
 CLUSTER_PORTS=$(./target/release/report pick-ports --count 2)
 PORT_A=$(echo "$CLUSTER_PORTS" | sed -n 1p)
@@ -101,6 +109,18 @@ done
 grep -q "epoch" target/cluster_status.txt || {
     echo "cluster status did not render"; cat target/cluster_status.txt; exit 1;
 }
+./target/release/report cluster decommission --addr "127.0.0.1:${PORT_B}" \
+    > target/cluster_decommission.txt
+grep -q '"moved"' target/cluster_decommission.txt || {
+    echo "decommission reported no handoff"; cat target/cluster_decommission.txt; exit 1;
+}
+./target/release/report cluster join --addr "127.0.0.1:${PORT_B}" \
+    > target/cluster_join.txt
+grep -q '"epoch": 3' target/cluster_join.txt || {
+    echo "rejoin did not reach epoch 3"; cat target/cluster_join.txt; exit 1;
+}
+./target/release/loadgen --smoke \
+    --cluster "127.0.0.1:${PORT_B},127.0.0.1:${PORT_A}"
 kill -TERM "$NODE_A" "$NODE_B"
 wait "$NODE_A"
 wait "$NODE_B"
