@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use recorder::{Func, Layer, TraceSet};
+use recorder::{Func, IdMap, Layer, TraceSet};
 
 /// Happens-before index over one (adjusted) trace.
 pub struct HbIndex {
@@ -49,10 +49,13 @@ impl HbIndex {
     /// timestamps match the conflict detector's).
     pub fn build(trace: &TraceSet) -> Self {
         let nranks = trace.ranks.len();
-        // Match sends to receives by sequence number.
-        let mut send_at: HashMap<u64, (u32, u64)> = HashMap::new();
-        let mut recv_at: HashMap<u64, (u32, u64)> = HashMap::new();
-        let mut barrier_events: HashMap<u64, BarrierEpoch> = HashMap::new();
+        // Match sends to receives by sequence number. Sequence numbers and
+        // barrier epochs are dense from 0 within one world, but a combined
+        // workflow trace offsets each job's by `j << 48`
+        // (`recorder::combine`), so they key a map, not a `Vec`.
+        let mut send_at: IdMap<u64, (u32, u64)> = IdMap::default();
+        let mut recv_at: IdMap<u64, (u32, u64)> = IdMap::default();
+        let mut barrier_events: IdMap<u64, BarrierEpoch> = IdMap::default();
         for rec in trace.ranks.iter().flatten() {
             if rec.layer != Layer::Mpi {
                 continue;
@@ -396,6 +399,64 @@ mod tests {
         assert!(idx.happens_before(0, 5, 0, 6));
         assert!(idx.happens_before(0, 5, 0, 5));
         assert!(!idx.happens_before(0, 6, 0, 5));
+    }
+
+    /// `recorder::combine` renumbers job j's sequence numbers and epochs as
+    /// `id + (j << 48)`; the second job's edges must still be indexed.
+    #[test]
+    fn combined_trace_keeps_later_jobs_edges() {
+        let job = |with_barrier: bool| {
+            let mut r0 = vec![mpi(
+                0,
+                10,
+                11,
+                Func::MpiSend {
+                    dst: 1,
+                    tag: 0,
+                    seq: 0,
+                },
+            )];
+            let mut r1 = vec![mpi(
+                1,
+                20,
+                21,
+                Func::MpiRecv {
+                    src: 0,
+                    tag: 0,
+                    seq: 0,
+                },
+            )];
+            if with_barrier {
+                r0.push(mpi(0, 30, 40, Func::MpiBarrier { epoch: 0 }));
+                r1.push(mpi(1, 35, 40, Func::MpiBarrier { epoch: 0 }));
+            }
+            TraceSet {
+                paths: vec![],
+                ranks: vec![r0, r1],
+                skews_ns: vec![0, 0],
+            }
+        };
+        for combined in [
+            recorder::combine::merge_jobs(&[job(true), job(true)]),
+            recorder::combine::combine_jobs(&[job(true), job(true)], 0),
+        ] {
+            let idx = HbIndex::build(&combined);
+            assert_eq!(idx.matched_messages(), 2);
+            assert_eq!(idx.barrier_epochs(), 2);
+            // Job 1 is ranks 2 and 3.
+            let at = |rank: usize, i: usize| &combined.ranks[rank][i];
+            let (send, recv) = (at(2, 0), at(3, 0));
+            assert!(idx.happens_before(2, send.t_start - 1, 3, recv.t_end));
+            assert!(!idx.happens_before(3, 0, 2, recv.t_end), "no reverse edge");
+            let (enter, exit) = (at(3, 1).t_start, at(3, 1).t_end);
+            assert!(idx.happens_before(3, enter - 1, 2, exit), "job 1's barrier");
+        }
+        // Message edge alone, with no barrier to hide a dropped one.
+        let combined = recorder::combine::merge_jobs(&[job(false), job(false)]);
+        let idx = HbIndex::build(&combined);
+        assert_eq!(idx.matched_messages(), 2);
+        assert!(idx.happens_before(2, 5, 3, 25));
+        assert!(!idx.happens_before(2, 12, 3, 25));
     }
 
     /// The optimized validation (barrier shortcut + per-source memo) against

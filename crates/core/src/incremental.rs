@@ -68,11 +68,12 @@
 //! configurations, semantics models, and fault campaigns, which would
 //! surface any violation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 use recorder::offset::StreamResolver;
-use recorder::{AccessKind, DataAccess, PathId, Record, ResolvedTrace, SyncEvent, SyncKind};
+use recorder::{AccessKind, DataAccess, IdMap, PathId, Record, ResolvedTrace, SyncEvent, SyncKind};
 
 use crate::conflict::{classify_pair, AnalysisModel, ConflictReport, ExtendedAccess};
 use crate::patterns::highlevel::{
@@ -102,10 +103,75 @@ struct WriteInfo {
     pruned: bool,
 }
 
+/// Handle to a write in the [`WriteSlab`]: its slot, and the generation
+/// the slot had when the write was stored there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WriteId {
+    slot: u32,
+    gen: u32,
+}
+
+#[derive(Debug)]
+struct Slot {
+    gen: u32,
+    write: Option<WriteInfo>,
+}
+
+/// The live writes, addressed by dense slot index instead of hashed id.
+/// A freed slot is reused by the next write under a new generation, so a
+/// handle that outlives its write (the `waiting_*` lists are not scrubbed
+/// when a write retires) *misses* — it can never alias the slot's next
+/// occupant.
+#[derive(Debug, Default)]
+struct WriteSlab {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+impl WriteSlab {
+    fn insert(&mut self, write: WriteInfo) -> WriteId {
+        match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.write = Some(write);
+                WriteId { slot, gen: s.gen }
+            }
+            None => {
+                self.slots.push(Slot {
+                    gen: 0,
+                    write: Some(write),
+                });
+                WriteId {
+                    slot: self.slots.len() as u32 - 1,
+                    gen: 0,
+                }
+            }
+        }
+    }
+
+    /// The write `id` names, or `None` once it has been removed.
+    fn get_mut(&mut self, id: WriteId) -> Option<&mut WriteInfo> {
+        let s = &mut self.slots[id.slot as usize];
+        if s.gen == id.gen {
+            s.write.as_mut()
+        } else {
+            None
+        }
+    }
+
+    fn remove(&mut self, id: WriteId) {
+        let s = &mut self.slots[id.slot as usize];
+        if s.gen == id.gen && s.write.take().is_some() {
+            s.gen = s.gen.wrapping_add(1);
+            self.free.push(id.slot);
+        }
+    }
+}
+
 /// A candidate pair awaiting its evaluation point (`drain > t₂`).
 #[derive(Debug, Clone, Copy)]
 struct PendingPair {
-    write_id: u64,
+    write_id: WriteId,
     second: DataAccess,
     second_k: SweepKey,
     /// Last open ≤ t₂ by the second access's rank (fixed up if an open at
@@ -128,7 +194,7 @@ struct Survivor {
 #[derive(Debug, Default)]
 struct FileState {
     /// Live write ids, in arrival order.
-    matchable: Vec<u64>,
+    matchable: Vec<WriteId>,
     /// Per-file arrival counter (the third component of [`SweepKey`]).
     next_seq: u32,
 }
@@ -142,8 +208,8 @@ struct RankFileState {
     /// Currently-open descriptors this rank holds on the file.
     open_fds: u32,
     /// Writes whose `tc_close` / `tc_commit` await the next such event.
-    waiting_close: Vec<u64>,
-    waiting_commit: Vec<u64>,
+    waiting_close: Vec<WriteId>,
+    waiting_commit: Vec<WriteId>,
 }
 
 /// Everything the incremental engine has produced by finalize time.
@@ -175,25 +241,33 @@ pub struct IncrementalOutput {
 struct Inner {
     nranks: usize,
     queues: Vec<VecDeque<Record>>,
+    /// `(t_start, rank)` of every nonempty queue's head, smallest first.
+    heads: BinaryHeap<Reverse<(u64, u32)>>,
     /// Promise: every future record of rank `r` has
     /// `t_start >= frontiers[r]`.
     frontiers: Vec<u64>,
     done: Vec<bool>,
+    /// The drain bound: the smallest frontier among ranks whose queue is
+    /// empty and which are not done (`u64::MAX` if there is none). Exact
+    /// whenever `bound_stale` is clear.
+    bound: u64,
+    /// Set when the rank that may hold the minimum left the empty set or
+    /// raised its frontier; the next drain rescans.
+    bound_stale: bool,
     resolver: StreamResolver,
     hl_opts: ClassifyOptions,
 
-    writes: HashMap<u64, WriteInfo>,
-    next_write_id: u64,
-    files: HashMap<PathId, FileState>,
-    rf: HashMap<(u32, PathId), RankFileState>,
+    writes: WriteSlab,
+    files: IdMap<PathId, FileState>,
+    rf: IdMap<(u32, PathId), RankFileState>,
     pending: VecDeque<PendingPair>,
     survivors: Vec<Survivor>,
 
-    local_prev: HashMap<(u32, PathId), u64>,
-    global_prev: HashMap<PathId, u64>,
+    local_prev: IdMap<(u32, PathId), u64>,
+    global_prev: IdMap<PathId, u64>,
     local_stats: PatternStats,
     global_stats: PatternStats,
-    buckets: HashMap<PathId, FileBuckets>,
+    buckets: IdMap<PathId, FileBuckets>,
 
     /// `remap[pre_canonical_id] = canonical id`, set after trace assembly.
     remap: Vec<u32>,
@@ -220,21 +294,23 @@ impl StreamingAnalyzer {
             inner: Mutex::new(Inner {
                 nranks: n,
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
+                heads: BinaryHeap::with_capacity(n),
                 frontiers: vec![0; n],
                 done: vec![false; n],
+                bound: 0,
+                bound_stale: false,
                 resolver: StreamResolver::new(),
                 hl_opts: ClassifyOptions::default(),
-                writes: HashMap::new(),
-                next_write_id: 0,
-                files: HashMap::new(),
-                rf: HashMap::new(),
+                writes: WriteSlab::default(),
+                files: IdMap::default(),
+                rf: IdMap::default(),
                 pending: VecDeque::new(),
                 survivors: Vec::new(),
-                local_prev: HashMap::new(),
-                global_prev: HashMap::new(),
+                local_prev: IdMap::default(),
+                global_prev: IdMap::default(),
                 local_stats: PatternStats::default(),
                 global_stats: PatternStats::default(),
-                buckets: HashMap::new(),
+                buckets: IdMap::default(),
                 remap: Vec::new(),
                 live_intervals: 0,
                 peak_live_intervals: 0,
@@ -252,6 +328,12 @@ impl StreamingAnalyzer {
     pub fn push(&self, rank: u32, records: &[Record], frontier: u64) {
         let mut g = self.lock();
         let r = rank as usize;
+        g.leaving_empty_set(r);
+        if g.queues[r].is_empty() {
+            if let Some(first) = records.first() {
+                g.heads.push(Reverse((first.t_start, rank)));
+            }
+        }
         let mut f = g.frontiers[r].max(frontier);
         for rec in records {
             debug_assert!(
@@ -270,6 +352,7 @@ impl StreamingAnalyzer {
     /// `rank` will produce no further records.
     pub fn rank_done(&self, rank: u32) {
         let mut g = self.lock();
+        g.leaving_empty_set(rank as usize);
         g.done[rank as usize] = true;
         g.frontiers[rank as usize] = u64::MAX;
         g.drain();
@@ -303,36 +386,47 @@ impl StreamingAnalyzer {
 }
 
 impl Inner {
+    /// Rank `r` is about to raise its frontier, get records queued, or be
+    /// marked done. If it is one of the empty, live ranks the bound is the
+    /// minimum over, and its frontier is that minimum, the bound may rise:
+    /// have the next drain rescan. (A rank above the minimum leaving the
+    /// set, or rising further, changes nothing.)
+    fn leaving_empty_set(&mut self, r: usize) {
+        if self.queues[r].is_empty() && !self.done[r] && self.frontiers[r] <= self.bound {
+            self.bound_stale = true;
+        }
+    }
+
     /// Watermark merge: repeatedly drain the smallest `(t_start, rank)`
     /// queue head, as long as it is strictly below every empty rank's
     /// frontier (an empty rank could still produce a record at its
-    /// frontier with a smaller rank number).
+    /// frontier with a smaller rank number). The heads sit in a min-heap;
+    /// the bound is carried between calls and can only fall while
+    /// draining, when a queue runs empty.
     fn drain(&mut self) {
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            let mut bound = u64::MAX;
-            for r in 0..self.nranks {
-                match self.queues[r].front() {
-                    Some(rec) => {
-                        let key = (rec.t_start, r);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
-                    None => {
-                        if !self.done[r] {
-                            bound = bound.min(self.frontiers[r]);
-                        }
-                    }
-                }
+        if self.bound_stale {
+            self.bound = (0..self.nranks)
+                .filter(|&r| self.queues[r].is_empty() && !self.done[r])
+                .map(|r| self.frontiers[r])
+                .min()
+                .unwrap_or(u64::MAX);
+            self.bound_stale = false;
+        }
+        while let Some(&Reverse((t, rank))) = self.heads.peek() {
+            if t >= self.bound {
+                break;
             }
-            match best {
-                Some((t, r)) if t < bound => {
-                    let rec = self.queues[r].pop_front().expect("nonempty");
-                    self.process(rec);
-                }
-                _ => break,
+            self.heads.pop();
+            let r = rank as usize;
+            let rec = self.queues[r]
+                .pop_front()
+                .expect("a head per nonempty queue");
+            match self.queues[r].front() {
+                Some(next) => self.heads.push(Reverse((next.t_start, rank))),
+                None if !self.done[r] => self.bound = self.bound.min(self.frontiers[r]),
+                None => {}
             }
+            self.process(rec);
         }
     }
 
@@ -370,7 +464,7 @@ impl Inner {
     fn eval_pair(&mut self, p: PendingPair) {
         let w = self
             .writes
-            .get_mut(&p.write_id)
+            .get_mut(p.write_id)
             .expect("pending ref keeps the write alive");
         w.refs -= 1;
         let freed = w.pruned && w.refs == 0;
@@ -393,7 +487,7 @@ impl Inner {
             (p.second, p.second_k, None, None, wa, w.k, w.to)
         };
         if freed {
-            self.writes.remove(&p.write_id);
+            self.writes.remove(p.write_id);
         }
         if fa.kind != AccessKind::Write {
             return; // write-after-read is not a potential conflict
@@ -445,12 +539,12 @@ impl Inner {
                 rf.last_close = Some(s.t);
                 rf.last_commit = Some(s.t);
                 for id in std::mem::take(&mut rf.waiting_close) {
-                    if let Some(w) = self.writes.get_mut(&id) {
+                    if let Some(w) = self.writes.get_mut(id) {
                         w.tc_close = Some(s.t);
                     }
                 }
                 for id in std::mem::take(&mut rf.waiting_commit) {
-                    if let Some(w) = self.writes.get_mut(&id) {
+                    if let Some(w) = self.writes.get_mut(id) {
                         w.tc_commit = Some(s.t);
                     }
                 }
@@ -458,7 +552,7 @@ impl Inner {
             SyncKind::Commit => {
                 rf.last_commit = Some(s.t);
                 for id in std::mem::take(&mut rf.waiting_commit) {
-                    if let Some(w) = self.writes.get_mut(&id) {
+                    if let Some(w) = self.writes.get_mut(id) {
                         w.tc_commit = Some(s.t);
                     }
                 }
@@ -487,8 +581,8 @@ impl Inner {
         fs.next_seq += 1;
         let rf = self.rf.entry((a.rank, a.file)).or_default();
         let to2 = rf.last_open;
-        for &id in &self.files[&a.file].matchable {
-            let w = self.writes.get_mut(&id).expect("matchable writes live");
+        for &id in &fs.matchable {
+            let w = self.writes.get_mut(id).expect("matchable writes live");
             let overlap = a.offset < w.access.end() && w.access.offset < a.end();
             if !overlap {
                 continue;
@@ -508,37 +602,26 @@ impl Inner {
         }
 
         if a.kind == AccessKind::Write {
-            let rf = self.rf.entry((a.rank, a.file)).or_default();
             // Tie fill: a close/commit at exactly t₁ drained before this
             // write (per-rank FIFO) and is its `first_after`.
             let tc_close = rf.last_close.filter(|&t| t == a.t_start);
             let tc_commit = rf.last_commit.filter(|&t| t == a.t_start);
-            let id = self.next_write_id;
-            self.next_write_id += 1;
+            let id = self.writes.insert(WriteInfo {
+                access: a,
+                k,
+                to: rf.last_open,
+                tc_close,
+                tc_commit,
+                refs: 0,
+                pruned: false,
+            });
             if tc_close.is_none() {
                 rf.waiting_close.push(id);
             }
             if tc_commit.is_none() {
                 rf.waiting_commit.push(id);
             }
-            let to = rf.last_open;
-            self.writes.insert(
-                id,
-                WriteInfo {
-                    access: a,
-                    k,
-                    to,
-                    tc_close,
-                    tc_commit,
-                    refs: 0,
-                    pruned: false,
-                },
-            );
-            self.files
-                .get_mut(&a.file)
-                .expect("entry")
-                .matchable
-                .push(id);
+            fs.matchable.push(id);
             self.live_intervals += 1;
             self.peak_live_intervals = self.peak_live_intervals.max(self.live_intervals);
         }
@@ -571,7 +654,7 @@ impl Inner {
                     }
                 }
             }
-            fs.matchable.retain(|id| {
+            fs.matchable.retain(|&id| {
                 let w = writes.get_mut(id).expect("matchable writes live");
                 let commit_dead = w.tc_commit.is_some();
                 let session_dead = match w.tc_close {
@@ -600,6 +683,7 @@ impl Inner {
             self.frontiers[r] = u64::MAX;
             self.done[r] = true;
         }
+        self.bound_stale = true;
         self.drain();
         self.flush_pending(u64::MAX);
 
@@ -774,6 +858,165 @@ mod tests {
         an.finalize()
     }
 
+    /// The drain the heap replaced: rescan every queue head (and every
+    /// empty rank's frontier) per drained record.
+    struct LinearScanDrain {
+        queues: Vec<VecDeque<Record>>,
+        frontiers: Vec<u64>,
+        done: Vec<bool>,
+        /// `(t_start, rank, is_open)` in drain order.
+        out: Vec<(u64, u32, bool)>,
+    }
+
+    impl LinearScanDrain {
+        fn drain(&mut self) {
+            loop {
+                let mut best: Option<(u64, usize)> = None;
+                let mut bound = u64::MAX;
+                for r in 0..self.queues.len() {
+                    match self.queues[r].front() {
+                        Some(rec) => {
+                            let key = (rec.t_start, r);
+                            if best.is_none_or(|b| key < b) {
+                                best = Some(key);
+                            }
+                        }
+                        None if !self.done[r] => bound = bound.min(self.frontiers[r]),
+                        None => {}
+                    }
+                }
+                match best {
+                    Some((t, r)) if t < bound => {
+                        let rec = self.queues[r].pop_front().expect("nonempty");
+                        let open = matches!(rec.func, Func::Open { .. });
+                        self.out.push((t, r as u32, open));
+                    }
+                    _ => break,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_drain_emits_the_linear_scan_order() {
+        use simrng::SimRng;
+
+        let mut rng = SimRng::seed_from_u64(0xD2A1);
+        let flags = flag_bits::WRITE | flag_bits::CREATE;
+        for case in 0..200 {
+            let nranks = rng.range_usize(1, 9);
+            // Per rank: an open, then pwrites at nondecreasing timestamps
+            // drawn from a small range, so cross-rank (and same-rank) ties
+            // are the norm. Some ranks never produce a record.
+            let streams: Vec<Vec<Record>> = (0..nranks as u32)
+                .map(|r| {
+                    if rng.gen_bool(0.2) {
+                        return Vec::new();
+                    }
+                    let mut t = rng.range_u64(0, 4);
+                    let open = Func::Open {
+                        path: PathId(0),
+                        flags,
+                        fd: 3,
+                    };
+                    let mut recs = vec![posix(r, t, open)];
+                    for i in 0..rng.range_u64(0, 30) {
+                        t += rng.range_u64(0, 4);
+                        let pwrite = Func::Pwrite {
+                            fd: 3,
+                            offset: (u64::from(r) * 100 + i) * 10,
+                            count: 1,
+                        };
+                        recs.push(posix(r, t, pwrite));
+                    }
+                    recs
+                })
+                .collect();
+            let an = StreamingAnalyzer::new(nranks as u32);
+            let mut model = LinearScanDrain {
+                queues: vec![VecDeque::new(); nranks],
+                frontiers: vec![0; nranks],
+                done: vec![false; nranks],
+                out: Vec::new(),
+            };
+            let mut next = vec![0usize; nranks];
+            let mut live: Vec<usize> = (0..nranks).collect();
+            while !live.is_empty() {
+                let r = live[rng.range_usize(0, live.len())];
+                let rest = &streams[r][next[r]..];
+                if rest.is_empty() {
+                    // Late rank_done: after the rank's last record, but
+                    // not necessarily right after.
+                    if rng.gen_bool(0.5) {
+                        an.rank_done(r as u32);
+                        model.done[r] = true;
+                        model.frontiers[r] = u64::MAX;
+                        live.retain(|&x| x != r);
+                    }
+                } else {
+                    // A chunk of 0..=5 records. The frontier is anything
+                    // the rank may promise: nothing, its last record, or
+                    // as far as its next one.
+                    let chunk = &rest[..rng.range_usize(0, rest.len().min(5) + 1)];
+                    let last = chunk.last().map_or(0, |c| c.t_start);
+                    let frontier = match rng.range_u32(0, 3) {
+                        0 => 0,
+                        1 => last,
+                        _ => rest.get(chunk.len()).map_or(last + 7, |n| n.t_start),
+                    };
+                    an.push(r as u32, chunk, frontier);
+                    model.queues[r].extend(chunk);
+                    model.frontiers[r] = model.frontiers[r].max(frontier).max(last);
+                    next[r] += chunk.len();
+                }
+                model.drain();
+                // Same eagerness, not just the same final order: what has
+                // drained by each epoch decides what pruning retires, and
+                // so `peak_live_intervals` and `pairs_checked`.
+                let g = an.lock();
+                let drained = |qs: &[VecDeque<Record>]| -> Vec<usize> {
+                    qs.iter().map(VecDeque::len).collect()
+                };
+                assert_eq!(drained(&g.queues), drained(&model.queues), "case {case}");
+                assert_eq!(
+                    g.heads.len(),
+                    g.queues.iter().filter(|q| !q.is_empty()).count(),
+                    "case {case}: one head per nonempty queue"
+                );
+            }
+            assert!(model.queues.iter().all(VecDeque::is_empty), "case {case}");
+            assert!(
+                model.out.is_sorted_by_key(|&(t, r, _)| (t, r)),
+                "case {case}: the model is a merge"
+            );
+            // Opens resolve to sync events and pwrites to accesses, each
+            // appended in drain order.
+            let inc = an.finalize();
+            let opens = |r: &&(u64, u32, bool)| r.2;
+            let want_syncs: Vec<(u64, u32)> = model
+                .out
+                .iter()
+                .filter(opens)
+                .map(|&(t, r, _)| (t, r))
+                .collect();
+            let want_accesses: Vec<(u64, u32)> = model
+                .out
+                .iter()
+                .filter(|r| !opens(r))
+                .map(|&(t, r, _)| (t, r))
+                .collect();
+            let syncs: Vec<(u64, u32)> = inc.resolved.syncs.iter().map(|s| (s.t, s.rank)).collect();
+            let accesses: Vec<(u64, u32)> = inc
+                .resolved
+                .accesses
+                .iter()
+                .map(|a| (a.t_start, a.rank))
+                .collect();
+            assert_eq!(syncs, want_syncs, "case {case}");
+            assert_eq!(accesses, want_accesses, "case {case}");
+        }
+    }
+
     #[test]
     fn matches_batch_on_sample() {
         let trace = sample_trace();
@@ -788,6 +1031,129 @@ mod tests {
             assert_eq!(inc.local, ctx.local_pattern(), "chunk={chunk}");
             assert_eq!(inc.global, ctx.global_pattern(), "chunk={chunk}");
         }
+    }
+
+    #[test]
+    fn stale_write_id_misses_after_slot_reuse() {
+        let write = |rank| WriteInfo {
+            access: DataAccess {
+                rank,
+                t_start: 1,
+                t_end: 2,
+                file: PathId(0),
+                offset: 0,
+                len: 1,
+                kind: AccessKind::Write,
+                origin: recorder::Layer::App,
+                fd: 3,
+            },
+            k: (0, 1, 0),
+            to: None,
+            tc_close: None,
+            tc_commit: None,
+            refs: 0,
+            pruned: false,
+        };
+        let mut slab = WriteSlab::default();
+        let a = slab.insert(write(0));
+        let b = slab.insert(write(1));
+        slab.remove(a);
+        assert!(slab.get_mut(a).is_none(), "removed");
+        let c = slab.insert(write(2));
+        assert_eq!((c.slot, slab.slots.len()), (a.slot, 2), "slot reused");
+        assert_ne!(c, a);
+        // The stale handle neither reads nor frees the slot's new occupant.
+        assert!(slab.get_mut(a).is_none());
+        slab.remove(a);
+        assert_eq!(slab.get_mut(c).expect("live").access.rank, 2);
+        assert_eq!(slab.get_mut(b).expect("live").access.rank, 1);
+    }
+
+    #[test]
+    fn sample_trace_counts_what_the_hashed_store_counted() {
+        // Recorded from the hash-map write store of commit 862f99e.
+        for chunk in [1usize, 2, 3, 100] {
+            let inc = feed(&sample_trace(), chunk);
+            assert_eq!(
+                (
+                    inc.peak_live_intervals,
+                    inc.pairs_checked,
+                    inc.pruned_intervals
+                ),
+                (3, 2, 0),
+                "chunk={chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_write_survives_until_its_last_pending_pair() {
+        let p = PathId(0);
+        let flags = flag_bits::READ | flag_bits::WRITE | flag_bits::CREATE;
+        let open = Func::Open {
+            path: p,
+            flags,
+            fd: 3,
+        };
+        let read = Func::Pread {
+            fd: 3,
+            offset: 0,
+            count: 50,
+            ret: 50,
+        };
+        let trace = TraceSet {
+            paths: vec!["/f".into()],
+            ranks: vec![
+                vec![
+                    posix(0, 1, open),
+                    posix(0, 2, Func::Write { fd: 3, count: 100 }),
+                    posix(0, 3, Func::Close { fd: 3 }),
+                    posix(0, 7, open),
+                    posix(0, 8, Func::Write { fd: 3, count: 100 }),
+                    posix(0, 9, Func::Close { fd: 3 }),
+                ],
+                vec![
+                    posix(1, 4, open),
+                    posix(1, 5, read),
+                    posix(1, 6, Func::Close { fd: 3 }),
+                ],
+            ],
+            skews_ns: vec![0, 0],
+        };
+        let an = StreamingAnalyzer::new(2);
+        an.push(0, &trace.ranks[0][..3], 7);
+        an.push(1, &trace.ranks[1][..2], 5);
+        // Rank 1's read has drained, but nothing past it: its pair with
+        // rank 0's (closed, reopened-after) write is still pending.
+        an.epoch_released(0);
+        {
+            let mut g = an.lock();
+            assert_eq!(
+                (g.pending.len(), g.live_intervals, g.pruned_intervals),
+                (1, 0, 1)
+            );
+            let id = g.pending[0].write_id;
+            let w = g.writes.get_mut(id).expect("pinned by the pending pair");
+            assert!(w.pruned && w.refs == 1);
+        }
+        an.push(1, &trace.ranks[1][2..], 6);
+        an.push(0, &trace.ranks[0][3..], 9);
+        {
+            // The pair was evaluated when the drain passed t=5, the write
+            // freed with it, and the second write took over its slot.
+            let g = an.lock();
+            assert!(g.pending.is_empty());
+            assert_eq!((g.writes.slots.len(), g.writes.slots[0].gen), (1, 1));
+        }
+        an.rank_done(0);
+        an.rank_done(1);
+        let inc = an.finalize();
+        let resolved = resolve(&trace);
+        let fused = crate::context::AnalysisContext::new(&resolved).fused_conflicts();
+        assert_eq!(inc.resolved, resolved);
+        assert_eq!(inc.session, fused.session);
+        assert_eq!(inc.commit, fused.commit);
+        assert_eq!(inc.pairs_checked, 1);
     }
 
     #[test]

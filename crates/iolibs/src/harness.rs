@@ -316,7 +316,7 @@ where
     let mut tracers = Vec::with_capacity(cfg.nranks as usize);
     let mut observations = Vec::with_capacity(cfg.nranks as usize);
     for (rank, (result, events)) in out.results.into_iter().zip(out.events).enumerate() {
-        let (tracer, obs) = result.unwrap_or_else(|| {
+        let (mut tracer, obs) = result.unwrap_or_else(|| {
             // A rank whose closure vanished without salvage (cannot happen
             // via this harness, which catches SimAbort above): empty trace.
             (
@@ -325,31 +325,19 @@ where
             )
         });
         let skew = out.skews_ns[rank];
-        let mut records = tracer.into_records();
-        let mpi_records: Vec<Record> = events
-            .iter()
-            .map(|e| {
-                let func = match e.kind {
-                    mpisim::EventKind::Barrier { epoch } => Func::MpiBarrier { epoch },
-                    mpisim::EventKind::Send { dst, tag, seq } => Func::MpiSend { dst, tag, seq },
-                    mpisim::EventKind::Recv { src, tag, seq } => Func::MpiRecv { src, tag, seq },
-                };
-                Record {
-                    t_start: apply_skew(e.t_start, skew),
-                    t_end: apply_skew(e.t_end, skew),
-                    rank: rank as u32,
-                    layer: Layer::Mpi,
-                    origin: Layer::Mpi,
-                    func,
-                }
-            })
-            .collect();
-        records = merge_by_time(records, mpi_records);
-        let mut t = RankTracer::new(rank as u32, SharedInterner::clone(&interner));
-        for r in records {
-            t.record(r.t_start, r.t_end, r.layer, r.origin, r.func);
-        }
-        tracers.push(t);
+        tracer.merge_by_time(events.iter().map(|e| Record {
+            t_start: apply_skew(e.t_start, skew),
+            t_end: apply_skew(e.t_end, skew),
+            rank: rank as u32,
+            layer: Layer::Mpi,
+            origin: Layer::Mpi,
+            func: match e.kind {
+                mpisim::EventKind::Barrier { epoch } => Func::MpiBarrier { epoch },
+                mpisim::EventKind::Send { dst, tag, seq } => Func::MpiSend { dst, tag, seq },
+                mpisim::EventKind::Recv { src, tag, seq } => Func::MpiRecv { src, tag, seq },
+            },
+        }));
+        tracers.push(tracer);
         observations.push(obs);
     }
     let (trace, remap) = TraceSet::assemble_with_remap(interner, tracers, out.skews_ns);
@@ -376,25 +364,6 @@ fn apply_skew(t: u64, skew: i64) -> u64 {
         t.saturating_add(skew as u64)
     } else {
         t.saturating_sub(skew.unsigned_abs())
-    }
-}
-
-fn merge_by_time(a: Vec<Record>, b: Vec<Record>) -> Vec<Record> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if x.t_start <= y.t_start {
-                    out.push(ia.next().expect("peeked"));
-                } else {
-                    out.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => return out,
-        }
     }
 }
 
@@ -566,7 +535,7 @@ impl AppCtx {
         self.rank.gather(root, mine)
     }
 
-    pub fn allgather(&mut self, mine: &[u8]) -> Vec<Vec<u8>> {
+    pub fn allgather(&mut self, mine: &[u8]) -> mpisim::Gathered {
         self.rank.allgather(mine)
     }
 

@@ -163,15 +163,9 @@ impl MpiFile {
         let aggs = self.aggregators(nranks);
 
         // Phase 0: exchange extents so everyone knows the file domain.
-        let mut extent = [0u8; 16];
-        extent[..8].copy_from_slice(&offset.to_le_bytes());
-        extent[8..].copy_from_slice(&(data.len() as u64).to_le_bytes());
-        let extents = ctx.allgather(&extent);
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for e in &extents {
-            let off = u64::from_le_bytes(e[..8].try_into().expect("extent"));
-            let len = u64::from_le_bytes(e[8..].try_into().expect("extent"));
+        let extents = ctx.allgather(&encode_extent(offset, data.len() as u64));
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for (off, len) in extents.iter().map(decode_extent) {
             if len > 0 {
                 lo = lo.min(off);
                 hi = hi.max(off + len);
@@ -195,8 +189,8 @@ impl MpiFile {
         let domain = (hi - lo).div_ceil(aggs.len() as u64);
 
         // Phase 1: ship my pieces to the owning aggregators. Every rank
-        // sends exactly one (possibly empty) message per aggregator so the
-        // receive side matches deterministically.
+        // sends exactly one (possibly empty) message per aggregator —
+        // itself included — so the receive side matches deterministically.
         for (ai, &agg) in aggs.iter().enumerate() {
             let d_lo = lo + ai as u64 * domain;
             let d_hi = (d_lo + domain).min(hi);
@@ -209,44 +203,50 @@ impl MpiFile {
                 }
                 None => msg.extend_from_slice(&u64::MAX.to_le_bytes()),
             }
-            if agg == ctx.rank() {
-                // Local contribution: handled below when receiving.
-            }
             ctx.send(agg, SHUFFLE_TAG, msg);
         }
 
-        // Phase 2: aggregators assemble and write their domain.
+        // Phase 2: aggregators write their domain. The received messages
+        // are kept as they arrived; their pieces, in file order, are
+        // drained through one collective buffer — the only copy between
+        // the shuffle message and the file system.
         if aggs.contains(&ctx.rank()) {
             let mut pieces: Vec<(u64, Vec<u8>)> = Vec::new();
             for src in 0..nranks {
                 let msg = ctx.recv(src, SHUFFLE_TAG);
                 let poff = u64::from_le_bytes(msg[..8].try_into().expect("piece header"));
                 if poff != u64::MAX {
-                    pieces.push((poff, msg[8..].to_vec()));
+                    pieces.push((poff, msg));
                 }
             }
             pieces.sort_by_key(|(o, _)| *o);
-            // Coalesce adjacent pieces into maximal contiguous runs.
-            let mut runs: Vec<(u64, Vec<u8>)> = Vec::new();
-            for (poff, bytes) in pieces {
-                match runs.last_mut() {
-                    Some((ro, rb)) if *ro + rb.len() as u64 == poff => rb.extend_from_slice(&bytes),
-                    _ => runs.push((poff, bytes)),
-                }
-            }
             ctx.with_origin(Layer::MpiIo, |ctx| -> FsResult<()> {
-                for (roff, rbytes) in &runs {
-                    // Drain the run through the collective buffer.
-                    let mut pos = 0u64;
-                    while pos < rbytes.len() as u64 {
-                        let n = CB_BUFFER.min(rbytes.len() as u64 - pos);
-                        ctx.pwrite(
-                            self.fd,
-                            roff + pos,
-                            &rbytes[pos as usize..(pos + n) as usize],
-                        )?;
-                        pos += n;
+                // `buf` holds the unwritten tail of the current maximal
+                // contiguous run, which starts at file offset `buf_off`.
+                let mut buf: Vec<u8> = Vec::with_capacity(CB_BUFFER as usize);
+                let mut buf_off = 0u64;
+                for (poff, msg) in &pieces {
+                    if buf_off + buf.len() as u64 != *poff {
+                        if !buf.is_empty() {
+                            ctx.pwrite(self.fd, buf_off, &buf)?;
+                            buf.clear();
+                        }
+                        buf_off = *poff;
                     }
+                    let mut bytes = &msg[8..];
+                    while !bytes.is_empty() {
+                        let n = bytes.len().min(CB_BUFFER as usize - buf.len());
+                        buf.extend_from_slice(&bytes[..n]);
+                        bytes = &bytes[n..];
+                        if buf.len() == CB_BUFFER as usize {
+                            ctx.pwrite(self.fd, buf_off, &buf)?;
+                            buf_off += CB_BUFFER;
+                            buf.clear();
+                        }
+                    }
+                }
+                if !buf.is_empty() {
+                    ctx.pwrite(self.fd, buf_off, &buf)?;
                 }
                 Ok(())
             })?;
@@ -273,17 +273,10 @@ impl MpiFile {
         let nranks = ctx.nranks();
         let aggs = self.aggregators(nranks);
 
-        let mut extent = [0u8; 16];
-        extent[..8].copy_from_slice(&offset.to_le_bytes());
-        extent[8..].copy_from_slice(&len.to_le_bytes());
-        let extents = ctx.allgather(&extent);
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        let mut wants: Vec<(u64, u64)> = Vec::with_capacity(nranks as usize);
-        for e in &extents {
-            let off = u64::from_le_bytes(e[..8].try_into().expect("extent"));
-            let l = u64::from_le_bytes(e[8..].try_into().expect("extent"));
-            wants.push((off, l));
+        let extents = ctx.allgather(&encode_extent(offset, len));
+        let wants = || extents.iter().map(decode_extent);
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for (off, l) in wants() {
             if l > 0 {
                 lo = lo.min(off);
                 hi = hi.max(off + l);
@@ -291,7 +284,18 @@ impl MpiFile {
         }
         if hi <= lo {
             ctx.barrier();
-            return Ok(Vec::new());
+            let t1 = ctx.now();
+            ctx.record_lib(
+                Layer::MpiIo,
+                t0,
+                t1,
+                Func::MpiFileReadAtAll {
+                    fh: self.fh,
+                    offset,
+                    count: 0,
+                },
+            );
+            return Ok(Vec::new()); // nothing to read anywhere
         }
         let domain = (hi - lo).div_ceil(aggs.len() as u64);
 
@@ -309,7 +313,7 @@ impl MpiFile {
             } else {
                 Vec::new()
             };
-            for (dst, &(woff, wlen)) in wants.iter().enumerate() {
+            for (dst, (woff, wlen)) in wants().enumerate() {
                 let p_lo = woff.max(d_lo);
                 let p_hi = (woff + wlen).min(d_hi).min(d_lo + buf.len() as u64);
                 let mut msg = Vec::new();
@@ -371,6 +375,21 @@ impl MpiFile {
         ctx.record_lib(Layer::MpiIo, t0, t1, Func::MpiFileClose { fh: self.fh });
         Ok(())
     }
+}
+
+/// One rank's `(offset, len)` contribution, as the collectives exchange it.
+fn encode_extent(offset: u64, len: u64) -> [u8; 16] {
+    let mut extent = [0u8; 16];
+    extent[..8].copy_from_slice(&offset.to_le_bytes());
+    extent[8..].copy_from_slice(&len.to_le_bytes());
+    extent
+}
+
+fn decode_extent(e: &[u8]) -> (u64, u64) {
+    (
+        u64::from_le_bytes(e[..8].try_into().expect("extent")),
+        u64::from_le_bytes(e[8..].try_into().expect("extent")),
+    )
 }
 
 /// The overlap of `[offset, offset + data.len())` with `[lo, hi)`, as

@@ -5,9 +5,11 @@
 //! edges in the event log — the same edges §5.2 of the paper reconstructs
 //! ("we matched sends to receives and collective function invocations").
 
+use std::sync::Arc;
+
 use crate::clock::OpClass;
 use crate::event::{EventKind, MpiEvent};
-use crate::sched::BlockReason;
+use crate::sched::{BlockReason, Payload};
 use crate::world::Rank;
 
 /// Tag reserved for collective traffic. User tags must stay below this.
@@ -92,6 +94,10 @@ impl Rank {
     /// Post a buffered message; completes locally without waiting for the
     /// matching receive (standard-mode send with eager buffering).
     pub fn send(&self, dst: u32, tag: u32, payload: Vec<u8>) -> SendInfo {
+        self.send_payload(dst, tag, Payload::Owned(payload))
+    }
+
+    fn send_payload(&self, dst: u32, tag: u32, payload: Payload) -> SendInfo {
         assert!(dst < self.nranks(), "send to invalid rank {dst}");
         let me = self.rank as usize;
         let len = payload.len() as u64;
@@ -122,6 +128,11 @@ impl Rank {
     /// [`crate::SimError::PeerCrashed`] (cascading job death — survivors'
     /// partial traces are salvaged by the layers above).
     pub fn recv(&self, src: u32, tag: u32) -> (Vec<u8>, RecvInfo) {
+        let (payload, info) = self.recv_payload(src, tag);
+        (payload.into_vec(), info)
+    }
+
+    fn recv_payload(&self, src: u32, tag: u32) -> (Payload, RecvInfo) {
         assert!(src < self.nranks(), "recv from invalid rank {src}");
         let me = self.rank as usize;
         loop {
@@ -169,15 +180,23 @@ impl Rank {
     /// Broadcast `data` from `root` to every rank; returns the payload on
     /// all ranks.
     pub fn bcast(&self, root: u32, data: &[u8]) -> Vec<u8> {
+        self.bcast_payload(root, data).into_vec()
+    }
+
+    /// [`Rank::bcast`] without the per-rank copy: the root's bytes are one
+    /// allocation that every destination's message (and the returned
+    /// payload, on every rank) points into.
+    fn bcast_payload(&self, root: u32, data: &[u8]) -> Payload {
         if self.rank == root {
+            let shared: Arc<[u8]> = Arc::from(data);
             for dst in 0..self.nranks() {
                 if dst != root {
-                    self.send(dst, COLLECTIVE_TAG, data.to_vec());
+                    self.send_payload(dst, COLLECTIVE_TAG, Payload::Shared(Arc::clone(&shared)));
                 }
             }
-            data.to_vec()
+            Payload::Shared(shared)
         } else {
-            self.recv(root, COLLECTIVE_TAG).0
+            self.recv_payload(root, COLLECTIVE_TAG).0
         }
     }
 
@@ -200,17 +219,26 @@ impl Rank {
     }
 
     /// Gather everyone's buffer on every rank (gather at 0, then one framed
-    /// broadcast — Θ(n) messages, not Θ(n²)).
-    pub fn allgather(&self, mine: &[u8]) -> Vec<Vec<u8>> {
-        let gathered = self.gather(0, mine);
+    /// broadcast — Θ(n) messages, not Θ(n²)). Every rank gets a view over
+    /// the one framed buffer rank 0 assembled, so the collective allocates
+    /// Θ(n) in total, not a `Vec` per part per rank.
+    pub fn allgather(&self, mine: &[u8]) -> Gathered {
         if self.rank == 0 {
-            let parts = gathered.expect("root gather");
-            let framed = frame(&parts);
-            self.bcast(0, &framed);
-            parts
+            let n = self.nranks();
+            let mut framed = Vec::with_capacity(4 + n as usize * (4 + mine.len()));
+            framed.extend_from_slice(&n.to_le_bytes());
+            push_frame(&mut framed, mine);
+            for src in 1..n {
+                push_frame(&mut framed, &self.recv_payload(src, COLLECTIVE_TAG).0);
+            }
+            Gathered {
+                framed: self.bcast_payload(0, &framed),
+            }
         } else {
-            let framed = self.bcast(0, &[]);
-            unframe(&framed)
+            self.send(0, COLLECTIVE_TAG, mine.to_vec());
+            Gathered {
+                framed: self.bcast_payload(0, &[]),
+            }
         }
     }
 
@@ -234,11 +262,11 @@ impl Rank {
                     Some(acc.map_or(v, |a| combine(a, v)))
                 })
                 .unwrap_or(0);
-            self.bcast(0, &total.to_le_bytes());
+            self.bcast_payload(0, &total.to_le_bytes());
             total
         } else {
-            let b = self.bcast(0, &[]);
-            u64::from_le_bytes(b.as_slice().try_into().expect("u64 payload"))
+            let b = self.bcast_payload(0, &[]);
+            u64::from_le_bytes((*b).try_into().expect("u64 payload"))
         }
     }
 
@@ -349,38 +377,109 @@ impl Rank {
     }
 }
 
-/// Length-prefix framing for allgather's broadcast leg.
-fn frame(parts: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = parts.iter().map(|p| 4 + p.len()).sum();
-    let mut out = Vec::with_capacity(4 + total);
-    out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    for p in parts {
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(p);
-    }
-    out
+/// Append one length-prefixed part to allgather's framed buffer (which
+/// starts with the part count).
+fn push_frame(framed: &mut Vec<u8>, part: &[u8]) {
+    framed.extend_from_slice(&(part.len() as u32).to_le_bytes());
+    framed.extend_from_slice(part);
 }
 
-fn unframe(buf: &[u8]) -> Vec<Vec<u8>> {
-    let n = u32::from_le_bytes(buf[0..4].try_into().expect("frame count")) as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 4;
-    for _ in 0..n {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("frame len")) as usize;
-        pos += 4;
-        out.push(buf[pos..pos + len].to_vec());
-        pos += len;
-    }
-    out
+/// What [`Rank::allgather`] returns: every rank's contribution, indexed
+/// by rank, as slices of the framed buffer the broadcast leg delivered.
+#[derive(Debug, Clone)]
+pub struct Gathered {
+    framed: Payload,
 }
+
+impl Gathered {
+    /// Number of parts (the world size).
+    pub fn len(&self) -> usize {
+        u32::from_le_bytes(self.framed[..4].try_into().expect("frame count")) as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The parts in rank order.
+    pub fn iter(&self) -> Frames<'_> {
+        Frames {
+            rest: &self.framed[4..],
+            left: self.len(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Gathered {
+    type Item = &'a [u8];
+    type IntoIter = Frames<'a>;
+
+    fn into_iter(self) -> Frames<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the parts of a [`Gathered`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (len, rest) = self.rest.split_at(4);
+        let len = u32::from_le_bytes(len.try_into().expect("frame len")) as usize;
+        let (part, rest) = rest.split_at(len);
+        self.rest = rest;
+        Some(part)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Frames<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn framed(parts: &[&[u8]]) -> Gathered {
+        let mut buf = (parts.len() as u32).to_le_bytes().to_vec();
+        for p in parts {
+            push_frame(&mut buf, p);
+        }
+        Gathered {
+            framed: Payload::Shared(Arc::from(buf)),
+        }
+    }
+
     #[test]
     fn frame_roundtrip() {
-        let parts = vec![vec![1u8, 2, 3], vec![], vec![9u8; 100]];
-        assert_eq!(unframe(&frame(&parts)), parts);
+        let big = [9u8; 100];
+        let cases: [&[&[u8]]; 4] = [
+            &[&[1, 2, 3], &[], &big],
+            &[],
+            &[&[]],
+            &[&[], &[], &[7], &[]],
+        ];
+        for parts in cases {
+            let g = framed(parts);
+            assert_eq!(g.len(), parts.len());
+            assert_eq!(g.is_empty(), parts.is_empty());
+            assert_eq!(g.iter().len(), parts.len());
+            assert_eq!(g.iter().collect::<Vec<_>>(), parts);
+            // A second pass sees the same parts: the view borrows, it
+            // does not consume.
+            assert_eq!((&g).into_iter().collect::<Vec<_>>(), parts);
+        }
     }
 }

@@ -51,10 +51,11 @@ mod task;
 mod world;
 
 pub use clock::{CostModel, OpClass};
-pub use comm::{BarrierInfo, RecvInfo, SendInfo};
+pub use comm::{BarrierInfo, Frames, Gathered, RecvInfo, SendInfo};
 pub use error::{SimAbort, SimError};
 pub use event::{EventKind, MpiEvent};
 pub use fault::{FaultKind, FaultPlan, FaultSite, IoFault};
 pub use sched::SchedMode;
 pub use sink::{EpochNotify, EpochSinkHandle};
+pub use task::stack_allocs as task_stack_allocs;
 pub use world::{ExecModel, Rank, RunOutput, World, WorldCfg, MAX_RANKS};

@@ -28,8 +28,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use simrng::SimRng;
 
@@ -141,11 +142,42 @@ impl RankSelect {
     }
 }
 
-/// A buffered point-to-point message.
+/// The bytes of one message: owned by its single receiver, or one
+/// allocation shared by every destination of a broadcast.
+#[derive(Debug, Clone)]
+pub(crate) enum Payload {
+    Owned(Vec<u8>),
+    Shared(Arc<[u8]>),
+}
+
+impl Payload {
+    /// The bytes as a `Vec`; free for an owned payload.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => a.to_vec(),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => a,
+        }
+    }
+}
+
+/// A buffered point-to-point message, queued at its destination.
 #[derive(Debug, Clone)]
 pub(crate) struct Msg {
+    pub src: u32,
+    pub tag: u32,
     pub seq: u64,
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Earliest simulated time the receiver may consume it. `0` for
     /// undelayed traffic; a message-delay fault sets it into the future.
     pub visible_at: u64,
@@ -188,8 +220,12 @@ pub(crate) struct SimState {
     deadlock_blocked: Vec<u32>,
     /// Global simulated time, nanoseconds.
     pub clock_ns: u64,
-    /// FIFO mailboxes keyed by (src, dst, tag).
-    pub mailboxes: HashMap<(u32, u32, u32), VecDeque<Msg>>,
+    /// One mailbox per destination rank, in arrival order. A receive
+    /// takes the first message matching its `(src, tag)`, which is FIFO
+    /// per channel. Queues persist for the life of the world, so buffering
+    /// a message allocates nothing once a queue has grown to its working
+    /// depth (at most one in-flight message per peer in the collectives).
+    pub mailboxes: Vec<VecDeque<Msg>>,
     pub next_msg_seq: u64,
     /// Barrier: number of ranks arrived in the current epoch.
     pub barrier_count: u32,
@@ -286,7 +322,7 @@ impl SimState {
             deadlocked: false,
             deadlock_blocked: Vec::new(),
             clock_ns: start_ns,
-            mailboxes: HashMap::new(),
+            mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
             next_msg_seq: 0,
             barrier_count: 0,
             barrier_epoch: 0,
@@ -446,15 +482,14 @@ impl SimState {
                     self.clock_ns
                 );
                 if obs::log::enabled(obs::Level::Debug) {
-                    for (&(src, dst, tag), q) in self.mailboxes.iter() {
-                        if let Some(m) = q.front() {
+                    for (dst, q) in self.mailboxes.iter().enumerate() {
+                        for m in q {
                             obs::debug!(
-                                "  mbox {}->{} tag {} front visible_at={} len={}",
-                                src,
+                                "  mbox {}->{} tag {} visible_at={}",
+                                m.src,
                                 dst,
-                                tag,
-                                m.visible_at,
-                                q.len()
+                                m.tag,
+                                m.visible_at
                             );
                         }
                     }
@@ -561,34 +596,30 @@ impl SimState {
     /// Pop the oldest *visible* message on channel (src → dst, tag), if any.
     /// A delayed front message blocks the channel (FIFO, non-overtaking).
     pub fn take_msg(&mut self, src: u32, dst: u32, tag: u32) -> Option<Msg> {
-        let q = self.mailboxes.get_mut(&(src, dst, tag))?;
-        if q.front().is_some_and(|m| m.visible_at > self.clock_ns) {
+        let q = &mut self.mailboxes[dst as usize];
+        let i = q.iter().position(|m| m.src == src && m.tag == tag)?;
+        if q[i].visible_at > self.clock_ns {
             return None;
         }
-        let m = q.pop_front();
-        if q.is_empty() {
-            self.mailboxes.remove(&(src, dst, tag));
+        let msg = q.remove(i).expect("position is in range");
+        if msg.visible_at > 0 {
+            self.delayed_in_flight = self.delayed_in_flight.saturating_sub(1);
         }
-        if let Some(msg) = &m {
-            if msg.visible_at > 0 {
-                self.delayed_in_flight = self.delayed_in_flight.saturating_sub(1);
-            }
-        }
-        m
+        Some(msg)
     }
 
     /// Whether channel (src → dst, tag) holds any buffered message, visible
     /// or not (an in-flight delayed message still counts as deliverable).
     pub fn has_pending_msg(&self, src: u32, dst: u32, tag: u32) -> bool {
-        self.mailboxes
-            .get(&(src, dst, tag))
-            .is_some_and(|q| !q.is_empty())
+        self.mailboxes[dst as usize]
+            .iter()
+            .any(|m| m.src == src && m.tag == tag)
     }
 
     /// Buffer a message and wake the destination if it is parked in a
     /// receive (it re-checks its mailbox when re-granted). Consumes a
     /// pending message-delay fault of the sender, if one is due.
-    pub fn put_msg(&mut self, src: u32, dst: u32, tag: u32, payload: Vec<u8>) -> u64 {
+    pub fn put_msg(&mut self, src: u32, dst: u32, tag: u32, payload: Payload) -> u64 {
         let seq = self.next_msg_seq;
         self.next_msg_seq += 1;
         let visible_at = match self.msg_delays[src as usize].front() {
@@ -613,14 +644,13 @@ impl SimState {
             }
             _ => 0,
         };
-        self.mailboxes
-            .entry((src, dst, tag))
-            .or_default()
-            .push_back(Msg {
-                seq,
-                payload,
-                visible_at,
-            });
+        self.mailboxes[dst as usize].push_back(Msg {
+            src,
+            tag,
+            seq,
+            payload,
+            visible_at,
+        });
         if self.status[dst as usize] == RankStatus::Blocked(BlockReason::Recv) {
             if self.mode == SchedMode::Deterministic {
                 // Lazy wake (see `deferred_unblocks`): the sender keeps

@@ -28,9 +28,19 @@
 //!   captured by the closure outlive every frame on the task stack;
 //! * all switches happen on the driver's thread ([`CURRENT`] is
 //!   thread-local, so concurrent worlds on different threads don't mix).
+//!
+//! Stacks are recycled through a per-thread pool: a thread
+//! that runs one world after another (a serve worker, a report fan-out
+//! thread) allocates its stacks once instead of paying `n` × 1 MiB of
+//! `alloc`/`dealloc` — heap growth, trim, and a first-touch fault per page
+//! — on every world. The pool keeps at most [`STACK_POOL_MAX`] stacks; a
+//! stack is pooled only with its canary intact and reused only at exactly
+//! the size asked for, so a changed `MPISIM_TASK_STACK_KIB` simply drains
+//! the old ones. Nothing is ever read from a recycled stack before it is
+//! written: a task starts from a fresh bootstrap frame at the top.
 
 use std::alloc::{alloc, dealloc, Layout};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ptr;
 
 /// Whether this build carries a context-switch implementation (and the
@@ -55,6 +65,12 @@ pub const MIN_STACK_BYTES: usize = 64 * 1024;
 /// spreads.
 const STACK_CANARY: u64 = 0xdead_c0de_5afe_57ac;
 
+/// Most stacks one thread keeps for reuse. A 4096-rank world followed by
+/// 64-rank ones must not pin 4 GiB of address space (and every page the
+/// big world touched) forever; 256 covers the rank counts the service
+/// answers by default.
+pub const STACK_POOL_MAX: usize = 256;
+
 /// The per-task stack-size knob, resolved once per world.
 pub fn stack_bytes_from_env() -> usize {
     match std::env::var("MPISIM_TASK_STACK_KIB") {
@@ -67,11 +83,25 @@ pub fn stack_bytes_from_env() -> usize {
 }
 
 thread_local! {
+    /// This thread's idle task stacks, at most [`STACK_POOL_MAX`].
+    static STACK_POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+
+    /// `(count, bytes)` of the task stacks this thread has allocated (pool
+    /// hits do not count); see [`stack_allocs`].
+    static STACK_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+
     /// The task currently executing on this thread, if any. Set around
     /// every resume; [`yield_now`] and [`in_task`] read it. A raw pointer
     /// is fine: the pointee is a heap box owned by the driver, which
     /// outlives the resume window.
     static CURRENT: Cell<*mut TaskInner> = const { Cell::new(ptr::null_mut()) };
+}
+
+/// How many task stacks the calling thread has allocated so far, and their
+/// total bytes. A thread whose pool already holds enough stacks of the
+/// current size runs a world without moving either number.
+pub fn stack_allocs() -> (u64, u64) {
+    STACK_ALLOCS.with(Cell::get)
 }
 
 /// Whether the calling code is running inside a task (as opposed to a
@@ -104,12 +134,42 @@ struct Stack {
 }
 
 impl Stack {
-    fn new(size: usize) -> Stack {
+    /// A stack of `size` bytes: this thread's most recently pooled one if
+    /// it has exactly that size, else a fresh allocation. Pooled stacks of
+    /// any other size are freed on the way.
+    fn acquire(size: usize) -> Stack {
         let size = size.max(MIN_STACK_BYTES) & !15usize;
+        let pooled = STACK_POOL.with(|p| {
+            let mut pool = p.borrow_mut();
+            while let Some(s) = pool.pop() {
+                if s.layout.size() == size && s.canary_intact() {
+                    return Some(s);
+                }
+            }
+            None
+        });
+        pooled.unwrap_or_else(|| Stack::new(size))
+    }
+
+    /// Hand the stack back to this thread's pool, or free it when the pool
+    /// is full or the canary is gone (an overflowed stack is never reused).
+    fn release(self) {
+        if self.canary_intact() {
+            STACK_POOL.with(|p| {
+                let mut pool = p.borrow_mut();
+                if pool.len() < STACK_POOL_MAX {
+                    pool.push(self);
+                }
+            });
+        }
+    }
+
+    fn new(size: usize) -> Stack {
         let layout = Layout::from_size_align(size, 16).expect("stack layout");
         // SAFETY: layout has nonzero size.
         let base = unsafe { alloc(layout) };
         assert!(!base.is_null(), "task stack allocation failed ({size} B)");
+        STACK_ALLOCS.with(|c| c.set((c.get().0 + 1, c.get().1 + size as u64)));
         // SAFETY: base..base+8 is inside the allocation.
         unsafe { (base as *mut u64).write(STACK_CANARY) };
         Stack { base, layout }
@@ -148,7 +208,22 @@ struct TaskInner {
     /// task completes before captured borrows expire.
     entry: Option<Box<dyn FnOnce()>>,
     finished: bool,
-    stack: Stack,
+    /// `Some` until drop, which returns it to the pool.
+    stack: Option<Stack>,
+}
+
+impl TaskInner {
+    fn stack(&self) -> &Stack {
+        self.stack.as_ref().expect("stack held until drop")
+    }
+}
+
+impl Drop for TaskInner {
+    fn drop(&mut self) {
+        if let Some(stack) = self.stack.take() {
+            stack.release();
+        }
+    }
 }
 
 /// One resumable task.
@@ -166,7 +241,7 @@ impl Task {
     /// partial run is abandoned) before they expire. `run_tasks` upholds
     /// this by joining every task before returning.
     pub(crate) unsafe fn new<'a>(stack_bytes: usize, entry: Box<dyn FnOnce() + 'a>) -> Task {
-        let stack = Stack::new(stack_bytes);
+        let stack = Stack::acquire(stack_bytes);
         // Erase the closure lifetime; see the safety contract above.
         let entry: Box<dyn FnOnce() + 'static> =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + 'a>, Box<dyn FnOnce()>>(entry) };
@@ -175,9 +250,9 @@ impl Task {
             sched_sp: ptr::null_mut(),
             entry: Some(entry),
             finished: false,
-            stack,
+            stack: Some(stack),
         });
-        inner.task_sp = bootstrap_frame(inner.stack.top(), &mut *inner as *mut TaskInner);
+        inner.task_sp = bootstrap_frame(inner.stack().top(), &mut *inner as *mut TaskInner);
         Task { inner }
     }
 
@@ -198,7 +273,7 @@ impl Task {
         }
         CURRENT.with(|c| c.set(prev));
         assert!(
-            self.inner.stack.canary_intact(),
+            self.inner.stack().canary_intact(),
             "task stack overflow detected (canary clobbered); \
              raise MPISIM_TASK_STACK_KIB"
         );
@@ -396,6 +471,60 @@ mod tests {
         t.resume();
         assert!(t.finished());
         assert!(caught.get());
+    }
+
+    fn pooled_stacks() -> usize {
+        STACK_POOL.with(|p| p.borrow().len())
+    }
+
+    /// Start from an empty pool, whatever ran on this thread before.
+    fn drain_pool() {
+        STACK_POOL.with(|p| p.borrow_mut().clear());
+    }
+
+    #[test]
+    fn stack_pool_is_bounded() {
+        use crate::world::{World, WorldCfg};
+
+        let run = |n: u32| {
+            World::run(&WorldCfg::new(n, 3), |rank| {
+                rank.barrier();
+            })
+            .expect("barrier world");
+        };
+        drain_pool();
+        run(4096);
+        assert_eq!(pooled_stacks(), STACK_POOL_MAX, "4096 released, 256 kept");
+        let allocated = stack_allocs();
+        run(64);
+        assert_eq!(pooled_stacks(), STACK_POOL_MAX, "64 taken and handed back");
+        assert_eq!(stack_allocs(), allocated, "all 64 came from the pool");
+    }
+
+    #[test]
+    fn stack_pool_reuses_only_intact_stacks_of_the_same_size() {
+        drain_pool();
+        let first = Stack::acquire(MIN_STACK_BYTES);
+        let base = first.base;
+        first.release();
+        assert_eq!(pooled_stacks(), 1);
+        let again = Stack::acquire(MIN_STACK_BYTES);
+        assert_eq!(
+            (again.base, pooled_stacks()),
+            (base, 0),
+            "same size: reused"
+        );
+        again.release();
+        // Another size never gets it, and asking drains the mismatch.
+        let bigger = Stack::acquire(2 * MIN_STACK_BYTES);
+        assert_eq!(
+            (bigger.layout.size(), pooled_stacks()),
+            (2 * MIN_STACK_BYTES, 0)
+        );
+        // SAFETY: the canary word is inside the allocation.
+        unsafe { (bigger.base as *mut u64).write(0) };
+        bigger.release();
+        assert_eq!(pooled_stacks(), 0, "an overflowed stack is never pooled");
     }
 
     #[test]

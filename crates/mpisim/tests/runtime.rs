@@ -184,7 +184,7 @@ fn allgather_same_result_everywhere() {
     let out = run(5, 23, |r| r.allgather(&[r.rank() as u8 * 2]));
     let expected: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i * 2]).collect();
     for res in &out.results {
-        assert_eq!(*res, expected);
+        assert_eq!(res.iter().collect::<Vec<_>>(), expected);
     }
 }
 

@@ -275,15 +275,7 @@ impl PfsClient {
             entry.cursor
         };
         let (tag, locks) = engine::write(
-            &mut st,
-            &cfg,
-            model,
-            client_id,
-            rank,
-            entry.file,
-            offset,
-            data.to_vec(),
-            now,
+            &mut st, &cfg, model, client_id, rank, entry.file, offset, data, now,
         );
         drop(st);
         entry.cursor = offset + data.len() as u64;
@@ -316,15 +308,7 @@ impl PfsClient {
             });
         }
         let (tag, locks) = engine::write(
-            &mut st,
-            &cfg,
-            model,
-            client_id,
-            rank,
-            file,
-            offset,
-            data.to_vec(),
-            now,
+            &mut st, &cfg, model, client_id, rank, file, offset, data, now,
         );
         Ok(WriteOut {
             offset,

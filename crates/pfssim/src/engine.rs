@@ -10,7 +10,9 @@ use crate::state::{DelayedExtent, FileId, PendingExtent, PfsState};
 use crate::tag::{SegMap, TagRun, WriteTag};
 
 /// Record a write of `data` at `off` by `rank` at simulated time `now`.
-/// Returns `(tag, locks_acquired)`.
+/// Returns `(tag, locks_acquired)`. The bytes are borrowed: the strong
+/// engine copies them straight into the published image, and only the
+/// engines that defer visibility take a copy to hold.
 #[allow(clippy::too_many_arguments)] // explicit engine inputs beat a param struct here
 pub(crate) fn write(
     st: &mut PfsState,
@@ -20,7 +22,7 @@ pub(crate) fn write(
     rank: u32,
     file: FileId,
     off: u64,
-    data: Vec<u8>,
+    data: &[u8],
     now: u64,
 ) -> (WriteTag, u64) {
     let seq_slot = st.next_write_seq.entry(rank).or_insert(0);
@@ -51,16 +53,18 @@ pub(crate) fn write(
             }
             st.stats.stripe_account(off, len, cfg.stripe_size, true);
             let node = st.file_mut(file);
-            Arc::make_mut(&mut node.published).apply(off, &data, tag);
+            Arc::make_mut(&mut node.published).apply(off, data, tag);
             node.publish_version += 1;
             (tag, locks)
         }
         SemanticsModel::Commit | SemanticsModel::Session => {
             let node = st.file_mut(file);
-            node.pending
-                .entry(client)
-                .or_default()
-                .push(PendingExtent { off, data, tag });
+            // Buffered until publish: this engine must own the bytes.
+            node.pending.entry(client).or_default().push(PendingExtent {
+                off,
+                data: data.to_vec(),
+                tag,
+            });
             st.stats.pending_extents += 1;
             (tag, 0)
         }
@@ -70,7 +74,7 @@ pub(crate) fn write(
                 mature_at: now + cfg.eventual_delay_ns,
                 owner: client,
                 off,
-                data,
+                data: data.to_vec(),
                 tag,
             });
             st.stats.pending_extents += 1;

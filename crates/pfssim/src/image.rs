@@ -26,16 +26,22 @@ impl FileImage {
         self.size
     }
 
-    /// Apply one write extent.
+    /// Apply one write extent. Only a hole between the current end of data
+    /// and `offset` is zero-filled; bytes the write itself supplies are
+    /// copied once — overwritten in place where they land on existing data,
+    /// appended where they extend it.
     pub fn apply(&mut self, offset: u64, bytes: &[u8], tag: WriteTag) {
         if bytes.is_empty() {
             return;
         }
         let end = offset + bytes.len() as u64;
-        if self.data.len() < end as usize {
-            self.data.resize(end as usize, 0);
+        let start = offset as usize;
+        if self.data.len() < start {
+            self.data.resize(start, 0);
         }
-        self.data[offset as usize..end as usize].copy_from_slice(bytes);
+        let overwrite = (self.data.len() - start).min(bytes.len());
+        self.data[start..start + overwrite].copy_from_slice(&bytes[..overwrite]);
+        self.data.extend_from_slice(&bytes[overwrite..]);
         self.tags.insert(offset, end, tag);
         self.size = self.size.max(end);
     }
@@ -145,6 +151,49 @@ mod tests {
                 tag: Some(tag(2, 2))
             }
         );
+    }
+
+    #[test]
+    fn apply_matches_a_byte_by_byte_model() {
+        // Overwrites inside the data, writes straddling its end, appends,
+        // writes past a hole, and truncations in both directions, against
+        // a model that stores one `(byte, writer)` per offset.
+        let mut rng = simrng::SimRng::seed_from_u64(0x1A6E);
+        for _ in 0..50 {
+            let mut img = FileImage::new();
+            let mut model: Vec<(u8, Option<WriteTag>)> = Vec::new();
+            for seq in 0..40u64 {
+                if rng.gen_bool(0.15) {
+                    let len = rng.range_usize(0, model.len() + 20);
+                    img.truncate(len as u64);
+                    model.resize(len, (0, None));
+                } else {
+                    // Offsets up to a little past EOF, so every placement
+                    // relative to the current end occurs.
+                    let off = rng.range_usize(0, model.len() + 12);
+                    let bytes: Vec<u8> = (0..rng.range_usize(0, 24))
+                        .map(|_| rng.range_u32(1, 256) as u8)
+                        .collect();
+                    let t = tag(rng.range_u32(0, 3), seq);
+                    img.apply(off as u64, &bytes, t);
+                    if !bytes.is_empty() && model.len() < off + bytes.len() {
+                        model.resize(off + bytes.len(), (0, None));
+                    }
+                    for (i, &b) in bytes.iter().enumerate() {
+                        model[off + i] = (b, Some(t));
+                    }
+                }
+                assert_eq!(img.size(), model.len() as u64);
+                let want: Vec<u8> = model.iter().map(|&(b, _)| b).collect();
+                assert_eq!(img.read(0, u64::MAX / 2), want);
+                let mut tags = Vec::new();
+                for run in img.provenance(0, img.size()) {
+                    tags.extend(std::iter::repeat_n(run.tag, run.len as usize));
+                }
+                let want_tags: Vec<Option<WriteTag>> = model.iter().map(|&(_, t)| t).collect();
+                assert_eq!(tags, want_tags);
+            }
+        }
     }
 
     #[test]

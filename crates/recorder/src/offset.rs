@@ -17,9 +17,7 @@
 //!   commit- and session-semantics conflict conditions (§5.2, conditions 3
 //!   and 4) query.
 
-use std::collections::HashMap;
-
-use crate::record::{Func, Layer, PathId, Record, SeekWhence};
+use crate::record::{Func, IdMap, Layer, PathId, Record, SeekWhence};
 use crate::traceset::TraceSet;
 
 /// Open-flag bit assignments, matching `pfssim::OpenFlags::to_bits` (the
@@ -128,8 +126,8 @@ pub fn resolve(trace: &TraceSet) -> ResolvedTrace {
 /// the same sequence.
 #[derive(Debug, Default)]
 pub struct StreamResolver {
-    fds: HashMap<(u32, u32), FdState>,
-    sizes: HashMap<PathId, u64>,
+    fds: IdMap<(u32, u32), FdState>,
+    sizes: IdMap<PathId, u64>,
     out: ResolvedTrace,
 }
 
@@ -158,8 +156,8 @@ impl StreamResolver {
 
 fn resolve_record(
     rec: &Record,
-    fds: &mut HashMap<(u32, u32), FdState>,
-    sizes: &mut HashMap<PathId, u64>,
+    fds: &mut IdMap<(u32, u32), FdState>,
+    sizes: &mut IdMap<PathId, u64>,
     out: &mut ResolvedTrace,
 ) {
     if rec.layer != Layer::Posix {

@@ -1,9 +1,62 @@
 //! The trace record vocabulary: layers, functions, and the record struct.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Interned path (or dataset-name) identifier; the string table lives in
 /// the [`crate::TraceSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub u32);
+
+/// Hasher for maps keyed by the trace's own small integers — [`PathId`]s,
+/// ranks, file descriptors, and tuples of them: one rotate, xor and
+/// multiply per word instead of SipHash's rounds. Every such key is
+/// assigned by the simulator (or by the interner that canonicalizes a
+/// decoded trace), never chosen by a client, so there are no crafted
+/// collisions to defend against; maps keyed by anything a request can
+/// name keep the default hasher.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        // 2^64 / golden ratio, odd: consecutive ids spread over the whole
+        // word.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    /// Byte-slice keys are not what this hasher is for, but hash correctly.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` over simulator-assigned integer ids; see [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The I/O-stack layer a record belongs to (or originated from).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

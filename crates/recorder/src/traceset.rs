@@ -127,6 +127,25 @@ impl RankTracer {
         });
     }
 
+    /// Merge `other` — further records of this rank from a second,
+    /// time-sorted source (the MPI runtime's event log) — into the stream:
+    /// one two-way merge on `t_start`, this tracer's record first on a
+    /// tie. The stream itself need not be sorted (a library-level record
+    /// is appended after the POSIX records it spans); each of its records
+    /// is simply preceded by the `other` records that start before it.
+    pub fn merge_by_time(&mut self, other: impl ExactSizeIterator<Item = Record>) {
+        let mut merged = Vec::with_capacity(self.records.len() + other.len());
+        let mut other = other.peekable();
+        for rec in self.records.drain(..) {
+            while let Some(o) = other.next_if(|o| o.t_start < rec.t_start) {
+                merged.push(o);
+            }
+            merged.push(rec);
+        }
+        merged.extend(other);
+        self.records = merged;
+    }
+
     pub fn records(&self) -> &[Record] {
         &self.records
     }
@@ -284,6 +303,38 @@ mod tests {
         assert_eq!(ts.total_records(), 2);
         assert_eq!(ts.path(p), "/f");
         assert_eq!(ts.skews_ns, vec![5, -5]);
+    }
+
+    #[test]
+    fn merge_by_time_is_a_stable_two_way_merge() {
+        let close = |fd| Func::Close { fd };
+        let mut t = RankTracer::new(0, shared_interner());
+        // Unsorted on purpose: the library-level span (t=10) is recorded
+        // after the POSIX call (t=20) it contains.
+        for (ts, fd) in [(5, 1), (20, 2), (10, 3), (30, 4)] {
+            t.record(ts, ts + 1, Layer::Posix, Layer::App, close(fd));
+        }
+        let mpi = [(5, 10), (7, 11), (25, 12), (40, 13)].map(|(ts, fd)| Record {
+            t_start: ts,
+            t_end: ts + 1,
+            rank: 0,
+            layer: Layer::Mpi,
+            origin: Layer::Mpi,
+            func: close(fd),
+        });
+        t.merge_by_time(mpi.into_iter());
+        let fds: Vec<u32> = t
+            .records()
+            .iter()
+            .map(|r| match r.func {
+                Func::Close { fd } => fd,
+                _ => unreachable!(),
+            })
+            .collect();
+        // Own record first on the t=5 tie; 11 (t=7) before 2 (t=20); 12
+        // (t=25) waits behind 3 (t=10) only because 3 follows 2 in the
+        // stream and 25 > 20 and 25 > 10; 13 trails.
+        assert_eq!(fds, [1, 10, 11, 2, 3, 12, 4, 13]);
     }
 
     #[test]

@@ -150,6 +150,16 @@ echo "ci: streaming equivalence smoke"
 cargo test --release -q -p report-gen --test incremental_identity \
     smoke_three_apps_two_models
 
+echo "ci: allocation budget"
+# Heap allocations per cold request are deterministic, so they gate where
+# wall-clock cannot: FLASH-fbs and ENZO-HDF5 at 64 ranks under checked-in
+# budgets, every task stack of a second request served by the stack pool,
+# and FLASH-fbs growing < 2.3x from 64 to 128 ranks (a per-rank-squared
+# collective shows up here first). Release mode: debug builds allocate
+# differently. The run prints one `alloc-budget:` line per check; on a
+# miss it prints the census by call site.
+cargo test --release -q -p report-gen --test alloc_budget -- --nocapture
+
 echo "ci: rank-scale smoke"
 # One 1024-rank application end-to-end through the streaming pipeline
 # (--keep-going routes through analyze_isolated -> analyze_incremental),
