@@ -62,9 +62,6 @@ pub use conflict::{
 pub use context::{AnalysisContext, SweepColumns};
 pub use incremental::{IncrementalOutput, StreamingAnalyzer};
 pub use model::{ConsistencyModel, PfsEntry, PfsRegistry};
-pub use overlap::{
-    count_overlaps, detect_overlaps, detect_overlaps_bruteforce, detect_overlaps_merge, FileGroups,
-    OverlapCount, OverlapResult,
-};
+pub use overlap::{detect_overlaps, detect_overlaps_bruteforce, FileGroups, OverlapResult};
 pub use parallel::parallel_map_indexed;
 pub use verdict::{required_model, Completeness, Verdict};

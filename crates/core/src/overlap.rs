@@ -32,23 +32,6 @@ impl OverlapResult {
     }
 }
 
-/// Counting-only output of [`count_overlaps`]: the pair count and rank
-/// table without the pair list itself, so worst-case (quadratic-pair)
-/// inputs need O(ranks²) memory instead of O(pairs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OverlapCount {
-    /// Number of overlapping pairs ([`OverlapResult::count`]).
-    pub pairs: u64,
-    /// Same table `P` as [`OverlapResult::rank_pairs`].
-    pub rank_pairs: Vec<(u32, u32)>,
-}
-
-impl OverlapCount {
-    pub fn involves_distinct_ranks(&self) -> bool {
-        self.rank_pairs.iter().any(|(a, b)| a != b)
-    }
-}
-
 /// The §5.1 sweep over an offset-sorted index order: for each tuple, scan
 /// forward while start offsets stay below its (exclusive) end.
 fn sweep(
@@ -110,98 +93,6 @@ pub fn detect_overlaps(accesses: &[DataAccess]) -> OverlapResult {
     });
     out.rank_pairs.sort_unstable();
     out
-}
-
-/// Counting-only Algorithm 1: identical sweep, but only the pair count
-/// and rank table are kept. Equivalent to
-/// `detect_overlaps(accesses).count()` / `.rank_pairs` without
-/// materializing the (worst-case quadratic) pair list.
-pub fn count_overlaps(accesses: &[DataAccess]) -> OverlapCount {
-    let mut out = OverlapCount::default();
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    sweep(accesses, &offset_order(accesses), |_, _, a, b| {
-        out.pairs += 1;
-        let rp = if a.rank <= b.rank {
-            (a.rank, b.rank)
-        } else {
-            (b.rank, a.rank)
-        };
-        if seen.insert(rp) {
-            out.rank_pairs.push(rp);
-        }
-    });
-    out.rank_pairs.sort_unstable();
-    out
-}
-
-/// The paper's suggested optimization (§5.1): "Although we have not done
-/// so, sorting can be replaced by merging as records for each rank are
-/// already sorted." This variant takes per-rank record lists that are
-/// already offset-sorted, k-way-merges them into the global offset order,
-/// and then runs the same sweep — O(n·log k) for the ordering instead of
-/// O(n·log n).
-///
-/// Returns `None` if some rank's list is not offset-sorted (the
-/// precondition the paper notes; callers fall back to
-/// [`detect_overlaps`]). Pair indices refer to the *concatenation* of the
-/// per-rank lists, in input order.
-pub fn detect_overlaps_merge(per_rank: &[Vec<DataAccess>]) -> Option<OverlapResult> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    // Precondition check + global index assignment.
-    let mut base = Vec::with_capacity(per_rank.len());
-    let mut total = 0u32;
-    for list in per_rank {
-        base.push(total);
-        if list.windows(2).any(|w| w[0].offset > w[1].offset) {
-            return None;
-        }
-        total += list.len() as u32;
-    }
-
-    // K-way merge by (offset, end).
-    let mut heap: BinaryHeap<Reverse<(u64, u64, usize, usize)>> = per_rank
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.is_empty())
-        .map(|(r, l)| Reverse((l[0].offset, l[0].end(), r, 0)))
-        .collect();
-    let mut order: Vec<u32> = Vec::with_capacity(total as usize);
-    while let Some(Reverse((_, _, r, i))) = heap.pop() {
-        order.push(base[r] + i as u32);
-        if let Some(next) = per_rank[r].get(i + 1) {
-            heap.push(Reverse((next.offset, next.end(), r, i + 1)));
-        }
-    }
-
-    // Identical sweep to Algorithm 1, addressing through the merge order.
-    let acc = |i: u32| {
-        let r = base.partition_point(|&b| b <= i) - 1;
-        &per_rank[r][(i - base[r]) as usize]
-    };
-    let mut out = OverlapResult::default();
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    for (pos, &i) in order.iter().enumerate() {
-        let a = acc(i);
-        for &j in &order[pos + 1..] {
-            let b = acc(j);
-            if b.offset >= a.end() {
-                break;
-            }
-            out.pairs.push((i, j));
-            let rp = if a.rank <= b.rank {
-                (a.rank, b.rank)
-            } else {
-                (b.rank, a.rank)
-            };
-            if seen.insert(rp) {
-                out.rank_pairs.push(rp);
-            }
-        }
-    }
-    out.rank_pairs.sort_unstable();
-    Some(out)
 }
 
 /// O(n²) reference implementation for property testing.
@@ -371,17 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_mode_matches_full_detection() {
-        let accs: Vec<DataAccess> = (0..60)
-            .map(|i| acc(i % 5, i as u64, (i as u64 * 11) % 70, 15))
-            .collect();
-        let full = detect_overlaps(&accs);
-        let count = count_overlaps(&accs);
-        assert_eq!(count.pairs, full.count() as u64);
-        assert_eq!(count.rank_pairs, full.rank_pairs);
-    }
-
-    #[test]
     fn file_groups_preserve_input_order() {
         let mut accs = Vec::new();
         for i in 0..30u64 {
@@ -413,37 +293,6 @@ mod tests {
         let groups = FileGroups::new(&[]);
         assert!(groups.is_empty());
         assert_eq!(groups.iter().count(), 0);
-    }
-
-    #[test]
-    fn merge_variant_matches_sort_variant() {
-        // Per-rank offset-sorted lists with plenty of cross-rank overlap.
-        let mut per_rank: Vec<Vec<DataAccess>> = Vec::new();
-        for r in 0..4u32 {
-            per_rank.push(
-                (0..20u64)
-                    .map(|k| acc(r, k * 7 + r as u64, k * 13 + r as u64 * 5, 30))
-                    .collect(),
-            );
-        }
-        let flat: Vec<DataAccess> = per_rank.iter().flatten().copied().collect();
-        let merged = detect_overlaps_merge(&per_rank).expect("sorted input");
-        let sorted = detect_overlaps(&flat);
-        assert_eq!(canonical_pairs(&merged), canonical_pairs(&sorted));
-        assert_eq!(merged.rank_pairs, sorted.rank_pairs);
-    }
-
-    #[test]
-    fn merge_variant_rejects_unsorted_input() {
-        let per_rank = vec![vec![acc(0, 0, 100, 10), acc(0, 1, 0, 10)]];
-        assert!(detect_overlaps_merge(&per_rank).is_none());
-    }
-
-    #[test]
-    fn merge_variant_empty_ranks() {
-        let per_rank = vec![Vec::new(), vec![acc(1, 0, 0, 10)], Vec::new()];
-        let r = detect_overlaps_merge(&per_rank).expect("sorted");
-        assert_eq!(r.count(), 0);
     }
 
     #[test]

@@ -220,31 +220,6 @@ fn syncs_only_reduce_conflicts() {
     }
 }
 
-/// The merge-based variant (the paper's "sorting can be replaced by
-/// merging" note) agrees with the sort-based Algorithm 1 on any per-rank
-/// offset-sorted input.
-#[test]
-fn overlap_merge_matches_sort() {
-    let mut rng = SimRng::seed_from_u64(0xA7);
-    for _ in 0..64 {
-        let accesses = random_accesses(&mut rng, 60, 4);
-        // Build per-rank offset-sorted lists (the precondition).
-        let mut per_rank: Vec<Vec<DataAccess>> = vec![Vec::new(); 4];
-        for a in accesses {
-            per_rank[a.rank as usize].push(a);
-        }
-        for list in &mut per_rank {
-            list.sort_by_key(|a| (a.offset, a.end()));
-        }
-        let flat: Vec<DataAccess> = per_rank.iter().flatten().copied().collect();
-        let merged =
-            semantics_core::overlap::detect_overlaps_merge(&per_rank).expect("input is sorted");
-        let sorted = detect_overlaps(&flat);
-        assert_eq!(canonical_pairs(&merged), canonical_pairs(&sorted));
-        assert_eq!(merged.rank_pairs, sorted.rank_pairs);
-    }
-}
-
 /// The advisor's proposed commit insertions always eliminate every
 /// commit-semantics conflict, on arbitrary traces.
 #[test]

@@ -1,289 +1,307 @@
-//! `tracetool` — work with saved binary traces (`.rtrc`).
-//!
-//! ```text
-//! tracetool capture <config> --out FILE [--ranks N] [--seed S]
-//! tracetool info FILE                 trace statistics
-//! tracetool dump FILE [--rank R] [--limit N]
-//! tracetool conflicts FILE [--model session|commit]
-//! tracetool patterns FILE             Table 3 label + Figure 1 percentages
-//! tracetool census FILE               metadata-operation census
-//! tracetool report FILE               full per-run report (paper §7 artifact style)
-//! tracetool list                      available configurations for capture
-//! tracetool validate-trace FILE       check a `report --profile` Chrome trace
-//! tracetool validate-prom FILE        check a saved /metricsz exposition
-//! ```
+//! `tracetool` — work with saved binary traces (`.rtrc`) and with the
+//! observability artifacts `report` writes. `tracetool --help` lists the
+//! commands; the grammar is [`TRACETOOL`].
 //!
 //! Traces are adjusted (barrier-rebased) before analysis, exactly as the
-//! paper's pipeline does.
+//! paper's pipeline does. Exit codes: 0 ok, 1 unreadable or invalid
+//! input, 64 usage error.
 
 use recorder::stats::{SizeHistogram, TraceStats};
 use recorder::{adjust, offset, TraceSet};
+use report_gen::cli::{Cli, Command, Flag, Parsed};
+use report_gen::cmd::{ranks, RANKS, SEED};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel};
 use semantics_core::metadata::MetadataCensus;
 use semantics_core::patterns::{global_pattern, highlevel, local_pattern, AccessClass};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tracetool <capture|info|dump|conflicts|patterns|census|report|list|validate-trace|validate-prom> [args]"
-    );
-    std::process::exit(2);
+const OUT: Flag = Flag::new("--out", "FILE", "", "trace file (default CONFIG.rtrc)");
+const RANK: Flag = Flag::new("--rank", "R", "", "only this rank's records");
+const LIMIT: Flag = Flag::new("--limit", "N", "", "stop after N records");
+const MODEL: Flag = Flag::new("--model", "M", "session", "session | commit");
+
+static TRACETOOL: Cli = Cli {
+    prog: "tracetool",
+    commands: &[
+        Command::new("list", "", &[], list).about("available configurations for capture"),
+        Command::new(
+            "capture",
+            "CONFIG",
+            &[OUT, RANKS.default("16"), SEED],
+            capture,
+        )
+        .about("run one configuration and save its trace"),
+        Command::new("info", "FILE", &[], info).about("trace statistics"),
+        Command::new("dump", "FILE", &[RANK, LIMIT], dump).about("records as TSV"),
+        Command::new("conflicts", "FILE", &[MODEL], conflicts)
+            .about("conflicting pairs under one model"),
+        Command::new("patterns", "FILE", &[], patterns)
+            .about("Table 3 label + Figure 1 percentages"),
+        Command::new("census", "FILE", &[], census).about("metadata-operation census"),
+        Command::new("report", "FILE", &[], report)
+            .about("full per-run report (paper §7 artifact style)"),
+        Command::new("validate-trace", "FILE", &[], validate_trace)
+            .about("check a `report --profile` Chrome trace"),
+        Command::new("validate-prom", "FILE", &[], validate_prom)
+            .about("check a saved /metricsz exposition (`report slo --raw`)"),
+    ],
+    global: &[],
+    default_command: "",
+    epilog: "",
+};
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = TRACETOOL.parse_or_exit(&argv);
+    std::process::exit(TRACETOOL.dispatch(&parsed));
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Say why the input is unusable and exit 1.
+fn fail(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+fn read_text(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
 }
 
 fn load(path: &str) -> TraceSet {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    TraceSet::decode(&bytes).unwrap_or_else(|e| {
-        eprintln!("cannot decode {path}: {e}");
-        std::process::exit(1);
-    })
+    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    TraceSet::decode(&bytes).unwrap_or_else(|e| fail(format!("cannot decode {path}: {e}")))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let rest = &args[1..];
+fn list(_: &Parsed) -> Result<i32, String> {
+    for spec in hpcapps::specs() {
+        println!("{:<24} {}", spec.config_name(), spec.table5);
+    }
+    Ok(0)
+}
 
-    match cmd.as_str() {
-        "list" => {
-            for spec in hpcapps::all_specs() {
-                println!("{:<24} {}", spec.config_name(), spec.table5);
-            }
+fn capture(p: &Parsed) -> Result<i32, String> {
+    let config = p.operand()?;
+    let nranks = ranks(p, &RANKS)?;
+    let seed: u64 = p.get(&SEED)?;
+    let out_path = p
+        .text(&OUT)
+        .map_or_else(|| format!("{config}.rtrc"), str::to_string);
+    let spec = hpcapps::specs()
+        .iter()
+        .find(|s| s.config_name().eq_ignore_ascii_case(config))
+        .unwrap_or_else(|| {
+            fail(format!(
+                "unknown configuration {config}; try `tracetool list`"
+            ))
+        });
+    let out = iolibs::run_app(&iolibs::RunConfig::new(nranks, seed), |ctx| spec.run(ctx));
+    std::fs::write(&out_path, out.trace.encode())
+        .unwrap_or_else(|e| fail(format!("cannot write {out_path}: {e}")));
+    println!(
+        "captured {} records from {} ({} ranks, seed {seed}) → {out_path}",
+        out.trace.total_records(),
+        spec.config_name(),
+        nranks
+    );
+    Ok(0)
+}
+
+fn info(p: &Parsed) -> Result<i32, String> {
+    let trace = load(p.operand()?);
+    let s = TraceStats::from_trace(&trace);
+    println!("ranks          : {}", trace.nranks());
+    println!("records        : {}", s.total_records());
+    println!("files          : {}", s.files);
+    println!("bytes written  : {}", s.bytes_written);
+    println!("bytes read     : {}", s.bytes_read);
+    println!(
+        "small writes   : {:.1}% under 4KiB",
+        100.0 * s.small_write_fraction(4096)
+    );
+    println!("per layer      :");
+    for (layer, n) in &s.per_layer {
+        println!("  {:<8} {}", layer.name(), n);
+    }
+    if let Some(b) = s.write_sizes.mode() {
+        println!("modal write sz : {}", SizeHistogram::label(b));
+    }
+    println!("top functions  :");
+    let mut fns: Vec<_> = s.function_counters.iter().collect();
+    fns.sort_by_key(|(_, &n)| std::cmp::Reverse(n));
+    for (name, n) in fns.into_iter().take(12) {
+        println!("  {name:<22} {n}");
+    }
+    Ok(0)
+}
+
+fn dump(p: &Parsed) -> Result<i32, String> {
+    let path = p.operand()?;
+    let limit: usize = p.opt(&LIMIT)?.unwrap_or(usize::MAX);
+    let rank: Option<u32> = p.opt(&RANK)?;
+    let trace = load(path);
+    let tsv = match rank {
+        Some(rank) => recorder::tsv::rank_to_tsv(&trace, rank),
+        None => recorder::tsv::to_tsv(&trace),
+    };
+    // The header row does not count against the limit.
+    for line in tsv.lines().take(limit.saturating_add(1)) {
+        println!("{line}");
+    }
+    Ok(0)
+}
+
+fn conflicts(p: &Parsed) -> Result<i32, String> {
+    let path = p.operand()?;
+    let model = match p.text(&MODEL) {
+        Some("commit") => AnalysisModel::Commit,
+        Some("session") => AnalysisModel::Session,
+        other => {
+            return Err(format!(
+                "invalid value for --model: {:?} (expected session or commit)",
+                other.unwrap_or_default()
+            ))
         }
-        "capture" => {
-            let Some(config) = rest.first() else { usage() };
-            let ranks: u32 = flag(rest, "--ranks").map_or(16, |v| v.parse().expect("--ranks N"));
-            let seed: u64 = flag(rest, "--seed").map_or(2021, |v| v.parse().expect("--seed S"));
-            let out_path = flag(rest, "--out").unwrap_or_else(|| format!("{config}.rtrc"));
-            let spec = hpcapps::all_specs()
-                .into_iter()
-                .find(|s| s.config_name().eq_ignore_ascii_case(config))
-                .unwrap_or_else(|| {
-                    eprintln!("unknown configuration {config}; try `tracetool list`");
-                    std::process::exit(1);
-                });
-            let out = iolibs::run_app(&iolibs::RunConfig::new(ranks, seed), |ctx| spec.run(ctx));
-            std::fs::write(&out_path, out.trace.encode()).expect("write trace");
+    };
+    let trace = load(path);
+    let trace = adjust::apply(&trace);
+    let resolved = offset::resolve(&trace);
+    let report = detect_conflicts(&resolved, model);
+    let (ws, wd, rs, rd) = report.table4_marks();
+    println!(
+        "{model:?} semantics: {} pairs | WAW-S:{ws} WAW-D:{wd} RAW-S:{rs} RAW-D:{rd}",
+        report.total()
+    );
+    for p in report.pairs.iter().take(20) {
+        println!(
+            "  {:?}-{:?} {}: rank {} [{}..{}) t={} → rank {} [{}..{}) t={}",
+            p.kind,
+            p.scope,
+            trace.path(p.file),
+            p.first.rank,
+            p.first.offset,
+            p.first.end(),
+            p.first.t_start,
+            p.second.rank,
+            p.second.offset,
+            p.second.end(),
+            p.second.t_start,
+        );
+    }
+    if report.pairs.len() > 20 {
+        println!("  … and {} more", report.pairs.len() - 20);
+    }
+    Ok(0)
+}
+
+fn patterns(p: &Parsed) -> Result<i32, String> {
+    let trace = load(p.operand()?);
+    let trace = adjust::apply(&trace);
+    let resolved = offset::resolve(&trace);
+    let hl = highlevel::classify(&resolved, trace.nranks());
+    let local = local_pattern(&resolved);
+    let global = global_pattern(&resolved);
+    println!("high-level : {}", hl.label());
+    println!(
+        "local      : {:.1}% consecutive, {:.1}% monotonic, {:.1}% random",
+        local.pct(AccessClass::Consecutive),
+        local.pct(AccessClass::Monotonic),
+        local.pct(AccessClass::Random),
+    );
+    println!(
+        "global     : {:.1}% consecutive, {:.1}% monotonic, {:.1}% random",
+        global.pct(AccessClass::Consecutive),
+        global.pct(AccessClass::Monotonic),
+        global.pct(AccessClass::Random),
+    );
+    for fp in hl.per_file.iter().take(16) {
+        let fit = fp
+            .stride
+            .map(|f| match f.cycle {
+                Some(c) => format!(" offset={}·i+{} cycle={c}", f.a, f.b),
+                None => format!(" offset={}·i+{}", f.a, f.b),
+            })
+            .unwrap_or_default();
+        println!(
+            "  {:<40} {:<14} {:>3} writers {:>10} bytes{fit}",
+            trace.path(fp.file),
+            fp.shape.name(),
+            fp.writers.len(),
+            fp.bytes,
+        );
+    }
+    Ok(0)
+}
+
+fn census(p: &Parsed) -> Result<i32, String> {
+    let trace = load(p.operand()?);
+    let census = MetadataCensus::from_trace(&trace);
+    for (op, by_layer) in &census.counts {
+        let layers: Vec<String> = by_layer
+            .iter()
+            .map(|(l, n)| format!("{}:{n}", l.name()))
+            .collect();
+        println!("{:<12} {}", op.name(), layers.join(" "));
+    }
+    println!(
+        "unused: {}",
+        census
+            .unused_ops()
+            .iter()
+            .map(|o| o.name())
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    Ok(0)
+}
+
+fn report(p: &Parsed) -> Result<i32, String> {
+    let path = p.operand()?;
+    let trace = load(path);
+    let report = semantics_core::apprun::build(&adjust::apply(&trace));
+    print!("{}", report.render(path));
+    Ok(0)
+}
+
+/// Consumer-side check of a `report --profile` artifact: parse the
+/// Chrome trace-event JSON and summarize its coverage. Exit 1 on a
+/// malformed trace, so CI can gate on it.
+fn validate_trace(p: &Parsed) -> Result<i32, String> {
+    let path = p.operand()?;
+    let text = read_text(path);
+    match obs::validate_chrome_trace(&text) {
+        Ok(summary) => {
+            println!("events     : {}", summary.events);
+            println!("timelines  : {} pids", summary.pids.len());
             println!(
-                "captured {} records from {} ({} ranks, seed {seed}) → {out_path}",
-                out.trace.total_records(),
-                spec.config_name(),
-                ranks
-            );
-        }
-        "info" => {
-            let Some(path) = rest.first() else { usage() };
-            let trace = load(path);
-            let s = TraceStats::from_trace(&trace);
-            println!("ranks          : {}", trace.nranks());
-            println!("records        : {}", s.total_records());
-            println!("files          : {}", s.files);
-            println!("bytes written  : {}", s.bytes_written);
-            println!("bytes read     : {}", s.bytes_read);
-            println!(
-                "small writes   : {:.1}% under 4KiB",
-                100.0 * s.small_write_fraction(4096)
-            );
-            println!("per layer      :");
-            for (layer, n) in &s.per_layer {
-                println!("  {:<8} {}", layer.name(), n);
-            }
-            if let Some(b) = s.write_sizes.mode() {
-                println!("modal write sz : {}", SizeHistogram::label(b));
-            }
-            println!("top functions  :");
-            let mut fns: Vec<_> = s.function_counters.iter().collect();
-            fns.sort_by_key(|(_, &n)| std::cmp::Reverse(n));
-            for (name, n) in fns.into_iter().take(12) {
-                println!("  {name:<22} {n}");
-            }
-        }
-        "dump" => {
-            let Some(path) = rest.first() else { usage() };
-            let trace = load(path);
-            let limit: usize =
-                flag(rest, "--limit").map_or(usize::MAX, |v| v.parse().expect("--limit N"));
-            match flag(rest, "--rank") {
-                Some(r) => {
-                    let rank: u32 = r.parse().expect("--rank R");
-                    for line in recorder::tsv::rank_to_tsv(&trace, rank)
-                        .lines()
-                        .take(limit + 1)
-                    {
-                        println!("{line}");
-                    }
-                }
-                None => {
-                    for line in recorder::tsv::to_tsv(&trace).lines().take(limit + 1) {
-                        println!("{line}");
-                    }
-                }
-            }
-        }
-        "conflicts" => {
-            let Some(path) = rest.first() else { usage() };
-            let trace = adjust::apply(&load(path));
-            let model = match flag(rest, "--model").as_deref() {
-                None | Some("session") => AnalysisModel::Session,
-                Some("commit") => AnalysisModel::Commit,
-                Some(other) => {
-                    eprintln!("unknown model {other}");
-                    std::process::exit(2);
-                }
-            };
-            let resolved = offset::resolve(&trace);
-            let report = detect_conflicts(&resolved, model);
-            let (ws, wd, rs, rd) = report.table4_marks();
-            println!(
-                "{model:?} semantics: {} pairs | WAW-S:{ws} WAW-D:{wd} RAW-S:{rs} RAW-D:{rd}",
-                report.total()
-            );
-            for p in report.pairs.iter().take(20) {
-                println!(
-                    "  {:?}-{:?} {}: rank {} [{}..{}) t={} → rank {} [{}..{}) t={}",
-                    p.kind,
-                    p.scope,
-                    trace.path(p.file),
-                    p.first.rank,
-                    p.first.offset,
-                    p.first.end(),
-                    p.first.t_start,
-                    p.second.rank,
-                    p.second.offset,
-                    p.second.end(),
-                    p.second.t_start,
-                );
-            }
-            if report.pairs.len() > 20 {
-                println!("  … and {} more", report.pairs.len() - 20);
-            }
-        }
-        "patterns" => {
-            let Some(path) = rest.first() else { usage() };
-            let trace = adjust::apply(&load(path));
-            let resolved = offset::resolve(&trace);
-            let hl = highlevel::classify(&resolved, trace.nranks());
-            let local = local_pattern(&resolved);
-            let global = global_pattern(&resolved);
-            println!("high-level : {}", hl.label());
-            println!(
-                "local      : {:.1}% consecutive, {:.1}% monotonic, {:.1}% random",
-                local.pct(AccessClass::Consecutive),
-                local.pct(AccessClass::Monotonic),
-                local.pct(AccessClass::Random),
-            );
-            println!(
-                "global     : {:.1}% consecutive, {:.1}% monotonic, {:.1}% random",
-                global.pct(AccessClass::Consecutive),
-                global.pct(AccessClass::Monotonic),
-                global.pct(AccessClass::Random),
-            );
-            for fp in hl.per_file.iter().take(16) {
-                let fit = fp
-                    .stride
-                    .map(|f| match f.cycle {
-                        Some(c) => format!(" offset={}·i+{} cycle={c}", f.a, f.b),
-                        None => format!(" offset={}·i+{}", f.a, f.b),
-                    })
-                    .unwrap_or_default();
-                println!(
-                    "  {:<40} {:<14} {:>3} writers {:>10} bytes{fit}",
-                    trace.path(fp.file),
-                    fp.shape.name(),
-                    fp.writers.len(),
-                    fp.bytes,
-                );
-            }
-        }
-        "census" => {
-            let Some(path) = rest.first() else { usage() };
-            let trace = load(path);
-            let census = MetadataCensus::from_trace(&trace);
-            for (op, by_layer) in &census.counts {
-                let layers: Vec<String> = by_layer
+                "categories : {}",
+                summary
+                    .cats
                     .iter()
-                    .map(|(l, n)| format!("{}:{n}", l.name()))
-                    .collect();
-                println!("{:<12} {}", op.name(), layers.join(" "));
-            }
-            println!(
-                "unused: {}",
-                census
-                    .unused_ops()
-                    .iter()
-                    .map(|o| o.name())
+                    .filter(|c| !c.starts_with("__"))
+                    .cloned()
                     .collect::<Vec<_>>()
-                    .join(", ")
+                    .join(" ")
             );
+            Ok(0)
         }
-        "report" => {
-            let Some(path) = rest.first() else { usage() };
-            let trace = adjust::apply(&load(path));
-            let report = semantics_core::apprun::build(&trace);
-            print!("{}", report.render(path));
+        Err(e) => fail(format!("invalid Chrome trace {path}: {e}")),
+    }
+}
+
+/// Consumer-side check of a saved /metricsz exposition: parse it with
+/// the from-scratch Prometheus text-format parser and summarize. Exit 1
+/// on a malformed exposition, so the process tests can gate on it.
+fn validate_prom(p: &Parsed) -> Result<i32, String> {
+    let path = p.operand()?;
+    let text = read_text(path);
+    match obs::parse_exposition(&text) {
+        Ok(samples) => {
+            let mut series: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
+            series.sort_unstable();
+            series.dedup();
+            println!("samples    : {}", samples.len());
+            println!("series     : {}", series.len());
+            println!("names      : {}", series.join(" "));
+            Ok(0)
         }
-        "validate-trace" => {
-            // Consumer-side check of a `report --profile` artifact: parse
-            // the Chrome trace-event JSON and summarize its coverage.
-            // Exit 1 on malformed traces, so CI can gate on it.
-            let Some(path) = rest.first() else { usage() };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            match obs::validate_chrome_trace(&text) {
-                Ok(summary) => {
-                    println!("events     : {}", summary.events);
-                    println!("timelines  : {} pids", summary.pids.len());
-                    println!(
-                        "categories : {}",
-                        summary
-                            .cats
-                            .iter()
-                            .filter(|c| !c.starts_with("__"))
-                            .cloned()
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
-                }
-                Err(e) => {
-                    eprintln!("invalid Chrome trace {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "validate-prom" => {
-            // Consumer-side check of a saved /metricsz exposition (e.g.
-            // `report slo --raw FILE`): parse it with the from-scratch
-            // Prometheus text-format parser and summarize. Exit 1 on a
-            // malformed exposition, so CI can gate on it.
-            let Some(path) = rest.first() else { usage() };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            match obs::parse_exposition(&text) {
-                Ok(samples) => {
-                    let mut series: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
-                    series.sort_unstable();
-                    series.dedup();
-                    println!("samples    : {}", samples.len());
-                    println!("series     : {}", series.len());
-                    println!("names      : {}", series.join(" "));
-                }
-                Err(e) => {
-                    eprintln!("invalid exposition {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        _ => usage(),
+        Err(e) => fail(format!("invalid exposition {path}: {e}")),
     }
 }

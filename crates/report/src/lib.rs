@@ -20,7 +20,12 @@
 //! | §6.3 FLASH fixes | [`tables::flash_fix`] |
 //! | semantics-matrix (extension) | [`matrix::semantics_matrix`] |
 //! | fault campaign (extension) | [`faultcamp::campaign`] / [`faultcamp::flash_crash_sweep`] |
+//!
+//! The command line is [`cli`] (the grammar types and the one parser) and
+//! [`cmd`] (the `report` binary's grammar table and its commands).
 
+pub mod cli;
+pub mod cmd;
 pub mod faultcamp;
 pub mod figures;
 pub mod hbval;

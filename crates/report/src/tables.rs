@@ -167,10 +167,11 @@ pub fn table5() -> String {
 
 /// §6.3: the two one-line FLASH fixes, shown by re-running the fixed
 /// variants.
-pub fn flash_fix(runs: &[AnalyzedRun]) -> String {
+pub fn flash_fix<R: std::borrow::Borrow<AnalyzedRun>>(runs: &[R]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "FLASH fixes (§6.3): conflicts under session semantics");
     for r in runs {
+        let r = r.borrow();
         let (ws, wd, rs, rd) = r.session.table4_marks();
         let _ = writeln!(
             out,

@@ -272,23 +272,130 @@ fn cluster_subcommand_misuse_is_usage_error() {
 }
 
 #[test]
-fn pick_ports_count_bounds_are_usage_errors() {
-    assert_usage_error(&["pick-ports", "--count", "0"], "--count");
-    assert_usage_error(&["pick-ports", "--count", "65"], "--count");
+fn app_report_config_is_a_declared_checked_flag() {
+    assert_usage_error(
+        &["app-report", "--config", "NoSuchConfig"],
+        "--config \"NoSuchConfig\"",
+    );
+    assert_usage_error(
+        &["app-report", "--config", "NoSuchConfig"],
+        "tracetool list",
+    );
+    assert_usage_error(&["app-report", "--config"], "--config requires a value");
 }
 
 #[test]
-fn pick_ports_prints_distinct_free_ports() {
-    let out = report(&["pick-ports", "--count", "3"]);
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let ports: Vec<u16> = stdout
-        .lines()
-        .map(|l| l.trim().parse().expect("port line"))
-        .collect();
-    assert_eq!(ports.len(), 3, "stdout: {stdout}");
-    let unique: std::collections::BTreeSet<_> = ports.iter().collect();
-    assert_eq!(unique.len(), 3, "ports not distinct: {stdout}");
+fn a_flag_the_command_does_not_declare_is_a_usage_error() {
+    assert_usage_error(&["table1", "--port", "9"], "table1 does not take --port");
+    assert_usage_error(&["serve", "--small", "3"], "serve does not take --small");
+    // Refused for not declaring the flag, not for the value a command that
+    // never reads it was given.
+    assert_usage_error(
+        &["table1", "--workers", "0"],
+        "table1 does not take --workers",
+    );
+}
+
+#[test]
+fn fault_campaign_ranks_default_is_8_and_64_means_64() {
+    // The smallest campaign there is; only the header lines matter here.
+    let tiny = [
+        "fault-campaign",
+        "--camp-seeds",
+        "1",
+        "--camp-ops",
+        "4",
+        "--sweep-ops",
+        "1",
+        "--quiet",
+    ];
+    let dir = std::env::temp_dir().join(format!("report_cli_fc_{}", std::process::id()));
+    for (ranks, expect) in [(None, "(8 ranks"), (Some("64"), "(64 ranks")] {
+        let mut args = tiny.to_vec();
+        args.extend(["--out", dir.to_str().unwrap()]);
+        if let Some(n) = ranks {
+            args.extend(["--ranks", n]);
+        }
+        let out = report(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("Happy-path verdicts at campaign scale") && stdout.contains(expect),
+            "{args:?}: stdout missing {expect:?}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn help_is_generated_from_the_command_table() {
+    let commands = report_gen::cmd::REPORT.commands;
+    assert_eq!(commands.len(), 24);
+    for args in [&["--help"][..], &["help"]] {
+        let out = report(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: report"), "{args:?}: {stdout}");
+        for c in commands {
+            assert!(
+                stdout.contains(&format!("\n  {}", c.name)),
+                "{args:?}: help does not list {}: {stdout}",
+                c.name
+            );
+        }
+    }
+    for c in commands {
+        let out = report(&[c.name, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "{} --help", c.name);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("usage: report {}", c.name)),
+            "{} --help: {stdout}",
+            c.name
+        );
+        for f in c.flags {
+            assert!(
+                stdout.contains(f.name),
+                "{} --help lacks {}",
+                c.name,
+                f.name
+            );
+        }
+    }
+}
+
+#[test]
+fn tracetool_rejects_malformed_values_instead_of_panicking() {
+    let tracetool = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_tracetool"))
+            .args(args)
+            .output()
+            .expect("spawn tracetool binary")
+    };
+    // Values are checked before the file is opened, so F need not exist.
+    for (args, expect) in [
+        (
+            &["capture", "FLASH-fbs", "--ranks", "abc"][..],
+            "error: invalid value for --ranks",
+        ),
+        (
+            &["dump", "F", "--limit", "x"],
+            "error: invalid value for --limit",
+        ),
+        (
+            &["dump", "F", "--rank", "x"],
+            "error: invalid value for --rank",
+        ),
+        (
+            &["conflicts", "F", "--model", "bogus"],
+            "error: invalid value for --model",
+        ),
+        (&[], "usage: tracetool"),
+    ] {
+        let out = tracetool(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(expect), "{args:?}: stderr: {stderr}");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Rendering tests for the report generators: every artifact renders, and
 //! the rendered text carries the headline facts.
 
-use report_gen::{analyze, analyze_all_threaded, figures, hbval, matrix, tables, ReportCfg};
+use report_gen::{analyze, figures, hbval, matrix, tables, ReportCfg};
 
 fn cfg() -> ReportCfg {
     ReportCfg {
@@ -106,18 +106,55 @@ fn flash_fix_table_tells_the_story() {
     );
 }
 
-/// The reproduction gate as a test: Tables 3 and 4 rendered the way
-/// `report all` renders them (64 ranks, seed 2021) are the checked-in
-/// `reports/` bytes.
+/// The reproduction gate as a test: `report all` at the paper's scale
+/// (64 ranks, seed 2021) writes exactly the checked-in `reports/` bytes —
+/// all 14 artifacts, and its stdout (`reports/reports_all_64.txt`).
 #[test]
 fn paper_scale_tables_match_checked_in_reports() {
-    let runs = analyze_all_threaded(&ReportCfg::default(), false, 0);
     let reports = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");
-    for (name, rendered) in [
-        ("table3.txt", tables::table3(&runs)),
-        ("table4.txt", tables::table4(&runs)),
-    ] {
-        let golden = std::fs::read_to_string(reports.join(name)).expect(name);
-        assert_eq!(rendered, golden, "{name} no longer matches reports/{name}");
+    let out = std::env::temp_dir().join(format!("report_render_all_{}", std::process::id()));
+    std::fs::remove_dir_all(&out).ok();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["all", "--quiet", "--out", out.to_str().unwrap()])
+        .output()
+        .expect("spawn report all");
+    assert_eq!(run.status.code(), Some(0));
+
+    let mut names: Vec<String> = std::fs::read_dir(&out)
+        .expect("output dir")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "fig1.csv",
+            "fig1.txt",
+            "fig2_fbs.csv",
+            "fig2_nofbs.csv",
+            "fig3.csv",
+            "fig3.txt",
+            "flash_fix.txt",
+            "summary.json",
+            "table1.txt",
+            "table2.txt",
+            "table3.txt",
+            "table4.txt",
+            "table5.txt",
+            "validate_hb.txt",
+        ]
+    );
+    let golden = |name: &str| std::fs::read_to_string(reports.join(name)).expect("golden");
+    for name in &names {
+        let rendered = std::fs::read_to_string(out.join(name)).unwrap();
+        assert!(
+            rendered == golden(name),
+            "{name} no longer matches reports/{name}; regenerate with `report all`"
+        );
     }
+    assert!(
+        String::from_utf8_lossy(&run.stdout) == golden("reports_all_64.txt"),
+        "stdout of `report all` no longer matches reports/reports_all_64.txt"
+    );
+    std::fs::remove_dir_all(&out).ok();
 }

@@ -1,5 +1,5 @@
-//! Minimal blocking HTTP/1.1 client — just enough for loadgen, the test
-//! suites, and the CI smoke check. Speaks keep-alive, reads
+//! Minimal blocking HTTP/1.1 client — just enough for `report`'s client
+//! commands, the test suites, and the benchmark. Speaks keep-alive, reads
 //! `Content-Length`-framed bodies, and treats anything else as a close.
 
 use std::io::{self, Read, Write};

@@ -36,7 +36,7 @@
 //! * `exposition` — `/healthz` and the one metrics surface, `/metricsz`.
 //! * [`server`] — accept loop, connection lifecycle, SIGTERM/ctrl-c
 //!   graceful drain (via [`signal`]).
-//! * [`client`] — the minimal blocking client loadgen and the tests use.
+//! * [`client`] — the minimal blocking client `report` and the tests use.
 //! * [`fleet`] — the cluster tier's routing: consistent-hash lookup of
 //!   analysis keys across a sharded serving fleet
 //!   (`--cluster-id`/`--peers`), proxy or 307-redirect forwarding with a
