@@ -8,14 +8,12 @@
 //!
 //! * [`FileGroups`] — the zero-copy per-file grouping (Algorithm 1 runs
 //!   per file);
-//! * [`SyncTables`] + the §5.2 `to`/`tc` extension — the per-process
+//! * the sync tables + the §5.2 `to`/`tc` extension — the per-process
 //!   open/close/commit windows both conflict models consult;
 //! * a per-file **offset-sorted** index order — the sweep order shared by
 //!   overlap enumeration and both conflict detections;
 //! * per-`(rank, file)` and per-file **time-sorted** orders — the streams
 //!   of Figure 1's local/global classification (built lazily);
-//! * a struct-of-arrays [`SweepColumns`] view of the hot sweep fields for
-//!   cache-friendly scanning;
 //! * a lazily-built [`HbIndex`] over the adjusted trace for §5.2's
 //!   happens-before validation.
 //!
@@ -40,38 +38,6 @@ use crate::overlap::FileGroups;
 use crate::patterns::highlevel::{self, ClassifyOptions, HighLevelReport};
 use crate::patterns::lowlevel::{classify_global_in, classify_local_in, PatternStats};
 
-/// Struct-of-arrays view of the sweep-hot access fields, indexed by access
-/// index. The overlap/conflict inner loop touches only start/end offsets
-/// (plus timestamp and rank to order a candidate pair), so scanning four
-/// dense `u64`/`u32` columns instead of 64-byte [`DataAccess`] records
-/// keeps the sweep in cache.
-#[derive(Debug, Clone, Default)]
-pub struct SweepColumns {
-    pub offset_start: Vec<u64>,
-    pub offset_end: Vec<u64>,
-    pub t_start: Vec<u64>,
-    pub rank: Vec<u32>,
-}
-
-impl SweepColumns {
-    pub fn new(accesses: &[DataAccess]) -> Self {
-        SweepColumns {
-            offset_start: accesses.iter().map(|a| a.offset).collect(),
-            offset_end: accesses.iter().map(|a| a.end()).collect(),
-            t_start: accesses.iter().map(|a| a.t_start).collect(),
-            rank: accesses.iter().map(|a| a.rank).collect(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.offset_start.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.offset_start.is_empty()
-    }
-}
-
 /// All shared per-trace analysis state. Construct once with
 /// [`AnalysisContext::new`] (or [`AnalysisContext::with_adjusted`] when
 /// the census / happens-before validation are needed too), then run any
@@ -82,7 +48,6 @@ pub struct AnalysisContext<'a> {
     /// metadata census and the happens-before index.
     adjusted: Option<&'a TraceSet>,
     groups: FileGroups,
-    cols: SweepColumns,
     sync: SyncTables,
     extended: Vec<ExtendedAccess>,
     /// `groups.order()` with each file's range re-sorted (stably) by
@@ -107,7 +72,7 @@ impl<'a> AnalysisContext<'a> {
 
     /// [`AnalysisContext::new`], additionally carrying the adjusted trace
     /// so [`AnalysisContext::census`] and
-    /// [`AnalysisContext::validate_session`] are available.
+    /// [`AnalysisContext::validate`] are available.
     pub fn with_adjusted(resolved: &'a ResolvedTrace, adjusted: &'a TraceSet) -> Self {
         Self::build(resolved, Some(adjusted))
     }
@@ -116,7 +81,6 @@ impl<'a> AnalysisContext<'a> {
         let accesses = &resolved.accesses;
         let _span = obs::span("core", "ctx:build").with_arg("accesses", accesses.len());
         let groups = FileGroups::new(accesses);
-        let cols = SweepColumns::new(accesses);
         let (sync, extended) = crate::conflict::extend_with_tables(resolved);
         // Same stable key as the standalone per-file sort — `(offset,
         // end)` over ranges that are in input order — so the sweep
@@ -125,14 +89,15 @@ impl<'a> AnalysisContext<'a> {
         let mut conflict_order = groups.order().to_vec();
         for k in 0..groups.len() {
             let (_, lo, hi) = groups.bounds(k);
-            conflict_order[lo..hi]
-                .sort_by_key(|&i| (cols.offset_start[i as usize], cols.offset_end[i as usize]));
+            conflict_order[lo..hi].sort_by_key(|&i| {
+                let a = &accesses[i as usize];
+                (a.offset, a.end())
+            });
         }
         AnalysisContext {
             resolved,
             adjusted,
             groups,
-            cols,
             sync,
             extended,
             conflict_order,
@@ -159,10 +124,6 @@ impl<'a> AnalysisContext<'a> {
         &self.groups
     }
 
-    pub fn columns(&self) -> &SweepColumns {
-        &self.cols
-    }
-
     /// The §5.2 `to`/`tc` extension (binary-search variant), in input
     /// order.
     pub fn extended(&self) -> &[ExtendedAccess] {
@@ -170,7 +131,7 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// Time of the last `open` by `rank` on `file` at or before `t` — a
-    /// direct query into the retained [`SyncTables`].
+    /// direct query into the retained sync tables.
     pub fn last_open(&self, rank: u32, file: PathId, t: u64) -> Option<u64> {
         self.sync.last_open((rank, file), t)
     }
@@ -339,19 +300,6 @@ mod tests {
             syncs,
             seek_mismatches: 0,
             short_reads: 0,
-        }
-    }
-
-    #[test]
-    fn columns_mirror_accesses() {
-        let r = dense_trace();
-        let ctx = AnalysisContext::new(&r);
-        assert_eq!(ctx.columns().len(), r.accesses.len());
-        for (i, a) in r.accesses.iter().enumerate() {
-            assert_eq!(ctx.columns().offset_start[i], a.offset);
-            assert_eq!(ctx.columns().offset_end[i], a.end());
-            assert_eq!(ctx.columns().t_start[i], a.t_start);
-            assert_eq!(ctx.columns().rank[i], a.rank);
         }
     }
 

@@ -34,7 +34,7 @@
 //!   `None`/`Some(tc > t₂)` cases — the verdicts coincide. At finalize the
 //!   surviving pairs are sorted by `(file, k_min, k_max)` where `k` is the
 //!   per-file `(offset, end, arrival)` key — precisely the batch sweep's
-//!   emission order — and replayed through [`ConflictReport::add`].
+//!   emission order — and replayed through `ConflictReport::add`.
 //! * **Patterns.** The local fold keys on `(rank, file)` and the global
 //!   fold on `file`; restricted to one key, the drain order equals the
 //!   batch's stable sort order, and [`PatternStats`] summation over

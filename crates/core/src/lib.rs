@@ -59,7 +59,7 @@ pub use conflict::{
     detect_conflicts_fused, AnalysisModel, ConflictKind, ConflictPair, ConflictReport,
     ConflictScope, FusedReports,
 };
-pub use context::{AnalysisContext, SweepColumns};
+pub use context::AnalysisContext;
 pub use incremental::{IncrementalOutput, StreamingAnalyzer};
 pub use model::{ConsistencyModel, PfsEntry, PfsRegistry};
 pub use overlap::{detect_overlaps, detect_overlaps_bruteforce, FileGroups, OverlapResult};

@@ -20,20 +20,6 @@ pub fn pwrite_chunks(ctx: &mut AppCtx, fd: Fd, offset: u64, data: &[u8], n: u32)
     Ok(())
 }
 
-/// Cursor write streamed in `n` pieces.
-pub fn write_chunks(ctx: &mut AppCtx, fd: Fd, data: &[u8], n: u32) -> FsResult<()> {
-    let n = n.max(1) as u64;
-    let len = data.len() as u64;
-    let chunk = len.div_ceil(n).max(1);
-    let mut pos = 0u64;
-    while pos < len {
-        let end = (pos + chunk).min(len);
-        ctx.write(fd, &data[pos as usize..end as usize])?;
-        pos = end;
-    }
-    Ok(())
-}
-
 /// HDF5 hyperslab write streamed in `n` sub-slabs.
 pub fn h5_write_chunks(
     ctx: &mut AppCtx,

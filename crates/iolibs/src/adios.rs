@@ -9,7 +9,7 @@
 //! (§6.3): the WAW-S Table 4 reports.
 
 use pfssim::{FsResult, OpenFlags};
-use recorder::{Func, Layer};
+use recorder::Layer;
 
 use crate::harness::{AppCtx, Fd};
 
@@ -52,10 +52,9 @@ impl AdiosWriter {
 
     /// `adios2::Engine` open in write mode. Collective.
     pub fn open(ctx: &mut AppCtx, dir: &str, n_writers: u32) -> FsResult<AdiosWriter> {
-        let t0 = ctx.now();
-        let id = ctx.alloc_lib_id();
-        let n_writers = n_writers.clamp(1, ctx.nranks());
-        let (data_fd, idx_fd, md_fd) = ctx.with_origin(Layer::Adios, |ctx| {
+        ctx.lib_call(Layer::Adios, |ctx| {
+            let id = ctx.alloc_lib_id();
+            let n_writers = n_writers.clamp(1, ctx.nranks());
             ctx.getcwd()?; // engine resolves the output path
             if ctx.rank() == 0 {
                 ctx.mkdir_p(dir)?;
@@ -87,30 +86,18 @@ impl AdiosWriter {
             } else {
                 (None, None)
             };
-            Ok::<_, pfssim::FsError>((data_fd, idx_fd, md_fd))
-        })?;
-        let name = ctx.intern("adios_open");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Adios,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: id as u64,
-                b: 0,
-            },
-        );
-        Ok(AdiosWriter {
-            id,
-            dir: dir.to_string(),
-            n_writers,
-            data_fd,
-            idx_fd,
-            md_fd,
-            step: 0,
-            data_tail: 0,
-            md_tail: 0,
+            let writer = AdiosWriter {
+                id,
+                dir: dir.to_string(),
+                n_writers,
+                data_fd,
+                idx_fd,
+                md_fd,
+                step: 0,
+                data_tail: 0,
+                md_tail: 0,
+            };
+            Ok((writer, ctx.named_call("adios_open", id as u64, 0)))
         })
     }
 
@@ -122,90 +109,57 @@ impl AdiosWriter {
     /// aggregators append to their subfile; rank 0 appends an index entry
     /// to `md.idx`, appends to `md.0`, and rewrites the status byte.
     pub fn write_step(&mut self, ctx: &mut AppCtx, payload: &[u8]) -> FsResult<()> {
-        let t0 = ctx.now();
-        let agg = Self::aggregator_of(ctx.rank(), ctx.nranks(), self.n_writers);
-        ctx.send(agg, ADIOS_TAG, payload.to_vec());
-        if let Some(fd) = self.data_fd {
-            let group = ctx.nranks().div_ceil(self.n_writers);
-            let lo = ctx.rank();
-            let hi = (lo + group).min(ctx.nranks());
-            let mut blob = Vec::new();
-            for src in lo..hi {
-                blob.extend_from_slice(&ctx.recv(src, ADIOS_TAG));
+        ctx.lib_call(Layer::Adios, |ctx| {
+            let agg = Self::aggregator_of(ctx.rank(), ctx.nranks(), self.n_writers);
+            ctx.send(agg, ADIOS_TAG, payload.to_vec());
+            if let Some(fd) = self.data_fd {
+                let group = ctx.nranks().div_ceil(self.n_writers);
+                let lo = ctx.rank();
+                let hi = (lo + group).min(ctx.nranks());
+                let mut blob = Vec::new();
+                for src in lo..hi {
+                    blob.extend_from_slice(&ctx.recv(src, ADIOS_TAG));
+                }
+                ctx.pwrite(fd, self.data_tail, &blob)?;
+                self.data_tail += blob.len() as u64;
             }
-            let tail = self.data_tail;
-            ctx.with_origin(Layer::Adios, |ctx| ctx.pwrite(fd, tail, &blob))?;
-            self.data_tail += blob.len() as u64;
-        }
-        if ctx.rank() == 0 {
-            let idx_fd = self.idx_fd.expect("rank 0 holds md.idx");
-            let md_fd = self.md_fd.expect("rank 0 holds md.0");
-            let step = self.step;
-            let md_tail = self.md_tail;
-            ctx.with_origin(Layer::Adios, |ctx| -> FsResult<()> {
+            if ctx.rank() == 0 {
+                let idx_fd = self.idx_fd.expect("rank 0 holds md.idx");
+                let md_fd = self.md_fd.expect("rank 0 holds md.0");
                 // Append the step index entry…
                 ctx.pwrite(
                     idx_fd,
-                    IDX_HEADER + step * IDX_ENTRY,
+                    IDX_HEADER + self.step * IDX_ENTRY,
                     &[1u8; IDX_ENTRY as usize],
                 )?;
                 // …append variable metadata…
-                ctx.pwrite(md_fd, md_tail, &[2u8; 256])?;
+                ctx.pwrite(md_fd, self.md_tail, &[2u8; 256])?;
                 // …and overwrite the single status byte (the WAW-S).
-                ctx.pwrite(idx_fd, IDX_STATUS_OFF, &[step as u8])?;
-                Ok(())
-            })?;
-            self.md_tail += 256;
-        }
-        ctx.barrier();
-        self.step += 1;
-        let name = ctx.intern("adios_write");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Adios,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: self.id as u64,
-                b: payload.len() as u64,
-            },
-        );
-        Ok(())
+                ctx.pwrite(idx_fd, IDX_STATUS_OFF, &[self.step as u8])?;
+                self.md_tail += 256;
+            }
+            ctx.barrier();
+            self.step += 1;
+            let func = ctx.named_call("adios_write", self.id as u64, payload.len() as u64);
+            Ok(((), func))
+        })
     }
 
     /// Engine close. Collective; removes the in-progress sentinel.
     pub fn close(self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::Adios, |ctx| -> FsResult<()> {
-            if let Some(fd) = self.data_fd {
-                ctx.close(fd)?;
-            }
-            if let Some(fd) = self.idx_fd {
-                ctx.close(fd)?;
-            }
-            if let Some(fd) = self.md_fd {
+        ctx.lib_call(Layer::Adios, |ctx| {
+            for fd in [self.data_fd, self.idx_fd, self.md_fd]
+                .into_iter()
+                .flatten()
+            {
                 ctx.close(fd)?;
             }
             if ctx.rank() == 0 {
                 ctx.unlink(&format!("{}/.active", self.dir))?;
             }
-            Ok(())
-        })?;
-        ctx.barrier();
-        let name = ctx.intern("adios_close");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Adios,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: self.id as u64,
-                b: 0,
-            },
-        );
-        Ok(())
+            ctx.barrier();
+            Ok(((), ctx.named_call("adios_close", self.id as u64, 0)))
+        })
     }
 }
 

@@ -12,12 +12,12 @@
 //! the assembled [`TraceSet`] together with the quiesced file system.
 
 use mpisim::{
-    CostModel, ExecModel, FaultPlan, IoFault, OpClass, Rank, SchedMode, SimAbort, SimError, World,
-    WorldCfg,
+    apply_skew, CostModel, ExecModel, FaultPlan, IoFault, OpClass, Rank, SchedMode, SimAbort,
+    SimError, World, WorldCfg,
 };
 use pfssim::{
-    FsError, FsResult, MetaOp, Observation, OpenFlags, Pfs, PfsConfig, ReadOut, SemanticsModel,
-    StatInfo, Whence, WriteOut,
+    FsError, FsResult, Observation, OpenFlags, Pfs, PfsConfig, ReadOut, SemanticsModel, StatInfo,
+    Whence, WriteOut,
 };
 use recorder::{Func, Layer, MetaKind, RankTracer, Record, SeekWhence, SharedInterner, TraceSet};
 
@@ -30,7 +30,7 @@ const SINK_CHUNK: usize = 64;
 struct EpochForwarder(SinkHandle);
 
 impl mpisim::EpochNotify for EpochForwarder {
-    fn epoch_released(&self, epoch: u64, _t_ns: u64) {
+    fn epoch_released(&self, epoch: u64) {
         self.0 .0.epoch_released(epoch);
     }
 }
@@ -60,8 +60,7 @@ pub struct RunConfig {
     /// run spans). Purely cosmetic; never affects the simulation.
     pub label: String,
     /// Rank execution engine: event-loop tasks (host default) or one OS
-    /// thread per rank. Identical traces under the deterministic
-    /// scheduler modes; see `ExecModel`.
+    /// thread per rank. Identical traces either way; see `ExecModel`.
     pub exec: ExecModel,
     /// Optional streaming sink the run tees its POSIX records to as they
     /// are emitted (see [`crate::sink`]). `None` costs nothing.
@@ -93,11 +92,6 @@ impl RunConfig {
 
     pub fn with_semantics(mut self, semantics: SemanticsModel) -> Self {
         self.semantics = semantics;
-        self
-    }
-
-    pub fn free_running(mut self) -> Self {
-        self.mode = SchedMode::Free;
         self
     }
 
@@ -359,14 +353,6 @@ where
     })
 }
 
-fn apply_skew(t: u64, skew: i64) -> u64 {
-    if skew >= 0 {
-        t.saturating_add(skew as u64)
-    } else {
-        t.saturating_sub(skew.unsigned_abs())
-    }
-}
-
 /// The per-rank application context: communication + traced POSIX I/O.
 pub struct AppCtx {
     rank: Rank,
@@ -461,25 +447,35 @@ impl AppCtx {
         id
     }
 
-    /// Run `f` with POSIX records attributed to `origin` (the I/O library
-    /// issuing them).
-    pub fn with_origin<R>(&mut self, origin: Layer, f: impl FnOnce(&mut Self) -> R) -> R {
-        let prev = self.origin;
-        self.origin = origin;
-        let r = f(self);
+    /// One traced library-level call. The POSIX records `f` issues are
+    /// attributed to `layer` as their origin (a nested library's call
+    /// re-attributes its own), and when `f` succeeds the call itself is
+    /// recorded at `layer`, spanning entry to exit, as the [`Func`] it
+    /// returns. A call that fails emits no library record. Each clock read
+    /// takes the world lock.
+    pub fn lib_call<R>(
+        &mut self,
+        layer: Layer,
+        f: impl FnOnce(&mut Self) -> FsResult<(R, Func)>,
+    ) -> FsResult<R> {
+        let t0 = self.rank.now();
+        let prev = std::mem::replace(&mut self.origin, layer);
+        let res = f(self);
         self.origin = prev;
-        r
-    }
-
-    /// Emit a record at a layer above POSIX (the library-level call itself).
-    pub fn record_lib(&mut self, layer: Layer, t_start: u64, t_end: u64, func: Func) {
-        let (s, e) = (self.rank.local_clock(t_start), self.rank.local_clock(t_end));
+        let (r, func) = res?;
+        let (s, e) = (
+            self.rank.local_clock(t0),
+            self.rank.local_clock(self.rank.now()),
+        );
         self.tracer.record(s, e, layer, layer, func);
+        Ok(r)
     }
 
-    /// Current true simulated time (costs nothing).
-    pub fn now(&self) -> u64 {
-        self.rank.now()
+    /// The [`Func`] of a library call the trace vocabulary has no variant
+    /// for: its interned name and two free arguments.
+    pub(crate) fn named_call(&self, name: &str, a: u64, b: u64) -> Func {
+        let name = self.intern(name);
+        Func::LibCall { name, a, b }
     }
 
     /// Intern a path/name for trace records.
@@ -661,236 +657,237 @@ impl AppCtx {
         }
     }
 
+    /// The whole life of one traced POSIX call that can fail: everything
+    /// [`Self::posix_op`] does (due fault, turn, cost, pfssim, retries),
+    /// then — only if it succeeded — the record. A wrapper says which
+    /// pfssim call and which [`Func`]; nothing else.
+    fn posix_call<R>(
+        &mut self,
+        class: OpClass,
+        bytes: u64,
+        call: impl FnMut(&mut pfssim::PfsClient, u64) -> FsResult<R>,
+        func: impl FnOnce(&R) -> Func,
+    ) -> FsResult<R> {
+        let (t0, t1, r) = self.posix_op(class, bytes, call)?;
+        self.rec_posix(t0, t1, func(&r));
+        Ok(r)
+    }
+
+    /// The second entry, for `stat`, `lstat` and `umask`: the record is
+    /// written whatever the call returns (a tracer sees failed probes of
+    /// not-yet-existing files too), and the fault plan does not apply — a
+    /// due injected I/O fault is left for the rank's next
+    /// [`Self::posix_call`], and nothing is retried.
+    fn posix_probe<R>(
+        &mut self,
+        call: impl FnOnce(&mut pfssim::PfsClient, u64) -> R,
+        func: Func,
+    ) -> R {
+        let client = &mut self.client;
+        let (t0, t1, r) = self
+            .rank
+            .timed_op(OpClass::FsMeta, 0, |now| call(client, now));
+        self.rec_posix(t0, t1, func);
+        r
+    }
+
+    /// A [`Self::posix_call`] on a path, recorded as `MetaPath { op, path }`.
+    fn path_meta<R>(
+        &mut self,
+        op: MetaKind,
+        path: &str,
+        call: impl FnMut(&mut pfssim::PfsClient, u64) -> FsResult<R>,
+    ) -> FsResult<R> {
+        let path = self.intern(path);
+        self.posix_call(OpClass::FsMeta, 0, call, |_| Func::MetaPath { op, path })
+    }
+
+    /// A [`Self::posix_call`] on a descriptor, recorded as `MetaFd { op, fd }`.
+    fn fd_meta<R>(
+        &mut self,
+        op: MetaKind,
+        fd: Fd,
+        call: impl FnMut(&mut pfssim::PfsClient, u64) -> FsResult<R>,
+    ) -> FsResult<R> {
+        self.posix_call(OpClass::FsMeta, 0, call, |_| Func::MetaFd { op, fd })
+    }
+
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         let pid = self.intern(path);
-        let (t0, t1, fd) = self.posix_op(OpClass::FsOpen, 0, |c, now| c.open(path, flags, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Open {
+        self.posix_call(
+            OpClass::FsOpen,
+            0,
+            |c, now| c.open(path, flags, now),
+            |&fd| Func::Open {
                 path: pid,
                 flags: flags.to_bits(),
                 fd,
             },
-        );
-        Ok(fd)
+        )
     }
 
     pub fn close(&mut self, fd: Fd) -> FsResult<()> {
-        let (t0, t1, ()) = self.posix_op(OpClass::FsClose, 0, |c, now| c.close(fd, now))?;
-        self.rec_posix(t0, t1, Func::Close { fd });
-        Ok(())
+        self.posix_call(
+            OpClass::FsClose,
+            0,
+            |c, now| c.close(fd, now),
+            |_| Func::Close { fd },
+        )
     }
 
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> FsResult<WriteOut> {
-        self.lock_latency(data.len() as u64);
-        let (t0, t1, out) = self.posix_op(OpClass::FsWrite, data.len() as u64, |c, now| {
-            c.write(fd, data, now)
-        })?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Write {
-                fd,
-                count: data.len() as u64,
-            },
-        );
-        Ok(out)
+        let count = data.len() as u64;
+        self.lock_latency(count);
+        self.posix_call(
+            OpClass::FsWrite,
+            count,
+            |c, now| c.write(fd, data, now),
+            |_| Func::Write { fd, count },
+        )
     }
 
     pub fn pwrite(&mut self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<WriteOut> {
-        self.lock_latency(data.len() as u64);
-        let (t0, t1, out) = self.posix_op(OpClass::FsWrite, data.len() as u64, |c, now| {
-            c.pwrite(fd, offset, data, now)
-        })?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Pwrite {
-                fd,
-                offset,
-                count: data.len() as u64,
-            },
-        );
-        Ok(out)
+        let count = data.len() as u64;
+        self.lock_latency(count);
+        self.posix_call(
+            OpClass::FsWrite,
+            count,
+            |c, now| c.pwrite(fd, offset, data, now),
+            |_| Func::Pwrite { fd, offset, count },
+        )
     }
 
-    pub fn read(&mut self, fd: Fd, len: u64) -> FsResult<ReadOut> {
-        self.lock_latency(len);
-        let (t0, t1, out) = self.posix_op(OpClass::FsRead, len, |c, now| c.read(fd, len, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Read {
+    pub fn read(&mut self, fd: Fd, count: u64) -> FsResult<ReadOut> {
+        self.lock_latency(count);
+        self.posix_call(
+            OpClass::FsRead,
+            count,
+            |c, now| c.read(fd, count, now),
+            |out| Func::Read {
                 fd,
-                count: len,
+                count,
                 ret: out.data.len() as u64,
             },
-        );
-        Ok(out)
+        )
     }
 
-    pub fn pread(&mut self, fd: Fd, offset: u64, len: u64) -> FsResult<ReadOut> {
-        self.lock_latency(len);
-        let (t0, t1, out) =
-            self.posix_op(OpClass::FsRead, len, |c, now| c.pread(fd, offset, len, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Pread {
+    pub fn pread(&mut self, fd: Fd, offset: u64, count: u64) -> FsResult<ReadOut> {
+        self.lock_latency(count);
+        self.posix_call(
+            OpClass::FsRead,
+            count,
+            |c, now| c.pread(fd, offset, count, now),
+            |out| Func::Pread {
                 fd,
                 offset,
-                count: len,
+                count,
                 ret: out.data.len() as u64,
             },
-        );
-        Ok(out)
+        )
     }
 
     pub fn lseek(&mut self, fd: Fd, offset: i64, whence: Whence) -> FsResult<u64> {
-        let (t0, t1, ret) = self.posix_op(OpClass::FsSeek, 0, |c, now| {
-            c.lseek(fd, offset, whence, now)
-        })?;
         let w = match whence {
             Whence::Set => SeekWhence::Set,
             Whence::Cur => SeekWhence::Cur,
             Whence::End => SeekWhence::End,
         };
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Lseek {
+        self.posix_call(
+            OpClass::FsSeek,
+            0,
+            |c, now| c.lseek(fd, offset, whence, now),
+            |&ret| Func::Lseek {
                 fd,
                 offset,
                 whence: w,
                 ret,
             },
-        );
-        Ok(ret)
+        )
     }
 
     pub fn fsync(&mut self, fd: Fd) -> FsResult<()> {
-        let (t0, t1, ()) = self.posix_op(OpClass::FsSync, 0, |c, now| c.fsync(fd, now))?;
-        self.rec_posix(t0, t1, Func::Fsync { fd });
-        Ok(())
+        self.posix_call(
+            OpClass::FsSync,
+            0,
+            |c, now| c.fsync(fd, now),
+            |_| Func::Fsync { fd },
+        )
     }
 
     pub fn fdatasync(&mut self, fd: Fd) -> FsResult<()> {
-        let (t0, t1, ()) = self.posix_op(OpClass::FsSync, 0, |c, now| c.fdatasync(fd, now))?;
-        self.rec_posix(t0, t1, Func::Fdatasync { fd });
-        Ok(())
+        self.posix_call(
+            OpClass::FsSync,
+            0,
+            |c, now| c.fdatasync(fd, now),
+            |_| Func::Fdatasync { fd },
+        )
     }
 
     pub fn ftruncate(&mut self, fd: Fd, len: u64) -> FsResult<()> {
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.ftruncate(fd, len, now))?;
-        self.rec_posix(t0, t1, Func::Ftruncate { fd, len });
-        Ok(())
+        self.posix_call(
+            OpClass::FsMeta,
+            0,
+            |c, now| c.ftruncate(fd, len, now),
+            |_| Func::Ftruncate { fd, len },
+        )
     }
 
     pub fn mmap(&mut self, fd: Fd, offset: u64, len: u64) -> FsResult<ReadOut> {
-        let (t0, t1, out) =
-            self.posix_op(OpClass::FsRead, len, |c, now| c.mmap(fd, offset, len, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::Mmap {
+        self.posix_call(
+            OpClass::FsRead,
+            len,
+            |c, now| c.mmap(fd, offset, len, now),
+            |out| Func::Mmap {
                 fd,
                 offset,
                 count: out.data.len() as u64,
             },
-        );
-        Ok(out)
+        )
     }
 
     pub fn msync(&mut self, fd: Fd) -> FsResult<()> {
-        let (t0, t1, ()) = self.posix_op(OpClass::FsSync, 0, |c, now| c.msync(fd, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaFd {
-                op: MetaKind::Msync,
-                fd,
-            },
-        );
-        Ok(())
+        let op = MetaKind::Msync;
+        self.posix_call(
+            OpClass::FsSync,
+            0,
+            |c, now| c.msync(fd, now),
+            |_| Func::MetaFd { op, fd },
+        )
     }
 
-    /// `stat(2)`. Recorded even when it fails (a tracer sees failed probes
-    /// of not-yet-existing files too).
+    /// `stat(2)`. Recorded even when it fails, and exempt from the fault
+    /// plan (as are `lstat` and `umask`).
     pub fn stat(&mut self, path: &str) -> FsResult<StatInfo> {
         let pid = self.intern(path);
-        let client = &mut self.client;
-        let (t0, t1, res) = self
-            .rank
-            .timed_op(OpClass::FsMeta, 0, |now| client.stat(path, now));
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Stat,
-                path: pid,
-            },
-        );
-        res
+        let op = MetaKind::Stat;
+        self.posix_probe(|c, now| c.stat(path, now), Func::MetaPath { op, path: pid })
     }
 
     /// `lstat(2)`. Recorded even when it fails.
     pub fn lstat(&mut self, path: &str) -> FsResult<StatInfo> {
         let pid = self.intern(path);
-        let client = &mut self.client;
-        let (t0, t1, res) = self
-            .rank
-            .timed_op(OpClass::FsMeta, 0, |now| client.lstat(path, now));
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Lstat,
-                path: pid,
-            },
-        );
-        res
+        let op = MetaKind::Lstat;
+        self.posix_probe(
+            |c, now| c.lstat(path, now),
+            Func::MetaPath { op, path: pid },
+        )
+    }
+
+    pub fn umask(&mut self, mask: u32) {
+        let op = MetaKind::Umask;
+        self.posix_probe(|c, now| c.umask(mask, now), Func::MetaPlain { op })
     }
 
     pub fn fstat(&mut self, fd: Fd) -> FsResult<StatInfo> {
-        let (t0, t1, info) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.fstat(fd, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaFd {
-                op: MetaKind::Fstat,
-                fd,
-            },
-        );
-        Ok(info)
+        self.fd_meta(MetaKind::Fstat, fd, |c, now| c.fstat(fd, now))
     }
 
     pub fn access(&mut self, path: &str) -> FsResult<bool> {
-        let pid = self.intern(path);
-        let (t0, t1, ok) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.access(path, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Access,
-                path: pid,
-            },
-        );
-        Ok(ok)
+        self.path_meta(MetaKind::Access, path, |c, now| c.access(path, now))
     }
 
     pub fn mkdir(&mut self, path: &str) -> FsResult<()> {
-        let pid = self.intern(path);
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.mkdir(path, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Mkdir,
-                path: pid,
-            },
-        );
-        Ok(())
+        self.path_meta(MetaKind::Mkdir, path, |c, now| c.mkdir(path, now))
     }
 
     /// `mkdir` that tolerates the directory already existing (the common
@@ -903,73 +900,36 @@ impl AppCtx {
     }
 
     pub fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        let pid = self.intern(path);
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.rmdir(path, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Rmdir,
-                path: pid,
-            },
-        );
-        Ok(())
+        self.path_meta(MetaKind::Rmdir, path, |c, now| c.rmdir(path, now))
     }
 
     pub fn unlink(&mut self, path: &str) -> FsResult<()> {
-        let pid = self.intern(path);
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.unlink(path, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Unlink,
-                path: pid,
-            },
-        );
-        Ok(())
+        self.path_meta(MetaKind::Unlink, path, |c, now| c.unlink(path, now))
     }
 
     pub fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        let p1 = self.intern(from);
-        let p2 = self.intern(to);
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.rename(from, to, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath2 {
-                op: MetaKind::Rename,
-                path: p1,
-                path2: p2,
-            },
-        );
-        Ok(())
+        let (path, path2) = (self.intern(from), self.intern(to));
+        let op = MetaKind::Rename;
+        self.posix_call(
+            OpClass::FsMeta,
+            0,
+            |c, now| c.rename(from, to, now),
+            |_| Func::MetaPath2 { op, path, path2 },
+        )
     }
 
     pub fn getcwd(&mut self) -> FsResult<String> {
-        let (t0, t1, cwd) = self.posix_op(OpClass::FsMeta, 0, |c, now| Ok(c.getcwd(now)))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPlain {
-                op: MetaKind::Getcwd,
-            },
-        );
-        Ok(cwd)
+        let op = MetaKind::Getcwd;
+        self.posix_call(
+            OpClass::FsMeta,
+            0,
+            |c, now| Ok(c.getcwd(now)),
+            |_| Func::MetaPlain { op },
+        )
     }
 
     pub fn chdir(&mut self, path: &str) -> FsResult<()> {
-        let pid = self.intern(path);
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.chdir(path, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Chdir,
-                path: pid,
-            },
-        );
-        Ok(())
+        self.path_meta(MetaKind::Chdir, path, |c, now| c.chdir(path, now))
     }
 
     pub fn readdir(&mut self, path: &str) -> FsResult<Vec<pfssim::DirEntry>> {
@@ -977,104 +937,26 @@ impl AppCtx {
         let (t0, t1, entries) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.readdir(path, now))?;
         // One opendir, one readdir per entry, one closedir — matching how a
         // real tracer would see the loop.
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Opendir,
-                path: pid,
-            },
-        );
+        let rec = |op| Func::MetaPath { op, path: pid };
+        self.rec_posix(t0, t1, rec(MetaKind::Opendir));
         for _ in &entries {
-            self.rec_posix(
-                t1,
-                t1,
-                Func::MetaPath {
-                    op: MetaKind::Readdir,
-                    path: pid,
-                },
-            );
+            self.rec_posix(t1, t1, rec(MetaKind::Readdir));
         }
-        self.rec_posix(
-            t1,
-            t1,
-            Func::MetaPath {
-                op: MetaKind::Closedir,
-                path: pid,
-            },
-        );
+        self.rec_posix(t1, t1, rec(MetaKind::Closedir));
         Ok(entries)
     }
 
     pub fn dup(&mut self, fd: Fd) -> FsResult<Fd> {
-        let (t0, t1, nfd) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.dup(fd, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaFd {
-                op: MetaKind::Dup,
-                fd,
-            },
-        );
-        Ok(nfd)
+        self.fd_meta(MetaKind::Dup, fd, |c, now| c.dup(fd, now))
     }
 
     pub fn fcntl(&mut self, fd: Fd) -> FsResult<()> {
-        let (t0, t1, ()) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.fcntl(fd, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaFd {
-                op: MetaKind::Fcntl,
-                fd,
-            },
-        );
-        Ok(())
-    }
-
-    pub fn umask(&mut self, mask: u32) {
-        let client = &mut self.client;
-        let (t0, t1, ()) = self
-            .rank
-            .timed_op(OpClass::FsMeta, 0, |now| client.umask(mask, now));
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaPlain {
-                op: MetaKind::Umask,
-            },
-        );
+        self.fd_meta(MetaKind::Fcntl, fd, |c, now| c.fcntl(fd, now))
     }
 
     pub fn fileno(&mut self, fd: Fd) -> FsResult<Fd> {
-        let (t0, t1, r) = self.posix_op(OpClass::FsMeta, 0, |c, now| c.fileno(fd, now))?;
-        self.rec_posix(
-            t0,
-            t1,
-            Func::MetaFd {
-                op: MetaKind::Fileno,
-                fd,
-            },
-        );
-        Ok(r)
+        self.fd_meta(MetaKind::Fileno, fd, |c, now| c.fileno(fd, now))
     }
-
-    /// Emit a behaviour-less counted metadata op by path (chmod, utime, …).
-    pub fn meta_path(&mut self, op: MetaKind, path: &str) {
-        let pid = self.intern(path);
-        let client = &mut self.client;
-        let (t0, t1, ()) = self.rank.timed_op(OpClass::FsMeta, 0, |_now| {
-            if let Some(m) = meta_kind_to_pfs(op) {
-                client.count_meta(m);
-            }
-        });
-        self.rec_posix(t0, t1, Func::MetaPath { op, path: pid });
-    }
-}
-
-/// Map the trace-side metadata vocabulary onto the simulator's counters.
-fn meta_kind_to_pfs(op: MetaKind) -> Option<MetaOp> {
-    MetaOp::ALL.iter().copied().find(|m| m.name() == op.name())
 }
 
 /// Max attempts for one POSIX call under transient injected faults: the
@@ -1116,17 +998,50 @@ fn io_fault_error(fault: IoFault) -> FsError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim::FaultKind;
+
+    /// Runs `open; probe; close` on one rank with an `EIO` that falls due
+    /// at the probe (op 0 is the startup barrier, op 1 the open), and
+    /// returns the index of the POSIX record that absorbed it. A consumed
+    /// fault costs a failed attempt plus the retry backoff before the
+    /// attempt that is recorded, so it is the one record that does not
+    /// start where its predecessor ended.
+    fn absorber(probe: impl Fn(&mut AppCtx, Fd) -> FsResult<()> + Sync) -> usize {
+        let cfg = RunConfig::new(1, 7)
+            .with_semantics(SemanticsModel::Session) // no lock round trips between records
+            .with_max_skew_ns(0)
+            .with_faults(FaultPlan::none().with(0, 2, FaultKind::Io(IoFault::Eio)));
+        let out = run_app(&cfg, |ctx| {
+            let fd = ctx.open("/f", OpenFlags::rdwr_create()).unwrap();
+            probe(ctx, fd).unwrap();
+            ctx.close(fd).unwrap();
+        });
+        assert!(out.faults.is_empty(), "one transient fault is retried away");
+        let posix: Vec<&Record> = out
+            .trace
+            .rank_records(0)
+            .iter()
+            .filter(|r| r.layer == Layer::Posix)
+            .collect();
+        assert_eq!(posix.len(), 3, "open, probe, close");
+        let late: Vec<usize> = (1..3)
+            .filter(|&i| posix[i].t_start > posix[i - 1].t_end)
+            .collect();
+        assert_eq!(late.len(), 1, "exactly one call retried");
+        late[0]
+    }
 
     #[test]
-    fn meta_vocabularies_agree() {
-        // Every trace-side MetaKind has a pfssim counter with the same name.
-        for &k in MetaKind::ALL {
-            assert!(
-                meta_kind_to_pfs(k).is_some(),
-                "no pfssim MetaOp for {}",
-                k.name()
-            );
-        }
-        assert_eq!(MetaKind::ALL.len(), MetaOp::ALL.len());
+    fn a_due_fault_is_consumed_by_posix_call_and_left_alone_by_posix_probe() {
+        // Data, fd-metadata and path-metadata calls go through `posix_call`
+        // and absorb the fault themselves…
+        assert_eq!(absorber(|ctx, fd| ctx.pwrite(fd, 0, b"x").map(drop)), 1);
+        assert_eq!(absorber(|ctx, fd| ctx.fstat(fd).map(drop)), 1);
+        assert_eq!(absorber(|ctx, _| ctx.access("/f").map(drop)), 1);
+        // …while `stat`, `lstat` and `umask` go through `posix_probe`: they
+        // are recorded, and the fault waits for the close.
+        assert_eq!(absorber(|ctx, _| ctx.stat("/f").map(drop)), 2);
+        assert_eq!(absorber(|ctx, _| ctx.lstat("/f").map(drop)), 2);
+        assert_eq!(absorber(|ctx, _| Ok(ctx.umask(0o022))), 2);
     }
 }

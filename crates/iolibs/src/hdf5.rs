@@ -155,7 +155,6 @@ pub struct H5File {
     /// Participants that own at least one dataset (they have a dirty
     /// symbol-table slot).
     owners_used: Vec<u32>,
-    writable: bool,
 }
 
 impl H5File {
@@ -191,18 +190,17 @@ impl H5File {
 
     /// `H5Fcreate`: create a fresh file. Collective unless `opts.serial`.
     pub fn create(ctx: &mut AppCtx, path: &str, opts: H5Opts) -> FsResult<H5File> {
-        let t0 = ctx.now();
-        let id = ctx.alloc_lib_id();
-        let storage = ctx.with_origin(Layer::Hdf5, |ctx| -> FsResult<Storage> {
+        ctx.lib_call(Layer::Hdf5, |ctx| {
+            let id = ctx.alloc_lib_id();
             ctx.getcwd()?;
             ctx.access(path)?;
             let _ = ctx.lstat(path); // existence probe (ENOENT on fresh files)
-            if opts.serial {
+            let storage = if opts.serial {
                 let fd = ctx.open(path, OpenFlags::rdwr_create())?;
                 ctx.fstat(fd)?;
-                Ok(Storage::Posix(fd))
+                Storage::Posix(fd)
             } else if opts.collective_data {
-                Ok(Storage::Mpi(MpiFile::open(ctx, path, false, opts.hints)?))
+                Storage::Mpi(MpiFile::open(ctx, path, false, opts.hints)?)
             } else {
                 // Independent mode: every rank holds its own POSIX fd.
                 let fd = if ctx.rank() == 0 {
@@ -214,54 +212,22 @@ impl H5File {
                     ctx.open(path, OpenFlags::rdwr())?
                 };
                 ctx.fstat(fd)?;
-                Ok(Storage::Posix(fd))
-            }
-        })?;
-        let pid = ctx.intern(path);
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::Hdf5, t0, t1, Func::H5Fcreate { path: pid, id });
-        Ok(H5File {
-            id,
-            path: path.to_string(),
-            storage,
-            opts,
-            alloc_cursor: ALLOC_BASE,
-            n_datasets: 0,
-            flush_count: 0,
-            cache: VecDeque::new(),
-            written: Vec::new(),
-            owners_used: Vec::new(),
-            writable: true,
-        })
-    }
-
-    /// `H5Fopen` (read-only): opens and reads the superblock back — a
-    /// fresh-session read, so it never conflicts under session semantics.
-    pub fn open_rdonly(ctx: &mut AppCtx, path: &str, opts: H5Opts) -> FsResult<H5File> {
-        let t0 = ctx.now();
-        let id = ctx.alloc_lib_id();
-        let fd = ctx.with_origin(Layer::Hdf5, |ctx| -> FsResult<Fd> {
-            ctx.access(path)?;
-            let fd = ctx.open(path, OpenFlags::rdonly())?;
-            ctx.fstat(fd)?;
-            ctx.pread(fd, 0, SUPERBLOCK)?;
-            Ok(fd)
-        })?;
-        let pid = ctx.intern(path);
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::Hdf5, t0, t1, Func::H5Fopen { path: pid, id });
-        Ok(H5File {
-            id,
-            path: path.to_string(),
-            storage: Storage::Posix(fd),
-            opts,
-            alloc_cursor: ALLOC_BASE,
-            n_datasets: 0,
-            flush_count: 0,
-            cache: VecDeque::new(),
-            written: Vec::new(),
-            owners_used: Vec::new(),
-            writable: false,
+                Storage::Posix(fd)
+            };
+            let file = H5File {
+                id,
+                path: path.to_string(),
+                storage,
+                opts,
+                alloc_cursor: ALLOC_BASE,
+                n_datasets: 0,
+                flush_count: 0,
+                cache: VecDeque::new(),
+                written: Vec::new(),
+                owners_used: Vec::new(),
+            };
+            let path = ctx.intern(path);
+            Ok((file, Func::H5Fcreate { path, id }))
         })
     }
 
@@ -280,72 +246,62 @@ impl H5File {
         name: &str,
         total_bytes: u64,
     ) -> FsResult<H5Dataset> {
-        assert!(self.writable, "dataset create on read-only file");
-        let t0 = ctx.now();
-        let k = self.n_datasets;
-        self.n_datasets += 1;
-        let header_off = self.alloc_cursor;
-        let data_off = header_off + OBJ_HEADER;
-        self.alloc_cursor = (data_off + total_bytes).div_ceil(8) * 8;
+        ctx.lib_call(Layer::Hdf5, |ctx| {
+            let k = self.n_datasets;
+            self.n_datasets += 1;
+            let header_off = self.alloc_cursor;
+            let data_off = header_off + OBJ_HEADER;
+            self.alloc_cursor = (data_off + total_bytes).div_ceil(8) * 8;
 
-        let participants = self.participants(ctx);
-        let owner = participants[k as usize % participants.len()];
-        if !self.owners_used.contains(&owner) {
-            self.owners_used.push(owner);
-        }
-        self.cache.push_back(CacheEntry {
-            k,
-            header_off,
-            owner,
-        });
-
-        // Eviction: cache over capacity → oldest header is written out by
-        // its owner.
-        if self.cache.len() > self.opts.metadata_cache_slots as usize {
-            let victim = self.cache.pop_front().expect("non-empty");
-            if ctx.rank() == victim.owner {
-                let fd = self.fd_for_posix();
-                ctx.with_origin(Layer::Hdf5, |ctx| {
-                    ctx.pwrite(fd, victim.header_off, &vec![0xa5u8; OBJ_HEADER as usize])
-                })?;
+            let participants = self.participants(ctx);
+            let owner = participants[k as usize % participants.len()];
+            if !self.owners_used.contains(&owner) {
+                self.owners_used.push(owner);
             }
-            self.written.push(victim);
-        }
+            self.cache.push_back(CacheEntry {
+                k,
+                header_off,
+                owner,
+            });
 
-        // B-tree traversal: inserting dataset k needs the node containing
-        // dataset k - 2·slots, which was evicted earlier — read it back.
-        let depth = 2 * self.opts.metadata_cache_slots;
-        if k >= depth {
-            let needed = k - depth;
-            if let Some(e) = self.written.iter().find(|e| e.k == needed).copied() {
-                if ctx.rank() == e.owner {
+            // Eviction: cache over capacity → oldest header is written out by
+            // its owner.
+            if self.cache.len() > self.opts.metadata_cache_slots as usize {
+                let victim = self.cache.pop_front().expect("non-empty");
+                if ctx.rank() == victim.owner {
                     let fd = self.fd_for_posix();
-                    ctx.with_origin(Layer::Hdf5, |ctx| ctx.pread(fd, e.header_off, OBJ_HEADER))?;
+                    ctx.pwrite(fd, victim.header_off, &vec![0xa5u8; OBJ_HEADER as usize])?;
+                }
+                self.written.push(victim);
+            }
+
+            // B-tree traversal: inserting dataset k needs the node containing
+            // dataset k - 2·slots, which was evicted earlier — read it back.
+            let depth = 2 * self.opts.metadata_cache_slots;
+            if k >= depth {
+                let needed = k - depth;
+                if let Some(e) = self.written.iter().find(|e| e.k == needed).copied() {
+                    if ctx.rank() == e.owner {
+                        ctx.pread(self.fd_for_posix(), e.header_off, OBJ_HEADER)?;
+                    }
                 }
             }
-        }
 
-        if !self.opts.serial {
-            ctx.barrier();
-        }
-        let dset_id = ctx.alloc_lib_id();
-        let nid = ctx.intern(name);
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Hdf5,
-            t0,
-            t1,
-            Func::H5Dcreate {
+            if !self.opts.serial {
+                ctx.barrier();
+            }
+            let dset = H5Dataset {
+                id: ctx.alloc_lib_id(),
+                name: name.to_string(),
+                data_off,
+                size: total_bytes,
+            };
+            let func = Func::H5Dcreate {
                 file: self.id,
-                name: nid,
-                id: dset_id,
-            },
-        );
-        Ok(H5Dataset {
-            id: dset_id,
-            name: name.to_string(),
-            data_off,
-            size: total_bytes,
+                name: ctx.intern(name),
+                id: dset.id,
+            };
+            Ok((dset, func))
         })
     }
 
@@ -359,27 +315,17 @@ impl H5File {
         offset_in_dset: u64,
         data: &[u8],
     ) -> FsResult<()> {
-        assert!(self.writable, "write on read-only file");
-        let t0 = ctx.now();
-        let abs = dset.data_off + offset_in_dset;
-        match &self.storage {
-            Storage::Mpi(mf) => mf.write_at_all(ctx, abs, data)?,
-            Storage::Posix(fd) => {
-                let fd = *fd;
-                ctx.with_origin(Layer::Hdf5, |ctx| ctx.pwrite(fd, abs, data))?;
+        ctx.lib_call(Layer::Hdf5, |ctx| {
+            let abs = dset.data_off + offset_in_dset;
+            match &self.storage {
+                Storage::Mpi(mf) => mf.write_at_all(ctx, abs, data)?,
+                Storage::Posix(fd) => {
+                    ctx.pwrite(*fd, abs, data)?;
+                }
             }
-        }
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Hdf5,
-            t0,
-            t1,
-            Func::H5Dwrite {
-                dset: dset.id,
-                count: data.len() as u64,
-            },
-        );
-        Ok(())
+            let (dset, count) = (dset.id, data.len() as u64);
+            Ok(((), Func::H5Dwrite { dset, count }))
+        })
     }
 
     /// `H5Dread` of `[offset_in_dset, +len)`.
@@ -390,39 +336,26 @@ impl H5File {
         offset_in_dset: u64,
         len: u64,
     ) -> FsResult<Vec<u8>> {
-        let t0 = ctx.now();
-        let abs = dset.data_off + offset_in_dset;
-        let data = match &self.storage {
-            Storage::Mpi(mf) => mf.read_at_all(ctx, abs, len)?,
-            Storage::Posix(fd) => {
-                let fd = *fd;
-                ctx.with_origin(Layer::Hdf5, |ctx| ctx.pread(fd, abs, len))?
-                    .data
-            }
-        };
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Hdf5,
-            t0,
-            t1,
-            Func::H5Dread {
-                dset: dset.id,
-                count: len,
-            },
-        );
-        Ok(data)
+        ctx.lib_call(Layer::Hdf5, |ctx| {
+            let abs = dset.data_off + offset_in_dset;
+            let data = match &self.storage {
+                Storage::Mpi(mf) => mf.read_at_all(ctx, abs, len)?,
+                Storage::Posix(fd) => ctx.pread(*fd, abs, len)?.data,
+            };
+            let (dset, count) = (dset.id, len);
+            Ok((data, Func::H5Dread { dset, count }))
+        })
     }
 
     /// Write out all dirty metadata. `sb_writer` writes the superblock.
+    /// Runs inside the caller's [`AppCtx::lib_call`].
     fn write_dirty_metadata(&mut self, ctx: &mut AppCtx, sb_writer: u32) -> FsResult<()> {
         let fd = self.fd_for_posix();
         // Cached headers, each by its owner, oldest first.
         let entries: Vec<CacheEntry> = self.cache.drain(..).collect();
         for e in entries {
             if ctx.rank() == e.owner {
-                ctx.with_origin(Layer::Hdf5, |ctx| {
-                    ctx.pwrite(fd, e.header_off, &vec![0xa5u8; OBJ_HEADER as usize])
-                })?;
+                ctx.pwrite(fd, e.header_off, &vec![0xa5u8; OBJ_HEADER as usize])?;
             }
             self.written.push(e);
         }
@@ -430,15 +363,11 @@ impl H5File {
         // (dirty again after every batch of creations).
         if self.owners_used.contains(&ctx.rank()) {
             let off = self.symtab_off(ctx, ctx.rank());
-            ctx.with_origin(Layer::Hdf5, |ctx| {
-                ctx.pwrite(fd, off, &vec![0x5au8; SYMTAB_ENTRY as usize])
-            })?;
+            ctx.pwrite(fd, off, &vec![0x5au8; SYMTAB_ENTRY as usize])?;
         }
         // Superblock, by the designated writer.
         if ctx.rank() == sb_writer {
-            ctx.with_origin(Layer::Hdf5, |ctx| {
-                ctx.pwrite(fd, 0, &vec![0x89u8; SUPERBLOCK as usize])
-            })?;
+            ctx.pwrite(fd, 0, &vec![0x89u8; SUPERBLOCK as usize])?;
         }
         Ok(())
     }
@@ -450,20 +379,17 @@ impl H5File {
     /// under session semantics; the trailing fsync is the commit that makes
     /// the same pattern conflict-free under commit semantics.
     pub fn flush(&mut self, ctx: &mut AppCtx) -> FsResult<()> {
-        assert!(self.writable, "flush on read-only file");
-        let t0 = ctx.now();
-        let participants = self.participants(ctx);
-        let sb_writer = participants[self.flush_count as usize % participants.len()];
-        self.flush_count += 1;
-        self.write_dirty_metadata(ctx, sb_writer)?;
-        let fd = self.fd_for_posix();
-        ctx.with_origin(Layer::Hdf5, |ctx| ctx.fsync(fd))?;
-        if !self.opts.serial {
-            ctx.barrier();
-        }
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::Hdf5, t0, t1, Func::H5Fflush { id: self.id });
-        Ok(())
+        ctx.lib_call(Layer::Hdf5, |ctx| {
+            let participants = self.participants(ctx);
+            let sb_writer = participants[self.flush_count as usize % participants.len()];
+            self.flush_count += 1;
+            self.write_dirty_metadata(ctx, sb_writer)?;
+            ctx.fsync(self.fd_for_posix())?;
+            if !self.opts.serial {
+                ctx.barrier();
+            }
+            Ok(((), Func::H5Fflush { id: self.id }))
+        })
     }
 
     /// `H5Fclose`: implies a final flush of dirty metadata (superblock by
@@ -471,33 +397,24 @@ impl H5File {
     /// and closes every rank's handle. An application that never called
     /// `H5Fflush` writes each metadata block exactly once, here.
     pub fn close(mut self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        if self.writable {
+        ctx.lib_call(Layer::Hdf5, |ctx| {
             let owner = self.participants(ctx)[0];
             self.write_dirty_metadata(ctx, owner)?;
             let fd = self.fd_for_posix();
-            let alloc = self.alloc_cursor;
-            ctx.with_origin(Layer::Hdf5, |ctx| -> FsResult<()> {
-                if ctx.rank() == owner {
-                    ctx.ftruncate(fd, alloc)?;
-                }
-                ctx.fsync(fd)?;
-                Ok(())
-            })?;
-        }
-        let serial = self.opts.serial;
-        let id = self.id;
-        match self.storage {
-            Storage::Mpi(mf) => mf.close(ctx)?,
-            Storage::Posix(fd) => {
-                ctx.with_origin(Layer::Hdf5, |ctx| ctx.close(fd))?;
-                if !serial {
-                    ctx.barrier();
+            if ctx.rank() == owner {
+                ctx.ftruncate(fd, self.alloc_cursor)?;
+            }
+            ctx.fsync(fd)?;
+            match self.storage {
+                Storage::Mpi(mf) => mf.close(ctx)?,
+                Storage::Posix(fd) => {
+                    ctx.close(fd)?;
+                    if !self.opts.serial {
+                        ctx.barrier();
+                    }
                 }
             }
-        }
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::Hdf5, t0, t1, Func::H5Fclose { id });
-        Ok(())
+            Ok(((), Func::H5Fclose { id: self.id }))
+        })
     }
 }

@@ -48,57 +48,52 @@ impl MpiFile {
     /// Collective create-or-open. Rank 0 creates (and truncates, if
     /// `truncate`), everyone else opens the existing file read-write.
     pub fn open(ctx: &mut AppCtx, path: &str, truncate: bool, hints: MpiIoHints) -> FsResult<Self> {
-        let t0 = ctx.now();
-        let fh = ctx.alloc_lib_id();
-        let fd = ctx.with_origin(Layer::MpiIo, |ctx| {
-            if ctx.rank() == 0 {
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            let fh = ctx.alloc_lib_id();
+            let fd = if ctx.rank() == 0 {
                 let mut flags = OpenFlags::rdwr_create();
                 flags.truncate = truncate;
                 let fd = ctx.open(path, flags)?;
                 ctx.barrier();
-                Ok(fd)
+                fd
             } else {
                 ctx.barrier();
-                ctx.open(path, OpenFlags::rdwr())
-            }
-        })?;
-        let pid = ctx.intern(path);
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::MpiIo, t0, t1, Func::MpiFileOpen { path: pid, fh });
-        Ok(MpiFile {
+                ctx.open(path, OpenFlags::rdwr())?
+            };
+            Ok(Self::opened(ctx, fh, fd, path, hints))
+        })
+    }
+
+    /// The handle of a completed open and the record of the call.
+    fn opened(ctx: &AppCtx, fh: u32, fd: Fd, path: &str, hints: MpiIoHints) -> (Self, Func) {
+        let file = MpiFile {
             fh,
             fd,
             path: path.to_string(),
             hints,
-        })
+        };
+        let path = ctx.intern(path);
+        (file, Func::MpiFileOpen { path, fh })
     }
 
     /// `MPI_File_open` on `MPI_COMM_SELF`: a per-rank file, no
     /// collectivity (the HACC-IO N-N configuration). Collective calls on
     /// such a handle are not meaningful; use `write_at`/`read_at`.
     pub fn open_independent(ctx: &mut AppCtx, path: &str, hints: MpiIoHints) -> FsResult<Self> {
-        let t0 = ctx.now();
-        let fh = ctx.alloc_lib_id();
-        let fd = ctx.with_origin(Layer::MpiIo, |ctx| ctx.open(path, OpenFlags::rdwr_create()))?;
-        let pid = ctx.intern(path);
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::MpiIo, t0, t1, Func::MpiFileOpen { path: pid, fh });
-        Ok(MpiFile {
-            fh,
-            fd,
-            path: path.to_string(),
-            hints,
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            let fh = ctx.alloc_lib_id();
+            let fd = ctx.open(path, OpenFlags::rdwr_create())?;
+            Ok(Self::opened(ctx, fh, fd, path, hints))
         })
     }
 
     /// Non-collective close (for handles from
     /// [`MpiFile::open_independent`]).
     pub fn close_independent(self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::MpiIo, |ctx| ctx.close(self.fd))?;
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::MpiIo, t0, t1, Func::MpiFileClose { fh: self.fh });
-        Ok(())
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            ctx.close(self.fd)?;
+            Ok(((), Func::MpiFileClose { fh: self.fh }))
+        })
     }
 
     pub fn path(&self) -> &str {
@@ -112,38 +107,20 @@ impl MpiFile {
 
     /// Independent positional write.
     pub fn write_at(&self, ctx: &mut AppCtx, offset: u64, data: &[u8]) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::MpiIo, |ctx| ctx.pwrite(self.fd, offset, data))?;
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::MpiIo,
-            t0,
-            t1,
-            Func::MpiFileWriteAt {
-                fh: self.fh,
-                offset,
-                count: data.len() as u64,
-            },
-        );
-        Ok(())
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            ctx.pwrite(self.fd, offset, data)?;
+            let (fh, count) = (self.fh, data.len() as u64);
+            Ok(((), Func::MpiFileWriteAt { fh, offset, count }))
+        })
     }
 
     /// Independent positional read.
     pub fn read_at(&self, ctx: &mut AppCtx, offset: u64, len: u64) -> FsResult<Vec<u8>> {
-        let t0 = ctx.now();
-        let out = ctx.with_origin(Layer::MpiIo, |ctx| ctx.pread(self.fd, offset, len))?;
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::MpiIo,
-            t0,
-            t1,
-            Func::MpiFileReadAt {
-                fh: self.fh,
-                offset,
-                count: len,
-            },
-        );
-        Ok(out.data)
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            let out = ctx.pread(self.fd, offset, len)?;
+            let (fh, count) = (self.fh, len);
+            Ok((out.data, Func::MpiFileReadAt { fh, offset, count }))
+        })
     }
 
     /// The aggregator ranks for this communicator: `cb_nodes` ranks spread
@@ -158,7 +135,16 @@ impl MpiFile {
     /// (possibly empty); contributions are shuffled to the aggregators,
     /// which write their file domains with large contiguous POSIX writes.
     pub fn write_at_all(&self, ctx: &mut AppCtx, offset: u64, data: &[u8]) -> FsResult<()> {
-        let t0 = ctx.now();
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            let count = self.shuffle_and_write(ctx, offset, data)?;
+            let fh = self.fh;
+            Ok(((), Func::MpiFileWriteAtAll { fh, offset, count }))
+        })
+    }
+
+    /// The body of [`MpiFile::write_at_all`]; returns the byte count the
+    /// call records (0 when no rank had anything to write).
+    fn shuffle_and_write(&self, ctx: &mut AppCtx, offset: u64, data: &[u8]) -> FsResult<u64> {
         let nranks = ctx.nranks();
         let aggs = self.aggregators(nranks);
 
@@ -173,18 +159,7 @@ impl MpiFile {
         }
         if hi <= lo {
             ctx.barrier();
-            let t1 = ctx.now();
-            ctx.record_lib(
-                Layer::MpiIo,
-                t0,
-                t1,
-                Func::MpiFileWriteAtAll {
-                    fh: self.fh,
-                    offset,
-                    count: 0,
-                },
-            );
-            return Ok(()); // nothing to write anywhere
+            return Ok(0); // nothing to write anywhere
         }
         let domain = (hi - lo).div_ceil(aggs.len() as u64);
 
@@ -220,58 +195,57 @@ impl MpiFile {
                 }
             }
             pieces.sort_by_key(|(o, _)| *o);
-            ctx.with_origin(Layer::MpiIo, |ctx| -> FsResult<()> {
-                // `buf` holds the unwritten tail of the current maximal
-                // contiguous run, which starts at file offset `buf_off`.
-                let mut buf: Vec<u8> = Vec::with_capacity(CB_BUFFER as usize);
-                let mut buf_off = 0u64;
-                for (poff, msg) in &pieces {
-                    if buf_off + buf.len() as u64 != *poff {
-                        if !buf.is_empty() {
-                            ctx.pwrite(self.fd, buf_off, &buf)?;
-                            buf.clear();
-                        }
-                        buf_off = *poff;
+            // `buf` holds the unwritten tail of the current maximal
+            // contiguous run, which starts at file offset `buf_off`.
+            let mut buf: Vec<u8> = Vec::with_capacity(CB_BUFFER as usize);
+            let mut buf_off = 0u64;
+            for (poff, msg) in &pieces {
+                if buf_off + buf.len() as u64 != *poff {
+                    if !buf.is_empty() {
+                        ctx.pwrite(self.fd, buf_off, &buf)?;
+                        buf.clear();
                     }
-                    let mut bytes = &msg[8..];
-                    while !bytes.is_empty() {
-                        let n = bytes.len().min(CB_BUFFER as usize - buf.len());
-                        buf.extend_from_slice(&bytes[..n]);
-                        bytes = &bytes[n..];
-                        if buf.len() == CB_BUFFER as usize {
-                            ctx.pwrite(self.fd, buf_off, &buf)?;
-                            buf_off += CB_BUFFER;
-                            buf.clear();
-                        }
+                    buf_off = *poff;
+                }
+                let mut bytes = &msg[8..];
+                while !bytes.is_empty() {
+                    let n = bytes.len().min(CB_BUFFER as usize - buf.len());
+                    buf.extend_from_slice(&bytes[..n]);
+                    bytes = &bytes[n..];
+                    if buf.len() == CB_BUFFER as usize {
+                        ctx.pwrite(self.fd, buf_off, &buf)?;
+                        buf_off += CB_BUFFER;
+                        buf.clear();
                     }
                 }
-                if !buf.is_empty() {
-                    ctx.pwrite(self.fd, buf_off, &buf)?;
-                }
-                Ok(())
-            })?;
+            }
+            if !buf.is_empty() {
+                ctx.pwrite(self.fd, buf_off, &buf)?;
+            }
         }
         ctx.barrier();
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::MpiIo,
-            t0,
-            t1,
-            Func::MpiFileWriteAtAll {
-                fh: self.fh,
-                offset,
-                count: data.len() as u64,
-            },
-        );
-        Ok(())
+        Ok(data.len() as u64)
     }
 
     /// Collective read: aggregators read their file domain once and serve
     /// every rank's requested pieces from memory.
     pub fn read_at_all(&self, ctx: &mut AppCtx, offset: u64, len: u64) -> FsResult<Vec<u8>> {
-        let t0 = ctx.now();
-        let nranks = ctx.nranks();
-        let aggs = self.aggregators(nranks);
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            let (out, count) = self.read_and_scatter(ctx, offset, len)?;
+            let fh = self.fh;
+            Ok((out, Func::MpiFileReadAtAll { fh, offset, count }))
+        })
+    }
+
+    /// The body of [`MpiFile::read_at_all`]; returns the bytes and the
+    /// count the call records (0 when no rank asked for anything).
+    fn read_and_scatter(
+        &self,
+        ctx: &mut AppCtx,
+        offset: u64,
+        len: u64,
+    ) -> FsResult<(Vec<u8>, u64)> {
+        let aggs = self.aggregators(ctx.nranks());
 
         let extents = ctx.allgather(&encode_extent(offset, len));
         let wants = || extents.iter().map(decode_extent);
@@ -284,18 +258,7 @@ impl MpiFile {
         }
         if hi <= lo {
             ctx.barrier();
-            let t1 = ctx.now();
-            ctx.record_lib(
-                Layer::MpiIo,
-                t0,
-                t1,
-                Func::MpiFileReadAtAll {
-                    fh: self.fh,
-                    offset,
-                    count: 0,
-                },
-            );
-            return Ok(Vec::new()); // nothing to read anywhere
+            return Ok((Vec::new(), 0)); // nothing to read anywhere
         }
         let domain = (hi - lo).div_ceil(aggs.len() as u64);
 
@@ -308,8 +271,7 @@ impl MpiFile {
             let d_lo = lo + ai as u64 * domain;
             let d_hi = (d_lo + domain).min(hi);
             let buf = if d_hi > d_lo {
-                ctx.with_origin(Layer::MpiIo, |ctx| ctx.pread(self.fd, d_lo, d_hi - d_lo))?
-                    .data
+                ctx.pread(self.fd, d_lo, d_hi - d_lo)?.data
             } else {
                 Vec::new()
             };
@@ -342,38 +304,25 @@ impl MpiFile {
         }
         out.truncate((filled_hi.saturating_sub(offset)) as usize);
         ctx.barrier();
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::MpiIo,
-            t0,
-            t1,
-            Func::MpiFileReadAtAll {
-                fh: self.fh,
-                offset,
-                count: len,
-            },
-        );
-        Ok(out)
+        Ok((out, len))
     }
 
     /// `MPI_File_sync`: every rank flushes its own fd (a commit under
     /// commit semantics — the ranks that actually wrote publish here).
     pub fn sync(&self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::MpiIo, |ctx| ctx.fsync(self.fd))?;
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::MpiIo, t0, t1, Func::MpiFileSync { fh: self.fh });
-        Ok(())
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            ctx.fsync(self.fd)?;
+            Ok(((), Func::MpiFileSync { fh: self.fh }))
+        })
     }
 
     /// Collective close.
     pub fn close(self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::MpiIo, |ctx| ctx.close(self.fd))?;
-        ctx.barrier();
-        let t1 = ctx.now();
-        ctx.record_lib(Layer::MpiIo, t0, t1, Func::MpiFileClose { fh: self.fh });
-        Ok(())
+        ctx.lib_call(Layer::MpiIo, |ctx| {
+            ctx.close(self.fd)?;
+            ctx.barrier();
+            Ok(((), Func::MpiFileClose { fh: self.fh }))
+        })
     }
 }
 

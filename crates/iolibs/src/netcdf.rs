@@ -7,7 +7,7 @@
 //! intervening close: the WAW-S conflict Table 4 reports for LAMMPS-NetCDF.
 
 use pfssim::{FsResult, OpenFlags};
-use recorder::{Func, Layer};
+use recorder::Layer;
 
 use crate::harness::{AppCtx, Fd};
 
@@ -29,33 +29,20 @@ pub struct NcFile {
 impl NcFile {
     /// `nc_create` + `nc_enddef`: create the file and write the header.
     pub fn create(ctx: &mut AppCtx, path: &str) -> FsResult<NcFile> {
-        let t0 = ctx.now();
-        let id = ctx.alloc_lib_id();
-        let fd = ctx.with_origin(Layer::NetCdf, |ctx| -> FsResult<Fd> {
+        ctx.lib_call(Layer::NetCdf, |ctx| {
+            let id = ctx.alloc_lib_id();
             ctx.access(path)?;
             let _ = ctx.stat(path);
             let fd = ctx.open(path, OpenFlags::rdwr_create())?;
             ctx.pwrite(fd, 0, &vec![b'C'; NC_HEADER as usize])?;
-            Ok(fd)
-        })?;
-        let name = ctx.intern("nc_create");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::NetCdf,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: id as u64,
-                b: 0,
-            },
-        );
-        Ok(NcFile {
-            id,
-            fd,
-            path: path.to_string(),
-            tail: NC_HEADER,
-            numrecs: 0,
+            let file = NcFile {
+                id,
+                fd,
+                path: path.to_string(),
+                tail: NC_HEADER,
+                numrecs: 0,
+            };
+            Ok((file, ctx.named_call("nc_create", id as u64, 0)))
         })
     }
 
@@ -66,15 +53,13 @@ impl NcFile {
     /// `nc_put_vara` along the unlimited dimension: append the record and
     /// rewrite the header's `numrecs` field (the WAW-S).
     pub fn put_record(&mut self, ctx: &mut AppCtx, data: &[u8]) -> FsResult<()> {
-        let t0 = ctx.now();
-        let off = self.tail;
-        ctx.with_origin(Layer::NetCdf, |ctx| -> FsResult<()> {
+        ctx.lib_call(Layer::NetCdf, |ctx| {
             // Record data goes out in per-variable pieces (≤ 2 KiB), then
             // the header's numrecs field is rewritten.
             let mut pos = 0usize;
             while pos < data.len() {
                 let end = (pos + 2048).min(data.len());
-                ctx.pwrite(self.fd, off + pos as u64, &data[pos..end])?;
+                ctx.pwrite(self.fd, self.tail + pos as u64, &data[pos..end])?;
                 pos = end;
             }
             ctx.pwrite(
@@ -82,60 +67,26 @@ impl NcFile {
                 NC_NUMRECS_OFF,
                 &(self.numrecs + 1).to_be_bytes()[4..],
             )?;
-            Ok(())
-        })?;
-        self.tail += data.len() as u64;
-        self.numrecs += 1;
-        let name = ctx.intern("nc_put_vara");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::NetCdf,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: self.id as u64,
-                b: data.len() as u64,
-            },
-        );
-        Ok(())
+            self.tail += data.len() as u64;
+            self.numrecs += 1;
+            let func = ctx.named_call("nc_put_vara", self.id as u64, data.len() as u64);
+            Ok(((), func))
+        })
     }
 
     /// `nc_sync`: flush to storage.
     pub fn sync(&mut self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::NetCdf, |ctx| ctx.fsync(self.fd))?;
-        let name = ctx.intern("nc_sync");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::NetCdf,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: self.id as u64,
-                b: 0,
-            },
-        );
-        Ok(())
+        ctx.lib_call(Layer::NetCdf, |ctx| {
+            ctx.fsync(self.fd)?;
+            Ok(((), ctx.named_call("nc_sync", self.id as u64, 0)))
+        })
     }
 
     /// `nc_close`.
     pub fn close(self, ctx: &mut AppCtx) -> FsResult<()> {
-        let t0 = ctx.now();
-        ctx.with_origin(Layer::NetCdf, |ctx| ctx.close(self.fd))?;
-        let name = ctx.intern("nc_close");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::NetCdf,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: self.id as u64,
-                b: 0,
-            },
-        );
-        Ok(())
+        ctx.lib_call(Layer::NetCdf, |ctx| {
+            ctx.close(self.fd)?;
+            Ok(((), ctx.named_call("nc_close", self.id as u64, 0)))
+        })
     }
 }

@@ -11,7 +11,7 @@
 //! the close-to-open pattern session semantics permits: no WAW-D.
 
 use pfssim::{FsResult, OpenFlags};
-use recorder::{Func, Layer};
+use recorder::Layer;
 
 use crate::harness::AppCtx;
 
@@ -46,27 +46,26 @@ pub struct SiloFile;
 impl SiloFile {
     /// Perform dump number `dump_idx` into `<dir>/dump_<idx>.<file>.silo`.
     pub fn dump(ctx: &mut AppCtx, dir: &str, dump_idx: u32, opts: SiloOpts) -> FsResult<()> {
-        let t0 = ctx.now();
-        let id = ctx.alloc_lib_id();
-        let nranks = ctx.nranks();
-        let n_files = opts.n_files.clamp(1, nranks);
-        let group = nranks.div_ceil(n_files);
-        let file_idx = ctx.rank() / group;
-        let rank_in_group = ctx.rank() % group;
-        let first = file_idx * group;
-        let path = format!("{dir}/dump_{dump_idx}.{file_idx}.silo");
+        ctx.lib_call(Layer::Silo, |ctx| {
+            let id = ctx.alloc_lib_id();
+            let nranks = ctx.nranks();
+            let n_files = opts.n_files.clamp(1, nranks);
+            let group = nranks.div_ceil(n_files);
+            let file_idx = ctx.rank() / group;
+            let rank_in_group = ctx.rank() % group;
+            let first = file_idx * group;
+            let path = format!("{dir}/dump_{dump_idx}.{file_idx}.silo");
 
-        if ctx.rank() == 0 {
-            ctx.with_origin(Layer::Silo, |ctx| ctx.mkdir_p(dir))?;
-        }
-        ctx.barrier();
+            if ctx.rank() == 0 {
+                ctx.mkdir_p(dir)?;
+            }
+            ctx.barrier();
 
-        // Wait for the baton from the previous rank in the group.
-        if rank_in_group != 0 {
-            ctx.recv(ctx.rank() - 1, BATON_TAG);
-        }
+            // Wait for the baton from the previous rank in the group.
+            if rank_in_group != 0 {
+                ctx.recv(ctx.rank() - 1, BATON_TAG);
+            }
 
-        ctx.with_origin(Layer::Silo, |ctx| -> FsResult<()> {
             let fd = if rank_in_group == 0 {
                 // DBCreate: first writer creates the file and the TOC.
                 let fd = ctx.open(&path, OpenFlags::rdwr_create())?;
@@ -96,27 +95,14 @@ impl SiloFile {
             // the same process, in the same session (WAW-S).
             ctx.pwrite(fd, toc_slot, &[2u8; 16])?;
             ctx.close(fd)?;
-            Ok(())
-        })?;
 
-        // Pass the baton.
-        let last_in_group = first + group.min(nranks - first) - 1;
-        if ctx.rank() != last_in_group {
-            ctx.send(ctx.rank() + 1, BATON_TAG, vec![1]);
-        }
-        ctx.barrier();
-        let name = ctx.intern("DBPutAll");
-        let t1 = ctx.now();
-        ctx.record_lib(
-            Layer::Silo,
-            t0,
-            t1,
-            Func::LibCall {
-                name,
-                a: id as u64,
-                b: opts.block_bytes,
-            },
-        );
-        Ok(())
+            // Pass the baton.
+            let last_in_group = first + group.min(nranks - first) - 1;
+            if ctx.rank() != last_in_group {
+                ctx.send(ctx.rank() + 1, BATON_TAG, vec![1]);
+            }
+            ctx.barrier();
+            Ok(((), ctx.named_call("DBPutAll", id as u64, opts.block_bytes)))
+        })
     }
 }

@@ -19,10 +19,6 @@
 //! * Callbacks may run on simulation threads; `epoch_released` in
 //!   particular runs under the simulator's state lock and must not call
 //!   back into the run.
-//! * Streamed timestamps are only meaningful under the deterministic
-//!   scheduler (the default). A free-running world still delivers every
-//!   record, but cross-rank ordering then has real races and a streaming
-//!   analysis is not guaranteed to match the post-hoc one.
 
 use std::fmt;
 use std::sync::Arc;

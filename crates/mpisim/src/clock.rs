@@ -1,8 +1,8 @@
 //! Simulated time and the per-operation cost model.
 //!
 //! Simulated time is a single `u64` nanosecond counter owned by the world
-//! state. In deterministic mode only the rank holding the scheduler token
-//! advances it, so it is totally ordered and reproducible. Costs are crude —
+//! state. Only the rank holding the scheduler token advances it, so it is
+//! totally ordered and reproducible. Costs are crude —
 //! the analysis only needs *plausible* relative magnitudes (metadata
 //! operations microseconds apart, synchronized conflicting I/O tens of
 //! milliseconds apart, skew ≤ 20 µs) to reproduce the paper's ordering
@@ -105,7 +105,7 @@ impl CostModel {
 
 /// Applies a signed skew offset to a true simulated timestamp, saturating at
 /// zero. Recorded trace timestamps are skewed; internal ordering never is.
-pub(crate) fn apply_skew(t: u64, skew: i64) -> u64 {
+pub fn apply_skew(t: u64, skew: i64) -> u64 {
     if skew >= 0 {
         t.saturating_add(skew as u64)
     } else {

@@ -10,7 +10,7 @@
 //! and rank memory is a lazily-committed task stack instead of an OS
 //! thread.
 //!
-//! Two properties matter for the reproduction:
+//! Four properties matter for the reproduction:
 //!
 //! 1. **Timestamps with controllable skew.** The paper's conflict-detection
 //!    algorithm (§5.2) orders operations by local-clock timestamps and argues
@@ -25,20 +25,21 @@
 //!    imposed by communication and validate that conflicting I/O operations
 //!    are synchronized (the FLASH validation of §5.2).
 //!
-//! The runtime offers a **deterministic mode** ([`SchedMode::Deterministic`]):
-//! ranks advance in a lockstep token protocol and the next rank to act is
-//! chosen by a seeded RNG, so a given `(seed, program)` pair always yields the
-//! identical interleaving and the identical trace. A **free mode** dispatches
-//! whichever rank asks first, which is faster and is used by throughput
-//! benchmarks.
+//! 3. **One way to run.** Ranks advance in a lockstep token protocol and
+//!    the next rank to act is chosen by a seeded RNG among the ranks that
+//!    are asking, so a given `(seed, program)` pair always yields the
+//!    identical interleaving and the identical trace — determinism is a
+//!    property of a world, not an option of one. [`SchedMode`] only picks
+//!    how long a granted rank keeps the token: until it parks (burst
+//!    grants, the default) or for one operation (the maximally interleaved
+//!    schedule `sched_robustness.rs` uses as its reference).
 //!
-//! A third property was added for the robustness experiments: **seeded
-//! fault injection** ([`FaultPlan`]) with graceful degradation. Rank
-//! crashes, transient I/O errors, lost flushes and message delays are
-//! scheduled ahead of time by per-rank op index, so `(seed, plan, program)`
-//! still fully determines the trace; [`World::run`] reports failures as
-//! values ([`RunOutput::faults`], `Err(SimError)`) instead of unwinding
-//! panics into caller frames.
+//! 4. **Seeded fault injection** ([`FaultPlan`]) with graceful
+//!    degradation. Rank crashes, transient I/O errors, lost flushes and
+//!    message delays are scheduled ahead of time by per-rank op index, so
+//!    `(seed, plan, program)` still fully determines the trace;
+//!    [`World::run`] reports failures as values ([`RunOutput::faults`],
+//!    `Err(SimError)`) instead of unwinding panics into caller frames.
 
 mod clock;
 mod comm;
@@ -50,7 +51,7 @@ mod sink;
 mod task;
 mod world;
 
-pub use clock::{CostModel, OpClass};
+pub use clock::{apply_skew, CostModel, OpClass};
 pub use comm::{BarrierInfo, Frames, Gathered, RecvInfo, SendInfo};
 pub use error::{SimAbort, SimError};
 pub use event::{EventKind, MpiEvent};

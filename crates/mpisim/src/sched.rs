@@ -1,23 +1,25 @@
 //! The lockstep token scheduler and the shared simulator state.
 //!
 //! All mutable simulator state lives in one [`SimState`] behind a single
-//! mutex; per-rank condvars coordinate rank threads (a mutation queues the
-//! affected ranks in [`SimState::pending_wakes`] and only those are
-//! signaled). A rank performs a simulated operation by acquiring the *turn*:
+//! mutex. A state change queues the ranks that must observe it in
+//! [`SimState::pending_wakes`]; the executor resumes exactly those (the
+//! event loop runs them, the thread executor signals their condvars). A
+//! rank performs a simulated operation by acquiring the *turn*:
 //!
 //! * it marks itself `Requesting` and waits until dispatched;
-//! * dispatch (deterministic mode) waits until **every** live rank is either
-//!   requesting, blocked, or finished — i.e. no rank is still computing —
-//!   then grants the turn to a seeded-RNG choice among the requesters;
+//! * dispatch waits until **every** live rank is either requesting,
+//!   blocked, or finished — i.e. no rank is still computing — then grants
+//!   the turn to a seeded-RNG choice among the requesters;
 //! * the granted rank advances the simulated clock and mutates shared state
-//!   (mailboxes, barrier, the attached file system) while holding the lock,
-//!   then releases the turn.
+//!   (mailboxes, barrier, the attached file system) while holding the lock.
+//!   Under [`SchedMode::Deterministic`] it keeps the turn until it parks,
+//!   finishes or crashes; under [`SchedMode::DeterministicPerOp`] it
+//!   releases it after every operation.
 //!
-//! Because only the turn holder touches shared state, a `(seed, program)`
-//! pair fully determines the interleaving, the clock, and therefore every
-//! recorded trace — which is what makes the paper's experiments reproducible
-//! here. In [`SchedMode::Free`] dispatch grants the first requester without
-//! waiting for lockstep, trading determinism for speed.
+//! Because only the turn holder touches shared state, a `(seed, program,
+//! fault plan)` triple fully determines the interleaving, the clock, and
+//! therefore every recorded trace — which is what makes the paper's
+//! experiments reproducible here. There is no other way to run a world.
 //!
 //! Fault handling extends the same state machine: a crashed rank enters the
 //! terminal [`RankStatus::Crashed`] and counts as departed — barriers
@@ -38,7 +40,8 @@ use crate::error::SimError;
 use crate::event::MpiEvent;
 use crate::fault::{FaultKind, FaultPlan, IoFault};
 
-/// Scheduling discipline for the simulated world.
+/// How long a granted rank keeps the turn. Both disciplines are seeded
+/// lockstep: identical seeds ⇒ identical traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
     /// Lockstep token protocol with *burst* grants (the default): the next
@@ -54,19 +57,6 @@ pub enum SchedMode {
     /// schedule-robustness oracle: analysis verdicts must not depend on
     /// which deterministic interleaving produced the trace.
     DeterministicPerOp,
-    /// Grant whichever rank requests first. Faster, not reproducible.
-    Free,
-}
-
-impl SchedMode {
-    /// Whether this mode drives the seeded lockstep protocol (as opposed
-    /// to free-running grants).
-    pub fn is_deterministic(self) -> bool {
-        matches!(
-            self,
-            SchedMode::Deterministic | SchedMode::DeterministicPerOp
-        )
-    }
 }
 
 /// Why a rank is parked.
@@ -98,9 +88,8 @@ pub(crate) enum RankStatus {
 /// Fenwick (binary-indexed) tree over rank indices with 0/1 membership:
 /// O(log n) point update, O(log n) *k-th member* selection. Backing store
 /// for the requester set — dispatch draws the k-th requester in rank-index
-/// order, and at thousands of ranks a status-vector `.nth(k)` scan per
-/// grant (plus a `.position()` scan per op for the token holder) turns the
-/// whole simulation Θ(n²), drowning everything else.
+/// order, and at thousands of ranks a status-vector scan per grant would
+/// turn the whole simulation Θ(n²).
 pub(crate) struct RankSelect {
     /// 1-based Fenwick array; `tree[i]` covers `i & -i` membership bits.
     tree: Vec<u32>,
@@ -250,9 +239,6 @@ pub(crate) struct SimState {
     /// Per-rank pending send delays `(at_op, delay_ns)`, sorted by op index;
     /// consumed by the first send at or after the index.
     msg_delays: Vec<VecDeque<(u64, u64)>>,
-    /// Count of delayed messages currently buffered and not yet visible —
-    /// guards the (rare) delivery-time scans so fault-free runs pay nothing.
-    delayed_in_flight: usize,
     /// Pending delayed-delivery times `(visible_at, dst)`, min-first. Every
     /// clock advance drains the due prefix and wakes receivers parked in a
     /// recv — without this, a receiver that parked while its message was in
@@ -281,9 +267,8 @@ pub(crate) struct SimState {
     /// global collector's shard lock per event; `World::run` bulk-flushes
     /// the whole buffer once at the end of the run.
     pub trace_buf: Vec<obs::TraceEvent>,
-    /// Streaming sink notified of epoch commits / rank stops. Invoked
-    /// under the state lock — see [`crate::sink`] for the re-entrancy
-    /// contract.
+    /// Streaming sink notified of epoch commits. Invoked under the state
+    /// lock — see [`crate::EpochNotify`] for the re-entrancy contract.
     pub epoch_sink: Option<crate::sink::EpochSinkHandle>,
 }
 
@@ -333,7 +318,6 @@ impl SimState {
             crash_at,
             io_faults,
             msg_delays,
-            delayed_in_flight: 0,
             delivery_due: BinaryHeap::new(),
             deferred_unblocks: Vec::new(),
             faults: vec![None; n],
@@ -452,7 +436,7 @@ impl SimState {
             }
             return;
         }
-        if self.mode.is_deterministic() && self.n_computing > 0 {
+        if self.n_computing > 0 {
             // Lockstep: wait until every live rank has declared itself.
             return;
         }
@@ -475,12 +459,7 @@ impl SimState {
                 }
                 self.deadlocked = true;
                 self.deadlock_blocked = self.scan_blocked();
-                obs::debug!(
-                    "deadlock: status={:?} delayed_in_flight={} clock={}",
-                    self.status,
-                    self.delayed_in_flight,
-                    self.clock_ns
-                );
+                obs::debug!("deadlock: status={:?} clock={}", self.status, self.clock_ns);
                 if obs::log::enabled(obs::Level::Debug) {
                     for (dst, q) in self.mailboxes.iter().enumerate() {
                         for m in q {
@@ -499,18 +478,10 @@ impl SimState {
             }
             return;
         }
-        // The RNG draw is over the requester *count*, exactly as the old
-        // requester-list formulation drew over its length — the consumed
-        // stream (and therefore every schedule) is bit-identical.
-        let k = match self.mode {
-            SchedMode::Deterministic | SchedMode::DeterministicPerOp => {
-                self.rng.range_usize(0, self.n_requesting)
-            }
-            SchedMode::Free => 0,
-        };
-        // O(log n) order-statistics pick: the k-th requester in rank-index
-        // order, exactly the rank the old `.filter(Requesting).nth(k)`
-        // status scan produced — schedules are bit-identical.
+        // One seeded draw over the requester count, then an O(log n)
+        // order-statistics pick of the k-th requester in rank-index order:
+        // the grant depends on who is requesting, never on who asked first.
+        let k = self.rng.range_usize(0, self.n_requesting);
         let pick = self.requesting.select(k);
         debug_assert_eq!(
             self.status[pick],
@@ -601,11 +572,7 @@ impl SimState {
         if q[i].visible_at > self.clock_ns {
             return None;
         }
-        let msg = q.remove(i).expect("position is in range");
-        if msg.visible_at > 0 {
-            self.delayed_in_flight = self.delayed_in_flight.saturating_sub(1);
-        }
-        Some(msg)
+        q.remove(i)
     }
 
     /// Whether channel (src → dst, tag) holds any buffered message, visible
@@ -625,7 +592,6 @@ impl SimState {
         let visible_at = match self.msg_delays[src as usize].front() {
             Some(&(at_op, delay_ns)) if at_op <= self.op_index[src as usize] => {
                 self.msg_delays[src as usize].pop_front();
-                self.delayed_in_flight += 1;
                 let t = self.clock_ns + delay_ns;
                 self.delivery_due.push(Reverse((t, dst)));
                 if let Some(base) = self.trace_pid_base {
@@ -722,7 +688,7 @@ impl SimState {
         debug_assert_eq!(self.barrier_release.len() as u64, epoch);
         self.barrier_release.push(self.clock_ns);
         if let Some(sink) = &self.epoch_sink {
-            sink.0.epoch_released(epoch, self.clock_ns);
+            sink.0.epoch_released(epoch);
         }
         for r in 0..self.status.len() {
             if self.status[r] == RankStatus::Blocked(BlockReason::Barrier { epoch }) {
@@ -752,9 +718,6 @@ impl SimState {
             );
         }
         self.faults[rank as usize] = Some(err);
-        if let Some(sink) = &self.epoch_sink {
-            sink.0.rank_stopped(rank, self.clock_ns);
-        }
         self.release_barrier_if_complete();
         for r in 0..self.status.len() {
             if self.status[r] == RankStatus::Blocked(BlockReason::Recv) {

@@ -1,33 +1,20 @@
 //! Epoch notifications for streaming consumers.
-//!
-//! A world configured with an [`EpochSinkHandle`] tells the sink when a
-//! synchronization epoch commits (all live ranks passed a barrier) and
-//! when a rank stops early (crash). Streaming analyses use the epoch
-//! signal as their happens-before commit point: everything before a
-//! released barrier is ordered before everything after it, so state that
-//! only mattered within the epoch can be retired.
-//!
-//! Callbacks run on simulation threads **while the world lock is held**:
-//! they must be cheap and must never call back into the world (barrier,
-//! send/recv, clock reads) — doing so would self-deadlock.
 
 use std::fmt;
 use std::sync::Arc;
 
-/// Receiver of simulation epoch signals. All methods have empty defaults
-/// so sinks implement only what they need.
+/// Receiver of a world's epoch signal: a synchronization epoch commits
+/// when every live rank has passed a barrier. Streaming analyses use it
+/// as their happens-before commit point — everything before a released
+/// barrier is ordered before everything after it, so state that only
+/// mattered within the epoch can be retired.
+///
+/// The callback runs on a simulation thread **while the world lock is
+/// held**: it must be cheap and must never call back into the world
+/// (barrier, send/recv, clock reads) — doing so would self-deadlock.
 pub trait EpochNotify: Send + Sync {
-    /// Barrier epoch `epoch` released at simulated time `t_ns` (the
-    /// common exit timestamp every participant observes).
-    fn epoch_released(&self, epoch: u64, t_ns: u64) {
-        let _ = (epoch, t_ns);
-    }
-
-    /// `rank` terminally stopped (crash fault) at simulated time `t_ns`
-    /// and will emit no further operations.
-    fn rank_stopped(&self, rank: u32, t_ns: u64) {
-        let _ = (rank, t_ns);
-    }
+    /// Barrier epoch `epoch` released: every live rank has arrived.
+    fn epoch_released(&self, epoch: u64);
 }
 
 /// Cloneable, debug-opaque handle around a shared [`EpochNotify`], so

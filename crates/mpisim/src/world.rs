@@ -24,13 +24,13 @@ pub enum ExecModel {
     /// Every rank is a resumable stackful task; one OS thread drives all of
     /// them on a discrete-event loop, switching at exactly the points where
     /// the scheduler would have parked a thread. The default where
-    /// supported: byte-identical traces to [`ExecModel::Threads`] under the
-    /// deterministic scheduler modes, at a fraction of the wall-clock and
-    /// memory. See `DESIGN.md` §14.
+    /// supported: byte-identical traces to [`ExecModel::Threads`] at a
+    /// fraction of the wall-clock and memory. See `DESIGN.md` §13.1.
     Tasks,
-    /// One OS thread per rank — the original executor, kept as the oracle
-    /// the task engine is regression-tested against, and as the fallback on
-    /// architectures without a context-switch implementation.
+    /// One OS thread per rank. Kept for two reasons: it is the only
+    /// executor on architectures without a context-switch implementation,
+    /// and it is the reference `sched_equivalence.rs` compares the task
+    /// engine against.
     Threads,
 }
 
@@ -51,10 +51,10 @@ impl ExecModel {
 pub struct WorldCfg {
     /// Number of MPI ranks (tasks or threads, per [`WorldCfg::exec`]).
     pub nranks: u32,
-    /// Seed controlling both the deterministic scheduler and the per-rank
+    /// Seed controlling both the scheduler's grant draws and the per-rank
     /// clock skew.
     pub seed: u64,
-    /// Scheduling discipline.
+    /// How long a granted rank keeps the turn.
     pub mode: SchedMode,
     /// Maximum absolute per-rank clock skew, nanoseconds. The paper measured
     /// < 20 µs on Quartz; the default matches that bound.
@@ -70,18 +70,16 @@ pub struct WorldCfg {
     /// traces (e.g. the report config name). Empty is fine; it only
     /// affects observability output, never simulation behaviour.
     pub label: String,
-    /// Optional streaming sink notified of epoch commits and rank stops
-    /// (see [`crate::sink`]); `None` costs nothing.
+    /// Optional streaming sink notified of epoch commits (see
+    /// [`crate::EpochNotify`]); `None` costs nothing.
     pub epoch_sink: Option<EpochSinkHandle>,
     /// Rank execution engine. [`ExecModel::Tasks`] (the host default) and
-    /// [`ExecModel::Threads`] produce byte-identical traces under the
-    /// deterministic scheduler modes.
+    /// [`ExecModel::Threads`] produce byte-identical traces.
     pub exec: ExecModel,
 }
 
 impl WorldCfg {
-    /// A deterministic world of `nranks` ranks with the paper-calibrated
-    /// defaults.
+    /// A world of `nranks` ranks with the paper-calibrated defaults.
     pub fn new(nranks: u32, seed: u64) -> Self {
         WorldCfg {
             nranks,
@@ -102,11 +100,6 @@ impl WorldCfg {
         self
     }
 
-    pub fn free_running(mut self) -> Self {
-        self.mode = SchedMode::Free;
-        self
-    }
-
     /// Use per-operation lockstep instead of the default burst grants.
     pub fn per_op_lockstep(mut self) -> Self {
         self.mode = SchedMode::DeterministicPerOp;
@@ -118,19 +111,8 @@ impl WorldCfg {
         self
     }
 
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attach a streaming epoch sink (see [`crate::sink`]).
-    pub fn with_epoch_sink(mut self, sink: EpochSinkHandle) -> Self {
-        self.epoch_sink = Some(sink);
         self
     }
 
@@ -140,7 +122,7 @@ impl WorldCfg {
         self
     }
 
-    /// Run ranks as OS threads (the pre-task oracle executor).
+    /// Run ranks as OS threads ([`ExecModel::Threads`]).
     pub fn threaded_ranks(mut self) -> Self {
         self.exec = ExecModel::Threads;
         self
@@ -208,9 +190,8 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A handle to one simulated world. Create with [`World::new`], obtain one
-/// [`Rank`] per thread with [`World::rank`], or use [`World::run`] to drive
-/// a closure on every rank.
+/// One simulated world. [`World::run`] builds it, drives a closure on
+/// every rank, and tears it down.
 pub struct World {
     pub(crate) shared: Arc<Shared>,
 }
@@ -236,29 +217,8 @@ pub struct RunOutput<T> {
     pub skews_ns: Vec<i64>,
 }
 
-impl<T> RunOutput<T> {
-    /// The per-rank results of a run expected to be fault-free.
-    ///
-    /// # Panics
-    /// Panics if any rank failed to produce a value.
-    pub fn expect_results(self) -> Vec<T> {
-        self.results
-            .into_iter()
-            .enumerate()
-            .map(|(r, v)| v.unwrap_or_else(|| panic!("rank {r} produced no result")))
-            .collect()
-    }
-}
-
 impl World {
-    /// A world whose ranks are driven by caller-owned threads (one per
-    /// rank, via [`World::rank`]). [`World::run`] constructs its own world
-    /// and honours [`WorldCfg::exec`] instead.
-    pub fn new(cfg: &WorldCfg) -> Self {
-        Self::new_internal(cfg, false)
-    }
-
-    fn new_internal(cfg: &WorldCfg, task_mode: bool) -> Self {
+    fn new(cfg: &WorldCfg, task_mode: bool) -> Self {
         assert!(cfg.nranks > 0, "world must have at least one rank");
         assert!(
             cfg.nranks <= MAX_RANKS,
@@ -305,8 +265,8 @@ impl World {
         }
     }
 
-    /// The rank handle for `rank`; each thread must use exactly one.
-    pub fn rank(&self, rank: u32) -> Rank {
+    /// The rank handle for `rank`; each rank program gets exactly one.
+    fn rank(&self, rank: u32) -> Rank {
         assert!(
             rank < self.shared.nranks,
             "{}",
@@ -341,7 +301,7 @@ impl World {
     {
         install_quiet_abort_hook();
         let task_mode = cfg.exec == ExecModel::Tasks && crate::task::supported();
-        let world = World::new_internal(cfg, task_mode);
+        let world = World::new(cfg, task_mode);
         let (results, panicked) = if task_mode {
             Self::run_tasks(&world, cfg, &f)
         } else {
@@ -460,12 +420,12 @@ impl World {
     /// longer holds); that is safe because every suspension site is a
     /// predicate-recheck loop, identical to a spurious condvar wakeup.
     ///
-    /// Determinism: under the lockstep scheduler modes the grant sequence
-    /// is a pure function of `(seed, program, faults)` — an RNG draw only
-    /// happens once every live rank has declared itself, and the pick is
-    /// by rank index over the requester set, not by arrival order — so
-    /// driving ranks from this loop instead of OS threads reproduces the
-    /// thread executor's traces byte for byte (see `sched_equivalence.rs`).
+    /// Determinism: the grant sequence is a pure function of `(seed,
+    /// program, faults)` — an RNG draw only happens once every live rank
+    /// has declared itself, and the pick is by rank index over the
+    /// requester set, not by arrival order — so driving ranks from this
+    /// loop instead of OS threads reproduces the thread executor's traces
+    /// byte for byte (see `sched_equivalence.rs`).
     fn run_tasks<T, F>(world: &World, cfg: &WorldCfg, f: &F) -> (Vec<Option<T>>, Option<Payload>)
     where
         T: Send,
@@ -532,10 +492,8 @@ impl World {
                 }
             }
         };
-        // Start every rank once, in rank order. Under lockstep no grant can
-        // fire before the last rank has declared itself, so the start order
-        // cannot influence the schedule; fixing it anyway keeps even Free
-        // mode repeatable on this executor.
+        // Start every rank once. No grant can fire before the last rank has
+        // declared itself, so the start order cannot influence the schedule.
         for t in tasks.iter_mut() {
             t.resume();
             switches += 1;

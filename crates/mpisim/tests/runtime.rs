@@ -2,9 +2,7 @@
 //! semantics, message matching, collectives, skew, deadlock detection,
 //! and fault injection.
 
-use mpisim::{
-    EventKind, FaultKind, FaultPlan, IoFault, MpiEvent, Rank, SchedMode, SimError, World, WorldCfg,
-};
+use mpisim::{EventKind, FaultKind, FaultPlan, IoFault, MpiEvent, Rank, SimError, World, WorldCfg};
 
 /// A fault-free run's output with the per-rank results unwrapped.
 struct Ran<T> {
@@ -244,19 +242,6 @@ fn deterministic_mode_reproduces_event_log() {
         a.events, c.events,
         "different seed should yield a different interleaving"
     );
-}
-
-#[test]
-fn free_mode_completes() {
-    let cfg = WorldCfg::new(8, 7).free_running();
-    assert_eq!(cfg.mode, SchedMode::Free);
-    let out = run_cfg(&cfg, |r| {
-        r.barrier();
-        r.allreduce_sum_u64(1)
-    });
-    for &v in &out.results {
-        assert_eq!(v, 8);
-    }
 }
 
 #[test]

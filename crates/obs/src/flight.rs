@@ -1,7 +1,7 @@
 //! Flight recorder — an always-on, fixed-size, lock-free ring of recent
 //! structured events, for crash forensics on the serving path.
 //!
-//! The Chrome-trace spans in [`crate::span`] answer "where did the time
+//! The Chrome-trace spans in [`mod@crate::span`] answer "where did the time
 //! go" for a run the operator *chose* to trace; the flight recorder
 //! answers "what just happened" for the request that panicked at 3am
 //! with tracing off. It is the serving tier's black box: every request

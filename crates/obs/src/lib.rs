@@ -6,18 +6,18 @@
 //! scheduler, the pfssim servers, the iolibs harness, the core analysis
 //! pipeline, and the report runner — emits into one shared substrate:
 //!
-//! * **Spans** ([`span`], [`sim_span`]) — hierarchical timed regions with
+//! * **Spans** ([`span()`], [`sim_span`]) — hierarchical timed regions with
 //!   deterministic per-thread ids, collected into a lock-sharded buffer
 //!   and exported as Chrome trace-event JSON ([`trace`]) loadable in
 //!   Perfetto. Analysis-side spans run on the wall clock; simulator-side
 //!   spans carry *simulated* timestamps under one pseudo-pid per rank.
-//! * **Metrics** ([`metrics`]) — a lock-sharded registry of named
+//! * **Metrics** ([`metrics()`]) — a lock-sharded registry of named
 //!   counters and fixed-bucket (log2) histograms. Counters record
 //!   deterministic event counts (ops, messages, retries, faults), so
 //!   totals are identical across thread counts and across runs.
 //! * **Logging** ([`mod@log`]) — a leveled stderr logger behind one atomic,
 //!   replacing scattered `eprintln!` progress lines.
-//! * **Flight recorder** ([`flight`]) — an always-on lock-free ring of
+//! * **Flight recorder** ([`flight()`]) — an always-on lock-free ring of
 //!   recent structured serving events (request ids, single-flight
 //!   transitions, store verdicts), dumped to a postmortem file on panic
 //!   or drain. Unlike spans/metrics it defaults *on*: it exists for the

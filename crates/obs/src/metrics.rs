@@ -1,7 +1,7 @@
 //! The lock-sharded metrics registry: named counters and fixed-bucket
 //! histograms.
 //!
-//! Names hash to one of [`SHARDS`] independently-locked maps, so
+//! Names hash to one of 16 (`SHARDS`) independently-locked maps, so
 //! concurrent recorders (per-config worker threads, rank threads) rarely
 //! contend; the cell behind a name is an `Arc<AtomicU64>` (or an atomic
 //! bucket array), so a handle obtained once increments lock-free
@@ -87,30 +87,6 @@ impl Histogram {
 
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Estimate the `q`-quantile (`0.0 ≤ q ≤ 1.0`) from the log2 buckets:
-    /// the smallest bucket whose cumulative count reaches `ceil(q·count)`,
-    /// reported as that bucket's inclusive upper bound. Resolution is one
-    /// power of two — exactly what latency reporting (p50/p99) needs, with
-    /// the conservative (never under-reporting) bias. Returns 0 for an
-    /// empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                // Inclusive upper bound of bucket i: 2^(i+1) - 1 (bucket 0
-                // holds {0, 1}).
-                return if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-            }
-        }
-        u64::MAX
     }
 
     /// `(bucket_floor, count)` for every non-empty bucket, low to high.
@@ -328,31 +304,6 @@ mod tests {
         assert_eq!(h.sum(), 1030);
         // 0 and 1 share bucket 0; 2 and 3 share bucket 1 (floor 2).
         assert_eq!(h.nonzero_buckets(), vec![(0, 2), (2, 2), (1024, 1)]);
-    }
-
-    #[test]
-    fn quantile_tracks_log2_resolution() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
-        for v in 1..=100u64 {
-            h.observe(v);
-        }
-        // p50 of 1..=100 is 50, inside bucket [32,64) → upper bound 63.
-        assert_eq!(h.quantile(0.5), 63);
-        // p99 is 99, inside bucket [64,128) → upper bound 127.
-        assert_eq!(h.quantile(0.99), 127);
-        // p100 must cover the max observation.
-        assert!(h.quantile(1.0) >= 100);
-        // Quantiles never decrease in q.
-        assert!(h.quantile(0.99) >= h.quantile(0.5));
-    }
-
-    #[test]
-    fn quantile_single_value() {
-        let h = Histogram::new();
-        h.observe(1_000_000);
-        let q = h.quantile(0.5);
-        assert!(q >= 1_000_000 && q < 2_097_152);
     }
 
     #[test]

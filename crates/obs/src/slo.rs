@@ -144,11 +144,6 @@ impl SloWindow {
         }
     }
 
-    /// The window span in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.epoch_ns * self.slots.len() as u64
-    }
-
     /// The label set, in index order.
     pub fn labels(&self) -> &'static [&'static str] {
         self.labels

@@ -703,13 +703,6 @@ impl PfsClient {
         self.fsync(fd, now)
     }
 
-    /// Count a metadata op that has no modelled behaviour (chmod, chown,
-    /// utime, …) so library models can still emit it for the census.
-    pub fn count_meta(&mut self, op: MetaOp) {
-        let mut st = lock_state(&self.state);
-        st.stats.count_meta(op);
-    }
-
     /// Open fds (diagnostics; a well-behaved app closes everything).
     pub fn open_fds(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self.fds.keys().copied().collect();
@@ -720,16 +713,6 @@ impl PfsClient {
     /// The current cursor of `fd` (testing aid).
     pub fn cursor(&self, fd: u32) -> FsResult<u64> {
         Ok(self.fd(fd)?.cursor)
-    }
-
-    /// The file identity behind `fd` (testing / tracing aid).
-    pub fn fd_file(&self, fd: u32) -> FsResult<FileId> {
-        Ok(self.fd(fd)?.file)
-    }
-
-    /// The normalized path behind `fd`.
-    pub fn fd_path(&self, fd: u32) -> FsResult<&str> {
-        Ok(&self.fd(fd)?.path)
     }
 }
 

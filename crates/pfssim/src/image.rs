@@ -97,10 +97,6 @@ impl FileImage {
         }
         self.size = len;
     }
-
-    pub fn tag_segments(&self) -> usize {
-        self.tags.len()
-    }
 }
 
 #[cfg(test)]

@@ -78,9 +78,9 @@ impl Interner {
     }
 }
 
-/// Interner shared by all ranks of one run. In the deterministic scheduler
-/// every interning happens while holding the simulation turn, so the id
-/// assignment is reproducible.
+/// Interner shared by all ranks of one run. Ids are handed out in call
+/// order, which rank threads race for; [`TraceSet::assemble`] renumbers
+/// them canonically.
 pub type SharedInterner = Arc<Mutex<Interner>>;
 
 /// Create a fresh shared interner.
@@ -175,7 +175,7 @@ impl TraceSet {
     /// Path ids are *canonicalized* (renumbered in sorted-name order):
     /// interning races between rank threads would otherwise make the id
     /// assignment — and therefore the encoded trace — nondeterministic
-    /// even under the deterministic scheduler.
+    /// even though the schedule is not.
     pub fn assemble(
         interner: SharedInterner,
         tracers: Vec<RankTracer>,
@@ -256,11 +256,6 @@ impl TraceSet {
     /// Iterate records of one rank.
     pub fn rank_records(&self, rank: u32) -> &[Record] {
         &self.ranks[rank as usize]
-    }
-
-    /// Count records matching a predicate.
-    pub fn count_where(&self, mut pred: impl FnMut(&Record) -> bool) -> usize {
-        self.ranks.iter().flatten().filter(|r| pred(r)).count()
     }
 }
 

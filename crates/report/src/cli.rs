@@ -144,6 +144,30 @@ impl Stop {
     }
 }
 
+/// Exit code of a command whose reader went away: what the shell reports
+/// for a process killed by `SIGPIPE`.
+pub const EXIT_PIPE: i32 = 141;
+
+/// `report all | head -1`: the reader closes the pipe and the next
+/// `println!` panics ("failed printing to stdout: Broken pipe"), because
+/// the Rust runtime ignores `SIGPIPE`. Restoring the signal's default
+/// action is not an option — it is process-wide and would let a client
+/// that hangs up mid-response kill `report serve` — so the panic hook
+/// ends the process the way the signal would have: no message, exit
+/// [`EXIT_PIPE`]. Every other panic goes to the previous hook untouched.
+fn exit_quietly_when_stdout_closes() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let closed = info.payload().downcast_ref::<String>().is_some_and(|m| {
+            m.starts_with("failed printing to stdout") && m.contains("Broken pipe")
+        });
+        if closed {
+            std::process::exit(EXIT_PIPE);
+        }
+        previous(info);
+    }));
+}
+
 impl Cli {
     /// `command`'s declaration of the flag spelled `name` — where a
     /// per-command default lives — else the global one.
@@ -232,6 +256,7 @@ impl Cli {
     /// The binary's `main` prologue: parse, or answer `--help` (exit 0)
     /// or a bad line (exit [`EXIT_USAGE`]) and leave.
     pub fn parse_or_exit(&'static self, argv: &[String]) -> Parsed {
+        exit_quietly_when_stdout_closes();
         self.parse(argv)
             .unwrap_or_else(|stop| std::process::exit(stop.report()))
     }

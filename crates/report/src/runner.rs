@@ -111,9 +111,6 @@ fn run_config(
         .with_max_skew_ns(cfg.max_skew_ns)
         .with_faults(faults.clone())
         .with_label(spec.config_name());
-    // A streamed cross-rank order is only reproducible under the
-    // deterministic scheduler.
-    debug_assert!(sink.is_none() || matches!(run_cfg.mode, mpisim::SchedMode::Deterministic));
     run_cfg.sink = sink;
     let result = run_app_result(&run_cfg, |ctx| spec.run_with(ctx, params));
     span.set_arg(
@@ -219,10 +216,6 @@ impl iolibs::RunSink for AnalyzerSink {
 /// [`AnalyzedRun`] byte-identical to [`analyze_with_faults`] —
 /// `tests/incremental_identity.rs` asserts it across every configuration,
 /// semantics model, and fault campaign.
-///
-/// Requires the deterministic scheduler (the constructed run config's
-/// default): under free running, streamed cross-rank order has real races
-/// and the online results are not reproducible.
 pub fn analyze_incremental(
     cfg: &ReportCfg,
     spec: &'static AppSpec,
@@ -320,13 +313,6 @@ impl ConfigOutcome {
         match self {
             ConfigOutcome::Ok(run) => run.name(),
             ConfigOutcome::Degraded { name, .. } => name,
-        }
-    }
-
-    pub fn as_ok(&self) -> Option<&AnalyzedRun> {
-        match self {
-            ConfigOutcome::Ok(run) => Some(run),
-            ConfigOutcome::Degraded { .. } => None,
         }
     }
 

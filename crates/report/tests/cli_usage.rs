@@ -30,6 +30,34 @@ fn assert_usage_error(args: &[&str], expect_in_stderr: &str) {
     );
 }
 
+/// Run `bin` with a stdout whose reader is already gone — what the
+/// process sees after `| head -1` has read its line and left.
+fn assert_quiet_exit_on_closed_stdout(bin: &str, args: &[&str]) {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(bin)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{args:?}: stderr: {stderr}");
+    assert!(stderr.is_empty(), "{args:?}: stderr not empty: {stderr}");
+}
+
+#[test]
+fn report_ends_quietly_when_stdout_closes() {
+    let dir = std::env::temp_dir().join(format!("report_cli_pipe_{}", std::process::id()));
+    let args = ["all", "--ranks", "8", "-q", "--out", dir.to_str().unwrap()];
+    assert_quiet_exit_on_closed_stdout(env!("CARGO_BIN_EXE_report"), &args);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tracetool_ends_quietly_when_stdout_closes() {
+    assert_quiet_exit_on_closed_stdout(env!("CARGO_BIN_EXE_tracetool"), &["list"]);
+}
+
 #[test]
 fn malformed_ranks_is_usage_error() {
     assert_usage_error(&["table4", "--ranks", "abc"], "--ranks");

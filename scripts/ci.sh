@@ -1,13 +1,18 @@
 #!/usr/bin/env sh
-# The CI gate, in dependency order: formatting, a clean release build,
-# the full test suite, the functional smokes, and a smoke run of the one
-# benchmark (benchmark/ — 1 s per workload; checks the driver and its
-# in-run correctness checks, not the numbers).
+# The CI gate, in dependency order: formatting, rustdoc links, a clean
+# release build, the full test suite, the functional smokes, and a smoke
+# run of the one benchmark (benchmark/ — 1 s per workload; checks the
+# driver and its in-run correctness checks, not the numbers).
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "ci: cargo fmt --check"
 cargo fmt --check
+
+echo "ci: rustdoc"
+# Every intra-doc link resolves and none points from public docs at a
+# private item — a deleted item cannot leave a link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "ci: cargo build --release"
 cargo build --release

@@ -243,23 +243,26 @@ fn app_traces_survive_codec_roundtrip_with_identical_analysis() {
 }
 
 #[test]
-fn free_mode_interleaving_reproduces_the_same_marks() {
+fn three_seeded_schedules_reproduce_the_same_marks() {
     // The paper's real traces came from nondeterministic executions; only
     // program synchronization (not a lockstep scheduler) made the results
-    // stable. Mirror that: run FLASH under the free-running scheduler —
-    // different interleavings every time — and require the same Table 4
-    // marks as the deterministic run.
+    // stable. What is checked here is narrower: three fixed schedules of
+    // FLASH (seeds 100, 101, 102 — each seed is one reproducible
+    // interleaving) give the Table 4 marks the paper reports. The test
+    // that holds "marks do not depend on the interleaving" across grant
+    // granularities is `sched_robustness::burst_grants_match_per_op_lockstep_oracle`.
     let expected = hpcapps::spec(AppId::FlashFbs).expected_session.as_tuple();
     for attempt in 0..3u64 {
         let spec = hpcapps::spec(AppId::FlashFbs);
-        let cfg = RunConfig::new(8, 100 + attempt).free_running();
+        let cfg = RunConfig::new(8, 100 + attempt);
         let out = run_app(&cfg, |ctx| spec.run(ctx));
         let resolved = recorder::offset::resolve(&recorder::adjust::apply(&out.trace));
         let session = detect_conflicts(&resolved, AnalysisModel::Session);
         assert_eq!(
             session.table4_marks(),
             expected,
-            "attempt {attempt}: free-running interleaving changed the conflict marks"
+            "seed {}: this schedule changed the conflict marks",
+            100 + attempt
         );
         assert_eq!(
             detect_conflicts(&resolved, AnalysisModel::Commit).total(),
