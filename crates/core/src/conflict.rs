@@ -14,17 +14,22 @@
 //!
 //! As in the paper, each record is extended with `to` (time of the last
 //! preceding open) and `tc` (time of the first succeeding close/commit by
-//! the same process). Production searches the per-process open/commit
+//! the same process). [`extend`] searches the per-process open/commit
 //! tables (binary search); [`extend_scan`] marks records by traversing each
 //! process in timestamp order and is the independent oracle the tests hold
-//! the tables to.
+//! [`extend`] to, record for record.
+//!
+//! This is the detector for a trace **at rest** (`tracetool`, the facade,
+//! [`crate::apprun`], [`crate::advisor`]) and the reference the streaming
+//! engine ([`crate::incremental`]) is held byte-identical to. Candidates
+//! come from Algorithm 1 itself ([`crate::overlap`]'s sweep), so what
+//! brute force checks is what this module enumerates.
 
 use std::collections::BTreeMap;
 
 use recorder::{AccessKind, DataAccess, PathId, ResolvedTrace, SyncKind};
 
-use crate::context::AnalysisContext;
-use crate::overlap::FileGroups;
+use crate::overlap::{sweep, FileGroups};
 
 /// Which relaxed model the detector is checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,18 +176,16 @@ impl SortedTable {
     }
 }
 
-/// Per-(rank, file) synchronization tables, each sorted by time. Retained
-/// by [`crate::context::AnalysisContext`] so one build serves every
-/// consumer of the sync windows.
+/// Per-(rank, file) synchronization tables, each sorted by time.
 #[derive(Debug, Default)]
-pub(crate) struct SyncTables {
+struct SyncTables {
     opens: SortedTable,
     closes: SortedTable,
     commits: SortedTable, // fsync/fdatasync AND close
 }
 
 impl SyncTables {
-    pub(crate) fn build(resolved: &ResolvedTrace) -> Self {
+    fn build(resolved: &ResolvedTrace) -> Self {
         let mut opens = Vec::new();
         let mut closes = Vec::new();
         let mut commits = Vec::new();
@@ -203,22 +206,6 @@ impl SyncTables {
             commits: SortedTable::build(commits),
         }
     }
-
-    /// Last `open` by `(rank, file)` at or before `t`.
-    pub(crate) fn last_open(&self, key: (u32, PathId), t: u64) -> Option<u64> {
-        self.opens.last_before(key, t)
-    }
-
-    /// First `close` by `(rank, file)` at or after `t`.
-    pub(crate) fn next_close(&self, key: (u32, PathId), t: u64) -> Option<u64> {
-        self.closes.first_after(key, t)
-    }
-
-    /// First commit (`fsync`/`fdatasync`/`close`) by `(rank, file)` at or
-    /// after `t`.
-    pub(crate) fn next_commit(&self, key: (u32, PathId), t: u64) -> Option<u64> {
-        self.commits.first_after(key, t)
-    }
 }
 
 /// The per-record extension of §5.2: `to` and `tc`.
@@ -234,11 +221,10 @@ pub struct ExtendedAccess {
 }
 
 /// Extend every access via binary search in the per-process sync tables
-/// (the paper's suggested O(log n)-per-record variant), returning the
-/// tables too so the context can keep them alongside the extension.
-pub(crate) fn extend_with_tables(resolved: &ResolvedTrace) -> (SyncTables, Vec<ExtendedAccess>) {
+/// (the paper's suggested O(log n)-per-record variant), in input order.
+pub fn extend(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
     let tables = SyncTables::build(resolved);
-    let extended = resolved
+    resolved
         .accesses
         .iter()
         .map(|a| {
@@ -250,15 +236,14 @@ pub(crate) fn extend_with_tables(resolved: &ResolvedTrace) -> (SyncTables, Vec<E
                 tc_commit: tables.commits.first_after(key, a.t_start),
             }
         })
-        .collect();
-    (tables, extended)
+        .collect()
 }
 
 /// Extend every access by one forward + one backward scan over each
 /// process's records in timestamp order (the paper's alternative "mark
-/// while traversing" variant). Shares nothing with the sync tables the
-/// context builds, which is what makes it the extension oracle:
-/// `tests/fused.rs` holds the fused detector to it on random traces.
+/// while traversing" variant). Shares nothing with the sync tables, which
+/// is what makes it the extension oracle: `tests/prop.rs` holds
+/// [`extend`] equal to it, record for record, on random traces.
 pub fn extend_scan(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
     // Merge accesses and syncs per (rank, file) in time order.
     #[derive(Clone, Copy)]
@@ -342,11 +327,8 @@ pub fn extend_scan(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
 }
 
 /// Options for conflict detection.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ConflictOptions {
-    /// Use the binary-search extension (true, default) or the
-    /// [`extend_scan`] oracle.
-    pub binary_search: bool,
     /// For the session condition, treat any commit (fsync) as if it were
     /// the close — the paper's combined-`tc` formalization. Off by default:
     /// under session semantics only a close publishes, so the refined
@@ -354,212 +336,105 @@ pub struct ConflictOptions {
     pub session_uses_commit_as_close: bool,
 }
 
-impl Default for ConflictOptions {
-    fn default() -> Self {
-        ConflictOptions {
-            binary_search: true,
-            session_uses_commit_as_close: false,
-        }
-    }
-}
-
 /// Detect all conflict pairs in `resolved` under `model`.
 pub fn detect_conflicts(resolved: &ResolvedTrace, model: AnalysisModel) -> ConflictReport {
     detect_conflicts_opt(resolved, model, ConflictOptions::default())
 }
 
-/// Detect conflicts with explicit options.
-///
-/// The default binary-search variant is a thin wrapper over a fresh
-/// [`AnalysisContext`]; the scan variant keeps its own fully independent
-/// path (extension and per-file sort), which is what the equivalence
-/// tests compare the fused detector against.
+/// Detect conflicts with explicit options: extend every record, then per
+/// file (in [`PathId`] order) sort by `(offset, end)` — stably, so ties
+/// keep input order — run Algorithm 1's sweep, order each overlapping pair
+/// by `(t_start, rank)`, and keep it if conditions 2–4 hold. That emission
+/// order is part of the contract: the streaming engine reproduces it.
 pub fn detect_conflicts_opt(
     resolved: &ResolvedTrace,
     model: AnalysisModel,
     opts: ConflictOptions,
 ) -> ConflictReport {
-    if opts.binary_search {
-        return detect_conflicts_in(&AnalysisContext::new(resolved), model, opts);
-    }
-    let extended = extend_scan(resolved);
+    let accesses = &resolved.accesses;
+    let extended = extend(resolved);
     let mut report = ConflictReport {
         model_checked: Some(model),
         ..Default::default()
     };
-    for (file, idxs) in FileGroups::new(&resolved.accesses).iter() {
+    for (file, idxs) in FileGroups::new(accesses).iter() {
         let mut order = idxs.to_vec();
-        // Stable: ties keep input order, the same key the context sorts by.
-        order.sort_by_key(|&i| {
-            let a = &extended[i as usize].access;
-            (a.offset, a.end())
-        });
-        sweep_pairs(&extended, &order, |first, second| {
-            if conflicting(first, second, model, opts) {
-                report.add(classify_pair(file, first, second));
+        order.sort_by_key(|&i| (accesses[i as usize].offset, accesses[i as usize].end()));
+        sweep(accesses, &order, |i, j, a, b| {
+            let (first, second) = if (a.t_start, a.rank) <= (b.t_start, b.rank) {
+                (&extended[i as usize], &extended[j as usize])
+            } else {
+                (&extended[j as usize], &extended[i as usize])
+            };
+            // Condition 2: write-after-read is not a potential conflict.
+            if first.access.kind == AccessKind::Write && conflicting(first, second, model, opts) {
+                report.add(classify_pair(file, &first.access, &second.access));
             }
         });
     }
     report
 }
 
-/// Single-model detection over a prebuilt [`AnalysisContext`]: reuses the
-/// context's extension and per-file offset-sorted order instead of
-/// re-deriving both.
-pub(crate) fn detect_conflicts_in(
-    ctx: &AnalysisContext,
-    model: AnalysisModel,
-    opts: ConflictOptions,
-) -> ConflictReport {
-    let mut report = ConflictReport {
-        model_checked: Some(model),
-        ..Default::default()
-    };
-    for k in 0..ctx.file_count() {
-        let (file, order) = ctx.conflict_group(k);
-        sweep_pairs(ctx.extended(), order, |first, second| {
-            if conflicting(first, second, model, opts) {
-                report.add(classify_pair(file, first, second));
-            }
-        });
-    }
-    report
-}
-
-/// Session and commit reports from one fused sweep.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FusedReports {
-    pub session: ConflictReport,
-    pub commit: ConflictReport,
-}
-
-/// Fused §5.2 detection: one overlap enumeration per file, each candidate
-/// pair classified against **both** models — they share the sweep and
-/// differ only in the sync-window condition, so checking them together
-/// halves the enumeration work of two [`detect_conflicts`] calls.
+/// Conditions 3 and 4 of §5.2 on plain timestamps — the one statement of
+/// them, shared by this detector and the streaming one. A write at `t1`
+/// and an overlapping later access at `t2` conflict under `model` unless:
 ///
-/// Both reports are exactly equal (pairs, order, counts) to what the two
-/// separate runs produce; `tests/fused.rs` asserts this on random traces.
-pub fn detect_conflicts_fused(ctx: &AnalysisContext) -> FusedReports {
-    let opts = ConflictOptions::default();
-    let mut out = FusedReports {
-        session: ConflictReport {
-            model_checked: Some(AnalysisModel::Session),
-            ..Default::default()
-        },
-        commit: ConflictReport {
-            model_checked: Some(AnalysisModel::Commit),
-            ..Default::default()
-        },
-    };
-    for k in 0..ctx.file_count() {
-        let (file, order) = ctx.conflict_group(k);
-        sweep_pairs(ctx.extended(), order, |first, second| {
-            let on_session = conflicting(first, second, AnalysisModel::Session, opts);
-            let on_commit = conflicting(first, second, AnalysisModel::Commit, opts);
-            if !(on_session || on_commit) {
-                return;
-            }
-            let pair = classify_pair(file, first, second);
-            if on_session {
-                out.session.add(pair);
-            }
-            if on_commit {
-                out.commit.add(pair);
-            }
-        });
-    }
-    out
-}
-
-/// Enumerate candidate pairs of one file in the canonical order: `order`
-/// is offset-sorted (stable), the inner scan stops when start offsets
-/// pass the current end (Algorithm 1), the pair is ordered by
-/// `(t_start, rank)`, and write-after-read pairs are skipped. Every
-/// detector variant visits pairs through this one enumeration, which is
-/// what makes their reports identical element-for-element.
+/// * **commit** (3): the writer's first commit at or after `t1`, `tc1`,
+///   is not after `t2`;
+/// * **session** (4): the writer's first close at or after `t1`, `tc1`,
+///   and the second process's last open at or before `t2`, `to2`, satisfy
+///   `t1 < tc1 < to2 < t2`.
 #[inline]
-fn sweep_pairs(
-    extended: &[ExtendedAccess],
-    order: &[u32],
-    mut visit: impl FnMut(&ExtendedAccess, &ExtendedAccess),
-) {
-    for (pos, &i) in order.iter().enumerate() {
-        let a = &extended[i as usize];
-        for &j in &order[pos + 1..] {
-            let b = &extended[j as usize];
-            if b.access.offset >= a.access.end() {
-                break;
-            }
-            // Order the overlapping pair by timestamp (rank breaks ties
-            // deterministically).
-            let (first, second) =
-                if (a.access.t_start, a.access.rank) <= (b.access.t_start, b.access.rank) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-            if first.access.kind != AccessKind::Write {
-                continue; // write-after-read is not a potential conflict
-            }
-            visit(first, second);
-        }
+pub(crate) fn unsynchronized(
+    model: AnalysisModel,
+    t1: u64,
+    tc1: Option<u64>,
+    to2: Option<u64>,
+    t2: u64,
+) -> bool {
+    match model {
+        AnalysisModel::Commit => tc1.is_none_or(|tc| tc > t2),
+        AnalysisModel::Session => !matches!(
+            (tc1, to2),
+            (Some(tc), Some(to)) if t1 < tc && tc < to && to < t2
+        ),
     }
 }
 
-/// Conditions 3/4 of §5.2 for an ordered candidate pair.
-#[inline]
-pub(crate) fn conflicting(
+/// Conditions 3/4 for an ordered, extended candidate pair.
+fn conflicting(
     first: &ExtendedAccess,
     second: &ExtendedAccess,
     model: AnalysisModel,
     opts: ConflictOptions,
 ) -> bool {
-    match model {
-        AnalysisModel::Commit => {
-            // Condition 3: no commit by r1 in (t1, t2).
-            match first.tc_commit {
-                Some(tc) => tc > second.access.t_start,
-                None => true,
-            }
-        }
-        AnalysisModel::Session => {
-            // Condition 4: ¬(t1 < tc1 < to2 < t2).
-            let tc1 = if opts.session_uses_commit_as_close {
-                first.tc_commit
-            } else {
-                first.tc_close
-            };
-            let ordered = match (tc1, second.to) {
-                (Some(tc), Some(to)) => {
-                    first.access.t_start < tc && tc < to && to < second.access.t_start
-                }
-                _ => false,
-            };
-            !ordered
-        }
-    }
+    let tc1 = match model {
+        AnalysisModel::Session if !opts.session_uses_commit_as_close => first.tc_close,
+        _ => first.tc_commit,
+    };
+    unsynchronized(
+        model,
+        first.access.t_start,
+        tc1,
+        second.to,
+        second.access.t_start,
+    )
 }
 
-#[inline]
-pub(crate) fn classify_pair(
-    file: PathId,
-    first: &ExtendedAccess,
-    second: &ExtendedAccess,
-) -> ConflictPair {
-    let kind = match second.access.kind {
+pub(crate) fn classify_pair(file: PathId, first: &DataAccess, second: &DataAccess) -> ConflictPair {
+    let kind = match second.kind {
         AccessKind::Read => ConflictKind::Raw,
         AccessKind::Write => ConflictKind::Waw,
     };
-    let scope = if first.access.rank == second.access.rank {
+    let scope = if first.rank == second.rank {
         ConflictScope::Same
     } else {
         ConflictScope::Distinct
     };
     ConflictPair {
         file,
-        first: first.access,
-        second: second.access,
+        first: *first,
+        second: *second,
         kind,
         scope,
     }
@@ -748,32 +623,7 @@ mod tests {
             syncs.push(sync(rank, 200 + rank as u64, SyncKind::Close));
         }
         let r = resolved(accesses, syncs);
-        for model in [AnalysisModel::Commit, AnalysisModel::Session] {
-            let bs = detect_conflicts_opt(
-                &r,
-                model,
-                ConflictOptions {
-                    binary_search: true,
-                    ..Default::default()
-                },
-            );
-            let scan = detect_conflicts_opt(
-                &r,
-                model,
-                ConflictOptions {
-                    binary_search: false,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(bs.table4_marks(), scan.table4_marks());
-            assert_eq!(bs.total(), scan.total(), "{model:?}");
-            let mut p1 = bs.pairs.clone();
-            let mut p2 = scan.pairs.clone();
-            let key = |p: &ConflictPair| (p.first.t_start, p.second.t_start, p.first.offset);
-            p1.sort_by_key(key);
-            p2.sort_by_key(key);
-            assert_eq!(p1, p2);
-        }
+        assert_eq!(extend(&r), extend_scan(&r));
     }
 
     #[test]

@@ -218,8 +218,7 @@ pub fn validate_conflicts(
     validate_conflicts_with(&HbIndex::build(trace), report)
 }
 
-/// [`validate_conflicts`] against an already-built index (e.g. the one a
-/// [`crate::context::AnalysisContext`] holds).
+/// [`validate_conflicts`] against an already-built index.
 ///
 /// The fixpoint reach vector depends only on the *source* event
 /// `(rank, t_end)`, and conflict pairs share sources heavily (one write is

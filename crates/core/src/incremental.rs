@@ -1,19 +1,26 @@
 //! Streaming incremental analysis: online conflict/overlap detection.
 //!
-//! The batch pipeline re-derives everything from the complete trace:
+//! This is the engine for a trace **in flight**: every code path that runs
+//! a simulation attaches it as the run's record sink. The at-rest
+//! functions ([`crate::conflict::detect_conflicts`],
+//! [`crate::patterns`]) re-derive everything from the complete trace:
 //! resolve offsets, group by file, sort, sweep. This module consumes the
 //! run's POSIX records *as the simulation emits them* and maintains the
 //! analyses online, so that when the run finishes, the expensive
-//! per-trace passes (offset resolution, context build, the fused conflict
-//! sweep, both Figure 1 pattern folds, the Table 3 bucketing) are already
-//! done — the cold path pays only the finalize step.
+//! per-trace passes (offset resolution, both conflict detections, both
+//! Figure 1 pattern folds, the Table 3 bucketing) are already done — the
+//! run pays only the finalize step.
 //!
-//! ## Equivalence with the batch pipeline
+//! ## Equivalence with the at-rest functions
 //!
-//! Everything here is engineered to be **byte-identical** to the batch
-//! results, not merely equivalent:
+//! Everything here is engineered to be **byte-identical** to the at-rest
+//! ("batch") results, not merely equivalent. The two engines are
+//! independent in what is hard — finding candidate pairs and filling
+//! `to`/`tc` — and share the paper's definitions
+//! (`conflict::unsynchronized`, `conflict::classify_pair`,
+//! [`classify_step`], [`classify_from_buckets`]):
 //!
-//! * **Drain order.** The batch pipeline's global order is
+//! * **Drain order.** The batch global order is
 //!   [`recorder::TraceSet::merged_by_time`]: a stable sort by
 //!   `(t_start, rank)` over per-rank program-order streams. A rank's POSIX
 //!   records have nondecreasing `t_start`, so a watermark merge of
@@ -69,16 +76,14 @@
 //! surface any violation.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 use recorder::offset::StreamResolver;
 use recorder::{AccessKind, DataAccess, IdMap, PathId, Record, ResolvedTrace, SyncEvent, SyncKind};
 
-use crate::conflict::{classify_pair, AnalysisModel, ConflictReport, ExtendedAccess};
-use crate::patterns::highlevel::{
-    classify_from_buckets, ClassifyOptions, FileBuckets, HighLevelReport,
-};
+use crate::conflict::{classify_pair, unsynchronized, AnalysisModel, ConflictReport};
+use crate::patterns::highlevel::{classify_from_buckets, FileBuckets, HighLevelReport};
 use crate::patterns::lowlevel::{classify_step, PatternStats};
 
 /// Per-file sweep key: batch sorts each file's accesses stably by
@@ -217,9 +222,9 @@ struct RankFileState {
 pub struct IncrementalOutput {
     /// Byte-identical to `offset::resolve(adjusted_trace)`.
     pub resolved: ResolvedTrace,
-    /// Byte-identical to the fused batch detector's session report.
+    /// Byte-identical to `detect_conflicts(&resolved, Session)`.
     pub session: ConflictReport,
-    /// … and its commit report.
+    /// … and to `detect_conflicts(&resolved, Commit)`.
     pub commit: ConflictReport,
     pub local: PatternStats,
     pub global: PatternStats,
@@ -229,10 +234,6 @@ pub struct IncrementalOutput {
     pub peak_live_intervals: u64,
     /// Candidate (overlapping) pairs enumerated online.
     pub pairs_checked: u64,
-    /// Distinct `(rank, rank)` pairs (normalized, distinct ranks only)
-    /// with write-involved overlapping accesses — the online overlap
-    /// summary.
-    pub overlap_rank_pairs: Vec<(u32, u32)>,
     /// Writes retired by epoch pruning before finalize.
     pub pruned_intervals: u64,
 }
@@ -255,7 +256,6 @@ struct Inner {
     /// raised its frontier; the next drain rescans.
     bound_stale: bool,
     resolver: StreamResolver,
-    hl_opts: ClassifyOptions,
 
     writes: WriteSlab,
     files: IdMap<PathId, FileState>,
@@ -276,7 +276,6 @@ struct Inner {
     peak_live_intervals: u64,
     pairs_checked: u64,
     pruned_intervals: u64,
-    overlap_rank_pairs: BTreeSet<(u32, u32)>,
 }
 
 /// The online analyzer. Thread-safe: simulated ranks push record chunks
@@ -300,7 +299,6 @@ impl StreamingAnalyzer {
                 bound: 0,
                 bound_stale: false,
                 resolver: StreamResolver::new(),
-                hl_opts: ClassifyOptions::default(),
                 writes: WriteSlab::default(),
                 files: IdMap::default(),
                 rf: IdMap::default(),
@@ -316,7 +314,6 @@ impl StreamingAnalyzer {
                 peak_live_intervals: 0,
                 pairs_checked: 0,
                 pruned_intervals: 0,
-                overlap_rank_pairs: BTreeSet::new(),
             }),
         }
     }
@@ -492,17 +489,9 @@ impl Inner {
         if fa.kind != AccessKind::Write {
             return; // write-after-read is not a potential conflict
         }
-        // Condition 3 (commit) and condition 4 (session), as in
-        // `conflict::conflicting` with default options.
-        let on_commit = match f_tc_commit {
-            Some(tc) => tc > sa.t_start,
-            None => true,
-        };
-        let ordered = matches!(
-            (f_tc_close, s_to),
-            (Some(tc), Some(to)) if fa.t_start < tc && tc < to && to < sa.t_start
-        );
-        let on_session = !ordered;
+        let (t1, t2) = (fa.t_start, sa.t_start);
+        let on_commit = unsynchronized(AnalysisModel::Commit, t1, f_tc_commit, s_to, t2);
+        let on_session = unsynchronized(AnalysisModel::Session, t1, f_tc_close, s_to, t2);
         if on_session || on_commit {
             self.survivors.push(Survivor {
                 file: fa.file,
@@ -570,10 +559,7 @@ impl Inner {
         if let Some(pe) = ge {
             self.global_stats.add(classify_step(pe, a.offset));
         }
-        self.buckets
-            .entry(a.file)
-            .or_default()
-            .add(&a, self.hl_opts);
+        self.buckets.entry(a.file).or_default().add(&a);
 
         // Conflict candidates: this access against the file's live writes.
         let fs = self.files.entry(a.file).or_default();
@@ -589,10 +575,6 @@ impl Inner {
             }
             w.refs += 1;
             self.pairs_checked += 1;
-            if w.access.rank != a.rank {
-                let rp = (w.access.rank.min(a.rank), w.access.rank.max(a.rank));
-                self.overlap_rank_pairs.insert(rp);
-            }
             self.pending.push_back(PendingPair {
                 write_id: id,
                 second: a,
@@ -721,14 +703,8 @@ impl Inner {
             model_checked: Some(AnalysisModel::Commit),
             ..Default::default()
         };
-        let wrap = |a: DataAccess| ExtendedAccess {
-            access: a,
-            to: None,
-            tc_close: None,
-            tc_commit: None,
-        };
         for sv in &survivors {
-            let pair = classify_pair(sv.file, &wrap(sv.first), &wrap(sv.second));
+            let pair = classify_pair(sv.file, &sv.first, &sv.second);
             if sv.on_session {
                 session.add(pair);
             }
@@ -762,9 +738,6 @@ impl Inner {
             highlevel,
             peak_live_intervals: self.peak_live_intervals,
             pairs_checked: self.pairs_checked,
-            overlap_rank_pairs: std::mem::take(&mut self.overlap_rank_pairs)
-                .into_iter()
-                .collect(),
             pruned_intervals: self.pruned_intervals,
         }
     }
@@ -773,8 +746,18 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conflict::detect_conflicts;
+    use crate::patterns::{global_pattern, local_pattern};
     use recorder::offset::{flag_bits, resolve};
     use recorder::{Func, Layer, TraceSet};
+
+    /// The reference: the at-rest detector under (session, commit).
+    fn at_rest(resolved: &ResolvedTrace) -> (ConflictReport, ConflictReport) {
+        (
+            detect_conflicts(resolved, AnalysisModel::Session),
+            detect_conflicts(resolved, AnalysisModel::Commit),
+        )
+    }
 
     fn posix(rank: u32, t: u64, func: Func) -> Record {
         Record {
@@ -1021,15 +1004,14 @@ mod tests {
     fn matches_batch_on_sample() {
         let trace = sample_trace();
         let resolved = resolve(&trace);
-        let ctx = crate::context::AnalysisContext::new(&resolved);
-        let fused = ctx.fused_conflicts();
+        let (session, commit) = at_rest(&resolved);
         for chunk in [1usize, 2, 3, 100] {
             let inc = feed(&trace, chunk);
             assert_eq!(inc.resolved, resolved, "chunk={chunk}");
-            assert_eq!(inc.session, fused.session, "chunk={chunk}");
-            assert_eq!(inc.commit, fused.commit, "chunk={chunk}");
-            assert_eq!(inc.local, ctx.local_pattern(), "chunk={chunk}");
-            assert_eq!(inc.global, ctx.global_pattern(), "chunk={chunk}");
+            assert_eq!(inc.session, session, "chunk={chunk}");
+            assert_eq!(inc.commit, commit, "chunk={chunk}");
+            assert_eq!(inc.local, local_pattern(&resolved), "chunk={chunk}");
+            assert_eq!(inc.global, global_pattern(&resolved), "chunk={chunk}");
         }
     }
 
@@ -1149,10 +1131,10 @@ mod tests {
         an.rank_done(1);
         let inc = an.finalize();
         let resolved = resolve(&trace);
-        let fused = crate::context::AnalysisContext::new(&resolved).fused_conflicts();
+        let (session, commit) = at_rest(&resolved);
         assert_eq!(inc.resolved, resolved);
-        assert_eq!(inc.session, fused.session);
-        assert_eq!(inc.commit, fused.commit);
+        assert_eq!(inc.session, session);
+        assert_eq!(inc.commit, commit);
         assert_eq!(inc.pairs_checked, 1);
     }
 
@@ -1162,8 +1144,7 @@ mod tests {
         // the outputs, only the peak live-interval count.
         let trace = sample_trace();
         let resolved = resolve(&trace);
-        let ctx = crate::context::AnalysisContext::new(&resolved);
-        let fused = ctx.fused_conflicts();
+        let (session, commit) = at_rest(&resolved);
         let an = StreamingAnalyzer::new(trace.nranks());
         let mut epoch = 0;
         for (r, records) in trace.ranks.iter().enumerate() {
@@ -1177,8 +1158,8 @@ mod tests {
             epoch += 1;
         }
         let inc = an.finalize();
-        assert_eq!(inc.session, fused.session);
-        assert_eq!(inc.commit, fused.commit);
+        assert_eq!(inc.session, session);
+        assert_eq!(inc.commit, commit);
         assert_eq!(inc.resolved, resolved);
     }
 

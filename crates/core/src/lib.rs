@@ -8,15 +8,11 @@
 //!   Table 1.
 //! * [`overlap`] — Algorithm 1: detecting overlapping accesses by a sorted
 //!   sweep over `(t, r, os, oe, type)` tuples.
-//! * [`context`] — the shared [`AnalysisContext`]: per-file grouping,
-//!   sync tables, the §5.2 extension, and every sort order the analyses
-//!   share, built once per resolved trace and reused by all of them
-//!   (including the fused session+commit conflict sweep).
 //! * [`conflict`] — §5.2: which overlaps are potential conflicts
 //!   (RAW-[S|D] / WAW-[S|D]) under commit and session semantics, using the
 //!   per-record `to` (last preceding open) / `tc` (first succeeding
-//!   close-or-commit) extension — binary search in production, the
-//!   paper's scan variant as the test oracle.
+//!   close-or-commit) extension — binary search, with the paper's scan
+//!   variant as the test oracle.
 //! * [`patterns`] — §4/§6.2: local and global consecutive / monotonic /
 //!   random classification (Figure 1) and the high-level X-Y pattern
 //!   classification of Table 3.
@@ -26,6 +22,15 @@
 //!   timestamp-ordered conflicting operations are indeed synchronized.
 //! * [`verdict`] — the headline question: the weakest consistency model
 //!   under which an application runs correctly.
+//!
+//! Two engines, chosen by what the input is. A trace **at rest** (a file
+//! `tracetool` loads, a trace an example just captured) gets the
+//! algorithms above as published: [`conflict::detect_conflicts`],
+//! [`patterns::local_pattern`], [`patterns::global_pattern`],
+//! [`patterns::classify`] — the only batch code, and the reference. A
+//! trace **in flight** (anything that runs a simulation) streams through
+//! [`incremental::StreamingAnalyzer`], which is held byte-identical to
+//! them and shares only the paper's definitions.
 //!
 //! Extensions beyond the paper:
 //!
@@ -42,7 +47,6 @@ pub mod advisor;
 pub mod apprun;
 pub mod cachekey;
 pub mod conflict;
-pub mod context;
 pub mod hb;
 pub mod incremental;
 pub mod json;
@@ -55,11 +59,7 @@ pub mod patterns;
 pub mod verdict;
 
 pub use cachekey::{CacheKey, CacheKeyBuilder};
-pub use conflict::{
-    detect_conflicts_fused, AnalysisModel, ConflictKind, ConflictPair, ConflictReport,
-    ConflictScope, FusedReports,
-};
-pub use context::AnalysisContext;
+pub use conflict::{AnalysisModel, ConflictKind, ConflictPair, ConflictReport, ConflictScope};
 pub use incremental::{IncrementalOutput, StreamingAnalyzer};
 pub use model::{ConsistencyModel, PfsEntry, PfsRegistry};
 pub use overlap::{detect_overlaps, detect_overlaps_bruteforce, FileGroups, OverlapResult};

@@ -33,8 +33,10 @@ impl OverlapResult {
 }
 
 /// The §5.1 sweep over an offset-sorted index order: for each tuple, scan
-/// forward while start offsets stay below its (exclusive) end.
-fn sweep(
+/// forward while start offsets stay below its (exclusive) end. The one
+/// enumeration of overlapping pairs: [`detect_overlaps`] and
+/// [`crate::conflict::detect_conflicts`] both visit pairs through it.
+pub(crate) fn sweep(
     accesses: &[DataAccess],
     order: &[u32],
     mut emit: impl FnMut(u32, u32, &DataAccess, &DataAccess),
@@ -170,18 +172,6 @@ impl FileGroups {
     pub fn group(&self, k: usize) -> (PathId, &[u32]) {
         let (file, lo, hi) = self.ranges[k];
         (file, &self.order[lo as usize..hi as usize])
-    }
-
-    /// The flat grouped index order: input order within each file's range.
-    pub(crate) fn order(&self) -> &[u32] {
-        &self.order
-    }
-
-    /// `(file, start, end)` bounds of the `k`-th group's slice of
-    /// [`FileGroups::order`].
-    pub(crate) fn bounds(&self, k: usize) -> (PathId, usize, usize) {
-        let (file, lo, hi) = self.ranges[k];
-        (file, lo as usize, hi as usize)
     }
 
     /// Iterate `(file, indices)` groups in file order.

@@ -108,20 +108,8 @@ impl HighLevelReport {
     }
 }
 
-/// Options for the classifier.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifyOptions {
-    /// Ignore accesses smaller than this (library metadata).
-    pub meta_threshold: u64,
-}
-
-impl Default for ClassifyOptions {
-    fn default() -> Self {
-        ClassifyOptions {
-            meta_threshold: 512,
-        }
-    }
-}
+/// Accesses smaller than this are library metadata and are ignored.
+pub const META_THRESHOLD: u64 = 512;
 
 /// A maximal contiguous region written by one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,39 +248,15 @@ fn classify_file(per_writer: &BTreeMap<u32, Vec<(u64, u64)>>) -> (ShapeClass, Op
 }
 
 /// Classify a resolved trace. `nranks` is the world size (needed to tell
-/// `N` from `M`).
+/// `N` from `M`). Files are taken in [`PathId`] order with input (time)
+/// order inside each — the order the streaming engine's buckets fill in.
 pub fn classify(resolved: &ResolvedTrace, nranks: u32) -> HighLevelReport {
-    classify_opt(resolved, nranks, ClassifyOptions::default())
-}
-
-/// Classify with explicit options.
-pub fn classify_opt(
-    resolved: &ResolvedTrace,
-    nranks: u32,
-    opts: ClassifyOptions,
-) -> HighLevelReport {
-    classify_grouped(
-        &resolved.accesses,
-        &FileGroups::new(&resolved.accesses),
-        nranks,
-        opts,
-    )
-}
-
-/// Classify over a prebuilt [`FileGroups`] — the shared grouping of
-/// [`crate::context::AnalysisContext`]. Groups iterate in [`PathId`]
-/// order with input (time) order inside each group, the same file/stream
-/// order the map-based bucketing produced, so the report is identical.
-pub fn classify_grouped(
-    accesses: &[DataAccess],
-    groups: &FileGroups,
-    nranks: u32,
-    opts: ClassifyOptions,
-) -> HighLevelReport {
+    let accesses = &resolved.accesses;
+    let groups = FileGroups::new(accesses);
     let buckets = groups.iter().map(|(file, idxs)| {
         let mut b = FileBuckets::default();
         for &i in idxs {
-            b.add(&accesses[i as usize], opts);
+            b.add(&accesses[i as usize]);
         }
         (file, b)
     });
@@ -303,8 +267,8 @@ pub fn classify_grouped(
 /// bucketed per rank in arrival (time) order. Each file is classified by
 /// its *dominant* direction (LBANN's dataset is written once by rank 0 but
 /// read in full by every rank — the reads are its pattern). Exposed so the
-/// incremental analyzer can accumulate buckets online and finish through
-/// the exact same [`classify_from_buckets`] the batch path uses.
+/// streaming analyzer can accumulate buckets online and finish through
+/// the exact same [`classify_from_buckets`] as [`classify`].
 #[derive(Debug, Clone, Default)]
 pub struct FileBuckets {
     /// `[writes, reads]`, each rank → `(offset, len)` stream in time order.
@@ -315,8 +279,8 @@ pub struct FileBuckets {
 impl FileBuckets {
     /// Account one access (below-threshold accesses are ignored, as
     /// library metadata).
-    pub fn add(&mut self, a: &DataAccess, opts: ClassifyOptions) {
-        if a.len < opts.meta_threshold {
+    pub fn add(&mut self, a: &DataAccess) {
+        if a.len < META_THRESHOLD {
             return;
         }
         let d = match a.kind {
@@ -337,7 +301,7 @@ impl FileBuckets {
 
 /// Finish the Table 3 classification from per-file buckets supplied in
 /// [`PathId`] order. Files whose buckets are empty (only library metadata)
-/// are skipped, as in the batch pass.
+/// are skipped.
 pub fn classify_from_buckets(
     buckets: impl Iterator<Item = (PathId, FileBuckets)>,
     nranks: u32,

@@ -61,8 +61,7 @@ impl PatternStats {
 }
 
 /// Classify one access against its stream predecessor's end offset —
-/// the single step every variant (batch, zero-copy sorted, incremental)
-/// folds over.
+/// the single step both engines (at rest, streaming) fold over.
 #[inline]
 pub fn classify_step(prev_end: u64, offset: u64) -> AccessClass {
     if offset == prev_end {
@@ -110,26 +109,13 @@ fn classify_sorted<K: PartialEq>(
     stats
 }
 
-/// Classify the local streams of a prebuilt `(rank, file)`-sorted order
-/// (stable over input/time order) — the entry point
-/// [`crate::context::AnalysisContext`] uses to share its index.
-pub(crate) fn classify_local_in(accesses: &[DataAccess], order: &[u32]) -> PatternStats {
-    classify_sorted(accesses, order, |a| (a.rank, a.file))
-}
-
-/// Classify the global streams of a prebuilt `(file, t_start, rank)`-sorted
-/// order.
-pub(crate) fn classify_global_in(accesses: &[DataAccess], order: &[u32]) -> PatternStats {
-    classify_sorted(accesses, order, |a| a.file)
-}
-
 /// Figure 1(b): the local pattern, streaming accesses per `(rank, file)`.
 pub fn local_pattern(resolved: &ResolvedTrace) -> PatternStats {
     let accs = &resolved.accesses;
     let mut order: Vec<u32> = (0..accs.len() as u32).collect();
     // Stable: within a (rank, file) stream the input (time) order holds.
     order.sort_by_key(|&i| (accs[i as usize].rank, accs[i as usize].file));
-    classify_local_in(accs, &order)
+    classify_sorted(accs, &order, |a| (a.rank, a.file))
 }
 
 /// Figure 1(a): the global pattern, streaming accesses per file in global
@@ -141,7 +127,7 @@ pub fn global_pattern(resolved: &ResolvedTrace) -> PatternStats {
         let a = &accs[i as usize];
         (a.file, a.t_start, a.rank)
     });
-    classify_global_in(accs, &order)
+    classify_sorted(accs, &order, |a| a.file)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use recorder::{AccessKind, DataAccess, Layer, PathId, ResolvedTrace, SyncEvent, SyncKind};
 use semantics_core::conflict::{
-    detect_conflicts, detect_conflicts_opt, AnalysisModel, ConflictOptions,
+    detect_conflicts, detect_conflicts_opt, extend, extend_scan, AnalysisModel, ConflictOptions,
 };
 use semantics_core::overlap::{canonical_pairs, detect_overlaps, detect_overlaps_bruteforce};
 use simrng::SimRng;
@@ -96,33 +96,88 @@ fn overlap_permutation_invariant() {
     }
 }
 
-/// The scan and binary-search extensions yield identical conflicts.
+/// [`random_trace`] spread over `n_files` files.
+fn random_multifile_trace(rng: &mut SimRng, n_files: u32) -> ResolvedTrace {
+    let mut trace = random_trace(rng);
+    for a in &mut trace.accesses {
+        a.file = PathId(rng.range_u32(0, n_files));
+    }
+    for s in &mut trace.syncs {
+        s.file = PathId(rng.range_u32(0, n_files));
+    }
+    trace
+}
+
+/// The table (binary-search) extension equals the scan oracle, record for
+/// record.
 #[test]
 fn conflict_variants_agree() {
     let mut rng = SimRng::seed_from_u64(0xA3);
     for _ in 0..128 {
         let trace = random_trace(&mut rng);
+        assert_eq!(extend(&trace), extend_scan(&trace));
+    }
+}
+
+/// The detector's candidate enumeration held to brute force, not only to
+/// the other engine: `detect_conflicts` reports *exactly* the brute-force
+/// overlapping pairs (per file) whose earlier access by `(t_start, rank)`
+/// is a write and whose scan extension satisfies the model's condition,
+/// written out here from §5.2.
+#[test]
+fn conflicts_are_exactly_the_bruteforce_overlaps_that_satisfy_the_model() {
+    type Key = (u32, (u32, u64, u64, u64), (u32, u64, u64, u64));
+    let id = |a: &DataAccess| (a.rank, a.t_start, a.offset, a.len);
+    let mut rng = SimRng::seed_from_u64(0xA9);
+    let mut checked = 0;
+    for _ in 0..128 {
+        let n_files = 5;
+        let trace = random_multifile_trace(&mut rng, n_files);
+        let ext = extend_scan(&trace);
         for model in [AnalysisModel::Commit, AnalysisModel::Session] {
-            let a = detect_conflicts_opt(
-                &trace,
-                model,
-                ConflictOptions {
-                    binary_search: true,
-                    ..Default::default()
-                },
-            );
-            let b = detect_conflicts_opt(
-                &trace,
-                model,
-                ConflictOptions {
-                    binary_search: false,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(a.total(), b.total());
-            assert_eq!(a.table4_marks(), b.table4_marks());
+            let mut want: Vec<Key> = Vec::new();
+            for f in 0..n_files {
+                let idxs: Vec<usize> = (0..ext.len())
+                    .filter(|&i| ext[i].access.file == PathId(f))
+                    .collect();
+                let accs: Vec<DataAccess> = idxs.iter().map(|&i| ext[i].access).collect();
+                for (i, j) in detect_overlaps_bruteforce(&accs).pairs {
+                    let (a, b) = (&ext[idxs[i as usize]], &ext[idxs[j as usize]]);
+                    let (first, second) =
+                        if (a.access.t_start, a.access.rank) <= (b.access.t_start, b.access.rank) {
+                            (a, b)
+                        } else {
+                            (b, a)
+                        };
+                    if first.access.kind != AccessKind::Write {
+                        continue;
+                    }
+                    let (t1, t2) = (first.access.t_start, second.access.t_start);
+                    let synchronized = match model {
+                        AnalysisModel::Commit => first.tc_commit.is_some_and(|tc| tc <= t2),
+                        AnalysisModel::Session => match (first.tc_close, second.to) {
+                            (Some(tc), Some(to)) => t1 < tc && tc < to && to < t2,
+                            _ => false,
+                        },
+                    };
+                    if !synchronized {
+                        want.push((f, id(&first.access), id(&second.access)));
+                    }
+                }
+            }
+            let report = detect_conflicts(&trace, model);
+            let mut got: Vec<Key> = report
+                .pairs
+                .iter()
+                .map(|p| (p.file.0, id(&p.first), id(&p.second)))
+                .collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{model:?}");
+            checked += got.len();
         }
     }
+    assert!(checked > 1000, "the property saw only {checked} pairs");
 }
 
 /// Commit conflicts are a subset of session conflicts when sessions treat
@@ -138,7 +193,6 @@ fn commit_subset_of_session_combined() {
             &trace,
             AnalysisModel::Session,
             ConflictOptions {
-                binary_search: true,
                 session_uses_commit_as_close: true,
             },
         );

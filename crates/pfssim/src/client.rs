@@ -13,7 +13,6 @@ use crate::flags::{OpenFlags, Whence};
 use crate::image::FileImage;
 use crate::namespace::{normalize, DirEntry};
 use crate::state::{lock_state, FileId, PfsState};
-use crate::stats::MetaOp;
 use crate::tag::{digest_runs, fnv_mix, TagRun, WriteTag, FNV_OFFSET};
 
 /// Result of a write: where it landed and its provenance tag.
@@ -483,11 +482,21 @@ impl PfsClient {
 
     /// POSIX `stat(2)` (also used for `stat64`).
     pub fn stat(&mut self, path: &str, _now: u64) -> FsResult<StatInfo> {
+        self.stat_counted("stat", path)
+    }
+
+    /// POSIX `lstat(2)` — identical to `stat` here (no symlinks), but
+    /// counted under its own name.
+    pub fn lstat(&mut self, path: &str, _now: u64) -> FsResult<StatInfo> {
+        self.stat_counted("lstat", path)
+    }
+
+    fn stat_counted(&mut self, name: &'static str, path: &str) -> FsResult<StatInfo> {
         let path = self.norm(path)?;
         let client_id = self.client_id;
         let cfg = self.cfg.clone();
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Stat);
+        st.stats.count_meta(name);
         match st.ns.lookup(&path) {
             Some(crate::namespace::Node::Dir) => Ok(StatInfo {
                 is_dir: true,
@@ -504,22 +513,6 @@ impl PfsClient {
         }
     }
 
-    /// POSIX `lstat(2)` — identical to `stat` here (no symlinks), but
-    /// counted separately for the metadata census.
-    pub fn lstat(&mut self, path: &str, now: u64) -> FsResult<StatInfo> {
-        {
-            let mut st = lock_state(&self.state);
-            st.stats.count_meta(MetaOp::Lstat);
-        }
-        let out = self.stat(path, now);
-        // stat() above also counted a Stat; undo to keep the census honest.
-        let mut st = lock_state(&self.state);
-        if let Some(c) = st.stats.meta_ops.get_mut(&MetaOp::Stat) {
-            *c -= 1;
-        }
-        out
-    }
-
     /// POSIX `fstat(2)`.
     pub fn fstat(&mut self, fd: u32, _now: u64) -> FsResult<StatInfo> {
         let client_id = self.client_id;
@@ -528,7 +521,7 @@ impl PfsClient {
         let file = entry.file;
         let snapshot = entry.snapshot.clone();
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Fstat);
+        st.stats.count_meta("fstat");
         let size = engine::visible_size(&st, model, file, client_id, snapshot.as_ref());
         Ok(StatInfo {
             is_dir: false,
@@ -540,28 +533,28 @@ impl PfsClient {
     pub fn access(&mut self, path: &str, _now: u64) -> FsResult<bool> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Access);
+        st.stats.count_meta("access");
         Ok(st.ns.exists(&path))
     }
 
     pub fn mkdir(&mut self, path: &str, _now: u64) -> FsResult<()> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Mkdir);
+        st.stats.count_meta("mkdir");
         st.ns.mkdir(&path)
     }
 
     pub fn rmdir(&mut self, path: &str, _now: u64) -> FsResult<()> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Rmdir);
+        st.stats.count_meta("rmdir");
         st.ns.rmdir(&path)
     }
 
     pub fn unlink(&mut self, path: &str, _now: u64) -> FsResult<()> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Unlink);
+        st.stats.count_meta("unlink");
         st.ns.unlink(&path).map(|_| ())
     }
 
@@ -569,20 +562,20 @@ impl PfsClient {
         let from = self.norm(from)?;
         let to = self.norm(to)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Rename);
+        st.stats.count_meta("rename");
         st.ns.rename(&from, &to)
     }
 
     pub fn getcwd(&mut self, _now: u64) -> String {
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Getcwd);
+        st.stats.count_meta("getcwd");
         self.cwd.clone()
     }
 
     pub fn chdir(&mut self, path: &str, _now: u64) -> FsResult<()> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Chdir);
+        st.stats.count_meta("chdir");
         st.ns.expect_dir(&path)?;
         drop(st);
         self.cwd = path;
@@ -594,12 +587,12 @@ impl PfsClient {
     pub fn readdir(&mut self, path: &str, _now: u64) -> FsResult<Vec<DirEntry>> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Opendir);
+        st.stats.count_meta("opendir");
         let entries = st.ns.list(&path)?;
         for _ in &entries {
-            st.stats.count_meta(MetaOp::Readdir);
+            st.stats.count_meta("readdir");
         }
-        st.stats.count_meta(MetaOp::Closedir);
+        st.stats.count_meta("closedir");
         Ok(entries)
     }
 
@@ -610,7 +603,7 @@ impl PfsClient {
     pub fn truncate(&mut self, path: &str, len: u64, _now: u64) -> FsResult<()> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Truncate);
+        st.stats.count_meta("truncate");
         let file = st.ns.expect_file(&path)?;
         truncate_node(&mut st, file, len);
         let published = Arc::clone(&st.file(file).published);
@@ -624,7 +617,7 @@ impl PfsClient {
         let entry = self.fd(fd)?;
         let file = entry.file;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Ftruncate);
+        st.stats.count_meta("ftruncate");
         truncate_node(&mut st, file, len);
         let published = Arc::clone(&st.file(file).published);
         drop(st);
@@ -653,7 +646,7 @@ impl PfsClient {
     pub fn dup(&mut self, fd: u32, _now: u64) -> FsResult<u32> {
         let entry = self.fd(fd)?.clone();
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Dup);
+        st.stats.count_meta("dup");
         drop(st);
         let new_fd = self.next_fd;
         self.next_fd += 1;
@@ -666,21 +659,21 @@ impl PfsClient {
     pub fn fcntl(&mut self, fd: u32, _now: u64) -> FsResult<()> {
         self.fd(fd)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Fcntl);
+        st.stats.count_meta("fcntl");
         Ok(())
     }
 
     /// `umask` — counted no-op.
     pub fn umask(&mut self, _mask: u32, _now: u64) {
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Umask);
+        st.stats.count_meta("umask");
     }
 
     /// `fileno` — counted no-op (stdio fd query).
     pub fn fileno(&mut self, fd: u32, _now: u64) -> FsResult<u32> {
         self.fd(fd)?;
         let mut st = lock_state(&self.state);
-        st.stats.count_meta(MetaOp::Fileno);
+        st.stats.count_meta("fileno");
         Ok(fd)
     }
 
@@ -689,7 +682,7 @@ impl PfsClient {
     pub fn mmap(&mut self, fd: u32, offset: u64, len: u64, now: u64) -> FsResult<ReadOut> {
         {
             let mut st = lock_state(&self.state);
-            st.stats.count_meta(MetaOp::Mmap);
+            st.stats.count_meta("mmap");
         }
         self.read_at(fd, offset, len, now)
     }
@@ -698,7 +691,7 @@ impl PfsClient {
     pub fn msync(&mut self, fd: u32, now: u64) -> FsResult<()> {
         {
             let mut st = lock_state(&self.state);
-            st.stats.count_meta(MetaOp::Msync);
+            st.stats.count_meta("msync");
         }
         self.fsync(fd, now)
     }

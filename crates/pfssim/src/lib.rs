@@ -53,5 +53,5 @@ pub use flags::{OpenFlags, Whence};
 pub use image::FileImage;
 pub use namespace::DirEntry;
 pub use state::{FileId, Pfs};
-pub use stats::{MetaOp, PfsStats};
+pub use stats::PfsStats;
 pub use tag::{SegMap, TagRun, WriteTag};

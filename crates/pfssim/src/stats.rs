@@ -5,159 +5,6 @@
 
 use std::collections::BTreeMap;
 
-/// Every POSIX metadata / utility operation the paper's study monitored
-/// (footnote 3 of §6.4). The simulator counts all of them; the ones with
-/// real behaviour in `pfssim` are implemented in the client, the rest are
-/// counted no-ops so the Figure 3 census has the full vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)]
-pub enum MetaOp {
-    Mmap,
-    Mmap64,
-    Msync,
-    Stat,
-    Stat64,
-    Lstat,
-    Lstat64,
-    Fstat,
-    Fstat64,
-    Getcwd,
-    Mkdir,
-    Rmdir,
-    Chdir,
-    Link,
-    Linkat,
-    Unlink,
-    Symlink,
-    Symlinkat,
-    Readlink,
-    Readlinkat,
-    Rename,
-    Chmod,
-    Chown,
-    Lchown,
-    Utime,
-    Opendir,
-    Readdir,
-    Closedir,
-    Rewinddir,
-    Mknod,
-    Mknodat,
-    Fcntl,
-    Dup,
-    Dup2,
-    Pipe,
-    Mkfifo,
-    Umask,
-    Fileno,
-    Access,
-    Faccessat,
-    Tmpfile,
-    Remove,
-    Truncate,
-    Ftruncate,
-}
-
-impl MetaOp {
-    /// The POSIX function name, for reports and trace export.
-    pub fn name(self) -> &'static str {
-        use MetaOp::*;
-        match self {
-            Mmap => "mmap",
-            Mmap64 => "mmap64",
-            Msync => "msync",
-            Stat => "stat",
-            Stat64 => "stat64",
-            Lstat => "lstat",
-            Lstat64 => "lstat64",
-            Fstat => "fstat",
-            Fstat64 => "fstat64",
-            Getcwd => "getcwd",
-            Mkdir => "mkdir",
-            Rmdir => "rmdir",
-            Chdir => "chdir",
-            Link => "link",
-            Linkat => "linkat",
-            Unlink => "unlink",
-            Symlink => "symlink",
-            Symlinkat => "symlinkat",
-            Readlink => "readlink",
-            Readlinkat => "readlinkat",
-            Rename => "rename",
-            Chmod => "chmod",
-            Chown => "chown",
-            Lchown => "lchown",
-            Utime => "utime",
-            Opendir => "opendir",
-            Readdir => "readdir",
-            Closedir => "closedir",
-            Rewinddir => "rewinddir",
-            Mknod => "mknod",
-            Mknodat => "mknodat",
-            Fcntl => "fcntl",
-            Dup => "dup",
-            Dup2 => "dup2",
-            Pipe => "pipe",
-            Mkfifo => "mkfifo",
-            Umask => "umask",
-            Fileno => "fileno",
-            Access => "access",
-            Faccessat => "faccessat",
-            Tmpfile => "tmpfile",
-            Remove => "remove",
-            Truncate => "truncate",
-            Ftruncate => "ftruncate",
-        }
-    }
-
-    pub const ALL: [MetaOp; 44] = [
-        MetaOp::Mmap,
-        MetaOp::Mmap64,
-        MetaOp::Msync,
-        MetaOp::Stat,
-        MetaOp::Stat64,
-        MetaOp::Lstat,
-        MetaOp::Lstat64,
-        MetaOp::Fstat,
-        MetaOp::Fstat64,
-        MetaOp::Getcwd,
-        MetaOp::Mkdir,
-        MetaOp::Rmdir,
-        MetaOp::Chdir,
-        MetaOp::Link,
-        MetaOp::Linkat,
-        MetaOp::Unlink,
-        MetaOp::Symlink,
-        MetaOp::Symlinkat,
-        MetaOp::Readlink,
-        MetaOp::Readlinkat,
-        MetaOp::Rename,
-        MetaOp::Chmod,
-        MetaOp::Chown,
-        MetaOp::Lchown,
-        MetaOp::Utime,
-        MetaOp::Opendir,
-        MetaOp::Readdir,
-        MetaOp::Closedir,
-        MetaOp::Rewinddir,
-        MetaOp::Mknod,
-        MetaOp::Mknodat,
-        MetaOp::Fcntl,
-        MetaOp::Dup,
-        MetaOp::Dup2,
-        MetaOp::Pipe,
-        MetaOp::Mkfifo,
-        MetaOp::Umask,
-        MetaOp::Fileno,
-        MetaOp::Access,
-        MetaOp::Faccessat,
-        MetaOp::Tmpfile,
-        MetaOp::Remove,
-        MetaOp::Truncate,
-        MetaOp::Ftruncate,
-    ];
-}
-
 /// Aggregate server-side statistics of one PFS instance.
 #[derive(Debug, Clone, Default)]
 pub struct PfsStats {
@@ -183,8 +30,10 @@ pub struct PfsStats {
     pub publishes: u64,
     /// Extents currently buffered (pending, not yet visible).
     pub pending_extents: u64,
-    /// Metadata operation counts.
-    pub meta_ops: BTreeMap<MetaOp, u64>,
+    /// Metadata operation counts, keyed by POSIX function name (the
+    /// `pfssim.meta.<name>` counters). Figure 3's census is computed from
+    /// the trace, not from these.
+    pub meta_ops: BTreeMap<&'static str, u64>,
     /// Per-data-server bytes written, indexed by server (striped layout).
     pub server_bytes_written: Vec<u64>,
     /// Per-data-server bytes read.
@@ -200,8 +49,9 @@ impl PfsStats {
         }
     }
 
-    pub fn count_meta(&mut self, op: MetaOp) {
-        *self.meta_ops.entry(op).or_insert(0) += 1;
+    /// Count one call of the POSIX metadata function `name`.
+    pub fn count_meta(&mut self, name: &'static str) {
+        *self.meta_ops.entry(name).or_insert(0) += 1;
     }
 
     /// Mirror this instance's counters into a shared [`obs::Registry`]
@@ -219,8 +69,8 @@ impl PfsStats {
         reg.add("pfssim.closes", self.closes);
         reg.add("pfssim.commits", self.commits);
         reg.add("pfssim.publishes", self.publishes);
-        for (op, n) in &self.meta_ops {
-            reg.add(&format!("pfssim.meta.{}", op.name()), *n);
+        for (name, n) in &self.meta_ops {
+            reg.add(&format!("pfssim.meta.{name}"), *n);
         }
         for (s, b) in self.server_bytes_written.iter().enumerate() {
             if *b > 0 {
@@ -232,10 +82,6 @@ impl PfsStats {
                 reg.add(&format!("pfssim.server{s}.bytes_read"), *b);
             }
         }
-    }
-
-    pub fn meta_total(&self) -> u64 {
-        self.meta_ops.values().sum()
     }
 
     /// Attribute `len` bytes at `offset` to data servers under a
@@ -280,18 +126,10 @@ mod tests {
     #[test]
     fn meta_counting() {
         let mut s = PfsStats::new(1);
-        s.count_meta(MetaOp::Stat);
-        s.count_meta(MetaOp::Stat);
-        s.count_meta(MetaOp::Unlink);
-        assert_eq!(s.meta_ops[&MetaOp::Stat], 2);
-        assert_eq!(s.meta_total(), 3);
-    }
-
-    #[test]
-    fn all_ops_have_unique_names() {
-        let mut names: Vec<&str> = MetaOp::ALL.iter().map(|o| o.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), MetaOp::ALL.len());
+        s.count_meta("stat");
+        s.count_meta("stat");
+        s.count_meta("unlink");
+        assert_eq!(s.meta_ops["stat"], 2);
+        assert_eq!(s.meta_ops.values().sum::<u64>(), 3);
     }
 }

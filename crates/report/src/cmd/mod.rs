@@ -7,7 +7,7 @@
 use hpcapps::AppSpec;
 
 use crate::cli::{Cli, Command, Flag, Parsed};
-use crate::{analyze, analyze_isolated, AnalyzedRun, ConfigOutcome, ReportCfg};
+use crate::{analyze_all_isolated, analyze_isolated, AnalyzedRun, ConfigOutcome, ReportCfg};
 
 mod client;
 mod paper;
@@ -121,6 +121,8 @@ pub fn ranks(p: &Parsed, flag: &Flag) -> Result<u32, String> {
 
 /// How the analysis commands run configurations: the world, and whether
 /// a failing configuration aborts the command or becomes a DEGRADED row.
+/// Every run goes through the isolated entry points; `--keep-going`
+/// decides only what a failure they report turns into.
 struct RunOpts {
     cfg: ReportCfg,
     keep_going: bool,
@@ -139,41 +141,39 @@ impl RunOpts {
     }
 
     /// One configuration; `None` (and a DEGRADED row on stderr) when
-    /// `--keep-going` salvaged its failure. Without the flag a failure
-    /// propagates as a panic.
+    /// `--keep-going` salvaged its failure.
     fn run_one(&mut self, spec: &'static AppSpec) -> Option<AnalyzedRun> {
-        if !self.keep_going {
-            return Some(analyze(&self.cfg, spec));
-        }
-        self.salvage(analyze_isolated(
-            &self.cfg,
-            spec,
-            &spec.params,
-            &iolibs::FaultPlan::none(),
-        ))
+        let clean = iolibs::FaultPlan::none();
+        self.salvage(analyze_isolated(&self.cfg, spec, &spec.params, &clean))
+    }
+
+    /// The full Table 4 suite under the same contract, fanned across
+    /// `threads` workers.
+    fn run_suite(&mut self, threads: usize) -> Vec<AnalyzedRun> {
+        analyze_all_isolated(&self.cfg, false, threads)
+            .into_iter()
+            .filter_map(|outcome| self.salvage(outcome))
+            .collect()
     }
 
     fn salvage(&mut self, outcome: ConfigOutcome) -> Option<AnalyzedRun> {
         match outcome {
             ConfigOutcome::Ok(run) => Some(*run),
             ConfigOutcome::Degraded { name, error, .. } => {
+                self.record_failure(&name, &error);
                 eprintln!("DEGRADED {name:<24} {error}");
-                self.degraded += 1;
                 None
             }
         }
     }
 
-    /// The full Table 4 suite under the same contract, fanned across
-    /// `threads` workers.
-    fn run_suite(&mut self, threads: usize) -> Vec<AnalyzedRun> {
+    /// A configuration failed: one more salvaged under `--keep-going`,
+    /// the end of the command (a panic) without it.
+    fn record_failure(&mut self, name: &str, error: &str) {
         if !self.keep_going {
-            return crate::analyze_all_threaded(&self.cfg, false, threads);
+            panic!("{name}: simulated run failed: {error}");
         }
-        crate::analyze_all_isolated(&self.cfg, false, threads)
-            .into_iter()
-            .filter_map(|outcome| self.salvage(outcome))
-            .collect()
+        self.degraded += 1;
     }
 
     /// 0, or [`EXIT_DEGRADED`] once anything was salvaged.
@@ -195,11 +195,21 @@ fn report_cfg(p: &Parsed) -> Result<ReportCfg, String> {
     })
 }
 
-fn write_artifact(dir: &str, name: &str, content: &str) {
-    std::fs::create_dir_all(dir).expect("create output dir");
+/// `--out`, created before anything is simulated: a path that cannot be
+/// made a directory is a usage error at the door, not a crash once all
+/// the work is done.
+fn out_dir(p: &Parsed) -> Result<String, String> {
+    let dir: String = p.get(&OUT)?;
+    std::fs::create_dir_all(&dir).map_err(|e| format!("--out {dir:?} cannot be created: {e}"))?;
+    Ok(dir)
+}
+
+/// Save one artifact under a directory [`out_dir`] made.
+fn write_artifact(dir: &str, name: &str, content: &str) -> Result<(), String> {
     let path = format!("{dir}/{name}");
-    std::fs::write(&path, content).expect("write artifact");
+    std::fs::write(&path, content).map_err(|e| format!("--out: cannot write {path}: {e}"))?;
     obs::info!("wrote {path}");
+    Ok(())
 }
 
 #[cfg(test)]

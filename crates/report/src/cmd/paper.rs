@@ -5,7 +5,7 @@
 
 use hpcapps::AppId;
 
-use super::{write_artifact, RunOpts, OUT, THREADS};
+use super::{out_dir, write_artifact, RunOpts, THREADS};
 use crate::cli::Parsed;
 use crate::{figures, hbval, tables, AnalyzedRun};
 
@@ -26,8 +26,7 @@ struct Artifact {
     command: &'static str,
     /// File name under `--out`; `""` = stdout only.
     file: &'static str,
-    /// Whether it goes to stdout. `all` saves every named file; a single
-    /// command saves only what it does not print.
+    /// Whether it goes to stdout.
     print: bool,
     render: Render,
 }
@@ -114,7 +113,14 @@ pub(super) fn render(p: &Parsed) -> Result<i32, String> {
         .iter()
         .filter(|a| all || a.command == p.command.name)
         .collect();
-    let out: String = p.get(&OUT)?;
+    // `all` saves every named file; a single command saves only what it
+    // does not print.
+    let saves = |a: &Artifact| !a.file.is_empty() && (all || !a.print);
+    let out = if selected.iter().any(|a| saves(a)) {
+        out_dir(p)?
+    } else {
+        String::new()
+    };
 
     let mut pool: Vec<AnalyzedRun> = Vec::new();
     let mut suite_len = 0;
@@ -157,8 +163,8 @@ pub(super) fn render(p: &Parsed) -> Result<i32, String> {
         if a.print {
             print!("{text}");
         }
-        if !a.file.is_empty() && (all || !a.print) {
-            write_artifact(&out, a.file, &text);
+        if saves(a) {
+            write_artifact(&out, a.file, &text)?;
         }
     }
     Ok(code)

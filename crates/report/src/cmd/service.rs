@@ -1,4 +1,4 @@
-//! `report serve`: the long-lived analysis service — the fused pipeline
+//! `report serve`: the long-lived analysis service — the analysis pipeline
 //! behind a zero-dependency HTTP front-end with a sharded verdict cache,
 //! optionally persistent (`--store-dir`) and sharded across a fleet
 //! (`--cluster-id` / `--peers`).

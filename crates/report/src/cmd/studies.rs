@@ -6,14 +6,10 @@
 use hpcapps::{AppId, AppSpec};
 
 use super::{
-    ranks, report_cfg, write_artifact, RunOpts, EXIT_DEGRADED, KEEP_GOING, OUT, RANKS, SEED,
-    THREADS,
+    out_dir, ranks, report_cfg, write_artifact, RunOpts, KEEP_GOING, RANKS, SEED, THREADS,
 };
 use crate::cli::{Flag, Parsed};
-use crate::{
-    analyze_all_isolated, analyze_all_threaded, faultcamp, matrix, scale, AnalyzedRun,
-    ConfigOutcome,
-};
+use crate::{analyze_all_isolated, faultcamp, matrix, scale, AnalyzedRun, ConfigOutcome};
 
 fn table4_specs() -> impl Iterator<Item = &'static AppSpec> {
     hpcapps::specs().iter().filter(|s| s.in_table4)
@@ -44,24 +40,15 @@ fn scale_subset() -> Vec<&'static AppSpec> {
 /// failures become DEGRADED rows and the command exits 2 instead of
 /// crashing.
 pub(super) fn check(p: &Parsed) -> Result<i32, String> {
-    let cfg = report_cfg(p)?;
-    let threads = p.get(&THREADS)?;
-    let outcomes: Vec<ConfigOutcome> = if p.switch(&KEEP_GOING) {
-        analyze_all_isolated(&cfg, false, threads)
-    } else {
-        analyze_all_threaded(&cfg, false, threads)
-            .into_iter()
-            .map(|r| ConfigOutcome::Ok(Box::new(r)))
-            .collect()
-    };
+    let mut opts = RunOpts::parse(p)?;
+    let outcomes = analyze_all_isolated(&opts.cfg, false, p.get(&THREADS)?);
     let mut failures = 0usize;
-    let mut degraded = 0usize;
     for outcome in &outcomes {
         let r = match outcome {
             ConfigOutcome::Ok(r) => r,
             ConfigOutcome::Degraded { name, error, .. } => {
+                opts.record_failure(name, error);
                 println!("DEGRADED {name:<24} {error}");
-                degraded += 1;
                 continue;
             }
         };
@@ -86,17 +73,11 @@ pub(super) fn check(p: &Parsed) -> Result<i32, String> {
     }
     println!(
         "{}/{} configurations reproduce the paper ({} degraded)",
-        outcomes.len() - failures - degraded,
+        outcomes.len() - failures - opts.degraded,
         outcomes.len(),
-        degraded
+        opts.degraded
     );
-    Ok(if failures > 0 {
-        1
-    } else if degraded > 0 {
-        EXIT_DEGRADED
-    } else {
-        0
-    })
+    Ok(if failures > 0 { 1 } else { opts.exit_code() })
 }
 
 const SMALL: Flag = Flag::new("--small", "A", "16", "the small world");
@@ -208,13 +189,13 @@ pub(super) fn fault_campaign(p: &Parsed) -> Result<i32, String> {
         sweep_max_op: p.get(&SWEEP_OPS)?,
         threads: p.get(&THREADS)?,
     };
-    let out: String = p.get(&OUT)?;
+    let out = out_dir(p)?;
     let happy = faultcamp::happy_path_verdicts(&camp);
     let (table, stats) = faultcamp::campaign(&camp);
     let (sweep, flipped) = faultcamp::flash_crash_sweep(&camp);
     let artifact = format!("{happy}{table}{sweep}");
     print!("{artifact}");
-    write_artifact(&out, "fault_campaign.txt", &artifact);
+    write_artifact(&out, "fault_campaign.txt", &artifact)?;
     if stats.panics > 0 {
         obs::error!("FAIL: {} combinations panicked", stats.panics);
         return Ok(1);

@@ -1,9 +1,9 @@
 //! # report-gen — regenerating the paper's tables and figures
 //!
 //! One module per experiment, all driven by [`runner`], which executes an
-//! application replica through the simulated stack and runs the full
-//! analysis pipeline (adjust → resolve → overlaps/conflicts → patterns →
-//! census → verdict) on the trace.
+//! application replica through the simulated stack with the streaming
+//! analyzer attached (resolve → conflicts → patterns while the run is in
+//! flight; adjust → census → happens-before → verdict once it ends).
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|

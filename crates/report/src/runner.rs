@@ -1,27 +1,27 @@
 //! Run one application configuration through the stack and the full
 //! analysis pipeline.
 //!
-//! The pipeline builds one [`AnalysisContext`] per resolved trace and
-//! runs every analysis against it — fused session+commit conflict
-//! detection, both Figure 1 pattern views, the Table 3 classification,
-//! the metadata census, and the §5.2 happens-before validation all share
-//! the context's grouping, sync tables, and sort orders. That batch
-//! pipeline serves `report all`; single configurations (the serve cold
-//! path, `--keep-going`) go through the streaming pipeline
-//! ([`analyze_incremental`]), an independent implementation that
-//! `tests/incremental_identity.rs` holds byte-identical to the batch one.
+//! Everything here *runs a simulation*, so everything here streams: the
+//! run carries a [`StreamingAnalyzer`] as its record sink
+//! ([`analyze_incremental`]), and [`analyze`], [`analyze_with_params`],
+//! [`analyze_all_threaded`] and the isolated (`--keep-going`) entry points
+//! are that one pipeline under different failure contracts. The paper's
+//! algorithms as published — the at-rest functions of `semantics_core`,
+//! which `tracetool` and the facade call on finished traces — are
+//! assembled once more in the reference pipeline below, which
+//! `tests/incremental_identity.rs` holds the streaming one byte-identical
+//! to; nothing else calls it.
 
 use std::sync::Arc;
 
 use hpcapps::{AppSpec, ScaleParams};
 use iolibs::{run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle};
 use recorder::{adjust, offset, Record, ResolvedTrace};
-use semantics_core::conflict::ConflictReport;
-use semantics_core::context::AnalysisContext;
+use semantics_core::conflict::{detect_conflicts, AnalysisModel, ConflictReport};
 use semantics_core::hb::{validate_conflicts, HbValidation};
 use semantics_core::incremental::StreamingAnalyzer;
 use semantics_core::metadata::MetadataCensus;
-use semantics_core::patterns::{highlevel, PatternStats};
+use semantics_core::patterns::{global_pattern, highlevel, local_pattern, PatternStats};
 use semantics_core::verdict::{required_model, Completeness, Verdict};
 
 /// Global knobs for a report run.
@@ -87,7 +87,7 @@ pub fn analyze_with_params(
     spec: &'static AppSpec,
     params: &ScaleParams,
 ) -> AnalyzedRun {
-    analyze_with_faults(cfg, spec, params, &FaultPlan::none())
+    analyze_incremental(cfg, spec, params, &FaultPlan::none())
         .unwrap_or_else(|e| panic!("simulated run failed: {e}"))
 }
 
@@ -137,11 +137,10 @@ fn run_config(
     result.map(|outcome| (span, outcome))
 }
 
-/// Run one configuration under an injected [`FaultPlan`] and analyze
-/// whatever trace survives. Rank crashes leave trace prefixes; the
-/// analysis runs on them unchanged and the result is labeled via
-/// [`AnalyzedRun::completeness`]. A deadlock (the one fault the world
-/// cannot degrade through) comes back as `Err` instead of a panic.
+/// The reference pipeline: run the configuration to completion, then
+/// hand the finished trace to the at-rest functions, one call per
+/// analysis. Same contract as [`analyze_incremental`], which
+/// `tests/incremental_identity.rs` compares against it.
 pub fn analyze_with_faults(
     cfg: &ReportCfg,
     spec: &'static AppSpec,
@@ -149,40 +148,30 @@ pub fn analyze_with_faults(
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
     let (_span, outcome) = run_config("config", cfg, spec, params, faults, None)?;
-    Ok(finish_analysis(cfg, spec, outcome))
-}
-
-/// The fused analysis pipeline over an already-produced trace — shared by
-/// the happy-path and fault-injected entry points.
-fn finish_analysis(cfg: &ReportCfg, spec: &'static AppSpec, outcome: RunOutcome) -> AnalyzedRun {
     let adjusted = adjust::apply(&outcome.trace);
     let resolved = offset::resolve(&adjusted);
-    let ctx = AnalysisContext::with_adjusted(&resolved, &adjusted);
-    let fused = ctx.fused_conflicts();
-    let highlevel = ctx.highlevel(cfg.nranks);
-    let local = ctx.local_pattern();
-    let global = ctx.global_pattern();
-    let census = ctx.census();
-    let verdict = required_model(&fused.session, &fused.commit);
-    let hb = ctx.validate(&fused.session);
-    drop(ctx);
-    let completeness = Completeness::from_crashed(outcome.faults.iter().map(|(r, _)| *r).collect());
-    AnalyzedRun {
+    let session = detect_conflicts(&resolved, AnalysisModel::Session);
+    let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
+    Ok(AnalyzedRun {
         spec,
         name: spec.config_name(),
+        highlevel: highlevel::classify(&resolved, cfg.nranks),
+        local: local_pattern(&resolved),
+        global: global_pattern(&resolved),
+        census: MetadataCensus::from_trace(&adjusted),
+        verdict: required_model(&session, &commit),
+        hb: validate_conflicts(&adjusted, &session),
+        nranks: cfg.nranks,
+        completeness: completeness_of(&outcome),
         outcome,
         resolved,
-        session: fused.session,
-        commit: fused.commit,
-        highlevel,
-        local,
-        global,
-        census,
-        verdict,
-        hb,
-        nranks: cfg.nranks,
-        completeness,
-    }
+        session,
+        commit,
+    })
+}
+
+fn completeness_of(outcome: &RunOutcome) -> Completeness {
+    Completeness::from_crashed(outcome.faults.iter().map(|(r, _)| *r).collect())
 }
 
 /// Bridge from the harness's streaming record tee to the online analyzer:
@@ -212,10 +201,11 @@ impl iolibs::RunSink for AnalyzerSink {
 /// [`StreamingAnalyzer`] attached as a record sink, so offset resolution,
 /// conflict detection, and all pattern analyses happen *while the
 /// simulation runs*; on completion only the cheap finalize (plus the
-/// census, verdict, and happens-before validation) remains. Produces an
-/// [`AnalyzedRun`] byte-identical to [`analyze_with_faults`] —
-/// `tests/incremental_identity.rs` asserts it across every configuration,
-/// semantics model, and fault campaign.
+/// census, verdict, and happens-before validation) remains. Rank crashes
+/// leave trace prefixes; the analysis runs on them unchanged and the
+/// result is labeled via [`AnalyzedRun::completeness`]. A deadlock (the
+/// one fault the world cannot degrade through) comes back as `Err`
+/// instead of a panic.
 pub fn analyze_incremental(
     cfg: &ReportCfg,
     spec: &'static AppSpec,
@@ -226,30 +216,25 @@ pub fn analyze_incremental(
     let sink = SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(&analyzer))));
     let (_span, outcome) = run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
     let inc = analyzer.finalize();
-    // The remaining passes want the adjusted trace (identical input to the
-    // batch pipeline's): the census walks metadata records the stream does
-    // not carry, and happens-before needs the MPI event records.
+    // The remaining passes want the adjusted trace: the census walks
+    // metadata records the stream does not carry, and happens-before needs
+    // the MPI event records.
     let adjusted = adjust::apply(&outcome.trace);
-    let census = MetadataCensus::from_trace(&adjusted);
-    let verdict = required_model(&inc.session, &inc.commit);
-    let hb = validate_conflicts(&adjusted, &inc.session);
-    let completeness = Completeness::from_crashed(outcome.faults.iter().map(|(r, _)| *r).collect());
-    let highlevel = inc.highlevel;
     Ok(AnalyzedRun {
         spec,
         name: spec.config_name(),
+        census: MetadataCensus::from_trace(&adjusted),
+        verdict: required_model(&inc.session, &inc.commit),
+        hb: validate_conflicts(&adjusted, &inc.session),
+        nranks: cfg.nranks,
+        completeness: completeness_of(&outcome),
         outcome,
         resolved: inc.resolved,
         session: inc.session,
         commit: inc.commit,
-        highlevel,
+        highlevel: inc.highlevel,
         local: inc.local,
         global: inc.global,
-        census,
-        verdict,
-        hb,
-        nranks: cfg.nranks,
-        completeness,
     })
 }
 
@@ -278,7 +263,7 @@ pub fn analyze_all_threaded(
 }
 
 /// [`analyze_all_threaded`] with per-configuration error isolation
-/// (`--keep-going`): every configuration comes back as a
+/// (`--keep-going`) and nothing else: every configuration comes back as a
 /// [`ConfigOutcome`], so one degraded run cannot abort the suite. Result
 /// order is still spec order.
 pub fn analyze_all_isolated(
@@ -334,11 +319,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// [`analyze_incremental`] with full per-config isolation: structured
 /// simulation errors *and* panics are both captured as
-/// [`ConfigOutcome::Degraded`] instead of propagating. This is the
-/// single-configuration entry point (the serve cold path, `check
-/// --keep-going`), so it runs the streaming pipeline; the batch pipeline
-/// ([`analyze_with_faults`]) is kept as the oracle the identity tests
-/// compare against.
+/// [`ConfigOutcome::Degraded`] instead of propagating (the serve cold
+/// path, `--keep-going`, the fault campaign). Isolation is all it adds.
 pub fn analyze_isolated(
     cfg: &ReportCfg,
     spec: &'static AppSpec,

@@ -80,10 +80,10 @@ impl RankSweepRow {
     }
 }
 
-/// The §6.1 claim pushed past the paper's own scales: re-run `specs`
-/// through the streaming pipeline at each count in `ranks` (the counts
-/// the event-loop executor makes tractable) and compare Table 3 labels
-/// and Table 4 marks against the paper-scale baseline.
+/// The §6.1 claim pushed past the paper's own scales: re-run `specs` at
+/// each count in `ranks` (the counts the event-loop executor and the
+/// streaming analyzer make tractable) and compare Table 3 labels and
+/// Table 4 marks against the paper-scale baseline.
 pub fn rank_sweep(
     base: &ReportCfg,
     specs: &[&'static AppSpec],
@@ -95,13 +95,7 @@ pub fn rank_sweep(
         .map(|&spec| {
             let run_at = |nranks: u32| {
                 let t = std::time::Instant::now();
-                let run = crate::runner::analyze_incremental(
-                    &ReportCfg { nranks, ..*base },
-                    spec,
-                    &spec.params,
-                    &iolibs::FaultPlan::none(),
-                )
-                .unwrap_or_else(|e| panic!("{} at {nranks} ranks failed: {e}", spec.config_name()));
+                let run = analyze(&ReportCfg { nranks, ..*base }, spec);
                 (
                     run.highlevel.label(),
                     run.session.table4_marks(),

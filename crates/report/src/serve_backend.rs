@@ -1,10 +1,11 @@
-//! The real [`serve::Backend`]: the fused analysis pipeline behind the
-//! HTTP service.
+//! The real [`serve::Backend`]: the analysis pipeline behind the HTTP
+//! service.
 //!
-//! Cold requests run exactly the `--keep-going` path the `check` command
+//! A cold request runs a simulation, so it streams like every other run
+//! ([`crate::runner`]), through the entry point every `report` command
 //! uses — [`analyze_isolated`], so a panicking or deadlocking
 //! configuration degrades to a structured 422 instead of taking a worker
-//! down — and render all three response views (verdict, conflicts,
+//! down — and renders all three response views (verdict, conflicts,
 //! patterns) from the one [`AnalyzedRun`]. The rendered strings are what
 //! the serve cache stores, so a warm hit is a byte-copy of the cold
 //! response by construction.

@@ -11,7 +11,7 @@ fn report(args: &[&str]) -> Output {
         .expect("spawn report binary")
 }
 
-fn assert_usage_error(args: &[&str], expect_in_stderr: &str) {
+fn assert_usage_error(args: &[&str], expect_in_stderr: &str) -> Output {
     let out = report(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
@@ -28,6 +28,7 @@ fn assert_usage_error(args: &[&str], expect_in_stderr: &str) {
         stderr.contains("usage: report"),
         "{args:?}: stderr missing usage text: {stderr}"
     );
+    out
 }
 
 /// Run `bin` with a stdout whose reader is already gone — what the
@@ -352,6 +353,94 @@ fn fault_campaign_ranks_default_is_8_and_64_means_64() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `--out` that cannot be a directory is refused before anything is
+/// simulated — not a panic once all the work is done.
+fn assert_unusable_out_is_refused_at_the_door(command: &[&str]) {
+    let file = std::env::temp_dir().join(format!(
+        "report_cli_out_file_{}_{}",
+        command[0],
+        std::process::id()
+    ));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let nested = file.join("x");
+    for path in [&file, &nested] {
+        let mut args = command.to_vec();
+        args.extend(["--out", path.to_str().unwrap()]);
+        let out = assert_usage_error(&args, "--out");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before refusing");
+    }
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
+fn all_refuses_an_unusable_out_before_simulating() {
+    assert_unusable_out_is_refused_at_the_door(&["all", "--ranks", "8"]);
+}
+
+#[test]
+fn fault_campaign_refuses_an_unusable_out_before_simulating() {
+    assert_unusable_out_is_refused_at_the_door(&["fault-campaign", "--camp-seeds", "1"]);
+}
+
+/// `--keep-going` means isolation and nothing else: the same engine runs
+/// with and without it, so the streaming analyzer's counters are there —
+/// and equal — either way.
+#[test]
+fn keep_going_does_not_choose_the_engine() {
+    let pairs_checked = |tag: &str, extra: &[&str]| {
+        let file = std::env::temp_dir().join(format!(
+            "report_cli_metrics_{tag}_{}.json",
+            std::process::id()
+        ));
+        let mut args = vec!["table4", "--ranks", "8", "-q", "--metrics"];
+        args.push(file.to_str().unwrap());
+        args.extend(extra);
+        assert_eq!(report(&args).status.code(), Some(0), "{args:?}");
+        let dump = std::fs::read_to_string(&file).expect("metrics dump");
+        std::fs::remove_file(&file).ok();
+        let line = dump
+            .lines()
+            .find(|l| l.contains("\"core.incremental.pairs_checked\""))
+            .unwrap_or_else(|| panic!("{args:?}: no core.incremental.pairs_checked in {dump}"));
+        line.trim().to_string()
+    };
+    assert_eq!(
+        pairs_checked("plain", &[]),
+        pairs_checked("kg", &["--keep-going"])
+    );
+}
+
+/// … and every artifact and stdout byte is the same either way.
+#[test]
+fn keep_going_changes_no_byte_of_a_clean_run() {
+    let run = |tag: &str, extra: &[&str]| {
+        let dir = std::env::temp_dir().join(format!("report_cli_kg_{tag}_{}", std::process::id()));
+        let mut args = vec!["all", "--ranks", "8", "-q", "--out", dir.to_str().unwrap()];
+        args.extend(extra);
+        let out = report(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("out dir")
+            .map(|e| e.expect("entry"))
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).expect("artifact"))
+            })
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).ok();
+        (out.stdout, files)
+    };
+    let (stdout, files) = run("a", &[]);
+    let (kg_stdout, kg_files) = run("b", &["--keep-going"]);
+    assert_eq!(files.len(), 14, "artifacts of `report all`");
+    assert!(stdout == kg_stdout, "stdout differs");
+    for (plain, kg) in files.iter().zip(&kg_files) {
+        assert!(plain == kg, "{} / {} differ", plain.0, kg.0);
+    }
+    assert_eq!(files.len(), kg_files.len());
 }
 
 #[test]

@@ -11,8 +11,9 @@ use iolibs::{run_app_result, FaultPlan, RunConfig, RunSink, SinkHandle};
 use pfssim::SemanticsModel;
 use recorder::{adjust, offset, Layer, Record};
 use report_gen::{analyze_incremental, analyze_with_faults, figures, tables, ReportCfg};
-use semantics_core::context::AnalysisContext;
+use semantics_core::conflict::{detect_conflicts, AnalysisModel};
 use semantics_core::incremental::StreamingAnalyzer;
+use semantics_core::patterns::{global_pattern, highlevel, local_pattern};
 
 struct Tee(Arc<StreamingAnalyzer>);
 
@@ -104,16 +105,20 @@ fn streaming_vs_batch(spec: &'static AppSpec, semantics: SemanticsModel, faults:
 
     let adjusted = adjust::apply(&outcome.trace);
     let resolved = offset::resolve(&adjusted);
-    let ctx = AnalysisContext::with_adjusted(&resolved, &adjusted);
-    let fused = ctx.fused_conflicts();
+    let session = detect_conflicts(&resolved, AnalysisModel::Session);
+    let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
     assert_eq!(inc.resolved, resolved, "{tag}: resolved trace");
-    assert_eq!(inc.session, fused.session, "{tag}: session report");
-    assert_eq!(inc.commit, fused.commit, "{tag}: commit report");
-    assert_eq!(inc.local, ctx.local_pattern(), "{tag}: local pattern");
-    assert_eq!(inc.global, ctx.global_pattern(), "{tag}: global pattern");
+    assert_eq!(inc.session, session, "{tag}: session report");
+    assert_eq!(inc.commit, commit, "{tag}: commit report");
+    assert_eq!(inc.local, local_pattern(&resolved), "{tag}: local pattern");
+    assert_eq!(
+        inc.global,
+        global_pattern(&resolved),
+        "{tag}: global pattern"
+    );
     assert_eq!(
         format!("{:?}", inc.highlevel),
-        format!("{:?}", ctx.highlevel(nranks)),
+        format!("{:?}", highlevel::classify(&resolved, nranks)),
         "{tag}: Table 3 classification"
     );
 }
@@ -208,8 +213,8 @@ fn chunking_insensitive() {
         run_app_result(&run_cfg, |ctx| spec.run_with(ctx, &spec.params)).expect("run failed");
     let adjusted = adjust::apply(&outcome.trace);
     let resolved = offset::resolve(&adjusted);
-    let ctx = AnalysisContext::with_adjusted(&resolved, &adjusted);
-    let fused = ctx.fused_conflicts();
+    let session = detect_conflicts(&resolved, AnalysisModel::Session);
+    let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
 
     // The per-rank POSIX streams, exactly what the live tee delivers.
     let posix: Vec<Vec<Record>> = adjusted
@@ -237,9 +242,9 @@ fn chunking_insensitive() {
         }
         let inc = analyzer.finalize();
         assert_eq!(inc.resolved, resolved, "chunk={chunk}");
-        assert_eq!(inc.session, fused.session, "chunk={chunk}");
-        assert_eq!(inc.commit, fused.commit, "chunk={chunk}");
-        assert_eq!(inc.local, ctx.local_pattern(), "chunk={chunk}");
-        assert_eq!(inc.global, ctx.global_pattern(), "chunk={chunk}");
+        assert_eq!(inc.session, session, "chunk={chunk}");
+        assert_eq!(inc.commit, commit, "chunk={chunk}");
+        assert_eq!(inc.local, local_pattern(&resolved), "chunk={chunk}");
+        assert_eq!(inc.global, global_pattern(&resolved), "chunk={chunk}");
     }
 }

@@ -17,8 +17,9 @@ use hpcapps::AppSpec;
 use iolibs::{run_app_result, ExecModel, FaultPlan, RunConfig, RunOutcome, RunSink, SinkHandle};
 use pfssim::SemanticsModel;
 use recorder::{adjust, offset, Record};
-use semantics_core::context::AnalysisContext;
+use semantics_core::conflict::{detect_conflicts, AnalysisModel};
 use semantics_core::incremental::StreamingAnalyzer;
+use semantics_core::patterns::highlevel;
 use simerr::SimError;
 
 // `iolibs` re-exports SimError; alias the path for clarity below.
@@ -78,15 +79,19 @@ fn assert_exec_equivalent(
             let ra = offset::resolve(&a);
             let rb = offset::resolve(&b);
             assert_eq!(ra, rb, "{tag}: resolved trace");
-            let ctx_a = AnalysisContext::with_adjusted(&ra, &a);
-            let ctx_b = AnalysisContext::with_adjusted(&rb, &b);
-            let fa = ctx_a.fused_conflicts();
-            let fb = ctx_b.fused_conflicts();
-            assert_eq!(fa.session, fb.session, "{tag}: session report");
-            assert_eq!(fa.commit, fb.commit, "{tag}: commit report");
+            for (model, what) in [
+                (AnalysisModel::Session, "session report"),
+                (AnalysisModel::Commit, "commit report"),
+            ] {
+                assert_eq!(
+                    detect_conflicts(&ra, model),
+                    detect_conflicts(&rb, model),
+                    "{tag}: {what}"
+                );
+            }
             assert_eq!(
-                format!("{:?}", ctx_a.highlevel(8)),
-                format!("{:?}", ctx_b.highlevel(8)),
+                format!("{:?}", highlevel::classify(&ra, 8)),
+                format!("{:?}", highlevel::classify(&rb, 8)),
                 "{tag}: Table 3 classification"
             );
         }

@@ -13,8 +13,8 @@
 
 use iolibs::{run_app, RunConfig};
 use recorder::{adjust, offset};
-use semantics_core::context::AnalysisContext;
-use semantics_core::patterns::AccessClass;
+use semantics_core::conflict::{detect_conflicts, AnalysisModel};
+use semantics_core::patterns::{global_pattern, highlevel, local_pattern, AccessClass};
 
 #[test]
 fn burst_grants_match_per_op_lockstep_oracle() {
@@ -30,14 +30,11 @@ fn burst_grants_match_per_op_lockstep_oracle() {
         let mut marks = Vec::new();
         for cfg in [base.clone(), base.clone().per_op_lockstep()] {
             let outcome = run_app(&cfg, |ctx| spec.run_with(ctx, &spec.params));
-            let adjusted = adjust::apply(&outcome.trace);
-            let resolved = offset::resolve(&adjusted);
-            let ctx = AnalysisContext::with_adjusted(&resolved, &adjusted);
-            let fused = ctx.fused_conflicts();
+            let resolved = offset::resolve(&adjust::apply(&outcome.trace));
             marks.push((
-                ctx.highlevel(nranks).label(),
-                fused.session.table4_marks(),
-                fused.commit.table4_marks(),
+                highlevel::classify(&resolved, nranks).label(),
+                detect_conflicts(&resolved, AnalysisModel::Session).table4_marks(),
+                detect_conflicts(&resolved, AnalysisModel::Commit).table4_marks(),
             ));
         }
         assert_eq!(marks[0], marks[1], "{tag}: burst vs lockstep verdicts");
@@ -74,8 +71,7 @@ fn figure1_local_view_is_schedule_invariant() {
         for cfg in [base.clone(), base.clone().per_op_lockstep()] {
             let outcome = run_app(&cfg, |ctx| spec.run_with(ctx, &spec.params));
             let resolved = offset::resolve(&adjust::apply(&outcome.trace));
-            let ctx = AnalysisContext::new(&resolved);
-            views.push((ctx.local_pattern(), ctx.global_pattern()));
+            views.push((local_pattern(&resolved), global_pattern(&resolved)));
         }
         assert_eq!(views[0].0, views[1].0, "{tag}: Figure 1(b) local view");
         println!(

@@ -5,7 +5,7 @@
 //! file-system semantics?* The answer is a deterministic function of a
 //! small key — `(app, io-config, ranks, seed, semantics model, fault
 //! plan)` — which makes it cacheable, and cacheable makes it servable:
-//! this crate turns the fused `AnalysisContext` pipeline into a long-lived
+//! this crate turns the streaming analysis pipeline into a long-lived
 //! HTTP service so a verdict costs a simulation once and a memcpy
 //! thereafter.
 //!

@@ -44,8 +44,10 @@ echo "ci: process gates (release binary)"
 cargo test --release -q -p report-gen --test process
 
 echo "ci: streaming equivalence smoke"
-# The streaming incremental analyzer must stay byte-identical to the
-# batch oracle. The debug suite above already ran the full matrix
+# The streaming incremental analyzer must stay byte-identical to its
+# reference, the at-rest functions (detect_conflicts x2, local_pattern,
+# global_pattern, highlevel::classify) over the finished trace. The
+# debug suite above already ran the full matrix
 # (every app x every semantics model x fault campaigns); this re-checks
 # a 3-app x 2-model slice in release mode — optimizer-sensitive
 # ordering bugs would surface here.
@@ -63,11 +65,10 @@ echo "ci: allocation budget"
 cargo test --release -q -p report-gen --test alloc_budget -- --nocapture
 
 echo "ci: rank-scale smoke"
-# One 1024-rank application end-to-end through the streaming pipeline
-# (--keep-going routes through analyze_isolated -> analyze_incremental),
-# verdict included, under a wall budget.
+# One 1024-rank world end to end — simulation, streaming analysis,
+# verdict, rendered report — under 120 s.
 timeout 120 ./target/release/report app-report --config FLASH-fbs \
-    --ranks 1024 --keep-going > /dev/null
+    --ranks 1024 > /dev/null
 
 echo "ci: benchmark smoke"
 # The one measurement path: every workload for 1 s, each run asserting

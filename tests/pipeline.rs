@@ -191,7 +191,6 @@ fn conflict_options_paper_mode_agrees_on_the_study() {
             &resolved,
             AnalysisModel::Session,
             conflict::ConflictOptions {
-                binary_search: true,
                 session_uses_commit_as_close: true,
             },
         );
