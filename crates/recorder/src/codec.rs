@@ -11,7 +11,7 @@
 //! record's `t_start`, `t_end` as delta from own `t_start`), which keeps
 //! traces small since records are near-sorted.
 
-use crate::record::{Func, Layer, MetaKind, PathId, Record, SeekWhence};
+use crate::record::{Arg, Func, Layer, MetaKind, PathId, Record, SeekWhence, Wire};
 use crate::traceset::TraceSet;
 
 const MAGIC: &[u8; 4] = b"RTRC";
@@ -25,6 +25,8 @@ pub enum CodecError {
     Truncated,
     BadTag(u8),
     BadUtf8,
+    /// A record names a path id the trace's path table does not have.
+    BadPath(u64),
 }
 
 impl std::fmt::Display for CodecError {
@@ -35,6 +37,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated trace"),
             CodecError::BadTag(t) => write!(f, "unknown record tag {t}"),
             CodecError::BadUtf8 => write!(f, "invalid utf8 in path table"),
+            CodecError::BadPath(id) => write!(f, "path id {id} outside the path table"),
         }
     }
 }
@@ -53,14 +56,10 @@ impl<'a> Reader<'a> {
         self.data.len() - self.pos
     }
 
-    fn has_remaining(&self) -> bool {
-        self.pos < self.data.len()
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        let b = self.data[self.pos];
+    fn get_u8(&mut self) -> Result<u8, CodecError> {
+        let b = *self.data.get(self.pos).ok_or(CodecError::Truncated)?;
         self.pos += 1;
-        b
+        Ok(b)
     }
 
     fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
@@ -89,10 +88,7 @@ fn get_varint(buf: &mut Reader<'_>) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0;
     loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
+        let byte = buf.get_u8()?;
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
@@ -112,375 +108,43 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_func(buf: &mut Vec<u8>, func: &Func) {
-    match *func {
-        Func::Open { path, flags, fd } => {
-            buf.push(0);
-            put_varint(buf, path.0 as u64);
-            put_varint(buf, flags as u64);
-            put_varint(buf, fd as u64);
-        }
-        Func::Close { fd } => {
-            buf.push(1);
-            put_varint(buf, fd as u64);
-        }
-        Func::Read { fd, count, ret } => {
-            buf.push(2);
-            put_varint(buf, fd as u64);
-            put_varint(buf, count);
-            put_varint(buf, ret);
-        }
-        Func::Write { fd, count } => {
-            buf.push(3);
-            put_varint(buf, fd as u64);
-            put_varint(buf, count);
-        }
-        Func::Pread {
-            fd,
-            offset,
-            count,
-            ret,
-        } => {
-            buf.push(4);
-            put_varint(buf, fd as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-            put_varint(buf, ret);
-        }
-        Func::Pwrite { fd, offset, count } => {
-            buf.push(5);
-            put_varint(buf, fd as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-        }
-        Func::Lseek {
-            fd,
-            offset,
-            whence,
-            ret,
-        } => {
-            buf.push(6);
-            put_varint(buf, fd as u64);
-            put_varint(buf, zigzag(offset));
-            buf.push(whence.to_u8());
-            put_varint(buf, ret);
-        }
-        Func::Fsync { fd } => {
-            buf.push(7);
-            put_varint(buf, fd as u64);
-        }
-        Func::Fdatasync { fd } => {
-            buf.push(8);
-            put_varint(buf, fd as u64);
-        }
-        Func::Ftruncate { fd, len } => {
-            buf.push(9);
-            put_varint(buf, fd as u64);
-            put_varint(buf, len);
-        }
-        Func::Mmap { fd, offset, count } => {
-            buf.push(10);
-            put_varint(buf, fd as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-        }
-        Func::MetaPath { op, path } => {
-            buf.push(11);
-            buf.push(op.to_u8());
-            put_varint(buf, path.0 as u64);
-        }
-        Func::MetaPath2 { op, path, path2 } => {
-            buf.push(12);
-            buf.push(op.to_u8());
-            put_varint(buf, path.0 as u64);
-            put_varint(buf, path2.0 as u64);
-        }
-        Func::MetaFd { op, fd } => {
-            buf.push(13);
-            buf.push(op.to_u8());
-            put_varint(buf, fd as u64);
-        }
-        Func::MetaPlain { op } => {
-            buf.push(14);
-            buf.push(op.to_u8());
-        }
-        Func::MpiBarrier { epoch } => {
-            buf.push(15);
-            put_varint(buf, epoch);
-        }
-        Func::MpiSend { dst, tag, seq } => {
-            buf.push(16);
-            put_varint(buf, dst as u64);
-            put_varint(buf, tag as u64);
-            put_varint(buf, seq);
-        }
-        Func::MpiRecv { src, tag, seq } => {
-            buf.push(17);
-            put_varint(buf, src as u64);
-            put_varint(buf, tag as u64);
-            put_varint(buf, seq);
-        }
-        Func::MpiFileOpen { path, fh } => {
-            buf.push(18);
-            put_varint(buf, path.0 as u64);
-            put_varint(buf, fh as u64);
-        }
-        Func::MpiFileClose { fh } => {
-            buf.push(19);
-            put_varint(buf, fh as u64);
-        }
-        Func::MpiFileWriteAt { fh, offset, count } => {
-            buf.push(20);
-            put_varint(buf, fh as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-        }
-        Func::MpiFileWriteAtAll { fh, offset, count } => {
-            buf.push(21);
-            put_varint(buf, fh as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-        }
-        Func::MpiFileReadAt { fh, offset, count } => {
-            buf.push(22);
-            put_varint(buf, fh as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-        }
-        Func::MpiFileReadAtAll { fh, offset, count } => {
-            buf.push(23);
-            put_varint(buf, fh as u64);
-            put_varint(buf, offset);
-            put_varint(buf, count);
-        }
-        Func::MpiFileSync { fh } => {
-            buf.push(24);
-            put_varint(buf, fh as u64);
-        }
-        Func::H5Fcreate { path, id } => {
-            buf.push(25);
-            put_varint(buf, path.0 as u64);
-            put_varint(buf, id as u64);
-        }
-        Func::H5Fopen { path, id } => {
-            buf.push(26);
-            put_varint(buf, path.0 as u64);
-            put_varint(buf, id as u64);
-        }
-        Func::H5Fclose { id } => {
-            buf.push(27);
-            put_varint(buf, id as u64);
-        }
-        Func::H5Fflush { id } => {
-            buf.push(28);
-            put_varint(buf, id as u64);
-        }
-        Func::H5Dcreate { file, name, id } => {
-            buf.push(29);
-            put_varint(buf, file as u64);
-            put_varint(buf, name.0 as u64);
-            put_varint(buf, id as u64);
-        }
-        Func::H5Dopen { file, name, id } => {
-            buf.push(30);
-            put_varint(buf, file as u64);
-            put_varint(buf, name.0 as u64);
-            put_varint(buf, id as u64);
-        }
-        Func::H5Dwrite { dset, count } => {
-            buf.push(31);
-            put_varint(buf, dset as u64);
-            put_varint(buf, count);
-        }
-        Func::H5Dread { dset, count } => {
-            buf.push(32);
-            put_varint(buf, dset as u64);
-            put_varint(buf, count);
-        }
-        Func::H5Dclose { id } => {
-            buf.push(33);
-            put_varint(buf, id as u64);
-        }
-        Func::LibCall { name, a, b } => {
-            buf.push(34);
-            put_varint(buf, name.0 as u64);
-            put_varint(buf, a);
-            put_varint(buf, b);
-        }
+/// One argument on the wire; the layouts are listed on [`Wire`].
+fn put_arg(buf: &mut Vec<u8>, arg: Arg) {
+    match arg {
+        Arg::U32(v) | Arg::Flags(v) => put_varint(buf, v as u64),
+        Arg::U64(v) => put_varint(buf, v),
+        Arg::I64(v) => put_varint(buf, zigzag(v)),
+        Arg::Path(p) => put_varint(buf, p.0 as u64),
+        Arg::Whence(w) => buf.push(w.to_u8()),
+        Arg::Meta(m) => buf.push(m.to_u8()),
     }
 }
 
-fn get_func(buf: &mut Reader<'_>) -> Result<Func, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let tag = buf.get_u8();
-    let v = |buf: &mut Reader<'_>| get_varint(buf);
-    let func = match tag {
-        0 => Func::Open {
-            path: PathId(v(buf)? as u32),
-            flags: v(buf)? as u32,
-            fd: v(buf)? as u32,
-        },
-        1 => Func::Close { fd: v(buf)? as u32 },
-        2 => Func::Read {
-            fd: v(buf)? as u32,
-            count: v(buf)?,
-            ret: v(buf)?,
-        },
-        3 => Func::Write {
-            fd: v(buf)? as u32,
-            count: v(buf)?,
-        },
-        4 => Func::Pread {
-            fd: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-            ret: v(buf)?,
-        },
-        5 => Func::Pwrite {
-            fd: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-        },
-        6 => {
-            let fd = v(buf)? as u32;
-            let offset = unzigzag(v(buf)?);
-            if !buf.has_remaining() {
-                return Err(CodecError::Truncated);
+/// Read one argument of type `wire`. The bytes are untrusted: an id, whence
+/// or metadata kind the trace cannot contain is an error here, so nothing
+/// downstream indexes with it.
+fn get_arg(buf: &mut Reader<'_>, wire: Wire, n_paths: usize) -> Result<Arg, CodecError> {
+    Ok(match wire {
+        Wire::U32 => Arg::U32(get_varint(buf)? as u32),
+        Wire::Flags => Arg::Flags(get_varint(buf)? as u32),
+        Wire::U64 => Arg::U64(get_varint(buf)?),
+        Wire::I64 => Arg::I64(unzigzag(get_varint(buf)?)),
+        Wire::Path => {
+            let id = get_varint(buf)?;
+            if id >= n_paths as u64 {
+                return Err(CodecError::BadPath(id));
             }
-            let w = buf.get_u8();
-            let whence = SeekWhence::try_from_u8(w).ok_or(CodecError::BadTag(w))?;
-            let ret = v(buf)?;
-            Func::Lseek {
-                fd,
-                offset,
-                whence,
-                ret,
-            }
+            Arg::Path(PathId(id as u32))
         }
-        7 => Func::Fsync { fd: v(buf)? as u32 },
-        8 => Func::Fdatasync { fd: v(buf)? as u32 },
-        9 => Func::Ftruncate {
-            fd: v(buf)? as u32,
-            len: v(buf)?,
-        },
-        10 => Func::Mmap {
-            fd: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-        },
-        11 => {
-            let op = meta_from(buf)?;
-            Func::MetaPath {
-                op,
-                path: PathId(v(buf)? as u32),
-            }
+        Wire::Whence => {
+            let b = buf.get_u8()?;
+            Arg::Whence(SeekWhence::try_from_u8(b).ok_or(CodecError::BadTag(b))?)
         }
-        12 => {
-            let op = meta_from(buf)?;
-            Func::MetaPath2 {
-                op,
-                path: PathId(v(buf)? as u32),
-                path2: PathId(v(buf)? as u32),
-            }
+        Wire::Meta => {
+            let b = buf.get_u8()?;
+            Arg::Meta(MetaKind::try_from_u8(b).ok_or(CodecError::BadTag(b))?)
         }
-        13 => {
-            let op = meta_from(buf)?;
-            Func::MetaFd {
-                op,
-                fd: v(buf)? as u32,
-            }
-        }
-        14 => Func::MetaPlain {
-            op: meta_from(buf)?,
-        },
-        15 => Func::MpiBarrier { epoch: v(buf)? },
-        16 => Func::MpiSend {
-            dst: v(buf)? as u32,
-            tag: v(buf)? as u32,
-            seq: v(buf)?,
-        },
-        17 => Func::MpiRecv {
-            src: v(buf)? as u32,
-            tag: v(buf)? as u32,
-            seq: v(buf)?,
-        },
-        18 => Func::MpiFileOpen {
-            path: PathId(v(buf)? as u32),
-            fh: v(buf)? as u32,
-        },
-        19 => Func::MpiFileClose { fh: v(buf)? as u32 },
-        20 => Func::MpiFileWriteAt {
-            fh: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-        },
-        21 => Func::MpiFileWriteAtAll {
-            fh: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-        },
-        22 => Func::MpiFileReadAt {
-            fh: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-        },
-        23 => Func::MpiFileReadAtAll {
-            fh: v(buf)? as u32,
-            offset: v(buf)?,
-            count: v(buf)?,
-        },
-        24 => Func::MpiFileSync { fh: v(buf)? as u32 },
-        25 => Func::H5Fcreate {
-            path: PathId(v(buf)? as u32),
-            id: v(buf)? as u32,
-        },
-        26 => Func::H5Fopen {
-            path: PathId(v(buf)? as u32),
-            id: v(buf)? as u32,
-        },
-        27 => Func::H5Fclose { id: v(buf)? as u32 },
-        28 => Func::H5Fflush { id: v(buf)? as u32 },
-        29 => Func::H5Dcreate {
-            file: v(buf)? as u32,
-            name: PathId(v(buf)? as u32),
-            id: v(buf)? as u32,
-        },
-        30 => Func::H5Dopen {
-            file: v(buf)? as u32,
-            name: PathId(v(buf)? as u32),
-            id: v(buf)? as u32,
-        },
-        31 => Func::H5Dwrite {
-            dset: v(buf)? as u32,
-            count: v(buf)?,
-        },
-        32 => Func::H5Dread {
-            dset: v(buf)? as u32,
-            count: v(buf)?,
-        },
-        33 => Func::H5Dclose { id: v(buf)? as u32 },
-        34 => Func::LibCall {
-            name: PathId(v(buf)? as u32),
-            a: v(buf)?,
-            b: v(buf)?,
-        },
-        other => return Err(CodecError::BadTag(other)),
-    };
-    Ok(func)
-}
-
-fn meta_from(buf: &mut Reader<'_>) -> Result<MetaKind, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let v = buf.get_u8();
-    if (v as usize) < MetaKind::ALL.len() {
-        Ok(MetaKind::from_u8(v))
-    } else {
-        Err(CodecError::BadTag(v))
-    }
+    })
 }
 
 impl TraceSet {
@@ -507,7 +171,8 @@ impl TraceSet {
                 prev_start = rec.t_start;
                 buf.push(rec.layer.to_u8());
                 buf.push(rec.origin.to_u8());
-                put_func(&mut buf, &rec.func);
+                buf.push(rec.func.tag());
+                rec.func.for_each_arg(|_, arg| put_arg(&mut buf, arg));
             }
         }
         buf
@@ -516,13 +181,10 @@ impl TraceSet {
     /// Deserialize from the binary trace format.
     pub fn decode(data: &[u8]) -> Result<TraceSet, CodecError> {
         let mut buf = Reader { data, pos: 0 };
-        if buf.remaining() < 5 {
-            return Err(CodecError::Truncated);
-        }
         if buf.take(4)? != MAGIC.as_slice() {
             return Err(CodecError::BadMagic);
         }
-        let version = buf.get_u8();
+        let version = buf.get_u8()?;
         if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
@@ -556,14 +218,13 @@ impl TraceSet {
                 let t_start = (prev_start as i64).wrapping_add(delta) as u64;
                 let dur = get_varint(&mut buf)?;
                 prev_start = t_start;
-                if buf.remaining() < 2 {
-                    return Err(CodecError::Truncated);
-                }
-                let l = buf.get_u8();
+                let l = buf.get_u8()?;
                 let layer = Layer::try_from_u8(l).ok_or(CodecError::BadTag(l))?;
-                let o = buf.get_u8();
+                let o = buf.get_u8()?;
                 let origin = Layer::try_from_u8(o).ok_or(CodecError::BadTag(o))?;
-                let func = get_func(&mut buf)?;
+                let tag = buf.get_u8()?;
+                let func = Func::from_args(tag, |wire| get_arg(&mut buf, wire, paths.len()))?
+                    .ok_or(CodecError::BadTag(tag))?;
                 records.push(Record {
                     t_start,
                     t_end: t_start.saturating_add(dur),
@@ -615,6 +276,29 @@ mod tests {
             TraceSet::decode(b"RTRC\x07"),
             Err(CodecError::BadVersion(7))
         );
+    }
+
+    #[test]
+    fn path_id_outside_the_table_is_rejected() {
+        let mut ts = TraceSet {
+            paths: vec!["/only".into()],
+            ranks: vec![vec![Record {
+                t_start: 0,
+                t_end: 1,
+                rank: 0,
+                layer: Layer::Posix,
+                origin: Layer::App,
+                func: Func::MetaPath2 {
+                    op: MetaKind::Rename,
+                    path: PathId(0),
+                    path2: PathId(0),
+                },
+            }]],
+            skews_ns: vec![0],
+        };
+        assert_eq!(TraceSet::decode(&ts.encode()).as_ref(), Ok(&ts));
+        ts.ranks[0][0].func.for_each_path_mut(|p| p.0 += 1);
+        assert_eq!(TraceSet::decode(&ts.encode()), Err(CodecError::BadPath(1)));
     }
 
     #[test]

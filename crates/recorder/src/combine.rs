@@ -81,21 +81,11 @@ pub fn combine_jobs(jobs: &[TraceSet], gap_ns: u64) -> TraceSet {
     }
 }
 
+/// Move one call of job `job` into the combined trace: its paths into the
+/// merged table, its peers and MPI identifiers into the job's own range.
 fn remap_ids(func: &mut Func, paths: &[PathId], rank_offset: u32, job: u64) {
-    let m = |p: &mut PathId| *p = paths[p.0 as usize];
+    func.for_each_path_mut(|p| *p = paths[p.0 as usize]);
     match func {
-        Func::Open { path, .. }
-        | Func::MetaPath { path, .. }
-        | Func::MpiFileOpen { path, .. }
-        | Func::H5Fcreate { path, .. }
-        | Func::H5Fopen { path, .. } => m(path),
-        Func::MetaPath2 { path, path2, .. } => {
-            m(path);
-            m(path2);
-        }
-        Func::H5Dcreate { name, .. } | Func::H5Dopen { name, .. } | Func::LibCall { name, .. } => {
-            m(name)
-        }
         Func::MpiSend { dst, seq, .. } => {
             *dst += rank_offset;
             *seq += job * JOB_ID_STRIDE;

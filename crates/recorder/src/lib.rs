@@ -33,5 +33,5 @@ mod traceset;
 pub mod tsv;
 
 pub use offset::{AccessKind, DataAccess, ResolvedTrace, SyncEvent, SyncKind};
-pub use record::{Func, IdHasher, IdMap, Layer, MetaKind, PathId, Record, SeekWhence};
+pub use record::{Arg, Func, IdHasher, IdMap, Layer, MetaKind, PathId, Record, SeekWhence, Wire};
 pub use traceset::{shared_interner, Interner, RankTracer, SharedInterner, TraceSet};

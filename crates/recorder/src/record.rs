@@ -174,8 +174,10 @@ macro_rules! meta_kinds {
                 self as u8
             }
 
-            pub(crate) fn from_u8(v: u8) -> Self {
-                Self::ALL[v as usize]
+            /// Fallible, like [`Layer::try_from_u8`]: the byte comes
+            /// from an untrusted trace file.
+            pub(crate) fn try_from_u8(v: u8) -> Option<Self> {
+                Self::ALL.get(v as usize).copied()
             }
         }
     };
@@ -228,216 +230,190 @@ meta_kinds! {
     Ftruncate => "ftruncate",
 }
 
-/// One traced function call with its arguments. Data-path calls carry the
-/// exact argument set the offset-resolution pass needs (no resolved offsets
-/// for cursor-relative calls — deriving them is the analysis's job, as in
-/// the paper). `ret` on `read`/`lseek` records the return value, which
-/// Recorder-style tracers also capture.
+/// The wire type of one argument of a traced call: how the binary codec
+/// lays it out, and with it how every other pass reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Func {
-    // --- POSIX data path ---
-    Open {
-        path: PathId,
-        flags: u32,
-        fd: u32,
-    },
-    Close {
-        fd: u32,
-    },
-    Read {
-        fd: u32,
-        count: u64,
-        ret: u64,
-    },
-    Write {
-        fd: u32,
-        count: u64,
-    },
-    Pread {
-        fd: u32,
-        offset: u64,
-        count: u64,
-        ret: u64,
-    },
-    Pwrite {
-        fd: u32,
-        offset: u64,
-        count: u64,
-    },
-    Lseek {
-        fd: u32,
-        offset: i64,
-        whence: SeekWhence,
-        ret: u64,
-    },
-    Fsync {
-        fd: u32,
-    },
-    Fdatasync {
-        fd: u32,
-    },
-    Ftruncate {
-        fd: u32,
-        len: u64,
-    },
-    Mmap {
-        fd: u32,
-        offset: u64,
-        count: u64,
-    },
+pub enum Wire {
+    /// `u32` as a varint.
+    U32,
+    /// `u32` bit set (`open` flags): a varint like [`Wire::U32`], shown in
+    /// hex by the TSV export.
+    Flags,
+    /// `u64` as a varint.
+    U64,
+    /// `i64`, zig-zag folded, as a varint.
+    I64,
+    /// [`PathId`] as a varint; the decoder rejects an id outside the
+    /// trace's path table.
+    Path,
+    /// [`SeekWhence`] as one byte.
+    Whence,
+    /// [`MetaKind`] as one byte.
+    Meta,
+}
 
-    // --- POSIX metadata ---
-    MetaPath {
-        op: MetaKind,
-        path: PathId,
-    },
-    MetaPath2 {
-        op: MetaKind,
-        path: PathId,
-        path2: PathId,
-    },
-    MetaFd {
-        op: MetaKind,
-        fd: u32,
-    },
-    MetaPlain {
-        op: MetaKind,
-    },
+/// One argument value of a traced call, tagged with its [`Wire`] type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    U32(u32),
+    Flags(u32),
+    U64(u64),
+    I64(i64),
+    Path(PathId),
+    Whence(SeekWhence),
+    Meta(MetaKind),
+}
+
+/// The trace vocabulary, declared once: each row is one traced call as
+/// `wire-tag Variant { field: wire-type, … } => display name`. The [`Func`]
+/// enum, [`Func::tag`], [`Func::name`], the argument visitor every output
+/// pass walks ([`Func::for_each_arg`]: binary encode, TSV export), the
+/// constructor every input pass drives ([`Func::from_args`]: binary
+/// decode) and the path visitor ([`Func::for_each_path_mut`]: assembly
+/// and job-combining remaps) are all generated from the rows, so adding a
+/// traced call is adding one row. A field is shown in the TSV export under
+/// its own name unless the row says `field as "label"`.
+macro_rules! calls {
+    (@ty U32) => { u32 };
+    (@ty Flags) => { u32 };
+    (@ty U64) => { u64 };
+    (@ty I64) => { i64 };
+    (@ty Path) => { PathId };
+    (@ty Whence) => { SeekWhence };
+    (@ty Meta) => { MetaKind };
+    (@label $field:ident) => { stringify!($field) };
+    (@label $field:ident $label:literal) => { $label };
+    (@path Path $field:ident $visit:ident) => { $visit($field) };
+    (@path $wire:ident $field:ident $visit:ident) => { let _ = $field; };
+    ($($tag:literal $variant:ident {
+        $($field:ident $(as $label:literal)? : $wire:ident),+
+    } => $name:expr,)+) => {
+        /// One traced function call with its arguments. Data-path calls
+        /// carry the exact argument set the offset-resolution pass needs
+        /// (no resolved offsets for cursor-relative calls — deriving them
+        /// is the analysis's job, as in the paper). `ret` on
+        /// `read`/`lseek` records the return value, which Recorder-style
+        /// tracers also capture.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Func {
+            $($variant { $($field: calls!(@ty $wire)),+ }),+
+        }
+
+        impl Func {
+            /// The wire tag of every call, in declaration order.
+            pub const TAGS: &'static [u8] = &[$($tag),+];
+
+            /// The call's tag in the binary trace format.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(Func::$variant { .. } => $tag),+
+                }
+            }
+
+            /// Human-readable function name for exports and the metadata
+            /// census.
+            pub fn name(&self) -> &'static str {
+                match *self {
+                    $(Func::$variant { $($field),+ } => {
+                        $(let _ = $field;)+
+                        $name
+                    })+
+                }
+            }
+
+            /// Visit the call's arguments in wire order, each under the
+            /// label the TSV export shows it with.
+            pub fn for_each_arg(&self, mut visit: impl FnMut(&'static str, Arg)) {
+                match *self {
+                    $(Func::$variant { $($field),+ } => {
+                        $(visit(calls!(@label $field $($label)?), Arg::$wire($field));)+
+                    })+
+                }
+            }
+
+            /// Visit every [`PathId`] among the call's arguments, for
+            /// rewriting: whoever renumbers the path table goes through
+            /// here, so no path-bearing call can be left with a stale id.
+            pub fn for_each_path_mut(&mut self, mut visit: impl FnMut(&mut PathId)) {
+                match self {
+                    $(Func::$variant { $($field),+ } => {
+                        $(calls!(@path $wire $field visit);)+
+                    })+
+                }
+            }
+
+            /// Build the call whose wire tag is `tag`, asking `next` for
+            /// each argument in wire order; `Ok(None)` for a tag no call
+            /// has. `next` must answer with the [`Arg`] variant of the
+            /// [`Wire`] type it was asked for.
+            pub fn from_args<E>(
+                tag: u8,
+                mut next: impl FnMut(Wire) -> Result<Arg, E>,
+            ) -> Result<Option<Func>, E> {
+                Ok(Some(match tag {
+                    $($tag => Func::$variant {
+                        $($field: match next(Wire::$wire)? {
+                            Arg::$wire(v) => v,
+                            other => panic!("asked for {:?}, got {other:?}", Wire::$wire),
+                        }),+
+                    },)+
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+calls! {
+    // --- POSIX data path ---
+    0 Open { path: Path, flags: Flags, fd: U32 } => "open",
+    1 Close { fd: U32 } => "close",
+    2 Read { fd: U32, count: U64, ret: U64 } => "read",
+    3 Write { fd: U32, count: U64 } => "write",
+    4 Pread { fd: U32, offset: U64, count: U64, ret: U64 } => "pread",
+    5 Pwrite { fd: U32, offset: U64, count: U64 } => "pwrite",
+    6 Lseek { fd: U32, offset: I64, whence: Whence, ret: U64 } => "lseek",
+    7 Fsync { fd: U32 } => "fsync",
+    8 Fdatasync { fd: U32 } => "fdatasync",
+    9 Ftruncate { fd: U32, len: U64 } => "ftruncate",
+    10 Mmap { fd: U32, offset: U64, count: U64 } => "mmap",
+
+    // --- POSIX metadata: named after the operation they carry ---
+    11 MetaPath { op: Meta, path: Path } => op.name(),
+    12 MetaPath2 { op: Meta, path: Path, path2: Path } => op.name(),
+    13 MetaFd { op: Meta, fd: U32 } => op.name(),
+    14 MetaPlain { op: Meta } => op.name(),
 
     // --- MPI runtime events (happens-before edges) ---
-    MpiBarrier {
-        epoch: u64,
-    },
-    MpiSend {
-        dst: u32,
-        tag: u32,
-        seq: u64,
-    },
-    MpiRecv {
-        src: u32,
-        tag: u32,
-        seq: u64,
-    },
+    15 MpiBarrier { epoch: U64 } => "MPI_Barrier",
+    16 MpiSend { dst: U32, tag: U32, seq: U64 } => "MPI_Send",
+    17 MpiRecv { src: U32, tag: U32, seq: U64 } => "MPI_Recv",
 
     // --- MPI-IO ---
-    MpiFileOpen {
-        path: PathId,
-        fh: u32,
-    },
-    MpiFileClose {
-        fh: u32,
-    },
-    MpiFileWriteAt {
-        fh: u32,
-        offset: u64,
-        count: u64,
-    },
-    MpiFileWriteAtAll {
-        fh: u32,
-        offset: u64,
-        count: u64,
-    },
-    MpiFileReadAt {
-        fh: u32,
-        offset: u64,
-        count: u64,
-    },
-    MpiFileReadAtAll {
-        fh: u32,
-        offset: u64,
-        count: u64,
-    },
-    MpiFileSync {
-        fh: u32,
-    },
+    18 MpiFileOpen { path: Path, fh: U32 } => "MPI_File_open",
+    19 MpiFileClose { fh: U32 } => "MPI_File_close",
+    20 MpiFileWriteAt { fh: U32, offset: U64, count: U64 } => "MPI_File_write_at",
+    21 MpiFileWriteAtAll { fh: U32, offset: U64, count: U64 } => "MPI_File_write_at_all",
+    22 MpiFileReadAt { fh: U32, offset: U64, count: U64 } => "MPI_File_read_at",
+    23 MpiFileReadAtAll { fh: U32, offset: U64, count: U64 } => "MPI_File_read_at_all",
+    24 MpiFileSync { fh: U32 } => "MPI_File_sync",
 
     // --- HDF5 ---
-    H5Fcreate {
-        path: PathId,
-        id: u32,
-    },
-    H5Fopen {
-        path: PathId,
-        id: u32,
-    },
-    H5Fclose {
-        id: u32,
-    },
-    H5Fflush {
-        id: u32,
-    },
-    H5Dcreate {
-        file: u32,
-        name: PathId,
-        id: u32,
-    },
-    H5Dopen {
-        file: u32,
-        name: PathId,
-        id: u32,
-    },
-    H5Dwrite {
-        dset: u32,
-        count: u64,
-    },
-    H5Dread {
-        dset: u32,
-        count: u64,
-    },
-    H5Dclose {
-        id: u32,
-    },
+    25 H5Fcreate { path: Path, id: U32 } => "H5Fcreate",
+    26 H5Fopen { path: Path, id: U32 } => "H5Fopen",
+    27 H5Fclose { id: U32 } => "H5Fclose",
+    28 H5Fflush { id: U32 } => "H5Fflush",
+    29 H5Dcreate { file: U32, name: Path, id: U32 } => "H5Dcreate",
+    30 H5Dopen { file: U32, name: Path, id: U32 } => "H5Dopen",
+    31 H5Dwrite { dset: U32, count: U64 } => "H5Dwrite",
+    32 H5Dread { dset: U32, count: U64 } => "H5Dread",
+    33 H5Dclose { id: U32 } => "H5Dclose",
 
     // --- Generic higher-level library call (NetCDF / ADIOS / Silo) ---
-    LibCall {
-        name: PathId,
-        a: u64,
-        b: u64,
-    },
+    34 LibCall { name as "call": Path, a: U64, b: U64 } => "lib_call",
 }
 
 impl Func {
-    /// Human-readable function name for exports and the metadata census.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Func::Open { .. } => "open",
-            Func::Close { .. } => "close",
-            Func::Read { .. } => "read",
-            Func::Write { .. } => "write",
-            Func::Pread { .. } => "pread",
-            Func::Pwrite { .. } => "pwrite",
-            Func::Lseek { .. } => "lseek",
-            Func::Fsync { .. } => "fsync",
-            Func::Fdatasync { .. } => "fdatasync",
-            Func::Ftruncate { .. } => "ftruncate",
-            Func::Mmap { .. } => "mmap",
-            Func::MetaPath { op, .. }
-            | Func::MetaPath2 { op, .. }
-            | Func::MetaFd { op, .. }
-            | Func::MetaPlain { op } => op.name(),
-            Func::MpiBarrier { .. } => "MPI_Barrier",
-            Func::MpiSend { .. } => "MPI_Send",
-            Func::MpiRecv { .. } => "MPI_Recv",
-            Func::MpiFileOpen { .. } => "MPI_File_open",
-            Func::MpiFileClose { .. } => "MPI_File_close",
-            Func::MpiFileWriteAt { .. } => "MPI_File_write_at",
-            Func::MpiFileWriteAtAll { .. } => "MPI_File_write_at_all",
-            Func::MpiFileReadAt { .. } => "MPI_File_read_at",
-            Func::MpiFileReadAtAll { .. } => "MPI_File_read_at_all",
-            Func::MpiFileSync { .. } => "MPI_File_sync",
-            Func::H5Fcreate { .. } => "H5Fcreate",
-            Func::H5Fopen { .. } => "H5Fopen",
-            Func::H5Fclose { .. } => "H5Fclose",
-            Func::H5Fflush { .. } => "H5Fflush",
-            Func::H5Dcreate { .. } => "H5Dcreate",
-            Func::H5Dopen { .. } => "H5Dopen",
-            Func::H5Dwrite { .. } => "H5Dwrite",
-            Func::H5Dread { .. } => "H5Dread",
-            Func::H5Dclose { .. } => "H5Dclose",
-            Func::LibCall { .. } => "lib_call",
-        }
-    }
-
     /// The metadata kind, if this is a POSIX metadata record.
     pub fn meta_kind(&self) -> Option<MetaKind> {
         match self {
@@ -479,7 +455,7 @@ mod tests {
     #[test]
     fn meta_kind_u8_roundtrip() {
         for &k in MetaKind::ALL {
-            assert_eq!(MetaKind::from_u8(k.to_u8()), k);
+            assert_eq!(MetaKind::try_from_u8(k.to_u8()), Some(k));
         }
     }
 

@@ -88,15 +88,15 @@ impl TraceStats {
                 }
                 match rec.func {
                     Func::Write { count, .. } | Func::Pwrite { count, .. } => {
-                        s.bytes_written += count;
+                        s.bytes_written = s.bytes_written.saturating_add(count);
                         s.write_sizes.add(count);
                     }
                     Func::Read { ret, .. } | Func::Pread { ret, .. } => {
-                        s.bytes_read += ret;
+                        s.bytes_read = s.bytes_read.saturating_add(ret);
                         s.read_sizes.add(ret);
                     }
                     Func::Mmap { count, .. } => {
-                        s.bytes_read += count;
+                        s.bytes_read = s.bytes_read.saturating_add(count);
                         s.read_sizes.add(count);
                     }
                     _ => {}

@@ -6,26 +6,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::record::{Func, Layer, PathId, Record};
 
-/// Rewrite every [`PathId`] inside `func` through `remap`.
-fn remap_func_paths(func: &mut Func, remap: &[u32]) {
-    let m = |p: &mut PathId| p.0 = remap[p.0 as usize];
-    match func {
-        Func::Open { path, .. }
-        | Func::MetaPath { path, .. }
-        | Func::MpiFileOpen { path, .. }
-        | Func::H5Fcreate { path, .. }
-        | Func::H5Fopen { path, .. } => m(path),
-        Func::MetaPath2 { path, path2, .. } => {
-            m(path);
-            m(path2);
-        }
-        Func::H5Dcreate { name, .. } | Func::H5Dopen { name, .. } | Func::LibCall { name, .. } => {
-            m(name)
-        }
-        _ => {}
-    }
-}
-
 /// Interns path and name strings into dense [`PathId`]s.
 #[derive(Debug, Default)]
 pub struct Interner {
@@ -213,7 +193,7 @@ impl TraceSet {
         let paths: Vec<String> = order.iter().map(|&i| names[i].clone()).collect();
         for records in &mut ranks {
             for rec in records {
-                remap_func_paths(&mut rec.func, &remap);
+                rec.func.for_each_path_mut(|p| p.0 = remap[p.0 as usize]);
             }
         }
         (

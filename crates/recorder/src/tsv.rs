@@ -3,81 +3,37 @@
 
 use std::fmt::Write as _;
 
-use crate::record::{Func, Record};
+use crate::record::{Arg, Record};
 use crate::traceset::TraceSet;
 
-/// Render one record's argument list.
-fn args(trace: &TraceSet, func: &Func) -> String {
-    match *func {
-        Func::Open { path, flags, fd } => {
-            format!("path={} flags={:#x} fd={}", trace.path(path), flags, fd)
-        }
-        Func::Close { fd } => format!("fd={fd}"),
-        Func::Read { fd, count, ret } => format!("fd={fd} count={count} ret={ret}"),
-        Func::Write { fd, count } => format!("fd={fd} count={count}"),
-        Func::Pread {
-            fd,
-            offset,
-            count,
-            ret,
-        } => {
-            format!("fd={fd} offset={offset} count={count} ret={ret}")
-        }
-        Func::Pwrite { fd, offset, count } => format!("fd={fd} offset={offset} count={count}"),
-        Func::Lseek {
-            fd,
-            offset,
-            whence,
-            ret,
-        } => {
-            format!("fd={fd} offset={offset} whence={} ret={ret}", whence.name())
-        }
-        Func::Fsync { fd } | Func::Fdatasync { fd } => format!("fd={fd}"),
-        Func::Ftruncate { fd, len } => format!("fd={fd} len={len}"),
-        Func::Mmap { fd, offset, count } => format!("fd={fd} offset={offset} count={count}"),
-        Func::MetaPath { path, .. } => format!("path={}", trace.path(path)),
-        Func::MetaPath2 { path, path2, .. } => {
-            format!("path={} path2={}", trace.path(path), trace.path(path2))
-        }
-        Func::MetaFd { fd, .. } => format!("fd={fd}"),
-        Func::MetaPlain { .. } => String::new(),
-        Func::MpiBarrier { epoch } => format!("epoch={epoch}"),
-        Func::MpiSend { dst, tag, seq } => format!("dst={dst} tag={tag} seq={seq}"),
-        Func::MpiRecv { src, tag, seq } => format!("src={src} tag={tag} seq={seq}"),
-        Func::MpiFileOpen { path, fh } => format!("path={} fh={fh}", trace.path(path)),
-        Func::MpiFileClose { fh } | Func::MpiFileSync { fh } => format!("fh={fh}"),
-        Func::MpiFileWriteAt { fh, offset, count }
-        | Func::MpiFileWriteAtAll { fh, offset, count }
-        | Func::MpiFileReadAt { fh, offset, count }
-        | Func::MpiFileReadAtAll { fh, offset, count } => {
-            format!("fh={fh} offset={offset} count={count}")
-        }
-        Func::H5Fcreate { path, id } | Func::H5Fopen { path, id } => {
-            format!("path={} id={id}", trace.path(path))
-        }
-        Func::H5Fclose { id } | Func::H5Fflush { id } | Func::H5Dclose { id } => format!("id={id}"),
-        Func::H5Dcreate { file, name, id } | Func::H5Dopen { file, name, id } => {
-            format!("file={file} name={} id={id}", trace.path(name))
-        }
-        Func::H5Dwrite { dset, count } | Func::H5Dread { dset, count } => {
-            format!("dset={dset} count={count}")
-        }
-        Func::LibCall { name, a, b } => format!("call={} a={a} b={b}", trace.path(name)),
-    }
-}
-
+/// One record as a line: the six fixed columns, then `label=value` for
+/// each argument in wire order, space-separated.
 fn line(out: &mut String, trace: &TraceSet, rec: &Record) {
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "{}\t{}\t{}\t{}\t{}\t{}\t",
         rec.rank,
         rec.t_start,
         rec.t_end,
         rec.layer.name(),
         rec.origin.name(),
         rec.func.name(),
-        args(trace, &rec.func),
     );
+    let mut sep = "";
+    rec.func.for_each_arg(|label, arg| {
+        let _ = match arg {
+            // The operation is the record's function name, not an argument.
+            Arg::Meta(_) => return,
+            Arg::U32(v) => write!(out, "{sep}{label}={v}"),
+            Arg::Flags(v) => write!(out, "{sep}{label}={v:#x}"),
+            Arg::U64(v) => write!(out, "{sep}{label}={v}"),
+            Arg::I64(v) => write!(out, "{sep}{label}={v}"),
+            Arg::Path(p) => write!(out, "{sep}{label}={}", trace.path(p)),
+            Arg::Whence(w) => write!(out, "{sep}{label}={}", w.name()),
+        };
+        sep = " ";
+    });
+    out.push('\n');
 }
 
 /// Export the whole trace, merged in global time order, with a header line.
@@ -103,7 +59,7 @@ pub fn rank_to_tsv(trace: &TraceSet, rank: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Layer, PathId};
+    use crate::record::{Func, Layer, PathId};
 
     #[test]
     fn tsv_contains_paths_and_names() {

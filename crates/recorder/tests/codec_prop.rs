@@ -2,7 +2,9 @@
 //! bit-exactly. Cases are generated from pinned [`simrng`] seeds instead
 //! of `proptest` so the suite runs with no registry dependencies.
 
-use recorder::{Func, Layer, MetaKind, PathId, Record, SeekWhence, TraceSet};
+use std::convert::Infallible;
+
+use recorder::{Arg, Func, Layer, MetaKind, PathId, Record, SeekWhence, TraceSet, Wire};
 use simrng::SimRng;
 
 const N_PATHS: u32 = 8;
@@ -23,138 +25,24 @@ fn whence(rng: &mut SimRng) -> SeekWhence {
     [SeekWhence::Set, SeekWhence::Cur, SeekWhence::End][rng.range_usize(0, 3)]
 }
 
+/// One call drawn from the vocabulary table: a uniformly chosen row, each
+/// argument uniform over its wire type.
 fn func(rng: &mut SimRng) -> Func {
-    let small = |rng: &mut SimRng| rng.next_u32();
-    let big = |rng: &mut SimRng| rng.next_u64();
-    match rng.range_u32(0, 35) {
-        0 => Func::Open {
-            path: path_id(rng),
-            flags: small(rng),
-            fd: small(rng),
-        },
-        1 => Func::Close { fd: small(rng) },
-        2 => Func::Read {
-            fd: small(rng),
-            count: big(rng),
-            ret: big(rng),
-        },
-        3 => Func::Write {
-            fd: small(rng),
-            count: big(rng),
-        },
-        4 => Func::Pread {
-            fd: small(rng),
-            offset: big(rng),
-            count: big(rng),
-            ret: big(rng),
-        },
-        5 => Func::Pwrite {
-            fd: small(rng),
-            offset: big(rng),
-            count: big(rng),
-        },
-        6 => Func::Lseek {
-            fd: small(rng),
-            offset: rng.next_u64() as i64,
-            whence: whence(rng),
-            ret: big(rng),
-        },
-        7 => Func::Fsync { fd: small(rng) },
-        8 => Func::Fdatasync { fd: small(rng) },
-        9 => Func::Ftruncate {
-            fd: small(rng),
-            len: big(rng),
-        },
-        10 => Func::Mmap {
-            fd: small(rng),
-            offset: big(rng),
-            count: big(rng),
-        },
-        11 => Func::MetaPath {
-            op: meta_kind(rng),
-            path: path_id(rng),
-        },
-        12 => Func::MetaPath2 {
-            op: meta_kind(rng),
-            path: path_id(rng),
-            path2: path_id(rng),
-        },
-        13 => Func::MetaFd {
-            op: meta_kind(rng),
-            fd: small(rng),
-        },
-        14 => Func::MetaPlain { op: meta_kind(rng) },
-        15 => Func::MpiBarrier { epoch: big(rng) },
-        16 => Func::MpiSend {
-            dst: small(rng),
-            tag: small(rng),
-            seq: big(rng),
-        },
-        17 => Func::MpiRecv {
-            src: small(rng),
-            tag: small(rng),
-            seq: big(rng),
-        },
-        18 => Func::MpiFileOpen {
-            path: path_id(rng),
-            fh: small(rng),
-        },
-        19 => Func::MpiFileClose { fh: small(rng) },
-        20 => Func::MpiFileWriteAt {
-            fh: small(rng),
-            offset: big(rng),
-            count: big(rng),
-        },
-        21 => Func::MpiFileWriteAtAll {
-            fh: small(rng),
-            offset: big(rng),
-            count: big(rng),
-        },
-        22 => Func::MpiFileReadAt {
-            fh: small(rng),
-            offset: big(rng),
-            count: big(rng),
-        },
-        23 => Func::MpiFileReadAtAll {
-            fh: small(rng),
-            offset: big(rng),
-            count: big(rng),
-        },
-        24 => Func::MpiFileSync { fh: small(rng) },
-        25 => Func::H5Fcreate {
-            path: path_id(rng),
-            id: small(rng),
-        },
-        26 => Func::H5Fopen {
-            path: path_id(rng),
-            id: small(rng),
-        },
-        27 => Func::H5Fclose { id: small(rng) },
-        28 => Func::H5Fflush { id: small(rng) },
-        29 => Func::H5Dcreate {
-            file: small(rng),
-            name: path_id(rng),
-            id: small(rng),
-        },
-        30 => Func::H5Dopen {
-            file: small(rng),
-            name: path_id(rng),
-            id: small(rng),
-        },
-        31 => Func::H5Dwrite {
-            dset: small(rng),
-            count: big(rng),
-        },
-        32 => Func::H5Dread {
-            dset: small(rng),
-            count: big(rng),
-        },
-        33 => Func::H5Dclose { id: small(rng) },
-        _ => Func::LibCall {
-            name: path_id(rng),
-            a: big(rng),
-            b: big(rng),
-        },
+    let tag = Func::TAGS[rng.range_usize(0, Func::TAGS.len())];
+    let drawn = Func::from_args(tag, |wire| {
+        Ok::<_, Infallible>(match wire {
+            Wire::U32 => Arg::U32(rng.next_u32()),
+            Wire::Flags => Arg::Flags(rng.next_u32()),
+            Wire::U64 => Arg::U64(rng.next_u64()),
+            Wire::I64 => Arg::I64(rng.next_u64() as i64),
+            Wire::Path => Arg::Path(path_id(rng)),
+            Wire::Whence => Arg::Whence(whence(rng)),
+            Wire::Meta => Arg::Meta(meta_kind(rng)),
+        })
+    });
+    match drawn {
+        Ok(Some(func)) => func,
+        Ok(None) => unreachable!("tag {tag} is in Func::TAGS"),
     }
 }
 
@@ -218,6 +106,18 @@ fn sample_encoded(seed: u64) -> Vec<u8> {
     trace.encode()
 }
 
+/// Decode a possibly corrupt buffer; whatever still decodes must also
+/// survive every pass a `tracetool` command runs over a loaded trace. The
+/// decoder is the only gate between a file and those passes, so anything
+/// they index with (a path id above all) has to be checked there.
+fn decode_and_walk(data: &[u8]) {
+    if let Ok(trace) = TraceSet::decode(data) {
+        let _ = recorder::tsv::to_tsv(&trace);
+        let _ = recorder::offset::resolve(&trace);
+        let _ = recorder::stats::TraceStats::from_trace(&trace);
+    }
+}
+
 /// Truncating a valid trace at *every* byte boundary returns a
 /// [`recorder::CodecError`] (or, for a lucky prefix, a valid subset) —
 /// never a panic. This is the crash-salvage contract: a trace cut short
@@ -227,7 +127,7 @@ fn truncation_at_every_boundary_is_an_error_not_a_panic() {
     let encoded = sample_encoded(0x7A11C0DE);
     assert!(encoded.len() > 64, "sample trace too small to exercise");
     for cut in 0..encoded.len() {
-        let _ = TraceSet::decode(&encoded[..cut]);
+        decode_and_walk(&encoded[..cut]);
     }
     // The untruncated buffer still decodes.
     TraceSet::decode(&encoded).expect("full buffer decodes");
@@ -243,7 +143,7 @@ fn single_bit_flips_never_panic() {
         for bit in 0..8 {
             let mut corrupt = encoded.clone();
             corrupt[byte] ^= 1 << bit;
-            let _ = TraceSet::decode(&corrupt);
+            decode_and_walk(&corrupt);
         }
     }
 }
@@ -261,6 +161,6 @@ fn random_byte_smashes_never_panic() {
             let at = rng.range_usize(0, corrupt.len());
             corrupt[at] = rng.next_u32() as u8;
         }
-        let _ = TraceSet::decode(&corrupt);
+        decode_and_walk(&corrupt);
     }
 }

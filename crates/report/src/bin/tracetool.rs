@@ -138,6 +138,12 @@ fn dump(p: &Parsed) -> Result<i32, String> {
     let rank: Option<u32> = p.opt(&RANK)?;
     let trace = load(path);
     let tsv = match rank {
+        Some(rank) if rank >= trace.nranks() => {
+            return Err(format!(
+                "rank {rank} out of range: trace has {} ranks",
+                trace.nranks()
+            ))
+        }
         Some(rank) => recorder::tsv::rank_to_tsv(&trace, rank),
         None => recorder::tsv::to_tsv(&trace),
     };

@@ -513,6 +513,52 @@ fn tracetool_rejects_malformed_values_instead_of_panicking() {
         assert_eq!(out.status.code(), Some(64), "{args:?}: stderr: {stderr}");
         assert!(stderr.contains(expect), "{args:?}: stderr: {stderr}");
     }
+
+    // A real trace: a rank it does not have is a usage error, and one
+    // corrupt byte — an `open` naming a path the table does not have — is
+    // an undecodable file (exit 1) for every command that loads it, not a
+    // panic.
+    let dir = std::env::temp_dir().join(format!("tracetool_cli_usage_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let good = dir.join("enzo.rtrc");
+    let good = good.to_str().expect("utf8 temp path");
+    let out = tracetool(&["capture", "ENZO-HDF5", "--ranks", "2", "--out", good]);
+    assert_eq!(out.status.code(), Some(0));
+    let out = tracetool(&["dump", good, "--rank", "99"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(64), "stderr: {stderr}");
+    assert!(
+        stderr.contains("rank 99 out of range: trace has 2 ranks"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(
+        tracetool(&["dump", good, "--rank", "1"]).status.code(),
+        Some(0)
+    );
+
+    let bytes = std::fs::read(good).expect("captured trace");
+    let mut trace = recorder::TraceSet::decode(&bytes).expect("captured trace decodes");
+    assert!(trace.paths.len() < 127);
+    let opened = trace
+        .ranks
+        .iter_mut()
+        .flatten()
+        .find_map(|rec| match &mut rec.func {
+            recorder::Func::Open { path, .. } => Some(path),
+            _ => None,
+        })
+        .expect("the trace opens a file");
+    *opened = recorder::PathId(127);
+    let bad = dir.join("enzo_bad.rtrc");
+    let bad = bad.to_str().expect("utf8 temp path");
+    std::fs::write(bad, trace.encode()).expect("write corrupt trace");
+    for cmd in ["dump", "info", "conflicts", "patterns", "census", "report"] {
+        let out = tracetool(&[cmd, bad]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: stderr: {stderr}");
+        assert!(stderr.contains("cannot decode"), "{cmd}: stderr: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

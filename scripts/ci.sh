@@ -23,7 +23,8 @@ cargo test -q
 echo "ci: fault smoke"
 # Reduced campaign: 2 seeds per (app, fault-kind) cell plus the FLASH
 # crash sweep. Exit 1 on any panic or if the commit-verdict flip fails
-# to reproduce; scripts/faultcamp.sh runs the full campaign.
+# to reproduce; `report fault-campaign --out DIR` (8 seeds per cell by
+# default) is the full campaign.
 ./target/release/report fault-campaign --camp-seeds 2 --out target/fault_smoke
 
 echo "ci: profiled smoke"
@@ -76,5 +77,8 @@ echo "ci: benchmark smoke"
 # warm == cold bytes), then the benchmark package's own tests.
 bash benchmark/run.sh all --smoke
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "ci: non-test lines per crate (printed, not gated)"
+sh scripts/loc.sh
 
 echo "ci: OK"
