@@ -12,8 +12,8 @@
 //! the assembled [`TraceSet`] together with the quiesced file system.
 
 use mpisim::{
-    apply_skew, CostModel, ExecModel, FaultPlan, IoFault, OpClass, Rank, SchedMode, SimAbort,
-    SimError, World, WorldCfg,
+    apply_skew, ExecModel, FaultPlan, IoFault, OpClass, Rank, SchedMode, SimAbort, SimError, World,
+    WorldCfg,
 };
 use pfssim::{
     FsError, FsResult, Observation, OpenFlags, Pfs, PfsConfig, ReadOut, SemanticsModel, StatInfo,
@@ -49,7 +49,6 @@ pub struct RunConfig {
     pub semantics: SemanticsModel,
     pub max_skew_ns: u64,
     pub mode: SchedMode,
-    pub cost: CostModel,
     pub pfs: PfsConfig,
     /// Initial simulated time of this job (workflow stages chain clocks).
     pub start_time_ns: u64,
@@ -75,7 +74,6 @@ impl RunConfig {
             semantics: SemanticsModel::Strong,
             max_skew_ns: 20_000,
             mode: SchedMode::Deterministic,
-            cost: CostModel::default(),
             pfs: PfsConfig::default(),
             start_time_ns: 0,
             faults: FaultPlan::none(),
@@ -267,7 +265,6 @@ where
         seed: cfg.seed,
         mode: cfg.mode,
         max_skew_ns: cfg.max_skew_ns,
-        cost: cfg.cost.clone(),
         start_ns: cfg.start_time_ns,
         faults: cfg.faults.clone(),
         label: cfg.label.clone(),
@@ -451,8 +448,9 @@ impl AppCtx {
     /// attributed to `layer` as their origin (a nested library's call
     /// re-attributes its own), and when `f` succeeds the call itself is
     /// recorded at `layer`, spanning entry to exit, as the [`Func`] it
-    /// returns. A call that fails emits no library record. Each clock read
-    /// takes the world lock.
+    /// returns. A call that fails emits no library record. Both timestamps
+    /// are the rank's own clock reads ([`Rank::now`]: the time it last
+    /// observed), each taking the world lock.
     pub fn lib_call<R>(
         &mut self,
         layer: Layer,

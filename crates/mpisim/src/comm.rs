@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::clock::OpClass;
+use crate::clock::{cost, OpClass};
 use crate::event::{EventKind, MpiEvent};
 use crate::sched::{BlockReason, Payload};
 use crate::world::Rank;
@@ -50,44 +50,31 @@ impl Rank {
     /// a rank crashing while peers wait triggers the same release from
     /// `SimState::crash_rank`.
     pub fn barrier(&self) -> BarrierInfo {
-        let me = self.rank as usize;
         let mut st = self.turn_begin();
-        let t_enter = st.clock_ns;
         let epoch = st.barrier_epoch;
-        let barrier_ns = self.shared().cost.barrier_ns;
-        st.advance_clock(barrier_ns);
+        let (t_enter, _) = st.spend(self.rank, cost(OpClass::Barrier, 0));
         st.barrier_count += 1;
         st.release_barrier_if_complete();
-        if st.barrier_epoch > epoch {
-            // We were the last live arrival: the epoch released.
-            let t_exit = st.barrier_release[epoch as usize];
-            st.events[me].push(MpiEvent {
-                rank: self.rank,
-                t_start: t_enter,
-                t_end: t_exit,
-                kind: EventKind::Barrier { epoch },
-            });
+        // The last live arrival releases the epoch and keeps the turn;
+        // everyone else parks until the release.
+        let last = st.barrier_epoch > epoch;
+        if !last {
+            st = self.park(st, BlockReason::Barrier { epoch });
+        }
+        let t_exit = st.barrier_release[epoch as usize];
+        st.events[self.rank as usize].push(MpiEvent {
+            rank: self.rank,
+            t_start: t_enter,
+            t_end: t_exit,
+            kind: EventKind::Barrier { epoch },
+        });
+        if last {
             self.turn_end(st);
-            BarrierInfo {
-                epoch,
-                t_enter,
-                t_exit,
-            }
-        } else {
-            let mut st = self.park(st, BlockReason::Barrier { epoch });
-            let t_exit = st.barrier_release[epoch as usize];
-            st.events[me].push(MpiEvent {
-                rank: self.rank,
-                t_start: t_enter,
-                t_end: t_exit,
-                kind: EventKind::Barrier { epoch },
-            });
-            drop(st);
-            BarrierInfo {
-                epoch,
-                t_enter,
-                t_exit,
-            }
+        }
+        BarrierInfo {
+            epoch,
+            t_enter,
+            t_exit,
         }
     }
 
@@ -102,10 +89,7 @@ impl Rank {
         let me = self.rank as usize;
         let len = payload.len() as u64;
         let mut st = self.turn_begin();
-        let t_start = st.clock_ns;
-        let send_ns = self.shared().cost.cost(OpClass::Send, len);
-        st.advance_clock(send_ns);
-        let t_end = st.clock_ns;
+        let (t_start, t_end) = st.spend(self.rank, cost(OpClass::Send, len));
         let seq = st.put_msg(self.rank, dst, tag, payload);
         st.events[me].push(MpiEvent {
             rank: self.rank,
@@ -123,7 +107,8 @@ impl Rank {
 
     /// Block until a message from `src` with `tag` is available, then
     /// consume it. Matching is FIFO per `(src, dst, tag)` channel, like MPI's
-    /// non-overtaking rule. If `src` has crashed and the channel is drained,
+    /// non-overtaking rule; a delayed message is received no earlier than
+    /// its delivery time. If `src` has crashed and the channel is drained,
     /// no message can ever arrive: this rank fail-stops with
     /// [`crate::SimError::PeerCrashed`] (cascading job death — survivors'
     /// partial traces are salvaged by the layers above).
@@ -137,12 +122,21 @@ impl Rank {
         let me = self.rank as usize;
         loop {
             let mut st = self.turn_begin();
-            let t_start = st.clock_ns;
             if let Some(msg) = st.take_msg(src, self.rank, tag) {
+                if msg.visible_at > st.clock_ns {
+                    if let Some(base) = st.trace_pid_base {
+                        let dst = obs::Arg::U(self.rank as u64);
+                        st.buf_instant(
+                            base + me as u64,
+                            "delayed-delivery",
+                            msg.visible_at,
+                            vec![("dst", dst)],
+                        );
+                    }
+                    st.clock_ns = msg.visible_at;
+                }
                 let len = msg.payload.len() as u64;
-                let recv_ns = self.shared().cost.cost(OpClass::Recv, len);
-                st.advance_clock(recv_ns);
-                let t_end = st.clock_ns;
+                let (t_start, t_end) = st.spend(self.rank, cost(OpClass::Recv, len));
                 st.events[me].push(MpiEvent {
                     rank: self.rank,
                     t_start,
@@ -165,7 +159,7 @@ impl Rank {
                     },
                 );
             }
-            if st.is_crashed(src) && !st.has_pending_msg(src, self.rank, tag) {
+            if st.is_crashed(src) {
                 let err = crate::error::SimError::PeerCrashed {
                     rank: self.rank,
                     peer: src,
@@ -370,10 +364,6 @@ impl Rank {
             }
         }
         incoming
-    }
-
-    fn shared(&self) -> &crate::world::Shared {
-        &self.shared
     }
 }
 

@@ -24,9 +24,9 @@
 //!   at or after the chosen index reports success but never publishes the
 //!   buffered writes: data that never reaches commit visibility.
 //! * **Message delay** — the first point-to-point send at or after the
-//!   chosen index is delivered only after `delay_ns` of simulated time;
-//!   the scheduler advances the clock past the delivery time instead of
-//!   declaring a deadlock.
+//!   chosen index is delivered only after `delay_ns` of simulated time:
+//!   the receive that takes it starts no earlier than the delivery time,
+//!   and messages behind it on the same channel wait for it.
 
 use simrng::SimRng;
 

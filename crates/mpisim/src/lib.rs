@@ -16,7 +16,9 @@
 //!    algorithm (§5.2) orders operations by local-clock timestamps and argues
 //!    that clock skew (< 20 µs on Quartz) is negligible relative to the gaps
 //!    between synchronized conflicting operations. Simulated time is a global
-//!    nanosecond counter advanced by a per-operation [`CostModel`]; a
+//!    nanosecond counter advanced by a fixed per-operation cost; a rank
+//!    reads the time it last observed ([`Rank::now`]: the end of its last
+//!    operation or barrier), as a traced process reads its own clock; a
 //!    per-rank *skew offset* is applied when timestamps are recorded, so the
 //!    barrier-based adjustment of §5.2 can be exercised and stress-tested.
 //!
@@ -51,7 +53,7 @@ mod sink;
 mod task;
 mod world;
 
-pub use clock::{apply_skew, CostModel, OpClass};
+pub use clock::{apply_skew, OpClass};
 pub use comm::{BarrierInfo, Frames, Gathered, RecvInfo, SendInfo};
 pub use error::{SimAbort, SimError};
 pub use event::{EventKind, MpiEvent};

@@ -20,16 +20,17 @@
 //! fault plan)` triple fully determines the interleaving, the clock, and
 //! therefore every recorded trace — which is what makes the paper's
 //! experiments reproducible here. There is no other way to run a world.
+//! Between operations a rank reads only its own last-seen time
+//! ([`SimState::last_t`]), never the global clock, so a burst may continue
+//! while woken ranks still run application code.
 //!
 //! Fault handling extends the same state machine: a crashed rank enters the
 //! terminal [`RankStatus::Crashed`] and counts as departed — barriers
 //! release once every *live* rank has arrived, receivers blocked on a dead
 //! peer with a drained channel are woken to fail-stop themselves, and a
-//! delayed message ([`Msg::visible_at`]) makes the scheduler advance the
-//! clock to its delivery time instead of declaring a deadlock.
+//! delayed message ([`Msg::visible_at`]) is buffered at once but the
+//! receive that takes it starts no earlier than its delivery time.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -192,23 +193,18 @@ pub(crate) struct SimState {
     /// The requester set as an order-statistics structure; dispatch picks
     /// the k-th requesting rank in index order without scanning `status`.
     requesting: RankSelect,
-    /// The current token holder, if any (there is at most one). Tracked so
-    /// the per-op clock-freeze wake needs no `status` scan.
-    granted_rank: Option<u32>,
-    /// Whether the token holder is parked in `turn_begin`'s clock-freeze
-    /// wait (some rank still computing). Only then does a status change
-    /// need to wake it — pushing the holder on *every* transition queued a
-    /// spurious wake per simulated op, a full resume round-trip each in
-    /// task mode. Set under the lock by the holder before it waits, so
-    /// the transition that zeroes `n_computing` cannot miss it.
-    pub holder_waiting: bool,
     pub deadlocked: bool,
     /// Blocked set captured at the moment deadlock was declared. The
     /// parked ranks unwind (and leave `Blocked`) as they observe the
     /// deadlock, so a later status scan would come up empty.
     deadlock_blocked: Vec<u32>,
-    /// Global simulated time, nanoseconds.
+    /// Global simulated time, nanoseconds. Moved only under the turn.
     pub clock_ns: u64,
+    /// Per-rank time last observed: the end of the rank's last operation,
+    /// send or receive, or the exit of its last barrier. What `Rank::now`
+    /// returns; only the rank's own operations (and the release of a
+    /// barrier it waits in) move it.
+    pub last_t: Vec<u64>,
     /// One mailbox per destination rank, in arrival order. A receive
     /// takes the first message matching its `(src, tag)`, which is FIFO
     /// per channel. Queues persist for the life of the world, so buffering
@@ -229,7 +225,7 @@ pub(crate) struct SimState {
     /// before releasing the lock — see `Rank::drain_wakes`.
     pub pending_wakes: Vec<u32>,
     /// Per-rank count of simulated operations performed so far; the index
-    /// the fault plan is keyed by. Incremented on every turn acquisition.
+    /// the fault plan is keyed by. Incremented on every grant of the turn.
     pub op_index: Vec<u64>,
     /// Exact-index crash sites from the fault plan, consumed when they fire.
     crash_at: Vec<Vec<u64>>,
@@ -239,21 +235,13 @@ pub(crate) struct SimState {
     /// Per-rank pending send delays `(at_op, delay_ns)`, sorted by op index;
     /// consumed by the first send at or after the index.
     msg_delays: Vec<VecDeque<(u64, u64)>>,
-    /// Pending delayed-delivery times `(visible_at, dst)`, min-first. Every
-    /// clock advance drains the due prefix and wakes receivers parked in a
-    /// recv — without this, a receiver that parked while its message was in
-    /// flight is never re-checked once the clock passes the delivery time
-    /// (the sender woke it at send time, it saw an invisible front and
-    /// re-parked; no later event touches it).
-    delivery_due: BinaryHeap<Reverse<(u64, u32)>>,
     /// Recv-parked ranks with newly deliverable mail, woken *lazily* under
-    /// burst grants: an eager wake would flip the receiver to `Computing`
-    /// and stall the sending token holder's next operation on the
-    /// clock-freeze invariant — two context switches per message. Instead
-    /// the receiver stays parked until no rank can otherwise run (holder
-    /// parked, no requester), and the whole set is released at once.
-    /// Dispatch order afterwards is the usual seeded draw, so the schedule
-    /// stays a pure function of `(seed, program)`.
+    /// burst grants: the receiver stays parked until no rank can otherwise
+    /// run (holder parked, no requester), and the whole set is released at
+    /// once, so the sender's burst costs no context switch per message.
+    /// This decides which ranks join each grant draw — it defines the burst
+    /// schedule. Dispatch order afterwards is the usual seeded draw, so the
+    /// schedule stays a pure function of `(seed, program)`.
     deferred_unblocks: Vec<u32>,
     /// Terminal fault of each rank, if any, for the run report.
     pub faults: Vec<Option<SimError>>,
@@ -302,11 +290,10 @@ impl SimState {
             n_blocked: 0,
             n_live: n,
             requesting: RankSelect::new(n),
-            granted_rank: None,
-            holder_waiting: false,
             deadlocked: false,
             deadlock_blocked: Vec::new(),
             clock_ns: start_ns,
+            last_t: vec![start_ns; n],
             mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
             next_msg_seq: 0,
             barrier_count: 0,
@@ -318,7 +305,6 @@ impl SimState {
             crash_at,
             io_faults,
             msg_delays,
-            delivery_due: BinaryHeap::new(),
             deferred_unblocks: Vec::new(),
             faults: vec![None; n],
             trace_pid_base: obs::tracing_enabled().then(|| obs::alloc_sim_pids(nranks)),
@@ -400,13 +386,6 @@ impl SimState {
         if s == RankStatus::Requesting {
             self.requesting.update(r, 1);
         }
-        if old == RankStatus::Granted {
-            self.granted_rank = None;
-            self.holder_waiting = false;
-        }
-        if s == RankStatus::Granted {
-            self.granted_rank = Some(r as u32);
-        }
         if s == RankStatus::Crashed && old != RankStatus::Crashed {
             self.n_live -= 1;
         }
@@ -419,21 +398,7 @@ impl SimState {
     /// no scan, no allocation — and only the actual grant walks the status
     /// vector to find the picked rank.
     pub fn try_dispatch(&mut self) {
-        if self.deadlocked {
-            return;
-        }
-        if self.n_granted > 0 {
-            // Burst grants: the token holder gates each operation on the
-            // clock-freeze invariant (no rank still computing — see
-            // `Rank::turn_begin`). The status transition that zeroed
-            // `n_computing` must wake it.
-            if self.mode == SchedMode::Deterministic && self.n_computing == 0 && self.holder_waiting
-            {
-                if let Some(holder) = self.granted_rank {
-                    self.holder_waiting = false;
-                    self.pending_wakes.push(holder);
-                }
-            }
+        if self.deadlocked || self.n_granted > 0 {
             return;
         }
         if self.n_computing > 0 {
@@ -449,12 +414,6 @@ impl SimState {
                 // First release every lazily-deferred receiver (burst
                 // grants buffer message wakes — see `deferred_unblocks`).
                 if self.release_deferred_unblocks() {
-                    return;
-                }
-                // Before declaring deadlock: a delayed message may still be
-                // on the wire. Advance the clock to its delivery time and
-                // wake the receivers — discrete-event time advance.
-                if self.advance_to_next_delivery() {
                     return;
                 }
                 self.deadlocked = true;
@@ -509,78 +468,23 @@ impl SimState {
         woke
     }
 
-    /// Advance the simulated clock by `delta` and deliver any delayed
-    /// messages whose time has come. All clock movement funnels through
-    /// here so a receiver parked on an in-flight message is woken the
-    /// moment the clock passes its delivery time; fault-free runs pay one
-    /// emptiness check.
-    pub fn advance_clock(&mut self, delta: u64) {
-        self.clock_ns += delta;
-        self.wake_due_deliveries();
+    /// Spend `ns` of `rank`'s time on the global clock, starting now.
+    /// Returns the operation's `(t_start, t_end)`; `t_end` becomes the time
+    /// the rank reads next.
+    pub fn spend(&mut self, rank: u32, ns: u64) -> (u64, u64) {
+        let t0 = self.clock_ns;
+        self.clock_ns += ns;
+        self.last_t[rank as usize] = self.clock_ns;
+        (t0, self.clock_ns)
     }
 
-    /// Pop every pending delivery with `visible_at <= clock` and wake its
-    /// receiver if it is parked in a receive. Each heap entry is consumed
-    /// exactly once, so spurious wakes (receiver waiting on a different
-    /// channel, or message already taken) are bounded — no livelock.
-    fn wake_due_deliveries(&mut self) {
-        while let Some(&Reverse((t, dst))) = self.delivery_due.peek() {
-            if t > self.clock_ns {
-                break;
-            }
-            self.delivery_due.pop();
-            if let Some(base) = self.trace_pid_base {
-                self.buf_instant(
-                    base + dst as u64,
-                    "delayed-delivery",
-                    t,
-                    vec![("dst", obs::Arg::U(dst as u64))],
-                );
-            }
-            if self.status[dst as usize] == RankStatus::Blocked(BlockReason::Recv) {
-                self.set_status(dst as usize, RankStatus::Computing);
-                self.pending_wakes.push(dst);
-            }
-        }
-    }
-
-    /// Every live rank is parked but delayed messages are still on the
-    /// wire: advance the clock to successive delivery times until some
-    /// receiver wakes. Returns whether any rank was woken (if not, the
-    /// deadlock is real — no pending delivery can unblock anyone). Each
-    /// iteration consumes at least one heap entry, so the loop is bounded;
-    /// the clock target is a deterministic minimum.
-    fn advance_to_next_delivery(&mut self) -> bool {
-        loop {
-            let before = self.pending_wakes.len();
-            self.wake_due_deliveries();
-            if self.pending_wakes.len() > before {
-                return true;
-            }
-            match self.delivery_due.peek() {
-                Some(&Reverse((t, _))) => self.clock_ns = t,
-                None => return false,
-            }
-        }
-    }
-
-    /// Pop the oldest *visible* message on channel (src → dst, tag), if any.
-    /// A delayed front message blocks the channel (FIFO, non-overtaking).
+    /// Pop the oldest message on channel (src → dst, tag), if any: FIFO per
+    /// channel, like MPI's non-overtaking rule. A delayed message is taken
+    /// like any other; the receive starts no earlier than its `visible_at`.
     pub fn take_msg(&mut self, src: u32, dst: u32, tag: u32) -> Option<Msg> {
         let q = &mut self.mailboxes[dst as usize];
         let i = q.iter().position(|m| m.src == src && m.tag == tag)?;
-        if q[i].visible_at > self.clock_ns {
-            return None;
-        }
         q.remove(i)
-    }
-
-    /// Whether channel (src → dst, tag) holds any buffered message, visible
-    /// or not (an in-flight delayed message still counts as deliverable).
-    pub fn has_pending_msg(&self, src: u32, dst: u32, tag: u32) -> bool {
-        self.mailboxes[dst as usize]
-            .iter()
-            .any(|m| m.src == src && m.tag == tag)
     }
 
     /// Buffer a message and wake the destination if it is parked in a
@@ -593,7 +497,6 @@ impl SimState {
             Some(&(at_op, delay_ns)) if at_op <= self.op_index[src as usize] => {
                 self.msg_delays[src as usize].pop_front();
                 let t = self.clock_ns + delay_ns;
-                self.delivery_due.push(Reverse((t, dst)));
                 if let Some(base) = self.trace_pid_base {
                     let now = self.clock_ns;
                     self.buf_instant(
@@ -661,13 +564,6 @@ impl SimState {
         self.status[rank as usize] == RankStatus::Crashed
     }
 
-    /// Whether any rank is still running application code between
-    /// simulated operations. While true, the simulated clock must not
-    /// move — unsynchronized `Rank::now` reads in layer code rely on it.
-    pub fn any_computing(&self) -> bool {
-        self.n_computing > 0
-    }
-
     /// Ranks that can still arrive at a barrier (everything not crashed;
     /// a *finished* rank still counts, so a program that exits mid-barrier
     /// on some ranks deadlocks — an application bug, reported as one).
@@ -693,6 +589,7 @@ impl SimState {
         for r in 0..self.status.len() {
             if self.status[r] == RankStatus::Blocked(BlockReason::Barrier { epoch }) {
                 self.set_status(r, RankStatus::Computing);
+                self.last_t[r] = self.clock_ns;
                 self.pending_wakes.push(r as u32);
             }
         }

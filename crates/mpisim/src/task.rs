@@ -2,11 +2,10 @@
 //!
 //! Each simulated rank becomes a *task*: the unchanged rank closure runs on
 //! its own heap-allocated stack, and every point where the thread executor
-//! would block on a condvar (turn wait, park, burst-continuation wait)
-//! instead switches back to the scheduler's native stack. One OS thread
-//! drives thousands of ranks; a switch is a handful of instructions (save
-//! callee-saved registers, swap stack pointers) instead of a futex round
-//! trip through the kernel.
+//! would block on a condvar (turn wait, park) instead switches back to the
+//! scheduler's native stack. One OS thread drives thousands of ranks; a
+//! switch is a handful of instructions (save callee-saved registers, swap
+//! stack pointers) instead of a futex round trip through the kernel.
 //!
 //! The context switch is hand-rolled `global_asm!` for x86_64 System V:
 //! callee-saved integer registers are pushed on the outgoing stack, the

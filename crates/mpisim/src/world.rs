@@ -5,7 +5,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use simrng::SimRng;
 
-use crate::clock::{apply_skew, CostModel, OpClass};
+use crate::clock::{apply_skew, cost, OpClass};
 use crate::error::{SimAbort, SimError};
 use crate::event::MpiEvent;
 use crate::fault::{FaultPlan, IoFault};
@@ -59,8 +59,6 @@ pub struct WorldCfg {
     /// Maximum absolute per-rank clock skew, nanoseconds. The paper measured
     /// < 20 µs on Quartz; the default matches that bound.
     pub max_skew_ns: u64,
-    /// Latency model.
-    pub cost: CostModel,
     /// Initial simulated time. Jobs of a workflow chain their clocks by
     /// starting each world where the previous one ended.
     pub start_ns: u64,
@@ -86,7 +84,6 @@ impl WorldCfg {
             seed,
             mode: SchedMode::Deterministic,
             max_skew_ns: 20_000, // 20 µs, the bound observed in §5.2
-            cost: CostModel::default(),
             start_ns: 0,
             faults: FaultPlan::none(),
             label: String::new(),
@@ -139,7 +136,6 @@ pub(crate) struct Shared {
     /// simulation wall time.
     pub cvs: Vec<Condvar>,
     pub nranks: u32,
-    pub cost: CostModel,
     /// Immutable per-rank clock skew offsets (signed ns).
     pub skews: Vec<i64>,
     /// Whether the fault plan contains any I/O faults at all; lets the
@@ -155,6 +151,10 @@ pub(crate) struct Shared {
 /// A caught panic payload, carried from the rank that raised it to the
 /// driving thread, which re-panics with it after the world drains.
 type Payload = Box<dyn std::any::Any + Send>;
+
+/// How one rank's program ended: its value, `None` after a controlled
+/// fail-stop ([`SimAbort`]), or the payload of a genuine panic.
+type RankEnd<T> = Result<Option<T>, Payload>;
 
 /// Lock a poisonable mutex, tolerating poison: a rank thread that panicked
 /// while holding the lock must not cascade panics into every other rank —
@@ -257,7 +257,6 @@ impl World {
                 state: Mutex::new(state),
                 cvs: (0..cfg.nranks).map(|_| Condvar::new()).collect(),
                 nranks: cfg.nranks,
-                cost: cfg.cost.clone(),
                 skews,
                 has_io_faults,
                 task_mode,
@@ -302,14 +301,16 @@ impl World {
         install_quiet_abort_hook();
         let task_mode = cfg.exec == ExecModel::Tasks && crate::task::supported();
         let world = World::new(cfg, task_mode);
-        let (results, panicked) = if task_mode {
+        let ends = if task_mode {
             Self::run_tasks(&world, cfg, &f)
         } else {
             Self::run_threads(&world, cfg, &f)
         };
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
+        // Re-raise the lowest rank's genuine panic once the world drained.
+        let results = ends
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         let mut st = lock_state(&world.shared.state);
         // Observability flush: one aggregate pass per world, never per op —
         // the per-op fast path stays untouched so instrumented runs hold
@@ -351,61 +352,44 @@ impl World {
         })
     }
 
+    /// One rank's whole program, the same under either executor: run `f`,
+    /// then mark the rank finished. A controlled fail-stop unwinds with
+    /// [`SimAbort`] after the aborting path recorded the fault; any other
+    /// panic is a bug that escaped the rank closure, so the rank is crashed
+    /// in the scheduler first (the world drains instead of waiting on it)
+    /// and the payload goes back to the driver to re-raise.
+    fn run_rank<T, F: Fn(Rank) -> T>(rank: Rank, f: &F) -> RankEnd<T> {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| f(rank.clone_handle()))) {
+            Ok(out) => {
+                rank.finish();
+                Ok(Some(out))
+            }
+            Err(payload) if payload.downcast_ref::<SimAbort>().is_some() => Ok(None),
+            Err(payload) => {
+                rank.poison(format!("panic: {}", panic_payload_message(&payload)));
+                Err(payload)
+            }
+        }
+    }
+
     /// The thread-per-rank executor (the oracle path).
-    fn run_threads<T, F>(world: &World, cfg: &WorldCfg, f: &F) -> (Vec<Option<T>>, Option<Payload>)
+    fn run_threads<T, F>(world: &World, cfg: &WorldCfg, f: &F) -> Vec<RankEnd<T>>
     where
         T: Send,
         F: Fn(Rank) -> T + Sync,
     {
-        let mut panicked: Option<Payload> = None;
-        let results: Vec<Option<T>> = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..cfg.nranks)
                 .map(|r| {
                     let rank = world.rank(r);
-                    s.spawn(move || -> Result<Option<T>, Payload> {
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| f(rank.clone_handle())))
-                        {
-                            Ok(out) => {
-                                rank.finish();
-                                Ok(Some(out))
-                            }
-                            Err(payload) => {
-                                if payload.downcast_ref::<SimAbort>().is_some() {
-                                    // Controlled fail-stop; the aborting path
-                                    // already recorded the fault in SimState.
-                                    Ok(None)
-                                } else {
-                                    // A bug escaped the rank closure. Crash
-                                    // the rank in the scheduler first so the
-                                    // world can drain, then hand the payload
-                                    // to the caller's thread to re-panic.
-                                    rank.poison(format!(
-                                        "panic: {}",
-                                        panic_payload_message(&payload)
-                                    ));
-                                    Err(payload)
-                                }
-                            }
-                        }
-                    })
+                    s.spawn(move || Self::run_rank(rank, f))
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(v)) => v,
-                    Ok(Err(payload)) => {
-                        panicked.get_or_insert(payload);
-                        None
-                    }
-                    Err(payload) => {
-                        panicked.get_or_insert(payload);
-                        None
-                    }
-                })
+                .map(|h| h.join().unwrap_or_else(Err))
                 .collect()
-        });
-        (results, panicked)
+        })
     }
 
     /// The event-loop executor: every rank is a stackful task; this (the
@@ -426,7 +410,7 @@ impl World {
     /// requester set, not by arrival order — so driving ranks from this
     /// loop instead of OS threads reproduces the thread executor's traces
     /// byte for byte (see `sched_equivalence.rs`).
-    fn run_tasks<T, F>(world: &World, cfg: &WorldCfg, f: &F) -> (Vec<Option<T>>, Option<Payload>)
+    fn run_tasks<T, F>(world: &World, cfg: &WorldCfg, f: &F) -> Vec<RankEnd<T>>
     where
         T: Send,
         F: Fn(Rank) -> T + Sync,
@@ -436,45 +420,18 @@ impl World {
 
         let n = cfg.nranks as usize;
         let stack_bytes = crate::task::stack_bytes_from_env();
-        let results: Vec<RefCell<Option<T>>> = (0..n).map(|_| RefCell::new(None)).collect();
-        let panicked: RefCell<Option<Payload>> = RefCell::new(None);
+        let ends: Vec<RefCell<RankEnd<T>>> = (0..n).map(|_| RefCell::new(Ok(None))).collect();
         let mut tasks: Vec<crate::task::Task> = (0..cfg.nranks)
             .map(|r| {
                 let rank = world.rank(r);
-                let slot = &results[r as usize];
-                let panicked = &panicked;
+                let slot = &ends[r as usize];
                 // SAFETY: every task is resumed to completion below before
-                // `results`, `panicked` and `f` go out of scope, and all
-                // resumes happen on this thread.
+                // `ends` and `f` go out of scope, and all resumes happen on
+                // this thread.
                 unsafe {
                     crate::task::Task::new(
                         stack_bytes,
-                        Box::new(move || {
-                            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                f(rank.clone_handle())
-                            })) {
-                                Ok(out) => {
-                                    rank.finish();
-                                    *slot.borrow_mut() = Some(out);
-                                }
-                                Err(payload) => {
-                                    if payload.downcast_ref::<SimAbort>().is_some() {
-                                        // Controlled fail-stop; the aborting
-                                        // path already recorded the fault.
-                                    } else {
-                                        // A bug escaped the rank closure.
-                                        // Crash the rank so the world drains,
-                                        // then save the payload for the
-                                        // driver to re-panic with.
-                                        rank.poison(format!(
-                                            "panic: {}",
-                                            panic_payload_message(&payload)
-                                        ));
-                                        panicked.borrow_mut().get_or_insert(payload);
-                                    }
-                                }
-                            }
-                        }),
+                        Box::new(move || *slot.borrow_mut() = Self::run_rank(rank, f)),
                     )
                 }
             })
@@ -530,10 +487,7 @@ impl World {
             m.set_max("sim.live_tasks", n as u64);
             m.set_max("sim.task_mem_peak_bytes", (n * stack_bytes) as u64);
         }
-        (
-            results.into_iter().map(|c| c.into_inner()).collect(),
-            panicked.into_inner(),
-        )
+        ends.into_iter().map(RefCell::into_inner).collect()
     }
 }
 
@@ -571,10 +525,14 @@ impl Rank {
         apply_skew(true_ns, self.skew_ns())
     }
 
-    /// Current true simulated time. Takes the world lock; mainly for tests
-    /// and reporting.
+    /// The true simulated time this rank last observed: the end of its
+    /// last operation, send or receive, or the exit of its last barrier.
+    /// Layer code reads it between operations (a library call's entry and
+    /// exit), as a traced process reads its own clock; since only the
+    /// rank's own progress moves it, the reading does not depend on what
+    /// other ranks are doing at that moment. Takes the world lock.
     pub fn now(&self) -> u64 {
-        lock_state(&self.shared.state).clock_ns
+        self.lock_state().last_t[self.rank as usize]
     }
 
     pub(crate) fn clone_handle(&self) -> Rank {
@@ -687,11 +645,26 @@ impl Rank {
     }
 
     /// Acquire the scheduler turn. Returns with the world lock held and
-    /// this rank's status set to `Granted`. Increments the rank's op index
-    /// and fires a planned crash scheduled for it.
+    /// this rank's status set to `Granted` — at once when a burst kept the
+    /// token across the previous `turn_end`. Then increments the rank's op
+    /// index and fires a planned crash scheduled for it, so a crash always
+    /// happens under the turn.
     pub(crate) fn turn_begin(&self) -> MutexGuard<'_, SimState> {
         let mut st = self.lock_state();
         let me = self.rank as usize;
+        if st.status[me] != RankStatus::Granted {
+            st.set_status(me, RankStatus::Requesting);
+            st.try_dispatch();
+            self.drain_wakes(&mut st);
+            while st.status[me] != RankStatus::Granted {
+                if st.deadlocked {
+                    let blocked = st.blocked_ranks();
+                    drop(st);
+                    std::panic::panic_any(SimAbort(SimError::Deadlock { blocked }));
+                }
+                st = self.await_wake(st);
+            }
+        }
         let op = st.op_index[me];
         st.op_index[me] = op + 1;
         if st.take_crash(self.rank, op) {
@@ -702,39 +675,7 @@ impl Rank {
             };
             self.abort_with(st, err);
         }
-        if st.status[me] == RankStatus::Granted {
-            // Burst mode: we kept the token across the previous
-            // `turn_end`, so this operation proceeds without a re-draw —
-            // but not before every other rank has stopped computing.
-            // Grants already enforce that rule; burst continuations must
-            // too, or the clock would advance while a computing rank can
-            // observe it (`Rank::now` reads in layer code are taken
-            // between operations), breaking schedule determinism.
-            while st.any_computing() {
-                // Declare the park so the transition that zeroes
-                // `n_computing` wakes us (`SimState::holder_waiting`);
-                // undeclared, no status change targets the holder. Set
-                // under the same lock the transition takes — no lost wake.
-                st.holder_waiting = true;
-                st = self.await_wake(st);
-            }
-            st.holder_waiting = false;
-            return st;
-        }
-        st.set_status(me, RankStatus::Requesting);
-        st.try_dispatch();
-        self.drain_wakes(&mut st);
-        loop {
-            if st.deadlocked {
-                let blocked = st.blocked_ranks();
-                drop(st);
-                std::panic::panic_any(SimAbort(SimError::Deadlock { blocked }));
-            }
-            if st.status[me] == RankStatus::Granted {
-                return st;
-            }
-            st = self.await_wake(st);
-        }
+        st
     }
 
     /// Release the turn acquired by [`Rank::turn_begin`]. Under burst
@@ -776,14 +717,19 @@ impl Rank {
             }
             if !matches!(st.status[me], RankStatus::Blocked(_)) {
                 if let Some(base) = st.trace_pid_base {
-                    let name = match reason {
-                        crate::sched::BlockReason::Recv => "blocked:recv",
-                        crate::sched::BlockReason::Barrier { .. } => "blocked:barrier",
+                    // A barrier wait ends at the release the rank observed
+                    // (the holder may be bursting on by now), a receive
+                    // wait at the clock the receiver wakes to.
+                    let (name, until) = match reason {
+                        crate::sched::BlockReason::Recv => ("blocked:recv", st.clock_ns),
+                        crate::sched::BlockReason::Barrier { .. } => {
+                            ("blocked:barrier", st.last_t[me])
+                        }
                     };
                     // No args: the pid names the rank, and an empty Vec
                     // does not allocate — this is the scheduler's hottest
                     // instrumentation site.
-                    let dur = st.clock_ns.saturating_sub(blocked_from_ns);
+                    let dur = until.saturating_sub(blocked_from_ns);
                     st.buf_span(
                         base + self.rank as u64,
                         name,
@@ -799,10 +745,10 @@ impl Rank {
     }
 
     /// Execute `f` while holding the turn, after advancing the simulated
-    /// clock by the cost of `(class, bytes)`. `f` receives the operation's
-    /// start time and runs with exclusive access to all shared simulation
-    /// state — this is the hook the file-system layer uses. Returns
-    /// `(t_start, t_end, f(t_start))` in true simulated time.
+    /// clock by the fixed cost of `(class, bytes)`. `f` receives the
+    /// operation's start time and runs with exclusive access to all shared
+    /// simulation state — this is the hook the file-system layer uses.
+    /// Returns `(t_start, t_end, f(t_start))` in true simulated time.
     pub fn timed_op<R>(
         &self,
         class: OpClass,
@@ -810,9 +756,7 @@ impl Rank {
         f: impl FnOnce(u64) -> R,
     ) -> (u64, u64, R) {
         let mut st = self.turn_begin();
-        let t0 = st.clock_ns;
-        st.advance_clock(self.shared.cost.cost(class, bytes));
-        let t1 = st.clock_ns;
+        let (t0, t1) = st.spend(self.rank, cost(class, bytes));
         let r = f(t0);
         self.turn_end(st);
         (t0, t1, r)

@@ -2,7 +2,10 @@
 //! semantics, message matching, collectives, skew, deadlock detection,
 //! and fault injection.
 
-use mpisim::{EventKind, FaultKind, FaultPlan, IoFault, MpiEvent, Rank, SimError, World, WorldCfg};
+use mpisim::{
+    EventKind, ExecModel, FaultKind, FaultPlan, IoFault, MpiEvent, OpClass, Rank, SimError, World,
+    WorldCfg,
+};
 
 /// A fault-free run's output with the per-rank results unwrapped.
 struct Ran<T> {
@@ -487,7 +490,9 @@ fn io_fault_is_consumed_by_probe() {
 }
 
 #[test]
-fn delayed_message_advances_clock_instead_of_deadlocking() {
+fn delayed_message_is_received_after_its_delivery_time() {
+    // The send is delayed by 5 ms: the receive that takes it starts no
+    // earlier than the delivery time, and the run ends after it.
     const DELAY: u64 = 5_000_000;
     let cfg = WorldCfg::new(2, 23).with_faults(FaultPlan::none().with(
         0,
@@ -605,11 +610,11 @@ fn genuine_panic_drains_world_then_propagates() {
 }
 
 #[test]
-fn delayed_sender_in_gather_order_does_not_livelock() {
-    // Regression: rank 0 gathers in rank order, rank 1's send is delayed.
-    // Rank 2's message is already visible in rank 0's mailbox while rank 0
-    // blocks on rank 1 — the scheduler must advance the clock to rank 1's
-    // delivery, not re-wake rank 0 for the visible-but-wrong channel.
+fn gather_in_rank_order_completes_past_a_delayed_sender() {
+    // Rank 0 receives in rank order and rank 1's send is delayed, while
+    // rank 2's message already waits in rank 0's mailbox: every message
+    // still arrives, and rank 0 receives rank 1's no earlier than its
+    // delivery time.
     let plan = FaultPlan::none().with(
         1,
         1,
@@ -635,20 +640,17 @@ fn delayed_sender_in_gather_order_does_not_livelock() {
             0
         }
     })
-    .expect("no deadlock: the delayed message must eventually deliver");
+    .expect("no deadlock: the delayed message is delivered");
     assert_eq!(out.results[0], Some(1 + 2 + 3));
-    assert!(out.final_time_ns >= 5_000_000, "clock advanced to delivery");
+    assert!(out.final_time_ns >= 5_000_000, "the run outlasts the delay");
 }
 
 #[test]
-fn receiver_wakes_when_clock_passes_delivery_time() {
-    // Regression: rank 0 parks on rank 1's delayed message; rank 1 then
-    // burns enough compute that the clock passes the delivery time through
-    // ordinary cost accounting, long before every rank is parked. The
-    // delivery must wake rank 0 then — the send-time wake already happened
-    // (and found an invisible front), and rank 1 reaching the barrier
-    // afterwards used to leave no future-dated front for the deadlock
-    // scan, deadlocking a perfectly deliverable program.
+fn receiver_parked_on_a_delayed_message_completes_while_peers_compute() {
+    // Rank 0 parks in a receive before rank 1's delayed send; ranks 1 and
+    // 2 then compute far past the delivery time before reaching the final
+    // barrier. The parked receiver gets the message and joins the barrier:
+    // a delayed message never turns a deliverable program into a deadlock.
     let plan = FaultPlan::none().with(
         1,
         1,
@@ -677,4 +679,99 @@ fn receiver_wakes_when_clock_passes_delivery_time() {
     .expect("no deadlock: delivery time passes while peers still run");
     assert_eq!(out.results[0], Some(4));
     assert!(out.final_time_ns >= 1_000_000);
+}
+
+#[test]
+fn delayed_then_undelayed_message_on_one_channel_arrive_in_order() {
+    // Only rank 0's first send is delayed. The second, undelayed one does
+    // not overtake it, and both receives start no earlier than the first
+    // message's delivery time.
+    const DELAY: u64 = 3_000_000;
+    let cfg = WorldCfg::new(2, 5).with_faults(FaultPlan::none().with(
+        0,
+        0,
+        FaultKind::MsgDelay { delay_ns: DELAY },
+    ));
+    let out = World::run(&cfg, |r| {
+        if r.rank() == 0 {
+            let first = r.send(1, 3, vec![1]);
+            r.send(1, 3, vec![2]);
+            vec![(first.t_end + DELAY, 0)]
+        } else {
+            (0..2)
+                .map(|_| {
+                    let (payload, info) = r.recv(0, 3);
+                    (info.t_start, payload[0] as u64)
+                })
+                .collect()
+        }
+    })
+    .expect("both messages are delivered");
+    let visible_at = out.results[0].as_ref().expect("sender")[0].0;
+    let got = out.results[1].as_ref().expect("receiver");
+    assert_eq!(got.iter().map(|&(_, p)| p).collect::<Vec<_>>(), [1, 2]);
+    for &(t_start, payload) in got {
+        assert!(
+            t_start >= visible_at,
+            "message {payload} received at {t_start}, before {visible_at}"
+        );
+    }
+}
+
+#[test]
+fn now_reads_the_end_of_the_last_operation() {
+    // After each kind of operation, a rank reads that operation's end (a
+    // barrier's common exit), whichever executor runs it.
+    for exec in [ExecModel::Tasks, ExecModel::Threads] {
+        let out = run_cfg(&WorldCfg::new(3, 13).with_exec(exec), |r| {
+            let mut pairs = Vec::new();
+            let (_, t1, ()) = r.timed_op(OpClass::Compute, 500 * (r.rank() as u64 + 1), |_| {});
+            pairs.push((t1, r.now()));
+            pairs.push((r.barrier().t_exit, r.now()));
+            let right = (r.rank() + 1) % r.nranks();
+            let left = (r.rank() + r.nranks() - 1) % r.nranks();
+            pairs.push((r.send(right, 1, vec![0; 64]).t_end, r.now()));
+            pairs.push((r.recv(left, 1).1.t_end, r.now()));
+            pairs.push((r.barrier().t_exit, r.now()));
+            pairs
+        });
+        for (rank, pairs) in out.results.iter().enumerate() {
+            for (k, &(end, now)) in pairs.iter().enumerate() {
+                assert_eq!(now, end, "{exec:?} rank {rank} after op {k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_rank_woken_from_a_barrier_reads_a_constant_clock_while_another_bursts() {
+    // Rank 1 can only reach the barrier after rank 0's message, so it is
+    // always the last arrival: it keeps the turn and bursts on, under
+    // threads concurrently with rank 0, which is still running between
+    // operations. Rank 0's clock reads stay at the barrier exit throughout.
+    let cfg = WorldCfg::new(2, 3).threaded_ranks();
+    let out = run_cfg(&cfg, |r| {
+        if r.rank() == 0 {
+            r.send(1, 0, vec![0]);
+        } else {
+            r.recv(0, 0);
+        }
+        let t_exit = r.barrier().t_exit;
+        if r.rank() == 0 {
+            let reads: Vec<u64> = (0..200)
+                .map(|_| {
+                    std::thread::yield_now();
+                    r.now()
+                })
+                .collect();
+            assert!(reads.iter().all(|&t| t == t_exit), "{reads:?} vs {t_exit}");
+        } else {
+            for _ in 0..2_000 {
+                r.compute(10);
+            }
+            assert_eq!(r.now(), t_exit + 20_000);
+        }
+        r.barrier().t_exit
+    });
+    assert_eq!(out.results[0], out.results[1]);
 }

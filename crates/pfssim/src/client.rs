@@ -198,8 +198,10 @@ impl PfsClient {
             Arc::make_mut(&mut node.published).truncate(0);
             node.publish_version += 1;
             // Buffered state from earlier sessions is discarded too.
-            node.pending.clear();
-            node.delayed.clear();
+            st.drop_buffered(file, |node| {
+                node.pending.clear();
+                node.delayed.clear();
+            });
         }
         if self.cfg.semantics == SemanticsModel::Eventual {
             engine::mature_delayed(&mut st, &self.cfg, file, now);
@@ -450,9 +452,13 @@ impl PfsClient {
     /// processes until publish, and a dead owner can no longer publish.
     pub fn discard_pending(&mut self) {
         let mut st = lock_state(&self.state);
-        for node in st.files.iter_mut() {
-            node.pending.remove(&self.client_id);
-        }
+        let dropped: usize = st
+            .files
+            .iter_mut()
+            .filter_map(|node| node.pending.remove(&self.client_id))
+            .map(|extents| extents.len())
+            .sum();
+        st.stats.pending_extents = st.stats.pending_extents.saturating_sub(dropped as u64);
     }
 
     /// POSIX `fdatasync(2)`: same visibility behaviour as [`Self::fsync`].
@@ -713,30 +719,32 @@ fn truncate_node(st: &mut PfsState, file: FileId, len: u64) {
     let node = st.file_mut(file);
     Arc::make_mut(&mut node.published).truncate(len);
     node.publish_version += 1;
-    for extents in node.pending.values_mut() {
-        extents.retain_mut(|e| {
-            if e.off >= len {
-                return false;
-            }
-            let keep = (len - e.off).min(e.data.len() as u64) as usize;
-            e.data.truncate(keep);
-            !e.data.is_empty()
-        });
-    }
-    let delayed = std::mem::take(&mut node.delayed);
-    node.delayed = delayed
-        .into_iter()
-        .filter_map(|mut e| {
-            if e.off >= len {
-                return None;
-            }
-            let keep = (len - e.off).min(e.data.len() as u64) as usize;
-            e.data.truncate(keep);
-            if e.data.is_empty() {
-                None
-            } else {
-                Some(e)
-            }
-        })
-        .collect();
+    st.drop_buffered(file, |node| {
+        for extents in node.pending.values_mut() {
+            extents.retain_mut(|e| {
+                if e.off >= len {
+                    return false;
+                }
+                let keep = (len - e.off).min(e.data.len() as u64) as usize;
+                e.data.truncate(keep);
+                !e.data.is_empty()
+            });
+        }
+        let delayed = std::mem::take(&mut node.delayed);
+        node.delayed = delayed
+            .into_iter()
+            .filter_map(|mut e| {
+                if e.off >= len {
+                    return None;
+                }
+                let keep = (len - e.off).min(e.data.len() as u64) as usize;
+                e.data.truncate(keep);
+                if e.data.is_empty() {
+                    None
+                } else {
+                    Some(e)
+                }
+            })
+            .collect();
+    });
 }

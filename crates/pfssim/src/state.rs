@@ -78,6 +78,12 @@ impl FileNode {
             write_locks: crate::tag::SegMap::new(),
         }
     }
+
+    /// Extents buffered and not yet visible: pending under any owner, plus
+    /// the eventual engine's delay queue.
+    fn buffered(&self) -> u64 {
+        self.pending.values().map(|v| v.len() as u64).sum::<u64>() + self.delayed.len() as u64
+    }
 }
 
 pub(crate) struct PfsState {
@@ -109,6 +115,18 @@ impl PfsState {
 
     pub fn file_mut(&mut self, id: FileId) -> &mut FileNode {
         &mut self.files[id.index()]
+    }
+
+    /// Apply `drop` to `file`'s buffered extents and take every extent it
+    /// removed off [`PfsStats::pending_extents`] — the gauge counts what is
+    /// buffered *now*, so a discard or truncation must lower it as a
+    /// publish does.
+    pub fn drop_buffered(&mut self, file: FileId, drop: impl FnOnce(&mut FileNode)) {
+        let node = self.file_mut(file);
+        let before = node.buffered();
+        drop(node);
+        let dropped = before - node.buffered();
+        self.stats.pending_extents = self.stats.pending_extents.saturating_sub(dropped);
     }
 
     pub fn alloc_file(&mut self) -> FileId {

@@ -279,6 +279,39 @@ fn pending_and_publish_stats() {
     assert_eq!(fs.stats().publishes, 2);
 }
 
+/// Two buffered extents at offsets 0 and 100 under commit semantics; the
+/// caller then drops some of them without a publish.
+fn two_buffered_extents() -> (Pfs, pfssim::PfsClient, u32) {
+    let fs = pfs(SemanticsModel::Commit);
+    let mut a = fs.client(0);
+    let fd = a.open("/f", W, 0).unwrap();
+    a.pwrite(fd, 0, b"abcd", 1).unwrap();
+    a.pwrite(fd, 100, b"efgh", 2).unwrap();
+    assert_eq!(fs.stats().pending_extents, 2);
+    (fs, a, fd)
+}
+
+#[test]
+fn pending_extents_falls_when_a_crashed_client_is_discarded() {
+    let (fs, mut a, _) = two_buffered_extents();
+    a.discard_pending();
+    assert_eq!(fs.stats().pending_extents, 0);
+}
+
+#[test]
+fn pending_extents_falls_when_a_reopen_truncates() {
+    let (fs, mut a, _) = two_buffered_extents();
+    a.open("/f", W, 3).unwrap();
+    assert_eq!(fs.stats().pending_extents, 0);
+}
+
+#[test]
+fn pending_extents_falls_by_the_extents_a_truncate_drops() {
+    let (fs, mut a, fd) = two_buffered_extents();
+    a.ftruncate(fd, 50, 3).unwrap();
+    assert_eq!(fs.stats().pending_extents, 1);
+}
+
 #[test]
 fn quiesce_flushes_all_engines() {
     for model in [

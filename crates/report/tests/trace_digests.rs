@@ -1,0 +1,107 @@
+//! Raw simulator output, pinned across commits. One row per registered
+//! configuration × fault plan × seed: the FNV-1a 64 digest and byte length
+//! of the encoded trace of an 8-rank, quick-scale run. `reports/` pins
+//! derived artifacts of clean 64-rank runs only; this pins the trace bytes
+//! themselves, faulted runs included, so a scheduler or clock change that
+//! moves any timestamp shows up here as a named row.
+//!
+//! On a mismatch the test prints every row it computed, in the golden's
+//! format: if the move is intended, the printed block is the new
+//! `golden/trace_digests.txt` (run with `--nocapture`).
+
+use iolibs::{run_app_result, ExecModel, FaultKind, FaultPlan, IoFault, RunConfig};
+
+const NRANKS: u32 = 8;
+const SEEDS: [u64; 3] = [7, 8, 9];
+/// Fault sites are drawn from op indices `[1, MAX_OP]`, as in the default
+/// fault campaign.
+const MAX_OP: u64 = 64;
+
+/// The plans of one row group: name, kind and site count (the campaign's
+/// counts — one crash, two of every recoverable kind).
+fn plans() -> [(&'static str, Option<(FaultKind, usize)>); 5] {
+    [
+        ("clean", None),
+        ("crash", Some((FaultKind::Crash, 1))),
+        ("eio", Some((FaultKind::Io(IoFault::Eio), 2))),
+        ("lost-flush", Some((FaultKind::Io(IoFault::LostFlush), 2))),
+        (
+            "msg-delay",
+            Some((
+                FaultKind::MsgDelay {
+                    delay_ns: 2_000_000,
+                },
+                2,
+            )),
+        ),
+    ]
+}
+
+/// The rows of every plan named in `only` (all plans when empty), in
+/// golden order, with ranks run under `exec`.
+fn rows(exec: ExecModel, only: &[&str]) -> Vec<String> {
+    let mut cells = Vec::new();
+    for spec in hpcapps::specs() {
+        for (plan_name, plan) in plans() {
+            if !only.is_empty() && !only.contains(&plan_name) {
+                continue;
+            }
+            for seed in SEEDS {
+                cells.push((spec, plan_name, plan, seed));
+            }
+        }
+    }
+    semantics_core::parallel_map_indexed(cells.len(), 0, |k| {
+        let (spec, plan_name, plan, seed) = cells[k];
+        let faults = plan.map_or_else(FaultPlan::none, |(kind, count)| {
+            FaultPlan::seeded(seed, NRANKS, kind, count, MAX_OP)
+        });
+        let cfg = RunConfig::new(NRANKS, seed)
+            .with_faults(faults)
+            .with_exec(exec)
+            .with_label(spec.config_name());
+        let params = spec.params.quick();
+        let cell = match run_app_result(&cfg, |ctx| spec.run_with(ctx, &params)) {
+            Ok(out) => {
+                let bytes = out.trace.encode();
+                let digest = store::frame::fnv1a64(0xcbf2_9ce4_8422_2325, &bytes);
+                format!("{digest:016x} {:>8}", bytes.len())
+            }
+            Err(e) => format!("error: {e}"),
+        };
+        format!("{:<22} {plan_name:<10} {seed} {cell}", spec.config_name())
+    })
+}
+
+fn golden() -> Vec<&'static str> {
+    include_str!("golden/trace_digests.txt").lines().collect()
+}
+
+#[test]
+fn trace_digests_match_golden() {
+    let rows = rows(ExecModel::Tasks, &[]);
+    let golden = golden();
+    if rows != golden {
+        for row in &rows {
+            println!("{row}");
+        }
+        let moved = rows.iter().zip(&golden).filter(|(r, g)| r != g).count();
+        panic!(
+            "{moved} trace digest rows moved ({} computed, {} golden)",
+            rows.len(),
+            golden.len()
+        );
+    }
+}
+
+/// A crash fires under the turn and a delayed message is taken by the
+/// receive that waits for it, so faulted schedules, like clean ones, do not
+/// depend on the executor: the thread-per-rank oracle reproduces every
+/// crash and message-delay row.
+#[test]
+fn faulted_rows_are_the_same_under_threads() {
+    let golden = golden();
+    for row in rows(ExecModel::Threads, &["crash", "msg-delay"]) {
+        assert!(golden.contains(&row.as_str()), "not in golden: {row}");
+    }
+}

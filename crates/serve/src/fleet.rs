@@ -6,7 +6,9 @@
 //! A key the node owns is served locally. A key another node owns is
 //! either **proxied** (forwarded over a pooled keep-alive connection,
 //! with `X-Cluster-Hops` incremented so a misconfigured ring terminates
-//! in a 508 instead of a socket storm) or answered **307** with the
+//! in a 508 instead of a socket storm, and with the entry node's
+//! `X-Request-Id`, so the owner's flight records name the same request)
+//! or answered **307** with the
 //! authoritative peer in `Location` — selectable per node with
 //! `--forwarding {proxy,redirect}`.
 //!
@@ -32,6 +34,7 @@ use obs::FlightKind;
 
 use crate::client::{resolve, ClientResponse, HttpClient};
 use crate::http::{Request, Response};
+use crate::reqid::REQUEST_ID_HEADER;
 
 /// What to do with a request whose key another node owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,10 +298,12 @@ impl ClusterRuntime {
                     return RouteDecision::Local { persist: false };
                 }
                 // Forward with hop and epoch stamped, so the receiver can
-                // cut loops and detect skew.
+                // cut loops and detect skew, and with this request's id, so
+                // both nodes' flight records of it carry the same one.
                 let stamped = [
                     (HOPS_HEADER, (hops + 1).to_string()),
                     (EPOCH_HEADER, epoch.to_string()),
+                    (REQUEST_ID_HEADER, rid.to_string()),
                 ];
                 match peer.get(Call::Transfer, &path_query, &stamped) {
                     Ok(resp) => {

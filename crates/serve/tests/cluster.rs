@@ -3,6 +3,8 @@
 //!
 //! * byte identity — every query answers identical bytes no matter which
 //!   entry node takes the request, in both forwarding modes;
+//! * a proxied request keeps its `X-Request-Id` on the owner, so both
+//!   nodes' flight records of it can be joined;
 //! * a deliberately looped ring (two nodes each claiming the other is
 //!   the owner) is rejected with `508 Loop Detected`, never a hang;
 //! * a dead peer degrades to local recompute with a flight-recorder
@@ -187,6 +189,49 @@ fn byte_identity_across_entry_nodes_proxy() {
     assert!(
         proxied > 0,
         "no request was proxied — the ring is not splitting"
+    );
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn proxied_request_keeps_its_request_id_on_the_owner() {
+    let (handles, addrs) = boot_fleet(2, Forwarding::Proxy, None);
+    let a: std::net::SocketAddr = addrs[0].parse().unwrap();
+    let foreign = paths(16)
+        .into_iter()
+        .find(|p| {
+            get_once(a, p)
+                .unwrap()
+                .header("X-Cluster-Served-By")
+                .is_some()
+        })
+        .expect("some key must be owned by node 2");
+    let plain = get_once(a, &foreign).unwrap();
+
+    let rid = ("X-Request-Id", "trace-me-1".to_string());
+    let resp = HttpClient::connect_str(&addrs[0])
+        .unwrap()
+        .get_with_headers(&foreign, &[rid])
+        .unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.header("X-Cluster-Served-By").is_some(), "not proxied");
+    assert_eq!(resp.header("X-Request-Id"), Some("trace-me-1"));
+    assert_eq!(resp.body, plain.body, "the id changed the bytes");
+
+    // The entry node and the owner each open a flight record for the
+    // request; both carry the client's id, so the two can be joined.
+    let flight = get_once(addrs[1].parse().unwrap(), "/v1/debug/flightrec")
+        .unwrap()
+        .body_text();
+    let starts = flight
+        .lines()
+        .filter(|l| l.contains("\"request-start\"") && l.contains("\"rid\": \"trace-me-1\""))
+        .count();
+    assert_eq!(
+        starts, 2,
+        "entry and owner request-start records:\n{flight}"
     );
     for h in handles {
         h.shutdown();

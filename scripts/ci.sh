@@ -77,6 +77,10 @@ echo "ci: benchmark smoke"
 # warm == cold bytes), then the benchmark package's own tests.
 bash benchmark/run.sh all --smoke
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+# The benchmark builds against the workspace crates with its own lock
+# file; a `[dependencies]` edit anywhere rewrites it, and a program PR
+# must leave benchmark/ untouched.
+git diff --quiet -- benchmark/Cargo.lock || { echo "benchmark/Cargo.lock rewritten"; exit 1; }
 
 echo "ci: non-test lines per crate (printed, not gated)"
 sh scripts/loc.sh
