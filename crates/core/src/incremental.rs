@@ -59,8 +59,8 @@
 //! after that close (ranks without an open descriptor must re-open at a
 //! time past the watermark, which orders them after the close). Retired
 //! intervals are pruned at sync-epoch boundaries
-//! ([`StreamingAnalyzer::epoch_released`], driven by the simulator's
-//! barrier commits), so the store is bounded by the intervals live in the
+//! ([`StreamingAnalyzer::epoch_released`], sent by the rank that released
+//! each barrier), so the store is bounded by the intervals live in the
 //! current epoch(s), not by trace length. `peak_live_intervals` reports
 //! the high-water mark.
 //!
@@ -279,8 +279,8 @@ struct Inner {
 }
 
 /// The online analyzer. Thread-safe: simulated ranks push record chunks
-/// concurrently, the simulator signals epoch commits, and the analysis
-/// host finalizes once the run completes.
+/// and signal epoch commits concurrently, and the analysis host finalizes
+/// once the run completes.
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
     inner: Mutex<Inner>,

@@ -11,10 +11,7 @@
 //! MPI runtime's happens-before events into each rank's trace, and returns
 //! the assembled [`TraceSet`] together with the quiesced file system.
 
-use mpisim::{
-    apply_skew, ExecModel, FaultPlan, IoFault, OpClass, Rank, SchedMode, SimAbort, SimError, World,
-    WorldCfg,
-};
+use mpisim::{apply_skew, FaultPlan, IoFault, OpClass, Rank, SimAbort, SimError, World, WorldCfg};
 use pfssim::{
     FsError, FsResult, Observation, OpenFlags, Pfs, PfsConfig, ReadOut, SemanticsModel, StatInfo,
     Whence, WriteOut,
@@ -26,88 +23,54 @@ use crate::sink::SinkHandle;
 /// Records buffered per rank before a tee'd chunk is pushed to the sink.
 const SINK_CHUNK: usize = 64;
 
-/// Adapter forwarding the simulator's epoch commits to the run sink.
-struct EpochForwarder(SinkHandle);
-
-impl mpisim::EpochNotify for EpochForwarder {
-    fn epoch_released(&self, epoch: u64) {
-        self.0 .0.epoch_released(epoch);
-    }
-}
-
 /// A POSIX file descriptor in the simulated file system.
 pub type Fd = u32;
 
-/// Configuration of one simulated application run.
+/// Configuration of one simulated application run: the world it runs in,
+/// the file system it runs against, and where its records stream.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    pub nranks: u32,
-    pub seed: u64,
-    /// Consistency engine the PFS executes with. (The traces themselves are
-    /// engine-independent for race-free programs; the engine matters for
-    /// the stale-read validation experiments.)
-    pub semantics: SemanticsModel,
-    pub max_skew_ns: u64,
-    pub mode: SchedMode,
-    pub pfs: PfsConfig,
-    /// Initial simulated time of this job (workflow stages chain clocks).
-    pub start_time_ns: u64,
-    /// Pre-committed fault schedule ([`FaultPlan::none`] for clean runs).
+    /// The simulated MPI world, handed to [`World::run`] as is.
     /// `(seed, faults, program)` fully determines the trace.
-    pub faults: FaultPlan,
-    /// Label naming this run in observability output (trace timelines,
-    /// run spans). Purely cosmetic; never affects the simulation.
-    pub label: String,
-    /// Rank execution engine: event-loop tasks (host default) or one OS
-    /// thread per rank. Identical traces either way; see `ExecModel`.
-    pub exec: ExecModel,
+    pub world: WorldCfg,
+    /// The file system a fresh run gets, including the consistency engine
+    /// it executes with. (The traces themselves are engine-independent for
+    /// race-free programs; the engine matters for the stale-read
+    /// validation experiments.)
+    pub pfs: PfsConfig,
     /// Optional streaming sink the run tees its POSIX records to as they
     /// are emitted (see [`crate::sink`]). `None` costs nothing.
     pub sink: Option<SinkHandle>,
 }
 
 impl RunConfig {
+    /// `nranks` ranks with the paper-calibrated world defaults
+    /// ([`WorldCfg::new`]) on a default, strongly consistent file system.
     pub fn new(nranks: u32, seed: u64) -> Self {
         RunConfig {
-            nranks,
-            seed,
-            semantics: SemanticsModel::Strong,
-            max_skew_ns: 20_000,
-            mode: SchedMode::Deterministic,
+            world: WorldCfg::new(nranks, seed),
             pfs: PfsConfig::default(),
-            start_time_ns: 0,
-            faults: FaultPlan::none(),
-            label: String::new(),
             sink: None,
-            exec: ExecModel::default_for_host(),
         }
     }
 
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
+        self.world = self.world.with_label(label);
         self
     }
 
     pub fn with_semantics(mut self, semantics: SemanticsModel) -> Self {
-        self.semantics = semantics;
-        self
-    }
-
-    /// Use per-operation lockstep instead of the default burst grants —
-    /// the maximally interleaved deterministic schedule. Slower; used by
-    /// the schedule-robustness tests.
-    pub fn per_op_lockstep(mut self) -> Self {
-        self.mode = SchedMode::DeterministicPerOp;
+        self.pfs = self.pfs.with_semantics(semantics);
         self
     }
 
     pub fn with_max_skew_ns(mut self, ns: u64) -> Self {
-        self.max_skew_ns = ns;
+        self.world = self.world.with_max_skew_ns(ns);
         self
     }
 
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.world = self.world.with_faults(faults);
         self
     }
 
@@ -115,19 +78,6 @@ impl RunConfig {
     /// [`crate::sink`]).
     pub fn with_sink(mut self, sink: SinkHandle) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Select the rank execution engine explicitly.
-    pub fn with_exec(mut self, exec: ExecModel) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Run ranks as OS threads — the oracle executor the event loop is
-    /// regression-tested against.
-    pub fn threaded_ranks(mut self) -> Self {
-        self.exec = ExecModel::Threads;
         self
     }
 }
@@ -159,8 +109,8 @@ impl RunOutcome {
     }
 }
 
-/// Run `f` as an SPMD program on `cfg.nranks` ranks against a fresh file
-/// system, quiescing it (propagating all buffered writes) at the end.
+/// Run `f` as an SPMD program on `cfg.world.nranks` ranks against a fresh
+/// file system, quiescing it (propagating all buffered writes) at the end.
 ///
 /// Infallible wrapper for clean configurations: panics if the whole run
 /// fails (deadlock — an application bug). Per-rank fail-stops do *not*
@@ -180,8 +130,8 @@ pub fn run_app_result<F>(cfg: &RunConfig, f: F) -> Result<RunOutcome, SimError>
 where
     F: Fn(&mut AppCtx) + Sync,
 {
-    let pfs = Pfs::new(cfg.pfs.clone().with_semantics(cfg.semantics));
-    let out = run_app_on_result(cfg, &pfs, f)?;
+    let pfs = Pfs::new(cfg.pfs.clone());
+    let out = run_on(cfg, &pfs, f)?;
     pfs.quiesce();
     Ok(out)
 }
@@ -202,25 +152,24 @@ pub struct PipelineOutcome {
 
 /// Run a workflow: each stage is a separate job (fresh MPI world, fresh
 /// clients, **no** cross-stage communication) against one shared file
-/// system. `gap_ns` is the scheduler gap between jobs. The file system is
-/// *not* quiesced between stages — a consumer job sees exactly what the
+/// system. Stage `j` runs with seed `cfg.world.seed + j` and starts
+/// `gap_ns` after the previous stage ended. The file system is *not*
+/// quiesced between stages — a consumer job sees exactly what the
 /// producer's engine published — and is quiesced after the last stage.
+/// Panics if a stage deadlocks.
 pub fn run_pipeline(
     cfg: &RunConfig,
     gap_ns: u64,
     stages: &[&(dyn Fn(&mut AppCtx) + Sync)],
 ) -> PipelineOutcome {
-    let pfs = Pfs::new(cfg.pfs.clone().with_semantics(cfg.semantics));
+    let pfs = Pfs::new(cfg.pfs.clone());
     let mut outs: Vec<RunOutcome> = Vec::with_capacity(stages.len());
-    let mut start = cfg.start_time_ns;
+    let mut stage_cfg = cfg.clone();
     for (j, stage) in stages.iter().enumerate() {
-        let stage_cfg = RunConfig {
-            seed: cfg.seed.wrapping_add(j as u64),
-            start_time_ns: start,
-            ..cfg.clone()
-        };
-        let out = run_app_on(&stage_cfg, &pfs, |ctx| stage(ctx));
-        start = out.final_time_ns + gap_ns;
+        stage_cfg.world.seed = cfg.world.seed.wrapping_add(j as u64);
+        let out = run_on(&stage_cfg, &pfs, |ctx| stage(ctx))
+            .unwrap_or_else(|e| panic!("simulated run failed: {e}"));
+        stage_cfg.world.start_ns = out.final_time_ns + gap_ns;
         outs.push(out);
     }
     // Stage clocks are chained, so the traces are already on one absolute
@@ -235,46 +184,25 @@ pub fn run_pipeline(
     }
 }
 
-/// Run `f` against an existing file system (workflow stages share one).
-/// Does **not** quiesce. Panics on deadlock; see [`run_app_on_result`].
-pub fn run_app_on<F>(cfg: &RunConfig, pfs: &Pfs, f: F) -> RunOutcome
-where
-    F: Fn(&mut AppCtx) + Sync,
-{
-    run_app_on_result(cfg, pfs, f).unwrap_or_else(|e| panic!("simulated run failed: {e}"))
-}
-
-/// Run `f` against an existing file system, reporting whole-run failures
-/// as `Err`. A rank that fail-stops (injected crash, peer-crash cascade,
-/// exhausted I/O retries) unwinds with [`SimAbort`]; the harness catches
-/// it *inside* the rank closure, discards the dead process's un-published
-/// buffered writes, and salvages the trace prefix — so degraded runs still
-/// produce an analyzable [`RunOutcome`] with [`RunOutcome::faults`] set.
-pub fn run_app_on_result<F>(cfg: &RunConfig, pfs: &Pfs, f: F) -> Result<RunOutcome, SimError>
+/// Run `f` against an existing file system (a workflow's stages share
+/// one), without quiescing it, reporting whole-run failures as `Err`. A
+/// rank that fail-stops (injected crash, peer-crash cascade, exhausted I/O
+/// retries) unwinds with [`SimAbort`]; the harness catches it *inside* the
+/// rank closure, discards the dead process's un-published buffered writes,
+/// and salvages the trace prefix — so degraded runs still produce an
+/// analyzable [`RunOutcome`] with [`RunOutcome::faults`] set.
+fn run_on<F>(cfg: &RunConfig, pfs: &Pfs, f: F) -> Result<RunOutcome, SimError>
 where
     F: Fn(&mut AppCtx) + Sync,
 {
     let pfs = pfs.clone();
     let interner = recorder::shared_interner();
+    let world = &cfg.world;
     let _run_span = obs::span("iolibs", "run_app")
-        .with_arg("label", cfg.label.as_str())
-        .with_arg("nranks", cfg.nranks as u64)
-        .with_arg("seed", cfg.seed);
-    let world_cfg = WorldCfg {
-        nranks: cfg.nranks,
-        seed: cfg.seed,
-        mode: cfg.mode,
-        max_skew_ns: cfg.max_skew_ns,
-        start_ns: cfg.start_time_ns,
-        faults: cfg.faults.clone(),
-        label: cfg.label.clone(),
-        epoch_sink: cfg
-            .sink
-            .as_ref()
-            .map(|s| mpisim::EpochSinkHandle::new(std::sync::Arc::new(EpochForwarder(s.clone())))),
-        exec: cfg.exec,
-    };
-    let out = World::run(&world_cfg, |rank| {
+        .with_arg("label", world.label.as_str())
+        .with_arg("nranks", world.nranks as u64)
+        .with_arg("seed", world.seed);
+    let out = World::run(world, |rank| {
         let r = rank.rank();
         let mut ctx = AppCtx::new(
             rank,
@@ -304,8 +232,8 @@ where
     })?;
 
     // Merge the MPI runtime's event log into each rank's record stream.
-    let mut tracers = Vec::with_capacity(cfg.nranks as usize);
-    let mut observations = Vec::with_capacity(cfg.nranks as usize);
+    let mut tracers = Vec::with_capacity(world.nranks as usize);
+    let mut observations = Vec::with_capacity(world.nranks as usize);
     for (rank, (result, events)) in out.results.into_iter().zip(out.events).enumerate() {
         let (mut tracer, obs) = result.unwrap_or_else(|| {
             // A rank whose closure vanished without salvage (cannot happen
@@ -487,15 +415,20 @@ impl AppCtx {
     // ------------------------------------------------------------------
 
     pub fn barrier(&mut self) {
-        if self.sink.is_none() {
-            self.rank.barrier();
-            return;
-        }
         // Everything emitted so far is ordered before the barrier; hand it
         // to the sink before blocking so the analysis can overlap with the
         // wait.
         self.sink_flush();
         let info = self.rank.barrier();
+        let Some(sink) = &self.sink else {
+            return;
+        };
+        // The epoch is a happens-before boundary the sink may retire state
+        // at; the one rank whose arrival released it says so, before its
+        // frontier moves past the barrier.
+        if info.released {
+            sink.0.epoch_released(info.epoch);
+        }
         let exit_local = self.rank.local_clock(info.t_exit);
         match self.sink_zero {
             // First barrier: its local-clock exit is the adjustment zero —
@@ -504,12 +437,9 @@ impl AppCtx {
             None => self.sink_zero = Some(exit_local),
             // Later barriers: no records to send, but the exit time is a
             // frontier promise (no future record starts before it).
-            Some(zero) => {
-                if let Some(sink) = &self.sink {
-                    sink.0
-                        .push(self.rank.rank(), &[], exit_local.saturating_sub(zero));
-                }
-            }
+            Some(zero) => sink
+                .0
+                .push(self.rank.rank(), &[], exit_local.saturating_sub(zero)),
         }
     }
 

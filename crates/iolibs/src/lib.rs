@@ -30,12 +30,14 @@ pub mod sink;
 
 pub use adios::AdiosWriter;
 pub use harness::{
-    run_app, run_app_on, run_app_on_result, run_app_result, run_pipeline, AppCtx, Fd, OrFailStop,
-    PipelineOutcome, RunConfig, RunOutcome,
+    run_app, run_app_result, run_pipeline, AppCtx, Fd, OrFailStop, PipelineOutcome, RunConfig,
+    RunOutcome,
 };
 pub use hdf5::{H5File, H5Opts};
 pub use mpiio::{MpiFile, MpiIoHints};
-pub use mpisim::{ExecModel, FaultKind, FaultPlan, FaultSite, IoFault, SimError, MAX_RANKS};
+pub use mpisim::{
+    ExecModel, FaultKind, FaultPlan, FaultSite, IoFault, SimError, DEFAULT_MAX_SKEW_NS, MAX_RANKS,
+};
 pub use netcdf::NcFile;
 pub use silo::{SiloFile, SiloOpts};
 pub use sink::{RunSink, SinkHandle};

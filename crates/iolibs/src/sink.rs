@@ -4,8 +4,8 @@
 //! rank *tee* its POSIX records to the sink as they are emitted, already
 //! barrier-adjusted (re-based so the startup-barrier exit is t = 0, the
 //! same adjustment [`recorder::adjust::apply`] performs post-hoc). The
-//! harness additionally forwards the simulator's epoch commits and, after
-//! trace assembly, the [`PathId`](recorder::PathId) canonicalization.
+//! harness additionally signals barrier epoch commits and, after trace
+//! assembly, the [`PathId`](recorder::PathId) canonicalization.
 //!
 //! Contract:
 //!
@@ -16,9 +16,12 @@
 //! * Record `PathId`s are the run's pre-assembly interner ids;
 //!   `assembly_remap` delivers the translation to the canonical trace ids
 //!   once the run completes.
-//! * Callbacks may run on simulation threads; `epoch_released` in
-//!   particular runs under the simulator's state lock and must not call
-//!   back into the run.
+//! * `epoch_released(e)` comes from the rank whose arrival released
+//!   epoch `e`, after its barrier returned and before that rank's
+//!   frontier moves past the barrier. An epoch a crash released is not
+//!   signalled. It is a hint for retiring state, never a result.
+//! * Every callback runs on a simulated rank (or, for `assembly_remap`,
+//!   the run's caller), outside the simulator's lock.
 
 use std::fmt;
 use std::sync::Arc;
@@ -35,7 +38,8 @@ pub trait RunSink: Send + Sync {
     fn rank_done(&self, rank: u32);
 
     /// Synchronization epoch `epoch` committed: all live ranks passed a
-    /// barrier. A happens-before boundary usable for retiring state.
+    /// barrier. A happens-before boundary usable for retiring state; sent
+    /// by the rank whose arrival released it.
     fn epoch_released(&self, epoch: u64) {
         let _ = epoch;
     }

@@ -5,7 +5,7 @@ use iolibs::{
     run_app, AdiosWriter, AppCtx, H5File, H5Opts, MpiFile, MpiIoHints, NcFile, RunConfig, SiloFile,
     SiloOpts,
 };
-use pfssim::{OpenFlags, SemanticsModel};
+use pfssim::{OpenFlags, PfsConfig, SemanticsModel};
 use recorder::{adjust, offset, AccessKind, Func, Layer};
 
 fn cfg(nranks: u32, seed: u64) -> RunConfig {
@@ -446,4 +446,21 @@ fn semantics_choice_does_not_change_the_trace_shape() {
             .collect();
         assert_eq!(f1, f2, "rank {rank} op sequence must be engine-independent");
     }
+}
+
+#[test]
+fn a_run_uses_the_file_system_its_config_names() {
+    // The configured file system, engine included, is the one the run gets:
+    // no other field of the config overrides it.
+    let mut cfg = cfg(2, 3);
+    cfg.pfs = PfsConfig::default().with_semantics(SemanticsModel::Commit);
+    let out = run_app(&cfg, |ctx: &mut AppCtx| {
+        assert_eq!(
+            ctx.semantics(),
+            SemanticsModel::Commit,
+            "rank {}",
+            ctx.rank()
+        );
+    });
+    assert_eq!(out.pfs.config().semantics, SemanticsModel::Commit);
 }

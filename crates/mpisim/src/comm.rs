@@ -22,6 +22,10 @@ pub struct BarrierInfo {
     pub epoch: u64,
     pub t_enter: u64,
     pub t_exit: u64,
+    /// Whether this rank's arrival released the epoch: true on exactly one
+    /// participant, or on none when a crash was the departure the epoch
+    /// waited for.
+    pub released: bool,
 }
 
 /// Completion record of a send.
@@ -57,8 +61,8 @@ impl Rank {
         st.release_barrier_if_complete();
         // The last live arrival releases the epoch and keeps the turn;
         // everyone else parks until the release.
-        let last = st.barrier_epoch > epoch;
-        if !last {
+        let released = st.barrier_epoch > epoch;
+        if !released {
             st = self.park(st, BlockReason::Barrier { epoch });
         }
         let t_exit = st.barrier_release[epoch as usize];
@@ -68,13 +72,14 @@ impl Rank {
             t_end: t_exit,
             kind: EventKind::Barrier { epoch },
         });
-        if last {
+        if released {
             self.turn_end(st);
         }
         BarrierInfo {
             epoch,
             t_enter,
             t_exit,
+            released,
         }
     }
 

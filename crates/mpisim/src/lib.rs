@@ -14,18 +14,23 @@
 //!
 //! 1. **Timestamps with controllable skew.** The paper's conflict-detection
 //!    algorithm (§5.2) orders operations by local-clock timestamps and argues
-//!    that clock skew (< 20 µs on Quartz) is negligible relative to the gaps
-//!    between synchronized conflicting operations. Simulated time is a global
-//!    nanosecond counter advanced by a fixed per-operation cost; a rank
-//!    reads the time it last observed ([`Rank::now`]: the end of its last
-//!    operation or barrier), as a traced process reads its own clock; a
-//!    per-rank *skew offset* is applied when timestamps are recorded, so the
-//!    barrier-based adjustment of §5.2 can be exercised and stress-tested.
+//!    that clock skew (< 20 µs on Quartz, [`DEFAULT_MAX_SKEW_NS`]) is
+//!    negligible relative to the gaps between synchronized conflicting
+//!    operations. Simulated time is a global nanosecond counter advanced by
+//!    a fixed per-operation cost; a rank reads the time it last observed
+//!    ([`Rank::now`]: the end of its last operation or barrier), as a traced
+//!    process reads its own clock; a per-rank *skew offset* is applied when
+//!    timestamps are recorded, so the barrier-based adjustment of §5.2 can
+//!    be exercised and stress-tested.
 //!
 //! 2. **Happens-before edges.** Sends/receives and barriers are logged with
 //!    matching sequence numbers so the analysis can rebuild the partial order
 //!    imposed by communication and validate that conflicting I/O operations
-//!    are synchronized (the FLASH validation of §5.2).
+//!    are synchronized (the FLASH validation of §5.2). The one rank whose
+//!    arrival released a barrier epoch learns so from its return value
+//!    ([`BarrierInfo::released`]); a layer above that streams the trace
+//!    signals the epoch from there, after the barrier returns — the world
+//!    calls nothing back.
 //!
 //! 3. **One way to run.** Ranks advance in a lockstep token protocol and
 //!    the next rank to act is chosen by a seeded RNG among the ranks that
@@ -49,7 +54,6 @@ mod error;
 mod event;
 mod fault;
 mod sched;
-mod sink;
 mod task;
 mod world;
 
@@ -59,6 +63,5 @@ pub use error::{SimAbort, SimError};
 pub use event::{EventKind, MpiEvent};
 pub use fault::{FaultKind, FaultPlan, FaultSite, IoFault};
 pub use sched::SchedMode;
-pub use sink::{EpochNotify, EpochSinkHandle};
 pub use task::stack_allocs as task_stack_allocs;
-pub use world::{ExecModel, Rank, RunOutput, World, WorldCfg, MAX_RANKS};
+pub use world::{ExecModel, Rank, RunOutput, World, WorldCfg, DEFAULT_MAX_SKEW_NS, MAX_RANKS};

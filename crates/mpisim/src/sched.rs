@@ -255,9 +255,6 @@ pub(crate) struct SimState {
     /// global collector's shard lock per event; `World::run` bulk-flushes
     /// the whole buffer once at the end of the run.
     pub trace_buf: Vec<obs::TraceEvent>,
-    /// Streaming sink notified of epoch commits. Invoked under the state
-    /// lock — see [`crate::EpochNotify`] for the re-entrancy contract.
-    pub epoch_sink: Option<crate::sink::EpochSinkHandle>,
 }
 
 impl SimState {
@@ -309,7 +306,6 @@ impl SimState {
             faults: vec![None; n],
             trace_pid_base: obs::tracing_enabled().then(|| obs::alloc_sim_pids(nranks)),
             trace_buf: Vec::new(),
-            epoch_sink: None,
         }
     }
 
@@ -583,9 +579,6 @@ impl SimState {
         self.barrier_epoch += 1;
         debug_assert_eq!(self.barrier_release.len() as u64, epoch);
         self.barrier_release.push(self.clock_ns);
-        if let Some(sink) = &self.epoch_sink {
-            sink.0.epoch_released(epoch);
-        }
         for r in 0..self.status.len() {
             if self.status[r] == RankStatus::Blocked(BlockReason::Barrier { epoch }) {
                 self.set_status(r, RankStatus::Computing);

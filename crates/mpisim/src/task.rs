@@ -34,8 +34,9 @@
 //! `alloc`/`dealloc` — heap growth, trim, and a first-touch fault per page
 //! — on every world. The pool keeps at most [`STACK_POOL_MAX`] stacks; a
 //! stack is pooled only with its canary intact and reused only at exactly
-//! the size asked for, so a changed `MPISIM_TASK_STACK_KIB` simply drains
-//! the old ones. Nothing is ever read from a recycled stack before it is
+//! the size asked for (a world's stacks are all [`DEFAULT_STACK_BYTES`],
+//! but the unit tests below run [`MIN_STACK_BYTES`] tasks on the same
+//! threads). Nothing is ever read from a recycled stack before it is
 //! written: a task starts from a fresh bootstrap frame at the top.
 
 use std::alloc::{alloc, dealloc, Layout};
@@ -50,12 +51,11 @@ pub const fn supported() -> bool {
 
 /// Default task stack size: 1 MiB of *virtual* space. Pages are committed
 /// on first touch, so idle ranks cost a few KiB of resident memory; deep
-/// I/O-library call chains have headroom. Overridable per world via
-/// `MPISIM_TASK_STACK_KIB` (clamped to at least [`MIN_STACK_BYTES`]).
+/// I/O-library call chains have headroom. Every world's tasks get this size.
 pub const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
-/// Floor for configured stack sizes; below this even the harness's
-/// startup barrier would risk the canary.
+/// Floor for stack sizes; below this even the harness's startup barrier
+/// would risk the canary.
 pub const MIN_STACK_BYTES: usize = 64 * 1024;
 
 /// Sentinel written at the low end of every task stack and checked on
@@ -69,17 +69,6 @@ const STACK_CANARY: u64 = 0xdead_c0de_5afe_57ac;
 /// big world touched) forever; 256 covers the rank counts the service
 /// answers by default.
 pub const STACK_POOL_MAX: usize = 256;
-
-/// The per-task stack-size knob, resolved once per world.
-pub fn stack_bytes_from_env() -> usize {
-    match std::env::var("MPISIM_TASK_STACK_KIB") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(kib) => (kib * 1024).max(MIN_STACK_BYTES),
-            Err(_) => DEFAULT_STACK_BYTES,
-        },
-        Err(_) => DEFAULT_STACK_BYTES,
-    }
-}
 
 thread_local! {
     /// This thread's idle task stacks, at most [`STACK_POOL_MAX`].
@@ -274,7 +263,7 @@ impl Task {
         assert!(
             self.inner.stack().canary_intact(),
             "task stack overflow detected (canary clobbered); \
-             raise MPISIM_TASK_STACK_KIB"
+             raise DEFAULT_STACK_BYTES"
         );
     }
 }

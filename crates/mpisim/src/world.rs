@@ -10,13 +10,17 @@ use crate::error::{SimAbort, SimError};
 use crate::event::MpiEvent;
 use crate::fault::{FaultPlan, IoFault};
 use crate::sched::{RankStatus, SchedMode, SimState};
-use crate::sink::EpochSinkHandle;
 
 /// Upper bound on the rank count of one world. The task executor commits
 /// stack pages lazily, so the real ceiling is address space and patience,
 /// not memory — but a rank count beyond this is always a typo or a unit
 /// error, and front ends reject it before allocating anything.
 pub const MAX_RANKS: u32 = 65_536;
+
+/// Default bound on per-rank clock skew, nanoseconds: the paper measured
+/// < 20 µs on Quartz (§5.2), negligible beside the gaps between
+/// synchronized conflicting operations.
+pub const DEFAULT_MAX_SKEW_NS: u64 = 20_000;
 
 /// How rank programs are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +60,8 @@ pub struct WorldCfg {
     pub seed: u64,
     /// How long a granted rank keeps the turn.
     pub mode: SchedMode,
-    /// Maximum absolute per-rank clock skew, nanoseconds. The paper measured
-    /// < 20 µs on Quartz; the default matches that bound.
+    /// Maximum absolute per-rank clock skew, nanoseconds; defaults to the
+    /// paper's bound, [`DEFAULT_MAX_SKEW_NS`].
     pub max_skew_ns: u64,
     /// Initial simulated time. Jobs of a workflow chain their clocks by
     /// starting each world where the previous one ended.
@@ -68,9 +72,6 @@ pub struct WorldCfg {
     /// traces (e.g. the report config name). Empty is fine; it only
     /// affects observability output, never simulation behaviour.
     pub label: String,
-    /// Optional streaming sink notified of epoch commits (see
-    /// [`crate::EpochNotify`]); `None` costs nothing.
-    pub epoch_sink: Option<EpochSinkHandle>,
     /// Rank execution engine. [`ExecModel::Tasks`] (the host default) and
     /// [`ExecModel::Threads`] produce byte-identical traces.
     pub exec: ExecModel,
@@ -83,11 +84,10 @@ impl WorldCfg {
             nranks,
             seed,
             mode: SchedMode::Deterministic,
-            max_skew_ns: 20_000, // 20 µs, the bound observed in §5.2
+            max_skew_ns: DEFAULT_MAX_SKEW_NS,
             start_ns: 0,
             faults: FaultPlan::none(),
             label: String::new(),
-            epoch_sink: None,
             exec: ExecModel::default_for_host(),
         }
     }
@@ -240,8 +240,7 @@ impl World {
             .sites()
             .iter()
             .any(|s| matches!(s.kind, crate::fault::FaultKind::Io(_)));
-        let mut state = SimState::new(cfg.nranks, cfg.seed, cfg.mode, cfg.start_ns, &cfg.faults);
-        state.epoch_sink = cfg.epoch_sink.clone();
+        let state = SimState::new(cfg.nranks, cfg.seed, cfg.mode, cfg.start_ns, &cfg.faults);
         if let Some(base) = state.trace_pid_base {
             let label = if cfg.label.is_empty() {
                 "world"
@@ -419,7 +418,7 @@ impl World {
         use std::collections::VecDeque;
 
         let n = cfg.nranks as usize;
-        let stack_bytes = crate::task::stack_bytes_from_env();
+        let stack_bytes = crate::task::DEFAULT_STACK_BYTES;
         let ends: Vec<RefCell<RankEnd<T>>> = (0..n).map(|_| RefCell::new(Ok(None))).collect();
         let mut tasks: Vec<crate::task::Task> = (0..cfg.nranks)
             .map(|r| {

@@ -3,8 +3,8 @@
 //! and fault injection.
 
 use mpisim::{
-    EventKind, ExecModel, FaultKind, FaultPlan, IoFault, MpiEvent, OpClass, Rank, SimError, World,
-    WorldCfg,
+    BarrierInfo, EventKind, ExecModel, FaultKind, FaultPlan, IoFault, MpiEvent, OpClass, Rank,
+    SimError, World, WorldCfg,
 };
 
 /// A fault-free run's output with the per-rank results unwrapped.
@@ -81,6 +81,33 @@ fn consecutive_barriers_have_increasing_epochs() {
     });
     for &(a, b, c) in &out.results {
         assert_eq!((a, b, c), (0, 1, 2));
+    }
+}
+
+#[test]
+fn exactly_one_participant_sees_each_epoch_released() {
+    // The last live arrival releases an epoch, and it alone is told so,
+    // whichever executor runs the ranks.
+    for exec in [ExecModel::Tasks, ExecModel::Threads] {
+        let out = run_cfg(&WorldCfg::new(5, 23).with_exec(exec), |r| {
+            (0..4u64)
+                .map(|k| {
+                    r.compute(100 * ((r.rank() as u64 + k) % 5 + 1));
+                    r.barrier()
+                })
+                .collect::<Vec<_>>()
+        });
+        for epoch in 0..4 {
+            let infos: Vec<BarrierInfo> = out.results.iter().map(|b| b[epoch]).collect();
+            let released: Vec<&BarrierInfo> = infos.iter().filter(|b| b.released).collect();
+            assert_eq!(released.len(), 1, "{exec:?} epoch {epoch}: {infos:?}");
+            let last_enter = infos.iter().map(|b| b.t_enter).max();
+            assert_eq!(
+                Some(released[0].t_enter),
+                last_enter,
+                "{exec:?} epoch {epoch}: the last arrival releases"
+            );
+        }
     }
 }
 
@@ -467,6 +494,44 @@ fn crash_while_peers_wait_in_barrier_releases_them() {
         assert_eq!(out.results[r], Some(r as u32));
     }
     assert!(out.results[3].is_none());
+}
+
+#[test]
+fn an_epoch_a_crash_releases_is_released_by_no_survivor() {
+    // Ranks 0-2 each send rank 3 a message and enter the barrier of epoch 1
+    // in the same burst (a holder keeps the turn from its send until it
+    // parks), so once rank 3 has taken all three messages its peers are
+    // all waiting there. Rank 3 then fail-stops: its departure releases
+    // epoch 1, and no survivor is told it did. A streaming consumer retires
+    // that epoch's state at the next released epoch, or at finalize.
+    for exec in [ExecModel::Tasks, ExecModel::Threads] {
+        let out = World::run(&WorldCfg::new(4, 29).with_exec(exec), |r| {
+            let first = r.barrier();
+            if r.rank() == 3 {
+                for src in 0..3 {
+                    r.recv(src, 0);
+                }
+                r.fail_stop("gives up".to_string());
+            }
+            r.send(3, 0, vec![]);
+            [first, r.barrier(), r.barrier()]
+        })
+        .expect("a crash is recoverable");
+        assert!(matches!(
+            out.faults[3],
+            Some(SimError::RankCrashed { rank: 3, .. })
+        ));
+        let survivors: Vec<[BarrierInfo; 3]> = out.results[..3]
+            .iter()
+            .map(|b| b.expect("survivor"))
+            .collect();
+        let released = |e: usize| {
+            assert!(survivors.iter().all(|b| b[e].epoch == e as u64));
+            survivors.iter().filter(|b| b[e].released).count()
+        };
+        assert_eq!(released(1), 0, "{exec:?}: the crash released epoch 1");
+        assert_eq!(released(2), 1, "{exec:?}: an arrival released epoch 2");
+    }
 }
 
 #[test]

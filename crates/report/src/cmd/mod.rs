@@ -191,7 +191,7 @@ fn report_cfg(p: &Parsed) -> Result<ReportCfg, String> {
     Ok(ReportCfg {
         nranks: ranks(p, &RANKS)?,
         seed: p.get(&SEED)?,
-        max_skew_ns: 20_000,
+        ..ReportCfg::default()
     })
 }
 

@@ -141,7 +141,7 @@ pub fn campaign(camp: &CampaignCfg) -> (String, CampaignStats) {
         let cfg = ReportCfg {
             nranks: camp.nranks,
             seed,
-            max_skew_ns: 20_000,
+            ..ReportCfg::default()
         };
         let plan = FaultPlan::seeded(seed, camp.nranks, kind, count, camp.max_op);
         let params = spec.params.quick();
@@ -239,7 +239,7 @@ pub fn flash_crash_sweep(camp: &CampaignCfg) -> (String, bool) {
     let cfg = ReportCfg {
         nranks: camp.nranks,
         seed: camp.base_seed,
-        max_skew_ns: 20_000,
+        ..ReportCfg::default()
     };
 
     let happy = analyze_with_params(&cfg, spec, &params);
@@ -341,7 +341,7 @@ pub fn happy_path_verdicts(camp: &CampaignCfg) -> String {
         let cfg = ReportCfg {
             nranks: camp.nranks,
             seed: camp.base_seed,
-            max_skew_ns: 20_000,
+            ..ReportCfg::default()
         };
         analyze_with_params(&cfg, specs[k], &specs[k].params.quick())
     });

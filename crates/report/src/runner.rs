@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use hpcapps::{AppSpec, ScaleParams};
-use iolibs::{run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle};
+use iolibs::{
+    run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle, DEFAULT_MAX_SKEW_NS,
+};
 use recorder::{adjust, offset, Record, ResolvedTrace};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel, ConflictReport};
 use semantics_core::hb::{validate_conflicts, HbValidation};
@@ -30,7 +32,8 @@ pub struct ReportCfg {
     /// World size. The paper's presented results use 64 ranks.
     pub nranks: u32,
     pub seed: u64,
-    /// Maximum injected clock skew (ns); the paper observed < 20 µs.
+    /// Maximum injected clock skew (ns); defaults to the paper's bound,
+    /// [`DEFAULT_MAX_SKEW_NS`].
     pub max_skew_ns: u64,
 }
 
@@ -39,7 +42,7 @@ impl Default for ReportCfg {
         ReportCfg {
             nranks: 64,
             seed: 2021,
-            max_skew_ns: 20_000,
+            max_skew_ns: DEFAULT_MAX_SKEW_NS,
         }
     }
 }

@@ -25,22 +25,13 @@ use serve::{AnalysisQuery, AnalysisViews, ApiError, Backend};
 use crate::runner::{analyze_isolated, AnalyzedRun, ConfigOutcome, ReportCfg};
 
 /// Backend over the static application registry and the isolated runner.
-pub struct ReportBackend {
-    /// Skew ceiling applied to every service run (the paper's < 20 µs).
-    max_skew_ns: u64,
-}
+/// Every service run gets [`ReportCfg::default`]'s skew ceiling.
+#[derive(Default)]
+pub struct ReportBackend;
 
 impl ReportBackend {
     pub fn new() -> ReportBackend {
-        ReportBackend {
-            max_skew_ns: 20_000,
-        }
-    }
-}
-
-impl Default for ReportBackend {
-    fn default() -> Self {
-        ReportBackend::new()
+        ReportBackend
     }
 }
 
@@ -96,7 +87,7 @@ impl Backend for ReportBackend {
         let cfg = ReportCfg {
             nranks: query.ranks,
             seed: query.seed,
-            max_skew_ns: self.max_skew_ns,
+            ..ReportCfg::default()
         };
         // Parse cannot fail here: canonicalize already round-tripped it.
         let faults = FaultPlan::parse(&query.faults).map_err(ApiError::BadRequest)?;

@@ -39,10 +39,10 @@ fn run_with(
     let mut cfg = RunConfig::new(8, 5)
         .with_semantics(semantics)
         .with_faults(faults.clone())
-        .with_exec(exec)
         .with_label(spec.config_name());
+    cfg.world.exec = exec;
     if mode_per_op {
-        cfg = cfg.per_op_lockstep();
+        cfg.world = cfg.world.per_op_lockstep();
     }
     run_app_result(&cfg, |ctx| spec.run_with(ctx, &spec.params))
 }
@@ -197,9 +197,9 @@ fn tasks_identical_to_threads_with_streaming_sink() {
     let mut results = Vec::new();
     for exec in [ExecModel::Tasks, ExecModel::Threads] {
         let analyzer = Arc::new(StreamingAnalyzer::new(nranks));
-        let cfg = RunConfig::new(nranks, 5)
-            .with_exec(exec)
+        let mut cfg = RunConfig::new(nranks, 5)
             .with_sink(SinkHandle::new(Arc::new(Tee(Arc::clone(&analyzer)))));
+        cfg.world.exec = exec;
         let outcome =
             run_app_result(&cfg, |ctx| spec.run_with(ctx, &spec.params)).expect("run failed");
         results.push((outcome.trace.clone(), analyzer.finalize()));
@@ -223,9 +223,8 @@ fn tasks_identical_to_threads_with_streaming_sink() {
 fn event_loop_deterministic_at_1024_ranks() {
     let nranks: u32 = 1024;
     let run = || {
-        let cfg = RunConfig::new(nranks, 7)
-            .with_exec(ExecModel::Tasks)
-            .with_label("detcheck-1024");
+        let mut cfg = RunConfig::new(nranks, 7).with_label("detcheck-1024");
+        cfg.world.exec = ExecModel::Tasks;
         run_app_result(&cfg, |ctx| {
             let r = ctx.rank();
             ctx.mkdir_p("/ckpt").expect("mkdir");

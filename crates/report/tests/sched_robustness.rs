@@ -16,6 +16,12 @@ use recorder::{adjust, offset};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel};
 use semantics_core::patterns::{global_pattern, highlevel, local_pattern, AccessClass};
 
+/// `cfg` in a world that re-draws the token after every operation.
+fn per_op_lockstep(mut cfg: RunConfig) -> RunConfig {
+    cfg.world = cfg.world.per_op_lockstep();
+    cfg
+}
+
 #[test]
 fn burst_grants_match_per_op_lockstep_oracle() {
     let nranks = 8;
@@ -28,7 +34,7 @@ fn burst_grants_match_per_op_lockstep_oracle() {
         let tag = spec.config_name();
         let base = RunConfig::new(nranks, 5).with_label(tag.clone());
         let mut marks = Vec::new();
-        for cfg in [base.clone(), base.clone().per_op_lockstep()] {
+        for cfg in [base.clone(), per_op_lockstep(base.clone())] {
             let outcome = run_app(&cfg, |ctx| spec.run_with(ctx, &spec.params));
             let resolved = offset::resolve(&adjust::apply(&outcome.trace));
             marks.push((
@@ -68,7 +74,7 @@ fn figure1_local_view_is_schedule_invariant() {
         let tag = spec.config_name();
         let base = RunConfig::new(64, 2021).with_label(tag.clone());
         let mut views = Vec::new();
-        for cfg in [base.clone(), base.clone().per_op_lockstep()] {
+        for cfg in [base.clone(), per_op_lockstep(base.clone())] {
             let outcome = run_app(&cfg, |ctx| spec.run_with(ctx, &spec.params));
             let resolved = offset::resolve(&adjust::apply(&outcome.trace));
             views.push((local_pattern(&resolved), global_pattern(&resolved)));

@@ -8,8 +8,19 @@
 //! On a mismatch the test prints every row it computed, in the golden's
 //! format: if the move is intended, the printed block is the new
 //! `golden/trace_digests.txt` (run with `--nocapture`).
+//!
+//! `golden/stream_counters.txt` pins, the same way, what the streaming
+//! analyzer counted while a run was in flight — counters that depend on
+//! when barrier epochs reach it, which no trace byte records.
 
-use iolibs::{run_app_result, ExecModel, FaultKind, FaultPlan, IoFault, RunConfig};
+use std::sync::Arc;
+
+use hpcapps::{AppSpec, ScaleParams};
+use iolibs::{
+    run_app_result, ExecModel, FaultKind, FaultPlan, IoFault, RunConfig, RunSink, SinkHandle,
+};
+use recorder::Record;
+use semantics_core::incremental::StreamingAnalyzer;
 
 const NRANKS: u32 = 8;
 const SEEDS: [u64; 3] = [7, 8, 9];
@@ -56,10 +67,10 @@ fn rows(exec: ExecModel, only: &[&str]) -> Vec<String> {
         let faults = plan.map_or_else(FaultPlan::none, |(kind, count)| {
             FaultPlan::seeded(seed, NRANKS, kind, count, MAX_OP)
         });
-        let cfg = RunConfig::new(NRANKS, seed)
+        let mut cfg = RunConfig::new(NRANKS, seed)
             .with_faults(faults)
-            .with_exec(exec)
             .with_label(spec.config_name());
+        cfg.world.exec = exec;
         let params = spec.params.quick();
         let cell = match run_app_result(&cfg, |ctx| spec.run_with(ctx, &params)) {
             Ok(out) => {
@@ -77,21 +88,98 @@ fn golden() -> Vec<&'static str> {
     include_str!("golden/trace_digests.txt").lines().collect()
 }
 
-#[test]
-fn trace_digests_match_golden() {
-    let rows = rows(ExecModel::Tasks, &[]);
-    let golden = golden();
+/// Compare computed rows with a golden; on a mismatch print every row, in
+/// the golden's format, and fail naming how many moved.
+fn assert_golden(what: &str, rows: &[String], golden: &[&str]) {
     if rows != golden {
-        for row in &rows {
+        for row in rows {
             println!("{row}");
         }
-        let moved = rows.iter().zip(&golden).filter(|(r, g)| r != g).count();
+        let moved = rows.iter().zip(golden).filter(|(r, g)| r != g).count();
         panic!(
-            "{moved} trace digest rows moved ({} computed, {} golden)",
+            "{moved} {what} rows moved ({} computed, {} golden)",
             rows.len(),
             golden.len()
         );
     }
+}
+
+#[test]
+fn trace_digests_match_golden() {
+    assert_golden("trace digest", &rows(ExecModel::Tasks, &[]), &golden());
+}
+
+struct Analyzer(Arc<StreamingAnalyzer>);
+
+impl RunSink for Analyzer {
+    fn push(&self, rank: u32, records: &[Record], frontier: u64) {
+        self.0.push(rank, records, frontier);
+    }
+    fn rank_done(&self, rank: u32) {
+        self.0.rank_done(rank);
+    }
+    fn epoch_released(&self, epoch: u64) {
+        self.0.epoch_released(epoch);
+    }
+    fn assembly_remap(&self, remap: &[u32]) {
+        self.0.set_remap(remap);
+    }
+}
+
+/// Every Table 4 configuration at the paper's scale (64 ranks, seed 2021),
+/// then every registered configuration × {crash, msg-delay} × seeds 7/8/9
+/// at 8 ranks, quick scale: the streaming analyzer's working-set and pair
+/// counters, and its conflict totals under both models.
+#[test]
+fn stream_counters_match_golden() {
+    let mut cells: Vec<(&'static AppSpec, ScaleParams, u32, u64, FaultPlan)> = hpcapps::specs()
+        .iter()
+        .filter(|s| s.in_table4)
+        .map(|s| (s, s.params, 64, 2021, FaultPlan::none()))
+        .collect();
+    let faulted: Vec<(FaultKind, usize)> = plans()
+        .into_iter()
+        .filter(|(name, _)| ["crash", "msg-delay"].contains(name))
+        .filter_map(|(_, plan)| plan)
+        .collect();
+    for spec in hpcapps::specs() {
+        for &(kind, count) in &faulted {
+            for seed in SEEDS {
+                let faults = FaultPlan::seeded(seed, NRANKS, kind, count, MAX_OP);
+                cells.push((spec, spec.params.quick(), NRANKS, seed, faults));
+            }
+        }
+    }
+    let rows = semantics_core::parallel_map_indexed(cells.len(), 0, |k| {
+        let (spec, params, nranks, seed, ref faults) = cells[k];
+        let analyzer = Arc::new(StreamingAnalyzer::new(nranks));
+        let mut cfg = RunConfig::new(nranks, seed)
+            .with_faults(faults.clone())
+            .with_label(spec.config_name())
+            .with_sink(SinkHandle::new(Arc::new(Analyzer(Arc::clone(&analyzer)))));
+        cfg.world.exec = ExecModel::Tasks;
+        let cell = match run_app_result(&cfg, |ctx| spec.run_with(ctx, &params)) {
+            Ok(_) => {
+                let inc = analyzer.finalize();
+                format!(
+                    "peak={} pairs={} pruned={} session={} commit={}",
+                    inc.peak_live_intervals,
+                    inc.pairs_checked,
+                    inc.pruned_intervals,
+                    inc.session.total(),
+                    inc.commit.total()
+                )
+            }
+            Err(e) => format!("error: {e}"),
+        };
+        format!(
+            "{:<22} {nranks:>2} {seed:>4} {} {cell}",
+            spec.config_name(),
+            faults.describe()
+        )
+    });
+    let golden: Vec<&str> = include_str!("golden/stream_counters.txt").lines().collect();
+    assert_golden("stream counter", &rows, &golden);
 }
 
 /// A crash fires under the turn and a delayed message is taken by the

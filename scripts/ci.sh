@@ -14,6 +14,14 @@ echo "ci: rustdoc"
 # private item — a deleted item cannot leave a link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
+echo "ci: no environment knobs"
+# A run is configured by its config and a command by its flags: no
+# program code reads an environment variable.
+if grep -rn 'env::var' crates/*/src; then
+    echo "environment read in program code"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
