@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use recorder::stats::TraceStats;
-use recorder::{offset, AccessKind, PathId, ResolvedTrace, TraceSet};
+use recorder::{offset, AccessKind, PathId, TraceSet};
 
 use crate::conflict::{detect_conflicts, AnalysisModel, ConflictKind, ConflictScope};
 use crate::patterns::lowlevel::{classify_stream, PatternStats};
@@ -45,14 +45,9 @@ pub struct AppRunReport {
 /// Build the detailed report for one (adjusted) trace.
 pub fn build(trace: &TraceSet) -> AppRunReport {
     let resolved = offset::resolve(trace);
-    build_from_resolved(trace, &resolved)
-}
-
-/// Build when the resolution already exists.
-pub fn build_from_resolved(trace: &TraceSet, resolved: &ResolvedTrace) -> AppRunReport {
     let stats = TraceStats::from_trace(trace);
-    let session = detect_conflicts(resolved, AnalysisModel::Session);
-    let commit = detect_conflicts(resolved, AnalysisModel::Commit);
+    let session = detect_conflicts(&resolved, AnalysisModel::Session);
+    let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
     let verdict = required_model(&session, &commit);
 
     let mut files: BTreeMap<PathId, FileReport> = BTreeMap::new();

@@ -28,8 +28,10 @@
 //!   head — reproduces exactly the POSIX subsequence of the batch order,
 //!   and the offset resolver only consumes POSIX records. Feeding the
 //!   shared [`recorder::offset::StreamResolver`] step in that order makes
-//!   the streamed [`ResolvedTrace`] identical to the batch one by
-//!   construction.
+//!   the accesses and sync events the analyzer consumes exactly the batch
+//!   [`recorder::ResolvedTrace`]'s, in its order, by construction. Each is
+//!   used as it drains and then dropped; only their
+//!   [`ResolveCounts`] are kept.
 //! * **Conflict pairs.** An arriving access can only be the *later*
 //!   element of a candidate pair (drain order is time order), and the
 //!   earlier element must be a write (write-after-read never conflicts) —
@@ -62,7 +64,9 @@
 //! ([`StreamingAnalyzer::epoch_released`], sent by the rank that released
 //! each barrier), so the store is bounded by the intervals live in the
 //! current epoch(s), not by trace length. `peak_live_intervals` reports
-//! the high-water mark.
+//! the high-water mark. Nothing else the analyzer holds grows with the
+//! trace: the resolved accesses are not retained, and what remains is per
+//! file, per `(rank, file)`, or per reported conflict.
 //!
 //! ## Assumptions
 //!
@@ -79,8 +83,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
-use recorder::offset::StreamResolver;
-use recorder::{AccessKind, DataAccess, IdMap, PathId, Record, ResolvedTrace, SyncEvent, SyncKind};
+use recorder::offset::{ResolveCounts, Resolved, StreamResolver};
+use recorder::{AccessKind, DataAccess, IdMap, PathId, Record, SyncEvent, SyncKind};
 
 use crate::conflict::{classify_pair, unsynchronized, AnalysisModel, ConflictReport};
 use crate::patterns::highlevel::{classify_from_buckets, FileBuckets, HighLevelReport};
@@ -220,8 +224,9 @@ struct RankFileState {
 /// Everything the incremental engine has produced by finalize time.
 #[derive(Debug)]
 pub struct IncrementalOutput {
-    /// Byte-identical to `offset::resolve(adjusted_trace)`.
-    pub resolved: ResolvedTrace,
+    /// Equal to `offset::resolve(adjusted_trace).counts()`; the accesses
+    /// and sync events themselves were consumed as they drained.
+    pub resolution: ResolveCounts,
     /// Byte-identical to `detect_conflicts(&resolved, Session)`.
     pub session: ConflictReport,
     /// … and to `detect_conflicts(&resolved, Commit)`.
@@ -324,34 +329,14 @@ impl StreamingAnalyzer {
     /// drain further.
     pub fn push(&self, rank: u32, records: &[Record], frontier: u64) {
         let mut g = self.lock();
-        let r = rank as usize;
-        g.leaving_empty_set(r);
-        if g.queues[r].is_empty() {
-            if let Some(first) = records.first() {
-                g.heads.push(Reverse((first.t_start, rank)));
-            }
-        }
-        let mut f = g.frontiers[r].max(frontier);
-        for rec in records {
-            debug_assert!(
-                g.queues[r]
-                    .back()
-                    .map_or(true, |p| p.t_start <= rec.t_start),
-                "per-rank records must arrive in nondecreasing t_start"
-            );
-            f = f.max(rec.t_start);
-            g.queues[r].push_back(*rec);
-        }
-        g.frontiers[r] = f;
+        g.enqueue(rank, records, frontier);
         g.drain();
     }
 
     /// `rank` will produce no further records.
     pub fn rank_done(&self, rank: u32) {
         let mut g = self.lock();
-        g.leaving_empty_set(rank as usize);
-        g.done[rank as usize] = true;
-        g.frontiers[rank as usize] = u64::MAX;
+        g.finish_rank(rank as usize);
         g.drain();
     }
 
@@ -394,13 +379,49 @@ impl Inner {
         }
     }
 
-    /// Watermark merge: repeatedly drain the smallest `(t_start, rank)`
-    /// queue head, as long as it is strictly below every empty rank's
-    /// frontier (an empty rank could still produce a record at its
-    /// frontier with a smaller rank number). The heads sit in a min-heap;
-    /// the bound is carried between calls and can only fall while
-    /// draining, when a queue runs empty.
+    /// Queue a chunk of `rank`'s records and raise its frontier.
+    fn enqueue(&mut self, rank: u32, records: &[Record], frontier: u64) {
+        let r = rank as usize;
+        self.leaving_empty_set(r);
+        if self.queues[r].is_empty() {
+            if let Some(first) = records.first() {
+                self.heads.push(Reverse((first.t_start, rank)));
+            }
+        }
+        let mut f = self.frontiers[r].max(frontier);
+        for rec in records {
+            debug_assert!(
+                self.queues[r]
+                    .back()
+                    .is_none_or(|p| p.t_start <= rec.t_start),
+                "per-rank records must arrive in nondecreasing t_start"
+            );
+            f = f.max(rec.t_start);
+            self.queues[r].push_back(*rec);
+        }
+        self.frontiers[r] = f;
+    }
+
+    fn finish_rank(&mut self, r: usize) {
+        self.leaving_empty_set(r);
+        self.done[r] = true;
+        self.frontiers[r] = u64::MAX;
+    }
+
+    /// Watermark merge: process queue heads in `(t_start, rank)` order for
+    /// as long as [`Inner::pop_drainable`] yields one.
     fn drain(&mut self) {
+        while let Some(rec) = self.pop_drainable() {
+            self.process(rec);
+        }
+    }
+
+    /// Pop the smallest `(t_start, rank)` queue head if it is strictly
+    /// below every empty rank's frontier (an empty rank could still produce
+    /// a record at its frontier with a smaller rank number). The heads sit
+    /// in a min-heap; the bound is carried between calls and can only fall
+    /// while draining, when a queue runs empty.
+    fn pop_drainable(&mut self) -> Option<Record> {
         if self.bound_stale {
             self.bound = (0..self.nranks)
                 .filter(|&r| self.queues[r].is_empty() && !self.done[r])
@@ -409,39 +430,31 @@ impl Inner {
                 .unwrap_or(u64::MAX);
             self.bound_stale = false;
         }
-        while let Some(&Reverse((t, rank))) = self.heads.peek() {
-            if t >= self.bound {
-                break;
-            }
-            self.heads.pop();
-            let r = rank as usize;
-            let rec = self.queues[r]
-                .pop_front()
-                .expect("a head per nonempty queue");
-            match self.queues[r].front() {
-                Some(next) => self.heads.push(Reverse((next.t_start, rank))),
-                None if !self.done[r] => self.bound = self.bound.min(self.frontiers[r]),
-                None => {}
-            }
-            self.process(rec);
+        let &Reverse((t, rank)) = self.heads.peek()?;
+        if t >= self.bound {
+            return None;
         }
+        self.heads.pop();
+        let r = rank as usize;
+        let rec = self.queues[r]
+            .pop_front()
+            .expect("a head per nonempty queue");
+        match self.queues[r].front() {
+            Some(next) => self.heads.push(Reverse((next.t_start, rank))),
+            None if !self.done[r] => self.bound = self.bound.min(self.frontiers[r]),
+            None => {}
+        }
+        Some(rec)
     }
 
     fn process(&mut self, rec: Record) {
         // A pair's conditions are exact once the drain strictly passes its
         // t₂: every sync that could fill a tc ≤ t₂ has drained.
         self.flush_pending(rec.t_start);
-        let s0 = self.resolver.resolved().syncs.len();
-        let a0 = self.resolver.resolved().accesses.len();
-        self.resolver.push(&rec);
-        // One record yields at most one access or one sync.
-        if self.resolver.resolved().syncs.len() > s0 {
-            let s = self.resolver.resolved().syncs[s0];
-            self.on_sync(s);
-        }
-        if self.resolver.resolved().accesses.len() > a0 {
-            let a = self.resolver.resolved().accesses[a0];
-            self.on_access(a);
+        match self.resolver.push(&rec) {
+            Some(Resolved::Sync(s)) => self.on_sync(s),
+            Some(Resolved::Access(a)) => self.on_access(a),
+            None => {}
         }
     }
 
@@ -678,14 +691,6 @@ impl Inner {
             }
         };
 
-        let mut resolved = std::mem::take(&mut self.resolver).finish();
-        for a in &mut resolved.accesses {
-            a.file = m(a.file);
-        }
-        for s in &mut resolved.syncs {
-            s.file = m(s.file);
-        }
-
         // Replay surviving pairs in the batch sweep's emission order:
         // files in canonical PathId order, pairs by sweep position.
         let mut survivors = std::mem::take(&mut self.survivors);
@@ -730,7 +735,7 @@ impl Inner {
         }
 
         IncrementalOutput {
-            resolved,
+            resolution: self.resolver.counts(),
             session,
             commit,
             local: self.local_stats,
@@ -749,7 +754,7 @@ mod tests {
     use crate::conflict::detect_conflicts;
     use crate::patterns::{global_pattern, local_pattern};
     use recorder::offset::{flag_bits, resolve};
-    use recorder::{Func, Layer, TraceSet};
+    use recorder::{Func, Layer, ResolvedTrace, TraceSet};
 
     /// The reference: the at-rest detector under (session, commit).
     fn at_rest(resolved: &ResolvedTrace) -> (ConflictReport, ConflictReport) {
@@ -847,8 +852,8 @@ mod tests {
         queues: Vec<VecDeque<Record>>,
         frontiers: Vec<u64>,
         done: Vec<bool>,
-        /// `(t_start, rank, is_open)` in drain order.
-        out: Vec<(u64, u32, bool)>,
+        /// `(t_start, rank)` in drain order.
+        out: Vec<(u64, u32)>,
     }
 
     impl LinearScanDrain {
@@ -870,13 +875,21 @@ mod tests {
                 }
                 match best {
                     Some((t, r)) if t < bound => {
-                        let rec = self.queues[r].pop_front().expect("nonempty");
-                        let open = matches!(rec.func, Func::Open { .. });
-                        self.out.push((t, r as u32, open));
+                        self.queues[r].pop_front().expect("nonempty");
+                        self.out.push((t, r as u32));
                     }
                     _ => break,
                 }
             }
+        }
+    }
+
+    /// [`Inner::drain`], noting `(t_start, rank)` of each record it
+    /// processes.
+    fn drain_noting(g: &mut Inner, out: &mut Vec<(u64, u32)>) {
+        while let Some(rec) = g.pop_drainable() {
+            out.push((rec.t_start, rec.rank));
+            g.process(rec);
         }
     }
 
@@ -915,7 +928,11 @@ mod tests {
                     recs
                 })
                 .collect();
-            let an = StreamingAnalyzer::new(nranks as u32);
+            let mut g = StreamingAnalyzer::new(nranks as u32)
+                .inner
+                .into_inner()
+                .expect("fresh analyzer");
+            let mut drained = Vec::new();
             let mut model = LinearScanDrain {
                 queues: vec![VecDeque::new(); nranks],
                 frontiers: vec![0; nranks],
@@ -931,7 +948,8 @@ mod tests {
                     // Late rank_done: after the rank's last record, but
                     // not necessarily right after.
                     if rng.gen_bool(0.5) {
-                        an.rank_done(r as u32);
+                        g.finish_rank(r);
+                        drain_noting(&mut g, &mut drained);
                         model.done[r] = true;
                         model.frontiers[r] = u64::MAX;
                         live.retain(|&x| x != r);
@@ -947,7 +965,8 @@ mod tests {
                         1 => last,
                         _ => rest.get(chunk.len()).map_or(last + 7, |n| n.t_start),
                     };
-                    an.push(r as u32, chunk, frontier);
+                    g.enqueue(r as u32, chunk, frontier);
+                    drain_noting(&mut g, &mut drained);
                     model.queues[r].extend(chunk);
                     model.frontiers[r] = model.frontiers[r].max(frontier).max(last);
                     next[r] += chunk.len();
@@ -956,11 +975,10 @@ mod tests {
                 // Same eagerness, not just the same final order: what has
                 // drained by each epoch decides what pruning retires, and
                 // so `peak_live_intervals` and `pairs_checked`.
-                let g = an.lock();
-                let drained = |qs: &[VecDeque<Record>]| -> Vec<usize> {
+                let lens = |qs: &[VecDeque<Record>]| -> Vec<usize> {
                     qs.iter().map(VecDeque::len).collect()
                 };
-                assert_eq!(drained(&g.queues), drained(&model.queues), "case {case}");
+                assert_eq!(lens(&g.queues), lens(&model.queues), "case {case}");
                 assert_eq!(
                     g.heads.len(),
                     g.queues.iter().filter(|q| !q.is_empty()).count(),
@@ -968,35 +986,8 @@ mod tests {
                 );
             }
             assert!(model.queues.iter().all(VecDeque::is_empty), "case {case}");
-            assert!(
-                model.out.is_sorted_by_key(|&(t, r, _)| (t, r)),
-                "case {case}: the model is a merge"
-            );
-            // Opens resolve to sync events and pwrites to accesses, each
-            // appended in drain order.
-            let inc = an.finalize();
-            let opens = |r: &&(u64, u32, bool)| r.2;
-            let want_syncs: Vec<(u64, u32)> = model
-                .out
-                .iter()
-                .filter(opens)
-                .map(|&(t, r, _)| (t, r))
-                .collect();
-            let want_accesses: Vec<(u64, u32)> = model
-                .out
-                .iter()
-                .filter(|r| !opens(r))
-                .map(|&(t, r, _)| (t, r))
-                .collect();
-            let syncs: Vec<(u64, u32)> = inc.resolved.syncs.iter().map(|s| (s.t, s.rank)).collect();
-            let accesses: Vec<(u64, u32)> = inc
-                .resolved
-                .accesses
-                .iter()
-                .map(|a| (a.t_start, a.rank))
-                .collect();
-            assert_eq!(syncs, want_syncs, "case {case}");
-            assert_eq!(accesses, want_accesses, "case {case}");
+            assert!(model.out.is_sorted(), "case {case}: the model is a merge");
+            assert_eq!(drained, model.out, "case {case}");
         }
     }
 
@@ -1007,7 +998,7 @@ mod tests {
         let (session, commit) = at_rest(&resolved);
         for chunk in [1usize, 2, 3, 100] {
             let inc = feed(&trace, chunk);
-            assert_eq!(inc.resolved, resolved, "chunk={chunk}");
+            assert_eq!(inc.resolution, resolved.counts(), "chunk={chunk}");
             assert_eq!(inc.session, session, "chunk={chunk}");
             assert_eq!(inc.commit, commit, "chunk={chunk}");
             assert_eq!(inc.local, local_pattern(&resolved), "chunk={chunk}");
@@ -1132,7 +1123,7 @@ mod tests {
         let inc = an.finalize();
         let resolved = resolve(&trace);
         let (session, commit) = at_rest(&resolved);
-        assert_eq!(inc.resolved, resolved);
+        assert_eq!(inc.resolution, resolved.counts());
         assert_eq!(inc.session, session);
         assert_eq!(inc.commit, commit);
         assert_eq!(inc.pairs_checked, 1);
@@ -1160,7 +1151,7 @@ mod tests {
         let inc = an.finalize();
         assert_eq!(inc.session, session);
         assert_eq!(inc.commit, commit);
-        assert_eq!(inc.resolved, resolved);
+        assert_eq!(inc.resolution, resolved.counts());
     }
 
     #[test]
@@ -1210,7 +1201,7 @@ mod tests {
         }
         let inc = an.finalize();
         let total = (nranks as u64) * epochs;
-        assert_eq!(inc.resolved.accesses.len() as u64, total);
+        assert_eq!(inc.resolution.accesses, total);
         assert!(
             inc.peak_live_intervals <= 3 * nranks as u64,
             "peak live intervals {} not O(ranks) for a {}-access trace",

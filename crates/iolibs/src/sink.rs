@@ -3,7 +3,7 @@
 //! A [`RunConfig`](crate::RunConfig) carrying a [`SinkHandle`] makes every
 //! rank *tee* its POSIX records to the sink as they are emitted, already
 //! barrier-adjusted (re-based so the startup-barrier exit is t = 0, the
-//! same adjustment [`recorder::adjust::apply`] performs post-hoc). The
+//! same adjustment [`recorder::adjust::rebase`] performs post-hoc). The
 //! harness additionally signals barrier epoch commits and, after trace
 //! assembly, the [`PathId`](recorder::PathId) canonicalization.
 //!

@@ -43,18 +43,23 @@ pub fn compute(trace: &TraceSet) -> Adjustment {
     }
 }
 
-/// Apply the barrier adjustment, returning a re-based copy of the trace.
-/// Timestamps before the barrier saturate at zero.
-pub fn apply(trace: &TraceSet) -> TraceSet {
+/// Apply the barrier adjustment in place. Timestamps before the barrier
+/// saturate at zero. Re-basing twice is re-basing once: afterwards every
+/// rank's first barrier exit is zero.
+pub fn rebase(trace: &mut TraceSet) {
     let adj = compute(trace);
-    let mut out = trace.clone();
-    for (rank, records) in out.ranks.iter_mut().enumerate() {
-        let zero = adj.zero_ns[rank];
+    for (records, zero) in trace.ranks.iter_mut().zip(adj.zero_ns) {
         for r in records.iter_mut() {
             r.t_start = r.t_start.saturating_sub(zero);
             r.t_end = r.t_end.saturating_sub(zero);
         }
     }
+}
+
+/// [`rebase`] a copy of the trace, leaving `trace` as recorded.
+pub fn apply(trace: &TraceSet) -> TraceSet {
+    let mut out = trace.clone();
+    rebase(&mut out);
     out
 }
 
@@ -109,6 +114,29 @@ mod tests {
         assert_eq!(adjusted.ranks[1][1].t_start, 95);
         // Pre-barrier times saturate to zero.
         assert_eq!(adjusted.ranks[0][0].t_start, 0);
+    }
+
+    #[test]
+    fn rebase_is_apply_in_place_and_idempotent() {
+        let mut trace = TraceSet {
+            paths: vec![],
+            ranks: vec![
+                vec![
+                    rec(0, 100, Func::Close { fd: 3 }),
+                    rec(0, 200, Func::MpiBarrier { epoch: 0 }),
+                    rec(0, 300, Func::Close { fd: 4 }),
+                ],
+                vec![rec(1, 130, Func::Close { fd: 3 })],
+            ],
+            skews_ns: vec![0, 30],
+        };
+        let adjusted = apply(&trace);
+        rebase(&mut trace);
+        assert_eq!(trace, adjusted);
+        assert_eq!(compute(&trace).zero_ns, vec![0, 0]);
+        rebase(&mut trace);
+        assert_eq!(trace, adjusted, "a re-based trace re-bases to itself");
+        assert_eq!(trace.skews_ns, vec![0, 30], "the recorded skews stay");
     }
 
     #[test]

@@ -99,6 +99,36 @@ pub struct ResolvedTrace {
     pub short_reads: u64,
 }
 
+impl ResolvedTrace {
+    /// What a [`StreamResolver`] fed the same records counts.
+    pub fn counts(&self) -> ResolveCounts {
+        ResolveCounts {
+            accesses: self.accesses.len() as u64,
+            syncs: self.syncs.len() as u64,
+            seek_mismatches: self.seek_mismatches,
+            short_reads: self.short_reads,
+        }
+    }
+}
+
+/// What one record resolves to. Most records resolve to nothing: they only
+/// move a cursor or a file size, or are not POSIX at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolved {
+    Access(DataAccess),
+    Sync(SyncEvent),
+}
+
+/// The totals of a resolution: how many accesses and sync events it
+/// produced, and its two anomalies (see [`ResolvedTrace`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResolveCounts {
+    pub accesses: u64,
+    pub syncs: u64,
+    pub seek_mismatches: u64,
+    pub short_reads: u64,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct FdState {
     file: PathId,
@@ -111,24 +141,43 @@ struct FdState {
 /// records in global `t_start` order, which is exactly the paper's "track
 /// the most up-to-date offset for each file".
 pub fn resolve(trace: &TraceSet) -> ResolvedTrace {
+    // Only POSIX records resolve to anything, and a stable sort of them
+    // alone keeps the relative order `TraceSet::merged_by_time` gives
+    // them.
+    let mut posix: Vec<&Record> = trace
+        .ranks
+        .iter()
+        .flatten()
+        .filter(|rec| rec.layer == Layer::Posix)
+        .collect();
+    posix.sort_by_key(|rec| (rec.t_start, rec.rank));
     let mut r = StreamResolver::new();
-    for rec in trace.merged_by_time() {
-        r.push(&rec);
+    let mut out = ResolvedTrace::default();
+    for rec in posix {
+        match r.push(rec) {
+            Some(Resolved::Access(a)) => out.accesses.push(a),
+            Some(Resolved::Sync(s)) => out.syncs.push(s),
+            None => {}
+        }
     }
-    r.finish()
+    out.seek_mismatches = r.counts.seek_mismatches;
+    out.short_reads = r.counts.short_reads;
+    out
 }
 
-/// Incremental offset resolution: the exact per-record step function of
-/// [`resolve`], packaged so records can be fed one at a time as a run
-/// streams them out. Feeding the records of a trace in `(t_start, rank)`
-/// order (the [`TraceSet::merged_by_time`] order) produces a
-/// [`ResolvedTrace`] identical to `resolve`'s — both call the same step on
-/// the same sequence.
+/// Incremental offset resolution: the per-record step function of
+/// [`resolve`], so records can be fed one at a time as a run streams them
+/// out. It keeps the cursor and size state resolution needs and counts
+/// what it emits, but not the emitted events: [`resolve`] collects them
+/// into a [`ResolvedTrace`], a streaming consumer uses each one and drops
+/// it. Fed a trace's records in `(t_start, rank)` order (the
+/// [`TraceSet::merged_by_time`] order), it emits exactly `resolve`'s
+/// accesses and sync events, in `resolve`'s order.
 #[derive(Debug, Default)]
 pub struct StreamResolver {
     fds: IdMap<(u32, u32), FdState>,
     sizes: IdMap<PathId, u64>,
-    out: ResolvedTrace,
+    counts: ResolveCounts,
 }
 
 impl StreamResolver {
@@ -136,173 +185,123 @@ impl StreamResolver {
         Self::default()
     }
 
-    /// Feed the next record in global `(t_start, rank)` order. Non-POSIX
-    /// records are ignored, as in the batch pass.
-    pub fn push(&mut self, rec: &Record) {
-        resolve_record(rec, &mut self.fds, &mut self.sizes, &mut self.out);
+    /// Feed the next record in global `(t_start, rank)` order and get what
+    /// it resolves to. Non-POSIX records resolve to nothing, as in the
+    /// batch pass.
+    pub fn push(&mut self, rec: &Record) -> Option<Resolved> {
+        let out = self.step(rec);
+        match out {
+            Some(Resolved::Access(_)) => self.counts.accesses += 1,
+            Some(Resolved::Sync(_)) => self.counts.syncs += 1,
+            None => {}
+        }
+        out
     }
 
-    /// Everything resolved so far. New entries are appended to
-    /// `accesses`/`syncs` as records are pushed, so a consumer can track
-    /// its own high-water mark and process only the suffix.
-    pub fn resolved(&self) -> &ResolvedTrace {
-        &self.out
+    /// Totals over every record pushed so far.
+    pub fn counts(&self) -> ResolveCounts {
+        self.counts
     }
 
-    pub fn finish(self) -> ResolvedTrace {
-        self.out
-    }
-}
-
-fn resolve_record(
-    rec: &Record,
-    fds: &mut IdMap<(u32, u32), FdState>,
-    sizes: &mut IdMap<PathId, u64>,
-    out: &mut ResolvedTrace,
-) {
-    if rec.layer != Layer::Posix {
-        return;
-    }
-    let rank = rec.rank;
-    match rec.func {
-        Func::Open { path, flags, fd } => {
-            fds.insert(
-                (rank, fd),
-                FdState {
-                    file: path,
-                    cursor: 0,
-                    flags,
-                },
-            );
-            if flags & flag_bits::TRUNC != 0 && flags & flag_bits::WRITE != 0 {
-                sizes.insert(path, 0);
-            } else {
-                sizes.entry(path).or_insert(0);
-            }
-            out.syncs.push(SyncEvent {
+    fn step(&mut self, rec: &Record) -> Option<Resolved> {
+        if rec.layer != Layer::Posix {
+            return None;
+        }
+        let rank = rec.rank;
+        let access = |file, fd, offset, len, kind| {
+            (len > 0).then_some(Resolved::Access(DataAccess {
+                rank,
+                t_start: rec.t_start,
+                t_end: rec.t_end,
+                file,
+                offset,
+                len,
+                kind,
+                origin: rec.origin,
+                fd,
+            }))
+        };
+        let sync = |file, kind| {
+            Some(Resolved::Sync(SyncEvent {
                 rank,
                 t: rec.t_start,
-                file: path,
-                kind: SyncKind::Open,
-            });
-        }
-        Func::Close { fd } => {
-            if let Some(st) = fds.remove(&(rank, fd)) {
-                out.syncs.push(SyncEvent {
-                    rank,
-                    t: rec.t_start,
-                    file: st.file,
-                    kind: SyncKind::Close,
-                });
+                file,
+                kind,
+            }))
+        };
+        let (fds, sizes) = (&mut self.fds, &mut self.sizes);
+        match rec.func {
+            Func::Open { path, flags, fd } => {
+                fds.insert(
+                    (rank, fd),
+                    FdState {
+                        file: path,
+                        cursor: 0,
+                        flags,
+                    },
+                );
+                if flags & flag_bits::TRUNC != 0 && flags & flag_bits::WRITE != 0 {
+                    sizes.insert(path, 0);
+                } else {
+                    sizes.entry(path).or_insert(0);
+                }
+                sync(path, SyncKind::Open)
             }
-        }
-        Func::Fsync { fd } | Func::Fdatasync { fd } => {
-            if let Some(st) = fds.get(&(rank, fd)) {
-                out.syncs.push(SyncEvent {
-                    rank,
-                    t: rec.t_start,
-                    file: st.file,
-                    kind: SyncKind::Commit,
-                });
+            Func::Close { fd } => sync(fds.remove(&(rank, fd))?.file, SyncKind::Close),
+            Func::Fsync { fd } | Func::Fdatasync { fd } => {
+                sync(fds.get(&(rank, fd))?.file, SyncKind::Commit)
             }
-        }
-        Func::Write { fd, count } => {
-            if let Some(st) = fds.get_mut(&(rank, fd)) {
+            Func::Write { fd, count } => {
+                let st = fds.get_mut(&(rank, fd))?;
                 let size = sizes.entry(st.file).or_insert(0);
                 let offset = if st.flags & flag_bits::APPEND != 0 {
                     *size
                 } else {
                     st.cursor
                 };
-                if count > 0 {
-                    out.accesses.push(DataAccess {
-                        rank,
-                        t_start: rec.t_start,
-                        t_end: rec.t_end,
-                        file: st.file,
-                        offset,
-                        len: count,
-                        kind: AccessKind::Write,
-                        origin: rec.origin,
-                        fd,
-                    });
-                }
                 st.cursor = offset + count;
                 *size = (*size).max(offset + count);
+                access(st.file, fd, offset, count, AccessKind::Write)
             }
-        }
-        Func::Pwrite { fd, offset, count } => {
-            if let Some(st) = fds.get(&(rank, fd)) {
-                if count > 0 {
-                    out.accesses.push(DataAccess {
-                        rank,
-                        t_start: rec.t_start,
-                        t_end: rec.t_end,
-                        file: st.file,
-                        offset,
-                        len: count,
-                        kind: AccessKind::Write,
-                        origin: rec.origin,
-                        fd,
-                    });
-                }
-                let size = sizes.entry(st.file).or_insert(0);
+            Func::Pwrite { fd, offset, count } => {
+                let file = fds.get(&(rank, fd))?.file;
+                let size = sizes.entry(file).or_insert(0);
                 *size = (*size).max(offset + count);
+                access(file, fd, offset, count, AccessKind::Write)
             }
-        }
-        Func::Read { fd, count, ret } => {
-            if let Some(st) = fds.get_mut(&(rank, fd)) {
+            Func::Read { fd, count, ret } => {
+                let st = fds.get_mut(&(rank, fd))?;
                 if ret < count {
-                    out.short_reads += 1;
+                    self.counts.short_reads += 1;
                 }
-                if ret > 0 {
-                    out.accesses.push(DataAccess {
-                        rank,
-                        t_start: rec.t_start,
-                        t_end: rec.t_end,
-                        file: st.file,
-                        offset: st.cursor,
-                        len: ret,
-                        kind: AccessKind::Read,
-                        origin: rec.origin,
-                        fd,
-                    });
-                }
+                let offset = st.cursor;
                 st.cursor += ret;
+                access(st.file, fd, offset, ret, AccessKind::Read)
             }
-        }
-        Func::Pread {
-            fd, offset, ret, ..
-        }
-        | Func::Mmap {
-            fd,
-            offset,
-            count: ret,
-        } => {
-            // (Mmap is modelled as a positional read of `count` bytes.)
-            if let Some(st) = fds.get(&(rank, fd)) {
-                if ret > 0 {
-                    out.accesses.push(DataAccess {
-                        rank,
-                        t_start: rec.t_start,
-                        t_end: rec.t_end,
-                        file: st.file,
-                        offset,
-                        len: ret,
-                        kind: AccessKind::Read,
-                        origin: rec.origin,
-                        fd,
-                    });
-                }
+            Func::Pread {
+                fd, offset, ret, ..
             }
-        }
-        Func::Lseek {
-            fd,
-            offset,
-            whence,
-            ret,
-        } => {
-            if let Some(st) = fds.get_mut(&(rank, fd)) {
+            | Func::Mmap {
+                fd,
+                offset,
+                count: ret,
+            } => {
+                // (Mmap is modelled as a positional read of `count` bytes.)
+                access(
+                    fds.get(&(rank, fd))?.file,
+                    fd,
+                    offset,
+                    ret,
+                    AccessKind::Read,
+                )
+            }
+            Func::Lseek {
+                fd,
+                offset,
+                whence,
+                ret,
+            } => {
+                let st = fds.get_mut(&(rank, fd))?;
                 let size = *sizes.entry(st.file).or_insert(0);
                 let base = match whence {
                     SeekWhence::Set => 0i64,
@@ -311,19 +310,19 @@ fn resolve_record(
                 };
                 let derived = (base + offset).max(0) as u64;
                 if derived != ret {
-                    out.seek_mismatches += 1;
+                    self.counts.seek_mismatches += 1;
                     st.cursor = ret; // the recorded return value wins
                 } else {
                     st.cursor = derived;
                 }
+                None
             }
-        }
-        Func::Ftruncate { fd, len } => {
-            if let Some(st) = fds.get(&(rank, fd)) {
-                sizes.insert(st.file, len);
+            Func::Ftruncate { fd, len } => {
+                sizes.insert(fds.get(&(rank, fd))?.file, len);
+                None
             }
+            _ => None,
         }
-        _ => {}
     }
 }
 

@@ -70,6 +70,14 @@ fn load(path: &str) -> TraceSet {
     TraceSet::decode(&bytes).unwrap_or_else(|e| fail(format!("cannot decode {path}: {e}")))
 }
 
+/// [`load`], then re-base the trace in place (`recorder::adjust`): the
+/// timestamps every analysis command reads.
+fn load_rebased(path: &str) -> TraceSet {
+    let mut trace = load(path);
+    adjust::rebase(&mut trace);
+    trace
+}
+
 fn list(_: &Parsed) -> Result<i32, String> {
     for spec in hpcapps::specs() {
         println!("{:<24} {}", spec.config_name(), spec.table5);
@@ -166,8 +174,7 @@ fn conflicts(p: &Parsed) -> Result<i32, String> {
             ))
         }
     };
-    let trace = load(path);
-    let trace = adjust::apply(&trace);
+    let trace = load_rebased(path);
     let resolved = offset::resolve(&trace);
     let report = detect_conflicts(&resolved, model);
     let (ws, wd, rs, rd) = report.table4_marks();
@@ -198,8 +205,7 @@ fn conflicts(p: &Parsed) -> Result<i32, String> {
 }
 
 fn patterns(p: &Parsed) -> Result<i32, String> {
-    let trace = load(p.operand()?);
-    let trace = adjust::apply(&trace);
+    let trace = load_rebased(p.operand()?);
     let resolved = offset::resolve(&trace);
     let hl = highlevel::classify(&resolved, trace.nranks());
     let local = local_pattern(&resolved);
@@ -260,8 +266,7 @@ fn census(p: &Parsed) -> Result<i32, String> {
 
 fn report(p: &Parsed) -> Result<i32, String> {
     let path = p.operand()?;
-    let trace = load(path);
-    let report = semantics_core::apprun::build(&adjust::apply(&trace));
+    let report = semantics_core::apprun::build(&load_rebased(path));
     print!("{}", report.render(path));
     Ok(0)
 }

@@ -206,7 +206,7 @@ fn summary_json(runs: &[AnalyzedRun]) -> String {
                     "local_random_pct",
                     r.local.pct(semantics_core::patterns::AccessClass::Random),
                 )
-                .field("records", r.outcome.trace.total_records())
+                .field("records", r.trace.total_records())
                 .field("hb_racy", r.hb.racy)
         })
         .collect();

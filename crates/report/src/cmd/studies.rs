@@ -56,7 +56,7 @@ pub(super) fn check(p: &Parsed) -> Result<i32, String> {
         let t4_ok = r.session.table4_marks() == r.spec.expected_session.as_tuple()
             && r.commit.table4_marks() == r.spec.expected_commit.as_tuple();
         let hb_ok = r.hb.racy == 0;
-        let resolve_ok = r.resolved.seek_mismatches == 0;
+        let resolve_ok = r.resolution.seek_mismatches == 0;
         let ok = t3_ok && t4_ok && hb_ok && resolve_ok;
         println!(
             "{} {:<24} table3:{} table4:{} race-free:{} resolution:{}",
@@ -156,8 +156,7 @@ pub(super) fn app_report(p: &Parsed) -> Result<i32, String> {
     };
     let opts = RunOpts::parse(p)?;
     Ok(each_run(opts, specs.into_iter(), |spec, run| {
-        let adjusted = recorder::adjust::apply(&run.outcome.trace);
-        let rep = semantics_core::apprun::build_from_resolved(&adjusted, &run.resolved);
+        let rep = semantics_core::apprun::build(&run.trace);
         print!("{}", rep.render(&spec.config_name()));
     }))
 }
@@ -216,7 +215,7 @@ pub(super) fn advise(p: &Parsed) -> Result<i32, String> {
         "configuration", "commit conflicts", "insertions", "sufficient"
     );
     Ok(each_run(opts, table4_specs(), |spec, run| {
-        let advice = semantics_core::advisor::advise_commits(&run.resolved);
+        let advice = semantics_core::advisor::advise_commits(&run.resolved());
         println!(
             "{:<24} {:>16} {:>12} {:>10}",
             spec.config_name(),
@@ -237,7 +236,7 @@ pub(super) fn locks(p: &Parsed) -> Result<i32, String> {
         "configuration", "writes", "reads", "locks", "revocations"
     );
     Ok(each_run(opts, table4_specs(), |spec, run| {
-        let stats = run.outcome.pfs.stats();
+        let stats = &run.pfs_stats;
         println!(
             "{:<24} {:>9} {:>9} {:>12} {:>12}",
             spec.config_name(),
@@ -257,8 +256,7 @@ pub(super) fn meta_conflicts(p: &Parsed) -> Result<i32, String> {
     );
     Ok(each_run(opts, table4_specs(), |spec, run| {
         use semantics_core::meta_conflict::MetaPairKind as K;
-        let adjusted = recorder::adjust::apply(&run.outcome.trace);
-        let m = semantics_core::meta_conflict::detect_meta_conflicts(&adjusted);
+        let m = semantics_core::meta_conflict::detect_meta_conflicts(&run.trace);
         println!(
             "{:<24} {:>8} {:>14} {:>14} {:>14}",
             spec.config_name(),

@@ -67,14 +67,14 @@ pub fn fig1_csv(runs: &[AnalyzedRun]) -> String {
 pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
     let mode = if fbs { "fbs" } else { "nofbs" };
     let mut out = String::from("panel,rank,t_us,offset,len,kind,origin\n");
-    for a in &run.resolved.accesses {
+    for a in &run.resolved().accesses {
         if a.kind != AccessKind::Write {
             continue;
         }
         // Checkpoint files → panels a/b (or d/e); plot files → panel c.
         // File identity is a PathId; the path table distinguishes
         // chk/plt names.
-        let path = run.outcome.trace.path(a.file);
+        let path = run.trace.path(a.file);
         let panel = if path.contains("chk") {
             if fbs {
                 "ab"
@@ -104,11 +104,11 @@ pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
 pub fn fig2_summary(run: &AnalyzedRun, label: &str) -> String {
     let mut data_writers: Vec<u32> = Vec::new();
     let mut meta_writers: Vec<u32> = Vec::new();
-    for a in &run.resolved.accesses {
+    for a in &run.resolved().accesses {
         if a.kind != AccessKind::Write {
             continue;
         }
-        let path = run.outcome.trace.path(a.file);
+        let path = run.trace.path(a.file);
         if !path.contains("chk") {
             continue;
         }

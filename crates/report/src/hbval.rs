@@ -27,7 +27,7 @@ pub fn min_conflict_gap_ns(run: &AnalyzedRun) -> Option<u64> {
 pub fn validate(run: &AnalyzedRun) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "§5.2 validation for {}", run.name());
-    let spread = adjust::raw_skew_spread_ns(&run.outcome.trace);
+    let spread = adjust::raw_skew_spread_ns(&run.trace);
     let _ = writeln!(
         out,
         "  injected clock-skew spread: {:.1} µs",

@@ -3,7 +3,8 @@
 //! One module per experiment, all driven by [`runner`], which executes an
 //! application replica through the simulated stack with the streaming
 //! analyzer attached (resolve → conflicts → patterns while the run is in
-//! flight; adjust → census → happens-before → verdict once it ends).
+//! flight; then the run's one trace is re-based in place → census →
+//! happens-before → verdict).
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|

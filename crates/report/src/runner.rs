@@ -18,7 +18,9 @@ use hpcapps::{AppSpec, ScaleParams};
 use iolibs::{
     run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle, DEFAULT_MAX_SKEW_NS,
 };
-use recorder::{adjust, offset, Record, ResolvedTrace};
+use pfssim::PfsStats;
+use recorder::offset::ResolveCounts;
+use recorder::{adjust, offset, Record, ResolvedTrace, TraceSet};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel, ConflictReport};
 use semantics_core::hb::{validate_conflicts, HbValidation};
 use semantics_core::incremental::StreamingAnalyzer;
@@ -52,8 +54,18 @@ pub struct AnalyzedRun {
     pub spec: &'static AppSpec,
     /// Cached `spec.config_name()`; rendering uses it repeatedly.
     name: String,
-    pub outcome: RunOutcome,
-    pub resolved: ResolvedTrace,
+    /// The run's trace, re-based in place to the startup barrier's exit
+    /// ([`adjust::rebase`]): the one copy of it the run keeps. The census
+    /// and happens-before validation read it when the run ends; Figure 2,
+    /// `app-report`, `advise` and `meta-conflicts` read it afterwards.
+    pub trace: TraceSet,
+    /// The file system's counters at the end of the run (its file images
+    /// are not kept).
+    pub pfs_stats: PfsStats,
+    /// What offset resolution produced. The stream consumed the resolved
+    /// accesses as they drained; [`AnalyzedRun::resolved`] derives them
+    /// again for a reader that wants them.
+    pub resolution: ResolveCounts,
     pub session: ConflictReport,
     pub commit: ConflictReport,
     pub highlevel: highlevel::HighLevelReport,
@@ -71,6 +83,14 @@ pub struct AnalyzedRun {
 impl AnalyzedRun {
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The resolved accesses and sync events, derived at rest from
+    /// [`AnalyzedRun::trace`]: the same resolution step the stream ran,
+    /// over the same re-based records in the same order. Figure 2,
+    /// `app-report` and `advise` read them; no verdict does.
+    pub fn resolved(&self) -> ResolvedTrace {
+        offset::resolve(&self.trace)
     }
 
     /// Measured Table 4 marks under session semantics.
@@ -150,9 +170,9 @@ pub fn analyze_with_faults(
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
-    let (_span, outcome) = run_config("config", cfg, spec, params, faults, None)?;
-    let adjusted = adjust::apply(&outcome.trace);
-    let resolved = offset::resolve(&adjusted);
+    let (_span, mut outcome) = run_config("config", cfg, spec, params, faults, None)?;
+    adjust::rebase(&mut outcome.trace);
+    let resolved = offset::resolve(&outcome.trace);
     let session = detect_conflicts(&resolved, AnalysisModel::Session);
     let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
     Ok(AnalyzedRun {
@@ -161,13 +181,14 @@ pub fn analyze_with_faults(
         highlevel: highlevel::classify(&resolved, cfg.nranks),
         local: local_pattern(&resolved),
         global: global_pattern(&resolved),
-        census: MetadataCensus::from_trace(&adjusted),
+        resolution: resolved.counts(),
+        census: MetadataCensus::from_trace(&outcome.trace),
         verdict: required_model(&session, &commit),
-        hb: validate_conflicts(&adjusted, &session),
+        hb: validate_conflicts(&outcome.trace, &session),
         nranks: cfg.nranks,
         completeness: completeness_of(&outcome),
-        outcome,
-        resolved,
+        pfs_stats: outcome.pfs.stats(),
+        trace: outcome.trace,
         session,
         commit,
     })
@@ -217,22 +238,24 @@ pub fn analyze_incremental(
 ) -> Result<AnalyzedRun, SimError> {
     let analyzer = Arc::new(StreamingAnalyzer::new(cfg.nranks));
     let sink = SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(&analyzer))));
-    let (_span, outcome) = run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
+    let (_span, mut outcome) =
+        run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
     let inc = analyzer.finalize();
-    // The remaining passes want the adjusted trace: the census walks
-    // metadata records the stream does not carry, and happens-before needs
-    // the MPI event records.
-    let adjusted = adjust::apply(&outcome.trace);
+    // The census walks metadata records the stream does not carry, and
+    // happens-before needs the MPI event records: both read the run's own
+    // trace, re-based in place rather than copied.
+    adjust::rebase(&mut outcome.trace);
     Ok(AnalyzedRun {
         spec,
         name: spec.config_name(),
-        census: MetadataCensus::from_trace(&adjusted),
+        census: MetadataCensus::from_trace(&outcome.trace),
         verdict: required_model(&inc.session, &inc.commit),
-        hb: validate_conflicts(&adjusted, &inc.session),
+        hb: validate_conflicts(&outcome.trace, &inc.session),
         nranks: cfg.nranks,
         completeness: completeness_of(&outcome),
-        outcome,
-        resolved: inc.resolved,
+        pfs_stats: outcome.pfs.stats(),
+        trace: outcome.trace,
+        resolution: inc.resolution,
         session: inc.session,
         commit: inc.commit,
         highlevel: inc.highlevel,

@@ -4,7 +4,9 @@
 //! `analyze_incremental` call makes is a fixed function of `(config,
 //! ranks, seed)` — a regression gate that holds where wall-clock timing on
 //! a shared box cannot. A counting global allocator tallies this thread's
-//! allocations (the task executor runs every rank on the calling thread);
+//! allocations (the task executor runs every rank on the calling thread),
+//! the high-water mark of the bytes they hold live, and what the returned
+//! `AnalyzedRun` still holds;
 //! task stacks are taken out by mpisim's own per-thread count of them and
 //! budgeted on their own: after the first request on a thread the stack
 //! pool must serve every one of them.
@@ -29,6 +31,12 @@ use report_gen::{analyze_incremental, ReportCfg};
 /// 149 MB, plus 64 MiB of task stacks per request.
 const FLASH_ALLOCS: u64 = 100_000;
 const FLASH_BYTES: u64 = 120_000_000;
+/// FLASH-fbs's peak live bytes and the bytes its `AnalyzedRun` keeps
+/// (task stacks excluded). Measured 19.6 MB / 6.2 MB once a run kept one
+/// copy of its trace — no adjusted clone, no retained resolved accesses,
+/// no file images; 25.9 MB / 15.1 MB before.
+const FLASH_PEAK_BYTES: u64 = 21_000_000;
+const FLASH_KEPT_BYTES: u64 = 7_000_000;
 /// ENZO-HDF5, 64 ranks, seed 2021. Measured 25 292 / 23 MB; before,
 /// 30 468 / 24 MB (independent I/O: no collective to flatten).
 const ENZO_ALLOCS: u64 = 28_000;
@@ -44,6 +52,11 @@ const SAMPLE_EVERY: u64 = 16;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread's allocations hold now, and their high-water mark
+    /// (both relative to an arbitrary zero: frees of memory allocated
+    /// elsewhere count too).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
     /// Whether every [`SAMPLE_EVERY`]th allocation is backtraced.
     static SAMPLING: Cell<bool> = const { Cell::new(false) };
     /// Set while a backtrace is captured: its own allocations do not count.
@@ -52,6 +65,18 @@ thread_local! {
 }
 
 struct Counting;
+
+/// Move [`LIVE`] by `delta` bytes, raising [`PEAK`] with it.
+fn live(delta: i64) {
+    if IN_CENSUS.with(Cell::get) {
+        return;
+    }
+    let now = LIVE.with(|c| {
+        c.set(c.get() + delta);
+        c.get()
+    });
+    PEAK.with(|c| c.set(c.get().max(now)));
+}
 
 fn count(layout: Layout) {
     if IN_CENSUS.with(Cell::get) {
@@ -97,17 +122,21 @@ fn call_site(backtrace: &str) -> String {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout);
+        live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout);
+        live(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(Layout::from_size_align(new_size, layout.align()).expect("realloc layout"));
+        live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -120,6 +149,10 @@ struct Census {
     allocs: u64,
     bytes: u64,
     stack_allocs: u64,
+    /// Most bytes held live at once during the request.
+    peak_bytes: u64,
+    /// Bytes still held once the request returned: the `AnalyzedRun`.
+    kept_bytes: u64,
 }
 
 /// One cold request, counted. With `sample`, also fills [`SITES`].
@@ -136,15 +169,22 @@ fn request(id: AppId, ranks: u32, sample: bool) -> Census {
         BYTES.with(Cell::get),
         mpisim::task_stack_allocs(),
     );
+    let live0 = LIVE.with(Cell::get);
+    PEAK.with(|c| c.set(live0));
     SAMPLING.with(|c| c.set(sample));
     let run = analyze_incremental(&cfg, spec, &spec.params, &clean).expect("clean run");
     SAMPLING.with(|c| c.set(false));
+    let (kept, peak) = (LIVE.with(Cell::get) - live0, PEAK.with(Cell::get) - live0);
     let (stacks, stack_bytes) = mpisim::task_stack_allocs();
     let (stacks, stack_bytes) = (stacks - before.2 .0, stack_bytes - before.2 .1);
     let census = Census {
         allocs: ALLOCS.with(Cell::get) - before.0 - stacks,
         bytes: BYTES.with(Cell::get) - before.1 - stack_bytes,
         stack_allocs: stacks,
+        // Every stack a request allocates is live at its peak and pooled
+        // after it.
+        peak_bytes: peak as u64 - stack_bytes,
+        kept_bytes: kept as u64 - stack_bytes,
     };
     drop(run);
     census
@@ -190,6 +230,18 @@ fn cold_request_allocation_budget() {
         flash,
         FLASH_ALLOCS,
         FLASH_BYTES,
+    );
+    println!(
+        "alloc-budget: FLASH-fbs @64: {} bytes live at peak (budget {FLASH_PEAK_BYTES}), {} kept \
+         by the analyzed run (budget {FLASH_KEPT_BYTES})",
+        flash.peak_bytes, flash.kept_bytes
+    );
+    assert!(
+        flash.peak_bytes <= FLASH_PEAK_BYTES && flash.kept_bytes <= FLASH_KEPT_BYTES,
+        "FLASH-fbs @64 holds too much: {} bytes at peak (max {FLASH_PEAK_BYTES}), {} kept \
+         (max {FLASH_KEPT_BYTES}) — a second copy of the trace is back?",
+        flash.peak_bytes,
+        flash.kept_bytes
     );
 
     // Same thread, second request: every task stack comes from the pool.

@@ -207,7 +207,7 @@ fn tasks_identical_to_threads_with_streaming_sink() {
     let (trace_a, inc_a) = &results[0];
     let (trace_b, inc_b) = &results[1];
     assert_eq!(trace_a, trace_b, "streamed trace");
-    assert_eq!(inc_a.resolved, inc_b.resolved, "streamed resolved trace");
+    assert_eq!(inc_a.resolution, inc_b.resolution, "streamed resolution");
     assert_eq!(inc_a.session, inc_b.session, "streamed session report");
     assert_eq!(inc_a.commit, inc_b.commit, "streamed commit report");
     assert_eq!(inc_a.local, inc_b.local, "streamed local pattern");

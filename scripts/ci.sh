@@ -22,6 +22,15 @@ if grep -rn 'env::var' crates/*/src; then
     exit 1
 fi
 
+echo "ci: one copy of a trace"
+# A run keeps one trace and re-bases it in place (`adjust::rebase`);
+# `adjust::apply`, which re-bases a copy, is for callers outside the
+# program (tests, examples, the benchmark's own decomposition).
+if grep -rn 'adjust::apply' crates/*/src; then
+    echo "program code copies a trace to adjust it"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
