@@ -2,9 +2,9 @@
 //!
 //! The ring is a sorted array of `(point, node)` pairs. Each member node
 //! contributes [`VNODES_PER_NODE`] points, derived by hashing
-//! `"node:{id}:vnode:{v}"` with the same FNV-1a the store's cache keys
-//! use — so ring construction is a pure function of the member id set
-//! and every process that agrees on the members agrees on the ring.
+//! `"node:{id}:vnode:{v}"` with FNV-1a — so ring construction is a pure
+//! function of the member id set and every process that agrees on the
+//! members agrees on the ring.
 //!
 //! A key is owned by the node whose point is the first one at or after
 //! the key's fingerprint (wrapping at the top of the u64 space). Lookup
@@ -17,8 +17,14 @@
 /// making the ring table noticeable in cache.
 pub const VNODES_PER_NODE: usize = 64;
 
-/// FNV-1a 64-bit, same constants as `store::frame::fnv1a64`. Duplicated
-/// here (it is four lines) so the route table stays dependency-free.
+/// FNV-1a 64-bit with the published prime. This crate has no
+/// dependencies by design (the route table is pure data and arithmetic),
+/// so it keeps this four-line copy instead of using `obs::fnv`. The two
+/// are not the same function: `obs::fnv` multiplies by
+/// `0x1000_0000_01b3`, the value every persisted store checksum and
+/// cache-key fingerprint was computed with, while vnode points have
+/// always used the published `0x100_0000_01b3`. Each is pinned by its
+/// own test, so neither can drift.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -122,6 +128,13 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn published_fnv1a64_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn ring_is_deterministic_and_order_insensitive() {

@@ -12,14 +12,17 @@
 //!
 //! * the **canonical string** — `app=FLASH\0cfg=fbs\0…` — compared on
 //!   lookup, so hash collisions can never alias two distinct queries;
-//! * a **128-bit FNV-1a fingerprint** of that string, used for shard
-//!   selection and cheap inequality tests.
+//! * a **128-bit FNV-1a fingerprint** of that string
+//!   ([`obs::fnv::fnv1a128`]), used for shard selection, ring placement
+//!   and cheap inequality tests.
 //!
 //! Component order is significant (the builder renders them in insertion
 //! order), and each component is a tagged `name=value` pair separated by
 //! NUL — a byte that cannot appear in any component value — so
 //! `("ab", "c")` and `("a", "bc")` can never produce the same canonical
 //! form.
+
+use obs::fnv::fnv1a128;
 
 /// Incrementally builds a [`CacheKey`] from tagged components.
 #[derive(Debug, Default, Clone)]
@@ -55,7 +58,7 @@ impl CacheKeyBuilder {
     }
 
     pub fn finish(self) -> CacheKey {
-        let fp = fnv1a_128(self.canonical.as_bytes());
+        let fp = fnv1a128(self.canonical.as_bytes());
         CacheKey {
             canonical: self.canonical,
             fp,
@@ -81,7 +84,7 @@ impl CacheKey {
     /// cluster tier uses this to place stored records back on the
     /// consistent-hash ring when partitioning a store for handoff.
     pub fn from_canonical(canonical: String) -> CacheKey {
-        let fp = fnv1a_128(canonical.as_bytes());
+        let fp = fnv1a128(canonical.as_bytes());
         CacheKey { canonical, fp }
     }
 
@@ -99,23 +102,6 @@ impl CacheKey {
     }
 }
 
-/// 128-bit FNV-1a over `bytes`, returned as `(high, low)`. Two
-/// independent 64-bit FNV streams with distinct offset bases — not the
-/// official 128-bit variant (which needs 128-bit multiplies), but stable,
-/// dependency-free, and with the same dispersion properties at this
-/// scale.
-fn fnv1a_128(bytes: &[u8]) -> (u64, u64) {
-    let mut hi: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut lo: u64 = 0x6c62_272e_07bb_0142;
-    for &b in bytes {
-        hi ^= b as u64;
-        hi = hi.wrapping_mul(0x1000_0000_01b3);
-        lo ^= (b as u64).rotate_left(17) ^ 0xa5;
-        lo = lo.wrapping_mul(0x1000_0000_01b3);
-    }
-    (hi, lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +115,36 @@ mod tests {
             .push("model", model)
             .push("faults", "none")
             .finish()
+    }
+
+    /// Stores and rings place records by these fingerprints, so they must
+    /// not move: the values were recorded before the hash moved to
+    /// `obs::fnv`.
+    #[test]
+    fn canonical_keys_keep_their_fingerprints() {
+        let cases = [
+            (
+                CacheKeyBuilder::new().finish(),
+                (0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142),
+            ),
+            (
+                verdict_key("FLASH", "fbs", 64, 2021, "session"),
+                (0x253f_8b22_1674_2372, 0x150b_fd7a_0ca9_9c44),
+            ),
+            (
+                CacheKeyBuilder::new()
+                    .push("view", "conflicts")
+                    .push("app", "ENZO")
+                    .push("cfg", "HDF5 \u{e9}\u{1F600}")
+                    .push_u64("ranks", u64::MAX)
+                    .finish(),
+                (0x3645_2ae3_5f1e_26bc, 0xc9a5_baba_2206_fc20),
+            ),
+        ];
+        for (key, fp) in cases {
+            assert_eq!(key.fingerprint(), fp, "{:?}", key.canonical());
+            assert_eq!(CacheKey::from_canonical(key.canonical().to_string()), key);
+        }
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod cachekey;
 pub mod conflict;
 pub mod hb;
 pub mod incremental;
-pub mod json;
 pub mod meta_conflict;
 pub mod metadata;
 pub mod model;
@@ -57,6 +56,10 @@ pub mod overlap;
 pub mod parallel;
 pub mod patterns;
 pub mod verdict;
+
+/// The JSON document type lives in `obs` with the workspace's one parser;
+/// re-exported so `semantics_core::json::Json` keeps resolving.
+pub use obs::json;
 
 pub use cachekey::{CacheKey, CacheKeyBuilder};
 pub use conflict::{AnalysisModel, ConflictKind, ConflictPair, ConflictReport, ConflictScope};

@@ -323,17 +323,6 @@ impl Rank {
         }
     }
 
-    /// Sum-reduce a `u64` to `root` only (cheaper than the all-variant:
-    /// Θ(n) messages, no broadcast leg).
-    pub fn reduce_sum_u64(&self, root: u32, mine: u64) -> Option<u64> {
-        self.gather(root, &mine.to_le_bytes()).map(|parts| {
-            parts
-                .iter()
-                .map(|b| u64::from_le_bytes(b.as_slice().try_into().expect("u64 payload")))
-                .sum()
-        })
-    }
-
     /// Combined send+receive with one partner each way (`MPI_Sendrecv`):
     /// posts the send first (buffered), then blocks on the receive, so
     /// symmetric exchanges cannot deadlock.
@@ -347,28 +336,6 @@ impl Rank {
     ) -> Vec<u8> {
         self.send(dst, send_tag, payload);
         self.recv(src, recv_tag).0
-    }
-
-    /// Personalized all-to-all: `outgoing[d]` goes to rank `d`; returns the
-    /// buffers received, indexed by source. Θ(n²) messages — fine at the 64
-    /// ranks the paper focuses on; the MPI-IO layer uses targeted sends to
-    /// aggregators instead at scale.
-    pub fn alltoallv(&self, outgoing: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        assert_eq!(outgoing.len(), self.nranks() as usize);
-        let mut incoming = vec![Vec::new(); self.nranks() as usize];
-        for (dst, buf) in outgoing.into_iter().enumerate() {
-            if dst as u32 == self.rank {
-                incoming[dst] = buf;
-            } else {
-                self.send(dst as u32, COLLECTIVE_TAG, buf);
-            }
-        }
-        for src in 0..self.nranks() {
-            if src != self.rank {
-                incoming[src as usize] = self.recv(src, COLLECTIVE_TAG).0;
-            }
-        }
-        incoming
     }
 }
 

@@ -118,12 +118,6 @@ impl WorldCfg {
         self.exec = exec;
         self
     }
-
-    /// Run ranks as OS threads ([`ExecModel::Threads`]).
-    pub fn threaded_ranks(mut self) -> Self {
-        self.exec = ExecModel::Threads;
-        self
-    }
 }
 
 pub(crate) struct Shared {

@@ -28,7 +28,7 @@
 //! Strings (request id, detail) are truncated into fixed-width byte
 //! fields at write time; the ring never allocates.
 
-use crate::trace::json_escape;
+use crate::json::Escaped;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -360,8 +360,8 @@ impl FlightRecorder {
                 ev.code,
                 ev.a,
                 ev.b,
-                json_escape(&ev.rid),
-                json_escape(&ev.detail),
+                Escaped(&ev.rid),
+                Escaped(&ev.detail),
             ));
         }
         out.push_str("\n  ]\n}\n");
@@ -405,7 +405,7 @@ pub fn dump_postmortem(reason: &str) -> Option<PathBuf> {
         .clone()?;
     let doc = format!(
         "{{\"reason\": \"{}\", \"dump\": {}}}\n",
-        json_escape(reason),
+        Escaped(reason),
         flight().dump_json().trim_end().replace('\n', " ")
     );
     use std::io::Write;

@@ -26,6 +26,10 @@
 //!   histograms and outcome counters (deterministic under a
 //!   caller-supplied clock), plus a from-scratch Prometheus
 //!   text-exposition parser used to validate `/metricsz`.
+//! * **Shared encodings** ([`mod@json`], [`fnv`]) — the workspace's one
+//!   JSON (value type, escaper, depth-bounded parser) and one FNV-1a.
+//!   They live here because every crate but `cluster` and `simrng`
+//!   already depends on this one.
 //!
 //! Everything is disabled by default. The hot-path check is a single
 //! relaxed atomic load ([`tracing_enabled`] / [`metrics_enabled`]), and
@@ -37,6 +41,8 @@
 //! enforced by `crates/report/tests/obs.rs`.
 
 pub mod flight;
+pub mod fnv;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod slo;

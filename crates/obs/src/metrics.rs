@@ -14,7 +14,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::trace::json_escape;
+use crate::fnv::{fnv1a64, FNV_OFFSET};
+use crate::json::Escaped;
 
 /// Number of independently-locked name maps.
 const SHARDS: usize = 16;
@@ -128,17 +129,6 @@ impl Default for Registry {
     }
 }
 
-/// FNV-1a, the classic dependency-free string hash — stable across runs
-/// (unlike `RandomState`), so shard assignment is deterministic too.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 impl Registry {
     pub fn new() -> Self {
         Registry {
@@ -147,7 +137,9 @@ impl Registry {
     }
 
     fn shard(&self, name: &str) -> &Shard {
-        &self.shards[(fnv1a(name) as usize) % SHARDS]
+        // FNV-1a rather than `RandomState`: shard assignment is stable
+        // across runs, like everything else here.
+        &self.shards[(fnv1a64(FNV_OFFSET, name.as_bytes()) as usize) % SHARDS]
     }
 
     /// The counter registered under `name`, creating it at zero. The
@@ -229,7 +221,7 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    \"{}\": {v}", json_escape(k)));
+            out.push_str(&format!("\n    \"{}\": {v}", Escaped(k)));
         }
         out.push_str(if counters.is_empty() {
             "},\n"
@@ -246,7 +238,7 @@ impl Registry {
             first = false;
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [",
-                json_escape(k)
+                Escaped(k)
             ));
             for (i, (floor, n)) in buckets.iter().enumerate() {
                 if i > 0 {

@@ -6,6 +6,8 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 
+use obs::fnv::{fnv1a64, FNV_OFFSET};
+
 use crate::config::{PfsConfig, SemanticsModel};
 use crate::engine;
 use crate::error::{FsError, FsResult};
@@ -13,7 +15,7 @@ use crate::flags::{OpenFlags, Whence};
 use crate::image::FileImage;
 use crate::namespace::{normalize, DirEntry};
 use crate::state::{lock_state, FileId, PfsState};
-use crate::tag::{digest_runs, fnv_mix, TagRun, WriteTag, FNV_OFFSET};
+use crate::tag::{digest_runs, TagRun, WriteTag};
 
 /// Result of a write: where it landed and its provenance tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,7 +378,8 @@ impl PfsClient {
             .stripe_account(offset, data.len() as u64, stripe, false);
         drop(st);
         // FNV-1a over the read's length, then its provenance runs.
-        let digest = digest_runs(fnv_mix(FNV_OFFSET, data.len() as u64), &tags);
+        let len_hash = fnv1a64(FNV_OFFSET, &(data.len() as u64).to_le_bytes());
+        let digest = digest_runs(len_hash, &tags);
         self.observations.push(Observation {
             op_idx: self.next_obs,
             file,

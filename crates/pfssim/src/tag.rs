@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use obs::fnv::{fnv1a64, FNV_OFFSET};
+
 /// Identity of a write: who wrote the byte and the global write sequence
 /// number of the operation. Tags let a reader (or the analysis) decide
 /// whether it observed the most recent happens-before write or a stale one.
@@ -179,24 +181,17 @@ impl SegMap {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step over the little-endian bytes of `v`.
-pub(crate) fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Fold the provenance of `runs` into the FNV-1a state `h`.
+/// Fold the provenance of `runs` into the FNV-1a state `h`, each number
+/// as its little-endian bytes.
 pub(crate) fn digest_runs(mut h: u64, runs: &[TagRun]) -> u64 {
     for run in runs {
-        h = fnv_mix(h, run.len);
+        h = fnv1a64(h, &run.len.to_le_bytes());
         h = match run.tag {
-            Some(t) => fnv_mix(fnv_mix(h, t.rank as u64 + 1), t.seq + 1),
-            None => fnv_mix(h, 0),
+            Some(t) => fnv1a64(
+                fnv1a64(h, &(t.rank as u64 + 1).to_le_bytes()),
+                &(t.seq + 1).to_le_bytes(),
+            ),
+            None => fnv1a64(h, &0u64.to_le_bytes()),
         };
     }
     h

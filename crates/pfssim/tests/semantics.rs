@@ -393,3 +393,55 @@ fn stripe_accounting_spreads_over_servers() {
         "round-robin striping"
     );
 }
+
+/// Read digests are compared across engines and runs, so their values
+/// are pinned: recorded before the hash moved to `obs::fnv`. The script
+/// covers hidden, published, overwritten, short, past-EOF and sparse
+/// reads under three engines.
+#[test]
+fn scripted_read_digests_keep_their_values() {
+    let script = |model| {
+        let fs = Pfs::new(PfsConfig::default().with_semantics(model));
+        let mut a = fs.client(0);
+        let mut b = fs.client(1);
+        let fda = a.open("/f", W, 0).unwrap();
+        a.write(fda, b"hello world", 10).unwrap();
+        let fdb = b.open("/f", R, 20).unwrap();
+        let mut digests = vec![b.read(fdb, 5, 30).unwrap().digest];
+        a.fsync(fda, 40).unwrap();
+        b.lseek(fdb, 0, pfssim::Whence::Set, 45).unwrap();
+        digests.push(b.read(fdb, 11, 50).unwrap().digest);
+        a.lseek(fda, 3, pfssim::Whence::Set, 55).unwrap();
+        a.write(fda, b"XY", 60).unwrap();
+        a.close(fda, 70).unwrap();
+        b.close(fdb, 75).unwrap();
+        let fdb = b.open("/f", R, 80).unwrap();
+        digests.push(b.read(fdb, 4, 90).unwrap().digest);
+        digests.push(b.read(fdb, 64, 100).unwrap().digest);
+        digests.push(b.read(fdb, 8, 110).unwrap().digest);
+        let fdc = b.open("/f", OpenFlags::rdwr(), 120).unwrap();
+        b.lseek(fdc, 20, pfssim::Whence::Set, 125).unwrap();
+        b.write(fdc, b"tail", 130).unwrap();
+        b.lseek(fdc, 0, pfssim::Whence::Set, 135).unwrap();
+        digests.push(b.read(fdc, 24, 140).unwrap().digest);
+        digests
+    };
+    // An empty read, "hello world" by rank 0, "helX" after the overwrite,
+    // the rest of the file, EOF, and a sparse file with rank 1's tail.
+    let (empty, whole, head, rest, sparse) = (
+        0x22c6_4032_281a_39c5,
+        0x2536_78bb_5754_2ea5,
+        0x0db6_9ae9_8fa1_8ac0,
+        0xe049_e4e5_735e_7e66,
+        0x2dc8_c032_1a60_e097,
+    );
+    let tail = [head, rest, empty, sparse];
+    let cases = [
+        (SemanticsModel::Strong, [0x9fe6_c162_c9a7_78e5, whole]),
+        (SemanticsModel::Commit, [empty, whole]),
+        (SemanticsModel::Session, [empty, empty]),
+    ];
+    for (model, first) in cases {
+        assert_eq!(script(model), [&first[..], &tail[..]].concat(), "{model:?}");
+    }
+}

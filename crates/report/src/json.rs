@@ -1,7 +1,7 @@
-//! Re-export of the JSON document builder, which moved to
-//! [`semantics_core::json`] so layers below the report harness (the serve
-//! crate in particular) can emit machine-readable artifacts without
-//! depending on report-gen. Existing `report_gen::json::Json` users keep
-//! working unchanged.
+//! Re-export of the JSON document type, which lives in [`obs::json`] with
+//! the workspace's one string escaper and parser, so that every layer
+//! (the serve crate in particular) writes and reads JSON through one
+//! module. Existing `report_gen::json::Json` users keep working
+//! unchanged.
 
-pub use semantics_core::json::*;
+pub use obs::json::*;

@@ -47,6 +47,21 @@ fn assert_quiet_exit_on_closed_stdout(bin: &str, args: &[&str]) {
 }
 
 #[test]
+fn validate_trace_refuses_a_too_deeply_nested_file() {
+    let path = std::env::temp_dir().join(format!("deep-trace-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+        .arg("validate-trace")
+        .arg(&path)
+        .output()
+        .expect("spawn tracetool binary");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("nested too deeply"), "stderr: {stderr}");
+}
+
+#[test]
 fn report_ends_quietly_when_stdout_closes() {
     let dir = std::env::temp_dir().join(format!("report_cli_pipe_{}", std::process::id()));
     let args = ["all", "--ranks", "8", "-q", "--out", dir.to_str().unwrap()];

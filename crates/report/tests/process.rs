@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use serve::fleet::json_u64_field;
+use obs::json::Json;
 use serve::{get_once, get_redirecting, HttpClient};
 
 const QUERIES: usize = 6;
@@ -229,7 +229,10 @@ fn kill_dash_nine_then_restart_answers_warm_from_the_store() {
 
     let server = Server::spawn(&store_args);
     let health = String::from_utf8(server.get("/healthz")).expect("utf-8 healthz");
-    let recovered = json_u64_field(&health, "store_recovered_records").expect("healthz field");
+    let recovered = Json::parse(&health)
+        .ok()
+        .and_then(|doc| doc.get("store_recovered_records")?.as_u64())
+        .expect("healthz field");
     assert!(
         recovered >= QUERIES as u64,
         "recovered {recovered} record(s): a committed verdict was lost across kill -9"

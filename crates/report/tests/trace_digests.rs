@@ -19,6 +19,7 @@ use hpcapps::{AppSpec, ScaleParams};
 use iolibs::{
     run_app_result, ExecModel, FaultKind, FaultPlan, IoFault, RunConfig, RunSink, SinkHandle,
 };
+use obs::fnv::{fnv1a64, FNV_OFFSET};
 use recorder::Record;
 use semantics_core::incremental::StreamingAnalyzer;
 
@@ -75,7 +76,7 @@ fn rows(exec: ExecModel, only: &[&str]) -> Vec<String> {
         let cell = match run_app_result(&cfg, |ctx| spec.run_with(ctx, &params)) {
             Ok(out) => {
                 let bytes = out.trace.encode();
-                let digest = store::frame::fnv1a64(0xcbf2_9ce4_8422_2325, &bytes);
+                let digest = fnv1a64(FNV_OFFSET, &bytes);
                 format!("{digest:016x} {:>8}", bytes.len())
             }
             Err(e) => format!("error: {e}"),

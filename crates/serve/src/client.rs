@@ -72,6 +72,22 @@ impl HttpClient {
         })
     }
 
+    /// Whether this keep-alive connection can carry another request: the
+    /// server has neither closed it nor sent anything unasked (a server
+    /// answers a connection left idle past its header deadline with a
+    /// `408` and closes it). A non-blocking peek that consumes nothing;
+    /// a connection found not reusable may be left non-blocking, so drop
+    /// it.
+    pub(crate) fn is_reusable(&self) -> bool {
+        self.buf.is_empty()
+            && self.stream.set_nonblocking(true).is_ok()
+            && matches!(
+                self.stream.peek(&mut [0u8; 1]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock
+            )
+            && self.stream.set_nonblocking(false).is_ok()
+    }
+
     /// Issue `GET path` and read the full response.
     pub fn get(&mut self, path: &str) -> io::Result<ClientResponse> {
         self.get_with_headers(path, &[])

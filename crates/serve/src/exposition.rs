@@ -4,7 +4,7 @@
 
 use std::fmt::{Display, Write as _};
 
-use semantics_core::json::Json;
+use obs::json::Json;
 
 use crate::http::Response;
 use crate::router::Router;

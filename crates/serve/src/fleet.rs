@@ -30,6 +30,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use cluster::{ClusterState, Peer, MAX_HOPS};
+use obs::json::Json;
 use obs::FlightKind;
 
 use crate::client::{resolve, ClientResponse, HttpClient};
@@ -97,7 +98,7 @@ pub(crate) enum Call {
 /// The one node→node HTTP client: every request this node sends to a
 /// seed peer goes through [`PeerClient::get`]. Keep-alive connections
 /// are checked out per `Transfer` call and returned on success; a failed
-/// request drops its connection (the next checkout dials fresh).
+/// request drops its connection.
 struct PeerClient {
     id: u32,
     addr: String,
@@ -117,13 +118,23 @@ impl PeerClient {
     ) -> io::Result<ClientResponse> {
         let (read_timeout, pooled) = match call {
             Call::Control => (CONTROL_READ_TIMEOUT, None),
-            Call::Transfer => (TRANSFER_READ_TIMEOUT, self.idle.lock().unwrap().pop()),
+            Call::Transfer => (TRANSFER_READ_TIMEOUT, self.checkout()),
         };
-        let mut conn = match pooled {
-            Some(conn) => conn,
-            None => HttpClient::connect_with(resolve(&self.addr)?, CONNECT_TIMEOUT, read_timeout)?,
+        let dial = || HttpClient::connect_with(resolve(&self.addr)?, CONNECT_TIMEOUT, read_timeout);
+        let (mut conn, reused) = match pooled {
+            Some(conn) => (conn, true),
+            None => (dial()?, false),
         };
-        let resp = conn.get_with_headers(path, headers)?;
+        let mut resp = conn.get_with_headers(path, headers);
+        // The owner may drop an idle connection between the checkout and
+        // the request (a `408` for its header deadline, then a close).
+        // That is the connection failing, not the peer: one fresh dial
+        // retries the request.
+        if reused && !matches!(&resp, Ok(r) if r.status != 408) {
+            conn = dial()?;
+            resp = conn.get_with_headers(path, headers);
+        }
+        let resp = resp?;
         if call == Call::Transfer {
             let mut idle = self.idle.lock().unwrap();
             if idle.len() < 8 {
@@ -131,6 +142,13 @@ impl PeerClient {
             }
         }
         Ok(resp)
+    }
+
+    /// A pooled connection the owner has not closed or answered
+    /// unasked since it was returned; stale ones are dropped.
+    fn checkout(&self) -> Option<HttpClient> {
+        let mut idle = self.idle.lock().unwrap();
+        std::iter::from_fn(|| idle.pop()).find(HttpClient::is_reusable)
     }
 }
 
@@ -277,13 +295,12 @@ impl ClusterRuntime {
                     obs::metrics().add("cluster.redirects", 1);
                     peer.redirect_to.inc();
                 }
-                let mut resp = Response::json(
-                    307,
-                    format!(
-                        "{{\n  \"redirect\": \"owner\",\n  \"owner\": {owner},\n  \
-                         \"addr\": \"{addr}\",\n  \"epoch\": {epoch}\n}}\n"
-                    ),
-                );
+                let body = Json::obj()
+                    .field("redirect", "owner")
+                    .field("owner", owner)
+                    .field("addr", addr)
+                    .field("epoch", epoch);
+                let mut resp = Response::json(307, body.pretty() + "\n");
                 resp.extra_headers
                     .push(("Location", format!("http://{addr}{path_query}")));
                 resp.extra_headers
@@ -413,35 +430,6 @@ fn client_to_response(owner: u32, resp: ClientResponse) -> Response {
     }
 }
 
-/// Extract `"name": <integer>` from a small JSON body — enough to read
-/// counts out of peer `/v1/cluster/*` responses without a JSON parser.
-pub fn json_u64_field(body: &str, name: &str) -> Option<u64> {
-    let tag = format!("\"{name}\"");
-    let at = body.find(&tag)? + tag.len();
-    let rest = body[at..].trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Extract `"name": [1, 2, ...]` — the member list in a peer's
-/// `/v1/cluster/status` document.
-pub fn json_u32_array(body: &str, name: &str) -> Option<Vec<u32>> {
-    let tag = format!("\"{name}\"");
-    let at = body.find(&tag)? + tag.len();
-    let rest = &body[at..];
-    let open = rest.find('[')?;
-    let close = open + rest[open..].find(']')?;
-    let mut out = Vec::new();
-    for tok in rest[open + 1..close].split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        out.push(tok.parse().ok()?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +545,11 @@ mod tests {
                     .map(|(_, v)| v.as_str())
                     .unwrap();
                 assert_eq!(owner, "2@127.0.0.1:19002");
+                assert_eq!(
+                    String::from_utf8(resp.body).unwrap(),
+                    "{\n  \"redirect\": \"owner\",\n  \"owner\": 2,\n  \
+                     \"addr\": \"127.0.0.1:19002\",\n  \"epoch\": 1\n}\n"
+                );
             }
             _ => panic!("expected a 307"),
         }
@@ -614,14 +607,6 @@ mod tests {
             rendered,
             "/v1/verdict/MILC-QCD/Serial?faults=crash%40r1%3Aop5&ranks=8"
         );
-    }
-
-    #[test]
-    fn json_u64_field_reads_counts() {
-        assert_eq!(json_u64_field("{\"imported\": 42}", "imported"), Some(42));
-        assert_eq!(json_u64_field("{\"a\":{\"b\": 7}}", "b"), Some(7));
-        assert_eq!(json_u64_field("{}", "imported"), None);
-        assert_eq!(json_u64_field("{\"imported\": \"x\"}", "imported"), None);
     }
 
     impl Response {

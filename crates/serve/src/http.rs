@@ -426,7 +426,7 @@ impl Response {
     /// connection — after a protocol-level failure the stream state is
     /// not trustworthy.
     pub fn error(status: u16, message: &str) -> Response {
-        let doc = semantics_core::json::Json::obj()
+        let doc = obs::json::Json::obj()
             .field("error", message)
             .field("status", u64::from(status));
         let mut r = Response::json(status, doc.pretty() + "\n");

@@ -21,8 +21,8 @@
 use std::collections::HashMap;
 
 use cluster::{Change, Refusal, Ring};
+use obs::json::Json;
 use obs::FlightKind;
-use semantics_core::json::Json;
 use semantics_core::CacheKey;
 use store::Store;
 
@@ -201,9 +201,13 @@ fn sync_view_from_peers(cl: &ClusterRuntime) {
         let Ok(resp) = ask(cl, peer.id, Call::Control, STATUS_PATH) else {
             continue;
         };
-        let body = resp.body_text();
-        let epoch = fleet::json_u64_field(&body, "epoch").filter(|&e| e > newest);
-        if let Some((epoch, members)) = epoch.zip(fleet::json_u32_array(&body, "members")) {
+        let body = Json::parse(&resp.body_text()).unwrap_or(Json::Null);
+        let epoch = body.get("epoch").and_then(Json::as_u64);
+        let members: Option<Vec<u32>> = body.get("members").and_then(|list| {
+            let ids = list.as_array()?.iter();
+            ids.map(|id| u32::try_from(id.as_u64()?).ok()).collect()
+        });
+        if let Some((epoch, members)) = epoch.filter(|&e| e > newest).zip(members) {
             newest = epoch;
             best = Some(members);
         }
@@ -318,10 +322,13 @@ fn pull_on_peer(
 ) -> Result<(u64, u64), Response> {
     let from = cl.state().peer_addr(src).unwrap_or_default();
     let resp = ask(cl, dst, Call::Transfer, &pull_path(from, p)).map_err(|why| refuse(502, why))?;
-    let body = resp.body_text();
+    let body = Json::parse(&resp.body_text()).unwrap_or(Json::Null);
+    let count = |name| body.get(name).and_then(Json::as_u64);
     // An unreadable count can never equal an expected one.
-    let imported = fleet::json_u64_field(&body, "imported").unwrap_or(u64::MAX);
-    Ok((imported, fleet::json_u64_field(&body, "bytes").unwrap_or(0)))
+    Ok((
+        count("imported").unwrap_or(u64::MAX),
+        count("bytes").unwrap_or(0),
+    ))
 }
 
 /// Switch to the proposed member set at the negotiated epoch. Only

@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use obs::json::Json;
 use obs::FlightKind;
-use semantics_core::json::Json;
 use semantics_core::{CacheKey, CacheKeyBuilder};
 
 use crate::cache::ShardedLru;

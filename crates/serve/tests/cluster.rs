@@ -9,6 +9,8 @@
 //!   the owner) is rejected with `508 Loop Detected`, never a hang;
 //! * a dead peer degrades to local recompute with a flight-recorder
 //!   `cluster-peer-down` event, not an error;
+//! * a pooled connection the owner closed while it sat idle is not
+//!   reused: the forward still reaches the owner;
 //! * a wrong-node request mid-rebalance (epoch skew) is served locally
 //!   with correct bytes instead of ping-ponging;
 //! * decommission + rejoin under live traffic moves snapshot segments
@@ -22,8 +24,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use serve::fleet::{json_u32_array, json_u64_field};
+use obs::json::Json;
 use serve::{
     get_once, get_redirecting, parse_request, serve, AnalysisQuery, AnalysisViews, ApiError,
     Backend, ClusterConfig, ClusterRuntime, ConnReader, Forwarding, HttpClient, HttpLimits, Router,
@@ -35,6 +38,18 @@ fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("serve-cluster-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A top-level integer field of a JSON reply.
+fn u64_field(body: &str, name: &str) -> Option<u64> {
+    Json::parse(body).ok()?.get(name)?.as_u64()
+}
+
+/// A top-level array-of-integers field of a JSON reply.
+fn u32_array_field(body: &str, name: &str) -> Option<Vec<u32>> {
+    let doc = Json::parse(body).ok()?;
+    let items = doc.get(name)?.as_array()?;
+    items.iter().map(|v| Some(v.as_u64()? as u32)).collect()
 }
 
 fn open_store(dir: &Path) -> Arc<Store> {
@@ -81,6 +96,16 @@ fn boot_fleet(
     forwarding: Forwarding,
     stores: Option<&[Arc<Store>]>,
 ) -> (Vec<ServerHandle>, Vec<String>) {
+    boot_fleet_with(n, forwarding, stores, HttpLimits::default())
+}
+
+/// [`boot_fleet`] with every node parsing under `limits`.
+fn boot_fleet_with(
+    n: u32,
+    forwarding: Forwarding,
+    stores: Option<&[Arc<Store>]>,
+    limits: HttpLimits,
+) -> (Vec<ServerHandle>, Vec<String>) {
     let ports: Vec<u16> = (0..n).map(|_| pick_port()).collect();
     let spec = ports
         .iter()
@@ -99,6 +124,7 @@ fn boot_fleet(
                 forwarding,
             }),
             store: stores.map(|s| Arc::clone(&s[i])),
+            limits,
             ..ServeConfig::default()
         };
         handles.push(serve(cfg, Arc::new(PureBackend)).unwrap());
@@ -233,6 +259,42 @@ fn proxied_request_keeps_its_request_id_on_the_owner() {
         starts, 2,
         "entry and owner request-start records:\n{flight}"
     );
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn a_pooled_connection_the_owner_timed_out_is_not_reused() {
+    // The owner answers a connection idle past its header deadline with
+    // a 408 and closes it; the entry node's pooled connection to it is
+    // then stale, and forwarding on it must neither hand that 408 to the
+    // client nor mark the healthy owner dead.
+    let limits = HttpLimits {
+        header_deadline: Duration::from_millis(300),
+        ..HttpLimits::default()
+    };
+    let (handles, addrs) = boot_fleet_with(2, Forwarding::Proxy, None, limits);
+    let a: std::net::SocketAddr = addrs[0].parse().unwrap();
+    // Finding a foreign key forwards it, which pools a connection.
+    let foreign = paths(16)
+        .into_iter()
+        .find(|p| {
+            get_once(a, p)
+                .unwrap()
+                .header("X-Cluster-Served-By")
+                .is_some()
+        })
+        .expect("some key must be owned by node 2");
+    let owners_bytes = get_once(addrs[1].parse().unwrap(), &foreign).unwrap().body;
+
+    std::thread::sleep(Duration::from_millis(700));
+    for attempt in ["after the idle", "the forward after that"] {
+        let resp = get_once(a, &foreign).unwrap();
+        assert_eq!(resp.status, 200, "{attempt}: {}", resp.body_text());
+        assert_eq!(resp.header("X-Cluster-Served-By"), Some("2"), "{attempt}");
+        assert_eq!(resp.body, owners_bytes, "{attempt}");
+    }
     for h in handles {
         h.shutdown();
     }
@@ -446,9 +508,9 @@ fn decommission_and_rejoin_move_segments_with_zero_wrong_bytes_under_traffic() {
         .unwrap();
     assert_eq!(resp.status, 200, "decommission: {}", resp.body_text());
     let body = resp.body_text();
-    let moved = json_u64_field(&body, "moved").unwrap();
+    let moved = u64_field(&body, "moved").unwrap();
     assert!(moved > 0, "node 3 owned none of 12 keys? {body}");
-    assert_eq!(json_u64_field(&body, "epoch"), Some(2), "{body}");
+    assert_eq!(u64_field(&body, "epoch"), Some(2), "{body}");
 
     // And rejoins: pulls its slice back, epoch bumps again.
     let resp = HttpClient::connect_str(&addrs[2])
@@ -457,9 +519,9 @@ fn decommission_and_rejoin_move_segments_with_zero_wrong_bytes_under_traffic() {
         .unwrap();
     assert_eq!(resp.status, 200, "join: {}", resp.body_text());
     let body = resp.body_text();
-    assert_eq!(json_u64_field(&body, "epoch"), Some(3), "{body}");
+    assert_eq!(u64_field(&body, "epoch"), Some(3), "{body}");
     assert!(
-        json_u64_field(&body, "imported").unwrap() > 0,
+        u64_field(&body, "imported").unwrap() > 0,
         "rejoin pulled nothing back: {body}"
     );
 
@@ -535,7 +597,7 @@ fn crash_between_verify_and_commit_leaves_the_old_view_serving() {
         let pull = format!("/v1/cluster/pull?from={}&epoch=2&members=1,2", addrs[2]);
         let resp = get_once(gaining.parse().unwrap(), &pull).unwrap();
         assert_eq!(resp.status, 200, "pull on {gaining}: {}", resp.body_text());
-        pulled += json_u64_field(&resp.body_text(), "imported").unwrap();
+        pulled += u64_field(&resp.body_text(), "imported").unwrap();
     }
     assert_eq!(pulled, keys_on_3, "the pulls moved node 3's whole slice");
     // A pull names a seed peer or nothing: the peer client has no other
@@ -550,8 +612,8 @@ fn crash_between_verify_and_commit_leaves_the_old_view_serving() {
     for addr in &addrs {
         let status = get_once(addr.parse().unwrap(), "/v1/cluster/status").unwrap();
         let body = status.body_text();
-        assert_eq!(json_u64_field(&body, "epoch"), Some(1), "{addr}: {body}");
-        assert_eq!(json_u32_array(&body, "members"), Some(vec![1, 2, 3]));
+        assert_eq!(u64_field(&body, "epoch"), Some(1), "{addr}: {body}");
+        assert_eq!(u32_array_field(&body, "members"), Some(vec![1, 2, 3]));
     }
     identical_from_every_entry("after the aborted handoff");
 
@@ -560,9 +622,9 @@ fn crash_between_verify_and_commit_leaves_the_old_view_serving() {
     let resp = get_once(addrs[2].parse().unwrap(), "/v1/cluster/decommission").unwrap();
     let body = resp.body_text();
     assert_eq!(resp.status, 200, "decommission: {body}");
-    assert_eq!(json_u64_field(&body, "moved"), Some(keys_on_3), "{body}");
-    assert_eq!(json_u64_field(&body, "epoch"), Some(2), "{body}");
-    assert_eq!(json_u64_field(&body, "peer_commits"), Some(2), "{body}");
+    assert_eq!(u64_field(&body, "moved"), Some(keys_on_3), "{body}");
+    assert_eq!(u64_field(&body, "epoch"), Some(2), "{body}");
+    assert_eq!(u64_field(&body, "peer_commits"), Some(2), "{body}");
     identical_from_every_entry("after the retried decommission");
 
     for h in handles {

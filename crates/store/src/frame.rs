@@ -17,6 +17,8 @@
 //! one that is demonstrably corrupt (insane lengths, checksum mismatch),
 //! because recovery reports them differently; both end the valid prefix.
 
+use obs::fnv::{fnv1a64, FNV_OFFSET};
+
 /// Frame header: two `u32` lengths plus the `u64` checksum.
 pub const HEADER_LEN: usize = 16;
 
@@ -25,18 +27,6 @@ pub const MAX_KEY_LEN: u32 = 1 << 20;
 
 /// Sanity ceiling on value length (rendered artifact bundles are KBs).
 pub const MAX_VAL_LEN: u32 = 1 << 28;
-
-/// 64-bit FNV-1a — the workspace's standard dependency-free hash.
-pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The frame checksum: FNV-1a over `key_len ∥ val_len ∥ key ∥ value`.
 pub fn checksum(key: &[u8], val: &[u8]) -> u64 {
@@ -112,6 +102,44 @@ pub fn decode_at(buf: &[u8], at: usize) -> Result<(&[u8], &[u8], usize), FrameEr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Frames a store already holds on disk must keep decoding: these
+    /// bytes were recorded before the checksum moved to `obs::fnv`.
+    #[test]
+    fn fixed_frames_keep_their_bytes() {
+        let cases: [(&[u8], &[u8], &str, u64); 3] = [
+            (
+                b"",
+                b"",
+                "0000000000000000c5391a283240c622",
+                0x22c6_4032_281a_39c5,
+            ),
+            (
+                b"k",
+                b"v",
+                "0100000001000000a4130f8cfb6028ce6b76",
+                0xce28_60fb_8c0f_13a4,
+            ),
+            (
+                b"app=FLASH\0ranks=64",
+                b"{\n  \"verdict\": \"session\"\n}\n",
+                "120000001b000000170a67e87541e5146170703d464c4153480072616e6b733d3634\
+                 7b0a20202276657264696374223a202273657373696f6e220a7d0a",
+                0x14e5_4175_e867_0a17,
+            ),
+        ];
+        for (key, val, bytes, sum) in cases {
+            let mut buf = Vec::new();
+            encode_into(&mut buf, key, val);
+            assert_eq!(hex(&buf), bytes);
+            assert_eq!(checksum(key, val), sum);
+            assert_eq!(decode_at(&buf, 0).unwrap(), (key, val, buf.len()));
+        }
+    }
 
     #[test]
     fn roundtrip() {

@@ -31,6 +31,24 @@ if grep -rn 'adjust::apply' crates/*/src; then
     exit 1
 fi
 
+echo "ci: one FNV-1a, one JSON"
+# Every persisted or compared hash is `obs::fnv` (`cluster::ring` keeps a
+# pinned copy: that crate has no dependencies by design), and every JSON
+# string is escaped and every JSON document parsed by `obs::json`.
+if grep -rniE '0x[0-9a-f_]*01b3|1099511628211' crates/*/src |
+    grep -v -e '^crates/obs/src/fnv\.rs:' -e '^crates/cluster/src/ring\.rs:'; then
+    echo "an FNV-1a body outside obs::fnv"
+    exit 1
+fi
+if grep -rnF 'u{:04x}' crates/*/src | grep -v '^crates/obs/src/json\.rs:'; then
+    echo "a JSON string escaper outside obs::json"
+    exit 1
+fi
+if grep -rnE 'enum JsonVal|fn json_u64_field|fn json_u32_array|fn json_escape' crates/*/src; then
+    echo "a second JSON value type, reader or escaper"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
