@@ -435,21 +435,17 @@ mod tests {
                 skews_ns: vec![0, 0],
             }
         };
-        for combined in [
-            recorder::combine::merge_jobs(&[job(true), job(true)]),
-            recorder::combine::combine_jobs(&[job(true), job(true)], 0),
-        ] {
-            let idx = HbIndex::build(&combined);
-            assert_eq!(idx.matched_messages(), 2);
-            assert_eq!(idx.barrier_epochs(), 2);
-            // Job 1 is ranks 2 and 3.
-            let at = |rank: usize, i: usize| &combined.ranks[rank][i];
-            let (send, recv) = (at(2, 0), at(3, 0));
-            assert!(idx.happens_before(2, send.t_start - 1, 3, recv.t_end));
-            assert!(!idx.happens_before(3, 0, 2, recv.t_end), "no reverse edge");
-            let (enter, exit) = (at(3, 1).t_start, at(3, 1).t_end);
-            assert!(idx.happens_before(3, enter - 1, 2, exit), "job 1's barrier");
-        }
+        let combined = recorder::combine::merge_jobs(&[job(true), job(true)]);
+        let idx = HbIndex::build(&combined);
+        assert_eq!(idx.matched_messages(), 2);
+        assert_eq!(idx.barrier_epochs(), 2);
+        // Job 1 is ranks 2 and 3.
+        let at = |rank: usize, i: usize| &combined.ranks[rank][i];
+        let (send, recv) = (at(2, 0), at(3, 0));
+        assert!(idx.happens_before(2, send.t_start - 1, 3, recv.t_end));
+        assert!(!idx.happens_before(3, 0, 2, recv.t_end), "no reverse edge");
+        let (enter, exit) = (at(3, 1).t_start, at(3, 1).t_end);
+        assert!(idx.happens_before(3, enter - 1, 2, exit), "job 1's barrier");
         // Message edge alone, with no barrier to hide a dropped one.
         let combined = recorder::combine::merge_jobs(&[job(false), job(false)]);
         let idx = HbIndex::build(&combined);

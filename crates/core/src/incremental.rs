@@ -8,8 +8,8 @@
 //! run's POSIX records *as the simulation emits them* and maintains the
 //! analyses online, so that when the run finishes, the expensive
 //! per-trace passes (offset resolution, both conflict detections, both
-//! Figure 1 pattern folds, the Table 3 bucketing) are already done — the
-//! run pays only the finalize step.
+//! Figure 1 pattern folds, the Table 3 bucketing, the Figure 3 metadata
+//! census) are already done — the run pays only the finalize step.
 //!
 //! ## Equivalence with the at-rest functions
 //!
@@ -87,6 +87,7 @@ use recorder::offset::{ResolveCounts, Resolved, StreamResolver};
 use recorder::{AccessKind, DataAccess, IdMap, PathId, Record, SyncEvent, SyncKind};
 
 use crate::conflict::{classify_pair, unsynchronized, AnalysisModel, ConflictReport};
+use crate::metadata::MetadataCensus;
 use crate::patterns::highlevel::{classify_from_buckets, FileBuckets, HighLevelReport};
 use crate::patterns::lowlevel::{classify_step, PatternStats};
 
@@ -234,6 +235,9 @@ pub struct IncrementalOutput {
     pub local: PatternStats,
     pub global: PatternStats,
     pub highlevel: HighLevelReport,
+    /// Equal to `MetadataCensus::from_trace(trace)`: every record is
+    /// counted as it drains.
+    pub census: MetadataCensus,
     /// High-water mark of the live-interval store — the streaming memory
     /// bound (batch holds every access of the trace instead).
     pub peak_live_intervals: u64,
@@ -273,6 +277,7 @@ struct Inner {
     local_stats: PatternStats,
     global_stats: PatternStats,
     buckets: IdMap<PathId, FileBuckets>,
+    census: MetadataCensus,
 
     /// `remap[pre_canonical_id] = canonical id`, set after trace assembly.
     remap: Vec<u32>,
@@ -314,6 +319,7 @@ impl StreamingAnalyzer {
                 local_stats: PatternStats::default(),
                 global_stats: PatternStats::default(),
                 buckets: IdMap::default(),
+                census: MetadataCensus::default(),
                 remap: Vec::new(),
                 live_intervals: 0,
                 peak_live_intervals: 0,
@@ -451,6 +457,7 @@ impl Inner {
         // A pair's conditions are exact once the drain strictly passes its
         // t₂: every sync that could fill a tc ≤ t₂ has drained.
         self.flush_pending(rec.t_start);
+        self.census.add(&rec);
         match self.resolver.push(&rec) {
             Some(Resolved::Sync(s)) => self.on_sync(s),
             Some(Resolved::Access(a)) => self.on_access(a),
@@ -741,6 +748,7 @@ impl Inner {
             local: self.local_stats,
             global: self.global_stats,
             highlevel,
+            census: std::mem::take(&mut self.census),
             peak_live_intervals: self.peak_live_intervals,
             pairs_checked: self.pairs_checked,
             pruned_intervals: self.pruned_intervals,

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use recorder::{Layer, MetaKind, TraceSet};
+use recorder::{Layer, MetaKind, Record, TraceSet};
 
 /// The census: counts per metadata operation per issuing layer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -20,19 +20,26 @@ impl MetadataCensus {
     pub fn from_trace(trace: &TraceSet) -> Self {
         let mut census = MetadataCensus::default();
         for rec in trace.ranks.iter().flatten() {
-            if rec.layer != Layer::Posix {
-                continue;
-            }
-            if let Some(kind) = rec.func.meta_kind() {
-                *census
-                    .counts
-                    .entry(kind)
-                    .or_default()
-                    .entry(rec.origin)
-                    .or_insert(0) += 1;
-            }
+            census.add(rec);
         }
         census
+    }
+
+    /// The one counting rule: a POSIX metadata call counts once, under
+    /// the layer whose code issued it; any other record counts nothing.
+    /// The streaming analyzer applies it to each record as it drains.
+    pub fn add(&mut self, rec: &Record) {
+        if rec.layer != Layer::Posix {
+            return;
+        }
+        if let Some(kind) = rec.func.meta_kind() {
+            *self
+                .counts
+                .entry(kind)
+                .or_default()
+                .entry(rec.origin)
+                .or_insert(0) += 1;
+        }
     }
 
     /// Operations used at least once, sorted.
@@ -85,7 +92,7 @@ impl MetadataCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recorder::{Func, PathId, Record};
+    use recorder::{Func, PathId};
 
     fn meta(rank: u32, t: u64, origin: Layer, op: MetaKind) -> Record {
         Record {

@@ -3,11 +3,12 @@
 //! consisting of multiple applications" as future work).
 //!
 //! Jobs run one after another against the same file system but share no
-//! MPI world: rank `r` of job `j` becomes global rank `j·nranks + r`,
-//! timestamps are shifted so jobs do not overlap in time, and MPI
-//! identifiers (message sequence numbers, barrier epochs) are disambiguated
-//! per job so no spurious cross-job happens-before edges appear — the
-//! whole point of workflow analysis is that there are none.
+//! MPI world: rank `r` of job `j` becomes global rank `j·nranks + r`, and
+//! MPI identifiers (message sequence numbers, barrier epochs) are
+//! disambiguated per job so no spurious cross-job happens-before edges
+//! appear — the whole point of workflow analysis is that there are none.
+//! The jobs' clocks are already chained onto one timeline by the workflow
+//! harness, so timestamps pass through unchanged.
 
 use crate::record::{Func, PathId};
 use crate::traceset::{Interner, TraceSet};
@@ -37,43 +38,6 @@ pub fn merge_jobs(jobs: &[TraceSet]) -> TraceSet {
         }
         skews.extend_from_slice(&job.skews_ns);
     }
-    TraceSet {
-        paths: interner.into_names(),
-        ranks,
-        skews_ns: skews,
-    }
-}
-
-/// Combine job traces into a single trace. `gap_ns` is the simulated
-/// scheduler gap inserted between consecutive jobs.
-pub fn combine_jobs(jobs: &[TraceSet], gap_ns: u64) -> TraceSet {
-    let mut interner = Interner::new();
-    let mut ranks = Vec::new();
-    let mut skews = Vec::new();
-    let mut time_offset = 0u64;
-
-    for (j, job) in jobs.iter().enumerate() {
-        // Path remapping into the merged table.
-        let remap: Vec<PathId> = job.paths.iter().map(|p| interner.intern(p)).collect();
-        let rank_offset = ranks.len() as u32;
-        let mut job_end = 0u64;
-        for records in &job.ranks {
-            let mut out = Vec::with_capacity(records.len());
-            for rec in records {
-                let mut r = *rec;
-                r.t_start += time_offset;
-                r.t_end += time_offset;
-                r.rank += rank_offset;
-                remap_ids(&mut r.func, &remap, rank_offset, j as u64);
-                job_end = job_end.max(r.t_end);
-                out.push(r);
-            }
-            ranks.push(out);
-        }
-        skews.extend_from_slice(&job.skews_ns);
-        time_offset = job_end + gap_ns;
-    }
-
     TraceSet {
         paths: interner.into_names(),
         ranks,
@@ -129,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn ranks_times_and_paths_are_remapped() {
+    fn ranks_and_paths_are_remapped_times_are_not() {
         let a = job(
             vec!["/shared", "/a_only"],
             vec![
@@ -165,13 +129,12 @@ mod tests {
                 },
             )],
         );
-        let c = combine_jobs(&[a, b], 1000);
+        let c = merge_jobs(&[a, b]);
         assert_eq!(c.nranks(), 3);
-        // Job B's rank 0 is global rank 2, shifted past job A's end (210)
-        // plus the gap.
+        // Job B's rank 0 is global rank 2, at the time it was recorded.
         let rec_b = &c.ranks[2][0];
         assert_eq!(rec_b.rank, 2);
-        assert_eq!(rec_b.t_start, 210 + 1000 + 50);
+        assert_eq!(rec_b.t_start, 50);
         // "/shared" resolves to the same id in both jobs.
         let shared = c.path_id("/shared").unwrap();
         let Func::Open { path: pa, .. } = c.ranks[0][0].func else {
@@ -215,7 +178,7 @@ mod tests {
                 ],
             )
         };
-        let c = combine_jobs(&[mk(7), mk(7)], 10);
+        let c = merge_jobs(&[mk(7), mk(7)]);
         let mut seqs = Vec::new();
         let mut epochs = Vec::new();
         for r in c.ranks.iter().flatten() {
@@ -237,7 +200,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let c = combine_jobs(&[], 10);
+        let c = merge_jobs(&[]);
         assert_eq!(c.nranks(), 0);
         assert_eq!(c.total_records(), 0);
     }

@@ -2,8 +2,8 @@
 //!
 //! One module per experiment, all driven by [`runner`], which executes an
 //! application replica through the simulated stack with the streaming
-//! analyzer attached (resolve → conflicts → patterns while the run is in
-//! flight; then the run's one trace is re-based in place → census →
+//! analyzer attached (resolve → conflicts → patterns → census while the
+//! run is in flight; then the run's one trace is re-based in place →
 //! happens-before → verdict).
 //!
 //! | Paper artifact | Module / function |

@@ -155,6 +155,25 @@ fn get_without_path_is_usage_error() {
 }
 
 #[test]
+fn get_from_a_peer_announcing_an_absurd_body_exits_1() {
+    // A listener that answers any request with a Content-Length no body
+    // can have: the client must refuse it, not overflow on it.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        use std::io::{Read, Write};
+        let (mut s, _) = listener.accept().unwrap();
+        let _ = s.read(&mut [0u8; 1024]);
+        let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nx");
+    });
+    let out = report(&["get", "--addr", &addr, "--path", "/healthz"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("Content-Length"), "stderr: {stderr}");
+    server.join().unwrap();
+}
+
+#[test]
 fn postmortem_missing_value_is_usage_error() {
     assert_usage_error(&["serve", "--postmortem"], "--postmortem requires a value");
 }

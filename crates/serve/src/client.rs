@@ -1,10 +1,16 @@
-//! Minimal blocking HTTP/1.1 client — just enough for `report`'s client
-//! commands, the test suites, and the benchmark. Speaks keep-alive, reads
-//! `Content-Length`-framed bodies, and treats anything else as a close.
+//! Minimal blocking HTTP/1.1 client for `report`'s client commands, the
+//! peer client ([`crate::fleet`]) and the tests; the benchmark has its
+//! own. Keep-alive, `Content-Length`-framed bodies, and no framing of its
+//! own: a response head is read by the server's [`ConnReader`] and
+//! header-block loop under the request limits; only the status line and
+//! the body length are the client's.
 
-use std::io::{self, Read, Write};
+use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use crate::http::{content_length, find_header, read_headers, ConnReader, HttpLimits};
 
 /// One response as the client saw it.
 #[derive(Debug)]
@@ -16,16 +22,17 @@ pub struct ClientResponse {
 
 impl ClientResponse {
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     pub fn body_text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 }
+
+/// Largest response body accepted — far above a segment transfer's whole
+/// store slice; a larger `Content-Length` is refused unread.
+const MAX_BODY_BYTES: u64 = 1 << 30;
 
 /// Connect and read deadline of [`HttpClient::connect`]: generous,
 /// because the general-purpose client also waits out cold analyses.
@@ -40,8 +47,7 @@ pub(crate) fn resolve(addr: &str) -> io::Result<SocketAddr> {
 
 /// A keep-alive connection to one server.
 pub struct HttpClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
+    conn: ConnReader<TcpStream>,
 }
 
 impl HttpClient {
@@ -56,8 +62,8 @@ impl HttpClient {
     }
 
     /// Connect with explicit deadlines: one on the TCP connect, one on
-    /// every read of a response — a caller that must not hang on a peer
-    /// that accepts and never answers picks both.
+    /// every read of a response and on its whole head — a caller that
+    /// must not hang on a peer that accepts and never answers picks both.
     pub fn connect_with(
         addr: SocketAddr,
         connect_timeout: Duration,
@@ -67,8 +73,7 @@ impl HttpClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(read_timeout))?;
         Ok(HttpClient {
-            stream,
-            buf: Vec::new(),
+            conn: ConnReader::new(stream),
         })
     }
 
@@ -79,13 +84,14 @@ impl HttpClient {
     /// a connection found not reusable may be left non-blocking, so drop
     /// it.
     pub(crate) fn is_reusable(&self) -> bool {
-        self.buf.is_empty()
-            && self.stream.set_nonblocking(true).is_ok()
+        let stream = self.conn.get_ref();
+        self.conn.is_empty()
+            && stream.set_nonblocking(true).is_ok()
             && matches!(
-                self.stream.peek(&mut [0u8; 1]),
+                stream.peek(&mut [0u8; 1]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock
             )
-            && self.stream.set_nonblocking(false).is_ok()
+            && stream.set_nonblocking(false).is_ok()
     }
 
     /// Issue `GET path` and read the full response.
@@ -102,71 +108,38 @@ impl HttpClient {
     ) -> io::Result<ClientResponse> {
         let mut req = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n");
         for (name, value) in headers {
-            req.push_str(name);
-            req.push_str(": ");
-            req.push_str(value);
-            req.push_str("\r\n");
+            let _ = write!(req, "{name}: {value}\r\n");
         }
         req.push_str("\r\n");
-        self.stream.write_all(req.as_bytes())?;
-        self.read_response()
-    }
+        let mut stream = self.conn.get_ref();
+        stream.write_all(req.as_bytes())?;
 
-    /// Read bytes until the buffer holds at least `need`, or EOF.
-    fn fill_until(&mut self, need: usize) -> io::Result<()> {
-        let mut chunk = [0u8; 4096];
-        while self.buf.len() < need {
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        Ok(())
-    }
-
-    fn read_response(&mut self) -> io::Result<ClientResponse> {
-        // Accumulate until the blank line ending the header block.
-        let head_end = loop {
-            if let Some(pos) = find_subslice(&self.buf, b"\r\n\r\n") {
-                break pos;
-            }
-            self.fill_until(self.buf.len() + 1)?;
+        // The head: a status line, then the header block through the same
+        // loop and limits as a request's, all within one read timeout.
+        let limits = HttpLimits::default();
+        let deadline = Instant::now() + stream.read_timeout()?.unwrap_or(DEFAULT_TIMEOUT);
+        let line = self
+            .conn
+            .read_line(limits.max_request_line, deadline, true)?;
+        let status = match line.split(' ').nth(1).map(str::parse::<u16>) {
+            Some(Ok(code)) if line.starts_with("HTTP/1.") && (100..1000).contains(&code) => code,
+            _ => return Err(invalid(format!("bad status line {line:?}"))),
         };
-        let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
-        let mut lines = head.split("\r\n");
-        let status_line = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response"))?;
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-        let headers: Vec<(String, String)> = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-            .collect();
-        let content_length: usize = headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-
-        let body_start = head_end + 4;
-        self.fill_until(body_start + content_length)?;
-        let body = self.buf[body_start..body_start + content_length].to_vec();
-        // Retain any pipelined surplus for the next response.
-        self.buf.drain(..body_start + content_length);
+        let headers = read_headers(&mut self.conn, &limits, deadline)?;
+        let len = content_length(&headers)?;
+        if len > MAX_BODY_BYTES {
+            return Err(invalid(format!("refused Content-Length {len}")));
+        }
         Ok(ClientResponse {
             status,
             headers,
-            body,
+            body: self.conn.read_body(len as usize)?,
         })
     }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// One-shot GET on a fresh connection.
@@ -206,17 +179,93 @@ pub fn get_redirecting(
     ))
 }
 
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A one-connection server that reads the request head and answers
+    /// `reply`, then closes.
+    fn answering(reply: Vec<u8>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            crate::http::parse_request(&mut ConnReader::new(&s), &HttpLimits::default()).unwrap();
+            let _ = s.write_all(&reply);
+        });
+        addr
+    }
 
     #[test]
-    fn finds_header_terminator() {
-        assert_eq!(find_subslice(b"ab\r\n\r\ncd", b"\r\n\r\n"), Some(2));
-        assert_eq!(find_subslice(b"abcd", b"\r\n\r\n"), None);
+    fn reads_a_response_through_the_request_reader() {
+        let addr = answering(
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nX-A: b\r\nContent-Length: 5\r\n\r\nhello"
+                .to_vec(),
+        );
+        let resp = get_once(addr, "/x").unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("x-a"), Some("b"));
+        assert_eq!(resp.body, b"hello");
+    }
+
+    #[test]
+    fn a_content_length_past_u64_range_or_the_ceiling_is_an_error_not_a_panic() {
+        for len in [
+            "18446744073709551615",
+            "18446744073709551616",
+            "1073741825",
+            "-1",
+        ] {
+            let reply = format!("HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\nx");
+            let err = get_once(answering(reply.into_bytes()), "/x").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_body_cut_short_is_an_error() {
+        let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc".to_vec();
+        let err = get_once(answering(reply), "/x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
+    fn a_header_block_over_the_request_limits_is_an_error() {
+        let limits = HttpLimits::default();
+        let fat = format!(
+            "HTTP/1.1 200 OK\r\nX-Pad: {}\r\nContent-Length: 0\r\n\r\n",
+            "p".repeat(limits.max_header_bytes)
+        );
+        let many: String = (0..=limits.max_headers)
+            .map(|i| format!("X-{i}: v\r\n"))
+            .collect();
+        let numerous = format!("HTTP/1.1 200 OK\r\n{many}Content-Length: 0\r\n\r\n");
+        for reply in [fat, numerous] {
+            let err = get_once(answering(reply.into_bytes()), "/x").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    #[test]
+    fn a_bad_status_line_is_an_error() {
+        for line in ["HTTP/1.1 OK", "HTTP/2 200 OK", "garbage", "HTTP/1.1 99 Low"] {
+            let reply = format!("{line}\r\nContent-Length: 0\r\n\r\n");
+            let err = get_once(answering(reply.into_bytes()), "/x").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_silent_peer_costs_one_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let timeout = Duration::from_millis(200);
+        let mut client = HttpClient::connect_with(addr, timeout, timeout).unwrap();
+        let t0 = Instant::now();
+        let err = client.get("/x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        drop(listener);
     }
 }

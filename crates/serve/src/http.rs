@@ -1,5 +1,5 @@
-//! Hand-rolled, bounds-checked HTTP/1.1 request parser and response
-//! writer.
+//! Hand-rolled, bounds-checked HTTP/1.1 head reader — requests at the
+//! server, responses at [`crate::client`] — and response writer.
 //!
 //! The offline build has no web-framework crates, so the wire protocol is
 //! implemented directly over `std::io`: a buffered [`ConnReader`] that
@@ -18,13 +18,18 @@
 //! in this module panics on untrusted input — the adversarial test suite
 //! feeds it garbage, partial lines, and slow-loris dribbles.
 
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Hard caps on attacker-controlled request dimensions.
+/// Hard caps on attacker-controlled head dimensions: a request's at the
+/// server, and (all but the deadline) a response's at the client.
 #[derive(Debug, Clone, Copy)]
 pub struct HttpLimits {
-    /// Longest accepted request line (method + URI + version), bytes.
+    /// Longest accepted request line (method + URI + version) or status
+    /// line, bytes.
     pub max_request_line: usize,
     /// Cap on the whole header block, bytes.
     pub max_header_bytes: usize,
@@ -46,11 +51,12 @@ impl Default for HttpLimits {
     }
 }
 
-/// Why a request could not be parsed.
+/// Why a request (or, at the client, a response) head could not be read.
 #[derive(Debug)]
 pub enum ParseError {
-    /// Clean EOF before any byte of a new request — the peer ended the
-    /// keep-alive session; not an error.
+    /// The keep-alive session ended cleanly before any byte of a new
+    /// request: the peer closed it, or the server began draining while
+    /// the connection sat idle. Not an error.
     ConnectionClosed,
     /// EOF in the middle of a request head.
     Truncated,
@@ -69,6 +75,17 @@ pub enum ParseError {
     UnsupportedVersion,
     /// Underlying transport error.
     Io(io::Error),
+}
+
+/// How a response head the client cannot read reaches its caller.
+impl From<ParseError> for io::Error {
+    fn from(e: ParseError) -> io::Error {
+        match e {
+            ParseError::Io(e) => e,
+            ParseError::Timeout => io::ErrorKind::TimedOut.into(),
+            e => io::Error::new(io::ErrorKind::InvalidData, format!("response head: {e:?}")),
+        }
+    }
 }
 
 impl ParseError {
@@ -107,13 +124,19 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
+/// First header in `headers` with this (case-insensitive) name — the
+/// lookup of [`Request::header`] and of the client's response.
+pub(crate) fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
 impl Request {
     /// First header with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// First query parameter with this name.
@@ -137,6 +160,9 @@ pub struct ConnReader<R: Read> {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// Set when the server drains: a read waiting for the first byte of a
+    /// new request then ends as [`ParseError::ConnectionClosed`].
+    pub(crate) drain: Option<Arc<AtomicBool>>,
 }
 
 impl<R: Read> ConnReader<R> {
@@ -146,7 +172,32 @@ impl<R: Read> ConnReader<R> {
             buf: vec![0; 4096],
             start: 0,
             end: 0,
+            drain: None,
         }
+    }
+
+    /// The transport: for writing to the same connection, and for its
+    /// socket state.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// Whether no received byte is waiting to be read.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Read the `n`-byte body a head announced: what is buffered, then
+    /// straight from the transport. The buffer grows only as bytes arrive.
+    pub(crate) fn read_body(&mut self, n: usize) -> io::Result<Vec<u8>> {
+        let mut body = self.buf[self.start..self.end.min(self.start + n)].to_vec();
+        self.start += body.len();
+        let rest = (n - body.len()) as u64;
+        (&mut self.inner).take(rest).read_to_end(&mut body)?;
+        if body.len() < n {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        Ok(body)
     }
 
     /// Pull more bytes from the transport. `Ok(0)` is EOF.
@@ -175,20 +226,26 @@ impl<R: Read> ConnReader<R> {
     /// Read one line, consuming through the terminating `\n` (CRLF or
     /// bare LF; the trailing terminator is stripped). `max` bounds the
     /// line length; `deadline` bounds total wall time. `at_start` marks
-    /// whether EOF before any byte means a clean close.
-    fn read_line(
+    /// whether EOF (or a drain) before any byte means a clean close.
+    pub(crate) fn read_line(
         &mut self,
         max: usize,
         deadline: Instant,
         at_start: bool,
     ) -> Result<String, ParseError> {
+        // A request line that will not fit is 414, an oversized header
+        // line 431.
+        let oversize = || match at_start {
+            true => ParseError::RequestLineTooLong,
+            false => ParseError::HeadersTooLarge,
+        };
         let mut scanned = 0;
         loop {
             let window = &self.buf[self.start..self.end];
             if let Some(pos) = window[scanned..].iter().position(|&b| b == b'\n') {
                 let line_end = scanned + pos;
                 if line_end > max {
-                    return Err(oversize_error(max, at_start));
+                    return Err(oversize());
                 }
                 let mut line = &window[..line_end];
                 if line.last() == Some(&b'\r') {
@@ -200,43 +257,71 @@ impl<R: Read> ConnReader<R> {
             }
             scanned = window.len();
             if scanned > max {
-                return Err(oversize_error(max, at_start));
+                return Err(oversize());
             }
             if Instant::now() >= deadline {
                 return Err(ParseError::Timeout);
             }
+            // Nothing of a new request has arrived: EOF is a clean close.
+            let idle = at_start && scanned == 0;
             match self.fill() {
-                Ok(0) => {
-                    return Err(if at_start && scanned == 0 {
-                        ParseError::ConnectionClosed
-                    } else {
-                        ParseError::Truncated
-                    });
-                }
+                Ok(0) if idle => return Err(ParseError::ConnectionClosed),
+                Ok(0) => return Err(ParseError::Truncated),
                 Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if Instant::now() >= deadline {
-                        return Err(ParseError::Timeout);
+                // A timed-out read retries until the deadline, unless the
+                // server drains while the connection is idle.
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                    let drained = self
+                        .drain
+                        .as_ref()
+                        .is_some_and(|d| d.load(Ordering::SeqCst));
+                    if idle && drained {
+                        return Err(ParseError::ConnectionClosed);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ParseError::Io(e)),
             }
         }
     }
 }
 
-/// A request line that will not fit is 414; an oversized header line is
-/// 431 — the two cases share the scanning code but not the status.
-fn oversize_error(_max: usize, at_request_line: bool) -> ParseError {
-    if at_request_line {
-        ParseError::RequestLineTooLong
-    } else {
-        ParseError::HeadersTooLarge
+/// The header block after a start line, through the blank line that ends
+/// it, under `limits`' byte and field-count caps: the one loop that reads
+/// both a request's headers and a response's.
+pub(crate) fn read_headers<R: Read>(
+    reader: &mut ConnReader<R>,
+    limits: &HttpLimits,
+    deadline: Instant,
+) -> Result<Vec<(String, String)>, ParseError> {
+    let mut headers = Vec::new();
+    let mut header_bytes = 0usize;
+    loop {
+        let line = reader.read_line(limits.max_header_bytes, deadline, false)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        header_bytes += line.len() + 2;
+        if header_bytes > limits.max_header_bytes || headers.len() >= limits.max_headers {
+            return Err(ParseError::HeadersTooLarge);
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| ParseError::Malformed("header line without colon".into()))?;
+        let name = name.trim();
+        if name.is_empty() || name.contains(' ') {
+            return Err(ParseError::Malformed("invalid header name".into()));
+        }
+        headers.push((name.to_string(), value.trim().to_string()));
     }
+}
+
+/// The body length a head announces: its `Content-Length`, `0` without
+/// one.
+pub(crate) fn content_length(headers: &[(String, String)]) -> Result<u64, ParseError> {
+    find_header(headers, "content-length").map_or(Ok(0), |v| {
+        v.parse()
+            .map_err(|_| ParseError::Malformed("unparseable Content-Length".into()))
+    })
 }
 
 /// Parse one request head off the connection, enforcing every limit.
@@ -278,54 +363,17 @@ pub fn parse_request<R: Read>(
         ));
     }
 
-    let mut headers = Vec::new();
-    let mut header_bytes = 0usize;
-    loop {
-        let line = reader.read_line(limits.max_header_bytes, deadline, false)?;
-        if line.is_empty() {
-            break;
-        }
-        header_bytes += line.len() + 2;
-        if header_bytes > limits.max_header_bytes || headers.len() >= limits.max_headers {
-            return Err(ParseError::HeadersTooLarge);
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::Malformed("header line without colon".into()))?;
-        let name = name.trim();
-        if name.is_empty() || name.contains(' ') {
-            return Err(ParseError::Malformed("invalid header name".into()));
-        }
-        headers.push((name.to_string(), value.trim().to_string()));
-    }
-
-    let request = Request {
-        method: method.to_string(),
-        path: String::new(),
-        query: Vec::new(),
-        headers,
-        keep_alive: http11,
-    };
-
+    let headers = read_headers(reader, limits, deadline)?;
     // Bodies: this API never accepts one. A nonzero Content-Length or any
     // Transfer-Encoding is rejected outright — the unread body would
     // poison the connection for keep-alive anyway, so the error response
     // also closes it.
-    if let Some(cl) = request.header("content-length") {
-        let n: u64 = cl
-            .trim()
-            .parse()
-            .map_err(|_| ParseError::Malformed("unparseable Content-Length".into()))?;
-        if n > 0 {
-            return Err(ParseError::BodyNotAllowed);
-        }
-    }
-    if request.header("transfer-encoding").is_some() {
+    if content_length(&headers)? > 0 || find_header(&headers, "transfer-encoding").is_some() {
         return Err(ParseError::BodyNotAllowed);
     }
 
     // Connection semantics: HTTP/1.1 defaults to keep-alive, 1.0 to close.
-    let keep_alive = match request.header("connection") {
+    let keep_alive = match find_header(&headers, "connection") {
         Some(v) if v.eq_ignore_ascii_case("close") => false,
         Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
         _ => http11,
@@ -346,10 +394,11 @@ pub fn parse_request<R: Read>(
         .collect();
 
     Ok(Request {
+        method: method.to_string(),
         path,
         query,
+        headers,
         keep_alive,
-        ..request
     })
 }
 
@@ -467,27 +516,30 @@ impl Response {
         self.status / 100
     }
 
+    /// Render head and body into one buffer and hand it to `w` in one
+    /// write: on a `TCP_NODELAY` socket two writes are two syscalls and
+    /// two segments.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut head = format!(
+        // A head is 100-200 bytes; a rare longer one grows the buffer once.
+        let mut out = Vec::with_capacity(256 + self.body.len());
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             Response::reason(self.status),
             self.content_type,
             self.body.len()
-        );
+        )?;
         for (name, value) in &self.extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            write!(out, "{name}: {value}\r\n")?;
         }
-        head.push_str(if self.close {
-            "Connection: close\r\n\r\n"
+        out.extend_from_slice(if self.close {
+            b"Connection: close\r\n\r\n"
         } else {
-            "Connection: keep-alive\r\n\r\n"
+            b"Connection: keep-alive\r\n\r\n"
         });
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -617,6 +669,63 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 7\r\n"));
         assert!(!text.contains("Date:"), "no timestamps in responses");
+    }
+
+    #[test]
+    fn a_drain_ends_an_idle_wait_but_not_a_request_under_way() {
+        // A transport that times out between the chunks it delivers, as a
+        // socket with a read timeout does.
+        struct Chunks(Vec<&'static str>);
+        impl Read for Chunks {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.pop() {
+                    Some("") => Err(io::ErrorKind::WouldBlock.into()),
+                    Some(chunk) => {
+                        buf[..chunk.len()].copy_from_slice(chunk.as_bytes());
+                        Ok(chunk.len())
+                    }
+                    None => Ok(0),
+                }
+            }
+        }
+        let parse = |chunks: Vec<&'static str>, draining: bool| {
+            let mut reader = ConnReader::new(Chunks(chunks.into_iter().rev().collect()));
+            reader.drain = Some(Arc::new(AtomicBool::new(draining)));
+            parse_request(&mut reader, &HttpLimits::default())
+        };
+        let split = vec!["GET /a HT", "", "TP/1.1\r\n\r\n"];
+        assert_eq!(parse(split.clone(), true).unwrap().path, "/a");
+        assert_eq!(parse(split, false).unwrap().path, "/a");
+        let idle = vec!["", "GET /b HTTP/1.1\r\n\r\n"];
+        assert!(matches!(
+            parse(idle.clone(), true),
+            Err(ParseError::ConnectionClosed)
+        ));
+        assert_eq!(parse(idle, false).unwrap().path, "/b");
+    }
+
+    #[test]
+    fn write_to_hands_the_writer_head_and_body_in_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut resp = Response::json(200, "{\"x\":1}".to_string());
+        resp.extra_headers.push(("X-Request-Id", "r-1".to_string()));
+        let mut w = Writes(Vec::new());
+        resp.write_to(&mut w).unwrap();
+        assert_eq!(w.0.len(), 1);
+        assert_eq!(
+            String::from_utf8(w.0.remove(0)).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\
+             X-Request-Id: r-1\r\nConnection: keep-alive\r\n\r\n{\"x\":1}"
+        );
     }
 
     #[test]

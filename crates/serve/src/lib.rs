@@ -12,11 +12,11 @@
 //! Like every other crate in the workspace, it is built from scratch on
 //! `std` alone (the build must succeed with no registry access):
 //!
-//! * [`http`] — hand-rolled, bounds-checked HTTP/1.1 parser and a
-//!   deterministic response writer (no `Date` header; response *bodies*
-//!   carry no timestamps or request ids — the property behind the
-//!   warm-equals-cold byte-identity guarantee; correlation ids live in
-//!   headers only).
+//! * [`http`] — hand-rolled, bounds-checked HTTP/1.1 head reader (for
+//!   requests and responses alike) and a deterministic response writer
+//!   (no `Date` header; response *bodies* carry no timestamps or request
+//!   ids — the property behind the warm-equals-cold byte-identity
+//!   guarantee; correlation ids live in headers only).
 //! * [`pool`] — fixed worker pool over a bounded queue; a full queue is
 //!   answered 503 + `Retry-After` at the accept loop (explicit
 //!   backpressure), and shutdown drains in-flight work.
@@ -36,7 +36,8 @@
 //! * `exposition` — `/healthz` and the one metrics surface, `/metricsz`.
 //! * [`server`] — accept loop, connection lifecycle, SIGTERM/ctrl-c
 //!   graceful drain (via [`signal`]).
-//! * [`client`] — the minimal blocking client `report` and the tests use.
+//! * [`client`] — the minimal blocking client `report`, the peer client
+//!   and the tests use; it reads responses with [`http`]'s reader.
 //! * [`fleet`] — the cluster tier's routing: consistent-hash lookup of
 //!   analysis keys across a sharded serving fleet
 //!   (`--cluster-id`/`--peers`), proxy or 307-redirect forwarding with a

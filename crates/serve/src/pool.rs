@@ -105,26 +105,17 @@ impl WorkerPool {
     }
 
     /// Stop accepting work, finish everything in flight and queued, and
-    /// join every worker.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-        let mut state = self.inner.state.lock().unwrap();
-        state.shutting_down = true;
-        drop(state);
-        self.inner.wake.notify_all();
+    /// join every worker: what dropping the pool does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        self.draining.store(true, Ordering::SeqCst);
+        self.inner.state.lock().unwrap().shutting_down = true;
+        self.inner.wake.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

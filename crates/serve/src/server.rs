@@ -13,9 +13,9 @@
 //! Each connection job runs the keep-alive loop: parse request → route →
 //! write response, until the peer closes, an error forces a close, or the
 //! pool starts draining. A draining handler finishes the *current*
-//! request and then closes instead of waiting for another — that is what
-//! makes SIGTERM drain quickly even with idle keep-alive clients parked
-//! on workers.
+//! request and then closes, and an idle one lets go at its next read
+//! timeout — that is what makes SIGTERM drain quickly even with idle
+//! keep-alive clients (a peer's pooled connections) parked on workers.
 //!
 //! The connection's `TcpStream` rides inside an `Arc<Mutex<Option<..>>>`
 //! slot shared between the queued job and the accept loop: on a full
@@ -34,6 +34,14 @@ use crate::pool::WorkerPool;
 use crate::router::{Backend, Router};
 use crate::signal;
 
+/// Per-read socket timeout on a served connection: how soon an idle
+/// handler notices a drain. The parser retries reads until `HttpLimits`'
+/// header deadline, so slow legitimate clients are unaffected.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// `Retry-After` seconds advertised on a 503 at the door.
+const RETRY_AFTER_SECS: u32 = 1;
+
 /// Serving parameters; `Default` gives the `report serve` defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -47,14 +55,8 @@ pub struct ServeConfig {
     pub cache_entries: usize,
     /// Pending-connection queue bound; beyond it, new connections get 503.
     pub queue_cap: usize,
-    /// Per-read socket timeout. Small, so handlers notice shutdown
-    /// promptly; the parser retries reads until `HttpLimits`' header
-    /// deadline, so slow legitimate clients are unaffected.
-    pub read_timeout: Duration,
     /// Parser limits.
     pub limits: HttpLimits,
-    /// `Retry-After` seconds advertised on 503.
-    pub retry_after_secs: u32,
     /// Persistent verdict store. When set, cold results are journaled to
     /// disk, misses consult the store before the backend, and the accept
     /// loop compacts the journal into a snapshot at drain time.
@@ -77,9 +79,7 @@ impl Default for ServeConfig {
             workers: 4,
             cache_entries: 256,
             queue_cap: 64,
-            read_timeout: Duration::from_millis(50),
             limits: HttpLimits::default(),
-            retry_after_secs: 1,
             store: None,
             postmortem: None,
             cluster: None,
@@ -104,22 +104,16 @@ impl ServerHandle {
         self.addr.port()
     }
 
-    /// Stop accepting, drain in-flight and queued work, join everything.
-    pub fn shutdown(mut self) {
-        self.begin_stop();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    fn begin_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+    /// Stop accepting, drain in-flight and queued work, join everything:
+    /// what dropping the handle does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.begin_stop();
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -204,10 +198,10 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
                 let job_slot = Arc::clone(&slot);
                 let router = Arc::clone(router);
                 let draining = Arc::clone(&draining);
-                let (read_timeout, limits) = (cfg.read_timeout, cfg.limits);
+                let limits = cfg.limits;
                 let submitted = pool.try_submit(Box::new(move || {
                     if let Some(stream) = job_slot.lock().unwrap().take() {
-                        handle_connection(stream, read_timeout, &limits, &router, &draining);
+                        handle_connection(stream, &limits, &router, draining);
                     }
                 }));
                 if submitted.is_err() {
@@ -216,7 +210,7 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
                     }
                     obs::flight::record(obs::FlightKind::Overload, 503, 0, 0, "", "accept-queue");
                     if let Some(mut stream) = slot.lock().unwrap().take() {
-                        let _ = Response::overloaded(cfg.retry_after_secs).write_to(&mut stream);
+                        let _ = Response::overloaded(RETRY_AFTER_SECS).write_to(&mut stream);
                         let _ = stream.shutdown(std::net::Shutdown::Both);
                     }
                 }
@@ -247,41 +241,31 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
 
 fn handle_connection(
     stream: TcpStream,
-    read_timeout: Duration,
     limits: &HttpLimits,
     router: &Router,
-    draining: &AtomicBool,
+    draining: Arc<AtomicBool>,
 ) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = ConnReader::new(stream);
-    loop {
-        if draining.load(Ordering::SeqCst) || signal::shutdown_requested() {
-            return;
-        }
-        match parse_request(&mut reader, limits) {
+    reader.drain = Some(Arc::clone(&draining));
+    while !draining.load(Ordering::SeqCst) && !signal::shutdown_requested() {
+        let resp = match parse_request(&mut reader, limits) {
             Ok(req) => {
                 let mut resp = router.handle(&req);
                 // Honor the peer's connection preference, and stop serving
                 // this session once shutdown begins.
-                if !req.keep_alive || draining.load(Ordering::SeqCst) {
-                    resp.close = true;
-                }
-                let close = resp.close;
-                if resp.write_to(&mut writer).is_err() || close {
-                    return;
-                }
+                resp.close |= !req.keep_alive || draining.load(Ordering::SeqCst);
+                resp
             }
-            Err(err) => {
-                if let Some(resp) = err.response() {
-                    let _ = resp.write_to(&mut writer);
-                }
-                return;
-            }
+            // A failed parse owes at most an error response, which closes.
+            Err(err) => match err.response() {
+                Some(resp) => resp,
+                None => return,
+            },
+        };
+        if resp.write_to(&mut reader.get_ref()).is_err() || resp.close {
+            return;
         }
     }
 }
@@ -326,6 +310,21 @@ mod tests {
         assert_eq!(verdict.status, 200);
         assert!(String::from_utf8_lossy(&verdict.body).contains("tiny"));
         handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_releases_an_idle_keep_alive_connection() {
+        let handle = serve(ServeConfig::default(), Arc::new(TinyBackend)).unwrap();
+        let mut client = HttpClient::connect(handle.addr()).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        // A worker now waits on this connection for its next request; the
+        // drain must end that wait, not the 5 s header deadline.
+        let t0 = std::time::Instant::now();
+        handle.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        // Closed without an answer: no 408 was owed.
+        assert!(client.get("/healthz").is_err());
     }
 
     #[test]

@@ -49,6 +49,21 @@ if grep -rnE 'enum JsonVal|fn json_u64_field|fn json_u32_array|fn json_escape' c
     exit 1
 fi
 
+echo "ci: one HTTP head reader"
+# Requests and responses are framed by one reader: `http::ConnReader`'s
+# bounded line reader and the one header-block loop, under `HttpLimits`.
+# A second framing (a blank-line search, its own fill loop) anywhere else
+# is a second, unbounded HTTP parser.
+if grep -rnE 'fn (fill_until|find_subslice|read_response)\b' crates/*/src |
+    grep -v '^crates/serve/src/http\.rs:'; then
+    echo "an HTTP framing function outside serve::http"
+    exit 1
+fi
+if grep -rnF '"\r\n\r\n"' crates/*/src | grep -v '^crates/serve/src/http\.rs:'; then
+    echo "a search for the end of an HTTP head outside serve::http"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
