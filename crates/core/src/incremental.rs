@@ -9,7 +9,8 @@
 //! analyses online, so that when the run finishes, the expensive
 //! per-trace passes (offset resolution, both conflict detections, both
 //! Figure 1 pattern folds, the Table 3 bucketing, the Figure 3 metadata
-//! census) are already done — the run pays only the finalize step.
+//! census, the §5.2 happens-before validation) are already done — the run
+//! pays only the finalize step.
 //!
 //! ## Equivalence with the at-rest functions
 //!
@@ -50,6 +51,11 @@
 //!   streams is order-independent. Table 3 buckets accumulate per file in
 //!   time order and finish through the same
 //!   [`crate::patterns::highlevel::classify_from_buckets`].
+//! * **Happens-before.** MPI records skip the merge and feed [`HbEdges`],
+//!   as [`crate::hb::validate_conflicts`] feeds it at rest. A session
+//!   survivor is judged once the drain passed its `t₂`: a rank's MPI
+//!   records travel no later than its next frontier, so every edge that
+//!   can order the pair has arrived.
 //!
 //! ## Memory bound
 //!
@@ -64,9 +70,10 @@
 //! ([`StreamingAnalyzer::epoch_released`], sent by the rank that released
 //! each barrier), so the store is bounded by the intervals live in the
 //! current epoch(s), not by trace length. `peak_live_intervals` reports
-//! the high-water mark. Nothing else the analyzer holds grows with the
-//! trace: the resolved accesses are not retained, and what remains is per
-//! file, per `(rank, file)`, or per reported conflict.
+//! the high-water mark; the same prune drops happens-before edges no live
+//! write can use. Nothing else the analyzer holds grows with the trace: the
+//! resolved accesses are not retained, and what remains is per file, per
+//! `(rank, file)`, or per reported conflict.
 //!
 //! ## Assumptions
 //!
@@ -84,9 +91,10 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 use recorder::offset::{ResolveCounts, Resolved, StreamResolver};
-use recorder::{AccessKind, DataAccess, IdMap, PathId, Record, SyncEvent, SyncKind};
+use recorder::{AccessKind, DataAccess, IdMap, Layer, PathId, Record, SyncEvent, SyncKind};
 
 use crate::conflict::{classify_pair, unsynchronized, AnalysisModel, ConflictReport};
+use crate::hb::{HbEdges, HbValidation};
 use crate::metadata::MetadataCensus;
 use crate::patterns::highlevel::{classify_from_buckets, FileBuckets, HighLevelReport};
 use crate::patterns::lowlevel::{classify_step, PatternStats};
@@ -238,6 +246,8 @@ pub struct IncrementalOutput {
     /// Equal to `MetadataCensus::from_trace(trace)`: every record is
     /// counted as it drains.
     pub census: MetadataCensus,
+    /// Equal to `hb::validate_conflicts(trace, &session)`.
+    pub hb: HbValidation,
     /// High-water mark of the live-interval store — the streaming memory
     /// bound (batch holds every access of the trace instead).
     pub peak_live_intervals: u64,
@@ -278,6 +288,8 @@ struct Inner {
     global_stats: PatternStats,
     buckets: IdMap<PathId, FileBuckets>,
     census: MetadataCensus,
+    hb_edges: HbEdges,
+    hb: HbValidation,
 
     /// `remap[pre_canonical_id] = canonical id`, set after trace assembly.
     remap: Vec<u32>,
@@ -320,6 +332,8 @@ impl StreamingAnalyzer {
                 global_stats: PatternStats::default(),
                 buckets: IdMap::default(),
                 census: MetadataCensus::default(),
+                hb_edges: HbEdges::new(nranks),
+                hb: HbValidation::default(),
                 remap: Vec::new(),
                 live_intervals: 0,
                 peak_live_intervals: 0,
@@ -329,10 +343,10 @@ impl StreamingAnalyzer {
         }
     }
 
-    /// Feed a chunk of `rank`'s records (adjusted timestamps, program
-    /// order). `frontier` promises that every future record of this rank
-    /// has `t_start >= frontier`; larger frontiers let the watermark merge
-    /// drain further.
+    /// Feed a chunk of `rank`'s records (adjusted timestamps, each layer
+    /// in program order). `frontier` promises that every future record of
+    /// this rank has `t_start >= frontier`; larger frontiers let the
+    /// watermark merge drain further.
     pub fn push(&self, rank: u32, records: &[Record], frontier: u64) {
         let mut g = self.lock();
         g.enqueue(rank, records, frontier);
@@ -385,17 +399,19 @@ impl Inner {
         }
     }
 
-    /// Queue a chunk of `rank`'s records and raise its frontier.
+    /// Queue `rank`'s POSIX records and raise its frontier; MPI records go to `hb_edges`.
     fn enqueue(&mut self, rank: u32, records: &[Record], frontier: u64) {
         let r = rank as usize;
         self.leaving_empty_set(r);
-        if self.queues[r].is_empty() {
-            if let Some(first) = records.first() {
-                self.heads.push(Reverse((first.t_start, rank)));
-            }
-        }
         let mut f = self.frontiers[r].max(frontier);
         for rec in records {
+            if rec.layer == Layer::Mpi {
+                self.hb_edges.push(rec);
+                continue;
+            }
+            if self.queues[r].is_empty() {
+                self.heads.push(Reverse((rec.t_start, rank)));
+            }
             debug_assert!(
                 self.queues[r]
                     .back()
@@ -512,6 +528,9 @@ impl Inner {
         let (t1, t2) = (fa.t_start, sa.t_start);
         let on_commit = unsynchronized(AnalysisModel::Commit, t1, f_tc_commit, s_to, t2);
         let on_session = unsynchronized(AnalysisModel::Session, t1, f_tc_close, s_to, t2);
+        if on_session {
+            self.hb.judge(&mut self.hb_edges, &fa, &sa);
+        }
         if on_session || on_commit {
             self.survivors.push(Survivor {
                 file: fa.file,
@@ -630,7 +649,8 @@ impl Inner {
     }
 
     /// Retire writes that can never conflict again under either model
-    /// (see module docs for the exact conditions).
+    /// (see module docs for the exact conditions), and the edges no future
+    /// pair can use.
     fn prune(&mut self) {
         let Inner {
             nranks,
@@ -639,6 +659,8 @@ impl Inner {
             rf,
             live_intervals,
             pruned_intervals,
+            bound,
+            hb_edges,
             ..
         } = self;
         for (&file, fs) in files.iter_mut() {
@@ -676,6 +698,9 @@ impl Inner {
                 }
             });
         }
+        // Sources to come: writes held now, or drained later (after `bound`).
+        let held = writes.slots.iter().filter_map(|s| s.write.as_ref());
+        hb_edges.prune_before(held.map(|w| w.access.t_end).fold(*bound, u64::min));
     }
 
     fn finalize(&mut self) -> IncrementalOutput {
@@ -739,6 +764,7 @@ impl Inner {
                 "core.incremental.peak_live_intervals",
                 self.peak_live_intervals,
             );
+            mx.observe("core.hb.peak_edges", self.hb_edges.peak());
         }
 
         IncrementalOutput {
@@ -749,6 +775,7 @@ impl Inner {
             global: self.global_stats,
             highlevel,
             census: std::mem::take(&mut self.census),
+            hb: std::mem::take(&mut self.hb),
             peak_live_intervals: self.peak_live_intervals,
             pairs_checked: self.pairs_checked,
             pruned_intervals: self.pruned_intervals,
@@ -1255,5 +1282,225 @@ mod tests {
             rounds
         );
         assert!(inc.pruned_intervals >= rounds - 2);
+    }
+
+    fn mpi(rank: u32, t0: u64, t1: u64, func: Func) -> Record {
+        Record {
+            t_start: t0,
+            t_end: t1,
+            rank,
+            layer: Layer::Mpi,
+            origin: Layer::Mpi,
+            func,
+        }
+    }
+
+    fn send(rank: u32, t: u64, dst: u32, seq: u64) -> Record {
+        mpi(rank, t, t + 1, Func::MpiSend { dst, tag: 0, seq })
+    }
+
+    fn recv(rank: u32, t: u64, src: u32, seq: u64) -> Record {
+        mpi(rank, t, t + 1, Func::MpiRecv { src, tag: 0, seq })
+    }
+
+    fn barrier(rank: u32, enter: u64, exit: u64, epoch: u64) -> Record {
+        mpi(rank, enter, exit, Func::MpiBarrier { epoch })
+    }
+
+    /// Round-robin over the ranks, `chunk` records at a time, so one
+    /// rank's MPI records can arrive after another's later POSIX ones,
+    /// pruning after every chunk.
+    fn feed_interleaved(trace: &TraceSet, chunk: usize) -> IncrementalOutput {
+        let an = StreamingAnalyzer::new(trace.nranks());
+        let mut chunks: Vec<_> = trace.ranks.iter().map(|r| r.chunks(chunk)).collect();
+        let mut live: Vec<usize> = (0..chunks.len()).collect();
+        while !live.is_empty() {
+            live.retain(|&r| match chunks[r].next() {
+                Some(c) => {
+                    an.push(r as u32, c, c.last().map_or(0, |x| x.t_start));
+                    an.epoch_released(0);
+                    true
+                }
+                None => {
+                    an.rank_done(r as u32);
+                    false
+                }
+            });
+        }
+        an.finalize()
+    }
+
+    /// A file rank 0 writes at t=20 and every other rank opens at t=12
+    /// and reads at `read_at[r]`, all before rank 0's close (a session
+    /// conflict each), plus each rank's `extra` MPI records, sorted in.
+    fn shared_file(read_at: &[u64], extra: Vec<Record>, writer_stops: bool) -> TraceSet {
+        let p = PathId(0);
+        let flags = flag_bits::READ | flag_bits::WRITE | flag_bits::CREATE;
+        let open = Func::Open {
+            path: p,
+            flags,
+            fd: 3,
+        };
+        let mut ranks = vec![vec![
+            barrier(0, 0, 0, 0),
+            posix(0, 10, open),
+            posix(0, 20, Func::Write { fd: 3, count: 100 }),
+        ]];
+        if !writer_stops {
+            ranks[0].push(posix(0, 300, Func::Close { fd: 3 }));
+        }
+        for (r, &t) in read_at.iter().enumerate() {
+            let r = r as u32 + 1;
+            let read = Func::Pread {
+                fd: 3,
+                offset: 0,
+                count: 50,
+                ret: 50,
+            };
+            ranks.push(vec![
+                barrier(r, 0, 0, 0),
+                posix(r, 12, open),
+                posix(r, t, read),
+                posix(r, 310, Func::Close { fd: 3 }),
+            ]);
+        }
+        for rec in extra {
+            ranks[rec.rank as usize].push(rec);
+        }
+        for records in &mut ranks {
+            records.sort_by_key(|r| r.t_start);
+        }
+        TraceSet {
+            paths: vec!["/f".into()],
+            skews_ns: vec![0; ranks.len()],
+            ranks,
+        }
+    }
+
+    #[test]
+    fn streamed_happens_before_equals_at_rest() {
+        let cases = [
+            (
+                "send/recv chain inside one epoch: 0 → 2 → 1",
+                // Rank 2 reads before the chain reaches it.
+                shared_file(
+                    &[60, 30],
+                    vec![
+                        send(0, 25, 2, 1),
+                        recv(2, 34, 0, 1),
+                        send(2, 40, 1, 2),
+                        recv(1, 49, 2, 2),
+                    ],
+                    false,
+                ),
+                (1, 1),
+            ),
+            (
+                "a barrier",
+                shared_file(
+                    &[60],
+                    vec![barrier(0, 30, 40, 1), barrier(1, 35, 40, 1)],
+                    false,
+                ),
+                (1, 0),
+            ),
+            (
+                "racy: the only message runs the other way",
+                shared_file(&[60], vec![send(1, 25, 0, 1), recv(0, 34, 1, 1)], false),
+                (0, 1),
+            ),
+            (
+                // Rank 2 reads after a barrier rank 0 never enters.
+                "the writer stops after sending",
+                shared_file(
+                    &[60, 200],
+                    vec![
+                        send(0, 25, 1, 1),
+                        recv(1, 34, 0, 1),
+                        barrier(1, 100, 150, 1),
+                        barrier(2, 120, 150, 1),
+                    ],
+                    true,
+                ),
+                (2, 0),
+            ),
+        ];
+        for (name, trace, (synchronized, racy)) in cases {
+            let session = at_rest(&resolve(&trace)).0;
+            let at_rest = crate::hb::validate_conflicts(&trace, &session);
+            assert_eq!(
+                (at_rest.synchronized, at_rest.racy),
+                (synchronized, racy),
+                "{name}"
+            );
+            for chunk in [1, usize::MAX] {
+                let inc = feed_interleaved(&trace, chunk);
+                assert_eq!(inc.session, session, "{name}, chunk={chunk}");
+                assert_eq!(inc.hb, at_rest, "{name}, chunk={chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn happens_before_edges_bounded_by_live_epochs() {
+        // The shape of `memory_bounded_by_live_epochs_not_trace_length`,
+        // with MPI traffic: every epoch each rank writes a range its right
+        // neighbour overwrites next, sends to that neighbour in between,
+        // and enters the epoch's barrier, so every epoch judges pairs the
+        // epoch's messages order.
+        let p = PathId(0);
+        let flags = flag_bits::READ | flag_bits::WRITE | flag_bits::CREATE;
+        let (nranks, epochs) = (8u32, 128u64);
+        // A send, a receive and a barrier participation per rank.
+        let entries_per_epoch = 3 * nranks as u64;
+        let an = StreamingAnalyzer::new(nranks);
+        for e in 0..epochs {
+            let base = e * 1_000;
+            let seq = |r: u32| e * nranks as u64 + r as u64;
+            for r in 0..nranks {
+                let t = base + r as u64 * 10;
+                let (left, right) = ((r + nranks - 1) % nranks, (r + 1) % nranks);
+                // Rank 0's left neighbour sends last: it receives late.
+                let t_recv = if r == 0 { base + 500 } else { t };
+                let mut recs = vec![
+                    recv(r, t_recv, left, seq(left)),
+                    posix(
+                        r,
+                        t + 1,
+                        Func::Open {
+                            path: p,
+                            flags,
+                            fd: 3,
+                        },
+                    ),
+                    posix(
+                        r,
+                        t + 2,
+                        Func::Pwrite {
+                            fd: 3,
+                            offset: r as u64 * 64,
+                            count: 96,
+                        },
+                    ),
+                    send(r, t + 4, right, seq(r)),
+                    posix(r, base + 600 + r as u64, Func::Close { fd: 3 }),
+                    barrier(r, base + 900 + r as u64, base + 950, e),
+                ];
+                recs.sort_by_key(|rec| rec.t_start);
+                an.push(r, &recs, base + 950);
+            }
+            an.epoch_released(e);
+        }
+        for r in 0..nranks {
+            an.rank_done(r);
+        }
+        let peak = an.lock().hb_edges.peak();
+        let inc = an.finalize();
+        let pairs = (nranks as u64 - 1) * epochs;
+        assert_eq!((inc.hb.synchronized, inc.hb.racy), (pairs, 0));
+        assert!(
+            peak <= 3 * entries_per_epoch,
+            "peak entries {peak} not O(one epoch's {entries_per_epoch}) over {epochs} epochs"
+        );
     }
 }

@@ -17,9 +17,9 @@
 //!   random classification (Figure 1) and the high-level X-Y pattern
 //!   classification of Table 3.
 //! * [`metadata`] — §6.4: the metadata-operation census of Figure 3.
-//! * [`hb`] — the §5.2 validation: rebuilding the happens-before order
-//!   from matched sends/receives and barriers and checking that
-//!   timestamp-ordered conflicting operations are indeed synchronized.
+//! * [`hb`] — the §5.2 validation: matched sends/receives and barriers
+//!   as one time-ordered edge list, and one forward pass per pair checking
+//!   that timestamp-ordered conflicting operations are synchronized.
 //! * [`verdict`] — the headline question: the weakest consistency model
 //!   under which an application runs correctly.
 //!
@@ -27,10 +27,10 @@
 //! `tracetool` loads, a trace an example just captured) gets the
 //! algorithms above as published: [`conflict::detect_conflicts`],
 //! [`patterns::local_pattern`], [`patterns::global_pattern`],
-//! [`patterns::classify`] — the only batch code, and the reference. A
-//! trace **in flight** (anything that runs a simulation) streams through
-//! [`incremental::StreamingAnalyzer`], which is held byte-identical to
-//! them and shares only the paper's definitions.
+//! [`patterns::classify`], [`hb::validate_conflicts`] — the only batch
+//! code, and the reference. A trace **in flight** (anything that runs a
+//! simulation) streams through [`incremental::StreamingAnalyzer`], which
+//! is held byte-identical to them and shares the paper's definitions.
 //!
 //! Extensions beyond the paper:
 //!

@@ -244,18 +244,7 @@ where
             )
         });
         let skew = out.skews_ns[rank];
-        tracer.merge_by_time(events.iter().map(|e| Record {
-            t_start: apply_skew(e.t_start, skew),
-            t_end: apply_skew(e.t_end, skew),
-            rank: rank as u32,
-            layer: Layer::Mpi,
-            origin: Layer::Mpi,
-            func: match e.kind {
-                mpisim::EventKind::Barrier { epoch } => Func::MpiBarrier { epoch },
-                mpisim::EventKind::Send { dst, tag, seq } => Func::MpiSend { dst, tag, seq },
-                mpisim::EventKind::Recv { src, tag, seq } => Func::MpiRecv { src, tag, seq },
-            },
-        }));
+        tracer.merge_by_time(events.iter().map(|e| mpi_record(e, skew, 0)));
         tracers.push(tracer);
         observations.push(obs);
     }
@@ -278,6 +267,22 @@ where
     })
 }
 
+/// One MPI runtime event as a trace record on its rank's clock, less `zero`.
+fn mpi_record(e: &mpisim::MpiEvent, skew: i64, zero: u64) -> Record {
+    Record {
+        t_start: apply_skew(e.t_start, skew).saturating_sub(zero),
+        t_end: apply_skew(e.t_end, skew).saturating_sub(zero),
+        rank: e.rank,
+        layer: Layer::Mpi,
+        origin: Layer::Mpi,
+        func: match e.kind {
+            mpisim::EventKind::Barrier { epoch } => Func::MpiBarrier { epoch },
+            mpisim::EventKind::Send { dst, tag, seq } => Func::MpiSend { dst, tag, seq },
+            mpisim::EventKind::Recv { src, tag, seq } => Func::MpiRecv { src, tag, seq },
+        },
+    }
+}
+
 /// The per-rank application context: communication + traced POSIX I/O.
 pub struct AppCtx {
     rank: Rank,
@@ -294,6 +299,8 @@ pub struct AppCtx {
     /// has issued no I/O.
     sink_zero: Option<u64>,
     sink_buf: Vec<Record>,
+    /// How much of this rank's MPI event log has been tee'd.
+    sink_events: usize,
 }
 
 impl AppCtx {
@@ -314,6 +321,7 @@ impl AppCtx {
             sink,
             sink_zero: None,
             sink_buf: Vec::new(),
+            sink_events: 0,
         }
     }
 
@@ -323,22 +331,35 @@ impl AppCtx {
         (self.tracer, obs)
     }
 
-    /// Flush buffered tee records. The chunk's own last `t_start` is the
-    /// frontier: per-rank POSIX records are emitted in nondecreasing
-    /// simulated time.
+    /// Flush buffered tee records, if any. The last one's `t_start` is the
+    /// frontier: a rank's records are emitted in nondecreasing time.
     fn sink_flush(&mut self) {
-        if let Some(sink) = &self.sink {
-            if let Some(last) = self.sink_buf.last() {
-                sink.0.push(self.rank.rank(), &self.sink_buf, last.t_start);
-                self.sink_buf.clear();
-            }
+        if let Some(last) = self.sink_buf.last() {
+            self.sink_push(last.t_start);
+        }
+    }
+
+    /// Push the buffered POSIX records, then the MPI records mpisim logged
+    /// for this rank since the last push (collectives log theirs there).
+    /// Every push goes through here: no frontier passes an unseen record.
+    fn sink_push(&mut self, frontier: u64) {
+        let (Some(sink), Some(zero)) = (&self.sink, self.sink_zero) else {
+            return;
+        };
+        let (skew, buf) = (self.rank.skew_ns(), &mut self.sink_buf);
+        self.sink_events = self
+            .rank
+            .events_since(self.sink_events, |e| buf.push(mpi_record(e, skew, zero)));
+        if !buf.is_empty() {
+            sink.0.push(self.rank.rank(), buf, frontier);
+            buf.clear();
         }
     }
 
     /// Final flush + done signal; covers both normal completion and the
     /// fail-stop salvage path (both go through `into_parts`).
     fn sink_finish(&mut self) {
-        self.sink_flush();
+        self.sink_push(0);
         if let Some(sink) = self.sink.take() {
             sink.0.rank_done(self.rank.rank());
         }
@@ -429,18 +450,12 @@ impl AppCtx {
         if info.released {
             sink.0.epoch_released(info.epoch);
         }
+        // The first barrier's local-clock exit is the adjustment zero, as
+        // `recorder::adjust::compute` derives it post-hoc. Every exit is a
+        // frontier promise: no future record starts before it.
         let exit_local = self.rank.local_clock(info.t_exit);
-        match self.sink_zero {
-            // First barrier: its local-clock exit is the adjustment zero —
-            // exactly what `recorder::adjust::compute` derives post-hoc
-            // from the first MpiBarrier record's `t_end`.
-            None => self.sink_zero = Some(exit_local),
-            // Later barriers: no records to send, but the exit time is a
-            // frontier promise (no future record starts before it).
-            Some(zero) => sink
-                .0
-                .push(self.rank.rank(), &[], exit_local.saturating_sub(zero)),
-        }
+        let zero = *self.sink_zero.get_or_insert(exit_local);
+        self.sink_push(exit_local - zero);
     }
 
     pub fn send(&mut self, dst: u32, tag: u32, payload: Vec<u8>) {
@@ -552,9 +567,9 @@ impl AppCtx {
     fn rec_posix(&mut self, t0: u64, t1: u64, func: Func) {
         let (s, e) = (self.rank.local_clock(t0), self.rank.local_clock(t1));
         self.tracer.record(s, e, Layer::Posix, self.origin, func);
-        // Tee to the streaming sink, already barrier-adjusted. Only POSIX
-        // records are streamed (offset resolution ignores other layers;
-        // library-level spans are also not time-ordered per rank).
+        // Tee to the streaming sink, already barrier-adjusted. Library-level
+        // spans are not streamed (not time-ordered per rank); MPI records
+        // join the POSIX ones at each push.
         if self.sink.is_some() {
             if let Some(zero) = self.sink_zero {
                 self.sink_buf.push(Record {

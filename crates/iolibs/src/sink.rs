@@ -1,18 +1,18 @@
-//! Streaming record sink: online consumers of a run's POSIX trace.
+//! Streaming record sink: online consumers of a run's POSIX and MPI trace.
 //!
 //! A [`RunConfig`](crate::RunConfig) carrying a [`SinkHandle`] makes every
-//! rank *tee* its POSIX records to the sink as they are emitted, already
-//! barrier-adjusted (re-based so the startup-barrier exit is t = 0, the
-//! same adjustment [`recorder::adjust::rebase`] performs post-hoc). The
+//! rank *tee* its POSIX and MPI records to the sink as they are emitted,
+//! already barrier-adjusted (re-based so the startup-barrier exit is t = 0,
+//! the same adjustment [`recorder::adjust::rebase`] performs post-hoc). The
 //! harness additionally signals barrier epoch commits and, after trace
 //! assembly, the [`PathId`](recorder::PathId) canonicalization.
 //!
 //! Contract:
 //!
-//! * `push` delivers one rank's records in program order with
-//!   nondecreasing `t_start`; `frontier` promises every *future* record of
-//!   that rank has `t_start >= frontier`. Chunks from different ranks
-//!   arrive concurrently (sinks must be `Sync`).
+//! * `push` delivers one rank's POSIX records, then its MPI records, each
+//!   in program order with nondecreasing `t_start`; `frontier` promises
+//!   every *future* record of that rank has `t_start >= frontier`. Chunks
+//!   from different ranks arrive concurrently (sinks must be `Sync`).
 //! * Record `PathId`s are the run's pre-assembly interner ids;
 //!   `assembly_remap` delivers the translation to the canonical trace ids
 //!   once the run completes.
@@ -31,7 +31,7 @@ use recorder::Record;
 /// Receiver of streamed run records. Methods with empty defaults are
 /// optional signals.
 pub trait RunSink: Send + Sync {
-    /// A chunk of `rank`'s barrier-adjusted POSIX records, program order.
+    /// A chunk of `rank`'s barrier-adjusted records: POSIX, then MPI.
     fn push(&self, rank: u32, records: &[Record], frontier: u64);
 
     /// `rank` will emit no further records (finished or fail-stopped).

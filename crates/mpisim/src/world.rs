@@ -528,6 +528,15 @@ impl Rank {
         self.lock_state().last_t[self.rank as usize]
     }
 
+    /// Visit this rank's communication events from index `from` of its
+    /// log on, while the run goes on; returns the `from` of the next call.
+    pub fn events_since(&self, from: usize, f: impl FnMut(&MpiEvent)) -> usize {
+        let st = self.lock_state();
+        let log = &st.events[self.rank as usize];
+        log[from..].iter().for_each(f);
+        log.len()
+    }
+
     pub(crate) fn clone_handle(&self) -> Rank {
         Rank {
             shared: Arc::clone(&self.shared),

@@ -2,9 +2,9 @@
 //!
 //! One module per experiment, all driven by [`runner`], which executes an
 //! application replica through the simulated stack with the streaming
-//! analyzer attached (resolve → conflicts → patterns → census while the
-//! run is in flight; then the run's one trace is re-based in place →
-//! happens-before → verdict).
+//! analyzer attached (resolve → conflicts → patterns → census →
+//! happens-before while the run is in flight; then the verdict, and the
+//! run's one trace is re-based in place for the readers that want it).
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|

@@ -55,9 +55,8 @@ pub struct AnalyzedRun {
     /// Cached `spec.config_name()`; rendering uses it repeatedly.
     name: String,
     /// The run's trace, re-based in place to the startup barrier's exit
-    /// ([`adjust::rebase`]): the one copy of it the run keeps.
-    /// Happens-before validation reads it when the run ends; Figure 2,
-    /// `app-report`, `advise` and `meta-conflicts` read it afterwards.
+    /// ([`adjust::rebase`]): the one copy of it the run keeps. No verdict
+    /// reads it; Figure 2, `app-report`, `advise` and `meta-conflicts` do.
     pub trace: TraceSet,
     /// The file system's counters at the end of the run (its file images
     /// are not kept).
@@ -223,11 +222,10 @@ impl iolibs::RunSink for AnalyzerSink {
 
 /// The streaming pipeline: run the configuration with a
 /// [`StreamingAnalyzer`] attached as a record sink, so offset resolution,
-/// conflict detection, and all pattern analyses happen *while the
-/// simulation runs* (the metadata census too); on completion only the
-/// cheap finalize (plus the verdict and happens-before validation)
-/// remains. Rank crashes
-/// leave trace prefixes; the analysis runs on them unchanged and the
+/// conflict detection, all pattern analyses, the metadata census and the
+/// happens-before validation happen *while the simulation runs*; on
+/// completion only the cheap finalize (plus the verdict) remains. Rank
+/// crashes leave trace prefixes; the analysis runs on them unchanged and the
 /// result is labeled via [`AnalyzedRun::completeness`]. A deadlock (the
 /// one fault the world cannot degrade through) comes back as `Err`
 /// instead of a panic.
@@ -242,16 +240,15 @@ pub fn analyze_incremental(
     let (_span, mut outcome) =
         run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
     let inc = analyzer.finalize();
-    // Happens-before needs the MPI event records the stream does not
-    // carry: the one pass that reads the run's own trace after the run,
-    // re-based in place rather than copied.
+    // The kept trace is re-based in place, for the readers that come
+    // after the verdict.
     adjust::rebase(&mut outcome.trace);
     Ok(AnalyzedRun {
         spec,
         name: spec.config_name(),
         census: inc.census,
         verdict: required_model(&inc.session, &inc.commit),
-        hb: validate_conflicts(&outcome.trace, &inc.session),
+        hb: inc.hb,
         nranks: cfg.nranks,
         completeness: completeness_of(&outcome),
         pfs_stats: outcome.pfs.stats(),

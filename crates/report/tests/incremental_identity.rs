@@ -12,6 +12,7 @@ use pfssim::SemanticsModel;
 use recorder::{adjust, offset, Layer, Record};
 use report_gen::{analyze_incremental, analyze_with_faults, figures, tables, ReportCfg};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel};
+use semantics_core::hb::validate_conflicts;
 use semantics_core::incremental::StreamingAnalyzer;
 use semantics_core::patterns::{global_pattern, highlevel, local_pattern};
 
@@ -111,6 +112,8 @@ fn streaming_vs_batch(spec: &'static AppSpec, semantics: SemanticsModel, faults:
     assert_eq!(inc.resolution, resolved.counts(), "{tag}: resolution");
     assert_eq!(inc.session, session, "{tag}: session report");
     assert_eq!(inc.commit, commit, "{tag}: commit report");
+    let hb = validate_conflicts(&adjusted, &session);
+    assert_eq!(inc.hb, hb, "{tag}: happens-before validation");
     assert_eq!(inc.local, local_pattern(&resolved), "{tag}: local pattern");
     assert_eq!(
         inc.global,

@@ -2,7 +2,7 @@
 //!
 //! The serve crate owns the protocol — URL shape, query defaults, cache
 //! policy, error mapping, metrics — while the backend owns the analysis:
-//! `report-gen` plugs its fused-pipeline runner in, and the adversarial
+//! `report-gen` plugs its streaming runner in, and the adversarial
 //! tests plug in a stub so the HTTP surface can be hammered without
 //! simulating anything.
 //!
@@ -18,9 +18,9 @@
 //! ```
 //!
 //! The three analysis endpoints share one cache entry per canonical query
-//! — the backend computes all three views in a single cold run (they are
-//! one fused pipeline pass), so a verdict request warms the conflicts and
-//! patterns responses for free. This file holds the protocol types, the
+//! — the backend computes all three views in a single cold run (one
+//! simulation, analyzed as it streams), so a verdict request warms the
+//! conflicts and patterns responses for free. This file holds the protocol types, the
 //! request bracket ([`Router::handle`]), dispatch, and the analysis path
 //! as one straight line: ring → LRU → miss path (`miss.rs`) → render.
 

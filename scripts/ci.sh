@@ -64,6 +64,28 @@ if grep -rnF '"\r\n\r\n"' crates/*/src | grep -v '^crates/serve/src/http\.rs:'; 
     exit 1
 fi
 
+echo "ci: one happens-before pass"
+# Happens-before is one engine, `core::hb::HbEdges`: a time-ordered edge
+# list and one forward pass per pair, fed by the stream and, at rest, by
+# `validate_conflicts`. The index, fixpoint and barrier shortcut it
+# replaced stay gone, and the report crate validates a trace at rest only
+# in its reference pipeline, `runner::analyze_with_faults`.
+if grep -rnE 'HbIndex|fixpoint_reach|barrier_separates' crates/*/src; then
+    echo "a second happens-before engine"
+    exit 1
+fi
+if awk 'FNR == 1 { f = "" }
+        match($0, /^[[:space:]]*(pub[^ ]* )?fn [a-z_0-9]+/) {
+            f = $0; sub(/^.*fn /, "", f); sub(/[^a-z_0-9].*$/, "", f)
+        }
+        /validate_conflicts\(/ && f != "analyze_with_faults" {
+            print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' $(find crates/report/src -name '*.rs' | sort); then
+    echo "validate_conflicts called outside runner::analyze_with_faults"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
