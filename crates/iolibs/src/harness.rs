@@ -3,13 +3,15 @@
 //! [`AppCtx`] is what a simulated application programs against: MPI-style
 //! communication (delegated to [`mpisim`]), POSIX file I/O (delegated to
 //! [`pfssim`] with latency from the cost model), and transparent tracing of
-//! every POSIX call into a [`recorder::RankTracer`] with the correct
-//! *origin* layer attribution.
+//! every POSIX call, with the correct *origin* layer attribution, to the
+//! run's sink — and into a [`recorder::RankTracer`] when the run records
+//! (see [`crate::sink`]).
 //!
 //! [`run_app`] executes one SPMD closure on every rank, performs the
-//! startup barrier the paper uses for clock adjustment (§5.2), merges the
-//! MPI runtime's happens-before events into each rank's trace, and returns
-//! the assembled [`TraceSet`] together with the quiesced file system.
+//! startup barrier the paper uses for clock adjustment (§5.2), and returns
+//! the quiesced file system together with the trace, when one was
+//! recorded: each rank's records with the MPI runtime's happens-before
+//! events merged in, assembled into a [`TraceSet`].
 
 use mpisim::{apply_skew, FaultPlan, IoFault, OpClass, Rank, SimAbort, SimError, World, WorldCfg};
 use pfssim::{
@@ -39,7 +41,8 @@ pub struct RunConfig {
     /// validation experiments.)
     pub pfs: PfsConfig,
     /// Optional streaming sink the run tees its POSIX records to as they
-    /// are emitted (see [`crate::sink`]). `None` costs nothing.
+    /// are emitted (see [`crate::sink`]). The run keeps a trace when there
+    /// is none, or when the sink records.
     pub sink: Option<SinkHandle>,
 }
 
@@ -75,7 +78,8 @@ impl RunConfig {
     }
 
     /// Tee the run's POSIX records to `sink` as they are emitted (see
-    /// [`crate::sink`]).
+    /// [`crate::sink`]). The run keeps a trace only if `sink` records
+    /// ([`crate::RunSink::records`]).
     pub fn with_sink(mut self, sink: SinkHandle) -> Self {
         self.sink = Some(sink);
         self
@@ -85,8 +89,14 @@ impl RunConfig {
 /// Everything one run produces.
 pub struct RunOutcome {
     /// The multi-level trace, with raw (skewed, unadjusted) timestamps —
-    /// exactly what a Recorder-style tracer would hand the analysis.
+    /// exactly what a Recorder-style tracer would hand the analysis. A run
+    /// whose sink does not record gets the ranks and clock skews but no
+    /// records.
     pub trace: TraceSet,
+    /// Every record the run emitted — POSIX, library-level and MPI —
+    /// counted whether or not it was kept: a recorded trace's
+    /// [`TraceSet::total_records`].
+    pub records: u64,
     /// The file system, already quiesced (all buffered writes propagated).
     pub pfs: Pfs,
     /// Per-rank read-observation logs for cross-engine staleness diffing.
@@ -130,7 +140,7 @@ pub fn run_app_result<F>(cfg: &RunConfig, f: F) -> Result<RunOutcome, SimError>
 where
     F: Fn(&mut AppCtx) + Sync,
 {
-    let pfs = Pfs::new(cfg.pfs.clone());
+    let pfs = Pfs::new(cfg.pfs);
     let out = run_on(cfg, &pfs, f)?;
     pfs.quiesce();
     Ok(out)
@@ -162,7 +172,7 @@ pub fn run_pipeline(
     gap_ns: u64,
     stages: &[&(dyn Fn(&mut AppCtx) + Sync)],
 ) -> PipelineOutcome {
-    let pfs = Pfs::new(cfg.pfs.clone());
+    let pfs = Pfs::new(cfg.pfs);
     let mut outs: Vec<RunOutcome> = Vec::with_capacity(stages.len());
     let mut stage_cfg = cfg.clone();
     for (j, stage) in stages.iter().enumerate() {
@@ -198,17 +208,20 @@ where
     let pfs = pfs.clone();
     let interner = recorder::shared_interner();
     let world = &cfg.world;
+    let record = cfg.sink.as_ref().is_none_or(|sink| sink.0.records());
     let _run_span = obs::span("iolibs", "run_app")
         .with_arg("label", world.label.as_str())
         .with_arg("nranks", world.nranks as u64)
         .with_arg("seed", world.seed);
     let out = World::run(world, |rank| {
         let r = rank.rank();
+        let tracer = record.then(|| RankTracer::new(r, SharedInterner::clone(&interner)));
         let mut ctx = AppCtx::new(
             rank,
             pfs.client(r),
-            RankTracer::new(r, SharedInterner::clone(&interner)),
-            pfs.config().clone(),
+            SharedInterner::clone(&interner),
+            tracer,
+            *pfs.config(),
             cfg.sink.clone(),
         );
         // The paper's runs start with a barrier whose exit is used as t=0
@@ -231,27 +244,40 @@ where
         }
     })?;
 
-    // Merge the MPI runtime's event log into each rank's record stream.
+    // Count every rank's records; a recorded trace also gets the MPI
+    // runtime's event log merged into each rank's record stream.
     let mut tracers = Vec::with_capacity(world.nranks as usize);
     let mut observations = Vec::with_capacity(world.nranks as usize);
+    let mut records = 0;
     for (rank, (result, events)) in out.results.into_iter().zip(out.events).enumerate() {
-        let (mut tracer, obs) = result.unwrap_or_else(|| {
+        let (tracer, obs, emitted) = result.unwrap_or_else(|| {
             // A rank whose closure vanished without salvage (cannot happen
             // via this harness, which catches SimAbort above): empty trace.
-            (
-                RankTracer::new(rank as u32, SharedInterner::clone(&interner)),
-                Vec::new(),
-            )
+            let empty = RankTracer::new(rank as u32, SharedInterner::clone(&interner));
+            (record.then_some(empty), Vec::new(), 0)
         });
-        let skew = out.skews_ns[rank];
-        tracer.merge_by_time(events.iter().map(|e| mpi_record(e, skew, 0)));
-        tracers.push(tracer);
+        records += emitted + events.len() as u64;
+        if let Some(mut tracer) = tracer {
+            let skew = out.skews_ns[rank];
+            tracer.merge_by_time(events.iter().map(|e| mpi_record(e, skew, 0)));
+            tracers.push(tracer);
+        }
         observations.push(obs);
     }
-    let (trace, remap) = TraceSet::assemble_with_remap(interner, tracers, out.skews_ns);
+    let interner = interner.lock().expect("interner poisoned");
+    let remap = recorder::canonical_remap(&interner);
     if let Some(sink) = &cfg.sink {
         sink.0.assembly_remap(&remap);
     }
+    let trace = if record {
+        TraceSet::assemble(&interner, &remap, tracers, out.skews_ns)
+    } else {
+        TraceSet {
+            paths: Vec::new(),
+            ranks: vec![Vec::new(); world.nranks as usize],
+            skews_ns: out.skews_ns,
+        }
+    };
     let faults = out
         .faults
         .into_iter()
@@ -260,6 +286,7 @@ where
         .collect();
     Ok(RunOutcome {
         trace,
+        records,
         pfs,
         observations,
         final_time_ns: out.final_time_ns,
@@ -287,7 +314,11 @@ fn mpi_record(e: &mpisim::MpiEvent, skew: i64, zero: u64) -> Record {
 pub struct AppCtx {
     rank: Rank,
     client: pfssim::PfsClient,
-    tracer: RankTracer,
+    interner: SharedInterner,
+    /// This rank's raw trace; `None` unless the run's sink records.
+    tracer: Option<RankTracer>,
+    /// POSIX and library-level records emitted so far, kept or not.
+    emitted: u64,
     pfs_cfg: PfsConfig,
     origin: Layer,
     next_lib_id: u32,
@@ -307,14 +338,17 @@ impl AppCtx {
     fn new(
         rank: Rank,
         client: pfssim::PfsClient,
-        tracer: RankTracer,
+        interner: SharedInterner,
+        tracer: Option<RankTracer>,
         pfs_cfg: PfsConfig,
         sink: Option<SinkHandle>,
     ) -> Self {
         AppCtx {
             rank,
             client,
+            interner,
             tracer,
+            emitted: 0,
             pfs_cfg,
             origin: Layer::App,
             next_lib_id: 1,
@@ -325,10 +359,12 @@ impl AppCtx {
         }
     }
 
-    fn into_parts(mut self) -> (RankTracer, Vec<Observation>) {
+    /// This rank's trace (if kept), read observations, and emitted
+    /// record count.
+    fn into_parts(mut self) -> (Option<RankTracer>, Vec<Observation>, u64) {
         self.sink_finish();
         let obs = self.client.take_observations();
-        (self.tracer, obs)
+        (self.tracer, obs, self.emitted)
     }
 
     /// Flush buffered tee records, if any. The last one's `t_start` is the
@@ -397,24 +433,28 @@ impl AppCtx {
     /// attributed to `layer` as their origin (a nested library's call
     /// re-attributes its own), and when `f` succeeds the call itself is
     /// recorded at `layer`, spanning entry to exit, as the [`Func`] it
-    /// returns. A call that fails emits no library record. Both timestamps
-    /// are the rank's own clock reads ([`Rank::now`]: the time it last
-    /// observed), each taking the world lock.
+    /// returns (counted always, kept only when the run records). A call
+    /// that fails emits no library record. Both timestamps are the rank's
+    /// own clock reads ([`Rank::now`]: the time it last observed), each
+    /// taking the world lock, and are read only when the record is kept.
     pub fn lib_call<R>(
         &mut self,
         layer: Layer,
         f: impl FnOnce(&mut Self) -> FsResult<(R, Func)>,
     ) -> FsResult<R> {
-        let t0 = self.rank.now();
+        let t0 = self.tracer.is_some().then(|| self.rank.now());
         let prev = std::mem::replace(&mut self.origin, layer);
         let res = f(self);
         self.origin = prev;
         let (r, func) = res?;
-        let (s, e) = (
-            self.rank.local_clock(t0),
-            self.rank.local_clock(self.rank.now()),
-        );
-        self.tracer.record(s, e, layer, layer, func);
+        self.emitted += 1;
+        if let (Some(tracer), Some(t0)) = (&mut self.tracer, t0) {
+            let (s, e) = (
+                self.rank.local_clock(t0),
+                self.rank.local_clock(self.rank.now()),
+            );
+            tracer.record(s, e, layer, layer, func);
+        }
         Ok(r)
     }
 
@@ -427,7 +467,7 @@ impl AppCtx {
 
     /// Intern a path/name for trace records.
     pub fn intern(&self, s: &str) -> recorder::PathId {
-        self.tracer.intern(s)
+        self.interner.lock().expect("interner poisoned").intern(s)
     }
 
     // ------------------------------------------------------------------
@@ -566,7 +606,10 @@ impl AppCtx {
 
     fn rec_posix(&mut self, t0: u64, t1: u64, func: Func) {
         let (s, e) = (self.rank.local_clock(t0), self.rank.local_clock(t1));
-        self.tracer.record(s, e, Layer::Posix, self.origin, func);
+        self.emitted += 1;
+        if let Some(tracer) = &mut self.tracer {
+            tracer.record(s, e, Layer::Posix, self.origin, func);
+        }
         // Tee to the streaming sink, already barrier-adjusted. Library-level
         // spans are not streamed (not time-ordered per rank); MPI records
         // join the POSIX ones at each push.

@@ -158,17 +158,30 @@ pub struct H5File {
 }
 
 impl H5File {
-    /// The metadata-writing ranks under the current options.
-    fn participants(&self, ctx: &AppCtx) -> Vec<u32> {
-        if self.opts.serial {
-            vec![ctx.rank()]
-        } else if self.opts.collective_metadata {
-            vec![0]
+    /// How many ranks write metadata under the current options: this rank
+    /// alone (serial), rank 0 (collective metadata), or every
+    /// `metadata_stride`-th rank.
+    fn participant_count(&self, ctx: &AppCtx) -> u32 {
+        if self.opts.serial || self.opts.collective_metadata {
+            1
         } else {
-            (0..ctx.nranks())
-                .step_by(self.opts.metadata_stride.max(1) as usize)
-                .collect()
+            ctx.nranks().div_ceil(self.stride())
         }
+    }
+
+    /// The `i`-th metadata-writing rank, counting round-robin.
+    fn participant(&self, ctx: &AppCtx, i: u64) -> u32 {
+        if self.opts.serial {
+            ctx.rank()
+        } else if self.opts.collective_metadata {
+            0
+        } else {
+            (i % u64::from(self.participant_count(ctx))) as u32 * self.stride()
+        }
+    }
+
+    fn stride(&self) -> u32 {
+        self.opts.metadata_stride.max(1)
     }
 
     fn fd_for_posix(&self) -> Fd {
@@ -178,14 +191,17 @@ impl H5File {
         }
     }
 
+    /// The symbol-table slot of `participant`: its position among the
+    /// metadata-writing ranks (0 for a rank that is not one of them).
     fn symtab_off(&self, ctx: &AppCtx, participant: u32) -> u64 {
-        let participants = self.participants(ctx);
-        let idx = participants
-            .iter()
-            .position(|&p| p == participant)
-            .unwrap_or(0) as u64
-            % SYMTAB_SLOTS;
-        SYMTAB_BASE + idx * SYMTAB_ENTRY
+        let strided = !self.opts.serial && !self.opts.collective_metadata;
+        let idx =
+            if strided && participant.is_multiple_of(self.stride()) && participant < ctx.nranks() {
+                u64::from(participant / self.stride())
+            } else {
+                0
+            };
+        SYMTAB_BASE + (idx % SYMTAB_SLOTS) * SYMTAB_ENTRY
     }
 
     /// `H5Fcreate`: create a fresh file. Collective unless `opts.serial`.
@@ -253,8 +269,7 @@ impl H5File {
             let data_off = header_off + OBJ_HEADER;
             self.alloc_cursor = (data_off + total_bytes).div_ceil(8) * 8;
 
-            let participants = self.participants(ctx);
-            let owner = participants[k as usize % participants.len()];
+            let owner = self.participant(ctx, u64::from(k));
             if !self.owners_used.contains(&owner) {
                 self.owners_used.push(owner);
             }
@@ -380,8 +395,7 @@ impl H5File {
     /// the same pattern conflict-free under commit semantics.
     pub fn flush(&mut self, ctx: &mut AppCtx) -> FsResult<()> {
         ctx.lib_call(Layer::Hdf5, |ctx| {
-            let participants = self.participants(ctx);
-            let sb_writer = participants[self.flush_count as usize % participants.len()];
+            let sb_writer = self.participant(ctx, u64::from(self.flush_count));
             self.flush_count += 1;
             self.write_dirty_metadata(ctx, sb_writer)?;
             ctx.fsync(self.fd_for_posix())?;
@@ -398,7 +412,7 @@ impl H5File {
     /// `H5Fflush` writes each metadata block exactly once, here.
     pub fn close(mut self, ctx: &mut AppCtx) -> FsResult<()> {
         ctx.lib_call(Layer::Hdf5, |ctx| {
-            let owner = self.participants(ctx)[0];
+            let owner = self.participant(ctx, 0);
             self.write_dirty_metadata(ctx, owner)?;
             let fd = self.fd_for_posix();
             if ctx.rank() == owner {

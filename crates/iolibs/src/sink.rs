@@ -1,11 +1,12 @@
-//! Streaming record sink: online consumers of a run's POSIX and MPI trace.
+//! Record sinks: online consumers of a run's trace, and the one sink that
+//! keeps it.
 //!
 //! A [`RunConfig`](crate::RunConfig) carrying a [`SinkHandle`] makes every
 //! rank *tee* its POSIX and MPI records to the sink as they are emitted,
 //! already barrier-adjusted (re-based so the startup-barrier exit is t = 0,
 //! the same adjustment [`recorder::adjust::rebase`] performs post-hoc). The
-//! harness additionally signals barrier epoch commits and, after trace
-//! assembly, the [`PathId`](recorder::PathId) canonicalization.
+//! harness additionally signals barrier epoch commits and, once the run
+//! completes, the [`PathId`](recorder::PathId) canonicalization.
 //!
 //! Contract:
 //!
@@ -15,13 +16,28 @@
 //!   from different ranks arrive concurrently (sinks must be `Sync`).
 //! * Record `PathId`s are the run's pre-assembly interner ids;
 //!   `assembly_remap` delivers the translation to the canonical trace ids
-//!   once the run completes.
+//!   ([`recorder::canonical_remap`]) once the run completes.
 //! * `epoch_released(e)` comes from the rank whose arrival released
 //!   epoch `e`, after its barrier returned and before that rank's
 //!   frontier moves past the barrier. An epoch a crash released is not
 //!   signalled. It is a hint for retiring state, never a result.
 //! * Every callback runs on a simulated rank (or, for `assembly_remap`,
 //!   the run's caller), outside the simulator's lock.
+//!
+//! Keeping a trace is a property of the sink, not a setting of the run:
+//! a run records its [`TraceSet`](recorder::TraceSet) only when its sink
+//! says so ([`RunSink::records`]; [`Recording`] is the sink that does), or
+//! when it has no sink at all (its trace is then all it returns). Only
+//! then does each rank append to a [`RankTracer`](recorder::RankTracer) —
+//! every POSIX and library-level record, on the rank's raw (skewed,
+//! unadjusted) clock, the MPI records merged in at the end — and the
+//! harness assembles the trace with the same remap it sends
+//! `assembly_remap`, handing it back as
+//! [`RunOutcome::trace`](crate::RunOutcome::trace). Any other run builds
+//! no trace: its `RunOutcome::trace` holds the ranks and their clock skews
+//! but no records. Either way
+//! [`RunOutcome::records`](crate::RunOutcome::records) counts what the run
+//! emitted.
 
 use std::fmt;
 use std::sync::Arc;
@@ -48,6 +64,46 @@ pub trait RunSink: Send + Sync {
     /// `remap[streamed_id] = canonical_id`.
     fn assembly_remap(&self, remap: &[u32]) {
         let _ = remap;
+    }
+
+    /// Whether the run keeps its trace for this sink's caller.
+    fn records(&self) -> bool {
+        false
+    }
+}
+
+/// The recording sink: the run keeps its trace, and streams on to
+/// `inner` as if it were attached alone — so an analyzer and the trace
+/// the readers after it need ride one run.
+pub struct Recording {
+    inner: SinkHandle,
+}
+
+impl Recording {
+    pub fn tee(inner: SinkHandle) -> Self {
+        Recording { inner }
+    }
+}
+
+impl RunSink for Recording {
+    fn push(&self, rank: u32, records: &[Record], frontier: u64) {
+        self.inner.0.push(rank, records, frontier);
+    }
+
+    fn rank_done(&self, rank: u32) {
+        self.inner.0.rank_done(rank);
+    }
+
+    fn epoch_released(&self, epoch: u64) {
+        self.inner.0.epoch_released(epoch);
+    }
+
+    fn assembly_remap(&self, remap: &[u32]) {
+        self.inner.0.assembly_remap(remap);
+    }
+
+    fn records(&self) -> bool {
+        true
     }
 }
 

@@ -254,7 +254,7 @@ impl PfsClient {
     pub fn write(&mut self, fd: u32, data: &[u8], now: u64) -> FsResult<WriteOut> {
         let rank = self.rank;
         let client_id = self.client_id;
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let entry = self.fds.get_mut(&fd).ok_or(FsError::BadFd { fd })?;
         if !entry.flags.write {
             return Err(FsError::Denied {
@@ -295,7 +295,7 @@ impl PfsClient {
     pub fn pwrite(&mut self, fd: u32, offset: u64, data: &[u8], now: u64) -> FsResult<WriteOut> {
         let rank = self.rank;
         let client_id = self.client_id;
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let entry = self.fds.get(&fd).ok_or(FsError::BadFd { fd })?;
         if !entry.flags.write {
             return Err(FsError::Denied {
@@ -337,7 +337,7 @@ impl PfsClient {
 
     fn read_at(&mut self, fd: u32, offset: u64, len: u64, now: u64) -> FsResult<ReadOut> {
         let client_id = self.client_id;
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let entry = self.fds.get(&fd).ok_or(FsError::BadFd { fd })?;
         if !entry.flags.read {
             return Err(FsError::Denied {
@@ -503,7 +503,7 @@ impl PfsClient {
     fn stat_counted(&mut self, name: &'static str, path: &str) -> FsResult<StatInfo> {
         let path = self.norm(path)?;
         let client_id = self.client_id;
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let mut st = lock_state(&self.state);
         st.stats.count_meta(name);
         match st.ns.lookup(&path) {
@@ -729,7 +729,9 @@ fn truncate_node(st: &mut PfsState, file: FileId, len: u64) {
                     return false;
                 }
                 let keep = (len - e.off).min(e.data.len() as u64) as usize;
-                e.data.truncate(keep);
+                if keep < e.data.len() {
+                    e.data = Arc::from(&e.data[..keep]);
+                }
                 !e.data.is_empty()
             });
         }
@@ -741,7 +743,9 @@ fn truncate_node(st: &mut PfsState, file: FileId, len: u64) {
                     return None;
                 }
                 let keep = (len - e.off).min(e.data.len() as u64) as usize;
-                e.data.truncate(keep);
+                if keep < e.data.len() {
+                    e.data = Arc::from(&e.data[..keep]);
+                }
                 if e.data.is_empty() {
                     None
                 } else {

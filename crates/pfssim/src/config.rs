@@ -50,7 +50,7 @@ impl SemanticsModel {
 }
 
 /// Static configuration of a simulated PFS instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PfsConfig {
     /// Which consistency engine executes data operations.
     pub semantics: SemanticsModel,

@@ -10,9 +10,9 @@ use crate::state::{DelayedExtent, FileId, PendingExtent, PfsState};
 use crate::tag::{SegMap, TagRun, WriteTag};
 
 /// Record a write of `data` at `off` by `rank` at simulated time `now`.
-/// Returns `(tag, locks_acquired)`. The bytes are borrowed: the strong
-/// engine copies them straight into the published image, and only the
-/// engines that defer visibility take a copy to hold.
+/// Returns `(tag, locks_acquired)`. The bytes are copied once: into the
+/// published image's extent (strong), or into the buffered extent that a
+/// publish later hands to the image as is.
 #[allow(clippy::too_many_arguments)] // explicit engine inputs beat a param struct here
 pub(crate) fn write(
     st: &mut PfsState,
@@ -25,9 +25,12 @@ pub(crate) fn write(
     data: &[u8],
     now: u64,
 ) -> (WriteTag, u64) {
-    let seq_slot = st.next_write_seq.entry(rank).or_insert(0);
-    let seq = *seq_slot;
-    *seq_slot += 1;
+    let r = rank as usize;
+    if st.next_write_seq.len() <= r {
+        st.next_write_seq.resize(r + 1, 0);
+    }
+    let seq = st.next_write_seq[r];
+    st.next_write_seq[r] += 1;
     let tag = WriteTag { rank, seq };
     let len = data.len() as u64;
     st.stats.writes += 1;
@@ -62,7 +65,7 @@ pub(crate) fn write(
             // Buffered until publish: this engine must own the bytes.
             node.pending.entry(client).or_default().push(PendingExtent {
                 off,
-                data: data.to_vec(),
+                data: Arc::from(data),
                 tag,
             });
             st.stats.pending_extents += 1;
@@ -74,7 +77,7 @@ pub(crate) fn write(
                 mature_at: now + cfg.eventual_delay_ns,
                 owner: client,
                 off,
-                data: data.to_vec(),
+                data: Arc::from(data),
                 tag,
             });
             st.stats.pending_extents += 1;
@@ -95,9 +98,8 @@ pub(crate) fn lock_revocations(
 ) -> u64 {
     st.file(file)
         .write_locks
-        .query(start, end)
-        .iter()
-        .filter(|run| matches!(run.tag, Some(t) if t.rank != rank))
+        .overlapping(start, end)
+        .filter(|&(_, _, t)| t.rank != rank)
         .count() as u64
 }
 
@@ -107,7 +109,8 @@ pub(crate) fn lock_revocations(
 /// the extents are applied in *reverse* order, so a read following two
 /// same-process writes to the same bytes can observe the older one.
 pub(crate) fn publish_client(st: &mut PfsState, cfg: &PfsConfig, file: FileId, client: u64) {
-    let node = st.file_mut(file);
+    let PfsState { files, stats, .. } = st;
+    let node = &mut files[file.index()];
     let Some(mut extents) = node.pending.remove(&client) else {
         return;
     };
@@ -116,71 +119,62 @@ pub(crate) fn publish_client(st: &mut PfsState, cfg: &PfsConfig, file: FileId, c
     }
     let n = extents.len() as u64;
     let img = Arc::make_mut(&mut node.published);
-    let mut stripe_acct = Vec::new();
-    for e in &extents {
-        img.apply(e.off, &e.data, e.tag);
-        stripe_acct.push((e.off, e.data.len() as u64));
+    for e in extents {
+        stats.stripe_account(e.off, e.data.len() as u64, cfg.stripe_size, true);
+        img.apply_shared(e.off, e.data, e.tag);
     }
     node.publish_version += 1;
-    st.stats.publishes += n;
-    st.stats.pending_extents = st.stats.pending_extents.saturating_sub(n);
-    for (off, len) in stripe_acct {
-        st.stats.stripe_account(off, len, cfg.stripe_size, true);
-    }
+    stats.publishes += n;
+    stats.pending_extents = stats.pending_extents.saturating_sub(n);
 }
 
 /// Apply every delayed (eventual-semantics) extent whose propagation delay
 /// has elapsed by `now`, in global write order.
 pub(crate) fn mature_delayed(st: &mut PfsState, cfg: &PfsConfig, file: FileId, now: u64) {
-    let node = st.file_mut(file);
-    if node.delayed.is_empty() {
+    let PfsState { files, stats, .. } = st;
+    let node = &mut files[file.index()];
+    let due = node
+        .delayed
+        .iter()
+        .take_while(|e| e.mature_at <= now)
+        .count();
+    if due == 0 {
         return;
     }
-    let mut published = 0u64;
-    let mut stripe_acct = Vec::new();
-    while let Some(front) = node.delayed.front() {
-        if front.mature_at > now {
-            break;
-        }
-        let e = node.delayed.pop_front().expect("front exists");
-        let img = Arc::make_mut(&mut node.published);
-        img.apply(e.off, &e.data, e.tag);
-        stripe_acct.push((e.off, e.data.len() as u64));
-        published += 1;
+    let img = Arc::make_mut(&mut node.published);
+    for e in node.delayed.drain(..due) {
+        stats.stripe_account(e.off, e.data.len() as u64, cfg.stripe_size, true);
+        img.apply_shared(e.off, e.data, e.tag);
     }
-    if published > 0 {
-        node.publish_version += 1;
-        st.stats.publishes += published;
-        st.stats.pending_extents = st.stats.pending_extents.saturating_sub(published);
-        for (off, len) in stripe_acct {
-            st.stats.stripe_account(off, len, cfg.stripe_size, true);
-        }
-    }
+    node.publish_version += 1;
+    stats.publishes += due as u64;
+    stats.pending_extents = stats.pending_extents.saturating_sub(due as u64);
 }
 
-/// Owned copy of the not-yet-visible extents of `rank` on `file`, in write
+/// The not-yet-visible extents of `client` on `file`, borrowed, in write
 /// order — the overlay that gives every engine read-your-writes.
-fn collect_own(
+fn own_extents(
     st: &PfsState,
     model: SemanticsModel,
     file: FileId,
     client: u64,
-) -> Vec<(u64, Vec<u8>, WriteTag)> {
+) -> impl Iterator<Item = (u64, &[u8], WriteTag)> {
     let node = st.file(file);
-    match model {
-        SemanticsModel::Strong => Vec::new(),
-        SemanticsModel::Commit | SemanticsModel::Session => node
-            .pending
-            .get(&client)
-            .map(|v| v.iter().map(|e| (e.off, e.data.clone(), e.tag)).collect())
-            .unwrap_or_default(),
-        SemanticsModel::Eventual => node
-            .delayed
-            .iter()
-            .filter(|d| d.owner == client)
-            .map(|d| (d.off, d.data.clone(), d.tag))
-            .collect(),
-    }
+    let pending = match model {
+        SemanticsModel::Commit | SemanticsModel::Session => node.pending.get(&client),
+        SemanticsModel::Strong | SemanticsModel::Eventual => None,
+    };
+    let delayed = (model == SemanticsModel::Eventual).then_some(&node.delayed);
+    let pending = pending
+        .into_iter()
+        .flatten()
+        .map(|e| (e.off, &e.data[..], e.tag));
+    let delayed = delayed
+        .into_iter()
+        .flatten()
+        .filter(move |d| d.owner == client)
+        .map(|d| (d.off, &d.data[..], d.tag));
+    pending.chain(delayed)
 }
 
 /// The size of `file` as visible to `rank`: the base image (published, or
@@ -197,8 +191,7 @@ pub(crate) fn visible_size(
         (SemanticsModel::Session, Some(s)) => s.size(),
         _ => st.file(file).published.size(),
     };
-    let own_max = collect_own(st, model, file, client)
-        .iter()
+    let own_max = own_extents(st, model, file, client)
         .map(|(off, data, _)| off + data.len() as u64)
         .max()
         .unwrap_or(0);
@@ -237,6 +230,11 @@ pub(crate) fn read_view(
         (SemanticsModel::Session, Some(s)) => s,
         _ => &node.published,
     };
+    let mut own = own_extents(st, model, file, client).peekable();
+    if own.peek().is_none() {
+        // Nothing buffered: the visible range is the base image's own.
+        return (base.read(off, want), base.provenance(off, want));
+    }
 
     // Base bytes and provenance, zero-extended to the visible range.
     let mut bytes = base.read(off, want);
@@ -251,7 +249,7 @@ pub(crate) fn read_view(
     }
 
     // Overlay own buffered writes, in order.
-    for (eoff, data, tag) in collect_own(st, model, file, client) {
+    for (eoff, data, tag) in own {
         let eend = eoff + data.len() as u64;
         let lo = eoff.max(off);
         let hi = eend.min(end);

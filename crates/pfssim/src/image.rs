@@ -1,19 +1,54 @@
-//! The immutable file image: contents plus per-byte provenance.
+//! The immutable file image: contents plus per-byte provenance, as one
+//! extent map.
 //!
 //! Published file state is an [`FileImage`] behind an `Arc`. Session-semantics
 //! opens snapshot the `Arc` (O(1)); publishing clones on write via
 //! `Arc::make_mut`, so snapshot holders keep their view while the published
-//! image moves on — copy-on-publish.
+//! image moves on — copy-on-publish. A clone copies the map, not the bytes:
+//! every extent shares its write's buffer.
 
-use crate::tag::{SegMap, TagRun, WriteTag};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::tag::{digest_runs, TagRun, WriteTag};
+
+/// The bytes `[start, end)` of one write, where `start` is the extent's key
+/// in [`FileImage::extents`]: they are `bytes[off..off + (end - start)]`.
+/// Clipping an extent moves `start`, `end` and `off`; the buffer is the
+/// write's own and is never copied.
+#[derive(Debug, Clone)]
+struct Extent {
+    end: u64,
+    tag: WriteTag,
+    bytes: Arc<[u8]>,
+    off: usize,
+}
+
+impl Extent {
+    /// This extent's bytes within `[lo, hi)`, which must lie inside it.
+    fn slice(&self, start: u64, lo: u64, hi: u64) -> &[u8] {
+        let from = self.off + (lo - start) as usize;
+        &self.bytes[from..from + (hi - lo) as usize]
+    }
+
+    /// The part of this extent from `at` on, as an extent starting there.
+    fn tail(&self, start: u64, at: u64) -> Extent {
+        Extent {
+            off: self.off + (at - start) as usize,
+            bytes: Arc::clone(&self.bytes),
+            ..*self
+        }
+    }
+}
 
 /// A consistent point-in-time view of one file: contents, provenance, and
 /// size. Holes (never-written bytes within the size) read as zeros with
 /// `None` provenance, like a sparse POSIX file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct FileImage {
-    data: Vec<u8>,
-    tags: SegMap,
+    /// start → the write that last covered `[start, extent.end)`; disjoint,
+    /// non-empty, gaps are holes.
+    extents: BTreeMap<u64, Extent>,
     size: u64,
 }
 
@@ -26,74 +61,122 @@ impl FileImage {
         self.size
     }
 
-    /// Apply one write extent. Only a hole between the current end of data
-    /// and `offset` is zero-filled; bytes the write itself supplies are
-    /// copied once — overwritten in place where they land on existing data,
-    /// appended where they extend it.
+    /// Apply one write extent, copying `bytes` once.
     pub fn apply(&mut self, offset: u64, bytes: &[u8], tag: WriteTag) {
+        self.apply_shared(offset, Arc::from(bytes), tag);
+    }
+
+    /// Apply one write extent whose buffer the caller already holds: the
+    /// image keeps a reference, not a copy. Extents it covers are clipped
+    /// in place.
+    pub fn apply_shared(&mut self, offset: u64, bytes: Arc<[u8]>, tag: WriteTag) {
         if bytes.is_empty() {
             return;
         }
         let end = offset + bytes.len() as u64;
-        let start = offset as usize;
-        if self.data.len() < start {
-            self.data.resize(start, 0);
+        // An extent starting before `offset` keeps its head, and its tail
+        // too if it reaches past `end`.
+        if let Some((&s, x)) = self.extents.range_mut(..offset).next_back() {
+            if x.end > offset {
+                let tail = (x.end > end).then(|| x.tail(s, end));
+                x.end = offset;
+                if let Some(tail) = tail {
+                    self.extents.insert(end, tail);
+                }
+            }
         }
-        let overwrite = (self.data.len() - start).min(bytes.len());
-        self.data[start..start + overwrite].copy_from_slice(&bytes[..overwrite]);
-        self.data.extend_from_slice(&bytes[overwrite..]);
-        self.tags.insert(offset, end, tag);
+        // Extents starting inside the write go, but for a tail past `end`.
+        while let Some((&s, x)) = self.extents.range(offset..end).next() {
+            let tail = (x.end > end).then(|| x.tail(s, end));
+            self.extents.remove(&s);
+            if let Some(tail) = tail {
+                self.extents.insert(end, tail);
+            }
+        }
+        let whole = Extent {
+            end,
+            tag,
+            bytes,
+            off: 0,
+        };
+        self.extents.insert(offset, whole);
         self.size = self.size.max(end);
+    }
+
+    /// Every extent overlapping `[lo, hi)`, clipped to it, as
+    /// `(start, end, extent)` in offset order.
+    fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64, &Extent)> {
+        let head = self
+            .extents
+            .range(..lo)
+            .next_back()
+            .filter(|(_, x)| x.end > lo);
+        head.into_iter()
+            .chain(self.extents.range(lo..hi))
+            .map(move |(&s, x)| (s, x.end.min(hi), x))
+    }
+
+    /// `[offset, offset+len)` clamped to the current size, or `None` when
+    /// it is empty.
+    fn clamp(&self, offset: u64, len: u64) -> Option<(u64, u64)> {
+        (offset < self.size).then(|| (offset, offset.saturating_add(len).min(self.size)))
     }
 
     /// Read `[offset, offset+len)`, clamped to the current size. Bytes
     /// beyond EOF are not returned (short read), matching POSIX.
     pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
-        if offset >= self.size {
+        let Some((lo, hi)) = self.clamp(offset, len) else {
             return Vec::new();
-        }
-        let end = (offset + len).min(self.size);
-        let mut out = vec![0u8; (end - offset) as usize];
-        let avail = self.data.len() as u64;
-        if offset < avail {
-            let copy_end = end.min(avail);
-            out[..(copy_end - offset) as usize]
-                .copy_from_slice(&self.data[offset as usize..copy_end as usize]);
+        };
+        let mut out = vec![0u8; (hi - lo) as usize];
+        for (s, e, x) in self.overlapping(lo, hi) {
+            let from = s.max(lo);
+            out[(from - lo) as usize..(e - lo) as usize].copy_from_slice(x.slice(s, from, e));
         }
         out
     }
 
-    /// Provenance of `[offset, offset+len)` clamped to size.
+    /// Provenance of `[offset, offset+len)` clamped to size: runs covering
+    /// the whole range, adjacent runs of one write merged, holes `None`.
     pub fn provenance(&self, offset: u64, len: u64) -> Vec<TagRun> {
-        if offset >= self.size {
+        let Some((lo, hi)) = self.clamp(offset, len) else {
             return Vec::new();
+        };
+        let mut runs: Vec<TagRun> = Vec::new();
+        let mut push = |len: u64, tag: Option<WriteTag>| match runs.last_mut() {
+            Some(last) if last.tag == tag => last.len += len,
+            _ => runs.push(TagRun { len, tag }),
+        };
+        let mut pos = lo;
+        for (s, e, x) in self.overlapping(lo, hi) {
+            if s > pos {
+                push(s - pos, None);
+            }
+            push(e - pos.max(s), Some(x.tag));
+            pos = e;
         }
-        let end = (offset + len).min(self.size);
-        self.tags.query(offset, end)
+        if pos < hi {
+            push(hi - pos, None);
+        }
+        runs
     }
 
-    /// Provenance digest over the clamped range (see [`SegMap::digest`]).
+    /// FNV-1a digest of [`FileImage::provenance`] over the clamped range
+    /// (see [`crate::SegMap::digest`]).
     pub fn digest(&self, offset: u64, len: u64) -> u64 {
         if offset >= self.size {
-            return SegMap::new().digest(0, 0) ^ 0x5a5a;
+            return digest_runs(obs::fnv::FNV_OFFSET, &[]) ^ 0x5a5a;
         }
-        let end = (offset + len).min(self.size);
-        self.tags.digest(offset, end)
+        digest_runs(obs::fnv::FNV_OFFSET, &self.provenance(offset, len))
     }
 
     /// Truncate (or extend with a hole) to `len`.
     pub fn truncate(&mut self, len: u64) {
         if len < self.size {
-            self.data.truncate(len as usize);
-            // Re-insert a dummy query barrier: easiest correct approach is
-            // rebuilding the tag map restricted to [0, len).
-            let mut tags = SegMap::new();
-            for (s, e, t) in self.tags.iter() {
-                if s < len {
-                    tags.insert(s, e.min(len), t);
-                }
+            self.extents.split_off(&len);
+            if let Some((_, x)) = self.extents.iter_mut().next_back() {
+                x.end = x.end.min(len);
             }
-            self.tags = tags;
         }
         self.size = len;
     }
@@ -149,16 +232,37 @@ mod tests {
         );
     }
 
+    /// `img` holds exactly `model`: one `(byte, writer)` per offset.
+    fn assert_matches(img: &FileImage, model: &[(u8, Option<WriteTag>)]) {
+        assert_eq!(img.size(), model.len() as u64);
+        let want: Vec<u8> = model.iter().map(|&(b, _)| b).collect();
+        assert_eq!(img.read(0, u64::MAX / 2), want);
+        let mut tags = Vec::new();
+        for run in img.provenance(0, img.size()) {
+            tags.extend(std::iter::repeat_n(run.tag, run.len as usize));
+        }
+        let want_tags: Vec<Option<WriteTag>> = model.iter().map(|&(_, t)| t).collect();
+        assert_eq!(tags, want_tags);
+    }
+
     #[test]
     fn apply_matches_a_byte_by_byte_model() {
         // Overwrites inside the data, writes straddling its end, appends,
         // writes past a hole, and truncations in both directions, against
-        // a model that stores one `(byte, writer)` per offset.
+        // a model that stores one `(byte, writer)` per offset. A clone
+        // taken mid-sequence (what a session open snapshots) shares the
+        // extents' buffers and must keep matching the model as of the
+        // clone while the original moves on.
         let mut rng = simrng::SimRng::seed_from_u64(0x1A6E);
         for _ in 0..50 {
             let mut img = FileImage::new();
             let mut model: Vec<(u8, Option<WriteTag>)> = Vec::new();
+            let snap_at = rng.range_u64(0, 40);
+            let mut snap = None;
             for seq in 0..40u64 {
+                if seq == snap_at {
+                    snap = Some((img.clone(), model.clone()));
+                }
                 if rng.gen_bool(0.15) {
                     let len = rng.range_usize(0, model.len() + 20);
                     img.truncate(len as u64);
@@ -179,15 +283,10 @@ mod tests {
                         model[off + i] = (b, Some(t));
                     }
                 }
-                assert_eq!(img.size(), model.len() as u64);
-                let want: Vec<u8> = model.iter().map(|&(b, _)| b).collect();
-                assert_eq!(img.read(0, u64::MAX / 2), want);
-                let mut tags = Vec::new();
-                for run in img.provenance(0, img.size()) {
-                    tags.extend(std::iter::repeat_n(run.tag, run.len as usize));
+                assert_matches(&img, &model);
+                if let Some((snap_img, snap_model)) = &snap {
+                    assert_matches(snap_img, snap_model);
                 }
-                let want_tags: Vec<Option<WriteTag>> = model.iter().map(|&(_, t)| t).collect();
-                assert_eq!(tags, want_tags);
             }
         }
     }

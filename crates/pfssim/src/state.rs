@@ -29,7 +29,8 @@ impl FileId {
 #[derive(Debug, Clone)]
 pub(crate) struct PendingExtent {
     pub off: u64,
-    pub data: Vec<u8>,
+    /// The write's one copy of its bytes; a publish hands it to the image.
+    pub data: Arc<[u8]>,
     pub tag: WriteTag,
 }
 
@@ -40,7 +41,7 @@ pub(crate) struct DelayedExtent {
     /// Owning client instance (see `PfsState::next_client_id`).
     pub owner: u64,
     pub off: u64,
-    pub data: Vec<u8>,
+    pub data: Arc<[u8]>,
     pub tag: WriteTag,
 }
 
@@ -90,11 +91,12 @@ pub(crate) struct PfsState {
     pub files: Vec<FileNode>,
     pub ns: Namespace,
     pub stats: PfsStats,
-    /// Per-rank write sequence counters. Per-rank (not global) so that a
-    /// write's tag depends only on the issuing rank's program order —
-    /// identical logical writes get identical tags regardless of how the
-    /// scheduler interleaved the engines' differing latencies.
-    pub next_write_seq: std::collections::HashMap<u32, u64>,
+    /// Per-rank write sequence counters, indexed by rank. Per-rank (not
+    /// global) so that a write's tag depends only on the issuing rank's
+    /// program order — identical logical writes get identical tags
+    /// regardless of how the scheduler interleaved the engines' differing
+    /// latencies.
+    pub next_write_seq: Vec<u64>,
     /// Client-instance id allocator (a POSIX process identity: every
     /// `Pfs::client` call creates a new one).
     pub next_client_id: u64,
@@ -148,7 +150,7 @@ impl Clone for Pfs {
     fn clone(&self) -> Self {
         Pfs {
             state: Arc::clone(&self.state),
-            cfg: self.cfg.clone(),
+            cfg: self.cfg,
         }
     }
 }
@@ -161,7 +163,7 @@ impl Pfs {
                 files: Vec::new(),
                 ns: Namespace::new(),
                 stats,
-                next_write_seq: HashMap::new(),
+                next_write_seq: Vec::new(),
                 next_client_id: 0,
             })),
             cfg,
@@ -178,7 +180,7 @@ impl Pfs {
 
     /// A client handle for `rank`. Each simulated process owns one.
     pub fn client(&self, rank: u32) -> PfsClient {
-        PfsClient::new(Arc::clone(&self.state), self.cfg.clone(), rank)
+        PfsClient::new(Arc::clone(&self.state), self.cfg, rank)
     }
 
     /// Snapshot of the server statistics.
@@ -192,7 +194,7 @@ impl Pfs {
     pub fn quiesce(&self) {
         let _span = obs::span("pfssim", "quiesce");
         let mut st = lock_state(&self.state);
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         for idx in 0..st.files.len() {
             crate::engine::mature_delayed(&mut st, &cfg, FileId(idx as u32), u64::MAX);
             let owners: Vec<u64> = st.files[idx].pending.keys().copied().collect();

@@ -61,40 +61,29 @@ impl SegMap {
     }
 
     /// Record that `[start, end)` was written with `tag`, overwriting any
-    /// previous provenance in that range.
+    /// previous provenance in that range. Segments it covers are clipped
+    /// in place.
     pub fn insert(&mut self, start: u64, end: u64, tag: WriteTag) {
         assert!(start <= end, "invalid range");
         if start == end {
             return;
         }
-        // Find every segment overlapping [start, end) — plus the one that
-        // may begin before `start` — split the edges, remove the middle.
-        let mut to_reinsert: Vec<(u64, u64, WriteTag)> = Vec::new();
-        let mut to_remove: Vec<u64> = Vec::new();
-
-        // Segment starting before `start` that may overlap.
-        if let Some((&s, &(e, t))) = self.segs.range(..start).next_back() {
+        // A segment starting before `start` keeps its head, and its tail
+        // too if it reaches past `end`.
+        if let Some((_, seg)) = self.segs.range_mut(..start).next_back() {
+            let (e, t) = *seg;
             if e > start {
-                to_remove.push(s);
-                to_reinsert.push((s, start, t));
+                seg.0 = start;
                 if e > end {
-                    to_reinsert.push((end, e, t));
+                    self.segs.insert(end, (e, t));
                 }
             }
         }
-        // Segments starting within [start, end).
-        for (&s, &(e, t)) in self.segs.range(start..end) {
-            to_remove.push(s);
-            if e > end {
-                to_reinsert.push((end, e, t));
-            }
-        }
-        for s in to_remove {
+        // Segments starting inside the range go, but for a tail past `end`.
+        while let Some((&s, &(e, t))) = self.segs.range(start..end).next() {
             self.segs.remove(&s);
-        }
-        for (s, e, t) in to_reinsert {
-            if s < e {
-                self.segs.insert(s, (e, t));
+            if e > end {
+                self.segs.insert(end, (e, t));
             }
         }
         self.segs.insert(start, (end, tag));
@@ -124,6 +113,23 @@ impl SegMap {
         }
     }
 
+    /// Every segment overlapping `[start, end)`, clipped to it, as
+    /// `(start, end, tag)` in offset order.
+    pub fn overlapping(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> impl Iterator<Item = (u64, u64, WriteTag)> + '_ {
+        let head = self
+            .segs
+            .range(..start)
+            .next_back()
+            .filter(|(_, &(e, _))| e > start);
+        head.into_iter()
+            .chain(self.segs.range(start..end))
+            .map(move |(&s, &(e, t))| (s.max(start), e.min(end), t))
+    }
+
     /// The provenance of `[start, end)` as a sequence of runs covering the
     /// whole range (holes yield `tag: None`).
     pub fn query(&self, start: u64, end: u64) -> Vec<TagRun> {
@@ -132,32 +138,18 @@ impl SegMap {
             return runs;
         }
         let mut pos = start;
-        // The segment possibly covering `start`.
-        let mut iter: Vec<(u64, u64, WriteTag)> = Vec::new();
-        if let Some((&s, &(e, t))) = self.segs.range(..=start).next_back() {
-            if e > start {
-                iter.push((s.max(start), e, t));
-            }
-        }
-        for (&s, &(e, t)) in self.segs.range(start + 1..end) {
-            iter.push((s, e, t));
-        }
-        for (s, e, t) in iter {
+        for (s, e, t) in self.overlapping(start, end) {
             if s > pos {
                 runs.push(TagRun {
                     len: s - pos,
                     tag: None,
                 });
             }
-            let run_end = e.min(end);
             runs.push(TagRun {
-                len: run_end - pos.max(s),
+                len: e - s,
                 tag: Some(t),
             });
-            pos = run_end;
-            if pos >= end {
-                break;
-            }
+            pos = e;
         }
         if pos < end {
             runs.push(TagRun {
@@ -166,11 +158,6 @@ impl SegMap {
             });
         }
         runs
-    }
-
-    /// Iterate all segments as `(start, end, tag)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, WriteTag)> + '_ {
-        self.segs.iter().map(|(&s, &(e, t))| (s, e, t))
     }
 
     /// A 64-bit FNV-1a digest of the provenance of `[start, end)` — used by

@@ -34,4 +34,6 @@ pub mod tsv;
 
 pub use offset::{AccessKind, DataAccess, ResolvedTrace, SyncEvent, SyncKind};
 pub use record::{Arg, Func, IdHasher, IdMap, Layer, MetaKind, PathId, Record, SeekWhence, Wire};
-pub use traceset::{shared_interner, Interner, RankTracer, SharedInterner, TraceSet};
+pub use traceset::{
+    canonical_remap, shared_interner, Interner, RankTracer, SharedInterner, TraceSet,
+};

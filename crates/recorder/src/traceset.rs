@@ -148,62 +148,49 @@ pub struct TraceSet {
     pub skews_ns: Vec<i64>,
 }
 
+/// The canonical renumbering of `interner`'s ids: `remap[id]` is the
+/// id's position in sorted-name order. Interning races between rank
+/// threads would otherwise make the id assignment — and therefore the
+/// encoded trace — nondeterministic even though the schedule is not.
+pub fn canonical_remap(interner: &Interner) -> Vec<u32> {
+    let names = &interner.names;
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_by(|&a, &b| names[a].cmp(&names[b]));
+    let mut remap = vec![0u32; names.len()];
+    for (new, &old) in order.iter().enumerate() {
+        remap[old] = new as u32;
+    }
+    remap
+}
+
 impl TraceSet {
-    /// Assemble from per-rank tracers. Panics if tracers are not exactly
-    /// ranks `0..n` in order.
-    ///
-    /// Path ids are *canonicalized* (renumbered in sorted-name order):
-    /// interning races between rank threads would otherwise make the id
-    /// assignment — and therefore the encoded trace — nondeterministic
-    /// even though the schedule is not.
+    /// Assemble from per-rank tracers, renumbering path ids by `remap`
+    /// (what [`canonical_remap`] computed for `interner`). Panics if
+    /// tracers are not exactly ranks `0..n` in order.
     pub fn assemble(
-        interner: SharedInterner,
+        interner: &Interner,
+        remap: &[u32],
         tracers: Vec<RankTracer>,
         skews_ns: Vec<i64>,
     ) -> Self {
-        Self::assemble_with_remap(interner, tracers, skews_ns).0
-    }
-
-    /// [`TraceSet::assemble`], also returning the applied canonicalization:
-    /// `remap[old_interner_id] = canonical PathId`. Consumers that saw
-    /// records *before* assembly (streaming sinks tapping the tracers
-    /// mid-run) hold pre-canonical ids and need this to translate them.
-    pub fn assemble_with_remap(
-        interner: SharedInterner,
-        tracers: Vec<RankTracer>,
-        skews_ns: Vec<i64>,
-    ) -> (Self, Vec<u32>) {
         for (i, t) in tracers.iter().enumerate() {
             assert_eq!(t.rank as usize, i, "tracers must be rank-ordered");
         }
-        let mut ranks: Vec<Vec<Record>> = tracers.into_iter().map(|t| t.into_records()).collect();
-        let interner = Arc::try_unwrap(interner)
-            .map(|m| m.into_inner().expect("interner poisoned"))
-            .unwrap_or_else(|arc| {
-                let guard = arc.lock().expect("interner poisoned");
-                Interner::from_names(guard.names.clone())
-            });
-        let names = interner.into_names();
-        let mut order: Vec<usize> = (0..names.len()).collect();
-        order.sort_by(|&a, &b| names[a].cmp(&names[b]));
-        let mut remap = vec![0u32; names.len()];
-        for (new, &old) in order.iter().enumerate() {
-            remap[old] = new as u32;
+        let mut paths = vec![String::new(); remap.len()];
+        for (old, &new) in remap.iter().enumerate() {
+            paths[new as usize] = interner.names[old].clone();
         }
-        let paths: Vec<String> = order.iter().map(|&i| names[i].clone()).collect();
+        let mut ranks: Vec<Vec<Record>> = tracers.into_iter().map(|t| t.into_records()).collect();
         for records in &mut ranks {
             for rec in records {
                 rec.func.for_each_path_mut(|p| p.0 = remap[p.0 as usize]);
             }
         }
-        (
-            TraceSet {
-                paths,
-                ranks,
-                skews_ns,
-            },
-            remap,
-        )
+        TraceSet {
+            paths,
+            ranks,
+            skews_ns,
+        }
     }
 
     pub fn nranks(&self) -> u32 {
@@ -273,7 +260,13 @@ mod tests {
             },
         );
         t1.record(2, 3, Layer::Posix, Layer::App, Func::Close { fd: 3 });
-        let ts = TraceSet::assemble(shared, vec![t0, t1], vec![5, -5]);
+        let interner = shared.lock().expect("interner poisoned");
+        let ts = TraceSet::assemble(
+            &interner,
+            &canonical_remap(&interner),
+            vec![t0, t1],
+            vec![5, -5],
+        );
         assert_eq!(ts.nranks(), 2);
         assert_eq!(ts.total_records(), 2);
         assert_eq!(ts.path(p), "/f");
@@ -320,7 +313,13 @@ mod tests {
         t0.record(10, 11, Layer::Posix, Layer::App, Func::Close { fd: 1 });
         t0.record(30, 31, Layer::Posix, Layer::App, Func::Close { fd: 2 });
         t1.record(20, 21, Layer::Posix, Layer::App, Func::Close { fd: 3 });
-        let ts = TraceSet::assemble(shared, vec![t0, t1], vec![0, 0]);
+        let interner = shared.lock().expect("interner poisoned");
+        let ts = TraceSet::assemble(
+            &interner,
+            &canonical_remap(&interner),
+            vec![t0, t1],
+            vec![0, 0],
+        );
         let merged = ts.merged_by_time();
         let starts: Vec<u64> = merged.iter().map(|r| r.t_start).collect();
         assert_eq!(starts, vec![10, 20, 30]);

@@ -4,10 +4,13 @@
 //! extensions around them), `service` (`serve`) and `client` (talking to
 //! a running service).
 
-use hpcapps::AppSpec;
+use hpcapps::{AppId, AppSpec};
 
 use crate::cli::{Cli, Command, Flag, Parsed};
-use crate::{analyze_all_isolated, analyze_isolated, AnalyzedRun, ConfigOutcome, ReportCfg};
+use crate::{
+    analyze_all_isolated, analyze_isolated, analyze_recorded, isolated, AnalyzedRun, ConfigOutcome,
+    ReportCfg,
+};
 
 mod client;
 mod paper;
@@ -147,10 +150,20 @@ impl RunOpts {
         self.salvage(analyze_isolated(&self.cfg, spec, &spec.params, &clean))
     }
 
+    /// [`RunOpts::run_one`], keeping the run's trace for a reader of it.
+    fn record_one(&mut self, spec: &'static AppSpec) -> Option<AnalyzedRun> {
+        let clean = iolibs::FaultPlan::none();
+        let cfg = self.cfg;
+        self.salvage(isolated(spec, || {
+            analyze_recorded(&cfg, spec, &spec.params, &clean)
+        }))
+    }
+
     /// The full Table 4 suite under the same contract, fanned across
-    /// `threads` workers.
-    fn run_suite(&mut self, threads: usize) -> Vec<AnalyzedRun> {
-        analyze_all_isolated(&self.cfg, false, threads)
+    /// `threads` workers; the configurations in `recorded` keep their
+    /// traces.
+    fn run_suite(&mut self, threads: usize, recorded: &[AppId]) -> Vec<AnalyzedRun> {
+        analyze_all_isolated(&self.cfg, false, threads, recorded)
             .into_iter()
             .filter_map(|outcome| self.salvage(outcome))
             .collect()

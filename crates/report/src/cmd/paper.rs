@@ -18,8 +18,21 @@ enum Render {
     /// The named configurations, in this order (taken from the suite
     /// when it ran, else run individually).
     Of(&'static [AppId], fn(&[&AnalyzedRun]) -> String),
+    /// [`Render::Of`] for a render that reads the runs' traces: these
+    /// configurations run recorded.
+    Traced(&'static [AppId], fn(&[&AnalyzedRun]) -> String),
 }
-use Render::{Of, Static, Suite};
+use Render::{Of, Static, Suite, Traced};
+
+impl Render {
+    /// The named configurations of an [`Of`] or [`Traced`] render.
+    fn ids(&self) -> &'static [AppId] {
+        match self {
+            Of(ids, _) | Traced(ids, _) => ids,
+            Static(_) | Suite(_) => &[],
+        }
+    }
+}
 
 struct Artifact {
     /// The command that produces exactly this artifact; `""` = `all` only.
@@ -71,24 +84,24 @@ const ARTIFACTS: &[Artifact] = &[
     printed(
         "fig2",
         "",
-        Of(FBS, |r| figures::fig2_summary(r[0], "fbs / collective")),
+        Traced(FBS, |r| figures::fig2_summary(r[0], "fbs / collective")),
     ),
     saved(
         "fig2",
         "fig2_fbs.csv",
-        Of(FBS, |r| figures::fig2_csv(r[0], true)),
+        Traced(FBS, |r| figures::fig2_csv(r[0], true)),
     ),
     printed(
         "fig2",
         "",
-        Of(NOFBS, |r| {
+        Traced(NOFBS, |r| {
             figures::fig2_summary(r[0], "nofbs / independent")
         }),
     ),
     saved(
         "fig2",
         "fig2_nofbs.csv",
-        Of(NOFBS, |r| figures::fig2_csv(r[0], false)),
+        Traced(NOFBS, |r| figures::fig2_csv(r[0], false)),
     ),
     // §5.2 validation on FLASH (the app with cross-process conflicts).
     printed(
@@ -127,18 +140,26 @@ pub(super) fn render(p: &Parsed) -> Result<i32, String> {
     let mut code = 0;
     if selected.iter().any(|a| !matches!(a.render, Static(_))) {
         let mut opts = RunOpts::parse(p)?;
+        let recorded: Vec<AppId> = selected
+            .iter()
+            .filter(|a| matches!(a.render, Traced(..)))
+            .flat_map(|a| a.render.ids())
+            .copied()
+            .collect();
         if selected.iter().any(|a| matches!(a.render, Suite(_))) {
-            pool = opts.run_suite(p.get(&THREADS)?);
+            pool = opts.run_suite(p.get(&THREADS)?, &recorded);
             suite_len = pool.len();
         }
         let mut tried: Vec<AppId> = pool.iter().map(|r| r.spec.id).collect();
-        for a in &selected {
-            let Of(ids, _) = a.render else { continue };
-            for &id in ids {
-                if !tried.contains(&id) {
-                    tried.push(id);
-                    pool.extend(opts.run_one(hpcapps::spec_ref(id)));
-                }
+        for &id in selected.iter().flat_map(|a| a.render.ids()) {
+            if !tried.contains(&id) {
+                tried.push(id);
+                let spec = hpcapps::spec_ref(id);
+                pool.extend(if recorded.contains(&id) {
+                    opts.record_one(spec)
+                } else {
+                    opts.run_one(spec)
+                });
             }
         }
         code = opts.exit_code();
@@ -148,7 +169,7 @@ pub(super) fn render(p: &Parsed) -> Result<i32, String> {
         let text = match a.render {
             Static(f) => f(),
             Suite(f) => f(&pool[..suite_len]),
-            Of(ids, f) => {
+            Of(ids, f) | Traced(ids, f) => {
                 let runs: Vec<&AnalyzedRun> = ids
                     .iter()
                     .filter_map(|id| pool.iter().find(|r| r.spec.id == *id))
@@ -206,7 +227,7 @@ fn summary_json(runs: &[AnalyzedRun]) -> String {
                     "local_random_pct",
                     r.local.pct(semantics_core::patterns::AccessClass::Random),
                 )
-                .field("records", r.trace.total_records())
+                .field("records", r.records)
                 .field("hb_racy", r.hb.racy)
         })
         .collect();

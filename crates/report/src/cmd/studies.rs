@@ -41,7 +41,7 @@ fn scale_subset() -> Vec<&'static AppSpec> {
 /// crashing.
 pub(super) fn check(p: &Parsed) -> Result<i32, String> {
     let mut opts = RunOpts::parse(p)?;
-    let outcomes = analyze_all_isolated(&opts.cfg, false, p.get(&THREADS)?);
+    let outcomes = analyze_all_isolated(&opts.cfg, false, p.get(&THREADS)?, &[]);
     let mut failures = 0usize;
     for outcome in &outcomes {
         let r = match outcome {
@@ -118,15 +118,17 @@ pub(super) fn semantics_matrix(p: &Parsed) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Run `specs` one by one under the `--keep-going` contract and hand each
-/// surviving run to `row`; returns the exit code.
+/// Run `specs` one by one through `run` (recorded or not) under the
+/// `--keep-going` contract and hand each surviving run to `row`; returns
+/// the exit code.
 fn each_run(
     mut opts: RunOpts,
     specs: impl Iterator<Item = &'static AppSpec>,
+    run: fn(&mut RunOpts, &'static AppSpec) -> Option<AnalyzedRun>,
     mut row: impl FnMut(&AppSpec, &AnalyzedRun),
 ) -> i32 {
     for spec in specs {
-        if let Some(run) = opts.run_one(spec) {
+        if let Some(run) = run(&mut opts, spec) {
             row(spec, &run);
         }
     }
@@ -155,10 +157,15 @@ pub(super) fn app_report(p: &Parsed) -> Result<i32, String> {
         }
     };
     let opts = RunOpts::parse(p)?;
-    Ok(each_run(opts, specs.into_iter(), |spec, run| {
-        let rep = semantics_core::apprun::build(&run.trace);
-        print!("{}", rep.render(&spec.config_name()));
-    }))
+    Ok(each_run(
+        opts,
+        specs.into_iter(),
+        RunOpts::record_one,
+        |spec, run| {
+            let rep = semantics_core::apprun::build(run.trace());
+            print!("{}", rep.render(&spec.config_name()));
+        },
+    ))
 }
 
 const CAMP_SEEDS: Flag = Flag::new("--camp-seeds", "N", "8", "seeds per (app, fault kind) cell");
@@ -214,16 +221,21 @@ pub(super) fn advise(p: &Parsed) -> Result<i32, String> {
         "{:<24} {:>16} {:>12} {:>10}",
         "configuration", "commit conflicts", "insertions", "sufficient"
     );
-    Ok(each_run(opts, table4_specs(), |spec, run| {
-        let advice = semantics_core::advisor::advise_commits(&run.resolved());
-        println!(
-            "{:<24} {:>16} {:>12} {:>10}",
-            spec.config_name(),
-            advice.before.total(),
-            advice.insertions.len(),
-            advice.is_sufficient(),
-        );
-    }))
+    Ok(each_run(
+        opts,
+        table4_specs(),
+        RunOpts::record_one,
+        |spec, run| {
+            let advice = semantics_core::advisor::advise_commits(&run.resolved());
+            println!(
+                "{:<24} {:>16} {:>12} {:>10}",
+                spec.config_name(),
+                advice.before.total(),
+                advice.insertions.len(),
+                advice.is_sufficient(),
+            );
+        },
+    ))
 }
 
 /// Revocations are the cross-client extent handoffs that make shared-file
@@ -235,17 +247,22 @@ pub(super) fn locks(p: &Parsed) -> Result<i32, String> {
         "{:<24} {:>9} {:>9} {:>12} {:>12}",
         "configuration", "writes", "reads", "locks", "revocations"
     );
-    Ok(each_run(opts, table4_specs(), |spec, run| {
-        let stats = &run.pfs_stats;
-        println!(
-            "{:<24} {:>9} {:>9} {:>12} {:>12}",
-            spec.config_name(),
-            stats.writes,
-            stats.reads,
-            stats.locks_acquired,
-            stats.lock_revocations,
-        );
-    }))
+    Ok(each_run(
+        opts,
+        table4_specs(),
+        RunOpts::run_one,
+        |spec, run| {
+            let stats = &run.pfs_stats;
+            println!(
+                "{:<24} {:>9} {:>9} {:>12} {:>12}",
+                spec.config_name(),
+                stats.writes,
+                stats.reads,
+                stats.locks_acquired,
+                stats.lock_revocations,
+            );
+        },
+    ))
 }
 
 pub(super) fn meta_conflicts(p: &Parsed) -> Result<i32, String> {
@@ -254,16 +271,21 @@ pub(super) fn meta_conflicts(p: &Parsed) -> Result<i32, String> {
         "{:<24} {:>8} {:>14} {:>14} {:>14}",
         "configuration", "events", "create→observe", "create→mutate", "other"
     );
-    Ok(each_run(opts, table4_specs(), |spec, run| {
-        use semantics_core::meta_conflict::MetaPairKind as K;
-        let m = semantics_core::meta_conflict::detect_meta_conflicts(&run.trace);
-        println!(
-            "{:<24} {:>8} {:>14} {:>14} {:>14}",
-            spec.config_name(),
-            m.events,
-            m.count(K::CreateThenObserve),
-            m.count(K::CreateThenMutate),
-            m.count(K::RemoveThenObserve) + m.count(K::MutateThenMutate),
-        );
-    }))
+    Ok(each_run(
+        opts,
+        table4_specs(),
+        RunOpts::record_one,
+        |spec, run| {
+            use semantics_core::meta_conflict::MetaPairKind as K;
+            let m = semantics_core::meta_conflict::detect_meta_conflicts(run.trace());
+            println!(
+                "{:<24} {:>8} {:>14} {:>14} {:>14}",
+                spec.config_name(),
+                m.events,
+                m.count(K::CreateThenObserve),
+                m.count(K::CreateThenMutate),
+                m.count(K::RemoveThenObserve) + m.count(K::MutateThenMutate),
+            );
+        },
+    ))
 }

@@ -64,6 +64,8 @@ pub fn fig1_csv(runs: &[AnalyzedRun]) -> String {
 /// run, the data behind the paper's six scatter plots.
 ///
 /// `fbs` selects panels (a,b,c) (collective) vs (d,e,f) (independent).
+/// Reads the run's trace: `run` must be recorded
+/// ([`crate::runner::analyze_recorded`]).
 pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
     let mode = if fbs { "fbs" } else { "nofbs" };
     let mut out = String::from("panel,rank,t_us,offset,len,kind,origin\n");
@@ -74,7 +76,7 @@ pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
         // Checkpoint files → panels a/b (or d/e); plot files → panel c.
         // File identity is a PathId; the path table distinguishes
         // chk/plt names.
-        let path = run.trace.path(a.file);
+        let path = run.trace().path(a.file);
         let panel = if path.contains("chk") {
             if fbs {
                 "ab"
@@ -100,7 +102,8 @@ pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
 }
 
 /// Summary of the Figure 2 phenomena, checked numerically: how many ranks
-/// write checkpoint data vs metadata under each mode.
+/// write checkpoint data vs metadata under each mode. `run` must be
+/// recorded, as for [`fig2_csv`].
 pub fn fig2_summary(run: &AnalyzedRun, label: &str) -> String {
     let mut data_writers: Vec<u32> = Vec::new();
     let mut meta_writers: Vec<u32> = Vec::new();
@@ -108,7 +111,7 @@ pub fn fig2_summary(run: &AnalyzedRun, label: &str) -> String {
         if a.kind != AccessKind::Write {
             continue;
         }
-        let path = run.trace.path(a.file);
+        let path = run.trace().path(a.file);
         if !path.contains("chk") {
             continue;
         }

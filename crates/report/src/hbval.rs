@@ -9,8 +9,6 @@
 
 use std::fmt::Write as _;
 
-use recorder::adjust;
-
 use crate::runner::AnalyzedRun;
 
 /// Minimum time gap between the two operations of each conflicting pair.
@@ -27,7 +25,7 @@ pub fn min_conflict_gap_ns(run: &AnalyzedRun) -> Option<u64> {
 pub fn validate(run: &AnalyzedRun) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "§5.2 validation for {}", run.name());
-    let spread = adjust::raw_skew_spread_ns(&run.trace);
+    let spread = run.skew_spread_ns;
     let _ = writeln!(
         out,
         "  injected clock-skew spread: {:.1} µs",

@@ -3,8 +3,9 @@
 //! One module per experiment, all driven by [`runner`], which executes an
 //! application replica through the simulated stack with the streaming
 //! analyzer attached (resolve → conflicts → patterns → census →
-//! happens-before while the run is in flight; then the verdict, and the
-//! run's one trace is re-based in place for the readers that want it).
+//! happens-before while the run is in flight; then the verdict). A run
+//! keeps its trace, re-based in place, only for the readers that ask for
+//! one ([`runner::analyze_recorded`]).
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|
@@ -41,5 +42,6 @@ pub use serve_backend::ReportBackend;
 
 pub use runner::{
     analyze, analyze_all_isolated, analyze_all_threaded, analyze_incremental, analyze_isolated,
-    analyze_with_faults, analyze_with_params, AnalyzedRun, ConfigOutcome, ReportCfg,
+    analyze_recorded, analyze_with_faults, analyze_with_params, isolated, AnalyzedRun,
+    ConfigOutcome, ReportCfg,
 };

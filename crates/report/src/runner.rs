@@ -5,7 +5,10 @@
 //! run carries a [`StreamingAnalyzer`] as its record sink
 //! ([`analyze_incremental`]), and [`analyze`], [`analyze_with_params`],
 //! [`analyze_all_threaded`] and the isolated (`--keep-going`) entry points
-//! are that one pipeline under different failure contracts. The paper's
+//! are that one pipeline under different failure contracts. A run keeps
+//! its trace only when the caller asks for the readers that need one
+//! ([`analyze_recorded`]): then a [`Recording`] sink sits in front of the
+//! analyzer. Verdicts, tables and the service never do. The paper's
 //! algorithms as published — the at-rest functions of `semantics_core`,
 //! which `tracetool` and the facade call on finished traces — are
 //! assembled once more in the reference pipeline below, which
@@ -14,9 +17,10 @@
 
 use std::sync::Arc;
 
-use hpcapps::{AppSpec, ScaleParams};
+use hpcapps::{AppId, AppSpec, ScaleParams};
 use iolibs::{
-    run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle, DEFAULT_MAX_SKEW_NS,
+    run_app_result, FaultPlan, Recording, RunConfig, RunOutcome, SimError, SinkHandle,
+    DEFAULT_MAX_SKEW_NS,
 };
 use pfssim::PfsStats;
 use recorder::offset::ResolveCounts;
@@ -55,9 +59,17 @@ pub struct AnalyzedRun {
     /// Cached `spec.config_name()`; rendering uses it repeatedly.
     name: String,
     /// The run's trace, re-based in place to the startup barrier's exit
-    /// ([`adjust::rebase`]): the one copy of it the run keeps. No verdict
-    /// reads it; Figure 2, `app-report`, `advise` and `meta-conflicts` do.
-    pub trace: TraceSet,
+    /// ([`adjust::rebase`]) — kept only by a recorded run
+    /// ([`analyze_recorded`]). No verdict reads it; Figure 2, `app-report`,
+    /// `advise` and `meta-conflicts` do, through [`AnalyzedRun::trace`].
+    trace: Option<TraceSet>,
+    /// Spread of the clock skews injected into the ranks (max − min, ns),
+    /// kept by every run: §5.2's validation compares it with the gaps
+    /// between conflicting operations.
+    pub skew_spread_ns: u64,
+    /// Every record the run emitted (POSIX, library-level, MPI), kept or
+    /// not: what a recorded trace's [`TraceSet::total_records`] says.
+    pub records: u64,
     /// The file system's counters at the end of the run (its file images
     /// are not kept).
     pub pfs_stats: PfsStats,
@@ -84,12 +96,21 @@ impl AnalyzedRun {
         &self.name
     }
 
+    /// The run's re-based trace. Panics unless the run was recorded
+    /// ([`analyze_recorded`]): a reader of the trace must attach the
+    /// recording sink that keeps one.
+    pub fn trace(&self) -> &TraceSet {
+        self.trace
+            .as_ref()
+            .unwrap_or_else(|| panic!("{}: analyzed without a recording sink", self.name))
+    }
+
     /// The resolved accesses and sync events, derived at rest from
     /// [`AnalyzedRun::trace`]: the same resolution step the stream ran,
     /// over the same re-based records in the same order. Figure 2,
     /// `app-report` and `advise` read them; no verdict does.
     pub fn resolved(&self) -> ResolvedTrace {
-        offset::resolve(&self.trace)
+        offset::resolve(self.trace())
     }
 
     /// Measured Table 4 marks under session semantics.
@@ -187,7 +208,9 @@ pub fn analyze_with_faults(
         nranks: cfg.nranks,
         completeness: completeness_of(&outcome),
         pfs_stats: outcome.pfs.stats(),
-        trace: outcome.trace,
+        records: outcome.records,
+        skew_spread_ns: adjust::raw_skew_spread_ns(&outcome.trace),
+        trace: Some(outcome.trace),
         session,
         commit,
     })
@@ -224,25 +247,57 @@ impl iolibs::RunSink for AnalyzerSink {
 /// [`StreamingAnalyzer`] attached as a record sink, so offset resolution,
 /// conflict detection, all pattern analyses, the metadata census and the
 /// happens-before validation happen *while the simulation runs*; on
-/// completion only the cheap finalize (plus the verdict) remains. Rank
-/// crashes leave trace prefixes; the analysis runs on them unchanged and the
-/// result is labeled via [`AnalyzedRun::completeness`]. A deadlock (the
-/// one fault the world cannot degrade through) comes back as `Err`
-/// instead of a panic.
+/// completion only the cheap finalize (plus the verdict) remains. The run
+/// keeps no trace. Rank crashes leave trace prefixes; the analysis runs on
+/// them unchanged and the result is labeled via
+/// [`AnalyzedRun::completeness`]. A deadlock (the one fault the world
+/// cannot degrade through) comes back as `Err` instead of a panic.
 pub fn analyze_incremental(
     cfg: &ReportCfg,
     spec: &'static AppSpec,
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
+    analyze_streamed(cfg, spec, params, faults, |analyzer| analyzer)
+}
+
+/// [`analyze_incremental`] with a [`Recording`] sink in front of the
+/// analyzer: the same results, plus the run's trace, re-based in place,
+/// for the readers that come after the verdict.
+pub fn analyze_recorded(
+    cfg: &ReportCfg,
+    spec: &'static AppSpec,
+    params: &ScaleParams,
+    faults: &FaultPlan,
+) -> Result<AnalyzedRun, SimError> {
+    analyze_streamed(cfg, spec, params, faults, |analyzer| {
+        SinkHandle::new(Arc::new(Recording::tee(analyzer)))
+    })
+}
+
+/// The streaming pipeline behind the sink `attach` makes of the analyzer's;
+/// the run keeps a trace exactly when that sink records.
+fn analyze_streamed(
+    cfg: &ReportCfg,
+    spec: &'static AppSpec,
+    params: &ScaleParams,
+    faults: &FaultPlan,
+    attach: impl FnOnce(SinkHandle) -> SinkHandle,
+) -> Result<AnalyzedRun, SimError> {
     let analyzer = Arc::new(StreamingAnalyzer::new(cfg.nranks));
-    let sink = SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(&analyzer))));
-    let (_span, mut outcome) =
-        run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
+    let sink = attach(SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(
+        &analyzer,
+    )))));
+    let recorded = sink.0.records();
+    let (_span, outcome) = run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
     let inc = analyzer.finalize();
-    // The kept trace is re-based in place, for the readers that come
-    // after the verdict.
-    adjust::rebase(&mut outcome.trace);
+    let completeness = completeness_of(&outcome);
+    let skew_spread_ns = adjust::raw_skew_spread_ns(&outcome.trace);
+    let trace = recorded.then(|| {
+        let mut trace = outcome.trace;
+        adjust::rebase(&mut trace);
+        trace
+    });
     Ok(AnalyzedRun {
         spec,
         name: spec.config_name(),
@@ -250,9 +305,11 @@ pub fn analyze_incremental(
         verdict: required_model(&inc.session, &inc.commit),
         hb: inc.hb,
         nranks: cfg.nranks,
-        completeness: completeness_of(&outcome),
+        completeness,
         pfs_stats: outcome.pfs.stats(),
-        trace: outcome.trace,
+        records: outcome.records,
+        skew_spread_ns,
+        trace,
         resolution: inc.resolution,
         session: inc.session,
         commit: inc.commit,
@@ -287,18 +344,25 @@ pub fn analyze_all_threaded(
 }
 
 /// [`analyze_all_threaded`] with per-configuration error isolation
-/// (`--keep-going`) and nothing else: every configuration comes back as a
-/// [`ConfigOutcome`], so one degraded run cannot abort the suite. Result
-/// order is still spec order.
+/// (`--keep-going`): every configuration comes back as a
+/// [`ConfigOutcome`], so one degraded run cannot abort the suite. The
+/// configurations named in `recorded` keep their traces
+/// ([`analyze_recorded`]). Result order is still spec order.
 pub fn analyze_all_isolated(
     cfg: &ReportCfg,
     include_variants: bool,
     threads: usize,
+    recorded: &[AppId],
 ) -> Vec<ConfigOutcome> {
     let specs = selected_specs(include_variants);
     let clean = FaultPlan::none();
     semantics_core::parallel_map_indexed(specs.len(), threads, |k| {
-        analyze_isolated(cfg, specs[k], &specs[k].params, &clean)
+        let (spec, params) = (specs[k], &specs[k].params);
+        if recorded.contains(&spec.id) {
+            isolated(spec, || analyze_recorded(cfg, spec, params, &clean))
+        } else {
+            isolated(spec, || analyze_incremental(cfg, spec, params, &clean))
+        }
     })
 }
 
@@ -351,10 +415,17 @@ pub fn analyze_isolated(
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> ConfigOutcome {
+    isolated(spec, || analyze_incremental(cfg, spec, params, faults))
+}
+
+/// `run` — one analysis of `spec` — with every failure captured as
+/// [`ConfigOutcome::Degraded`].
+pub fn isolated(
+    spec: &'static AppSpec,
+    run: impl FnOnce() -> Result<AnalyzedRun, SimError>,
+) -> ConfigOutcome {
     let mut span = obs::span("report", "config:isolated").with_arg("config", spec.config_name());
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        analyze_incremental(cfg, spec, params, faults)
-    }));
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
     let outcome = match attempt {
         Ok(Ok(run)) => {
             span.set_arg("outcome", "ok");

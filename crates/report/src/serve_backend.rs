@@ -167,7 +167,7 @@ fn render_views(query: &AnalysisQuery, run: &AnalyzedRun) -> AnalysisViews {
         .field("table3_label", run.highlevel.label())
         .field("local", pattern_json(&run.local))
         .field("global", pattern_json(&run.global))
-        .field("records", run.trace.total_records())
+        .field("records", run.records)
         .pretty()
         + "\n";
 

@@ -26,21 +26,24 @@ use hpcapps::AppId;
 use iolibs::FaultPlan;
 use report_gen::{analyze_incremental, ReportCfg};
 
-/// FLASH-fbs, 64 ranks, seed 2021. Measured 78 875 allocations / 74 MB
-/// when the budget was set; the commit before (862f99e) made 384 542 /
-/// 149 MB, plus 64 MiB of task stacks per request.
-const FLASH_ALLOCS: u64 = 100_000;
-const FLASH_BYTES: u64 = 120_000_000;
+/// FLASH-fbs, 64 ranks, seed 2021. Measured 67 282 allocations / 41 MB
+/// once a cold request stopped recording a trace, file images became
+/// extent maps and HDF5 stopped allocating its participant list per
+/// metadata call; 78 314 / 62 MB before (15afc5d), and 384 542 / 149 MB
+/// plus 64 MiB of task stacks per request at 862f99e.
+const FLASH_ALLOCS: u64 = 75_000;
+const FLASH_BYTES: u64 = 45_000_000;
 /// FLASH-fbs's peak live bytes and the bytes its `AnalyzedRun` keeps
-/// (task stacks excluded). Measured 19.6 MB / 6.2 MB once a run kept one
-/// copy of its trace — no adjusted clone, no retained resolved accesses,
-/// no file images; 25.9 MB / 15.1 MB before.
-const FLASH_PEAK_BYTES: u64 = 21_000_000;
-const FLASH_KEPT_BYTES: u64 = 7_000_000;
-/// ENZO-HDF5, 64 ranks, seed 2021. Measured 25 292 / 23 MB; before,
-/// 30 468 / 24 MB (independent I/O: no collective to flatten).
-const ENZO_ALLOCS: u64 = 28_000;
-const ENZO_BYTES: u64 = 30_000_000;
+/// (task stacks excluded). Measured 13.5 MB / 0.22 MB once the cold path
+/// kept no trace (the verdict, its conflict reports and pattern counters
+/// are all that is left); 17.9 MB / 6.2 MB with one re-based trace, 25.9
+/// MB / 15.1 MB before that.
+const FLASH_PEAK_BYTES: u64 = 15_000_000;
+const FLASH_KEPT_BYTES: u64 = 500_000;
+/// ENZO-HDF5, 64 ranks, seed 2021. Measured 19 329 / 11 MB; before,
+/// 25 055 / 22 MB with a trace and a contiguous file image.
+const ENZO_ALLOCS: u64 = 22_000;
+const ENZO_BYTES: u64 = 13_000_000;
 /// 64 → 128 ranks may at most this much more than double FLASH-fbs's
 /// allocations. Measured 1.93×; before, 3.34× (384 542 → 1 285 818), the
 /// Θ(n²) collective term.
@@ -239,7 +242,7 @@ fn cold_request_allocation_budget() {
     assert!(
         flash.peak_bytes <= FLASH_PEAK_BYTES && flash.kept_bytes <= FLASH_KEPT_BYTES,
         "FLASH-fbs @64 holds too much: {} bytes at peak (max {FLASH_PEAK_BYTES}), {} kept \
-         (max {FLASH_KEPT_BYTES}) — a second copy of the trace is back?",
+         (max {FLASH_KEPT_BYTES}) — is the cold path keeping a trace again?",
         flash.peak_bytes,
         flash.kept_bytes
     );

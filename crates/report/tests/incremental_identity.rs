@@ -2,15 +2,19 @@
 //! every application configuration, every PFS semantics model, and the
 //! fault campaigns, [`analyze_incremental`] produces results byte-identical
 //! to the batch pipeline ([`analyze_with_faults`]) — and the rendered
-//! report artifacts are byte-identical too.
+//! report artifacts are byte-identical too. A recorded run
+//! ([`analyze_recorded`]) keeps the very trace the batch pipeline reads,
+//! and an unrecorded one counts exactly that trace's records.
 
 use std::sync::Arc;
 
 use hpcapps::AppSpec;
-use iolibs::{run_app_result, FaultPlan, RunConfig, RunSink, SinkHandle};
+use iolibs::{run_app_result, FaultPlan, Recording, RunConfig, RunSink, SinkHandle};
 use pfssim::SemanticsModel;
 use recorder::{adjust, offset, Layer, Record};
-use report_gen::{analyze_incremental, analyze_with_faults, figures, tables, ReportCfg};
+use report_gen::{
+    analyze_incremental, analyze_recorded, analyze_with_faults, figures, tables, ReportCfg,
+};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel};
 use semantics_core::hb::validate_conflicts;
 use semantics_core::incremental::StreamingAnalyzer;
@@ -35,7 +39,11 @@ impl RunSink for Tee {
 
 fn assert_runs_equal(inc: &report_gen::AnalyzedRun, batch: &report_gen::AnalyzedRun, tag: &str) {
     assert_eq!(inc.name(), batch.name(), "{tag}");
-    assert_eq!(inc.trace, batch.trace, "{tag}: re-based trace");
+    assert_eq!(inc.records, batch.records, "{tag}: record count");
+    assert_eq!(
+        inc.skew_spread_ns, batch.skew_spread_ns,
+        "{tag}: skew spread"
+    );
     assert_eq!(inc.resolution, batch.resolution, "{tag}: resolution");
     assert_eq!(inc.session, batch.session, "{tag}: session report");
     assert_eq!(inc.commit, batch.commit, "{tag}: commit report");
@@ -76,6 +84,14 @@ fn incremental_identical_all_apps() {
         let inc = analyze_incremental(&cfg, spec, &spec.params, &none).expect("incremental run");
         let batch = analyze_with_faults(&cfg, spec, &spec.params, &none).expect("batch run");
         assert_runs_equal(&inc, &batch, spec.config_name().as_str());
+        let recorded = analyze_recorded(&cfg, spec, &spec.params, &none).expect("recorded run");
+        assert_runs_equal(&recorded, &batch, spec.config_name().as_str());
+        assert_eq!(
+            recorded.trace(),
+            batch.trace(),
+            "{}: re-based trace",
+            spec.config_name()
+        );
         inc_runs.push(inc);
         batch_runs.push(batch);
     }
@@ -100,10 +116,17 @@ fn streaming_vs_batch(spec: &'static AppSpec, semantics: SemanticsModel, faults:
     let run_cfg = RunConfig::new(nranks, 5)
         .with_semantics(semantics)
         .with_faults(faults.clone())
-        .with_sink(SinkHandle::new(Arc::new(Tee(Arc::clone(&analyzer)))));
+        .with_sink(SinkHandle::new(Arc::new(Recording::tee(SinkHandle::new(
+            Arc::new(Tee(Arc::clone(&analyzer))),
+        )))));
     let outcome =
         run_app_result(&run_cfg, |ctx| spec.run_with(ctx, &spec.params)).expect("run failed");
     let inc = analyzer.finalize();
+    assert_eq!(
+        outcome.records,
+        outcome.trace.total_records() as u64,
+        "{tag}: record count"
+    );
 
     let adjusted = adjust::apply(&outcome.trace);
     let resolved = offset::resolve(&adjusted);
@@ -164,6 +187,44 @@ fn smoke_three_apps_two_models() {
     }
 }
 
+/// The record count a run that keeps no trace reports (the served
+/// `records` field) is the recorded trace's length: for every
+/// configuration of the Table 4 suite, and for a crashed run whose trace is
+/// a salvaged prefix.
+#[test]
+fn record_count_matches_the_recorded_trace() {
+    let cfg = ReportCfg {
+        nranks: 8,
+        seed: 5,
+        max_skew_ns: 20_000,
+    };
+    let count = |spec: &'static AppSpec, faults: &FaultPlan| {
+        let streamed = analyze_incremental(&cfg, spec, &spec.params, faults).expect("streamed");
+        let recorded = analyze_recorded(&cfg, spec, &spec.params, faults).expect("recorded");
+        let tag = spec.config_name();
+        assert_eq!(
+            streamed.records,
+            recorded.trace().total_records() as u64,
+            "{tag}: streamed record count"
+        );
+        streamed
+    };
+    let suite: Vec<&'static AppSpec> = hpcapps::specs()
+        .iter()
+        .filter(|s| s.in_table4 || s.id == hpcapps::AppId::FlashNofbs)
+        .collect();
+    assert_eq!(suite.len(), 24);
+    for spec in suite {
+        count(spec, &FaultPlan::none());
+    }
+    let flash = hpcapps::spec_ref(hpcapps::AppId::FlashFbs);
+    let crashed = count(
+        flash,
+        &FaultPlan::parse("crash@r1:op40").expect("plan parses"),
+    );
+    assert!(crashed.completeness.is_partial(), "rank 1 crashed");
+}
+
 /// Degraded runs: crashes, transient I/O errors, lost flushes, message
 /// delays. Salvaged trace prefixes must analyze identically too.
 #[test]
@@ -202,6 +263,11 @@ fn incremental_identical_under_faults() {
             };
             let batch = analyze_with_faults(&cfg, spec, &spec.params, &faults).expect("batch run");
             assert_runs_equal(&inc, &batch, &tag);
+            // The salvaged trace a recording sink keeps is the batch one.
+            let recorded =
+                analyze_recorded(&cfg, spec, &spec.params, &faults).expect("recorded run");
+            assert_runs_equal(&recorded, &batch, &tag);
+            assert_eq!(recorded.trace(), batch.trace(), "{tag}: re-based trace");
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Rendering tests for the report generators: every artifact renders, and
 //! the rendered text carries the headline facts.
 
-use report_gen::{analyze, figures, hbval, matrix, tables, ReportCfg};
+use report_gen::{
+    analyze, analyze_recorded, figures, hbval, matrix, tables, AnalyzedRun, ReportCfg,
+};
 
 fn cfg() -> ReportCfg {
     ReportCfg {
@@ -9,6 +11,12 @@ fn cfg() -> ReportCfg {
         seed: 5,
         max_skew_ns: 20_000,
     }
+}
+
+/// FLASH-fbs with its trace kept, for the renders that read it.
+fn recorded_flash() -> AnalyzedRun {
+    let spec = hpcapps::spec_ref(hpcapps::AppId::FlashFbs);
+    analyze_recorded(&cfg(), spec, &spec.params, &iolibs::FaultPlan::none()).expect("clean run")
 }
 
 #[test]
@@ -53,7 +61,7 @@ fn measured_tables_and_figures_render() {
 
 #[test]
 fn fig2_series_and_summary() {
-    let run = analyze(&cfg(), hpcapps::spec_ref(hpcapps::AppId::FlashFbs));
+    let run = recorded_flash();
     let csv = figures::fig2_csv(&run, true);
     assert!(
         csv.lines().count() > 100,

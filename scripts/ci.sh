@@ -30,6 +30,13 @@ if grep -rn 'adjust::apply' crates/*/src; then
     echo "program code copies a trace to adjust it"
     exit 1
 fi
+# A trace is kept only for a recording sink (`iolibs::Recording`); the
+# cold path and the tables attach none and read the streamed results, so
+# neither may grow a trace back.
+if grep -nE '\.trace\b' crates/report/src/serve_backend.rs crates/report/src/tables.rs; then
+    echo "the serve cold path or a table reads a trace"
+    exit 1
+fi
 
 echo "ci: one FNV-1a, one JSON"
 # Every persisted or compared hash is `obs::fnv` (`cluster::ring` keeps a
