@@ -4,14 +4,14 @@
 //! communication (delegated to [`mpisim`]), POSIX file I/O (delegated to
 //! [`pfssim`] with latency from the cost model), and transparent tracing of
 //! every POSIX call, with the correct *origin* layer attribution, to the
-//! run's sink — and into a [`recorder::RankTracer`] when the run records
+//! run's sink — or, when the run has none, into a [`recorder::RankTracer`]
 //! (see [`crate::sink`]).
 //!
 //! [`run_app`] executes one SPMD closure on every rank, performs the
 //! startup barrier the paper uses for clock adjustment (§5.2), and returns
-//! the quiesced file system together with the trace, when one was
-//! recorded: each rank's records with the MPI runtime's happens-before
-//! events merged in, assembled into a [`TraceSet`].
+//! the quiesced file system together with the trace, when the run kept
+//! one: each rank's records with the MPI runtime's happens-before events
+//! merged in, assembled into a [`TraceSet`].
 
 use mpisim::{apply_skew, FaultPlan, IoFault, OpClass, Rank, SimAbort, SimError, World, WorldCfg};
 use pfssim::{
@@ -22,7 +22,7 @@ use recorder::{Func, Layer, MetaKind, RankTracer, Record, SeekWhence, SharedInte
 
 use crate::sink::SinkHandle;
 
-/// Records buffered per rank before a tee'd chunk is pushed to the sink.
+/// Records buffered per rank before a chunk is pushed to the sink.
 const SINK_CHUNK: usize = 64;
 
 /// A POSIX file descriptor in the simulated file system.
@@ -40,9 +40,9 @@ pub struct RunConfig {
     /// race-free programs; the engine matters for the stale-read
     /// validation experiments.)
     pub pfs: PfsConfig,
-    /// Optional streaming sink the run tees its POSIX records to as they
-    /// are emitted (see [`crate::sink`]). The run keeps a trace when there
-    /// is none, or when the sink records.
+    /// Optional streaming sink the run sends its records to as they are
+    /// emitted (see [`crate::sink`]). The run keeps a trace exactly when
+    /// there is none.
     pub sink: Option<SinkHandle>,
 }
 
@@ -77,9 +77,8 @@ impl RunConfig {
         self
     }
 
-    /// Tee the run's POSIX records to `sink` as they are emitted (see
-    /// [`crate::sink`]). The run keeps a trace only if `sink` records
-    /// ([`crate::RunSink::records`]).
+    /// Stream the run's records to `sink` as they are emitted (see
+    /// [`crate::sink`]) instead of keeping a trace.
     pub fn with_sink(mut self, sink: SinkHandle) -> Self {
         self.sink = Some(sink);
         self
@@ -90,11 +89,10 @@ impl RunConfig {
 pub struct RunOutcome {
     /// The multi-level trace, with raw (skewed, unadjusted) timestamps —
     /// exactly what a Recorder-style tracer would hand the analysis. A run
-    /// whose sink does not record gets the ranks and clock skews but no
-    /// records.
+    /// with a sink gets the ranks and clock skews but no records.
     pub trace: TraceSet,
     /// Every record the run emitted — POSIX, library-level and MPI —
-    /// counted whether or not it was kept: a recorded trace's
+    /// counted whether or not it was kept: a kept trace's
     /// [`TraceSet::total_records`].
     pub records: u64,
     /// The file system, already quiesced (all buffered writes propagated).
@@ -208,21 +206,22 @@ where
     let pfs = pfs.clone();
     let interner = recorder::shared_interner();
     let world = &cfg.world;
-    let record = cfg.sink.as_ref().is_none_or(|sink| sink.0.records());
     let _run_span = obs::span("iolibs", "run_app")
         .with_arg("label", world.label.as_str())
         .with_arg("nranks", world.nranks as u64)
         .with_arg("seed", world.seed);
     let out = World::run(world, |rank| {
         let r = rank.rank();
-        let tracer = record.then(|| RankTracer::new(r, SharedInterner::clone(&interner)));
+        let output = match &cfg.sink {
+            None => Output::Trace(RankTracer::new(r, SharedInterner::clone(&interner))),
+            Some(sink) => Output::Stream(Stream::new(sink.clone())),
+        };
         let mut ctx = AppCtx::new(
             rank,
             pfs.client(r),
             SharedInterner::clone(&interner),
-            tracer,
+            output,
             *pfs.config(),
-            cfg.sink.clone(),
         );
         // The paper's runs start with a barrier whose exit is used as t=0
         // for clock adjustment; the harness issues it on behalf of the app.
@@ -244,8 +243,8 @@ where
         }
     })?;
 
-    // Count every rank's records; a recorded trace also gets the MPI
-    // runtime's event log merged into each rank's record stream.
+    // Count every rank's records; a kept trace also gets the MPI runtime's
+    // event log merged into each rank's record stream.
     let mut tracers = Vec::with_capacity(world.nranks as usize);
     let mut observations = Vec::with_capacity(world.nranks as usize);
     let mut records = 0;
@@ -253,8 +252,11 @@ where
         let (tracer, obs, emitted) = result.unwrap_or_else(|| {
             // A rank whose closure vanished without salvage (cannot happen
             // via this harness, which catches SimAbort above): empty trace.
-            let empty = RankTracer::new(rank as u32, SharedInterner::clone(&interner));
-            (record.then_some(empty), Vec::new(), 0)
+            let empty = cfg
+                .sink
+                .is_none()
+                .then(|| RankTracer::new(rank as u32, SharedInterner::clone(&interner)));
+            (empty, Vec::new(), 0)
         });
         records += emitted + events.len() as u64;
         if let Some(mut tracer) = tracer {
@@ -266,16 +268,15 @@ where
     }
     let interner = interner.lock().expect("interner poisoned");
     let remap = recorder::canonical_remap(&interner);
-    if let Some(sink) = &cfg.sink {
-        sink.0.assembly_remap(&remap);
-    }
-    let trace = if record {
-        TraceSet::assemble(&interner, &remap, tracers, out.skews_ns)
-    } else {
-        TraceSet {
-            paths: Vec::new(),
-            ranks: vec![Vec::new(); world.nranks as usize],
-            skews_ns: out.skews_ns,
+    let trace = match &cfg.sink {
+        None => TraceSet::assemble(&interner, &remap, tracers, out.skews_ns),
+        Some(sink) => {
+            sink.0.assembly_remap(&remap);
+            TraceSet {
+                paths: Vec::new(),
+                ranks: vec![Vec::new(); world.nranks as usize],
+                skews_ns: out.skews_ns,
+            }
         }
     };
     let faults = out
@@ -315,23 +316,68 @@ pub struct AppCtx {
     rank: Rank,
     client: pfssim::PfsClient,
     interner: SharedInterner,
-    /// This rank's raw trace; `None` unless the run's sink records.
-    tracer: Option<RankTracer>,
+    /// Where this rank's records go.
+    output: Output,
     /// POSIX and library-level records emitted so far, kept or not.
     emitted: u64,
     pfs_cfg: PfsConfig,
     origin: Layer,
     next_lib_id: u32,
-    /// Streaming tee (see [`crate::sink`]); `None` on ordinary runs.
-    sink: Option<SinkHandle>,
+}
+
+/// A rank's one output: the run streams to its sink, or, without one,
+/// keeps a trace (see [`crate::sink`]).
+enum Output {
+    /// This rank's raw trace.
+    Trace(RankTracer),
+    Stream(Stream),
+}
+
+/// A rank's end of the run's sink.
+struct Stream {
+    sink: SinkHandle,
     /// This rank's barrier-adjustment zero (local-clock exit time of the
     /// startup barrier), captured at the first `barrier()`. Records are
-    /// tee'd only once it is known — before the startup barrier the app
-    /// has issued no I/O.
-    sink_zero: Option<u64>,
-    sink_buf: Vec<Record>,
-    /// How much of this rank's MPI event log has been tee'd.
-    sink_events: usize,
+    /// streamed only once it is known — before the startup barrier the
+    /// app has issued no I/O.
+    zero: Option<u64>,
+    buf: Vec<Record>,
+    /// How much of this rank's MPI event log has been streamed.
+    events: usize,
+}
+
+impl Stream {
+    fn new(sink: SinkHandle) -> Self {
+        Stream {
+            sink,
+            zero: None,
+            buf: Vec::new(),
+            events: 0,
+        }
+    }
+
+    /// Push the buffered POSIX records, then the MPI records mpisim logged
+    /// for `rank` since the last push (collectives log theirs there).
+    /// Every push goes through here: no frontier passes an unseen record.
+    fn push(&mut self, rank: &Rank, frontier: u64) {
+        let Some(zero) = self.zero else {
+            return;
+        };
+        let (skew, buf) = (rank.skew_ns(), &mut self.buf);
+        self.events = rank.events_since(self.events, |e| buf.push(mpi_record(e, skew, zero)));
+        if !buf.is_empty() {
+            self.sink.0.push(rank.rank(), buf, frontier);
+            buf.clear();
+        }
+    }
+
+    /// Push the buffered records, if any. The last one's `t_start` is the
+    /// frontier: a rank's records are emitted in nondecreasing time.
+    fn flush(&mut self, rank: &Rank) {
+        if let Some(last) = self.buf.last() {
+            self.push(rank, last.t_start);
+        }
+    }
 }
 
 impl AppCtx {
@@ -339,66 +385,35 @@ impl AppCtx {
         rank: Rank,
         client: pfssim::PfsClient,
         interner: SharedInterner,
-        tracer: Option<RankTracer>,
+        output: Output,
         pfs_cfg: PfsConfig,
-        sink: Option<SinkHandle>,
     ) -> Self {
         AppCtx {
             rank,
             client,
             interner,
-            tracer,
+            output,
             emitted: 0,
             pfs_cfg,
             origin: Layer::App,
             next_lib_id: 1,
-            sink,
-            sink_zero: None,
-            sink_buf: Vec::new(),
-            sink_events: 0,
         }
     }
 
     /// This rank's trace (if kept), read observations, and emitted
-    /// record count.
+    /// record count. A streaming rank pushes what it still buffers and
+    /// signals it is done — on normal completion and on the fail-stop
+    /// salvage path alike.
     fn into_parts(mut self) -> (Option<RankTracer>, Vec<Observation>, u64) {
-        self.sink_finish();
-        let obs = self.client.take_observations();
-        (self.tracer, obs, self.emitted)
-    }
-
-    /// Flush buffered tee records, if any. The last one's `t_start` is the
-    /// frontier: a rank's records are emitted in nondecreasing time.
-    fn sink_flush(&mut self) {
-        if let Some(last) = self.sink_buf.last() {
-            self.sink_push(last.t_start);
-        }
-    }
-
-    /// Push the buffered POSIX records, then the MPI records mpisim logged
-    /// for this rank since the last push (collectives log theirs there).
-    /// Every push goes through here: no frontier passes an unseen record.
-    fn sink_push(&mut self, frontier: u64) {
-        let (Some(sink), Some(zero)) = (&self.sink, self.sink_zero) else {
-            return;
+        let tracer = match self.output {
+            Output::Trace(tracer) => Some(tracer),
+            Output::Stream(mut stream) => {
+                stream.push(&self.rank, 0);
+                stream.sink.0.rank_done(self.rank.rank());
+                None
+            }
         };
-        let (skew, buf) = (self.rank.skew_ns(), &mut self.sink_buf);
-        self.sink_events = self
-            .rank
-            .events_since(self.sink_events, |e| buf.push(mpi_record(e, skew, zero)));
-        if !buf.is_empty() {
-            sink.0.push(self.rank.rank(), buf, frontier);
-            buf.clear();
-        }
-    }
-
-    /// Final flush + done signal; covers both normal completion and the
-    /// fail-stop salvage path (both go through `into_parts`).
-    fn sink_finish(&mut self) {
-        self.sink_push(0);
-        if let Some(sink) = self.sink.take() {
-            sink.0.rank_done(self.rank.rank());
-        }
+        (tracer, self.client.take_observations(), self.emitted)
     }
 
     pub fn rank(&self) -> u32 {
@@ -442,13 +457,13 @@ impl AppCtx {
         layer: Layer,
         f: impl FnOnce(&mut Self) -> FsResult<(R, Func)>,
     ) -> FsResult<R> {
-        let t0 = self.tracer.is_some().then(|| self.rank.now());
+        let t0 = matches!(self.output, Output::Trace(_)).then(|| self.rank.now());
         let prev = std::mem::replace(&mut self.origin, layer);
         let res = f(self);
         self.origin = prev;
         let (r, func) = res?;
         self.emitted += 1;
-        if let (Some(tracer), Some(t0)) = (&mut self.tracer, t0) {
+        if let (Output::Trace(tracer), Some(t0)) = (&mut self.output, t0) {
             let (s, e) = (
                 self.rank.local_clock(t0),
                 self.rank.local_clock(self.rank.now()),
@@ -479,23 +494,25 @@ impl AppCtx {
         // Everything emitted so far is ordered before the barrier; hand it
         // to the sink before blocking so the analysis can overlap with the
         // wait.
-        self.sink_flush();
+        if let Output::Stream(stream) = &mut self.output {
+            stream.flush(&self.rank);
+        }
         let info = self.rank.barrier();
-        let Some(sink) = &self.sink else {
+        let Output::Stream(stream) = &mut self.output else {
             return;
         };
         // The epoch is a happens-before boundary the sink may retire state
         // at; the one rank whose arrival released it says so, before its
         // frontier moves past the barrier.
         if info.released {
-            sink.0.epoch_released(info.epoch);
+            stream.sink.0.epoch_released(info.epoch);
         }
         // The first barrier's local-clock exit is the adjustment zero, as
         // `recorder::adjust::compute` derives it post-hoc. Every exit is a
         // frontier promise: no future record starts before it.
         let exit_local = self.rank.local_clock(info.t_exit);
-        let zero = *self.sink_zero.get_or_insert(exit_local);
-        self.sink_push(exit_local - zero);
+        let zero = *stream.zero.get_or_insert(exit_local);
+        stream.push(&self.rank, exit_local - zero);
     }
 
     pub fn send(&mut self, dst: u32, tag: u32, payload: Vec<u8>) {
@@ -607,24 +624,24 @@ impl AppCtx {
     fn rec_posix(&mut self, t0: u64, t1: u64, func: Func) {
         let (s, e) = (self.rank.local_clock(t0), self.rank.local_clock(t1));
         self.emitted += 1;
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(s, e, Layer::Posix, self.origin, func);
-        }
-        // Tee to the streaming sink, already barrier-adjusted. Library-level
-        // spans are not streamed (not time-ordered per rank); MPI records
-        // join the POSIX ones at each push.
-        if self.sink.is_some() {
-            if let Some(zero) = self.sink_zero {
-                self.sink_buf.push(Record {
-                    t_start: s.saturating_sub(zero),
-                    t_end: e.saturating_sub(zero),
-                    rank: self.rank.rank(),
-                    layer: Layer::Posix,
-                    origin: self.origin,
-                    func,
-                });
-                if self.sink_buf.len() >= SINK_CHUNK {
-                    self.sink_flush();
+        match &mut self.output {
+            Output::Trace(tracer) => tracer.record(s, e, Layer::Posix, self.origin, func),
+            // Streamed already barrier-adjusted. Library-level spans are not
+            // streamed (not time-ordered per rank); MPI records join the
+            // POSIX ones at each push.
+            Output::Stream(stream) => {
+                if let Some(zero) = stream.zero {
+                    stream.buf.push(Record {
+                        t_start: s.saturating_sub(zero),
+                        t_end: e.saturating_sub(zero),
+                        rank: self.rank.rank(),
+                        layer: Layer::Posix,
+                        origin: self.origin,
+                        func,
+                    });
+                    if stream.buf.len() >= SINK_CHUNK {
+                        stream.flush(&self.rank);
+                    }
                 }
             }
         }

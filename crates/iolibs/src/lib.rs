@@ -40,4 +40,4 @@ pub use mpisim::{
 };
 pub use netcdf::NcFile;
 pub use silo::{SiloFile, SiloOpts};
-pub use sink::{Recording, RunSink, SinkHandle};
+pub use sink::{RunSink, SinkHandle};

@@ -1,8 +1,7 @@
-//! Record sinks: online consumers of a run's trace, and the one sink that
-//! keeps it.
+//! Record sinks: online consumers of a run's trace.
 //!
 //! A [`RunConfig`](crate::RunConfig) carrying a [`SinkHandle`] makes every
-//! rank *tee* its POSIX and MPI records to the sink as they are emitted,
+//! rank stream its POSIX and MPI records to the sink as they are emitted,
 //! already barrier-adjusted (re-based so the startup-barrier exit is t = 0,
 //! the same adjustment [`recorder::adjust::rebase`] performs post-hoc). The
 //! harness additionally signals barrier epoch commits and, once the run
@@ -24,18 +23,14 @@
 //! * Every callback runs on a simulated rank (or, for `assembly_remap`,
 //!   the run's caller), outside the simulator's lock.
 //!
-//! Keeping a trace is a property of the sink, not a setting of the run:
-//! a run records its [`TraceSet`](recorder::TraceSet) only when its sink
-//! says so ([`RunSink::records`]; [`Recording`] is the sink that does), or
-//! when it has no sink at all (its trace is then all it returns). Only
-//! then does each rank append to a [`RankTracer`](recorder::RankTracer) —
-//! every POSIX and library-level record, on the rank's raw (skewed,
-//! unadjusted) clock, the MPI records merged in at the end — and the
-//! harness assembles the trace with the same remap it sends
-//! `assembly_remap`, handing it back as
-//! [`RunOutcome::trace`](crate::RunOutcome::trace). Any other run builds
-//! no trace: its `RunOutcome::trace` holds the ranks and their clock skews
-//! but no records. Either way
+//! A run streams or records, never both. With a sink it builds no trace:
+//! its [`RunOutcome::trace`](crate::RunOutcome::trace) holds the ranks and
+//! their clock skews but no records. Without one, each rank appends to a
+//! [`RankTracer`](recorder::RankTracer) instead — every POSIX and
+//! library-level record, on the rank's raw (skewed, unadjusted) clock, the
+//! MPI records merged in at the end — and the harness assembles the trace
+//! with [`recorder::canonical_remap`], handing it back as `trace` for the
+//! at-rest analyses. Either way
 //! [`RunOutcome::records`](crate::RunOutcome::records) counts what the run
 //! emitted.
 
@@ -60,50 +55,10 @@ pub trait RunSink: Send + Sync {
         let _ = epoch;
     }
 
-    /// The path canonicalization applied at trace assembly:
+    /// The path canonicalization a trace of the run is assembled with:
     /// `remap[streamed_id] = canonical_id`.
     fn assembly_remap(&self, remap: &[u32]) {
         let _ = remap;
-    }
-
-    /// Whether the run keeps its trace for this sink's caller.
-    fn records(&self) -> bool {
-        false
-    }
-}
-
-/// The recording sink: the run keeps its trace, and streams on to
-/// `inner` as if it were attached alone — so an analyzer and the trace
-/// the readers after it need ride one run.
-pub struct Recording {
-    inner: SinkHandle,
-}
-
-impl Recording {
-    pub fn tee(inner: SinkHandle) -> Self {
-        Recording { inner }
-    }
-}
-
-impl RunSink for Recording {
-    fn push(&self, rank: u32, records: &[Record], frontier: u64) {
-        self.inner.0.push(rank, records, frontier);
-    }
-
-    fn rank_done(&self, rank: u32) {
-        self.inner.0.rank_done(rank);
-    }
-
-    fn epoch_released(&self, epoch: u64) {
-        self.inner.0.epoch_released(epoch);
-    }
-
-    fn assembly_remap(&self, remap: &[u32]) {
-        self.inner.0.assembly_remap(remap);
-    }
-
-    fn records(&self) -> bool {
-        true
     }
 }
 

@@ -279,7 +279,12 @@ impl FlightRecorder {
         let t = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(t & self.mask) as usize];
         // Odd seq marks the write in flight; readers discard the slot.
-        slot.seq.store(2 * t + 1, Ordering::Release);
+        // A release store orders only the writes before it, so the fence
+        // after it is what keeps the field stores below from becoming
+        // visible ahead of the odd seq (the seqlock writer's half of the
+        // reader's acquire fence).
+        slot.seq.store(2 * t + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.ts.store(ts_ns, Ordering::Relaxed);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.code.store(code, Ordering::Relaxed);

@@ -8,8 +8,8 @@ use hpcapps::{AppId, AppSpec};
 
 use crate::cli::{Cli, Command, Flag, Parsed};
 use crate::{
-    analyze_all_isolated, analyze_isolated, analyze_recorded, isolated, AnalyzedRun, ConfigOutcome,
-    ReportCfg,
+    analyze_all_isolated, analyze_isolated, analyze_with_faults, isolated, AnalyzedRun,
+    ConfigOutcome, ReportCfg,
 };
 
 mod client;
@@ -150,20 +150,21 @@ impl RunOpts {
         self.salvage(analyze_isolated(&self.cfg, spec, &spec.params, &clean))
     }
 
-    /// [`RunOpts::run_one`], keeping the run's trace for a reader of it.
-    fn record_one(&mut self, spec: &'static AppSpec) -> Option<AnalyzedRun> {
+    /// [`RunOpts::run_one`] at rest: the run keeps its trace for a reader
+    /// of it ([`analyze_with_faults`]).
+    fn at_rest_one(&mut self, spec: &'static AppSpec) -> Option<AnalyzedRun> {
         let clean = iolibs::FaultPlan::none();
         let cfg = self.cfg;
         self.salvage(isolated(spec, || {
-            analyze_recorded(&cfg, spec, &spec.params, &clean)
+            analyze_with_faults(&cfg, spec, &spec.params, &clean)
         }))
     }
 
     /// The full Table 4 suite under the same contract, fanned across
-    /// `threads` workers; the configurations in `recorded` keep their
-    /// traces.
-    fn run_suite(&mut self, threads: usize, recorded: &[AppId]) -> Vec<AnalyzedRun> {
-        analyze_all_isolated(&self.cfg, false, threads, recorded)
+    /// `threads` workers; the configurations in `at_rest` are analyzed at
+    /// rest and keep their traces.
+    fn run_suite(&mut self, threads: usize, at_rest: &[AppId]) -> Vec<AnalyzedRun> {
+        analyze_all_isolated(&self.cfg, false, threads, at_rest)
             .into_iter()
             .filter_map(|outcome| self.salvage(outcome))
             .collect()

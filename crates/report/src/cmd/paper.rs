@@ -19,7 +19,7 @@ enum Render {
     /// when it ran, else run individually).
     Of(&'static [AppId], fn(&[&AnalyzedRun]) -> String),
     /// [`Render::Of`] for a render that reads the runs' traces: these
-    /// configurations run recorded.
+    /// configurations are analyzed at rest.
     Traced(&'static [AppId], fn(&[&AnalyzedRun]) -> String),
 }
 use Render::{Of, Static, Suite, Traced};
@@ -140,14 +140,14 @@ pub(super) fn render(p: &Parsed) -> Result<i32, String> {
     let mut code = 0;
     if selected.iter().any(|a| !matches!(a.render, Static(_))) {
         let mut opts = RunOpts::parse(p)?;
-        let recorded: Vec<AppId> = selected
+        let at_rest: Vec<AppId> = selected
             .iter()
             .filter(|a| matches!(a.render, Traced(..)))
             .flat_map(|a| a.render.ids())
             .copied()
             .collect();
         if selected.iter().any(|a| matches!(a.render, Suite(_))) {
-            pool = opts.run_suite(p.get(&THREADS)?, &recorded);
+            pool = opts.run_suite(p.get(&THREADS)?, &at_rest);
             suite_len = pool.len();
         }
         let mut tried: Vec<AppId> = pool.iter().map(|r| r.spec.id).collect();
@@ -155,8 +155,8 @@ pub(super) fn render(p: &Parsed) -> Result<i32, String> {
             if !tried.contains(&id) {
                 tried.push(id);
                 let spec = hpcapps::spec_ref(id);
-                pool.extend(if recorded.contains(&id) {
-                    opts.record_one(spec)
+                pool.extend(if at_rest.contains(&id) {
+                    opts.at_rest_one(spec)
                 } else {
                     opts.run_one(spec)
                 });

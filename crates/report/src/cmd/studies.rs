@@ -118,7 +118,7 @@ pub(super) fn semantics_matrix(p: &Parsed) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Run `specs` one by one through `run` (recorded or not) under the
+/// Run `specs` one by one through `run` (streamed or at rest) under the
 /// `--keep-going` contract and hand each surviving run to `row`; returns
 /// the exit code.
 fn each_run(
@@ -160,7 +160,7 @@ pub(super) fn app_report(p: &Parsed) -> Result<i32, String> {
     Ok(each_run(
         opts,
         specs.into_iter(),
-        RunOpts::record_one,
+        RunOpts::at_rest_one,
         |spec, run| {
             let rep = semantics_core::apprun::build(run.trace());
             print!("{}", rep.render(&spec.config_name()));
@@ -224,7 +224,7 @@ pub(super) fn advise(p: &Parsed) -> Result<i32, String> {
     Ok(each_run(
         opts,
         table4_specs(),
-        RunOpts::record_one,
+        RunOpts::at_rest_one,
         |spec, run| {
             let advice = semantics_core::advisor::advise_commits(&run.resolved());
             println!(
@@ -274,7 +274,7 @@ pub(super) fn meta_conflicts(p: &Parsed) -> Result<i32, String> {
     Ok(each_run(
         opts,
         table4_specs(),
-        RunOpts::record_one,
+        RunOpts::at_rest_one,
         |spec, run| {
             use semantics_core::meta_conflict::MetaPairKind as K;
             let m = semantics_core::meta_conflict::detect_meta_conflicts(run.trace());

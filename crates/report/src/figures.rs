@@ -64,8 +64,8 @@ pub fn fig1_csv(runs: &[AnalyzedRun]) -> String {
 /// run, the data behind the paper's six scatter plots.
 ///
 /// `fbs` selects panels (a,b,c) (collective) vs (d,e,f) (independent).
-/// Reads the run's trace: `run` must be recorded
-/// ([`crate::runner::analyze_recorded`]).
+/// Reads the run's trace: `run` must be analyzed at rest
+/// ([`crate::runner::analyze_with_faults`]).
 pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
     let mode = if fbs { "fbs" } else { "nofbs" };
     let mut out = String::from("panel,rank,t_us,offset,len,kind,origin\n");
@@ -103,7 +103,7 @@ pub fn fig2_csv(run: &AnalyzedRun, fbs: bool) -> String {
 
 /// Summary of the Figure 2 phenomena, checked numerically: how many ranks
 /// write checkpoint data vs metadata under each mode. `run` must be
-/// recorded, as for [`fig2_csv`].
+/// analyzed at rest, as for [`fig2_csv`].
 pub fn fig2_summary(run: &AnalyzedRun, label: &str) -> String {
     let mut data_writers: Vec<u32> = Vec::new();
     let mut meta_writers: Vec<u32> = Vec::new();

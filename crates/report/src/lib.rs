@@ -3,9 +3,10 @@
 //! One module per experiment, all driven by [`runner`], which executes an
 //! application replica through the simulated stack with the streaming
 //! analyzer attached (resolve → conflicts → patterns → census →
-//! happens-before while the run is in flight; then the verdict). A run
-//! keeps its trace, re-based in place, only for the readers that ask for
-//! one ([`runner::analyze_recorded`]).
+//! happens-before while the run is in flight; then the verdict). The
+//! readers of a trace run without one instead: the run records its trace,
+//! and the at-rest pipeline analyzes it afterwards
+//! ([`runner::analyze_with_faults`]).
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|
@@ -41,7 +42,7 @@ pub mod tables;
 pub use serve_backend::ReportBackend;
 
 pub use runner::{
-    analyze, analyze_all_isolated, analyze_all_threaded, analyze_incremental, analyze_isolated,
-    analyze_recorded, analyze_with_faults, analyze_with_params, isolated, AnalyzedRun,
+    analyze, analyze_all_isolated, analyze_all_threaded, analyze_at_rest, analyze_incremental,
+    analyze_isolated, analyze_with_faults, analyze_with_params, isolated, AnalyzedRun,
     ConfigOutcome, ReportCfg,
 };

@@ -7,12 +7,13 @@
 //! contents), so diffing each rank's read-observation log against the
 //! strong-consistency run reveals exactly the reads the weaker engine
 //! changed. This turns the paper's *static* prediction (Table 4 +
-//! §3-categorization) into a *dynamic* check.
+//! §3-categorization) into a *dynamic* check; the prediction is drawn at
+//! rest from the strong run's own trace.
 
 use std::fmt::Write as _;
 
 use hpcapps::AppSpec;
-use iolibs::{run_app, RunConfig};
+use iolibs::{run_app, RunConfig, RunOutcome};
 use pfssim::{Observation, SemanticsModel};
 
 use crate::runner::ReportCfg;
@@ -39,13 +40,13 @@ pub struct MatrixRow {
     pub predicted: semantics_core::ConsistencyModel,
 }
 
-/// Per-rank observation logs plus a digest of every file's final
-/// (quiesced) contents + provenance.
+/// The run (its trace and per-rank observation logs) plus a digest of
+/// every file's final (quiesced) contents + provenance.
 fn execute(
     cfg: &ReportCfg,
     spec: &AppSpec,
     model: SemanticsModel,
-) -> (Vec<Vec<Observation>>, Vec<(String, u64)>) {
+) -> (RunOutcome, Vec<(String, u64)>) {
     let run_cfg = RunConfig::new(cfg.nranks, cfg.seed)
         .with_max_skew_ns(cfg.max_skew_ns)
         .with_semantics(model);
@@ -61,7 +62,7 @@ fn execute(
             (path, img.digest(0, size) ^ size.rotate_left(17))
         })
         .collect();
-    (out.observations, images)
+    (out, images)
 }
 
 fn diff(strong: &[Vec<Observation>], other: &[Vec<Observation>]) -> (u64, u64) {
@@ -86,15 +87,15 @@ fn diff(strong: &[Vec<Observation>], other: &[Vec<Observation>]) -> (u64, u64) {
 
 /// Run one configuration under every engine and diff against strong.
 pub fn semantics_matrix_row(cfg: &ReportCfg, spec: &'static AppSpec) -> MatrixRow {
-    let (strong_obs, strong_imgs) = execute(cfg, spec, SemanticsModel::Strong);
+    let (strong, strong_imgs) = execute(cfg, spec, SemanticsModel::Strong);
     let mut cells = Vec::new();
     for model in [
         SemanticsModel::Commit,
         SemanticsModel::Session,
         SemanticsModel::Eventual,
     ] {
-        let (obs, imgs) = execute(cfg, spec, model);
-        let (stale_reads, total_reads) = diff(&strong_obs, &obs);
+        let (out, imgs) = execute(cfg, spec, model);
+        let (stale_reads, total_reads) = diff(&strong.observations, &out.observations);
         assert_eq!(
             strong_imgs.len(),
             imgs.len(),
@@ -115,12 +116,14 @@ pub fn semantics_matrix_row(cfg: &ReportCfg, spec: &'static AppSpec) -> MatrixRo
             diverged_files,
         });
     }
-    // Static prediction from the trace analysis.
-    let analyzed = crate::runner::analyze(cfg, spec);
+    // Static prediction: the strong run is the one the verdict pipelines
+    // simulate, so its trace is analyzed at rest.
     MatrixRow {
         config: spec.config_name(),
         cells,
-        predicted: analyzed.verdict.required,
+        predicted: crate::runner::analyze_at_rest(spec, strong)
+            .verdict
+            .required,
     }
 }
 

@@ -1,26 +1,28 @@
 //! Run one application configuration through the stack and the full
 //! analysis pipeline.
 //!
-//! Everything here *runs a simulation*, so everything here streams: the
-//! run carries a [`StreamingAnalyzer`] as its record sink
-//! ([`analyze_incremental`]), and [`analyze`], [`analyze_with_params`],
-//! [`analyze_all_threaded`] and the isolated (`--keep-going`) entry points
-//! are that one pipeline under different failure contracts. A run keeps
-//! its trace only when the caller asks for the readers that need one
-//! ([`analyze_recorded`]): then a [`Recording`] sink sits in front of the
-//! analyzer. Verdicts, tables and the service never do. The paper's
-//! algorithms as published — the at-rest functions of `semantics_core`,
-//! which `tracetool` and the facade call on finished traces — are
-//! assembled once more in the reference pipeline below, which
-//! `tests/incremental_identity.rs` holds the streaming one byte-identical
-//! to; nothing else calls it.
+//! Two pipelines, chosen by what the caller reads. A run streams or
+//! records, never both:
+//!
+//! * Streamed ([`analyze_incremental`]): the run carries a
+//!   [`StreamingAnalyzer`] as its record sink and keeps no trace.
+//!   [`analyze`], [`analyze_with_params`], [`analyze_all_threaded`] and
+//!   the isolated (`--keep-going`) entry points are this one pipeline
+//!   under different failure contracts — verdicts, tables, `check`, the
+//!   fault campaign and the service.
+//! * At rest ([`analyze_with_faults`]): the run has no sink, so it records
+//!   its trace, and the paper's algorithms as published — the at-rest
+//!   functions of `semantics_core`, which `tracetool` and the facade call
+//!   on finished traces — analyze it afterwards ([`analyze_at_rest`]). The
+//!   readers of a trace (Figure 2, `app-report`, `advise`,
+//!   `meta-conflicts`) take this one, and it is the reference
+//!   `tests/incremental_identity.rs` holds the stream byte-identical to.
 
 use std::sync::Arc;
 
 use hpcapps::{AppId, AppSpec, ScaleParams};
 use iolibs::{
-    run_app_result, FaultPlan, Recording, RunConfig, RunOutcome, SimError, SinkHandle,
-    DEFAULT_MAX_SKEW_NS,
+    run_app_result, FaultPlan, RunConfig, RunOutcome, SimError, SinkHandle, DEFAULT_MAX_SKEW_NS,
 };
 use pfssim::PfsStats;
 use recorder::offset::ResolveCounts;
@@ -59,16 +61,17 @@ pub struct AnalyzedRun {
     /// Cached `spec.config_name()`; rendering uses it repeatedly.
     name: String,
     /// The run's trace, re-based in place to the startup barrier's exit
-    /// ([`adjust::rebase`]) — kept only by a recorded run
-    /// ([`analyze_recorded`]). No verdict reads it; Figure 2, `app-report`,
-    /// `advise` and `meta-conflicts` do, through [`AnalyzedRun::trace`].
+    /// ([`adjust::rebase`]) — kept only by a run analyzed at rest
+    /// ([`analyze_with_faults`]). No verdict reads it; Figure 2,
+    /// `app-report`, `advise` and `meta-conflicts` do, through
+    /// [`AnalyzedRun::trace`].
     trace: Option<TraceSet>,
     /// Spread of the clock skews injected into the ranks (max − min, ns),
     /// kept by every run: §5.2's validation compares it with the gaps
     /// between conflicting operations.
     pub skew_spread_ns: u64,
     /// Every record the run emitted (POSIX, library-level, MPI), kept or
-    /// not: what a recorded trace's [`TraceSet::total_records`] says.
+    /// not: what a kept trace's [`TraceSet::total_records`] says.
     pub records: u64,
     /// The file system's counters at the end of the run (its file images
     /// are not kept).
@@ -96,13 +99,12 @@ impl AnalyzedRun {
         &self.name
     }
 
-    /// The run's re-based trace. Panics unless the run was recorded
-    /// ([`analyze_recorded`]): a reader of the trace must attach the
-    /// recording sink that keeps one.
+    /// The run's re-based trace. Panics unless the run was analyzed at
+    /// rest ([`analyze_with_faults`]): a streamed run keeps none.
     pub fn trace(&self) -> &TraceSet {
         self.trace
             .as_ref()
-            .unwrap_or_else(|| panic!("{}: analyzed without a recording sink", self.name))
+            .unwrap_or_else(|| panic!("{}: streamed, so it kept no trace", self.name))
     }
 
     /// The resolved accesses and sync events, derived at rest from
@@ -180,32 +182,41 @@ fn run_config(
     result.map(|outcome| (span, outcome))
 }
 
-/// The reference pipeline: run the configuration to completion, then
-/// hand the finished trace to the at-rest functions, one call per
-/// analysis. Same contract as [`analyze_incremental`], which
-/// `tests/incremental_identity.rs` compares against it.
+/// The at-rest pipeline: run the configuration without a sink, so it
+/// records its trace, then analyze the finished run
+/// ([`analyze_at_rest`]). Same contract as [`analyze_incremental`], which
+/// `tests/incremental_identity.rs` compares against it; the result keeps
+/// the trace for the readers of one.
 pub fn analyze_with_faults(
     cfg: &ReportCfg,
     spec: &'static AppSpec,
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
-    let (_span, mut outcome) = run_config("config", cfg, spec, params, faults, None)?;
+    let (_span, outcome) = run_config("config", cfg, spec, params, faults, None)?;
+    Ok(analyze_at_rest(spec, outcome))
+}
+
+/// The at-rest half of [`analyze_with_faults`]: re-base the trace of a
+/// finished run that recorded one (it ran without a sink) in place, then
+/// hand it to the at-rest functions, one call per analysis.
+pub fn analyze_at_rest(spec: &'static AppSpec, mut outcome: RunOutcome) -> AnalyzedRun {
+    let nranks = outcome.trace.nranks();
     adjust::rebase(&mut outcome.trace);
     let resolved = offset::resolve(&outcome.trace);
     let session = detect_conflicts(&resolved, AnalysisModel::Session);
     let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
-    Ok(AnalyzedRun {
+    AnalyzedRun {
         spec,
         name: spec.config_name(),
-        highlevel: highlevel::classify(&resolved, cfg.nranks),
+        highlevel: highlevel::classify(&resolved, nranks),
         local: local_pattern(&resolved),
         global: global_pattern(&resolved),
         resolution: resolved.counts(),
         census: MetadataCensus::from_trace(&outcome.trace),
         verdict: required_model(&session, &commit),
         hb: validate_conflicts(&outcome.trace, &session),
-        nranks: cfg.nranks,
+        nranks,
         completeness: completeness_of(&outcome),
         pfs_stats: outcome.pfs.stats(),
         records: outcome.records,
@@ -213,14 +224,14 @@ pub fn analyze_with_faults(
         trace: Some(outcome.trace),
         session,
         commit,
-    })
+    }
 }
 
 fn completeness_of(outcome: &RunOutcome) -> Completeness {
     Completeness::from_crashed(outcome.faults.iter().map(|(r, _)| *r).collect())
 }
 
-/// Bridge from the harness's streaming record tee to the online analyzer:
+/// Bridge from the harness's record stream to the online analyzer:
 /// the run pushes adjusted per-rank record chunks, epoch commits, and the
 /// assembly path remap; the analyzer does the rest.
 struct AnalyzerSink(Arc<StreamingAnalyzer>);
@@ -258,46 +269,10 @@ pub fn analyze_incremental(
     params: &ScaleParams,
     faults: &FaultPlan,
 ) -> Result<AnalyzedRun, SimError> {
-    analyze_streamed(cfg, spec, params, faults, |analyzer| analyzer)
-}
-
-/// [`analyze_incremental`] with a [`Recording`] sink in front of the
-/// analyzer: the same results, plus the run's trace, re-based in place,
-/// for the readers that come after the verdict.
-pub fn analyze_recorded(
-    cfg: &ReportCfg,
-    spec: &'static AppSpec,
-    params: &ScaleParams,
-    faults: &FaultPlan,
-) -> Result<AnalyzedRun, SimError> {
-    analyze_streamed(cfg, spec, params, faults, |analyzer| {
-        SinkHandle::new(Arc::new(Recording::tee(analyzer)))
-    })
-}
-
-/// The streaming pipeline behind the sink `attach` makes of the analyzer's;
-/// the run keeps a trace exactly when that sink records.
-fn analyze_streamed(
-    cfg: &ReportCfg,
-    spec: &'static AppSpec,
-    params: &ScaleParams,
-    faults: &FaultPlan,
-    attach: impl FnOnce(SinkHandle) -> SinkHandle,
-) -> Result<AnalyzedRun, SimError> {
     let analyzer = Arc::new(StreamingAnalyzer::new(cfg.nranks));
-    let sink = attach(SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(
-        &analyzer,
-    )))));
-    let recorded = sink.0.records();
+    let sink = SinkHandle::new(Arc::new(AnalyzerSink(Arc::clone(&analyzer))));
     let (_span, outcome) = run_config("config:incremental", cfg, spec, params, faults, Some(sink))?;
     let inc = analyzer.finalize();
-    let completeness = completeness_of(&outcome);
-    let skew_spread_ns = adjust::raw_skew_spread_ns(&outcome.trace);
-    let trace = recorded.then(|| {
-        let mut trace = outcome.trace;
-        adjust::rebase(&mut trace);
-        trace
-    });
     Ok(AnalyzedRun {
         spec,
         name: spec.config_name(),
@@ -305,11 +280,11 @@ fn analyze_streamed(
         verdict: required_model(&inc.session, &inc.commit),
         hb: inc.hb,
         nranks: cfg.nranks,
-        completeness,
+        completeness: completeness_of(&outcome),
         pfs_stats: outcome.pfs.stats(),
         records: outcome.records,
-        skew_spread_ns,
-        trace,
+        skew_spread_ns: adjust::raw_skew_spread_ns(&outcome.trace),
+        trace: None,
         resolution: inc.resolution,
         session: inc.session,
         commit: inc.commit,
@@ -346,20 +321,20 @@ pub fn analyze_all_threaded(
 /// [`analyze_all_threaded`] with per-configuration error isolation
 /// (`--keep-going`): every configuration comes back as a
 /// [`ConfigOutcome`], so one degraded run cannot abort the suite. The
-/// configurations named in `recorded` keep their traces
-/// ([`analyze_recorded`]). Result order is still spec order.
+/// configurations named in `at_rest` are analyzed at rest and keep their
+/// traces ([`analyze_with_faults`]). Result order is still spec order.
 pub fn analyze_all_isolated(
     cfg: &ReportCfg,
     include_variants: bool,
     threads: usize,
-    recorded: &[AppId],
+    at_rest: &[AppId],
 ) -> Vec<ConfigOutcome> {
     let specs = selected_specs(include_variants);
     let clean = FaultPlan::none();
     semantics_core::parallel_map_indexed(specs.len(), threads, |k| {
         let (spec, params) = (specs[k], &specs[k].params);
-        if recorded.contains(&spec.id) {
-            isolated(spec, || analyze_recorded(cfg, spec, params, &clean))
+        if at_rest.contains(&spec.id) {
+            isolated(spec, || analyze_with_faults(cfg, spec, params, &clean))
         } else {
             isolated(spec, || analyze_incremental(cfg, spec, params, &clean))
         }

@@ -1,64 +1,15 @@
 //! The §6.1 scale-invariance claim: "we ran all applications at two
 //! different scales … our results confirmed our expectation, as we found
 //! no differences due to scale in the I/O patterns for any application".
-//! Re-run a set of configurations at two world sizes and compare the
-//! Table 3 labels and Table 4 marks.
+//! Re-run a set of configurations at a baseline world size and at each
+//! swept one ([`rank_sweep`]), and compare the Table 3 labels and Table 4
+//! marks; the scale study is the sweep with one swept size.
 
 use std::fmt::Write as _;
 
 use hpcapps::AppSpec;
 
 use crate::runner::{analyze, ReportCfg};
-
-/// One configuration's two-scale comparison.
-pub struct ScaleComparison {
-    pub config: String,
-    pub small_label: String,
-    pub large_label: String,
-    pub small_marks: (bool, bool, bool, bool),
-    pub large_marks: (bool, bool, bool, bool),
-}
-
-impl ScaleComparison {
-    pub fn invariant(&self) -> bool {
-        self.small_label == self.large_label && self.small_marks == self.large_marks
-    }
-}
-
-/// Compare `specs` at `small` and `large` ranks.
-pub fn compare(
-    base: &ReportCfg,
-    specs: &[&'static AppSpec],
-    small: u32,
-    large: u32,
-) -> Vec<ScaleComparison> {
-    specs
-        .iter()
-        .map(|&spec| {
-            let s = analyze(
-                &ReportCfg {
-                    nranks: small,
-                    ..*base
-                },
-                spec,
-            );
-            let l = analyze(
-                &ReportCfg {
-                    nranks: large,
-                    ..*base
-                },
-                spec,
-            );
-            ScaleComparison {
-                config: spec.config_name(),
-                small_label: s.highlevel.label(),
-                large_label: l.highlevel.label(),
-                small_marks: s.session.table4_marks(),
-                large_marks: l.session.table4_marks(),
-            }
-        })
-        .collect()
-}
 
 /// One configuration's verdict stability across the rank sweep: the
 /// paper-scale baseline plus one cell per swept rank count.
@@ -161,29 +112,27 @@ pub fn rank_sweep_report(rows: &[RankSweepRow], ranks: &[u32]) -> String {
     out
 }
 
-/// Rendered scale study.
+/// Rendered scale study: [`rank_sweep`] with `small` as the baseline and
+/// `large` as the one swept count.
 pub fn scale_study(base: &ReportCfg, specs: &[&'static AppSpec], small: u32, large: u32) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Scale study (§6.1): {small} vs {large} ranks");
-    let comparisons = compare(base, specs, small, large);
-    for c in &comparisons {
+    let rows = rank_sweep(base, specs, small, &[large]);
+    for row in &rows {
+        let (_, large_label, large_marks, _) = &row.cells[0];
         let _ = writeln!(
             out,
             "  {:<22} {}: {} / {} ranks → {} | marks {:?} vs {:?}",
-            c.config,
-            if c.invariant() {
-                "invariant"
-            } else {
-                "DIFFERS"
-            },
-            c.small_label,
+            row.config,
+            if row.stable() { "invariant" } else { "DIFFERS" },
+            row.baseline_label,
             large,
-            c.large_label,
-            c.small_marks,
-            c.large_marks,
+            large_label,
+            row.baseline_marks,
+            large_marks,
         );
     }
-    let all = comparisons.iter().all(|c| c.invariant());
+    let all = rows.iter().all(|r| r.stable());
     let _ = writeln!(
         out,
         "  → patterns and conflict marks {} across scales",

@@ -2,19 +2,17 @@
 //! every application configuration, every PFS semantics model, and the
 //! fault campaigns, [`analyze_incremental`] produces results byte-identical
 //! to the batch pipeline ([`analyze_with_faults`]) — and the rendered
-//! report artifacts are byte-identical too. A recorded run
-//! ([`analyze_recorded`]) keeps the very trace the batch pipeline reads,
-//! and an unrecorded one counts exactly that trace's records.
+//! report artifacts are byte-identical too. A streamed run keeps no
+//! trace, and counts exactly the records of the trace the same run keeps
+//! without a sink.
 
 use std::sync::Arc;
 
 use hpcapps::AppSpec;
-use iolibs::{run_app_result, FaultPlan, Recording, RunConfig, RunSink, SinkHandle};
+use iolibs::{run_app_result, FaultPlan, RunConfig, RunSink, SinkHandle};
 use pfssim::SemanticsModel;
 use recorder::{adjust, offset, Layer, Record};
-use report_gen::{
-    analyze_incremental, analyze_recorded, analyze_with_faults, figures, tables, ReportCfg,
-};
+use report_gen::{analyze_incremental, analyze_with_faults, figures, tables, ReportCfg};
 use semantics_core::conflict::{detect_conflicts, AnalysisModel};
 use semantics_core::hb::validate_conflicts;
 use semantics_core::incremental::StreamingAnalyzer;
@@ -84,14 +82,6 @@ fn incremental_identical_all_apps() {
         let inc = analyze_incremental(&cfg, spec, &spec.params, &none).expect("incremental run");
         let batch = analyze_with_faults(&cfg, spec, &spec.params, &none).expect("batch run");
         assert_runs_equal(&inc, &batch, spec.config_name().as_str());
-        let recorded = analyze_recorded(&cfg, spec, &spec.params, &none).expect("recorded run");
-        assert_runs_equal(&recorded, &batch, spec.config_name().as_str());
-        assert_eq!(
-            recorded.trace(),
-            batch.trace(),
-            "{}: re-based trace",
-            spec.config_name()
-        );
         inc_runs.push(inc);
         batch_runs.push(batch);
     }
@@ -103,8 +93,9 @@ fn incremental_identical_all_apps() {
     assert_eq!(figures::fig3_csv(&inc_runs), figures::fig3_csv(&batch_runs));
 }
 
-/// Run one spec with the analyzer attached as a live sink and compare
-/// against the batch pipeline over the very same trace.
+/// Run one spec with the analyzer attached as a live sink, and again
+/// without a sink, and compare the stream against the batch pipeline over
+/// the trace the sinkless run keeps.
 fn streaming_vs_batch(spec: &'static AppSpec, semantics: SemanticsModel, faults: &FaultPlan) {
     let tag = format!(
         "{} [{semantics}] faults={}",
@@ -112,20 +103,28 @@ fn streaming_vs_batch(spec: &'static AppSpec, semantics: SemanticsModel, faults:
         faults.describe()
     );
     let nranks = 8;
-    let analyzer = Arc::new(StreamingAnalyzer::new(nranks));
     let run_cfg = RunConfig::new(nranks, 5)
         .with_semantics(semantics)
-        .with_faults(faults.clone())
-        .with_sink(SinkHandle::new(Arc::new(Recording::tee(SinkHandle::new(
-            Arc::new(Tee(Arc::clone(&analyzer))),
-        )))));
-    let outcome =
-        run_app_result(&run_cfg, |ctx| spec.run_with(ctx, &spec.params)).expect("run failed");
+        .with_faults(faults.clone());
+    let run = |cfg: &RunConfig| {
+        run_app_result(cfg, |ctx| spec.run_with(ctx, &spec.params)).expect("run failed")
+    };
+    let analyzer = Arc::new(StreamingAnalyzer::new(nranks));
+    let streamed = run(&run_cfg
+        .clone()
+        .with_sink(SinkHandle::new(Arc::new(Tee(Arc::clone(&analyzer))))));
     let inc = analyzer.finalize();
+    assert_eq!(
+        streamed.trace.total_records(),
+        0,
+        "{tag}: a streamed run keeps no trace"
+    );
+    let outcome = run(&run_cfg);
+    assert_eq!(streamed.records, outcome.records, "{tag}: record count");
     assert_eq!(
         outcome.records,
         outcome.trace.total_records() as u64,
-        "{tag}: record count"
+        "{tag}: kept trace length"
     );
 
     let adjusted = adjust::apply(&outcome.trace);
@@ -188,9 +187,9 @@ fn smoke_three_apps_two_models() {
 }
 
 /// The record count a run that keeps no trace reports (the served
-/// `records` field) is the recorded trace's length: for every
-/// configuration of the Table 4 suite, and for a crashed run whose trace is
-/// a salvaged prefix.
+/// `records` field) is the length of the trace the at-rest pipeline
+/// keeps: for every configuration of the Table 4 suite, and for a crashed
+/// run whose trace is a salvaged prefix.
 #[test]
 fn record_count_matches_the_recorded_trace() {
     let cfg = ReportCfg {
@@ -200,11 +199,11 @@ fn record_count_matches_the_recorded_trace() {
     };
     let count = |spec: &'static AppSpec, faults: &FaultPlan| {
         let streamed = analyze_incremental(&cfg, spec, &spec.params, faults).expect("streamed");
-        let recorded = analyze_recorded(&cfg, spec, &spec.params, faults).expect("recorded");
+        let at_rest = analyze_with_faults(&cfg, spec, &spec.params, faults).expect("at rest");
         let tag = spec.config_name();
         assert_eq!(
             streamed.records,
-            recorded.trace().total_records() as u64,
+            at_rest.trace().total_records() as u64,
             "{tag}: streamed record count"
         );
         streamed
@@ -263,11 +262,6 @@ fn incremental_identical_under_faults() {
             };
             let batch = analyze_with_faults(&cfg, spec, &spec.params, &faults).expect("batch run");
             assert_runs_equal(&inc, &batch, &tag);
-            // The salvaged trace a recording sink keeps is the batch one.
-            let recorded =
-                analyze_recorded(&cfg, spec, &spec.params, &faults).expect("recorded run");
-            assert_runs_equal(&recorded, &batch, &tag);
-            assert_eq!(recorded.trace(), batch.trace(), "{tag}: re-based trace");
         }
     }
 }
@@ -286,7 +280,7 @@ fn chunking_insensitive() {
     let session = detect_conflicts(&resolved, AnalysisModel::Session);
     let commit = detect_conflicts(&resolved, AnalysisModel::Commit);
 
-    // The per-rank POSIX streams, exactly what the live tee delivers.
+    // The per-rank POSIX streams, exactly what a run with a sink delivers.
     let posix: Vec<Vec<Record>> = adjusted
         .ranks
         .iter()

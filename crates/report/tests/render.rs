@@ -2,7 +2,7 @@
 //! the rendered text carries the headline facts.
 
 use report_gen::{
-    analyze, analyze_recorded, figures, hbval, matrix, tables, AnalyzedRun, ReportCfg,
+    analyze, analyze_with_faults, figures, hbval, matrix, tables, AnalyzedRun, ReportCfg,
 };
 
 fn cfg() -> ReportCfg {
@@ -13,10 +13,11 @@ fn cfg() -> ReportCfg {
     }
 }
 
-/// FLASH-fbs with its trace kept, for the renders that read it.
-fn recorded_flash() -> AnalyzedRun {
+/// FLASH-fbs analyzed at rest, so its trace is kept for the renders
+/// that read it.
+fn flash_at_rest() -> AnalyzedRun {
     let spec = hpcapps::spec_ref(hpcapps::AppId::FlashFbs);
-    analyze_recorded(&cfg(), spec, &spec.params, &iolibs::FaultPlan::none()).expect("clean run")
+    analyze_with_faults(&cfg(), spec, &spec.params, &iolibs::FaultPlan::none()).expect("clean run")
 }
 
 #[test]
@@ -61,7 +62,7 @@ fn measured_tables_and_figures_render() {
 
 #[test]
 fn fig2_series_and_summary() {
-    let run = recorded_flash();
+    let run = flash_at_rest();
     let csv = figures::fig2_csv(&run, true);
     assert!(
         csv.lines().count() > 100,
@@ -165,4 +166,49 @@ fn paper_scale_tables_match_checked_in_reports() {
         "stdout of `report all` no longer matches reports/reports_all_64.txt"
     );
     std::fs::remove_dir_all(&out).ok();
+}
+
+/// Run the `report` binary with `args` and compare its stdout with the
+/// checked-in `reports/<golden>`.
+fn assert_stdout_matches_report(args: &[&str], golden: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../reports")
+        .join(golden);
+    let want = std::fs::read_to_string(&path).expect("golden");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(args)
+        .output()
+        .expect("spawn report");
+    assert_eq!(run.status.code(), Some(0), "report {args:?}");
+    assert!(
+        String::from_utf8_lossy(&run.stdout) == want,
+        "stdout of `report {}` no longer matches reports/{golden}",
+        args.join(" ")
+    );
+}
+
+#[test]
+fn locks_matches_checked_in_report() {
+    assert_stdout_matches_report(&["locks", "--quiet"], "locks.txt");
+}
+
+#[test]
+fn meta_conflicts_matches_checked_in_report() {
+    assert_stdout_matches_report(&["meta-conflicts", "--quiet"], "meta_conflicts.txt");
+}
+
+#[test]
+fn semantics_matrix_matches_checked_in_report() {
+    assert_stdout_matches_report(
+        &["semantics-matrix", "--ranks", "32", "--quiet"],
+        "semantics_matrix.txt",
+    );
+}
+
+#[test]
+fn scale_study_matches_checked_in_report() {
+    assert_stdout_matches_report(
+        &["scale-study", "--small", "64", "--large", "128", "--quiet"],
+        "scale_study.txt",
+    );
 }

@@ -30,11 +30,18 @@ if grep -rn 'adjust::apply' crates/*/src; then
     echo "program code copies a trace to adjust it"
     exit 1
 fi
-# A trace is kept only for a recording sink (`iolibs::Recording`); the
-# cold path and the tables attach none and read the streamed results, so
-# neither may grow a trace back.
+# A run streams or records, never both: a trace is kept only by a run
+# without a sink. The cold path and the tables stream and read the
+# streamed results, so neither may grow a trace back.
 if grep -nE '\.trace\b' crates/report/src/serve_backend.rs crates/report/src/tables.rs; then
     echo "the serve cold path or a table reads a trace"
+    exit 1
+fi
+# No sink keeps the trace as well: a run that streams and records costs
+# more than either, and a reader of a trace runs the at-rest pipeline,
+# `analyze_with_faults`.
+if grep -rnE 'Recording|fn records\b' crates/iolibs/src crates/report/src; then
+    echo "a sink that records: a run streams or records, never both"
     exit 1
 fi
 
@@ -76,7 +83,9 @@ echo "ci: one happens-before pass"
 # list and one forward pass per pair, fed by the stream and, at rest, by
 # `validate_conflicts`. The index, fixpoint and barrier shortcut it
 # replaced stay gone, and the report crate validates a trace at rest only
-# in its reference pipeline, `runner::analyze_with_faults`.
+# in the at-rest pipeline, `runner::analyze_with_faults`, whose analysis
+# half is `runner::analyze_at_rest` (trace readers and the semantics
+# matrix's prediction come through it).
 if grep -rnE 'HbIndex|fixpoint_reach|barrier_separates' crates/*/src; then
     echo "a second happens-before engine"
     exit 1
@@ -85,11 +94,11 @@ if awk 'FNR == 1 { f = "" }
         match($0, /^[[:space:]]*(pub[^ ]* )?fn [a-z_0-9]+/) {
             f = $0; sub(/^.*fn /, "", f); sub(/[^a-z_0-9].*$/, "", f)
         }
-        /validate_conflicts\(/ && f != "analyze_with_faults" {
+        /validate_conflicts\(/ && f != "analyze_at_rest" {
             print FILENAME ":" FNR ": " $0; bad = 1
         }
         END { exit !bad }' $(find crates/report/src -name '*.rs' | sort); then
-    echo "validate_conflicts called outside runner::analyze_with_faults"
+    echo "validate_conflicts called outside runner::analyze_at_rest"
     exit 1
 fi
 

@@ -169,13 +169,13 @@ fn scale_invariance_of_patterns_and_conflicts() {
     .iter()
     .map(|&id| hpcapps::spec_ref(id))
     .collect();
-    for c in scale::compare(&base, &specs, 16, 32) {
+    for row in scale::rank_sweep(&base, &specs, 16, &[32]) {
         assert!(
-            c.invariant(),
+            row.stable(),
             "{}: pattern/conflicts differ across scales ({} vs {})",
-            c.config,
-            c.small_label,
-            c.large_label
+            row.config,
+            row.baseline_label,
+            row.cells[0].1
         );
     }
 }
