@@ -221,7 +221,6 @@ where
             pfs.client(r),
             SharedInterner::clone(&interner),
             output,
-            *pfs.config(),
         );
         // The paper's runs start with a barrier whose exit is used as t=0
         // for clock adjustment; the harness issues it on behalf of the app.
@@ -320,7 +319,6 @@ pub struct AppCtx {
     output: Output,
     /// POSIX and library-level records emitted so far, kept or not.
     emitted: u64,
-    pfs_cfg: PfsConfig,
     origin: Layer,
     next_lib_id: u32,
 }
@@ -386,7 +384,6 @@ impl AppCtx {
         client: pfssim::PfsClient,
         interner: SharedInterner,
         output: Output,
-        pfs_cfg: PfsConfig,
     ) -> Self {
         AppCtx {
             rank,
@@ -394,7 +391,6 @@ impl AppCtx {
             interner,
             output,
             emitted: 0,
-            pfs_cfg,
             origin: Layer::App,
             next_lib_id: 1,
         }
@@ -425,7 +421,7 @@ impl AppCtx {
     }
 
     pub fn semantics(&self) -> SemanticsModel {
-        self.pfs_cfg.semantics
+        self.client.semantics()
     }
 
     /// Fail-stop this rank: record the cause as its fault, salvage its
@@ -647,16 +643,13 @@ impl AppCtx {
         }
     }
 
-    /// Locks a strong-consistency PFS would take for a data op of `len`
-    /// bytes; modelled as extra latency before the op.
-    fn lock_latency(&mut self, len: u64) {
-        if self.pfs_cfg.semantics == SemanticsModel::Strong && len > 0 {
-            let locks = len.div_ceil(self.pfs_cfg.lock_granularity);
-            for _ in 0..locks.min(4) {
-                // Cap the modelled round trips; the lock *count* statistics
-                // live in pfssim and are exact.
-                self.rank.timed_op(OpClass::FsLock, 0, |_| {});
-            }
+    /// The locks pfssim takes for a data op of `len` bytes on `fd`,
+    /// modelled as extra latency before the op.
+    fn lock_latency(&mut self, fd: Fd, len: u64) {
+        // Cap the modelled round trips; the lock *count* statistics live
+        // in pfssim and are exact.
+        for _ in 0..self.client.lock_count(fd, len).min(4) {
+            self.rank.timed_op(OpClass::FsLock, 0, |_| {});
         }
     }
 
@@ -740,7 +733,7 @@ impl AppCtx {
 
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> FsResult<WriteOut> {
         let count = data.len() as u64;
-        self.lock_latency(count);
+        self.lock_latency(fd, count);
         self.posix_call(
             OpClass::FsWrite,
             count,
@@ -751,7 +744,7 @@ impl AppCtx {
 
     pub fn pwrite(&mut self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<WriteOut> {
         let count = data.len() as u64;
-        self.lock_latency(count);
+        self.lock_latency(fd, count);
         self.posix_call(
             OpClass::FsWrite,
             count,
@@ -761,7 +754,7 @@ impl AppCtx {
     }
 
     pub fn read(&mut self, fd: Fd, count: u64) -> FsResult<ReadOut> {
-        self.lock_latency(count);
+        self.lock_latency(fd, count);
         self.posix_call(
             OpClass::FsRead,
             count,
@@ -775,7 +768,7 @@ impl AppCtx {
     }
 
     pub fn pread(&mut self, fd: Fd, offset: u64, count: u64) -> FsResult<ReadOut> {
-        self.lock_latency(count);
+        self.lock_latency(fd, count);
         self.posix_call(
             OpClass::FsRead,
             count,

@@ -464,3 +464,30 @@ fn a_run_uses_the_file_system_its_config_names() {
     });
     assert_eq!(out.pfs.config().semantics, SemanticsModel::Commit);
 }
+
+#[test]
+fn a_lazy_descriptor_on_a_strong_pfs_runs_as_on_a_commit_pfs() {
+    // `O_LAZY` runs a descriptor of a strong file system under commit
+    // semantics: pfssim takes no extent locks for it, so the harness
+    // charges no lock round trips either, and the run is timed as one on
+    // a commit file system.
+    let program = |ctx: &mut AppCtx| {
+        let fd = ctx
+            .open(
+                &format!("/f{}", ctx.rank()),
+                OpenFlags::rdwr_create().with_lazy(),
+            )
+            .unwrap();
+        ctx.write(fd, &[1; 4096]).unwrap();
+        ctx.pwrite(fd, 8192, &[2; 4096]).unwrap();
+        ctx.pread(fd, 0, 4096).unwrap();
+        ctx.fsync(fd).unwrap();
+        ctx.close(fd).unwrap();
+        ctx.barrier();
+    };
+    let strong = run_app(&cfg(2, 5), program);
+    let commit = run_app(&cfg(2, 5).with_semantics(SemanticsModel::Commit), program);
+    assert_eq!(strong.pfs.stats().locks_acquired, 0);
+    assert_eq!(strong.trace.encode(), commit.trace.encode());
+    assert_eq!(strong.final_time_ns, commit.final_time_ns);
+}

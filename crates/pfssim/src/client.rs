@@ -68,6 +68,8 @@ struct FdEntry {
     file: FileId,
     path: String,
     flags: OpenFlags,
+    /// The model this descriptor runs under ([`engine::effective`]).
+    model: SemanticsModel,
     cursor: u64,
     /// Session-semantics open-time snapshot.
     snapshot: Option<Arc<FileImage>>,
@@ -147,25 +149,25 @@ impl PfsClient {
         normalize(&self.cwd, path)
     }
 
-    /// The consistency model in effect for a descriptor opened with
-    /// `flags`: `O_LAZY` downgrades a strong-consistency PFS to commit
-    /// semantics for that descriptor (the §2.2 tunable-consistency
-    /// extension); it never *strengthens* an already-relaxed PFS.
-    fn effective(&self, flags: OpenFlags) -> SemanticsModel {
-        if flags.lazy && self.cfg.semantics == SemanticsModel::Strong {
-            SemanticsModel::Commit
-        } else {
-            self.cfg.semantics
-        }
+    /// The size of the file open as `e`, as this process sees it.
+    fn visible_size(&self, st: &PfsState, e: &FdEntry) -> u64 {
+        engine::visible_size(st, e.model, e.file, self.client_id, e.snapshot.as_ref())
+    }
+
+    /// The extent locks a data op of `len` bytes on `fd` takes: under the
+    /// descriptor's model (`O_LAZY` takes none), or the file system's own
+    /// if `fd` is not open. Reads only this client's descriptor table.
+    pub fn lock_count(&self, fd: u32, len: u64) -> u64 {
+        let model = self.fds.get(&fd).map_or(self.cfg.semantics, |e| e.model);
+        engine::lock_count(&self.cfg, model, len)
     }
 
     // ------------------------------------------------------------------
     // Open / close
     // ------------------------------------------------------------------
 
-    /// POSIX `open(2)`. Under session semantics a read-capable open
-    /// snapshots the currently published image (close-to-open: the reader
-    /// sees exactly the sessions closed before this open).
+    /// POSIX `open(2)`; what it does beyond the namespace is the engine's
+    /// (`engine::open`: a session open snapshots the published image).
     pub fn open(&mut self, path: &str, flags: OpenFlags, now: u64) -> FsResult<u32> {
         let path = self.norm(path)?;
         let mut st = lock_state(&self.state);
@@ -196,23 +198,15 @@ impl PfsClient {
             });
         }
         if flags.truncate && flags.write {
-            let node = st.file_mut(file);
-            Arc::make_mut(&mut node.published).truncate(0);
-            node.publish_version += 1;
+            Arc::make_mut(&mut st.file_mut(file).published).truncate(0);
             // Buffered state from earlier sessions is discarded too.
             st.drop_buffered(file, |node| {
                 node.pending.clear();
                 node.delayed.clear();
             });
         }
-        if self.cfg.semantics == SemanticsModel::Eventual {
-            engine::mature_delayed(&mut st, &self.cfg, file, now);
-        }
-        let snapshot = if self.cfg.semantics == SemanticsModel::Session {
-            Some(Arc::clone(&st.file(file).published))
-        } else {
-            None
-        };
+        let model = engine::effective(self.cfg.semantics, flags);
+        let snapshot = engine::open(&mut st, &self.cfg, model, file, now);
         drop(st);
         let fd = self.next_fd;
         self.next_fd += 1;
@@ -222,6 +216,7 @@ impl PfsClient {
                 file,
                 path,
                 flags,
+                model,
                 cursor: 0,
                 snapshot,
             },
@@ -229,19 +224,13 @@ impl PfsClient {
         Ok(fd)
     }
 
-    /// POSIX `close(2)`. Under commit and session semantics this publishes
-    /// the process's buffered writes to the file (a close is a commit; a
-    /// close is the end of a session).
+    /// POSIX `close(2)`: publishes the process's buffered writes under
+    /// commit and session semantics (`engine::close`).
     pub fn close(&mut self, fd: u32, _now: u64) -> FsResult<()> {
         let entry = self.fds.remove(&fd).ok_or(FsError::BadFd { fd })?;
         let mut st = lock_state(&self.state);
         st.stats.closes += 1;
-        match self.effective(entry.flags) {
-            SemanticsModel::Commit | SemanticsModel::Session => {
-                engine::publish_client(&mut st, &self.cfg, entry.file, self.client_id);
-            }
-            SemanticsModel::Strong | SemanticsModel::Eventual => {}
-        }
+        engine::close(&mut st, &self.cfg, entry.model, entry.file, self.client_id);
         Ok(())
     }
 
@@ -252,70 +241,53 @@ impl PfsClient {
     /// POSIX `write(2)`: writes at the cursor (or at EOF under `O_APPEND`)
     /// and advances the cursor.
     pub fn write(&mut self, fd: u32, data: &[u8], now: u64) -> FsResult<WriteOut> {
-        let rank = self.rank;
-        let client_id = self.client_id;
-        let cfg = self.cfg;
-        let entry = self.fds.get_mut(&fd).ok_or(FsError::BadFd { fd })?;
-        if !entry.flags.write {
-            return Err(FsError::Denied {
-                detail: format!("fd {fd} not open for writing"),
-            });
-        }
-        let mut st = lock_state(&self.state);
-        if st.file(entry.file).laminated {
-            return Err(FsError::Denied {
-                detail: format!("{} is laminated", entry.path),
-            });
-        }
-        let model = if entry.flags.lazy && cfg.semantics == SemanticsModel::Strong {
-            SemanticsModel::Commit
-        } else {
-            cfg.semantics
-        };
-        let offset = if entry.flags.append {
-            engine::visible_size(&st, model, entry.file, client_id, entry.snapshot.as_ref())
-        } else {
-            entry.cursor
-        };
-        let (tag, locks) = engine::write(
-            &mut st, &cfg, model, client_id, rank, entry.file, offset, data, now,
-        );
-        drop(st);
-        entry.cursor = offset + data.len() as u64;
-        Ok(WriteOut {
-            offset,
-            len: data.len() as u64,
-            tag,
-            locks,
-        })
+        self.write_at(fd, None, data, now)
     }
 
     /// POSIX `pwrite(2)`: writes at `offset` without moving the cursor
     /// (and, per POSIX, ignoring `O_APPEND`).
     pub fn pwrite(&mut self, fd: u32, offset: u64, data: &[u8], now: u64) -> FsResult<WriteOut> {
-        let rank = self.rank;
-        let client_id = self.client_id;
-        let cfg = self.cfg;
-        let entry = self.fds.get(&fd).ok_or(FsError::BadFd { fd })?;
-        if !entry.flags.write {
+        self.write_at(fd, Some(offset), data, now)
+    }
+
+    /// A write at `offset`, or, given none, what `write(2)` does: write at
+    /// the cursor (at the visible end of file under `O_APPEND`) and
+    /// advance it.
+    fn write_at(
+        &mut self,
+        fd: u32,
+        offset: Option<u64>,
+        data: &[u8],
+        now: u64,
+    ) -> FsResult<WriteOut> {
+        let e = self.fds.get_mut(&fd).ok_or(FsError::BadFd { fd })?;
+        if !e.flags.write {
             return Err(FsError::Denied {
                 detail: format!("fd {fd} not open for writing"),
             });
         }
-        let model = self.effective(entry.flags);
-        let file = entry.file;
         let mut st = lock_state(&self.state);
-        if st.file(file).laminated {
+        if st.file(e.file).laminated {
             return Err(FsError::Denied {
-                detail: "laminated".into(),
+                detail: format!("{} is laminated", e.path),
             });
         }
+        let (client, snapshot) = (self.client_id, e.snapshot.as_ref());
+        let at = match offset {
+            Some(off) => off,
+            None if e.flags.append => engine::visible_size(&st, e.model, e.file, client, snapshot),
+            None => e.cursor,
+        };
         let (tag, locks) = engine::write(
-            &mut st, &cfg, model, client_id, rank, file, offset, data, now,
+            &mut st, &self.cfg, e.model, client, self.rank, e.file, at, data, now,
         );
+        let len = data.len() as u64;
+        if offset.is_none() {
+            e.cursor = at + len;
+        }
         Ok(WriteOut {
-            offset,
-            len: data.len() as u64,
+            offset: at,
+            len,
             tag,
             locks,
         })
@@ -344,28 +316,17 @@ impl PfsClient {
                 detail: format!("fd {fd} not open for reading"),
             });
         }
-        let model = self.effective(entry.flags);
+        let model = entry.model;
         let file = entry.file;
         let snapshot = entry.snapshot.clone();
         let mut st = lock_state(&self.state);
         st.stats.reads += 1;
-        if model == SemanticsModel::Strong {
-            let locks = if len == 0 {
-                0
-            } else {
-                len.div_ceil(cfg.lock_granularity)
-            };
-            st.stats.locks_acquired += locks;
-            if len > 0 {
-                let rev = engine::lock_revocations(&st, file, self.rank, offset, offset + len);
-                st.stats.lock_revocations += rev;
-            }
-        }
-        let (data, tags) = engine::read_view(
+        let (data, tags) = engine::read(
             &mut st,
             &cfg,
             model,
             client_id,
+            self.rank,
             file,
             offset,
             len,
@@ -398,17 +359,11 @@ impl PfsClient {
 
     /// POSIX `lseek(2)`.
     pub fn lseek(&mut self, fd: u32, offset: i64, whence: Whence, _now: u64) -> FsResult<u64> {
-        let client_id = self.client_id;
-        let entry = self.fds.get(&fd).ok_or(FsError::BadFd { fd })?;
+        let entry = self.fd(fd)?;
         let base = match whence {
             Whence::Set => 0,
             Whence::Cur => entry.cursor as i64,
-            Whence::End => {
-                let model = self.effective(entry.flags);
-                let st = lock_state(&self.state);
-                engine::visible_size(&st, model, entry.file, client_id, entry.snapshot.as_ref())
-                    as i64
-            }
+            Whence::End => self.visible_size(&lock_state(&self.state), entry) as i64,
         };
         let pos = base + offset;
         if pos < 0 {
@@ -421,21 +376,14 @@ impl PfsClient {
         Ok(entry.cursor)
     }
 
-    /// POSIX `fsync(2)`: a *commit* under commit semantics (globally
-    /// publishes this process's buffered writes). Under session semantics it
-    /// persists but does **not** publish — visibility still requires
-    /// close-to-open. Under eventual semantics it does not accelerate
-    /// propagation.
+    /// POSIX `fsync(2)`: a commit, which publishes this process's
+    /// buffered writes under commit semantics only (`engine::fsync`).
     pub fn fsync(&mut self, fd: u32, _now: u64) -> FsResult<()> {
         let entry = self.fd(fd)?;
-        let model = self.effective(entry.flags);
-        let file = entry.file;
+        let (model, file) = (entry.model, entry.file);
         let lost = std::mem::take(&mut self.lost_flush_armed);
         let mut st = lock_state(&self.state);
-        st.stats.commits += 1;
-        if model == SemanticsModel::Commit && !lost {
-            engine::publish_client(&mut st, &self.cfg, file, self.client_id);
-        }
+        engine::fsync(&mut st, &self.cfg, model, file, self.client_id, lost);
         Ok(())
     }
 
@@ -476,11 +424,7 @@ impl PfsClient {
         let mut st = lock_state(&self.state);
         let file = st.ns.expect_file(&path)?;
         st.stats.commits += 1;
-        engine::mature_delayed(&mut st, &self.cfg, file, u64::MAX);
-        let owners: Vec<u64> = st.file(file).pending.keys().copied().collect();
-        for o in owners {
-            engine::publish_client(&mut st, &self.cfg, file, o);
-        }
+        engine::publish_all(&mut st, &self.cfg, file);
         st.file_mut(file).laminated = true;
         Ok(())
     }
@@ -524,14 +468,10 @@ impl PfsClient {
 
     /// POSIX `fstat(2)`.
     pub fn fstat(&mut self, fd: u32, _now: u64) -> FsResult<StatInfo> {
-        let client_id = self.client_id;
-        let entry = self.fds.get(&fd).ok_or(FsError::BadFd { fd })?;
-        let model = self.effective(entry.flags);
-        let file = entry.file;
-        let snapshot = entry.snapshot.clone();
+        let entry = self.fd(fd)?;
         let mut st = lock_state(&self.state);
         st.stats.count_meta("fstat");
-        let size = engine::visible_size(&st, model, file, client_id, snapshot.as_ref());
+        let size = self.visible_size(&st, entry);
         Ok(StatInfo {
             is_dir: false,
             size,
@@ -639,9 +579,6 @@ impl PfsClient {
     /// do). Other processes' open sessions are untouched: close-to-open
     /// still governs cross-process visibility.
     fn refresh_own_snapshots(&mut self, file: FileId, published: &Arc<FileImage>) {
-        if self.cfg.semantics != SemanticsModel::Session {
-            return;
-        }
         for entry in self.fds.values_mut() {
             if entry.file == file && entry.snapshot.is_some() {
                 entry.snapshot = Some(Arc::clone(published));
@@ -719,9 +656,7 @@ impl PfsClient {
 }
 
 fn truncate_node(st: &mut PfsState, file: FileId, len: u64) {
-    let node = st.file_mut(file);
-    Arc::make_mut(&mut node.published).truncate(len);
-    node.publish_version += 1;
+    Arc::make_mut(&mut st.file_mut(file).published).truncate(len);
     st.drop_buffered(file, |node| {
         for extents in node.pending.values_mut() {
             extents.retain_mut(|e| {

@@ -1,13 +1,129 @@
-//! The consistency engines: what a write does, what a read sees, and when
-//! buffered data becomes globally visible under each of the paper's four
-//! semantics categories (§3).
+//! The consistency engines: what open, write, read, fsync and close do
+//! under each of the paper's four semantics categories (§3). This module
+//! is the one place a model is decided; the client resolves a descriptor's
+//! model once, at open, and hands it here.
+//!
+//! | model    | a write goes to            | what publishes it                          | a read's base image        | locks |
+//! |----------|----------------------------|--------------------------------------------|----------------------------|-------|
+//! | strong   | the published image        | the write itself                           | the published image        | yes   |
+//! | commit   | the writer's pending list  | `fsync` / `fdatasync` / `msync`, `close`   | the published image        | no    |
+//! | session  | the writer's pending list  | `close` (`fsync` persists only)            | the snapshot taken at open | no    |
+//! | eventual | the delay queue            | time: `eventual_delay_ns` after the write  | the published image        | no    |
+//!
+//! A strong data op takes ceil(len / `lock_granularity`) extent locks and
+//! counts a revocation for every run of the range whose write lock another
+//! rank holds. A delayed extent matures when an open or a read finds it
+//! due. A reader's own buffered writes overlay its base image in write
+//! order, so every engine is read-your-writes. `O_LAZY` runs a descriptor
+//! of a strong file system under commit ([`effective`]). Lamination and
+//! the end of a run publish everything ([`publish_all`]).
 
 use std::sync::Arc;
 
 use crate::config::{PfsConfig, SemanticsModel};
+use crate::flags::OpenFlags;
 use crate::image::FileImage;
 use crate::state::{DelayedExtent, FileId, PendingExtent, PfsState};
-use crate::tag::{SegMap, TagRun, WriteTag};
+use crate::tag::{TagRun, WriteTag};
+
+/// The model a descriptor opened with `flags` runs under on a file
+/// system of model `fs`: `O_LAZY` downgrades strong to commit (the §2.2
+/// tunable-consistency extension) and never strengthens a relaxed model.
+pub(crate) fn effective(fs: SemanticsModel, flags: OpenFlags) -> SemanticsModel {
+    match fs {
+        SemanticsModel::Strong if flags.lazy => SemanticsModel::Commit,
+        _ => fs,
+    }
+}
+
+/// What an open under `model` does to `file` at `now`: an eventual open
+/// first matures the extents due, and a session open returns the snapshot
+/// its reads will see (close-to-open: exactly the sessions closed before
+/// it).
+pub(crate) fn open(
+    st: &mut PfsState,
+    cfg: &PfsConfig,
+    model: SemanticsModel,
+    file: FileId,
+    now: u64,
+) -> Option<Arc<FileImage>> {
+    match model {
+        SemanticsModel::Session => Some(Arc::clone(&st.file(file).published)),
+        SemanticsModel::Eventual => {
+            mature_delayed(st, cfg, file, now);
+            None
+        }
+        SemanticsModel::Strong | SemanticsModel::Commit => None,
+    }
+}
+
+/// What a close under `model` does: a close is a commit, and the end of a
+/// session, so both publish the client's pending writes.
+pub(crate) fn close(
+    st: &mut PfsState,
+    cfg: &PfsConfig,
+    model: SemanticsModel,
+    file: FileId,
+    client: u64,
+) {
+    match model {
+        SemanticsModel::Commit | SemanticsModel::Session => publish_client(st, cfg, file, client),
+        SemanticsModel::Strong | SemanticsModel::Eventual => {}
+    }
+}
+
+/// What an fsync under `model` does: it counts as a commit everywhere,
+/// and publishes the client's pending writes only under commit — session
+/// visibility still waits for close-to-open, and eventual propagation is
+/// not accelerated. A `lost` flush (an injected fault) publishes nothing.
+pub(crate) fn fsync(
+    st: &mut PfsState,
+    cfg: &PfsConfig,
+    model: SemanticsModel,
+    file: FileId,
+    client: u64,
+    lost: bool,
+) {
+    st.stats.commits += 1;
+    match model {
+        SemanticsModel::Commit if !lost => publish_client(st, cfg, file, client),
+        _ => {}
+    }
+}
+
+/// The extent locks a data op of `len` bytes takes under `model`.
+pub(crate) fn lock_count(cfg: &PfsConfig, model: SemanticsModel, len: u64) -> u64 {
+    match model {
+        SemanticsModel::Strong => len.div_ceil(cfg.lock_granularity),
+        SemanticsModel::Commit | SemanticsModel::Session | SemanticsModel::Eventual => 0,
+    }
+}
+
+/// Take the locks of a data op by `rank` on `[off, off+len)` of `file`:
+/// count them, and count a revocation for every run of the range whose
+/// write lock a *different* rank holds. Returns the locks taken.
+fn lock(
+    st: &mut PfsState,
+    cfg: &PfsConfig,
+    model: SemanticsModel,
+    file: FileId,
+    rank: u32,
+    off: u64,
+    len: u64,
+) -> u64 {
+    let locks = lock_count(cfg, model, len);
+    if locks > 0 {
+        let revocations = st
+            .file(file)
+            .write_locks
+            .overlapping(off, off + len)
+            .filter(|&(_, _, t)| t.rank != rank)
+            .count() as u64;
+        st.stats.locks_acquired += locks;
+        st.stats.lock_revocations += revocations;
+    }
+    locks
+}
 
 /// Record a write of `data` at `off` by `rank` at simulated time `now`.
 /// Returns `(tag, locks_acquired)`. The bytes are copied once: into the
@@ -35,41 +151,27 @@ pub(crate) fn write(
     let len = data.len() as u64;
     st.stats.writes += 1;
     st.stats.bytes_written += len;
+    let locks = lock(st, cfg, model, file, rank, off, len);
 
     match model {
         SemanticsModel::Strong => {
-            // Extent locks on the lock manager, then apply globally. Any
-            // overlap with an extent whose write lock a *different* rank
-            // holds costs a revocation callback first.
-            let locks = if len == 0 {
-                0
-            } else {
-                len.div_ceil(cfg.lock_granularity)
-            };
-            st.stats.locks_acquired += locks;
+            st.stats.stripe_account(off, len, cfg.stripe_size, true);
+            let node = st.file_mut(file);
             if len > 0 {
-                let revocations = lock_revocations(st, file, rank, off, off + len);
-                st.stats.lock_revocations += revocations;
-                let node = st.file_mut(file);
                 node.write_locks
                     .insert(off, off + len, WriteTag { rank, seq: 0 });
             }
-            st.stats.stripe_account(off, len, cfg.stripe_size, true);
-            let node = st.file_mut(file);
             Arc::make_mut(&mut node.published).apply(off, data, tag);
-            node.publish_version += 1;
-            (tag, locks)
         }
         SemanticsModel::Commit | SemanticsModel::Session => {
-            let node = st.file_mut(file);
             // Buffered until publish: this engine must own the bytes.
+            let node = st.file_mut(file);
             node.pending.entry(client).or_default().push(PendingExtent {
                 off,
                 data: Arc::from(data),
                 tag,
             });
             st.stats.pending_extents += 1;
-            (tag, 0)
         }
         SemanticsModel::Eventual => {
             let node = st.file_mut(file);
@@ -81,34 +183,16 @@ pub(crate) fn write(
                 tag,
             });
             st.stats.pending_extents += 1;
-            (tag, 0)
         }
     }
+    (tag, locks)
 }
 
-/// Count the foreign write-lock runs overlapping `[start, end)` on `file`
-/// — each is a revocation the lock manager must perform before `rank` can
-/// take its own lock.
-pub(crate) fn lock_revocations(
-    st: &PfsState,
-    file: FileId,
-    rank: u32,
-    start: u64,
-    end: u64,
-) -> u64 {
-    st.file(file)
-        .write_locks
-        .overlapping(start, end)
-        .filter(|&(_, _, t)| t.rank != rank)
-        .count() as u64
-}
-
-/// Publish every pending extent of `rank` on `file`, in write order —
-/// the effect of a commit (commit semantics) or a close (session
-/// semantics). With `same_process_ordering` disabled (the BurstFS anomaly),
-/// the extents are applied in *reverse* order, so a read following two
+/// Publish every pending extent of `client` on `file`, in write order.
+/// With `same_process_ordering` disabled (the BurstFS anomaly), the
+/// extents are applied in *reverse* order, so a read following two
 /// same-process writes to the same bytes can observe the older one.
-pub(crate) fn publish_client(st: &mut PfsState, cfg: &PfsConfig, file: FileId, client: u64) {
+fn publish_client(st: &mut PfsState, cfg: &PfsConfig, file: FileId, client: u64) {
     let PfsState { files, stats, .. } = st;
     let node = &mut files[file.index()];
     let Some(mut extents) = node.pending.remove(&client) else {
@@ -123,14 +207,25 @@ pub(crate) fn publish_client(st: &mut PfsState, cfg: &PfsConfig, file: FileId, c
         stats.stripe_account(e.off, e.data.len() as u64, cfg.stripe_size, true);
         img.apply_shared(e.off, e.data, e.tag);
     }
-    node.publish_version += 1;
     stats.publishes += n;
     stats.pending_extents = stats.pending_extents.saturating_sub(n);
 }
 
+/// Publish everything buffered on `file`, whatever the model: every
+/// delayed extent in global write order, then every client's pending
+/// extents, client by client in ascending id (creation order), each in
+/// its write order — so where two clients' unpublished writes overlap,
+/// the later-created client's bytes win on every run.
+pub(crate) fn publish_all(st: &mut PfsState, cfg: &PfsConfig, file: FileId) {
+    mature_delayed(st, cfg, file, u64::MAX);
+    while let Some(&client) = st.file(file).pending.keys().next() {
+        publish_client(st, cfg, file, client);
+    }
+}
+
 /// Apply every delayed (eventual-semantics) extent whose propagation delay
 /// has elapsed by `now`, in global write order.
-pub(crate) fn mature_delayed(st: &mut PfsState, cfg: &PfsConfig, file: FileId, now: u64) {
+fn mature_delayed(st: &mut PfsState, cfg: &PfsConfig, file: FileId, now: u64) {
     let PfsState { files, stats, .. } = st;
     let node = &mut files[file.index()];
     let due = node
@@ -146,40 +241,47 @@ pub(crate) fn mature_delayed(st: &mut PfsState, cfg: &PfsConfig, file: FileId, n
         stats.stripe_account(e.off, e.data.len() as u64, cfg.stripe_size, true);
         img.apply_shared(e.off, e.data, e.tag);
     }
-    node.publish_version += 1;
     stats.publishes += due as u64;
     stats.pending_extents = stats.pending_extents.saturating_sub(due as u64);
 }
 
 /// The not-yet-visible extents of `client` on `file`, borrowed, in write
-/// order — the overlay that gives every engine read-your-writes.
+/// order: its pending list under commit and session, its entries of the
+/// delay queue under eventual. The overlay that gives every engine
+/// read-your-writes.
 fn own_extents(
     st: &PfsState,
     model: SemanticsModel,
     file: FileId,
     client: u64,
-) -> impl Iterator<Item = (u64, &[u8], WriteTag)> {
+) -> impl Iterator<Item = (u64, &Arc<[u8]>, WriteTag)> {
     let node = st.file(file);
-    let pending = match model {
-        SemanticsModel::Commit | SemanticsModel::Session => node.pending.get(&client),
-        SemanticsModel::Strong | SemanticsModel::Eventual => None,
+    let (pending, delayed) = match model {
+        SemanticsModel::Commit | SemanticsModel::Session => (node.pending.get(&client), None),
+        SemanticsModel::Eventual => (None, Some(&node.delayed)),
+        SemanticsModel::Strong => (None, None),
     };
-    let delayed = (model == SemanticsModel::Eventual).then_some(&node.delayed);
     let pending = pending
         .into_iter()
         .flatten()
-        .map(|e| (e.off, &e.data[..], e.tag));
+        .map(|e| (e.off, &e.data, e.tag));
     let delayed = delayed
         .into_iter()
         .flatten()
         .filter(move |d| d.owner == client)
-        .map(|d| (d.off, &d.data[..], d.tag));
+        .map(|d| (d.off, &d.data, d.tag));
     pending.chain(delayed)
 }
 
-/// The size of `file` as visible to `rank`: the base image (published, or
-/// the session snapshot if one is given) extended by the rank's own
-/// buffered writes.
+/// The image a read of `file` starts from: the descriptor's open-time
+/// snapshot if it has one (only a session open takes one), the published
+/// image otherwise.
+fn base<'a>(st: &'a PfsState, file: FileId, snapshot: Option<&'a Arc<FileImage>>) -> &'a FileImage {
+    snapshot.unwrap_or(&st.file(file).published)
+}
+
+/// The size of `file` as visible to `client`: its base image extended by
+/// the client's own buffered writes.
 pub(crate) fn visible_size(
     st: &PfsState,
     model: SemanticsModel,
@@ -187,35 +289,32 @@ pub(crate) fn visible_size(
     client: u64,
     snapshot: Option<&Arc<FileImage>>,
 ) -> u64 {
-    let base = match (model, snapshot) {
-        (SemanticsModel::Session, Some(s)) => s.size(),
-        _ => st.file(file).published.size(),
-    };
     let own_max = own_extents(st, model, file, client)
         .map(|(off, data, _)| off + data.len() as u64)
         .max()
         .unwrap_or(0);
-    base.max(own_max)
+    base(st, file, snapshot).size().max(own_max)
 }
 
-/// What `rank` sees when reading `[off, off+len)` of `file`:
-/// `(bytes, provenance runs)`. The base image depends on the engine
-/// (published for strong/commit/eventual, the open-time snapshot for
-/// session); the rank's own buffered writes are overlaid in write order so
-/// every engine is read-your-writes.
+/// A read of `[off, off+len)` of `file` by `client` (rank `rank`) at
+/// `now`: `(bytes, provenance runs)`, short at the visible end of file.
+/// It takes its locks, matures what is due under eventual, and reads its
+/// base image with the client's own buffered writes applied over it.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn read_view(
+pub(crate) fn read(
     st: &mut PfsState,
     cfg: &PfsConfig,
     model: SemanticsModel,
     client: u64,
+    rank: u32,
     file: FileId,
     off: u64,
     len: u64,
     snapshot: Option<&Arc<FileImage>>,
     now: u64,
 ) -> (Vec<u8>, Vec<TagRun>) {
-    if model == SemanticsModel::Eventual {
+    lock(st, cfg, model, file, rank, off, len);
+    if let SemanticsModel::Eventual = model {
         mature_delayed(st, cfg, file, now);
     }
     let vsize = visible_size(st, model, file, client, snapshot);
@@ -224,44 +323,17 @@ pub(crate) fn read_view(
     }
     let end = (off + len).min(vsize);
     let want = end - off;
-
-    let node = st.file(file);
-    let base: &FileImage = match (model, snapshot) {
-        (SemanticsModel::Session, Some(s)) => s,
-        _ => &node.published,
-    };
-    let mut own = own_extents(st, model, file, client).peekable();
-    if own.peek().is_none() {
-        // Nothing buffered: the visible range is the base image's own.
+    let base = base(st, file, snapshot);
+    let mut own = own_extents(st, model, file, client)
+        .filter(|&(eoff, data, _)| eoff < end && eoff + data.len() as u64 > off)
+        .peekable();
+    if end <= base.size() && own.peek().is_none() {
+        // Nothing buffered here: the visible range is the base image's own.
         return (base.read(off, want), base.provenance(off, want));
     }
-
-    // Base bytes and provenance, zero-extended to the visible range.
-    let mut bytes = base.read(off, want);
-    bytes.resize(want as usize, 0);
-    let mut tags = SegMap::new();
-    let mut pos = off;
-    for run in base.provenance(off, want) {
-        if let Some(t) = run.tag {
-            tags.insert(pos, pos + run.len, t);
-        }
-        pos += run.len;
-    }
-
-    // Overlay own buffered writes, in order.
+    let mut view = base.window(off, end);
     for (eoff, data, tag) in own {
-        let eend = eoff + data.len() as u64;
-        let lo = eoff.max(off);
-        let hi = eend.min(end);
-        if lo >= hi {
-            continue;
-        }
-        let src = &data[(lo - eoff) as usize..(hi - eoff) as usize];
-        bytes[(lo - off) as usize..(hi - off) as usize].copy_from_slice(src);
-        tags.insert(lo, hi, tag);
+        view.apply_shared(eoff, Arc::clone(data), tag);
     }
-
-    // Render the tag map into runs covering [off, end).
-    let runs = tags.query(off, end);
-    (bytes, runs)
+    (view.read(off, want), view.provenance(off, want))
 }

@@ -116,6 +116,26 @@ impl FileImage {
             .map(move |(&s, x)| (s, x.end.min(hi), x))
     }
 
+    /// The part of this image within `[lo, hi)`, as an image of size `hi`:
+    /// the extents overlapping the window, clipped to it and sharing their
+    /// buffers, with holes everywhere else.
+    pub(crate) fn window(&self, lo: u64, hi: u64) -> FileImage {
+        let extents = self
+            .overlapping(lo, hi)
+            .map(|(s, e, x)| {
+                let from = s.max(lo);
+                (
+                    from,
+                    Extent {
+                        end: e,
+                        ..x.tail(s, from)
+                    },
+                )
+            })
+            .collect();
+        FileImage { extents, size: hi }
+    }
+
     /// `[offset, offset+len)` clamped to the current size, or `None` when
     /// it is empty.
     fn clamp(&self, offset: u64, len: u64) -> Option<(u64, u64)> {
@@ -161,8 +181,8 @@ impl FileImage {
         runs
     }
 
-    /// FNV-1a digest of [`FileImage::provenance`] over the clamped range
-    /// (see [`crate::SegMap::digest`]).
+    /// FNV-1a digest of [`FileImage::provenance`] over the clamped range;
+    /// a range past the end digests as no runs, salted.
     pub fn digest(&self, offset: u64, len: u64) -> u64 {
         if offset >= self.size {
             return digest_runs(obs::fnv::FNV_OFFSET, &[]) ^ 0x5a5a;
@@ -289,6 +309,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_window_holds_the_clipped_extents_and_holes_up_to_its_end() {
+        let mut f = FileImage::new();
+        f.apply(0, b"abcdef", tag(1, 1));
+        f.apply(8, b"gh", tag(2, 2));
+        let w = f.window(2, 14);
+        assert_eq!(w.size(), 14);
+        assert_eq!(w.read(0, 14), b"\0\0cdef\0\0gh\0\0\0\0");
+        assert_eq!(w.provenance(2, 12), f.window(0, 14).provenance(2, 12));
+        let runs: Vec<(u64, Option<WriteTag>)> =
+            w.provenance(0, 14).iter().map(|r| (r.len, r.tag)).collect();
+        assert_eq!(
+            runs,
+            [
+                (2, None),
+                (4, Some(tag(1, 1))),
+                (2, None),
+                (2, Some(tag(2, 2))),
+                (4, None)
+            ]
+        );
     }
 
     #[test]

@@ -10,21 +10,28 @@
 //!
 //! ## Consistency engines (§3 of the paper)
 //!
-//! * [`SemanticsModel::Strong`] — writes are globally visible on return
-//!   (sequential consistency under the happens-before order); every data
-//!   operation passes through the extent lock manager, whose traffic
-//!   statistics feed the motivation benchmarks.
-//! * [`SemanticsModel::Commit`] — writes are buffered per process and become
-//!   globally visible when the writer *commits* (`fsync`, `fdatasync`,
-//!   `close`, or `laminate`) — the UnifyFS/BurstFS/SymphonyFS model.
-//! * [`SemanticsModel::Session`] — writes become visible to processes that
-//!   `open` the file *after* the writer `close`d it (close-to-open, the
-//!   NFS/Gfarm-BB/IME model). `fsync` persists but does not publish.
-//! * [`SemanticsModel::Eventual`] — writes propagate after a configurable
-//!   delay regardless of commits (the PLFS/echofs model).
+//! One module, `engine`, decides what open, write, read, fsync and close
+//! do under each model; the client resolves a descriptor's model once, at
+//! open (`O_LAZY` runs a strong file system's descriptor under commit).
+//!
+//! | model | a write goes to | what publishes it | a read's base image | locks |
+//! |-------|-----------------|-------------------|---------------------|-------|
+//! | [`SemanticsModel::Strong`] | the published image | the write itself | the published image | yes |
+//! | [`SemanticsModel::Commit`] | the writer's pending list | `fsync` / `fdatasync` / `msync`, `close` | the published image | no |
+//! | [`SemanticsModel::Session`] | the writer's pending list | `close` (`fsync` persists only) | the snapshot taken at open | no |
+//! | [`SemanticsModel::Eventual`] | the delay queue | time: [`PfsConfig::eventual_delay_ns`] after the write | the published image | no |
+//!
+//! Strong is sequential consistency under the happens-before order: every
+//! data operation passes through the extent lock manager, whose traffic
+//! statistics feed the motivation benchmarks. Commit is the
+//! UnifyFS/BurstFS/SymphonyFS model, session (close-to-open) the
+//! NFS/Gfarm-BB/IME model, eventual the PLFS/echofs model. Lamination
+//! ([`PfsClient::laminate`]) and [`Pfs::quiesce`] publish everything,
+//! client by client in creation order.
 //!
 //! Every engine provides read-your-writes for a single process (the paper
-//! notes BurstFS as the lone exception).
+//! notes BurstFS as the lone exception): a reader's own buffered writes
+//! overlay its base image in write order.
 //!
 //! ## Provenance
 //!

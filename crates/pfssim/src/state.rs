@@ -1,14 +1,14 @@
 //! Global PFS state: the inode table, pending-write buffers, and the
 //! top-level [`Pfs`] handle.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use std::sync::Mutex;
 
 use crate::client::PfsClient;
 use crate::config::{PfsConfig, SemanticsModel};
+use crate::engine;
 use crate::error::FsResult;
 use crate::image::FileImage;
 use crate::namespace::Namespace;
@@ -51,15 +51,14 @@ pub(crate) struct FileNode {
     /// The globally visible image. `Arc` so session opens can snapshot it
     /// in O(1); publishing clones on demand (`Arc::make_mut`).
     pub published: Arc<FileImage>,
-    /// Bumped on every publish; session opens record it (diagnostics).
-    pub publish_version: u64,
     /// Laminated (UnifyFS): permanently read-only.
     pub laminated: bool,
     /// Buffered writes per *client instance* (commit / session engines),
     /// in write order. Keyed by client id, not rank: two jobs of a
     /// workflow may reuse rank numbers, and one job's buffered writes must
-    /// not become another process's "own" data.
-    pub pending: HashMap<u64, Vec<PendingExtent>>,
+    /// not become another process's "own" data. Ordered, so a publish of
+    /// every owner goes in creation order.
+    pub pending: BTreeMap<u64, Vec<PendingExtent>>,
     /// Delay queue (eventual engine), FIFO in global write order.
     pub delayed: VecDeque<DelayedExtent>,
     /// Strong engine only: which rank last held the write lock on each
@@ -72,9 +71,8 @@ impl FileNode {
     pub fn new() -> Self {
         FileNode {
             published: Arc::new(FileImage::new()),
-            publish_version: 0,
             laminated: false,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             delayed: VecDeque::new(),
             write_locks: crate::tag::SegMap::new(),
         }
@@ -188,19 +186,15 @@ impl Pfs {
         lock_state(&self.state).stats.clone()
     }
 
-    /// Force-propagate everything: mature all delayed writes and publish all
-    /// pending buffers, in global write order. Used at end of run so the
-    /// final on-disk state can be inspected regardless of engine.
+    /// Force-propagate everything: on every file, mature all delayed
+    /// writes and publish every client's pending writes, client by client
+    /// in creation order (`engine::publish_all`). Used at end of run so
+    /// the final on-disk state can be inspected regardless of engine.
     pub fn quiesce(&self) {
         let _span = obs::span("pfssim", "quiesce");
         let mut st = lock_state(&self.state);
-        let cfg = self.cfg;
         for idx in 0..st.files.len() {
-            crate::engine::mature_delayed(&mut st, &cfg, FileId(idx as u32), u64::MAX);
-            let owners: Vec<u64> = st.files[idx].pending.keys().copied().collect();
-            for o in owners {
-                crate::engine::publish_client(&mut st, &cfg, FileId(idx as u32), o);
-            }
+            engine::publish_all(&mut st, &self.cfg, FileId(idx as u32));
         }
         // Mirror this instance's counters into the shared registry: once
         // per run, after the final propagation, so the global totals are

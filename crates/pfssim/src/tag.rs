@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::fnv::{fnv1a64, FNV_OFFSET};
+use obs::fnv::fnv1a64;
 
 /// Identity of a write: who wrote the byte and the global write sequence
 /// number of the operation. Tags let a reader (or the analysis) decide
@@ -26,7 +26,8 @@ pub struct TagRun {
     pub tag: Option<WriteTag>,
 }
 
-/// An interval map from byte ranges to [`WriteTag`]s.
+/// An interval map from byte ranges to [`WriteTag`]s: the strong engine's
+/// write locks, one segment per run of bytes whose lock one rank holds.
 ///
 /// Invariants: segments are disjoint, non-empty, and sorted by start offset.
 /// Adjacent segments with equal tags are coalesced.
@@ -36,9 +37,9 @@ pub struct TagRun {
 /// let mut m = SegMap::new();
 /// m.insert(0, 10, WriteTag { rank: 1, seq: 0 });
 /// m.insert(5, 8, WriteTag { rank: 2, seq: 0 });
-/// let runs = m.query(0, 10);
-/// assert_eq!(runs.len(), 3); // [0,5) rank 1 | [5,8) rank 2 | [8,10) rank 1
-/// assert_eq!(runs[1].tag.unwrap().rank, 2);
+/// let segs: Vec<_> = m.overlapping(0, 10).collect();
+/// assert_eq!(segs.len(), 3); // [0,5) rank 1 | [5,8) rank 2 | [8,10) rank 1
+/// assert_eq!(segs[1], (5, 8, WriteTag { rank: 2, seq: 0 }));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegMap {
@@ -49,15 +50,6 @@ pub struct SegMap {
 impl SegMap {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Number of stored segments (after coalescing).
-    pub fn len(&self) -> usize {
-        self.segs.len()
     }
 
     /// Record that `[start, end)` was written with `tag`, overwriting any
@@ -129,43 +121,6 @@ impl SegMap {
             .chain(self.segs.range(start..end))
             .map(move |(&s, &(e, t))| (s.max(start), e.min(end), t))
     }
-
-    /// The provenance of `[start, end)` as a sequence of runs covering the
-    /// whole range (holes yield `tag: None`).
-    pub fn query(&self, start: u64, end: u64) -> Vec<TagRun> {
-        let mut runs = Vec::new();
-        if start >= end {
-            return runs;
-        }
-        let mut pos = start;
-        for (s, e, t) in self.overlapping(start, end) {
-            if s > pos {
-                runs.push(TagRun {
-                    len: s - pos,
-                    tag: None,
-                });
-            }
-            runs.push(TagRun {
-                len: e - s,
-                tag: Some(t),
-            });
-            pos = e;
-        }
-        if pos < end {
-            runs.push(TagRun {
-                len: end - pos,
-                tag: None,
-            });
-        }
-        runs
-    }
-
-    /// A 64-bit FNV-1a digest of the provenance of `[start, end)` — used by
-    /// the observation log to compare what reads saw across engines without
-    /// storing full runs.
-    pub fn digest(&self, start: u64, end: u64) -> u64 {
-        digest_runs(FNV_OFFSET, &self.query(start, end))
-    }
 }
 
 /// Fold the provenance of `runs` into the FNV-1a state `h`, each number
@@ -192,28 +147,24 @@ mod tests {
         WriteTag { rank, seq }
     }
 
-    fn runs(m: &SegMap, s: u64, e: u64) -> Vec<(u64, Option<(u32, u64)>)> {
-        m.query(s, e)
-            .into_iter()
-            .map(|r| (r.len, r.tag.map(|t| (t.rank, t.seq))))
+    /// The segments overlapping `[s, e)`, clipped, as `(start, end, (rank, seq))`.
+    fn segs(m: &SegMap, s: u64, e: u64) -> Vec<(u64, u64, (u32, u64))> {
+        m.overlapping(s, e)
+            .map(|(s, e, t)| (s, e, (t.rank, t.seq)))
             .collect()
     }
 
     #[test]
     fn empty_map_is_all_holes() {
         let m = SegMap::new();
-        assert_eq!(runs(&m, 0, 10), vec![(10, None)]);
-        assert!(m.query(5, 5).is_empty());
+        assert!(segs(&m, 0, 10).is_empty());
     }
 
     #[test]
     fn single_insert() {
         let mut m = SegMap::new();
         m.insert(10, 20, tag(1, 1));
-        assert_eq!(
-            runs(&m, 0, 30),
-            vec![(10, None), (10, Some((1, 1))), (10, None)]
-        );
+        assert_eq!(segs(&m, 0, 30), vec![(10, 20, (1, 1))]);
     }
 
     #[test]
@@ -222,10 +173,9 @@ mod tests {
         m.insert(0, 30, tag(1, 1));
         m.insert(10, 20, tag(2, 2));
         assert_eq!(
-            runs(&m, 0, 30),
-            vec![(10, Some((1, 1))), (10, Some((2, 2))), (10, Some((1, 1)))]
+            segs(&m, 0, 30),
+            vec![(0, 10, (1, 1)), (10, 20, (2, 2)), (20, 30, (1, 1))]
         );
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -234,8 +184,7 @@ mod tests {
         m.insert(5, 10, tag(1, 1));
         m.insert(12, 15, tag(1, 2));
         m.insert(0, 20, tag(3, 3));
-        assert_eq!(runs(&m, 0, 20), vec![(20, Some((3, 3)))]);
-        assert_eq!(m.len(), 1);
+        assert_eq!(segs(&m, 0, 20), vec![(0, 20, (3, 3))]);
     }
 
     #[test]
@@ -245,8 +194,8 @@ mod tests {
         m.insert(20, 30, tag(2, 2));
         m.insert(5, 25, tag(3, 3));
         assert_eq!(
-            runs(&m, 0, 30),
-            vec![(5, Some((1, 1))), (20, Some((3, 3))), (5, Some((2, 2)))]
+            segs(&m, 0, 30),
+            vec![(0, 5, (1, 1)), (5, 25, (3, 3)), (25, 30, (2, 2))]
         );
     }
 
@@ -255,30 +204,30 @@ mod tests {
         let mut m = SegMap::new();
         m.insert(0, 10, tag(1, 1));
         m.insert(10, 20, tag(1, 1));
-        assert_eq!(m.len(), 1);
-        assert_eq!(runs(&m, 0, 20), vec![(20, Some((1, 1)))]);
+        assert_eq!(segs(&m, 0, 20), vec![(0, 20, (1, 1))]);
     }
 
     #[test]
     fn digest_changes_with_provenance() {
-        let mut a = SegMap::new();
-        a.insert(0, 10, tag(1, 1));
-        let mut b = SegMap::new();
-        b.insert(0, 10, tag(1, 2));
-        assert_ne!(a.digest(0, 10), b.digest(0, 10));
-        assert_eq!(a.digest(0, 10), a.clone().digest(0, 10));
-        // Outside the written range the digest is the hole digest.
-        let empty = SegMap::new();
-        assert_eq!(a.digest(20, 30), empty.digest(20, 30));
+        let run = |len, tag| TagRun { len, tag };
+        let a = [run(10, Some(tag(1, 1)))];
+        let b = [run(10, Some(tag(1, 2)))];
+        let h = obs::fnv::FNV_OFFSET;
+        assert_ne!(digest_runs(h, &a), digest_runs(h, &b));
+        assert_ne!(digest_runs(h, &a), digest_runs(h, &[run(10, None)]));
+        assert_ne!(
+            digest_runs(h, &a),
+            digest_runs(h, &[run(9, Some(tag(1, 1)))])
+        );
     }
 
     #[test]
-    fn query_is_exact_at_boundaries() {
+    fn overlapping_is_exact_at_boundaries() {
         let mut m = SegMap::new();
         m.insert(10, 20, tag(1, 1));
-        assert_eq!(runs(&m, 10, 20), vec![(10, Some((1, 1)))]);
-        assert_eq!(runs(&m, 9, 10), vec![(1, None)]);
-        assert_eq!(runs(&m, 20, 21), vec![(1, None)]);
-        assert_eq!(runs(&m, 15, 16), vec![(1, Some((1, 1)))]);
+        assert_eq!(segs(&m, 10, 20), vec![(10, 20, (1, 1))]);
+        assert!(segs(&m, 9, 10).is_empty());
+        assert!(segs(&m, 20, 21).is_empty());
+        assert_eq!(segs(&m, 15, 16), vec![(15, 16, (1, 1))]);
     }
 }

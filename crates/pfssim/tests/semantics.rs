@@ -331,6 +331,61 @@ fn quiesce_flushes_all_engines() {
 }
 
 #[test]
+fn publishing_everything_picks_one_final_image() {
+    // Two clients buffer overlapping writes and neither commits: quiesce
+    // and laminate publish them client by client in creation order, so
+    // every fresh file system ends with the later-created client's bytes.
+    let final_image = |laminate: bool| {
+        let fs = pfs(SemanticsModel::Commit);
+        let mut a = fs.client(0);
+        let mut b = fs.client(1);
+        let fda = a.open("/f", OpenFlags::rdwr_create(), 0).unwrap();
+        let fdb = b.open("/f", OpenFlags::rdwr_create(), 1).unwrap();
+        a.pwrite(fda, 0, b"aaaa", 2).unwrap();
+        b.pwrite(fdb, 0, b"bbbb", 3).unwrap();
+        if laminate {
+            a.laminate("/f", 4).unwrap();
+        } else {
+            fs.quiesce();
+        }
+        fs.published_image("/f").unwrap().read(0, 4)
+    };
+    for _ in 0..64 {
+        assert_eq!(final_image(false), b"bbbb", "quiesce");
+        assert_eq!(final_image(true), b"bbbb", "laminate");
+    }
+}
+
+#[test]
+fn own_writes_past_the_published_end_read_as_holes_up_to_them() {
+    // A reader's visible size includes its buffered writes, so a read that
+    // overlaps none of them but runs past the base image's end returns
+    // holes up to the visible end rather than a short read.
+    for model in [
+        SemanticsModel::Commit,
+        SemanticsModel::Session,
+        SemanticsModel::Eventual,
+    ] {
+        let fs = pfs(model);
+        let mut a = fs.client(0);
+        let fd = a.open("/f", OpenFlags::rdwr_create(), 0).unwrap();
+        a.pwrite(fd, 0, b"abc", 1).unwrap();
+        a.close(fd, 2).unwrap();
+        fs.quiesce();
+        let fd = a.open("/f", OpenFlags::rdwr_create(), 3).unwrap();
+        a.pwrite(fd, 100, b"zz", 4).unwrap();
+        let out = a.pread(fd, 1, 50, 5).unwrap();
+        assert_eq!(out.data, [&b"bc"[..], &[0; 48]].concat(), "{model:?}");
+        let runs: Vec<(u64, Option<u32>)> = out
+            .tags
+            .iter()
+            .map(|r| (r.len, r.tag.map(|t| t.rank)))
+            .collect();
+        assert_eq!(runs, [(2, Some(0)), (48, None)], "{model:?}");
+    }
+}
+
+#[test]
 fn append_positions_at_visible_eof() {
     for model in SemanticsModel::ALL {
         let fs = pfs(model);

@@ -47,15 +47,6 @@ impl Interner {
     pub fn into_names(self) -> Vec<String> {
         self.names
     }
-
-    pub fn from_names(names: Vec<String>) -> Self {
-        let by_name = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), PathId(i as u32)))
-            .collect();
-        Interner { by_name, names }
-    }
 }
 
 /// Interner shared by all ranks of one run. Ids are handed out in call

@@ -102,6 +102,25 @@ if awk 'FNR == 1 { f = "" }
     exit 1
 fi
 
+echo "ci: one engine per model"
+# What open, write, read, fsync and close do under each consistency model
+# is decided in one module, `pfssim::engine`: no other non-test code of
+# pfssim (but `config.rs`, which defines the models, and `lib.rs`, which
+# documents them) or of iolibs names a model variant. The non-test part
+# of a file is what `scripts/loc.sh` counts: the lines before its first
+# `#[cfg(test)]`.
+for f in crates/pfssim/src/*.rs crates/iolibs/src/*.rs; do
+    case "$f" in
+    crates/pfssim/src/engine.rs | crates/pfssim/src/config.rs | crates/pfssim/src/lib.rs) continue ;;
+    esac
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /SemanticsModel::/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+            END { exit !bad }' "$f"; then
+        echo "a consistency model decided outside pfssim::engine"
+        exit 1
+    fi
+done
+
 echo "ci: cargo build --release"
 cargo build --release
 
