@@ -108,3 +108,37 @@ fn resolver_matches_simulator() {
         assert_eq!(derived, truth);
     }
 }
+
+/// The open flags a trace carries are `pfssim::OpenFlags::to_bits`, and
+/// the resolver decodes them with `recorder::offset::flag_bits`: the two
+/// agree on every constructor, and only `O_LAZY` (which the resolver
+/// ignores) lies outside `flag_bits`.
+#[test]
+fn flag_bits_decode_what_open_flags_encode() {
+    use offset::flag_bits as b;
+    use pfssim::OpenFlags;
+    for f in [
+        OpenFlags::rdonly(),
+        OpenFlags::wronly_create_trunc(),
+        OpenFlags::rdwr_create(),
+        OpenFlags::rdwr(),
+        OpenFlags::append_create(),
+        OpenFlags::rdwr_create().with_excl(),
+        OpenFlags::rdwr_create().with_lazy(),
+    ] {
+        let bits = f.to_bits();
+        let fields = [
+            (b::READ, f.read),
+            (b::WRITE, f.write),
+            (b::CREATE, f.create),
+            (b::TRUNC, f.truncate),
+            (b::APPEND, f.append),
+            (b::EXCL, f.excl),
+        ];
+        for (bit, set) in fields {
+            assert_eq!(bits & bit != 0, set, "{f:?}: bit {bit:#x}");
+        }
+        let known = fields.iter().fold(0, |acc, &(bit, _)| acc | bit);
+        assert_eq!(bits & !known != 0, f.lazy, "{f:?}");
+    }
+}

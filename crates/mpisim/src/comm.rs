@@ -65,7 +65,9 @@ impl Rank {
         if !released {
             st = self.park(st, BlockReason::Barrier { epoch });
         }
-        let t_exit = st.barrier_release[epoch as usize];
+        // The release set every participant's clock to the release time:
+        // the releaser's by its own arrival, every parked one's at release.
+        let t_exit = st.last_t[self.rank as usize];
         st.events[self.rank as usize].push(MpiEvent {
             rank: self.rank,
             t_start: t_enter,

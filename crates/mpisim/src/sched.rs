@@ -215,8 +215,6 @@ pub(crate) struct SimState {
     /// Barrier: number of ranks arrived in the current epoch.
     pub barrier_count: u32,
     pub barrier_epoch: u64,
-    /// Release time of each completed barrier epoch, indexed by epoch.
-    pub barrier_release: Vec<u64>,
     /// Per-rank happens-before event log.
     pub events: Vec<Vec<MpiEvent>>,
     /// Ranks whose status just changed in a way their thread must observe
@@ -295,7 +293,6 @@ impl SimState {
             next_msg_seq: 0,
             barrier_count: 0,
             barrier_epoch: 0,
-            barrier_release: Vec::new(),
             events: (0..n).map(|_| Vec::new()).collect(),
             pending_wakes: Vec::new(),
             op_index: vec![0; n],
@@ -577,8 +574,6 @@ impl SimState {
         let epoch = self.barrier_epoch;
         self.barrier_count = 0;
         self.barrier_epoch += 1;
-        debug_assert_eq!(self.barrier_release.len() as u64, epoch);
-        self.barrier_release.push(self.clock_ns);
         for r in 0..self.status.len() {
             if self.status[r] == RankStatus::Blocked(BlockReason::Barrier { epoch }) {
                 self.set_status(r, RankStatus::Computing);

@@ -151,7 +151,7 @@ impl PfsClient {
 
     /// The size of the file open as `e`, as this process sees it.
     fn visible_size(&self, st: &PfsState, e: &FdEntry) -> u64 {
-        engine::visible_size(st, e.model, e.file, self.client_id, e.snapshot.as_ref())
+        engine::visible_size(st, e.file, self.client_id, e.snapshot.as_ref())
     }
 
     /// The extent locks a data op of `len` bytes on `fd` takes: under the
@@ -198,12 +198,8 @@ impl PfsClient {
             });
         }
         if flags.truncate && flags.write {
-            Arc::make_mut(&mut st.file_mut(file).published).truncate(0);
             // Buffered state from earlier sessions is discarded too.
-            st.drop_buffered(file, |node| {
-                node.pending.clear();
-                node.delayed.clear();
-            });
+            st.file_mut(file).truncate(0);
         }
         let model = engine::effective(self.cfg.semantics, flags);
         let snapshot = engine::open(&mut st, &self.cfg, model, file, now);
@@ -275,7 +271,7 @@ impl PfsClient {
         let (client, snapshot) = (self.client_id, e.snapshot.as_ref());
         let at = match offset {
             Some(off) => off,
-            None if e.flags.append => engine::visible_size(&st, e.model, e.file, client, snapshot),
+            None if e.flags.append => engine::visible_size(&st, e.file, client, snapshot),
             None => e.cursor,
         };
         let (tag, locks) = engine::write(
@@ -403,13 +399,9 @@ impl PfsClient {
     /// processes until publish, and a dead owner can no longer publish.
     pub fn discard_pending(&mut self) {
         let mut st = lock_state(&self.state);
-        let dropped: usize = st
-            .files
-            .iter_mut()
-            .filter_map(|node| node.pending.remove(&self.client_id))
-            .map(|extents| extents.len())
-            .sum();
-        st.stats.pending_extents = st.stats.pending_extents.saturating_sub(dropped as u64);
+        for node in &mut st.files {
+            node.pending.remove(&self.client_id);
+        }
     }
 
     /// POSIX `fdatasync(2)`: same visibility behaviour as [`Self::fsync`].
@@ -447,7 +439,6 @@ impl PfsClient {
     fn stat_counted(&mut self, name: &'static str, path: &str) -> FsResult<StatInfo> {
         let path = self.norm(path)?;
         let client_id = self.client_id;
-        let cfg = self.cfg;
         let mut st = lock_state(&self.state);
         st.stats.count_meta(name);
         match st.ns.lookup(&path) {
@@ -456,7 +447,7 @@ impl PfsClient {
                 size: 0,
             }),
             Some(crate::namespace::Node::File(id)) => {
-                let size = engine::visible_size(&st, cfg.semantics, id, client_id, None);
+                let size = engine::visible_size(&st, id, client_id, None);
                 Ok(StatInfo {
                     is_dir: false,
                     size,
@@ -554,7 +545,7 @@ impl PfsClient {
         let mut st = lock_state(&self.state);
         st.stats.count_meta("truncate");
         let file = st.ns.expect_file(&path)?;
-        truncate_node(&mut st, file, len);
+        st.file_mut(file).truncate(len);
         let published = Arc::clone(&st.file(file).published);
         drop(st);
         self.refresh_own_snapshots(file, &published);
@@ -567,7 +558,7 @@ impl PfsClient {
         let file = entry.file;
         let mut st = lock_state(&self.state);
         st.stats.count_meta("ftruncate");
-        truncate_node(&mut st, file, len);
+        st.file_mut(file).truncate(len);
         let published = Arc::clone(&st.file(file).published);
         drop(st);
         self.refresh_own_snapshots(file, &published);
@@ -653,40 +644,4 @@ impl PfsClient {
     pub fn cursor(&self, fd: u32) -> FsResult<u64> {
         Ok(self.fd(fd)?.cursor)
     }
-}
-
-fn truncate_node(st: &mut PfsState, file: FileId, len: u64) {
-    Arc::make_mut(&mut st.file_mut(file).published).truncate(len);
-    st.drop_buffered(file, |node| {
-        for extents in node.pending.values_mut() {
-            extents.retain_mut(|e| {
-                if e.off >= len {
-                    return false;
-                }
-                let keep = (len - e.off).min(e.data.len() as u64) as usize;
-                if keep < e.data.len() {
-                    e.data = Arc::from(&e.data[..keep]);
-                }
-                !e.data.is_empty()
-            });
-        }
-        let delayed = std::mem::take(&mut node.delayed);
-        node.delayed = delayed
-            .into_iter()
-            .filter_map(|mut e| {
-                if e.off >= len {
-                    return None;
-                }
-                let keep = (len - e.off).min(e.data.len() as u64) as usize;
-                if keep < e.data.len() {
-                    e.data = Arc::from(&e.data[..keep]);
-                }
-                if e.data.is_empty() {
-                    None
-                } else {
-                    Some(e)
-                }
-            })
-            .collect();
-    });
 }

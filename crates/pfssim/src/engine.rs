@@ -3,18 +3,21 @@
 //! is the one place a model is decided; the client resolves a descriptor's
 //! model once, at open, and hands it here.
 //!
-//! | model    | a write goes to            | what publishes it                          | a read's base image        | locks |
-//! |----------|----------------------------|--------------------------------------------|----------------------------|-------|
-//! | strong   | the published image        | the write itself                           | the published image        | yes   |
-//! | commit   | the writer's pending list  | `fsync` / `fdatasync` / `msync`, `close`   | the published image        | no    |
-//! | session  | the writer's pending list  | `close` (`fsync` persists only)            | the snapshot taken at open | no    |
-//! | eventual | the delay queue            | time: `eventual_delay_ns` after the write  | the published image        | no    |
+//! | model    | a write goes to           | what publishes it                         | a read's base image        | locks                                             |
+//! |----------|---------------------------|-------------------------------------------|----------------------------|---------------------------------------------------|
+//! | strong   | the published image       | the write itself                          | the published image        | yes; a byte's holder is its last published writer |
+//! | commit   | the writer's pending list | `fsync` / `fdatasync` / `msync`, `close`  | the published image        | no                                                |
+//! | session  | the writer's pending list | `close` (`fsync` persists only)           | the snapshot taken at open | no                                                |
+//! | eventual | the delay queue           | time: `eventual_delay_ns` after the write | the published image        | no                                                |
 //!
 //! A strong data op takes ceil(len / `lock_granularity`) extent locks and
-//! counts a revocation for every run of the range whose write lock another
-//! rank holds. A delayed extent matures when an open or a read finds it
-//! due. A reader's own buffered writes overlay its base image in write
-//! order, so every engine is read-your-writes. `O_LAZY` runs a descriptor
+//! counts a revocation for every run of the range that another rank holds.
+//! The write lock of a byte is held by the rank that last wrote it in the
+//! published image, so a truncated range has no holder, and a published
+//! `O_LAZY` write makes its writer the holder. A delayed extent matures
+//! when an open or a read finds it due. A process's buffered writes
+//! overlay its base image in write order, whichever descriptor wrote
+//! them, so every engine is read-your-writes. `O_LAZY` runs a descriptor
 //! of a strong file system under commit ([`effective`]). Lamination and
 //! the end of a run publish everything ([`publish_all`]).
 
@@ -101,7 +104,9 @@ pub(crate) fn lock_count(cfg: &PfsConfig, model: SemanticsModel, len: u64) -> u6
 
 /// Take the locks of a data op by `rank` on `[off, off+len)` of `file`:
 /// count them, and count a revocation for every run of the range whose
-/// write lock a *different* rank holds. Returns the locks taken.
+/// last writer in the published image is a *different* rank (rank stands
+/// in for the client node, as Lustre grants locks per client). Returns
+/// the locks taken.
 fn lock(
     st: &mut PfsState,
     cfg: &PfsConfig,
@@ -115,9 +120,9 @@ fn lock(
     if locks > 0 {
         let revocations = st
             .file(file)
-            .write_locks
-            .overlapping(off, off + len)
-            .filter(|&(_, _, t)| t.rank != rank)
+            .published
+            .writer_runs(off, off + len)
+            .filter(|&(_, _, r)| r != rank)
             .count() as u64;
         st.stats.locks_acquired += locks;
         st.stats.lock_revocations += revocations;
@@ -156,12 +161,7 @@ pub(crate) fn write(
     match model {
         SemanticsModel::Strong => {
             st.stats.stripe_account(off, len, cfg.stripe_size, true);
-            let node = st.file_mut(file);
-            if len > 0 {
-                node.write_locks
-                    .insert(off, off + len, WriteTag { rank, seq: 0 });
-            }
-            Arc::make_mut(&mut node.published).apply(off, data, tag);
+            Arc::make_mut(&mut st.file_mut(file).published).apply(off, data, tag);
         }
         SemanticsModel::Commit | SemanticsModel::Session => {
             // Buffered until publish: this engine must own the bytes.
@@ -171,7 +171,6 @@ pub(crate) fn write(
                 data: Arc::from(data),
                 tag,
             });
-            st.stats.pending_extents += 1;
         }
         SemanticsModel::Eventual => {
             let node = st.file_mut(file);
@@ -182,7 +181,6 @@ pub(crate) fn write(
                 data: Arc::from(data),
                 tag,
             });
-            st.stats.pending_extents += 1;
         }
     }
     (tag, locks)
@@ -208,7 +206,6 @@ fn publish_client(st: &mut PfsState, cfg: &PfsConfig, file: FileId, client: u64)
         img.apply_shared(e.off, e.data, e.tag);
     }
     stats.publishes += n;
-    stats.pending_extents = stats.pending_extents.saturating_sub(n);
 }
 
 /// Publish everything buffered on `file`, whatever the model: every
@@ -242,32 +239,27 @@ fn mature_delayed(st: &mut PfsState, cfg: &PfsConfig, file: FileId, now: u64) {
         img.apply_shared(e.off, e.data, e.tag);
     }
     stats.publishes += due as u64;
-    stats.pending_extents = stats.pending_extents.saturating_sub(due as u64);
 }
 
 /// The not-yet-visible extents of `client` on `file`, borrowed, in write
-/// order: its pending list under commit and session, its entries of the
-/// delay queue under eventual. The overlay that gives every engine
-/// read-your-writes.
+/// order: its pending list, then its entries of the delay queue. The
+/// overlay that gives every engine read-your-writes, through any of the
+/// client's descriptors.
 fn own_extents(
     st: &PfsState,
-    model: SemanticsModel,
     file: FileId,
     client: u64,
 ) -> impl Iterator<Item = (u64, &Arc<[u8]>, WriteTag)> {
     let node = st.file(file);
-    let (pending, delayed) = match model {
-        SemanticsModel::Commit | SemanticsModel::Session => (node.pending.get(&client), None),
-        SemanticsModel::Eventual => (None, Some(&node.delayed)),
-        SemanticsModel::Strong => (None, None),
-    };
-    let pending = pending
+    let pending = node
+        .pending
+        .get(&client)
         .into_iter()
         .flatten()
         .map(|e| (e.off, &e.data, e.tag));
-    let delayed = delayed
-        .into_iter()
-        .flatten()
+    let delayed = node
+        .delayed
+        .iter()
         .filter(move |d| d.owner == client)
         .map(|d| (d.off, &d.data, d.tag));
     pending.chain(delayed)
@@ -281,15 +273,15 @@ fn base<'a>(st: &'a PfsState, file: FileId, snapshot: Option<&'a Arc<FileImage>>
 }
 
 /// The size of `file` as visible to `client`: its base image extended by
-/// the client's own buffered writes.
+/// the client's own buffered writes (an empty write extends nothing).
 pub(crate) fn visible_size(
     st: &PfsState,
-    model: SemanticsModel,
     file: FileId,
     client: u64,
     snapshot: Option<&Arc<FileImage>>,
 ) -> u64 {
-    let own_max = own_extents(st, model, file, client)
+    let own_max = own_extents(st, file, client)
+        .filter(|(_, data, _)| !data.is_empty())
         .map(|(off, data, _)| off + data.len() as u64)
         .max()
         .unwrap_or(0);
@@ -317,14 +309,14 @@ pub(crate) fn read(
     if let SemanticsModel::Eventual = model {
         mature_delayed(st, cfg, file, now);
     }
-    let vsize = visible_size(st, model, file, client, snapshot);
+    let vsize = visible_size(st, file, client, snapshot);
     if off >= vsize || len == 0 {
         return (Vec::new(), Vec::new());
     }
     let end = (off + len).min(vsize);
     let want = end - off;
     let base = base(st, file, snapshot);
-    let mut own = own_extents(st, model, file, client)
+    let mut own = own_extents(st, file, client)
         .filter(|&(eoff, data, _)| eoff < end && eoff + data.len() as u64 > off)
         .peekable();
     if end <= base.size() && own.peek().is_none() {

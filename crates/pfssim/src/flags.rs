@@ -104,7 +104,8 @@ impl OpenFlags {
         self
     }
 
-    /// Encode into a compact bitset for trace records.
+    /// Encode into a compact bitset for trace records; the trace side
+    /// decodes it with `recorder::offset::flag_bits`.
     pub fn to_bits(self) -> u32 {
         (self.read as u32)
             | (self.write as u32) << 1
@@ -113,18 +114,6 @@ impl OpenFlags {
             | (self.append as u32) << 4
             | (self.excl as u32) << 5
             | (self.lazy as u32) << 6
-    }
-
-    pub fn from_bits(bits: u32) -> Self {
-        OpenFlags {
-            read: bits & 1 != 0,
-            write: bits & 2 != 0,
-            create: bits & 4 != 0,
-            truncate: bits & 8 != 0,
-            append: bits & 16 != 0,
-            excl: bits & 32 != 0,
-            lazy: bits & 64 != 0,
-        }
     }
 }
 
@@ -137,50 +126,4 @@ pub enum Whence {
     Cur,
     /// `SEEK_END`: relative to the end of file.
     End,
-}
-
-impl Whence {
-    pub fn to_u8(self) -> u8 {
-        match self {
-            Whence::Set => 0,
-            Whence::Cur => 1,
-            Whence::End => 2,
-        }
-    }
-
-    pub fn from_u8(v: u8) -> Self {
-        match v {
-            0 => Whence::Set,
-            1 => Whence::Cur,
-            2 => Whence::End,
-            _ => panic!("invalid whence {v}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flags_roundtrip_bits() {
-        for f in [
-            OpenFlags::rdonly(),
-            OpenFlags::wronly_create_trunc(),
-            OpenFlags::rdwr_create(),
-            OpenFlags::rdwr(),
-            OpenFlags::append_create(),
-            OpenFlags::rdwr_create().with_excl(),
-            OpenFlags::rdwr_create().with_lazy(),
-        ] {
-            assert_eq!(OpenFlags::from_bits(f.to_bits()), f);
-        }
-    }
-
-    #[test]
-    fn whence_roundtrip() {
-        for w in [Whence::Set, Whence::Cur, Whence::End] {
-            assert_eq!(Whence::from_u8(w.to_u8()), w);
-        }
-    }
 }

@@ -116,6 +116,27 @@ impl FileImage {
             .map(move |(&s, x)| (s, x.end.min(hi), x))
     }
 
+    /// Who last wrote `[lo, hi)`: one `(start, end, rank)` per run of
+    /// contiguous extents of one writer rank, clipped to the range; holes
+    /// separate runs and yield none.
+    pub(crate) fn writer_runs(
+        &self,
+        lo: u64,
+        hi: u64,
+    ) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+        let mut extents = self
+            .overlapping(lo, hi)
+            .map(move |(s, e, x)| (s.max(lo), e, x.tag.rank))
+            .peekable();
+        std::iter::from_fn(move || {
+            let (start, mut end, rank) = extents.next()?;
+            while let Some((_, e, _)) = extents.next_if(|&(s, _, r)| s == end && r == rank) {
+                end = e;
+            }
+            Some((start, end, rank))
+        })
+    }
+
     /// The part of this image within `[lo, hi)`, as an image of size `hi`:
     /// the extents overlapping the window, clipped to it and sharing their
     /// buffers, with holes everywhere else.
@@ -332,6 +353,18 @@ mod tests {
                 (4, None)
             ]
         );
+    }
+
+    #[test]
+    fn writer_runs_merge_touching_extents_of_one_rank() {
+        let mut f = FileImage::new();
+        f.apply(0, b"aa", tag(0, 1));
+        f.apply(2, b"bb", tag(0, 2));
+        f.apply(4, b"cc", tag(1, 1));
+        f.apply(8, b"dd", tag(1, 2));
+        let runs: Vec<_> = f.writer_runs(1, 9).collect();
+        assert_eq!(runs, [(1, 4, 0), (4, 6, 1), (8, 9, 1)]);
+        assert_eq!(f.writer_runs(6, 8).count(), 0, "a hole has no writer");
     }
 
     #[test]

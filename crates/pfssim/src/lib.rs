@@ -16,7 +16,7 @@
 //!
 //! | model | a write goes to | what publishes it | a read's base image | locks |
 //! |-------|-----------------|-------------------|---------------------|-------|
-//! | [`SemanticsModel::Strong`] | the published image | the write itself | the published image | yes |
+//! | [`SemanticsModel::Strong`] | the published image | the write itself | the published image | yes; a byte's holder is its last published writer |
 //! | [`SemanticsModel::Commit`] | the writer's pending list | `fsync` / `fdatasync` / `msync`, `close` | the published image | no |
 //! | [`SemanticsModel::Session`] | the writer's pending list | `close` (`fsync` persists only) | the snapshot taken at open | no |
 //! | [`SemanticsModel::Eventual`] | the delay queue | time: [`PfsConfig::eventual_delay_ns`] after the write | the published image | no |
@@ -30,8 +30,8 @@
 //! client by client in creation order.
 //!
 //! Every engine provides read-your-writes for a single process (the paper
-//! notes BurstFS as the lone exception): a reader's own buffered writes
-//! overlay its base image in write order.
+//! notes BurstFS as the lone exception): a process's own buffered writes
+//! overlay its base image in write order, through any of its descriptors.
 //!
 //! ## Provenance
 //!
@@ -61,4 +61,4 @@ pub use image::FileImage;
 pub use namespace::DirEntry;
 pub use state::{FileId, Pfs};
 pub use stats::PfsStats;
-pub use tag::{SegMap, TagRun, WriteTag};
+pub use tag::{TagRun, WriteTag};

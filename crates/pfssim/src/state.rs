@@ -61,10 +61,6 @@ pub(crate) struct FileNode {
     pub pending: BTreeMap<u64, Vec<PendingExtent>>,
     /// Delay queue (eventual engine), FIFO in global write order.
     pub delayed: VecDeque<DelayedExtent>,
-    /// Strong engine only: which rank last held the write lock on each
-    /// extent (rank stands in for the client node, as Lustre grants locks
-    /// per client). Used to count revocations.
-    pub write_locks: crate::tag::SegMap,
 }
 
 impl FileNode {
@@ -74,7 +70,6 @@ impl FileNode {
             laminated: false,
             pending: BTreeMap::new(),
             delayed: VecDeque::new(),
-            write_locks: crate::tag::SegMap::new(),
         }
     }
 
@@ -82,6 +77,24 @@ impl FileNode {
     /// the eventual engine's delay queue.
     fn buffered(&self) -> u64 {
         self.pending.values().map(|v| v.len() as u64).sum::<u64>() + self.delayed.len() as u64
+    }
+
+    /// Truncate (or extend with a hole) to `len`: the published image at
+    /// once, and every buffered extent clipped to end by `len`, dropped if
+    /// nothing of it is left.
+    pub fn truncate(&mut self, len: u64) {
+        Arc::make_mut(&mut self.published).truncate(len);
+        let clip = |off: u64, data: &mut Arc<[u8]>| {
+            let keep = len.saturating_sub(off).min(data.len() as u64) as usize;
+            if keep < data.len() {
+                *data = Arc::from(&data[..keep]);
+            }
+            keep > 0
+        };
+        for extents in self.pending.values_mut() {
+            extents.retain_mut(|e| clip(e.off, &mut e.data));
+        }
+        self.delayed.retain_mut(|e| clip(e.off, &mut e.data));
     }
 }
 
@@ -115,18 +128,6 @@ impl PfsState {
 
     pub fn file_mut(&mut self, id: FileId) -> &mut FileNode {
         &mut self.files[id.index()]
-    }
-
-    /// Apply `drop` to `file`'s buffered extents and take every extent it
-    /// removed off [`PfsStats::pending_extents`] — the gauge counts what is
-    /// buffered *now*, so a discard or truncation must lower it as a
-    /// publish does.
-    pub fn drop_buffered(&mut self, file: FileId, drop: impl FnOnce(&mut FileNode)) {
-        let node = self.file_mut(file);
-        let before = node.buffered();
-        drop(node);
-        let dropped = before - node.buffered();
-        self.stats.pending_extents = self.stats.pending_extents.saturating_sub(dropped);
     }
 
     pub fn alloc_file(&mut self) -> FileId {
@@ -183,7 +184,11 @@ impl Pfs {
 
     /// Snapshot of the server statistics.
     pub fn stats(&self) -> PfsStats {
-        lock_state(&self.state).stats.clone()
+        let st = lock_state(&self.state);
+        PfsStats {
+            pending_extents: st.files.iter().map(FileNode::buffered).sum(),
+            ..st.stats.clone()
+        }
     }
 
     /// Force-propagate everything: on every file, mature all delayed

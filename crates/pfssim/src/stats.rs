@@ -28,7 +28,10 @@ pub struct PfsStats {
     pub commits: u64,
     /// Publish events (pending extents becoming globally visible).
     pub publishes: u64,
-    /// Extents currently buffered (pending, not yet visible).
+    /// Extents buffered and not yet visible: every client's pending writes
+    /// plus the delay queue, over all files, counted from those buffers
+    /// when [`crate::Pfs::stats`] takes the snapshot (0 in the running
+    /// instance's own copy).
     pub pending_extents: u64,
     /// Metadata operation counts, keyed by POSIX function name (the
     /// `pfssim.meta.<name>` counters). Figure 3's census is computed from

@@ -62,6 +62,19 @@ fn lazy_descriptor_keeps_read_your_writes() {
 }
 
 #[test]
+fn a_process_reads_its_lazy_writes_through_a_plain_descriptor() {
+    let fs = strong();
+    let mut a = fs.client(0);
+    let lazy_fd = a
+        .open("/f", OpenFlags::rdwr_create().with_lazy(), 0)
+        .unwrap();
+    let plain_fd = a.open("/f", OpenFlags::rdonly(), 1).unwrap();
+    a.pwrite(lazy_fd, 0, b"mine", 2).unwrap();
+    assert_eq!(a.pread(plain_fd, 0, 4, 3).unwrap().data, b"mine");
+    assert_eq!(a.fstat(plain_fd, 4).unwrap().size, 4);
+}
+
+#[test]
 fn lazy_skips_the_lock_manager() {
     let fs = strong();
     let mut strict = fs.client(0);

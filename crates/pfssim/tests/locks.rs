@@ -83,6 +83,49 @@ fn foreign_read_after_write_counts_as_revocation() {
     );
 }
 
+// A byte's write lock is held by its last writer in the published image.
+
+#[test]
+fn a_truncated_range_has_no_holder() {
+    let fs = strong();
+    let mut a = fs.client(0);
+    let mut b = fs.client(1);
+    let fda = a.open("/f", OpenFlags::rdwr_create(), 0).unwrap();
+    a.pwrite(fda, 0, &[1u8; 256], 1).unwrap();
+    a.ftruncate(fda, 0, 2).unwrap();
+    let fdb = b.open("/f", OpenFlags::rdwr(), 3).unwrap();
+    b.pwrite(fdb, 0, &[2u8; 256], 4).unwrap();
+    assert_eq!(fs.stats().lock_revocations, 0);
+}
+
+#[test]
+fn a_published_lazy_write_makes_its_writer_the_holder() {
+    let fs = strong();
+    let mut a = fs.client(0);
+    let mut b = fs.client(1);
+    let fda = a
+        .open("/f", OpenFlags::rdwr_create().with_lazy(), 0)
+        .unwrap();
+    a.pwrite(fda, 0, &[1u8; 256], 1).unwrap();
+    a.fsync(fda, 2).unwrap();
+    let fdb = b.open("/f", OpenFlags::rdwr(), 3).unwrap();
+    b.pwrite(fdb, 0, &[2u8; 256], 4).unwrap();
+    assert_eq!(fs.stats().lock_revocations, 1);
+}
+
+#[test]
+fn one_revocation_per_run_of_one_holder() {
+    let fs = strong();
+    let mut a = fs.client(0);
+    let mut b = fs.client(1);
+    let fda = a.open("/f", OpenFlags::rdwr_create(), 0).unwrap();
+    a.pwrite(fda, 0, &[1u8; 100], 1).unwrap();
+    a.pwrite(fda, 100, &[1u8; 100], 2).unwrap();
+    let fdb = b.open("/f", OpenFlags::rdwr(), 3).unwrap();
+    b.pwrite(fdb, 0, &[2u8; 200], 4).unwrap();
+    assert_eq!(fs.stats().lock_revocations, 1);
+}
+
 #[test]
 fn relaxed_engines_never_lock_or_revoke() {
     for model in [

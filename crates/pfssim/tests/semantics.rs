@@ -313,6 +313,22 @@ fn pending_extents_falls_by_the_extents_a_truncate_drops() {
 }
 
 #[test]
+fn an_empty_write_extends_no_file() {
+    for model in [
+        SemanticsModel::Strong,
+        SemanticsModel::Commit,
+        SemanticsModel::Session,
+        SemanticsModel::Eventual,
+    ] {
+        let fs = pfs(model);
+        let mut a = fs.client(0);
+        let fd = a.open("/f", W, 0).unwrap();
+        a.pwrite(fd, 100, b"", 1).unwrap();
+        assert_eq!(a.fstat(fd, 2).unwrap().size, 0, "{model:?}");
+    }
+}
+
+#[test]
 fn quiesce_flushes_all_engines() {
     for model in [
         SemanticsModel::Commit,

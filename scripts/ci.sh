@@ -121,6 +121,33 @@ for f in crates/pfssim/src/*.rs crates/iolibs/src/*.rs; do
     fi
 done
 
+echo "ci: one copy in pfssim"
+# The simulators keep no second copy of what they already hold: a write
+# lock's holder is read off the published image (no lock map beside it),
+# the buffered-extent gauge is counted from the buffers when `Pfs::stats`
+# takes its snapshot (no hand-kept count), and a barrier's exit time is
+# the participant's own clock (no per-epoch release table). The non-test
+# part of a file is what `scripts/loc.sh` counts.
+if grep -rnE 'SegMap|write_locks|drop_buffered' crates/pfssim/src; then
+    echo "a second copy of the published image's writers or of the buffered-extent count in pfssim"
+    exit 1
+fi
+for f in crates/pfssim/src/*.rs; do
+    case "$f" in
+    crates/pfssim/src/stats.rs | crates/pfssim/src/state.rs) continue ;;
+    esac
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /pending_extents/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+            END { exit !bad }' "$f"; then
+        echo "PfsStats::pending_extents kept outside Pfs::stats"
+        exit 1
+    fi
+done
+if grep -rn 'barrier_release' crates/mpisim/src; then
+    echo "a per-epoch barrier release table in mpisim"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
