@@ -9,6 +9,11 @@
 //! format: if the move is intended, the printed block is the new
 //! `golden/trace_digests.txt` (run with `--nocapture`).
 //!
+//! `golden/per_op_trace_digests.txt` pins the same rows under per-op
+//! grants (`WorldCfg::per_op_lockstep`), the schedule `sched_robustness.rs`
+//! takes as its reference: `sched_equivalence.rs` compares two executors
+//! under one grant policy, so it cannot see a change to that policy.
+//!
 //! `golden/stream_counters.txt` pins, the same way, what the streaming
 //! analyzer counted while a run was in flight — counters that depend on
 //! when barrier epochs reach it, which no trace byte records.
@@ -50,8 +55,9 @@ fn plans() -> [(&'static str, Option<(FaultKind, usize)>); 5] {
 }
 
 /// The rows of every plan named in `only` (all plans when empty), in
-/// golden order, with ranks run under `exec`.
-fn rows(exec: ExecModel, only: &[&str]) -> Vec<String> {
+/// golden order, with ranks run under `exec`, granted the turn per
+/// operation when `per_op` holds.
+fn rows(exec: ExecModel, per_op: bool, only: &[&str]) -> Vec<String> {
     let mut cells = Vec::new();
     for spec in hpcapps::specs() {
         for (plan_name, plan) in plans() {
@@ -72,6 +78,9 @@ fn rows(exec: ExecModel, only: &[&str]) -> Vec<String> {
             .with_faults(faults)
             .with_label(spec.config_name());
         cfg.world.exec = exec;
+        if per_op {
+            cfg.world = cfg.world.per_op_lockstep();
+        }
         let params = spec.params.quick();
         let cell = match run_app_result(&cfg, |ctx| spec.run_with(ctx, &params)) {
             Ok(out) => {
@@ -107,7 +116,17 @@ fn assert_golden(what: &str, rows: &[String], golden: &[&str]) {
 
 #[test]
 fn trace_digests_match_golden() {
-    assert_golden("trace digest", &rows(ExecModel::Tasks, &[]), &golden());
+    let rows = rows(ExecModel::Tasks, false, &[]);
+    assert_golden("trace digest", &rows, &golden());
+}
+
+#[test]
+fn per_op_trace_digests_match_golden() {
+    let golden: Vec<&str> = include_str!("golden/per_op_trace_digests.txt")
+        .lines()
+        .collect();
+    let rows = rows(ExecModel::Tasks, true, &[]);
+    assert_golden("per-op trace digest", &rows, &golden);
 }
 
 struct Analyzer(Arc<StreamingAnalyzer>);
@@ -190,7 +209,7 @@ fn stream_counters_match_golden() {
 #[test]
 fn faulted_rows_are_the_same_under_threads() {
     let golden = golden();
-    for row in rows(ExecModel::Threads, &["crash", "msg-delay"]) {
+    for row in rows(ExecModel::Threads, false, &["crash", "msg-delay"]) {
         assert!(golden.contains(&row.as_str()), "not in golden: {row}");
     }
 }
