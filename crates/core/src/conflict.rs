@@ -326,31 +326,13 @@ pub fn extend_scan(resolved: &ResolvedTrace) -> Vec<ExtendedAccess> {
     out
 }
 
-/// Options for conflict detection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConflictOptions {
-    /// For the session condition, treat any commit (fsync) as if it were
-    /// the close — the paper's combined-`tc` formalization. Off by default:
-    /// under session semantics only a close publishes, so the refined
-    /// check uses the close table.
-    pub session_uses_commit_as_close: bool,
-}
-
-/// Detect all conflict pairs in `resolved` under `model`.
+/// Detect all conflict pairs in `resolved` under `model`: extend every
+/// record, then per file (in [`PathId`] order) sort by `(offset, end)` —
+/// stably, so ties keep input order — run Algorithm 1's sweep, order each
+/// overlapping pair by `(t_start, rank)`, and keep it if conditions 2–4
+/// hold. That emission order is part of the contract: the streaming engine
+/// reproduces it.
 pub fn detect_conflicts(resolved: &ResolvedTrace, model: AnalysisModel) -> ConflictReport {
-    detect_conflicts_opt(resolved, model, ConflictOptions::default())
-}
-
-/// Detect conflicts with explicit options: extend every record, then per
-/// file (in [`PathId`] order) sort by `(offset, end)` — stably, so ties
-/// keep input order — run Algorithm 1's sweep, order each overlapping pair
-/// by `(t_start, rank)`, and keep it if conditions 2–4 hold. That emission
-/// order is part of the contract: the streaming engine reproduces it.
-pub fn detect_conflicts_opt(
-    resolved: &ResolvedTrace,
-    model: AnalysisModel,
-    opts: ConflictOptions,
-) -> ConflictReport {
     let accesses = &resolved.accesses;
     let extended = extend(resolved);
     let mut report = ConflictReport {
@@ -367,7 +349,7 @@ pub fn detect_conflicts_opt(
                 (&extended[j as usize], &extended[i as usize])
             };
             // Condition 2: write-after-read is not a potential conflict.
-            if first.access.kind == AccessKind::Write && conflicting(first, second, model, opts) {
+            if first.access.kind == AccessKind::Write && conflicting(first, second, model) {
                 report.add(classify_pair(file, &first.access, &second.access));
             }
         });
@@ -401,16 +383,12 @@ pub(crate) fn unsynchronized(
     }
 }
 
-/// Conditions 3/4 for an ordered, extended candidate pair.
-fn conflicting(
-    first: &ExtendedAccess,
-    second: &ExtendedAccess,
-    model: AnalysisModel,
-    opts: ConflictOptions,
-) -> bool {
+/// Conditions 3/4 for an ordered, extended candidate pair: `tc1` is the
+/// writer's next close under session semantics (only a close publishes).
+fn conflicting(first: &ExtendedAccess, second: &ExtendedAccess, model: AnalysisModel) -> bool {
     let tc1 = match model {
-        AnalysisModel::Session if !opts.session_uses_commit_as_close => first.tc_close,
-        _ => first.tc_commit,
+        AnalysisModel::Session => first.tc_close,
+        AnalysisModel::Commit => first.tc_commit,
     };
     unsynchronized(
         model,

@@ -5,9 +5,7 @@
 //! failures reproduce exactly by rerunning the test.
 
 use recorder::{AccessKind, DataAccess, Layer, PathId, ResolvedTrace, SyncEvent, SyncKind};
-use semantics_core::conflict::{
-    detect_conflicts, detect_conflicts_opt, extend, extend_scan, AnalysisModel, ConflictOptions,
-};
+use semantics_core::conflict::{detect_conflicts, extend, extend_scan, AnalysisModel};
 use semantics_core::overlap::{canonical_pairs, detect_overlaps, detect_overlaps_bruteforce};
 use simrng::SimRng;
 
@@ -180,22 +178,16 @@ fn conflicts_are_exactly_the_bruteforce_overlaps_that_satisfy_the_model() {
     assert!(checked > 1000, "the property saw only {checked} pairs");
 }
 
-/// Commit conflicts are a subset of session conflicts when sessions treat
-/// commits as closes (the paper's combined-tc formalization): every
-/// commit-visible conflict is also session-visible.
+/// Commit conflicts are a subset of session conflicts: a close is a
+/// commit, so a writer's next commit comes no later than its next close,
+/// and every commit-visible conflict is also session-visible.
 #[test]
-fn commit_subset_of_session_combined() {
+fn commit_subset_of_session() {
     let mut rng = SimRng::seed_from_u64(0xA4);
     for _ in 0..128 {
         let trace = random_trace(&mut rng);
         let commit = detect_conflicts(&trace, AnalysisModel::Commit);
-        let session = detect_conflicts_opt(
-            &trace,
-            AnalysisModel::Session,
-            ConflictOptions {
-                session_uses_commit_as_close: true,
-            },
-        );
+        let session = detect_conflicts(&trace, AnalysisModel::Session);
         // Pair sets: every commit conflict must appear among session ones.
         let key = |p: &semantics_core::ConflictPair| {
             (

@@ -11,7 +11,9 @@
 //! Four fault kinds are modelled:
 //!
 //! * **Crash** — the rank fail-stops at the chosen op boundary
-//!   ([`crate::SimError::RankCrashed`]). Survivors keep running: barriers
+//!   ([`crate::SimError::RankCrashed`]). Like every site it fires at the
+//!   first op at or after its index, which for a crash is the index itself:
+//!   every op is checked for one. Survivors keep running: barriers
 //!   release once every *live* rank has arrived (ULFM-style departure),
 //!   and a receive from a dead peer with a drained channel fail-stops the
 //!   receiver too ([`crate::SimError::PeerCrashed`]) — a cascading job

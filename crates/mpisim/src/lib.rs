@@ -36,10 +36,13 @@
 //!    the next rank to act is chosen by a seeded RNG among the ranks that
 //!    are asking, so a given `(seed, program)` pair always yields the
 //!    identical interleaving and the identical trace — determinism is a
-//!    property of a world, not an option of one. [`SchedMode`] only picks
+//!    property of a world, not an option of one. One grant policy picks
 //!    how long a granted rank keeps the token: until it parks (burst
-//!    grants, the default) or for one operation (the maximally interleaved
-//!    schedule `sched_robustness.rs` uses as its reference).
+//!    grants, the default) or for one operation
+//!    ([`WorldCfg::per_op_lockstep`], the reference of
+//!    `sched_robustness.rs`). Either way a message defers its receiver's
+//!    wake to one list, released when no rank can otherwise run (burst) or
+//!    at the end of every turn (per-op).
 //!
 //! 4. **Seeded fault injection** ([`FaultPlan`]) with graceful
 //!    degradation. Rank crashes, transient I/O errors, lost flushes and
@@ -62,6 +65,5 @@ pub use comm::{BarrierInfo, Frames, Gathered, RecvInfo, SendInfo};
 pub use error::{SimAbort, SimError};
 pub use event::{EventKind, MpiEvent};
 pub use fault::{FaultKind, FaultPlan, FaultSite, IoFault};
-pub use sched::SchedMode;
 pub use task::stack_allocs as task_stack_allocs;
 pub use world::{ExecModel, Rank, RunOutput, World, WorldCfg, DEFAULT_MAX_SKEW_NS, MAX_RANKS};

@@ -12,9 +12,13 @@
 //!   the turn to a seeded-RNG choice among the requesters;
 //! * the granted rank advances the simulated clock and mutates shared state
 //!   (mailboxes, barrier, the attached file system) while holding the lock.
-//!   Under [`SchedMode::Deterministic`] it keeps the turn until it parks,
-//!   finishes or crashes; under [`SchedMode::DeterministicPerOp`] it
-//!   releases it after every operation.
+//!   How long it keeps the turn is the one grant policy, [`Grants`], read
+//!   only by [`SimState::end_op`].
+//!
+//! A message to a rank parked in a receive only puts it on one deferral
+//! list, released when no rank can otherwise run under burst grants and at
+//! the end of every turn under per-op grants: the two differ only in how
+//! long a turn lasts.
 //!
 //! Because only the turn holder touches shared state, a `(seed, program,
 //! fault plan)` triple fully determines the interleaving, the clock, and
@@ -41,23 +45,15 @@ use crate::error::SimError;
 use crate::event::MpiEvent;
 use crate::fault::{FaultKind, FaultPlan, IoFault};
 
-/// How long a granted rank keeps the turn. Both disciplines are seeded
-/// lockstep: identical seeds ⇒ identical traces.
+/// How long a granted rank keeps the turn; the next holder is the same
+/// seeded draw under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Lockstep token protocol with *burst* grants (the default): the next
-    /// token holder is chosen by an RNG seeded from the world seed, and it
-    /// keeps the token until it parks (barrier, empty receive), finishes,
-    /// or crashes. Identical seeds ⇒ identical traces, at a fraction of
-    /// the context switches of per-operation re-granting — the token only
-    /// changes hands at points where the holder cannot proceed anyway.
-    Deterministic,
-    /// Lockstep token protocol re-drawing the token after *every*
-    /// operation — maximal cross-rank interleaving. Roughly 3× slower than
-    /// burst grants (one condvar handoff per simulated op); kept as the
-    /// schedule-robustness oracle: analysis verdicts must not depend on
-    /// which deterministic interleaving produced the trace.
-    DeterministicPerOp,
+pub(crate) enum Grants {
+    /// Until it parks, finishes or crashes, where it cannot proceed anyway
+    /// (the default): a burst of operations costs no handoff.
+    Burst,
+    /// For one operation: the schedule-robustness oracle.
+    PerOp,
 }
 
 /// Why a rank is parked.
@@ -176,7 +172,7 @@ pub(crate) struct Msg {
 /// The whole mutable world: scheduler bookkeeping, clock, mailboxes, barrier
 /// state, fault schedule, and the happens-before event log.
 pub(crate) struct SimState {
-    pub mode: SchedMode,
+    grants: Grants,
     pub rng: SimRng,
     pub status: Vec<RankStatus>,
     /// Ranks currently `Computing` / `Requesting` / `Granted` /
@@ -225,21 +221,17 @@ pub(crate) struct SimState {
     /// Per-rank count of simulated operations performed so far; the index
     /// the fault plan is keyed by. Incremented on every grant of the turn.
     pub op_index: Vec<u64>,
-    /// Exact-index crash sites from the fault plan, consumed when they fire.
-    crash_at: Vec<Vec<u64>>,
-    /// Per-rank pending I/O faults, sorted by op index; the harness consumes
-    /// the front entry at the first file-system call at or after its index.
+    /// Per-rank pending fault sites by kind, sorted by op index, read by
+    /// [`take_due`]: crashes at every turn, I/O faults at the harness's
+    /// file-system calls, send delays (`delay_ns`) at sends.
+    crash_at: Vec<VecDeque<(u64, ())>>,
     io_faults: Vec<VecDeque<(u64, IoFault)>>,
-    /// Per-rank pending send delays `(at_op, delay_ns)`, sorted by op index;
-    /// consumed by the first send at or after the index.
     msg_delays: Vec<VecDeque<(u64, u64)>>,
-    /// Recv-parked ranks with newly deliverable mail, woken *lazily* under
-    /// burst grants: the receiver stays parked until no rank can otherwise
-    /// run (holder parked, no requester), and the whole set is released at
-    /// once, so the sender's burst costs no context switch per message.
-    /// This decides which ranks join each grant draw — it defines the burst
-    /// schedule. Dispatch order afterwards is the usual seeded draw, so the
-    /// schedule stays a pure function of `(seed, program)`.
+    /// Recv-parked ranks with newly deliverable mail, released together:
+    /// under burst grants when no rank can otherwise run (so a sender's
+    /// burst costs no context switch per message), under per-op grants at
+    /// the end of the sender's turn ([`SimState::end_op`]). This decides
+    /// which ranks join each grant draw, so it defines the schedule.
     deferred_unblocks: Vec<u32>,
     /// Terminal fault of each rank, if any, for the run report.
     pub faults: Vec<Option<SimError>>,
@@ -256,27 +248,24 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    pub fn new(nranks: u32, seed: u64, mode: SchedMode, start_ns: u64, plan: &FaultPlan) -> Self {
+    pub fn new(nranks: u32, seed: u64, grants: Grants, start_ns: u64, plan: &FaultPlan) -> Self {
         let n = nranks as usize;
-        let mut crash_at = vec![Vec::new(); n];
+        let mut crash_at = vec![VecDeque::new(); n];
         let mut io_faults = vec![VecDeque::new(); n];
         let mut msg_delays = vec![VecDeque::new(); n];
-        for site in plan.sites() {
+        // Stable: sites at the same op keep their plan order.
+        let mut sites = plan.sites().to_vec();
+        sites.sort_by_key(|s| s.at_op);
+        for site in sites {
             let r = (site.rank as usize).min(n.saturating_sub(1));
             match site.kind {
-                FaultKind::Crash => crash_at[r].push(site.at_op),
+                FaultKind::Crash => crash_at[r].push_back((site.at_op, ())),
                 FaultKind::Io(k) => io_faults[r].push_back((site.at_op, k)),
                 FaultKind::MsgDelay { delay_ns } => msg_delays[r].push_back((site.at_op, delay_ns)),
             }
         }
-        for q in io_faults.iter_mut() {
-            q.make_contiguous().sort_by_key(|&(op, _)| op);
-        }
-        for q in msg_delays.iter_mut() {
-            q.make_contiguous().sort_by_key(|&(op, _)| op);
-        }
         SimState {
-            mode,
+            grants,
             rng: SimRng::seed_from_u64(seed ^ 0x5eed_5eed_5eed_5eed),
             status: vec![RankStatus::Computing; n],
             n_computing: n,
@@ -404,13 +393,15 @@ impl SimState {
             let all_parked = self.n_computing == 0;
             let any_blocked = self.n_blocked > 0;
             if all_parked && any_blocked {
-                // First release every lazily-deferred receiver (burst
-                // grants buffer message wakes — see `deferred_unblocks`).
+                // First release every deferred receiver (see
+                // `deferred_unblocks`).
                 if self.release_deferred_unblocks() {
                     return;
                 }
                 self.deadlocked = true;
-                self.deadlock_blocked = self.scan_blocked();
+                self.deadlock_blocked = (0..self.status.len() as u32)
+                    .filter(|&r| matches!(self.status[r as usize], RankStatus::Blocked(_)))
+                    .collect();
                 obs::debug!("deadlock: status={:?} clock={}", self.status, self.clock_ns);
                 if obs::log::enabled(obs::Level::Debug) {
                     for (dst, q) in self.mailboxes.iter().enumerate() {
@@ -444,11 +435,11 @@ impl SimState {
         self.pending_wakes.push(pick as u32);
     }
 
-    /// Wake every lazily-deferred receiver that is still recv-parked (it
-    /// may have been crashed or eagerly woken since being queued). Returns
+    /// Wake every deferred receiver that is still recv-parked (a peer's
+    /// crash may have woken or crashed it since it was queued). Returns
     /// whether any rank was released. Draining the whole set at a single
-    /// deterministic point (no runnable rank left) keeps the schedule a
-    /// function of `(seed, program)`.
+    /// deterministic point keeps the schedule a function of
+    /// `(seed, program)`.
     fn release_deferred_unblocks(&mut self) -> bool {
         let mut woke = false;
         while let Some(dst) = self.deferred_unblocks.pop() {
@@ -480,15 +471,15 @@ impl SimState {
         q.remove(i)
     }
 
-    /// Buffer a message and wake the destination if it is parked in a
-    /// receive (it re-checks its mailbox when re-granted). Consumes a
-    /// pending message-delay fault of the sender, if one is due.
+    /// Buffer a message and, if the destination is parked in a receive,
+    /// defer its wake (see `deferred_unblocks`). Consumes a pending
+    /// message-delay fault of the sender, if one is due.
     pub fn put_msg(&mut self, src: u32, dst: u32, tag: u32, payload: Payload) -> u64 {
         let seq = self.next_msg_seq;
         self.next_msg_seq += 1;
-        let visible_at = match self.msg_delays[src as usize].front() {
-            Some(&(at_op, delay_ns)) if at_op <= self.op_index[src as usize] => {
-                self.msg_delays[src as usize].pop_front();
+        let s = src as usize;
+        let visible_at = match take_due(&mut self.msg_delays[s], self.op_index[s]) {
+            Some(delay_ns) => {
                 let t = self.clock_ns + delay_ns;
                 if let Some(base) = self.trace_pid_base {
                     let now = self.clock_ns;
@@ -504,7 +495,7 @@ impl SimState {
                 }
                 t
             }
-            _ => 0,
+            None => 0,
         };
         self.mailboxes[dst as usize].push_back(Msg {
             src,
@@ -513,43 +504,35 @@ impl SimState {
             payload,
             visible_at,
         });
-        if self.status[dst as usize] == RankStatus::Blocked(BlockReason::Recv) {
-            if self.mode == SchedMode::Deterministic {
-                // Lazy wake (see `deferred_unblocks`): the sender keeps
-                // bursting; the receiver is released when nothing else can
-                // run.
-                if !self.deferred_unblocks.contains(&dst) {
-                    self.deferred_unblocks.push(dst);
-                }
-            } else {
-                self.set_status(dst as usize, RankStatus::Computing);
-                self.pending_wakes.push(dst);
-            }
+        if self.status[dst as usize] == RankStatus::Blocked(BlockReason::Recv)
+            && !self.deferred_unblocks.contains(&dst)
+        {
+            self.deferred_unblocks.push(dst);
         }
         seq
     }
 
-    /// Consume a planned crash of `rank` at `at_op`, if one exists.
-    pub fn take_crash(&mut self, rank: u32, at_op: u64) -> bool {
-        let sites = &mut self.crash_at[rank as usize];
-        if let Some(i) = sites.iter().position(|&op| op == at_op) {
-            sites.swap_remove(i);
-            true
-        } else {
-            false
+    /// End `rank`'s operation: the one read of the grant policy. Per-op
+    /// grants release the receivers it deferred, then give up the turn —
+    /// the state an immediate wake left, since nothing is dispatched
+    /// between a send and its turn's end and the draw ignores wake order.
+    pub fn end_op(&mut self, rank: u32) {
+        if self.grants == Grants::PerOp {
+            self.release_deferred_unblocks();
+            self.set_status(rank as usize, RankStatus::Computing);
+            self.try_dispatch();
         }
+    }
+
+    /// Consume a planned crash of `rank` due at its op `op`.
+    pub fn take_crash(&mut self, rank: u32, op: u64) -> bool {
+        take_due(&mut self.crash_at[rank as usize], op).is_some()
     }
 
     /// Consume the front pending I/O fault of `rank` if its op index is due.
     pub fn take_io_fault(&mut self, rank: u32) -> Option<IoFault> {
-        let q = &mut self.io_faults[rank as usize];
-        match q.front() {
-            Some(&(at_op, kind)) if at_op <= self.op_index[rank as usize] => {
-                q.pop_front();
-                Some(kind)
-            }
-            _ => None,
-        }
+        let r = rank as usize;
+        take_due(&mut self.io_faults[r], self.op_index[r])
     }
 
     /// Whether `rank` has fail-stopped.
@@ -613,22 +596,15 @@ impl SimState {
         self.try_dispatch();
     }
 
-    /// Blocked ranks the deadlock error should name: the set captured at
-    /// declaration time (the ranks have since unwound), falling back to a
-    /// live scan if deadlock has not been declared.
+    /// Blocked ranks the deadlock error names, captured when `deadlocked`
+    /// was set (the ranks have since unwound).
     pub fn blocked_ranks(&self) -> Vec<u32> {
-        if self.deadlocked {
-            return self.deadlock_blocked.clone();
-        }
-        self.scan_blocked()
+        self.deadlock_blocked.clone()
     }
+}
 
-    fn scan_blocked(&self) -> Vec<u32> {
-        self.status
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, RankStatus::Blocked(_)))
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
+/// The one firing rule of every fault site: pop the front of a queue
+/// sorted by op index if it is due at op `op` (at or after its index).
+fn take_due<T>(q: &mut VecDeque<(u64, T)>, op: u64) -> Option<T> {
+    q.pop_front_if(|(at_op, _)| *at_op <= op).map(|(_, v)| v)
 }

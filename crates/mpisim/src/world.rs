@@ -9,7 +9,7 @@ use crate::clock::{apply_skew, cost, OpClass};
 use crate::error::{SimAbort, SimError};
 use crate::event::MpiEvent;
 use crate::fault::{FaultPlan, IoFault};
-use crate::sched::{RankStatus, SchedMode, SimState};
+use crate::sched::{Grants, RankStatus, SimState};
 
 /// Upper bound on the rank count of one world. The task executor commits
 /// stack pages lazily, so the real ceiling is address space and patience,
@@ -58,8 +58,9 @@ pub struct WorldCfg {
     /// Seed controlling both the scheduler's grant draws and the per-rank
     /// clock skew.
     pub seed: u64,
-    /// How long a granted rank keeps the turn.
-    pub mode: SchedMode,
+    /// How long a granted rank keeps the turn: burst grants unless
+    /// [`WorldCfg::per_op_lockstep`] chose per-op grants.
+    grants: Grants,
     /// Maximum absolute per-rank clock skew, nanoseconds; defaults to the
     /// paper's bound, [`DEFAULT_MAX_SKEW_NS`].
     pub max_skew_ns: u64,
@@ -83,7 +84,7 @@ impl WorldCfg {
         WorldCfg {
             nranks,
             seed,
-            mode: SchedMode::Deterministic,
+            grants: Grants::Burst,
             max_skew_ns: DEFAULT_MAX_SKEW_NS,
             start_ns: 0,
             faults: FaultPlan::none(),
@@ -97,9 +98,10 @@ impl WorldCfg {
         self
     }
 
-    /// Use per-operation lockstep instead of the default burst grants.
+    /// Grant the turn per operation instead of in bursts: the maximally
+    /// interleaved schedule `sched_robustness.rs` takes as its reference.
     pub fn per_op_lockstep(mut self) -> Self {
-        self.mode = SchedMode::DeterministicPerOp;
+        self.grants = Grants::PerOp;
         self
     }
 
@@ -234,7 +236,7 @@ impl World {
             .sites()
             .iter()
             .any(|s| matches!(s.kind, crate::fault::FaultKind::Io(_)));
-        let state = SimState::new(cfg.nranks, cfg.seed, cfg.mode, cfg.start_ns, &cfg.faults);
+        let state = SimState::new(cfg.nranks, cfg.seed, cfg.grants, cfg.start_ns, &cfg.faults);
         if let Some(base) = state.trace_pid_base {
             let label = if cfg.label.is_empty() {
                 "world"
@@ -680,20 +682,11 @@ impl Rank {
         st
     }
 
-    /// Release the turn acquired by [`Rank::turn_begin`]. Under burst
-    /// grants ([`SchedMode::Deterministic`]) the rank *keeps* the token —
-    /// it is released at the next park, finish, or crash, the only points
-    /// where the rank cannot proceed anyway — so consecutive operations of
-    /// one rank cost no condvar handoff. Wakes queued by the operation
-    /// (e.g. a receiver unblocked by `put_msg`) are still signaled.
+    /// End the operation begun by [`Rank::turn_begin`]: the grant policy
+    /// decides whether the rank keeps the turn (`SimState::end_op`), and
+    /// the wakes that queued are signaled.
     pub(crate) fn turn_end(&self, mut st: MutexGuard<'_, SimState>) {
-        if st.mode == SchedMode::Deterministic {
-            self.drain_wakes(&mut st);
-            return;
-        }
-        let me = self.rank as usize;
-        st.set_status(me, RankStatus::Computing);
-        st.try_dispatch();
+        st.end_op(self.rank);
         self.drain_wakes(&mut st);
     }
 

@@ -6,11 +6,12 @@
 //! scheduler, the pfssim servers, the iolibs harness, the core analysis
 //! pipeline, and the report runner — emits into one shared substrate:
 //!
-//! * **Spans** ([`span()`], [`sim_span`]) — hierarchical timed regions with
+//! * **Spans** ([`span()`]) — hierarchical timed regions with
 //!   deterministic per-thread ids, collected into a lock-sharded buffer
 //!   and exported as Chrome trace-event JSON ([`trace`]) loadable in
-//!   Perfetto. Analysis-side spans run on the wall clock; simulator-side
-//!   spans carry *simulated* timestamps under one pseudo-pid per rank.
+//!   Perfetto. Analysis-side spans run on the wall clock; mpisim's events
+//!   carry *simulated* timestamps under one pseudo-pid per rank, flushed
+//!   once per run ([`span::push_bulk`]).
 //! * **Metrics** ([`metrics()`]) — a lock-sharded registry of named
 //!   counters and fixed-bucket (log2) histograms. Counters record
 //!   deterministic event counts (ops, messages, retries, faults), so
@@ -58,8 +59,8 @@ pub use log::Level;
 pub use metrics::{metrics, Counter, Histogram, Registry};
 pub use slo::{class_of, parse_exposition, Sample, SloRow, SloWindow};
 pub use span::{
-    alloc_sim_pids, instant, process_name, sim_instant, sim_span, span, wall_ns, wall_ns_at, Arg,
-    Phase, SpanGuard, TraceEvent, ANALYSIS_PID,
+    alloc_sim_pids, instant, process_name, span, wall_ns, wall_ns_at, Arg, Phase, SpanGuard,
+    TraceEvent, ANALYSIS_PID,
 };
 pub use trace::{validate_chrome_trace, write_chrome_trace, TraceSummary};
 

@@ -10,11 +10,12 @@
 //!   `(thread, seq)` id and records its parent's seq, so the hierarchy
 //!   survives export even for tools that ignore Chrome's implicit
 //!   ts-containment nesting.
-//! * **Sim-clock spans** ([`sim_span`], [`sim_instant`]) — the simulator
-//!   layers emit with *simulated* timestamps under one pseudo-pid per
-//!   simulated rank ([`alloc_sim_pids`]), so a Perfetto timeline shows
-//!   per-rank run/blocked tracks in simulated time next to the analysis
-//!   threads in wall time.
+//! * **Sim-clock events** — the mpisim scheduler builds [`TraceEvent`]s
+//!   with *simulated* timestamps under one pseudo-pid per simulated rank
+//!   ([`alloc_sim_pids`]), buffers them in its world state under the world
+//!   lock, and flushes them once per run with [`push_bulk`], so a Perfetto
+//!   timeline shows per-rank run/blocked tracks in simulated time next to
+//!   the analysis threads in wall time.
 //!
 //! The collector is lock-sharded by thread; an emission is one uncontended
 //! mutex push. When tracing is disabled every entry point returns after a
@@ -202,53 +203,6 @@ pub fn process_name(pid: u64, name: String) {
     });
 }
 
-/// An instant event on a simulated rank's timeline (`ts` in sim-ns).
-pub fn sim_instant(
-    pid: u64,
-    cat: &'static str,
-    name: impl Into<Cow<'static, str>>,
-    ts_ns: u64,
-    args: Vec<(&'static str, Arg)>,
-) {
-    if !crate::tracing_enabled() {
-        return;
-    }
-    push(TraceEvent {
-        name: name.into(),
-        cat,
-        ph: Phase::Instant,
-        ts_ns,
-        dur_ns: 0,
-        pid,
-        tid: 0,
-        args,
-    });
-}
-
-/// A complete span on a simulated rank's timeline (`ts`/`dur` in sim-ns).
-pub fn sim_span(
-    pid: u64,
-    cat: &'static str,
-    name: impl Into<Cow<'static, str>>,
-    ts_ns: u64,
-    dur_ns: u64,
-    args: Vec<(&'static str, Arg)>,
-) {
-    if !crate::tracing_enabled() {
-        return;
-    }
-    push(TraceEvent {
-        name: name.into(),
-        cat,
-        ph: Phase::Complete,
-        ts_ns,
-        dur_ns,
-        pid,
-        tid: 0,
-        args,
-    });
-}
-
 /// An instant event on the calling thread's wall-clock timeline.
 pub fn instant(
     cat: &'static str,
@@ -433,27 +387,5 @@ mod tests {
         assert_eq!(get(inner, "parent"), Some(outer_id));
         assert_eq!(get(inner, "k"), Some(7));
         assert!(inner.ts_ns >= outer.ts_ns);
-    }
-
-    #[test]
-    fn sim_events_use_given_timestamps() {
-        let _guard = crate::test_lock();
-        crate::set_tracing(true);
-        let pid = alloc_sim_pids(2);
-        sim_span(pid, "mpisim", "blocked-test", 1000, 500, vec![]);
-        sim_instant(
-            pid + 1,
-            "mpisim",
-            "crash-test",
-            2000,
-            vec![("rank", Arg::U(1))],
-        );
-        crate::set_tracing(false);
-        let events = drain();
-        let sp = events.iter().find(|e| e.name == "blocked-test").unwrap();
-        assert_eq!((sp.ts_ns, sp.dur_ns, sp.pid), (1000, 500, pid));
-        let inst = events.iter().find(|e| e.name == "crash-test").unwrap();
-        assert_eq!((inst.ts_ns, inst.pid), (2000, pid + 1));
-        assert_eq!(inst.ph, Phase::Instant);
     }
 }

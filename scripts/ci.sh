@@ -148,6 +148,39 @@ if grep -rn 'barrier_release' crates/mpisim/src; then
     exit 1
 fi
 
+echo "ci: one grant policy"
+# Per-op grants are burst grants with one-op turns: how long a granted
+# rank keeps the turn is `mpisim::sched::Grants`, crate-private and read
+# only in `sched.rs` (`SimState::end_op`), and a message to a parked
+# receiver always joins the one deferral list. Every fault site fires by
+# one rule there too (`take_due`). The non-test part of a file is what
+# `scripts/loc.sh` counts. Beside it: condition 4 of the session model
+# reads the writer's next close, with no variant flag (the paper's
+# combined-`tc` variant moved no verdict), and obs has one sim-event path,
+# mpisim's world buffer flushed by `push_bulk`.
+if grep -rn 'SchedMode' crates src tests examples; then
+    echo "a public schedule mode: the grant policy is private to mpisim"
+    exit 1
+fi
+for f in crates/mpisim/src/*.rs; do
+    [ "$f" = crates/mpisim/src/sched.rs ] && continue
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /[=!]= *Grants::|matches!\(.*Grants/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+            END { exit !bad }' "$f"; then
+        echo "the grant policy read outside mpisim::sched"
+        exit 1
+    fi
+done
+if grep -rnE 'ConflictOptions|detect_conflicts_opt|session_uses_commit_as_close' \
+    crates src tests examples; then
+    echo "a session-model variant flag"
+    exit 1
+fi
+if grep -rnE 'fn sim_(instant|span)\b' crates/obs/src; then
+    echo "a second sim-event path in obs"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
