@@ -248,15 +248,8 @@ where
     let mut observations = Vec::with_capacity(world.nranks as usize);
     let mut records = 0;
     for (rank, (result, events)) in out.results.into_iter().zip(out.events).enumerate() {
-        let (tracer, obs, emitted) = result.unwrap_or_else(|| {
-            // A rank whose closure vanished without salvage (cannot happen
-            // via this harness, which catches SimAbort above): empty trace.
-            let empty = cfg
-                .sink
-                .is_none()
-                .then(|| RankTracer::new(rank as u32, SharedInterner::clone(&interner)));
-            (empty, Vec::new(), 0)
-        });
+        let (tracer, obs, emitted) =
+            result.expect("the rank closure catches every SimAbort and salvages its parts");
         records += emitted + events.len() as u64;
         if let Some(mut tracer) = tracer {
             let skew = out.skews_ns[rank];

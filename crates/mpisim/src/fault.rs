@@ -30,6 +30,7 @@
 //!   the receive that takes it starts no earlier than the delivery time,
 //!   and messages behind it on the same channel wait for it.
 
+use crate::SimError;
 use simrng::SimRng;
 
 /// A transient I/O misbehaviour, in POSIX errno vocabulary.
@@ -136,6 +137,20 @@ impl FaultPlan {
             plan.sites.push(FaultSite { rank, at_op, kind });
         }
         plan
+    }
+
+    /// Check that every site names a rank of a world of `nranks` ranks;
+    /// the first that does not is [`SimError::InvalidRank`]. A front end
+    /// that takes a plan from outside checks it before building a world,
+    /// which asserts it.
+    pub fn check_ranks(&self, nranks: u32) -> Result<(), SimError> {
+        match self.sites.iter().find(|s| s.rank >= nranks) {
+            Some(s) => Err(SimError::InvalidRank {
+                rank: s.rank,
+                nranks,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// A short deterministic description, for table rows and logs.

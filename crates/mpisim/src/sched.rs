@@ -257,7 +257,7 @@ impl SimState {
         let mut sites = plan.sites().to_vec();
         sites.sort_by_key(|s| s.at_op);
         for site in sites {
-            let r = (site.rank as usize).min(n.saturating_sub(1));
+            let r = site.rank as usize;
             match site.kind {
                 FaultKind::Crash => crash_at[r].push_back((site.at_op, ())),
                 FaultKind::Io(k) => io_faults[r].push_back((site.at_op, k)),
@@ -388,11 +388,9 @@ impl SimState {
             return;
         }
         if self.n_requesting == 0 {
-            // No requester and no granted rank: everyone is computing,
-            // blocked, finished, or crashed.
-            let all_parked = self.n_computing == 0;
-            let any_blocked = self.n_blocked > 0;
-            if all_parked && any_blocked {
+            // No requester and no granted rank: everyone is blocked,
+            // finished, or crashed.
+            if self.n_blocked > 0 {
                 // First release every deferred receiver (see
                 // `deferred_unblocks`).
                 if self.release_deferred_unblocks() {

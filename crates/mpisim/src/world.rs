@@ -110,6 +110,8 @@ impl WorldCfg {
         self
     }
 
+    /// Inject `faults`. Every site must name a rank of this world
+    /// ([`FaultPlan::check_ranks`]); [`World::run`] panics otherwise.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -221,6 +223,9 @@ impl World {
             "world of {} ranks exceeds MAX_RANKS ({MAX_RANKS})",
             cfg.nranks
         );
+        if let Err(e) = cfg.faults.check_ranks(cfg.nranks) {
+            panic!("fault plan: {e}");
+        }
         let mut skew_rng = SimRng::seed_from_u64(cfg.seed ^ 0x0c10_c0c1_0c0c_105e);
         let skews = (0..cfg.nranks)
             .map(|_| {

@@ -429,6 +429,15 @@ fn injected_crash_is_reported_and_survivors_finish() {
 }
 
 #[test]
+#[should_panic(expected = "rank 5 out of range (world size 4)")]
+fn fault_site_outside_the_world_is_rejected() {
+    // A site must name a rank of the world: rank 5 of 4 is an error, not
+    // a crash of the last rank.
+    let cfg = WorldCfg::new(4, 11).with_faults(FaultPlan::none().with_crash(5, 0));
+    let _ = World::run(&cfg, |r| r.barrier());
+}
+
+#[test]
 fn recv_from_crashed_peer_cascades_not_deadlocks() {
     // Rank 0 waits for a message rank 1 will never send (it crashes
     // first). Without crash awareness this would be a deadlock; instead

@@ -1,5 +1,5 @@
-//! Flight recorder — an always-on, fixed-size, lock-free ring of recent
-//! structured events, for crash forensics on the serving path.
+//! Flight recorder — an always-on, fixed-size ring of recent structured
+//! events, for crash forensics on the serving path.
 //!
 //! The Chrome-trace spans in [`mod@crate::span`] answer "where did the time
 //! go" for a run the operator *chose* to trace; the flight recorder
@@ -14,23 +14,22 @@
 //!
 //! ## Ring mechanics
 //!
-//! Writers claim a monotonically increasing *ticket* with one
-//! `fetch_add` and write into slot `ticket % capacity`. Every slot field
-//! is an atomic — there is no `unsafe` and no lock anywhere on the write
-//! path. Torn reads are handled seqlock-style: the slot's `seq` word
-//! holds `2*ticket + 1` while the write is in flight and `2*ticket + 2`
-//! once complete; a reader copies the fields and discards the copy
-//! unless `seq` read the same completed value before *and* after. A
-//! reader never blocks a writer and a writer never waits for anything,
-//! so a record costs a handful of relaxed stores (~tens of ns) — cheap
-//! enough to leave on in production, which is the whole point.
+//! The ring is one `Mutex` around plain fixed-width slots and the next
+//! ticket. A record builds its slot first, then under the lock writes it
+//! to slot `ticket % capacity` and bumps the ticket: the critical section
+//! is one slot copy, so a record costs tens of ns — cheap enough to leave
+//! on in production, which is the whole point. The serving path records
+//! two events per request, far apart enough that the lock is rarely
+//! contended. A snapshot copies the slots under the lock and decodes them
+//! after releasing it; its readers (the debug endpoint, the panic and
+//! drain dumps) are rare.
 //!
-//! Strings (request id, detail) are truncated into fixed-width byte
-//! fields at write time; the ring never allocates.
+//! Strings (request id, detail) are truncated on a char boundary into
+//! fixed-width byte fields at write time; the ring never allocates.
 
 use crate::json::Escaped;
+use crate::lock;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Events kept in the global ring. Power of two; at ~136 bytes per slot
@@ -42,53 +41,49 @@ pub const RID_BYTES: usize = 32;
 /// Fixed width of the stored detail string, bytes.
 pub const DETAIL_BYTES: usize = 64;
 
-const RID_WORDS: usize = RID_BYTES / 8;
-const DETAIL_WORDS: usize = DETAIL_BYTES / 8;
-
-/// What happened. The discriminants are part of the dump format.
+/// What happened; dumps spell it with [`FlightKind::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum FlightKind {
     /// A request entered the router. `detail` = path.
-    ReqStart = 1,
+    ReqStart,
     /// A request left the router. `code` = status, `a` = latency ns.
-    ReqEnd = 2,
+    ReqEnd,
     /// LRU cache hit on an analysis key.
-    CacheHit = 3,
+    CacheHit,
     /// LRU cache miss.
-    CacheMiss = 4,
+    CacheMiss,
     /// Persistent store answered a miss. `detail` = canonical key.
-    StoreHit = 5,
+    StoreHit,
     /// A cold result was journaled to the store.
-    StorePut = 6,
+    StorePut,
     /// This request leads a single-flight. `detail` = canonical key.
-    SfLead = 7,
+    SfLead,
     /// This request parked behind a leader. `detail` = leader's rid.
-    SfFollow = 8,
+    SfFollow,
     /// A leader unwound without publishing; followers retry.
-    SfAbort = 9,
+    SfAbort,
     /// An analysis degraded (422). `detail` = degrading config.
-    Degraded = 10,
+    Degraded,
     /// A handler panicked. `detail` = endpoint path.
-    HandlerPanic = 11,
+    HandlerPanic,
     /// Store recovery at open. `a` = recovered records, `b` =
     /// quarantined bytes.
-    StoreRecovery = 12,
+    StoreRecovery,
     /// SIGTERM drain began.
-    Drain = 13,
+    Drain,
     /// The accept loop shed load with a 503.
-    Overload = 14,
+    Overload,
     /// A request for a key another node owns was proxied to it.
     /// `code` = owner node id, `a` = hop count. `detail` = path.
-    ClusterForward = 15,
+    ClusterForward,
     /// Same routing decision answered with a 307 naming the owner.
-    ClusterRedirect = 16,
+    ClusterRedirect,
     /// A peer was marked dead (`code` = peer id, `a` = 0) or alive
     /// again (`a` = 1) — by the prober or by a proxy failure.
-    ClusterPeerDown = 17,
+    ClusterPeerDown,
     /// A rebalance step: `code` = new epoch, `a` = records moved,
     /// `b` = segment bytes. `detail` = "join"/"decommission"/"commit".
-    ClusterRebalance = 18,
+    ClusterRebalance,
 }
 
 impl FlightKind {
@@ -115,30 +110,6 @@ impl FlightKind {
             FlightKind::ClusterRebalance => "cluster-rebalance",
         }
     }
-
-    fn from_u8(v: u8) -> Option<FlightKind> {
-        Some(match v {
-            1 => FlightKind::ReqStart,
-            2 => FlightKind::ReqEnd,
-            3 => FlightKind::CacheHit,
-            4 => FlightKind::CacheMiss,
-            5 => FlightKind::StoreHit,
-            6 => FlightKind::StorePut,
-            7 => FlightKind::SfLead,
-            8 => FlightKind::SfFollow,
-            9 => FlightKind::SfAbort,
-            10 => FlightKind::Degraded,
-            11 => FlightKind::HandlerPanic,
-            12 => FlightKind::StoreRecovery,
-            13 => FlightKind::Drain,
-            14 => FlightKind::Overload,
-            15 => FlightKind::ClusterForward,
-            16 => FlightKind::ClusterRedirect,
-            17 => FlightKind::ClusterPeerDown,
-            18 => FlightKind::ClusterRebalance,
-            _ => return None,
-        })
-    }
 }
 
 /// A decoded ring event, as returned by [`FlightRecorder::snapshot`].
@@ -162,100 +133,81 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
-/// One ring slot: all-atomic fields so concurrent write/read tearing is
-/// defined behavior, caught and discarded via `seq`.
+/// One ring slot: the event's fields, strings as zero-padded bytes.
+#[derive(Clone, Copy)]
 struct Slot {
-    /// `0` = never written; `2t+1` = ticket `t` being written;
-    /// `2t+2` = ticket `t` complete.
-    seq: AtomicU64,
-    ts: AtomicU64,
-    /// Kind in the low byte.
-    kind: AtomicU64,
-    code: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    rid: [AtomicU64; RID_WORDS],
-    detail: [AtomicU64; DETAIL_WORDS],
+    ts: u64,
+    kind: FlightKind,
+    code: u64,
+    a: u64,
+    b: u64,
+    rid: [u8; RID_BYTES],
+    detail: [u8; DETAIL_BYTES],
 }
 
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            ts: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            code: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            rid: std::array::from_fn(|_| AtomicU64::new(0)),
-            detail: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+/// `s` truncated to at most `N` bytes on a char boundary, zero-padded.
+fn fixed<const N: usize>(s: &str) -> [u8; N] {
+    let n = s.floor_char_boundary(N);
+    let mut out = [0; N];
+    out[..n].copy_from_slice(&s.as_bytes()[..n]);
+    out
 }
 
-/// Truncate `s` to at most `max` bytes on a char boundary and pack the
-/// bytes little-endian into `words` (zero-padded).
-fn pack_str(s: &str, words: &[AtomicU64], max: usize) {
-    let mut n = s.len().min(max);
-    while !s.is_char_boundary(n) {
-        n -= 1;
-    }
-    let bytes = &s.as_bytes()[..n];
-    for (i, word) in words.iter().enumerate() {
-        let mut w = [0u8; 8];
-        let lo = i * 8;
-        if lo < bytes.len() {
-            let hi = (lo + 8).min(bytes.len());
-            w[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-        }
-        word.store(u64::from_le_bytes(w), Ordering::Relaxed);
-    }
+/// A fixed-width field's bytes up to its zero padding.
+fn unfixed(bytes: &[u8]) -> String {
+    let len = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    String::from_utf8_lossy(&bytes[..len]).into_owned()
 }
 
-fn unpack_str(words: &[u64]) -> String {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    while bytes.last() == Some(&0) {
-        bytes.pop();
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// The fixed-size lock-free event ring. See the module docs for the
-/// seqlock protocol.
-pub struct FlightRecorder {
+/// What the lock guards: ticket `t` lives in `slots[t % slots.len()]`,
+/// and `head` is the next ticket.
+struct Ring {
     slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
+    head: u64,
+}
+
+/// The fixed-size event ring, behind one lock. See the module docs.
+pub struct FlightRecorder {
+    ring: Mutex<Ring>,
 }
 
 impl FlightRecorder {
     /// A recorder with `capacity` slots, rounded up to a power of two
     /// (minimum 2).
     pub fn new(capacity: usize) -> FlightRecorder {
+        // Never read: a snapshot decodes only written tickets.
+        let unwritten = Slot {
+            ts: 0,
+            kind: FlightKind::ReqStart,
+            code: 0,
+            a: 0,
+            b: 0,
+            rid: [0; RID_BYTES],
+            detail: [0; DETAIL_BYTES],
+        };
         let cap = capacity.max(2).next_power_of_two();
         FlightRecorder {
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                slots: vec![unwritten; cap].into_boxed_slice(),
+                head: 0,
+            }),
         }
     }
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        lock(&self.ring).slots.len()
     }
 
     /// Total events ever recorded (tickets issued).
     pub fn total(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        lock(&self.ring).head
     }
 
     /// Events currently resident (`min(total, capacity)`).
     pub fn depth(&self) -> u64 {
-        self.total().min(self.slots.len() as u64)
+        let ring = lock(&self.ring);
+        ring.head.min(ring.slots.len() as u64)
     }
 
     /// Record an event stamped with the process wall clock.
@@ -263,8 +215,7 @@ impl FlightRecorder {
         self.record_at(crate::span::wall_ns(), kind, code, a, b, rid, detail);
     }
 
-    /// Record with an explicit timestamp — the test clock. Lock-free:
-    /// one `fetch_add` to claim a ticket, then plain atomic stores.
+    /// Record with an explicit timestamp — the test clock.
     #[allow(clippy::too_many_arguments)]
     pub fn record_at(
         &self,
@@ -276,72 +227,43 @@ impl FlightRecorder {
         rid: &str,
         detail: &str,
     ) {
-        let t = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(t & self.mask) as usize];
-        // Odd seq marks the write in flight; readers discard the slot.
-        // A release store orders only the writes before it, so the fence
-        // after it is what keeps the field stores below from becoming
-        // visible ahead of the odd seq (the seqlock writer's half of the
-        // reader's acquire fence).
-        slot.seq.store(2 * t + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.ts.store(ts_ns, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.code.store(code, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        pack_str(rid, &slot.rid, RID_BYTES);
-        pack_str(detail, &slot.detail, DETAIL_BYTES);
-        fence(Ordering::Release);
-        // Even seq encodes the ticket: readers verify they saw one
-        // complete, un-overwritten event.
-        slot.seq.store(2 * t + 2, Ordering::Release);
+        let slot = Slot {
+            ts: ts_ns,
+            kind,
+            code,
+            a,
+            b,
+            rid: fixed(rid),
+            detail: fixed(detail),
+        };
+        let mut ring = lock(&self.ring);
+        let i = (ring.head % ring.slots.len() as u64) as usize;
+        ring.slots[i] = slot;
+        ring.head += 1;
     }
 
-    /// Copy out the resident events in ticket order. Slots being
-    /// concurrently overwritten are skipped, never misread: the seq word
-    /// is checked before and after the field copy.
+    /// Copy out the resident events in ticket order.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let lo = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for t in lo..head {
-            let slot = &self.slots[(t & self.mask) as usize];
-            let want = 2 * t + 2;
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue;
-            }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let code = slot.code.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            let rid: Vec<u64> = slot.rid.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            let detail: Vec<u64> = slot
-                .detail
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect();
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != want {
-                continue; // overwritten mid-copy
-            }
-            let Some(kind) = FlightKind::from_u8(kind as u8) else {
-                continue;
-            };
-            out.push(FlightEvent {
-                ticket: t,
-                ts_ns: ts,
-                kind,
-                code,
-                a,
-                b,
-                rid: unpack_str(&rid),
-                detail: unpack_str(&detail),
-            });
-        }
-        out
+        let (head, slots) = {
+            let ring = lock(&self.ring);
+            (ring.head, ring.slots.clone())
+        };
+        let cap = slots.len() as u64;
+        (head.saturating_sub(cap)..head)
+            .map(|t| {
+                let s = &slots[(t % cap) as usize];
+                FlightEvent {
+                    ticket: t,
+                    ts_ns: s.ts,
+                    kind: s.kind,
+                    code: s.code,
+                    a: s.a,
+                    b: s.b,
+                    rid: unfixed(&s.rid),
+                    detail: unfixed(&s.detail),
+                }
+            })
+            .collect()
     }
 
     /// Render the ring as one deterministic JSON document (given a quiet
@@ -397,17 +319,14 @@ fn postmortem_slot() -> &'static Mutex<Option<PathBuf>> {
 /// Where panic/drain dumps land. `None` disables file dumps (the
 /// on-demand endpoint still works).
 pub fn set_postmortem_path(path: Option<&Path>) {
-    *postmortem_slot().lock().unwrap_or_else(|e| e.into_inner()) = path.map(Path::to_path_buf);
+    *lock(postmortem_slot()) = path.map(Path::to_path_buf);
 }
 
 /// Append the ring to the postmortem file as one `{"reason", "dump"}`
 /// JSON document per line — appending, so a panic dump survives the
 /// drain dump that follows it. Returns the path written, if any.
 pub fn dump_postmortem(reason: &str) -> Option<PathBuf> {
-    let path = postmortem_slot()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()?;
+    let path = lock(postmortem_slot()).clone()?;
     let doc = format!(
         "{{\"reason\": \"{}\", \"dump\": {}}}\n",
         Escaped(reason),

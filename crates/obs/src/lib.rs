@@ -18,11 +18,11 @@
 //!   totals are identical across thread counts and across runs.
 //! * **Logging** ([`mod@log`]) — a leveled stderr logger behind one atomic,
 //!   replacing scattered `eprintln!` progress lines.
-//! * **Flight recorder** ([`flight()`]) — an always-on lock-free ring of
-//!   recent structured serving events (request ids, single-flight
-//!   transitions, store verdicts), dumped to a postmortem file on panic
-//!   or drain. Unlike spans/metrics it defaults *on*: it exists for the
-//!   request nobody planned to watch.
+//! * **Flight recorder** ([`flight()`]) — an always-on ring of recent
+//!   structured serving events (request ids, single-flight transitions,
+//!   store verdicts), dumped to a postmortem file on panic or drain.
+//!   Unlike spans/metrics it defaults *on*: it exists for the request
+//!   nobody planned to watch.
 //! * **SLO telemetry** ([`slo`]) — sliding-window per-endpoint latency
 //!   histograms and outcome counters (deterministic under a
 //!   caller-supplied clock), plus a from-scratch Prometheus
@@ -31,6 +31,13 @@
 //!   JSON (value type, escaper, depth-bounded parser) and one FNV-1a.
 //!   They live here because every crate but `cluster` and `simrng`
 //!   already depends on this one.
+//!
+//! The flight ring and the SLO window each sit behind one `Mutex` around
+//! plain data: the serving path touches them three times per request,
+//! tens of microseconds apart, too seldom for the lock to contend. Every
+//! histogram here — the registry's and the SLO window's — files a value
+//! by one log2 bucket rule (`metrics.rs`: bucket `floor(log2 v)`,
+//! inclusive bound `2^(i+1) - 1`).
 //!
 //! Everything is disabled by default. The hot-path check is a single
 //! relaxed atomic load ([`tracing_enabled`] / [`metrics_enabled`]), and
@@ -51,6 +58,7 @@ pub mod span;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 pub use flight::{
     dump_postmortem, flight, set_postmortem_path, FlightEvent, FlightKind, FlightRecorder,
@@ -88,6 +96,13 @@ pub fn set_tracing(on: bool) {
 /// Turn metric recording on or off process-wide.
 pub fn set_metrics(on: bool) {
     METRICS.store(on, Ordering::Relaxed);
+}
+
+/// Lock `m`, taking over a poisoned lock: no update under these locks can
+/// stop halfway through, so the data is whole, and telemetry stays
+/// readable after a panic elsewhere, which is when its dumps matter most.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Process-global observability configuration, applied with [`init`].

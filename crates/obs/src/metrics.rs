@@ -21,8 +21,20 @@ use crate::json::Escaped;
 const SHARDS: usize = 16;
 
 /// Number of log2 histogram buckets: bucket `i` holds values in
-/// `[2^i, 2^(i+1))` (bucket 0 also holds 0), bucket 63 the tail.
-const BUCKETS: usize = 64;
+/// `[2^i, 2^(i+1))` (bucket 0 also holds 0), so 64 cover every `u64`.
+pub(crate) const BUCKETS: usize = 64;
+
+/// Index of the bucket holding `v`: `floor(log2(v))`, 0 for 0. The one
+/// bucket rule of every obs histogram (the SLO window's too).
+pub(crate) fn bucket_index(v: u64) -> usize {
+    (63 - (v | 1).leading_zeros()) as usize
+}
+
+/// Inclusive upper bound of bucket `i`: `2^(i+1) - 1` (`u64::MAX` for the
+/// last bucket).
+pub(crate) fn bucket_bound(i: usize) -> u64 {
+    u64::MAX >> (63 - i)
+}
 
 /// A lock-free counter handle. Cloning shares the underlying cell.
 #[derive(Debug, Clone)]
@@ -67,17 +79,8 @@ impl Histogram {
         }
     }
 
-    /// Index of the bucket holding `v`: `floor(log2(v))`, clamped.
-    fn bucket(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            (63 - v.leading_zeros() as usize).min(BUCKETS - 1)
-        }
-    }
-
     pub fn observe(&self, v: u64) {
-        self.buckets[Self::bucket(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }

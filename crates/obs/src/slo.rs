@@ -4,11 +4,13 @@
 //!
 //! ## The window
 //!
-//! [`SloWindow`] is a ring of `epochs` fixed-duration epoch slots. An
+//! [`SloWindow`] is one `Mutex` around a ring of `epochs` fixed-duration
+//! epoch slots and the per-label totals, all plain counters. An
 //! observation lands in slot `epoch % epochs` where
-//! `epoch = now_ns / epoch_ns`; a slot whose tag is older than the
-//! incoming epoch is reset (claimed with one CAS to a sentinel, zeroed,
-//! then retagged) and reused. A snapshot merges every slot whose epoch
+//! `epoch = now_ns / epoch_ns`: a slot whose tag is older than the
+//! incoming epoch is zeroed and retagged, and an observation older than
+//! its slot's epoch predates the whole ring, so the window drops it (the
+//! totals still count it). A snapshot merges every slot whose epoch
 //! falls inside the last `epochs` epochs, so the window slides in whole
 //! epochs — deterministic under a test-supplied clock, since *every*
 //! entry point takes `now_ns` as an argument rather than reading a
@@ -19,16 +21,17 @@
 //! * **Cumulative per-endpoint/per-class totals** — exact, deterministic
 //!   event counts (the byte-identity tests may compare them).
 //! * **Windowed counts and log2 latency histograms** — wall-clock data
-//!   for the `/metricsz` exposition and `report slo`; at an epoch
-//!   boundary a concurrent rollover may smear an event into the
-//!   adjacent epoch, which is harmless for quantiles and explicitly
-//!   outside the determinism contract.
+//!   for the `/metricsz` exposition and `report slo`: which epoch a
+//!   request lands in depends on when it finished, so they are outside
+//!   the determinism contract.
 //!
-//! Quantiles follow the [`crate::metrics::Histogram`] convention: the
-//! inclusive upper bound of the log2 bucket containing the requested
-//! rank — conservative, never under-reporting.
+//! Quantiles follow the [`crate::metrics::Histogram`] convention, with
+//! its bucket rule: the inclusive upper bound of the log2 bucket
+//! containing the requested rank — conservative, never under-reporting.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::lock;
+use crate::metrics::{bucket_bound, bucket_index, BUCKETS};
+use std::sync::Mutex;
 
 /// Outcome classes tracked per endpoint, indexed by [`class_of`].
 pub const CLASSES: [&str; 3] = ["2xx", "4xx", "5xx"];
@@ -42,62 +45,45 @@ pub fn class_of(status: u16) -> usize {
     }
 }
 
-/// Log2 latency buckets: bucket 39 caps at ~2^40 ns ≈ 18 minutes.
-const LAT_BUCKETS: usize = 40;
-
-/// Slot-tag sentinel while a slot is being zeroed for reuse.
-const RESETTING: u64 = u64::MAX;
-
-fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        return 0;
-    }
-    ((63 - v.leading_zeros()) as usize).min(LAT_BUCKETS - 1)
-}
-
-fn bucket_bound(i: usize) -> u64 {
-    if i >= LAT_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    }
-}
-
 /// Per-(epoch, endpoint) accumulator.
+#[derive(Clone, Copy)]
 struct Cell {
-    classes: [AtomicU64; 3],
-    lat_sum: AtomicU64,
-    lat_count: AtomicU64,
-    buckets: [AtomicU64; LAT_BUCKETS],
+    classes: [u64; 3],
+    lat_sum: u64,
+    lat_count: u64,
+    buckets: [u64; BUCKETS],
 }
 
 impl Cell {
-    fn new() -> Cell {
-        Cell {
-            classes: std::array::from_fn(|_| AtomicU64::new(0)),
-            lat_sum: AtomicU64::new(0),
-            lat_count: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+    const EMPTY: Cell = Cell {
+        classes: [0; 3],
+        lat_sum: 0,
+        lat_count: 0,
+        buckets: [0; BUCKETS],
+    };
 
-    fn clear(&self) {
-        for c in &self.classes {
-            c.store(0, Ordering::Relaxed);
+    fn merge(&mut self, other: &Cell) {
+        for (acc, n) in self.classes.iter_mut().zip(other.classes) {
+            *acc += n;
         }
-        self.lat_sum.store(0, Ordering::Relaxed);
-        self.lat_count.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+        self.lat_sum += other.lat_sum;
+        self.lat_count += other.lat_count;
+        for (acc, n) in self.buckets.iter_mut().zip(other.buckets) {
+            *acc += n;
         }
     }
 }
 
-/// One epoch slot: `tag` is `epoch + 1` (0 = never used, [`RESETTING`]
-/// = mid-reset), so slot reuse is detectable without a separate flag.
+/// One epoch slot: `tag` is `epoch + 1` (0 = never used).
 struct EpochSlot {
-    tag: AtomicU64,
+    tag: u64,
     cells: Vec<Cell>,
+}
+
+/// What the lock guards: the epoch ring and the per-label totals.
+struct Window {
+    slots: Vec<EpochSlot>,
+    totals: Vec<[u64; 3]>,
 }
 
 /// Aggregated per-endpoint numbers from a snapshot.
@@ -117,12 +103,11 @@ pub struct SloRow {
 }
 
 /// The sliding window. Constructed with a fixed label set; labels index
-/// cells, so `observe` is a few relaxed atomic ops with no hashing.
+/// cells, so `observe` is a few additions under the lock, with no hashing.
 pub struct SloWindow {
     labels: &'static [&'static str],
     epoch_ns: u64,
-    slots: Vec<EpochSlot>,
-    totals: Vec<[AtomicU64; 3]>,
+    window: Mutex<Window>,
 }
 
 impl SloWindow {
@@ -132,15 +117,15 @@ impl SloWindow {
         SloWindow {
             labels,
             epoch_ns,
-            slots: (0..epochs)
-                .map(|_| EpochSlot {
-                    tag: AtomicU64::new(0),
-                    cells: (0..labels.len()).map(|_| Cell::new()).collect(),
-                })
-                .collect(),
-            totals: (0..labels.len())
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect(),
+            window: Mutex::new(Window {
+                slots: (0..epochs)
+                    .map(|_| EpochSlot {
+                        tag: 0,
+                        cells: vec![Cell::EMPTY; labels.len()],
+                    })
+                    .collect(),
+                totals: vec![[0; 3]; labels.len()],
+            }),
         }
     }
 
@@ -153,105 +138,74 @@ impl SloWindow {
     /// clock — tests pass a synthetic one).
     pub fn observe(&self, label: usize, status: u16, lat_ns: u64, now_ns: u64) {
         let class = class_of(status);
-        self.totals[label][class].fetch_add(1, Ordering::Relaxed);
         let epoch = now_ns / self.epoch_ns;
         let tag = epoch + 1;
-        let slot = &self.slots[(epoch as usize) % self.slots.len()];
-        loop {
-            let cur = slot.tag.load(Ordering::Acquire);
-            if cur == tag {
-                break;
-            }
-            if cur == RESETTING {
-                std::hint::spin_loop();
-                continue;
-            }
-            if cur > tag {
-                // The slot already belongs to a *newer* epoch: this
-                // observation predates the whole ring. Totals above
-                // already counted it; the window drops it.
-                return;
-            }
-            if slot
-                .tag
-                .compare_exchange(cur, RESETTING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                for cell in &slot.cells {
-                    cell.clear();
-                }
-                slot.tag.store(tag, Ordering::Release);
-                break;
-            }
+        let mut w = lock(&self.window);
+        w.totals[label][class] += 1;
+        let n = w.slots.len();
+        let slot = &mut w.slots[(epoch as usize) % n];
+        if slot.tag < tag {
+            slot.tag = tag;
+            slot.cells.fill(Cell::EMPTY);
+        } else if slot.tag > tag {
+            // The slot already belongs to a *newer* epoch: this
+            // observation predates the whole ring. Totals above
+            // already counted it; the window drops it.
+            return;
         }
-        let cell = &slot.cells[label];
-        cell.classes[class].fetch_add(1, Ordering::Relaxed);
-        cell.lat_sum.fetch_add(lat_ns, Ordering::Relaxed);
-        cell.lat_count.fetch_add(1, Ordering::Relaxed);
-        cell.buckets[bucket_index(lat_ns)].fetch_add(1, Ordering::Relaxed);
+        let cell = &mut slot.cells[label];
+        cell.classes[class] += 1;
+        cell.lat_sum += lat_ns;
+        cell.lat_count += 1;
+        cell.buckets[bucket_index(lat_ns)] += 1;
     }
 
     /// Merge every live epoch (the last `epochs` epochs as of `now_ns`)
     /// into one row per label.
     pub fn snapshot(&self, now_ns: u64) -> Vec<SloRow> {
         let now_epoch = now_ns / self.epoch_ns;
-        let span = self.slots.len() as u64;
-        let mut rows: Vec<SloRow> = self
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, label)| SloRow {
-                label,
-                window: [0; 3],
-                total: std::array::from_fn(|c| self.totals[i][c].load(Ordering::Relaxed)),
-                p50_ns: 0,
-                p99_ns: 0,
-                lat_count: 0,
-                lat_sum: 0,
-            })
-            .collect();
-        let mut buckets = vec![[0u64; LAT_BUCKETS]; self.labels.len()];
-        for slot in &self.slots {
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag == 0 || tag == RESETTING {
-                continue;
-            }
-            let epoch = tag - 1;
+        let mut merged = vec![Cell::EMPTY; self.labels.len()];
+        let w = lock(&self.window);
+        let span = w.slots.len() as u64;
+        for slot in &w.slots {
+            let Some(epoch) = slot.tag.checked_sub(1) else {
+                continue; // never used
+            };
             if epoch > now_epoch || now_epoch - epoch >= span {
-                continue; // future-tagged (racing reset) or expired
+                continue; // newer than `now_ns`, or expired
             }
-            for (i, cell) in slot.cells.iter().enumerate() {
-                for c in 0..3 {
-                    rows[i].window[c] += cell.classes[c].load(Ordering::Relaxed);
-                }
-                rows[i].lat_sum += cell.lat_sum.load(Ordering::Relaxed);
-                rows[i].lat_count += cell.lat_count.load(Ordering::Relaxed);
-                for (b, acc) in buckets[i].iter_mut().enumerate() {
-                    *acc += cell.buckets[b].load(Ordering::Relaxed);
-                }
+            for (acc, cell) in merged.iter_mut().zip(&slot.cells) {
+                acc.merge(cell);
             }
         }
-        for (i, row) in rows.iter_mut().enumerate() {
-            row.p50_ns = quantile(&buckets[i], row.lat_count, 0.50);
-            row.p99_ns = quantile(&buckets[i], row.lat_count, 0.99);
-        }
-        rows
+        self.labels
+            .iter()
+            .zip(merged)
+            .zip(&w.totals)
+            .map(|((label, m), total)| SloRow {
+                label,
+                window: m.classes,
+                total: *total,
+                p50_ns: quantile(&m.buckets, m.lat_count, 0.50),
+                p99_ns: quantile(&m.buckets, m.lat_count, 0.99),
+                lat_count: m.lat_count,
+                lat_sum: m.lat_sum,
+            })
+            .collect()
     }
 }
 
-fn quantile(buckets: &[u64; LAT_BUCKETS], count: u64, q: f64) -> u64 {
+fn quantile(buckets: &[u64; BUCKETS], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }
     let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
     let mut seen = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
+    let i = buckets.iter().position(|&n| {
         seen += n;
-        if seen >= rank {
-            return bucket_bound(i);
-        }
-    }
-    bucket_bound(LAT_BUCKETS - 1)
+        seen >= rank
+    });
+    bucket_bound(i.unwrap_or(BUCKETS - 1))
 }
 
 // ---------------------------------------------------------------------
@@ -471,6 +425,29 @@ mod tests {
         assert_eq!(rows[0].p50_ns, 255);
         // p99 rank 4 → 5000 lands in bucket [4096,8191].
         assert_eq!(rows[0].p99_ns, 8191);
+    }
+
+    #[test]
+    fn concurrent_observers_lose_no_count() {
+        let w = window();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let w = &w;
+                s.spawn(move || {
+                    for i in 0..1_000u64 {
+                        let status = if i % 4 == 0 { 404 } else { 200 };
+                        w.observe((t % 2) as usize, status, 100 + i, 1);
+                    }
+                });
+            }
+        });
+        let rows = w.snapshot(1);
+        for row in &rows {
+            assert_eq!(row.total, [1_500, 500, 0], "{}", row.label);
+            assert_eq!(row.window, [1_500, 500, 0], "{}", row.label);
+            assert_eq!(row.lat_count, 2_000, "{}", row.label);
+            assert_eq!(row.lat_sum, 2 * (1_000 * 100 + 999 * 1_000 / 2));
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! path segments resolve through [`hpcapps::find_config`] to the
 //! registry's canonical `config_name()`, and the `faults` parameter is
 //! parsed ([`FaultPlan::parse`]) and re-rendered (`describe()`), so
-//! `crash@r1:op5` and ` crash@r1:op5 ` land on the same entry.
+//! `crash@r1:op5` and ` crash@r1:op5 ` land on the same entry; a site
+//! naming a rank outside the world is a 400 there, not a crash of some
+//! other rank.
 
 use iolibs::FaultPlan;
 use semantics_core::conflict::ConflictReport;
@@ -71,6 +73,9 @@ impl Backend for ReportBackend {
             }
         }
         let faults = FaultPlan::parse(&query.faults).map_err(ApiError::BadRequest)?;
+        faults
+            .check_ranks(query.ranks)
+            .map_err(|e| ApiError::BadRequest(format!("faults: {e}")))?;
         Ok(AnalysisQuery {
             // The registry's canonical halves, so aliases share a key.
             app: spec.app.to_string(),

@@ -97,6 +97,26 @@ fn fault_plan_aliases_share_one_cache_entry() {
 }
 
 #[test]
+fn fault_site_outside_the_world_is_400() {
+    // Rank 9 of a 2-rank world strikes no rank: the plan is rejected
+    // before it is run or cached, not clamped onto another rank.
+    let handle = spawn(2);
+    let resp = get_once(
+        handle.addr(),
+        "/v1/verdict/FLASH/HDF5?ranks=2&faults=crash%40r9%3Aop40",
+    )
+    .expect("request");
+    assert_eq!(resp.status, 400, "{}", resp.body_text());
+    assert!(
+        resp.body_text()
+            .contains("rank 9 out of range (world size 2)"),
+        "{}",
+        resp.body_text()
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn degraded_analysis_is_422_and_cached() {
     // rank 0 never reaches the collective: the simulated world deadlocks,
     // analyze_isolated degrades, and the service answers 422 both cold

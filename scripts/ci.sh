@@ -181,6 +181,40 @@ if grep -rnE 'fn sim_(instant|span)\b' crates/obs/src; then
     exit 1
 fi
 
+echo "ci: one lock per telemetry structure"
+# The serving telemetry takes a lock: the flight ring and the SLO window
+# each sit behind one `Mutex` around plain data (no atomics), so obs
+# hand-rolls no lock-free protocol (no CAS loop, fence or spin), and
+# every obs histogram files a value by one log2 bucket rule,
+# `metrics::bucket_index`, the one `leading_zeros` of the crate. The
+# non-test part of a file is what `scripts/loc.sh` counts.
+log2_rules=0
+for f in crates/obs/src/*.rs; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /compare_exchange|fence\(|spin_loop/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+            END { exit !bad }' "$f"; then
+        echo "a hand-rolled lock-free protocol in obs"
+        exit 1
+    fi
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+             /leading_zeros/ { n++ }
+             END { print n + 0 }' "$f")
+    log2_rules=$((log2_rules + n))
+done
+if [ "$log2_rules" -gt 1 ]; then
+    grep -n 'leading_zeros' crates/obs/src/*.rs
+    echo "$log2_rules log2 bucket rules in obs: metrics::bucket_index is the one"
+    exit 1
+fi
+for f in crates/obs/src/flight.rs crates/obs/src/slo.rs; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /Atomic/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+            END { exit !bad }' "$f"; then
+        echo "an atomic in the flight ring or the SLO window: each sits behind one lock"
+        exit 1
+    fi
+done
+
 echo "ci: cargo build --release"
 cargo build --release
 
