@@ -164,6 +164,22 @@ impl AppSpec {
         }
     }
 
+    /// The `{config}` segment of this configuration's service URL
+    /// (`/v1/verdict/{app}/{config}`), which [`find_config`] resolves back
+    /// to this spec. `(app, iolib)` names the first registered
+    /// configuration with that pair, so the segment is the I/O library for
+    /// that one (every Table 4 row) and the configuration name minus the
+    /// app for the others (`FLASH/nofbs`, `MILC-QCD/Parallel`).
+    pub fn config_segment(&self) -> String {
+        let first = specs()
+            .iter()
+            .find(|s| s.app == self.app && s.iolib == self.iolib);
+        match first {
+            Some(first) if first.id == self.id => self.iolib.to_string(),
+            _ => self.config_name()[self.app.len() + 1..].to_string(),
+        }
+    }
+
     /// Run this configuration on the calling rank.
     pub fn run(&self, ctx: &mut AppCtx) {
         (self.runner)(ctx, &self.params);

@@ -17,12 +17,14 @@ pub(super) const RAW: Flag = Flag::new(
     "also write the raw /metricsz text here",
 );
 
-/// GET `path` from `addr`: the body of a 200. Anything else is reported
-/// on stderr (`what` names the request) and is the caller's exit 1.
+/// GET `path` from `addr`, following a redirecting fleet's 307s to the
+/// owner (at most `cluster::MAX_HOPS` of them): the body of a 200.
+/// Anything else is reported on stderr (`what` names the request) and is
+/// the caller's exit 1.
 fn fetch(addr: SocketAddr, path: &str, what: &str) -> Option<String> {
-    match serve::get_once(addr, path) {
-        Ok(r) if r.status == 200 => Some(r.body_text()),
-        Ok(r) => {
+    match serve::get_redirecting(&addr.to_string(), path, cluster::MAX_HOPS) {
+        Ok((r, _)) if r.status == 200 => Some(r.body_text()),
+        Ok((r, _)) => {
             let body = r.body_text();
             let sep = if body.trim().is_empty() { "" } else { ": " };
             eprintln!("error: {what} returned {}{sep}{}", r.status, body.trim());

@@ -11,17 +11,21 @@
 //! response by construction.
 //!
 //! Canonicalization is what makes the cache key honest: the app/config
-//! path segments resolve through [`hpcapps::find_config`] to the
-//! registry's canonical `config_name()`, and the `faults` parameter is
-//! parsed ([`FaultPlan::parse`]) and re-rendered (`describe()`), so
-//! `crash@r1:op5` and ` crash@r1:op5 ` land on the same entry; a site
-//! naming a rank outside the world is a 400 there, not a crash of some
-//! other rank.
+//! path segments resolve through [`hpcapps::find_config`] to one spec,
+//! whose app and [`hpcapps::AppSpec::config_segment`] are the canonical
+//! halves. They resolve back to that same spec, which `(app, iolib)`
+//! alone does not for a configuration sharing its pair with an earlier
+//! one (FLASH's four HDF5 variants, MILC-QCD's two POSIX ones). The
+//! `faults` parameter is parsed ([`FaultPlan::parse`]) and re-rendered
+//! (`describe()`), so `crash@r1:op5` and ` crash@r1:op5 ` land on the
+//! same entry; a site naming a rank outside the world is a 400 there, not
+//! a crash of some other rank.
 
 use iolibs::FaultPlan;
 use semantics_core::conflict::ConflictReport;
 use semantics_core::json::Json;
 use semantics_core::patterns::{AccessClass, PatternStats};
+use serve::http::percent_encode;
 use serve::{AnalysisQuery, AnalysisViews, ApiError, Backend};
 
 use crate::runner::{analyze_isolated, AnalyzedRun, ConfigOutcome, ReportCfg};
@@ -47,7 +51,14 @@ impl Backend for ReportBackend {
                     .field("app", s.app)
                     .field("iolib", s.iolib)
                     .field("in_table4", s.in_table4)
-                    .field("verdict_url", format!("/v1/verdict/{}/{}", s.app, s.iolib))
+                    .field(
+                        "verdict_url",
+                        format!(
+                            "/v1/verdict/{}/{}",
+                            percent_encode(s.app),
+                            percent_encode(&s.config_segment())
+                        ),
+                    )
             })
             .collect();
         Json::obj()
@@ -77,9 +88,10 @@ impl Backend for ReportBackend {
             .check_ranks(query.ranks)
             .map_err(|e| ApiError::BadRequest(format!("faults: {e}")))?;
         Ok(AnalysisQuery {
-            // The registry's canonical halves, so aliases share a key.
+            // The registry's canonical halves, so aliases share a key and
+            // `analyze` resolves the same spec again.
             app: spec.app.to_string(),
-            config: spec.iolib.to_string(),
+            config: spec.config_segment(),
             faults: faults.describe(),
             ..query
         })
@@ -112,7 +124,7 @@ fn query_fields(query: &AnalysisQuery, run: &AnalyzedRun) -> Json {
     Json::obj()
         .field("config", run.name())
         .field("app", query.app.as_str())
-        .field("iolib", query.config.as_str())
+        .field("iolib", run.spec.iolib)
         .field("ranks", query.ranks)
         .field("seed", query.seed)
         .field("model", query.model.as_str())

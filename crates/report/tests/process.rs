@@ -7,7 +7,9 @@
 //! * `kill -9` mid-traffic, then a restart on the same `--store-dir`
 //!   answers warm from the recovered store;
 //! * a two-process fleet serves identical bytes through every entry node,
-//!   before and after a decommission / join handoff.
+//!   before and after a decommission / join handoff;
+//! * `report get` through a redirecting fleet's non-owner node follows
+//!   the 307 and prints the owner's body.
 //!
 //! Under `cargo test --release` (as `scripts/ci.sh` runs this file)
 //! `CARGO_BIN_EXE_report` is the release binary.
@@ -339,5 +341,86 @@ fn two_process_fleet_is_byte_identical_through_every_entry_node() {
     b.drained();
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+#[test]
+fn report_get_follows_a_redirecting_fleet_to_the_owner() {
+    /// The verdict names the query: which node answered shows nowhere.
+    struct Stub;
+    impl serve::Backend for Stub {
+        fn apps_json(&self) -> String {
+            "{}\n".to_string()
+        }
+        fn canonicalize(
+            &self,
+            q: serve::AnalysisQuery,
+        ) -> Result<serve::AnalysisQuery, serve::ApiError> {
+            Ok(q)
+        }
+        fn analyze(
+            &self,
+            q: &serve::AnalysisQuery,
+        ) -> Result<serve::AnalysisViews, serve::ApiError> {
+            Ok(serve::AnalysisViews {
+                verdict: format!("verdict:{}:{}\n", q.app, q.config),
+                conflicts: String::new(),
+                patterns: String::new(),
+            })
+        }
+    }
+    // An in-process two-node fleet on OS-picked ports, `--forwarding redirect`.
+    let ports: Vec<u16> = (0..2)
+        .map(|_| {
+            let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            probe.local_addr().unwrap().port()
+        })
+        .collect();
+    let addrs: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
+    let peers = cluster::parse_peers(&format!("1={},2={}", addrs[0], addrs[1])).unwrap();
+    let nodes: Vec<serve::ServerHandle> = ports
+        .iter()
+        .enumerate()
+        .map(|(i, &port)| {
+            let cfg = serve::ServeConfig {
+                port,
+                cluster: Some(serve::ClusterConfig {
+                    node_id: i as u32 + 1,
+                    peers: peers.clone(),
+                    forwarding: serve::Forwarding::Redirect,
+                }),
+                ..serve::ServeConfig::default()
+            };
+            serve::serve(cfg, std::sync::Arc::new(Stub)).expect("boot node")
+        })
+        .collect();
+    // Until each node's prober has seen its peer alive, it answers
+    // foreign keys itself instead of redirecting.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !addrs.iter().all(|a| {
+        HttpClient::connect_str(a)
+            .and_then(|mut c| c.get("/v1/cluster/status"))
+            .is_ok_and(|r| r.status == 200 && !r.body_text().contains("false"))
+    }) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "fleet never became alive"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let entry: SocketAddr = addrs[0].parse().unwrap();
+    let path = (0..64)
+        .map(|i| format!("/v1/verdict/app-{i}/cfg"))
+        .find(|p| get_once(entry, p).is_ok_and(|r| r.status == 307))
+        .expect("a key node 1 redirects to node 2");
+    let owner = get_once(addrs[1].parse().unwrap(), &path).expect("ask the owner");
+    assert_eq!(owner.status, 200);
+
+    let out = report(&["get", "--addr", &addrs[0], "--path", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(out.stdout, owner.body);
+    for node in nodes {
+        node.shutdown();
     }
 }

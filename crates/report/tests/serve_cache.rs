@@ -14,8 +14,16 @@
 
 use std::sync::Arc;
 
+use hpcapps::AppId;
+use iolibs::{FaultKind, FaultPlan, IoFault};
+use obs::json::Json;
+use report_gen::runner::{analyze, ReportCfg};
 use report_gen::ReportBackend;
-use serve::{get_once, HttpClient, ServeConfig, ServerHandle};
+use serve::http::percent_encode;
+use serve::{
+    get_once, parse_request, AnalysisQuery, Backend, ConnReader, HttpClient, HttpLimits, Request,
+    ServeConfig, ServerHandle,
+};
 
 fn spawn(workers: usize) -> ServerHandle {
     let cfg = ServeConfig {
@@ -133,4 +141,153 @@ fn degraded_analysis_is_422_and_cached() {
         cold.status
     );
     handle.shutdown();
+}
+
+/// `target` parsed the way the server parses it: the request it routes.
+fn request(target: &str) -> Request {
+    let head = format!("GET {target} HTTP/1.1\r\n\r\n");
+    parse_request(
+        &mut ConnReader::new(head.as_bytes()),
+        &HttpLimits::default(),
+    )
+    .unwrap_or_else(|e| panic!("{target}: {e:?}"))
+}
+
+/// A top-level string field of a JSON body.
+fn str_field(body: &str, name: &str) -> Option<String> {
+    Some(Json::parse(body).ok()?.get(name)?.as_str()?.to_string())
+}
+
+#[test]
+fn configs_sharing_an_app_and_iolib_answer_for_themselves() {
+    // FLASH's four HDF5 configurations and MILC-QCD's two POSIX ones share
+    // an `(app, iolib)` pair; each URL must answer for its own config.
+    let handle = spawn(2);
+    for (path, config) in [
+        (
+            "/v1/verdict/FLASH/fbs%2Bnoflush?ranks=8",
+            "FLASH-fbs+noflush",
+        ),
+        ("/v1/patterns/FLASH/nofbs", "FLASH-nofbs"),
+        ("/v1/verdict/MILC-QCD/Parallel", "MILC-QCD Parallel"),
+    ] {
+        let r = get_once(handle.addr(), path).expect(path);
+        assert_eq!(r.status, 200, "{path}: {}", r.body_text());
+        assert_eq!(
+            str_field(&r.body_text(), "config").as_deref(),
+            Some(config),
+            "{path}"
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn fbs_noflush_verdict_is_the_runner_verdict_of_that_config() {
+    let handle = spawn(1);
+    let path = "/v1/verdict/FLASH/fbs%2Bnoflush?ranks=8";
+    let r = get_once(handle.addr(), path).expect(path);
+    assert_eq!(r.status, 200, "{path}: {}", r.body_text());
+    let cfg = ReportCfg {
+        nranks: 8,
+        ..ReportCfg::default()
+    };
+    let run = analyze(&cfg, hpcapps::spec_ref(AppId::FlashFbsNoFlush));
+    assert_eq!(
+        str_field(&r.body_text(), "required_model").as_deref(),
+        Some(run.verdict.required.name())
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn every_apps_verdict_url_resolves_to_the_config_beside_it() {
+    // Canonicalization only: no analysis runs.
+    let backend = ReportBackend::new();
+    let doc = Json::parse(&backend.apps_json()).expect("/v1/apps is JSON");
+    let apps = doc.get("apps").and_then(Json::as_array).expect("apps");
+    assert_eq!(apps.len(), hpcapps::specs().len());
+    for entry in apps {
+        let config = entry.get("config").and_then(Json::as_str).expect("config");
+        let url = entry
+            .get("verdict_url")
+            .and_then(Json::as_str)
+            .expect("url");
+        let req = request(url);
+        let ["v1", "verdict", app, segment] = req.segments()[..] else {
+            panic!("{url}: not a verdict URL");
+        };
+        let query = backend
+            .canonicalize(AnalysisQuery {
+                app: app.to_string(),
+                config: segment.to_string(),
+                ranks: 8,
+                seed: 2021,
+                model: "both".to_string(),
+                faults: "none".to_string(),
+            })
+            .unwrap_or_else(|e| panic!("{url}: {e:?}"));
+        let spec = hpcapps::find_config(&query.app, &query.config).expect(url);
+        assert_eq!(spec.config_name(), config, "{url}");
+    }
+}
+
+#[test]
+fn config_segments_and_fault_plans_survive_the_url_codec() {
+    // Every fault-plan spelling of `mpisim::fault`'s parse tests, parsable
+    // or not: a query value decodes to exactly what was encoded.
+    let mut faults: Vec<String> = [
+        FaultPlan::none(),
+        FaultPlan::none().with_crash(1, 10),
+        FaultPlan::none()
+            .with_crash(3, 7)
+            .with(2, 5, FaultKind::Io(IoFault::Eio))
+            .with(0, 9, FaultKind::Io(IoFault::LostFlush)),
+        FaultPlan::seeded(11, 8, FaultKind::Io(IoFault::Enospc), 4, 64),
+        FaultPlan::none().with(
+            1,
+            4,
+            FaultKind::MsgDelay {
+                delay_ns: 5_000_000,
+            },
+        ),
+    ]
+    .iter()
+    .map(FaultPlan::describe)
+    .collect();
+    faults.extend(
+        [
+            "",
+            " none ",
+            "msg-delay@r2:op8:250000ns",
+            "crash",
+            "crash@x1:op2",
+            "crash@r1",
+            "crash@r1:2",
+            "crash@r1:op2:junk",
+            "explode@r1:op2",
+            "msg-delay@r1:op2:fast",
+            "crash@r-1:op2",
+            "crash@r1:op2,,",
+        ]
+        .map(String::from),
+    );
+    for spec in hpcapps::specs() {
+        let segment = spec.config_segment();
+        let want = ["v1", "verdict", spec.app, segment.as_str()];
+        // A `+` in a path is a literal, escaped or not.
+        let raw = request(&format!("/v1/verdict/{}/{segment}", spec.app));
+        assert_eq!(raw.segments(), want, "{}", spec.config_name());
+        for plan in &faults {
+            let target = format!(
+                "/v1/verdict/{}/{}?faults={}",
+                percent_encode(spec.app),
+                percent_encode(&segment),
+                percent_encode(plan)
+            );
+            let req = request(&target);
+            assert_eq!(req.segments(), want, "{target}");
+            assert_eq!(req.query_param("faults"), Some(plan.as_str()), "{target}");
+        }
+    }
 }

@@ -34,7 +34,7 @@ use obs::json::Json;
 use obs::FlightKind;
 
 use crate::client::{resolve, ClientResponse, HttpClient};
-use crate::http::{Request, Response};
+use crate::http::{percent_encode, Request, Response};
 use crate::reqid::REQUEST_ID_HEADER;
 
 /// What to do with a request whose key another node owns.
@@ -392,22 +392,6 @@ fn render_path_query(req: &Request) -> String {
         out.push_str(&percent_encode(k));
         out.push('=');
         out.push_str(&percent_encode(v));
-    }
-    out
-}
-
-/// Minimal percent-encoder: unreserved bytes pass, everything else is
-/// `%XX`. The inverse of `http::percent_decode` for round-tripping
-/// forwarded query values (fault plans contain `@` and `:`).
-fn percent_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
     }
     out
 }

@@ -160,8 +160,9 @@ pub struct ConnReader<R: Read> {
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Set when the server drains: a read waiting for the first byte of a
-    /// new request then ends as [`ParseError::ConnectionClosed`].
+    /// The server's stop flag: once it is set, a read waiting for the
+    /// first byte of a new request ends at its next read timeout as
+    /// [`ParseError::ConnectionClosed`].
     pub(crate) drain: Option<Arc<AtomicBool>>,
 }
 
@@ -383,7 +384,7 @@ pub fn parse_request<R: Read>(
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
-    let path = percent_decode(raw_path);
+    let path = decode(raw_path, false);
     let query = raw_query
         .split('&')
         .filter(|kv| !kv.is_empty())
@@ -402,9 +403,16 @@ pub fn parse_request<R: Read>(
     })
 }
 
-/// Decode `%XX` escapes and `+`-as-space. Invalid escapes pass through
-/// literally (never an error — the router's lookup will 404 instead).
+/// Decode a query key or value: `%XX` escapes, and `+` as a space (form
+/// encoding). Invalid escapes pass through literally (never an error —
+/// the router's lookup will 404 instead).
 pub fn percent_decode(s: &str) -> String {
+    decode(s, true)
+}
+
+/// Decode `%XX` escapes; `+` is a space only in a query (`plus_is_space`)
+/// and a literal in a path (`/v1/verdict/FLASH/fbs+collmeta`).
+fn decode(s: &str, plus_is_space: bool) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -423,7 +431,7 @@ pub fn percent_decode(s: &str) -> String {
                     }
                 }
             }
-            b'+' => {
+            b'+' if plus_is_space => {
                 out.push(b' ');
                 i += 1;
             }
@@ -434,6 +442,23 @@ pub fn percent_decode(s: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The inverse of both decodings: unreserved bytes pass, everything else
+/// is `%XX`. Fleet forwarding re-escapes a request's decoded path and
+/// query with it (fault plans contain `@` and `:`), and `/v1/apps` builds
+/// its URLs with it.
+pub fn percent_encode(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for b in s.bytes() {
+        match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                out.push(b as char)
+            }
+            _ => out.push_str(&format!("%{b:02X}")),
+        }
+    }
+    out
 }
 
 /// One response, rendered deterministically: fixed header order, no

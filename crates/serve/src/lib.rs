@@ -17,9 +17,6 @@
 //!   (no `Date` header; response *bodies* carry no timestamps or request
 //!   ids — the property behind the warm-equals-cold byte-identity
 //!   guarantee; correlation ids live in headers only).
-//! * [`pool`] — fixed worker pool over a bounded queue; a full queue is
-//!   answered 503 + `Retry-After` at the accept loop (explicit
-//!   backpressure), and shutdown drains in-flight work.
 //! * [`cache`] — sharded LRU keyed by [`semantics_core::CacheKey`]
 //!   fingerprints with full-key verification on hit.
 //! * [`router`] — the protocol types, the request bracket (request id,
@@ -34,8 +31,11 @@
 //!   answers warm with bytes identical to what the dead one served; owns
 //!   the `AVW1` views codec ([`encode_views`]/[`decode_views`]).
 //! * `exposition` — `/healthz` and the one metrics surface, `/metricsz`.
-//! * [`server`] — accept loop, connection lifecycle, SIGTERM/ctrl-c
-//!   graceful drain (via [`signal`]).
+//! * [`server`] — accept loop, fixed workers over a bounded connection
+//!   channel (a full one is answered 503 + `Retry-After` at the door:
+//!   explicit backpressure), connection lifecycle, and the one stop flag
+//!   a drain reads, set by the handle or by SIGTERM/ctrl-c (via
+//!   [`signal`]); a drain answers in-flight and queued requests.
 //! * [`client`] — the minimal blocking client `report`, the peer client
 //!   and the tests use; it reads responses with [`http`]'s reader.
 //! * [`fleet`] — the cluster tier's routing: consistent-hash lookup of
@@ -66,7 +66,6 @@ mod exposition;
 pub mod fleet;
 pub mod http;
 mod miss;
-pub mod pool;
 mod rebalance;
 pub mod reqid;
 pub mod router;
@@ -78,7 +77,6 @@ pub use client::{get_once, get_redirecting, ClientResponse, HttpClient};
 pub use fleet::{ClusterConfig, ClusterRuntime, Forwarding};
 pub use http::{parse_request, ConnReader, HttpLimits, ParseError, Request, Response};
 pub use miss::{decode_views, encode_views};
-pub use pool::{QueueFull, WorkerPool};
 pub use reqid::{next_request_id, request_id, REQUEST_ID_HEADER};
 pub use router::{AnalysisQuery, AnalysisViews, ApiError, Backend, Router, SLO_ENDPOINTS};
 pub use server::{serve, ServeConfig, ServerHandle};

@@ -3,34 +3,36 @@
 //!
 //! ```text
 //! accept loop (own thread; `serve` returns once the socket is bound)
-//!   ├─ nonblocking accept, polling the handle's stop flag + signal flag
-//!   ├─ WorkerPool::try_submit(connection job)
-//!   │    └─ QueueFull ⇒ write 503 + Retry-After inline, close
-//!   └─ on shutdown: stop accepting, drain pool (in-flight requests
-//!      finish, queued connections are served), then return
+//!   ├─ nonblocking accept, polling the server's `stopping` flag
+//!   ├─ try_send(stream) on the bounded connection channel
+//!   │    └─ Full ⇒ the stream comes back: write 503 + Retry-After, close
+//!   └─ once stopping: stop accepting, drop the sender, join the workers
+//!      (each finishes its connection, then serves what is still queued)
 //! ```
 //!
-//! Each connection job runs the keep-alive loop: parse request → route →
-//! write response, until the peer closes, an error forces a close, or the
-//! pool starts draining. A draining handler finishes the *current*
-//! request and then closes, and an idle one lets go at its next read
-//! timeout — that is what makes SIGTERM drain quickly even with idle
-//! keep-alive clients (a peer's pooled connections) parked on workers.
+//! One flag says the server is stopping. [`serve`] makes it, dropping the
+//! [`ServerHandle`] sets it, and the accept loop sets it the first time
+//! it sees [`signal::shutdown_requested`]. The cluster prober, every
+//! handler and every handler's `ConnReader` read only this flag.
 //!
-//! The connection's `TcpStream` rides inside an `Arc<Mutex<Option<..>>>`
-//! slot shared between the queued job and the accept loop: on a full
-//! queue, the accept loop takes the stream back out of the slot and
-//! answers 503 itself — backpressure costs one cheap write at the door,
-//! never a queue slot.
+//! Workers share the channel's receiver behind one `Mutex` and run the
+//! keep-alive loop per connection: parse request → route → write
+//! response, until the peer closes, an error forces a close, or the
+//! server is stopping — then the response just written carried
+//! `Connection: close`. A connection whose request has arrived is
+//! answered, queued or not; one with no byte yet lets go at its next
+//! 50 ms read timeout. That is what makes SIGTERM drain quickly even with
+//! idle keep-alive clients (a peer's pooled connections) parked on
+//! workers.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::fleet::{ClusterConfig, ClusterRuntime};
 use crate::http::{parse_request, ConnReader, HttpLimits, Response};
-use crate::pool::WorkerPool;
 use crate::router::{Backend, Router};
 use crate::signal;
 
@@ -91,7 +93,7 @@ impl Default for ServeConfig {
 /// [`ServerHandle::shutdown`] also shuts down gracefully.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stopping: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -113,7 +115,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stopping.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -128,7 +130,7 @@ pub fn serve(cfg: ServeConfig, backend: Arc<dyn Backend>) -> std::io::Result<Ser
     listener.set_nonblocking(true)?;
     obs::set_postmortem_path(cfg.postmortem.as_deref());
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stopping = Arc::new(AtomicBool::new(false));
     let cluster = match cfg.cluster.clone() {
         Some(cl_cfg) => {
             Some(Arc::new(ClusterRuntime::new(cl_cfg).map_err(|e| {
@@ -144,37 +146,53 @@ pub fn serve(cfg: ServeConfig, backend: Arc<dyn Backend>) -> std::io::Result<Ser
         cluster,
     ));
 
-    let accept_stop = Arc::clone(&stop);
+    let accept_stopping = Arc::clone(&stopping);
     let accept_thread = std::thread::Builder::new()
         .name("serve-accept".into())
-        .spawn(move || accept_loop(&listener, &cfg, &accept_stop, &router))?;
+        .spawn(move || accept_loop(&listener, &cfg, &accept_stopping, &router))?;
 
     Ok(ServerHandle {
         addr,
-        stop,
+        stopping,
         accept_thread: Some(accept_thread),
     })
 }
 
-fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, router: &Arc<Router>) {
-    let pool = WorkerPool::new(cfg.workers, cfg.queue_cap);
-    let draining = pool.draining_flag();
+fn accept_loop(
+    listener: &TcpListener,
+    cfg: &ServeConfig,
+    stopping: &Arc<AtomicBool>,
+    router: &Arc<Router>,
+) {
+    let (tx, rx) = sync_channel::<TcpStream>(cfg.queue_cap.max(1));
+    let rx = Arc::new(Mutex::new(rx));
+    let workers: Vec<_> = (0..cfg.workers.max(1))
+        .map(|k| {
+            let rx = Arc::clone(&rx);
+            let router = Arc::clone(router);
+            let stopping = Arc::clone(stopping);
+            let limits = cfg.limits;
+            std::thread::Builder::new()
+                .name(format!("serve-worker-{k}"))
+                .spawn(move || worker(&rx, &limits, &router, &stopping))
+                .expect("spawn worker thread")
+        })
+        .collect();
 
     // Clustered nodes probe peer /healthz continuously so proxying can
     // degrade to local recompute the moment a peer dies, rather than on
     // the first failed forward.
-    let prober_stop = Arc::new(AtomicBool::new(false));
     let prober = router.cluster().map(|cl| {
         let cl = Arc::clone(cl);
-        let stop_flag = Arc::clone(&prober_stop);
+        let stopping = Arc::clone(stopping);
         std::thread::Builder::new()
             .name("serve-cluster-probe".into())
             .spawn(move || {
-                while !stop_flag.load(Ordering::SeqCst) && !signal::shutdown_requested() {
+                while !stopping.load(Ordering::SeqCst) {
                     cl.probe_all();
                     // Sleep in small steps so drain isn't held up.
                     for _ in 0..6 {
-                        if stop_flag.load(Ordering::SeqCst) || signal::shutdown_requested() {
+                        if stopping.load(Ordering::SeqCst) {
                             break;
                         }
                         std::thread::sleep(Duration::from_millis(50));
@@ -184,35 +202,29 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
             .expect("spawn cluster prober")
     });
 
-    while !stop.load(Ordering::SeqCst) && !signal::shutdown_requested() {
+    loop {
+        if signal::shutdown_requested() {
+            stopping.store(true, Ordering::SeqCst);
+        }
+        if stopping.load(Ordering::SeqCst) {
+            break;
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if obs::metrics_enabled() {
-                    let m = obs::metrics();
-                    m.add("serve.connections", 1);
-                    m.observe("serve.queue_depth", pool.queued() as u64);
+                    obs::metrics().add("serve.connections", 1);
                 }
-                // The stream lives in a shared slot so a rejected submit
-                // can reclaim it for the inline 503.
-                let slot = Arc::new(Mutex::new(Some(stream)));
-                let job_slot = Arc::clone(&slot);
-                let router = Arc::clone(router);
-                let draining = Arc::clone(&draining);
-                let limits = cfg.limits;
-                let submitted = pool.try_submit(Box::new(move || {
-                    if let Some(stream) = job_slot.lock().unwrap().take() {
-                        handle_connection(stream, &limits, &router, draining);
-                    }
-                }));
-                if submitted.is_err() {
+                // A full queue hands the stream back for the inline 503.
+                if let Err(
+                    TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream),
+                ) = tx.try_send(stream)
+                {
                     if obs::metrics_enabled() {
                         obs::metrics().add("serve.rejected_503", 1);
                     }
                     obs::flight::record(obs::FlightKind::Overload, 503, 0, 0, "", "accept-queue");
-                    if let Some(mut stream) = slot.lock().unwrap().take() {
-                        let _ = Response::overloaded(RETRY_AFTER_SECS).write_to(&mut stream);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                    }
+                    let _ = Response::overloaded(RETRY_AFTER_SECS).write_to(&mut stream);
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -230,32 +242,66 @@ fn accept_loop(listener: &TcpListener, cfg: &ServeConfig, stop: &AtomicBool, rou
     // next process recovers from one segment. The flight ring is
     // persisted last, so the postmortem shows the drain completing.
     obs::flight::record(obs::FlightKind::Drain, 0, 0, 0, "", "drain-begin");
-    prober_stop.store(true, Ordering::SeqCst);
     if let Some(t) = prober {
         let _ = t.join();
     }
-    pool.shutdown();
+    drop(tx);
+    for t in workers {
+        let _ = t.join();
+    }
     router.flush_store();
     obs::flight::dump_postmortem("sigterm-drain");
+}
+
+/// One worker: serve queued connections until the sender is dropped and
+/// the queue is empty.
+fn worker(
+    rx: &Mutex<Receiver<TcpStream>>,
+    limits: &HttpLimits,
+    router: &Router,
+    stopping: &Arc<AtomicBool>,
+) {
+    loop {
+        // The guard drops with this statement: a worker holds the lock
+        // only while it waits, never while it serves.
+        let next = rx.lock().expect("recv does not panic").recv();
+        let Ok(stream) = next else { return };
+        // A handler panic must not kill the worker; it is recorded and the
+        // worker keeps serving (the connection drops, which the peer sees
+        // as a reset — never a hung server).
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_connection(stream, limits, router, stopping)
+        }));
+        if served.is_err() {
+            obs::error!("serve: connection handler panicked (worker survives)");
+            if obs::metrics_enabled() {
+                obs::metrics().add("serve.handler_panics", 1);
+            }
+            // Crash forensics: the router's PanicTrap already stamped the
+            // dying request's id into the ring; persist the whole ring
+            // while the trail is hot.
+            obs::flight::dump_postmortem("handler-panic");
+        }
+    }
 }
 
 fn handle_connection(
     stream: TcpStream,
     limits: &HttpLimits,
     router: &Router,
-    draining: Arc<AtomicBool>,
+    stopping: &Arc<AtomicBool>,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = ConnReader::new(stream);
-    reader.drain = Some(Arc::clone(&draining));
-    while !draining.load(Ordering::SeqCst) && !signal::shutdown_requested() {
+    reader.drain = Some(Arc::clone(stopping));
+    loop {
         let resp = match parse_request(&mut reader, limits) {
             Ok(req) => {
                 let mut resp = router.handle(&req);
-                // Honor the peer's connection preference, and stop serving
-                // this session once shutdown begins.
-                resp.close |= !req.keep_alive || draining.load(Ordering::SeqCst);
+                // Honor the peer's connection preference, and end this
+                // session with this response once the server is stopping.
+                resp.close |= !req.keep_alive || stopping.load(Ordering::SeqCst);
                 resp
             }
             // A failed parse owes at most an error response, which closes.

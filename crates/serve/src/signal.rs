@@ -3,10 +3,11 @@
 //! The offline build cannot add `libc` or `signal-hook`, so the handler
 //! is registered through a direct `extern "C"` binding to `signal(2)`.
 //! The handler body does the only thing that is async-signal-safe here:
-//! store into a static atomic. The accept loop polls
-//! [`shutdown_requested`] between accepts and drains the worker pool when
-//! it flips — in-flight requests finish, new connections stop being
-//! accepted.
+//! store into a static atomic. Each server's accept loop is the one
+//! reader of [`shutdown_requested`]: it polls it between accepts and, the
+//! first time it flips, sets that server's own stop flag, which is all
+//! the rest of the server reads — new connections stop being accepted,
+//! and in-flight and queued requests are answered.
 //!
 //! On non-Unix targets the flag still exists (tests and embedders call
 //! [`request_shutdown`] directly); only the OS hookup is `cfg`-gated.

@@ -215,6 +215,41 @@ for f in crates/obs/src/flight.rs crates/obs/src/slo.rs; do
     fi
 done
 
+echo "ci: one way to stop a server"
+# A server stops by one rule. `serve` makes one `stopping` flag; dropping
+# the handle sets it, and so does the accept loop the first time it sees
+# SIGINT/SIGTERM (`signal::shutdown_requested`, read there and nowhere
+# else in serve); the prober, every handler and every handler's reader
+# read only the flag. Connections queue on one std bounded channel of
+# `TcpStream`s, so a full queue hands the stream back for the 503 and a
+# drain answers what is queued: no pool of boxed jobs (`pool.rs`,
+# `WorkerPool`, a `Condvar`) and no shared stream slot. The non-test part
+# of a file is what `scripts/loc.sh` counts; comments are not calls.
+if [ -e crates/serve/src/pool.rs ]; then
+    echo "crates/serve/src/pool.rs exists: connections queue on serve::server's channel"
+    exit 1
+fi
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /Condvar|WorkerPool|Mutex<Option<TcpStream>>|Mutex::new\(Some\(/ {
+            print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/serve/src/server.rs; then
+    echo "a second queue or a shared stream slot in serve::server"
+    exit 1
+fi
+signal_reads=0
+for f in crates/serve/src/*.rs; do
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+             /^[[:space:]]*\/\// { next }
+             /shutdown_requested\(\)/ && !/fn shutdown_requested/ { n++ }
+             END { print n + 0 }' "$f")
+    signal_reads=$((signal_reads + n))
+done
+if [ "$signal_reads" -gt 1 ]; then
+    grep -n 'shutdown_requested()' crates/serve/src/*.rs
+    echo "$signal_reads reads of the signal flag in serve: the accept loop is the one"
+    exit 1
+fi
+
 echo "ci: cargo build --release"
 cargo build --release
 
