@@ -34,8 +34,9 @@
 //! * [`server`] — accept loop, fixed workers over a bounded connection
 //!   channel (a full one is answered 503 + `Retry-After` at the door:
 //!   explicit backpressure), connection lifecycle, and the one stop flag
-//!   a drain reads, set by the handle or by SIGTERM/ctrl-c (via
-//!   [`signal`]); a drain answers in-flight and queued requests.
+//!   a drain reads, set only by the handle (`report serve` calls it on
+//!   SIGTERM/ctrl-c, which [`signal`] records); a drain answers every
+//!   connection made before the stop.
 //! * [`client`] — the minimal blocking client `report`, the peer client
 //!   and the tests use; it reads responses with [`http`]'s reader.
 //! * [`fleet`] — the cluster tier's routing: consistent-hash lookup of

@@ -3,17 +3,20 @@
 //!
 //! ```text
 //! accept loop (own thread; `serve` returns once the socket is bound)
-//!   ├─ nonblocking accept, polling the server's `stopping` flag
+//!   ├─ blocking accept, then read the server's `stopping` flag
 //!   ├─ try_send(stream) on the bounded connection channel
 //!   │    └─ Full ⇒ the stream comes back: write 503 + Retry-After, close
-//!   └─ once stopping: stop accepting, drop the sender, join the workers
-//!      (each finishes its connection, then serves what is still queued)
+//!   └─ once stopping: accept the backlog until WouldBlock, drop the
+//!      sender, join the workers (each finishes its connection, then
+//!      serves what is still queued)
 //! ```
 //!
-//! One flag says the server is stopping. [`serve`] makes it, dropping the
-//! [`ServerHandle`] sets it, and the accept loop sets it the first time
-//! it sees [`signal::shutdown_requested`]. The cluster prober, every
-//! handler and every handler's `ConnReader` read only this flag.
+//! One flag says the server is stopping; only dropping the
+//! [`ServerHandle`] sets it. The drop then connects once to the server's
+//! own address, behind every connection the kernel already holds, which
+//! wakes the `accept`: every connection whose handshake finished before
+//! the stop is answered. The cluster prober (unparked by the drain),
+//! every handler and every handler's `ConnReader` read only this flag.
 //!
 //! Workers share the channel's receiver behind one `Mutex` and run the
 //! keep-alive loop per connection: parse request → route → write
@@ -21,7 +24,7 @@
 //! server is stopping — then the response just written carried
 //! `Connection: close`. A connection whose request has arrived is
 //! answered, queued or not; one with no byte yet lets go at its next
-//! 50 ms read timeout. That is what makes SIGTERM drain quickly even with
+//! 50 ms read timeout. That is what makes a drain quick even with
 //! idle keep-alive clients (a peer's pooled connections) parked on
 //! workers.
 
@@ -34,7 +37,6 @@ use std::time::Duration;
 use crate::fleet::{ClusterConfig, ClusterRuntime};
 use crate::http::{parse_request, ConnReader, HttpLimits, Response};
 use crate::router::{Backend, Router};
-use crate::signal;
 
 /// Per-read socket timeout on a served connection: how soon an idle
 /// handler notices a drain. The parser retries reads until `HttpLimits`'
@@ -116,18 +118,27 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stopping.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let Some(t) = self.accept_thread.take() else {
+            return;
+        };
+        // Wake the blocked `accept`. Join only if the wake landed: when
+        // the connect fails (no descriptor left, say), the loop is left to
+        // stop at the next connection anyone makes, not joined forever.
+        match TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)) {
+            Ok(wake) => {
+                drop(wake);
+                let _ = t.join();
+            }
+            Err(e) => obs::error!("serve: cannot wake the accept loop ({e}); not joining it"),
         }
     }
 }
 
-/// Bind 127.0.0.1:`port` and serve `backend` until shutdown is requested
-/// (via the returned handle, SIGINT, or SIGTERM). The accept loop runs on
-/// its own thread; the call returns as soon as the socket is bound.
+/// Bind 127.0.0.1:`port` and serve `backend` until the returned handle
+/// is shut down or dropped. The accept loop runs on its own thread; the
+/// call returns as soon as the socket is bound.
 pub fn serve(cfg: ServeConfig, backend: Arc<dyn Backend>) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-    listener.set_nonblocking(true)?;
     obs::set_postmortem_path(cfg.postmortem.as_deref());
     let addr = listener.local_addr()?;
     let stopping = Arc::new(AtomicBool::new(false));
@@ -190,51 +201,45 @@ fn accept_loop(
             .spawn(move || {
                 while !stopping.load(Ordering::SeqCst) {
                     cl.probe_all();
-                    // Sleep in small steps so drain isn't held up.
-                    for _ in 0..6 {
-                        if stopping.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
+                    std::thread::park_timeout(Duration::from_millis(300));
                 }
             })
             .expect("spawn cluster prober")
     });
 
-    loop {
-        if signal::shutdown_requested() {
-            stopping.store(true, Ordering::SeqCst);
+    // A full queue hands the stream back for the inline 503.
+    let admit = |stream: TcpStream| {
+        if obs::metrics_enabled() {
+            obs::metrics().add("serve.connections", 1);
         }
-        if stopping.load(Ordering::SeqCst) {
-            break;
+        if let Err(TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream)) =
+            tx.try_send(stream)
+        {
+            if obs::metrics_enabled() {
+                obs::metrics().add("serve.rejected_503", 1);
+            }
+            obs::flight::record(obs::FlightKind::Overload, 503, 0, 0, "", "accept-queue");
+            let _ = Response::overloaded(RETRY_AFTER_SECS).write_to(&mut stream);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
+    };
+    while !stopping.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                if obs::metrics_enabled() {
-                    obs::metrics().add("serve.connections", 1);
-                }
-                // A full queue hands the stream back for the inline 503.
-                if let Err(
-                    TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream),
-                ) = tx.try_send(stream)
-                {
-                    if obs::metrics_enabled() {
-                        obs::metrics().add("serve.rejected_503", 1);
-                    }
-                    obs::flight::record(obs::FlightKind::Overload, 503, 0, 0, "", "accept-queue");
-                    let _ = Response::overloaded(RETRY_AFTER_SECS).write_to(&mut stream);
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Ok((stream, _peer)) => admit(stream),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Back off so a persistent error (EMFILE) cannot spin.
             Err(e) => {
                 obs::error!("serve: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(20));
             }
+        }
+    }
+    // Stop-time drain of the backlog, until `WouldBlock` (or any other
+    // error): the handle's wake-up connection is last in it, so every
+    // connection made before the stop is admitted.
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok((stream, _peer)) = listener.accept() {
+            admit(stream);
         }
     }
     // Graceful drain: everything accepted gets served before we return,
@@ -243,6 +248,7 @@ fn accept_loop(
     // persisted last, so the postmortem shows the drain completing.
     obs::flight::record(obs::FlightKind::Drain, 0, 0, 0, "", "drain-begin");
     if let Some(t) = prober {
+        t.thread().unpark();
         let _ = t.join();
     }
     drop(tx);

@@ -273,37 +273,46 @@ fn overload_returns_503_with_retry_after() {
 
 #[test]
 fn a_queued_request_is_answered_at_drain_not_reset() {
-    // One worker held by an idle keep-alive connection, and a second
-    // connection whose request waits in the queue behind it: the drain
-    // must answer that request (and close), not drop it unread.
+    // One worker held by an idle keep-alive connection, and several
+    // connections whose requests were sent before the stop: the drain
+    // must answer each (and close), whether the accept loop had already
+    // queued it or it still waited in the kernel's backlog.
     let cfg = ServeConfig {
         workers: 1,
-        queue_cap: 4,
+        queue_cap: 8,
         ..ServeConfig::default()
     };
     let handle = serve(cfg, Arc::new(StubBackend)).expect("bind");
     let mut idle = HttpClient::connect(handle.addr()).expect("connect idle");
     assert_eq!(idle.get("/healthz").expect("first request").status, 200);
     // The worker now waits on `idle` for its next request.
-    let mut queued = TcpStream::connect(handle.addr()).expect("connect queued");
-    queued
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    queued
-        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
-        .expect("send queued request");
-    // Give the accept loop (a 5 ms poll) time to queue the connection.
-    std::thread::sleep(Duration::from_millis(100));
+    let mut queued: Vec<TcpStream> = (0..4)
+        .map(|_| {
+            let mut s = TcpStream::connect(handle.addr()).expect("connect queued");
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+                .expect("send queued request");
+            s
+        })
+        .collect();
     handle.shutdown();
 
-    let mut out = Vec::new();
-    let read = queued.read_to_end(&mut out);
-    let text = String::from_utf8_lossy(&out);
-    assert!(
-        read.is_ok(),
-        "queued request was not answered: {read:?}, got {text:?}"
-    );
-    assert!(text.starts_with("HTTP/1.1 200 "), "got {text:?}");
-    assert!(text.contains("Connection: close"), "got {text:?}");
+    for (k, s) in queued.iter_mut().enumerate() {
+        let mut out = Vec::new();
+        let read = s.read_to_end(&mut out);
+        let text = String::from_utf8_lossy(&out);
+        assert!(
+            read.is_ok(),
+            "queued request {k} was not answered: {read:?}, got {text:?}"
+        );
+        assert!(
+            text.starts_with("HTTP/1.1 200 "),
+            "request {k}: got {text:?}"
+        );
+        assert!(
+            text.contains("Connection: close"),
+            "request {k}: got {text:?}"
+        );
+    }
     drop(idle);
 }

@@ -21,9 +21,9 @@
 //!   file; an invalid snapshot segment is quarantined whole (`.bad`)
 //!   and recovery falls back to the previous generation plus every
 //!   surviving journal. Never panics, never serves unverified bytes.
-//! * [`lock`] — a pid lock file so two live processes cannot interleave
-//!   appends into one journal; SIGKILL leavings are reclaimed by
-//!   `/proc` liveness probing.
+//! * [`lock`] — a kernel lock (`File::try_lock`) on a `LOCK` file so two
+//!   live processes cannot interleave appends into one journal; the
+//!   kernel releases it when its holder dies, SIGKILL included.
 //!
 //! Fault injection mirrors the PR 3 machinery: [`CrashPoint`] stops a
 //! compaction between any two durability steps (after the tmp write,
@@ -722,6 +722,17 @@ mod tests {
             other => panic!("expected Locked, got {other:?}"),
         }
         drop(first);
+        open(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lock_file_naming_a_live_pid_but_unlocked_opens() {
+        // What a SIGKILLed holder leaves once its pid is reused by a live
+        // process: only the kernel's lock says who holds the store.
+        let dir = tmpdir("live-pid");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("LOCK"), std::process::id().to_string()).unwrap();
         open(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,79 +1,57 @@
 //! Single-writer lock file.
 //!
 //! Two live processes appending to one journal would interleave frames
-//! and corrupt each other's tails, so `Store::open` takes an exclusive
-//! `LOCK` file first: created with `O_EXCL` and holding the owner's
-//! pid. A lock left behind by a SIGKILLed process is detected by
-//! probing `/proc/<pid>` and reclaimed; a lock whose owner is alive —
-//! including this very process, which guards against two `Store`s over
-//! one directory in-process — refuses the open with a clear error.
+//! and corrupt each other's tails, so `Store::open` first takes an
+//! exclusive lock from the kernel (`File::try_lock`) on `dir/LOCK`. The
+//! kernel releases it when the holder closes the file or dies, SIGKILL
+//! included, so there is nothing stale to detect or reclaim and the file
+//! itself is never deleted. Locks on two opens of one file conflict even
+//! within a process, which guards against two `Store`s over one
+//! directory in-process. The holder writes its pid into the file for the
+//! refusal's error message only; an empty or garbage file reads as 0.
 
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::fs::{File, TryLockError};
+use std::io::Write;
+use std::path::Path;
 
-/// Held for the lifetime of the store; removes the file on drop.
+/// Held for the lifetime of the store; closing the file releases it.
 #[derive(Debug)]
 pub struct LockFile {
-    path: PathBuf,
-}
-
-/// Is `pid` a live process? Conservative: if liveness cannot be
-/// determined (no `/proc` on this platform), assume it is.
-fn pid_alive(pid: u32) -> bool {
-    if !Path::new("/proc/self").exists() {
-        return true;
-    }
-    Path::new(&format!("/proc/{pid}")).exists()
+    _file: File,
 }
 
 impl LockFile {
-    /// Acquire `dir/LOCK`, reclaiming it only from a provably dead
-    /// owner. `Err` carries the holder pid when the directory is busy.
+    /// Lock `dir/LOCK`. `Err` carries the holder pid when the directory
+    /// is busy.
     pub fn acquire(dir: &Path) -> Result<LockFile, Result<u32, std::io::Error>> {
         let path = dir.join("LOCK");
-        // Two attempts: the second runs after reclaiming a stale file.
-        for attempt in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = f.write_all(std::process::id().to_string().as_bytes());
-                    let _ = f.sync_data();
-                    return Ok(LockFile { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let mut contents = String::new();
-                    let holder = std::fs::File::open(&path)
-                        .and_then(|mut f| f.read_to_string(&mut contents).map(|_| ()))
-                        .ok()
-                        .and_then(|()| contents.trim().parse::<u32>().ok());
-                    match holder {
-                        Some(pid) if pid_alive(pid) => return Err(Ok(pid)),
-                        // Dead owner (or unreadable garbage): reclaim once.
-                        _ if attempt == 0 => {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                        _ => return Err(Ok(0)),
-                    }
-                }
-                Err(e) => return Err(Err(e)),
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(Err)?;
+        match file.try_lock() {
+            Ok(()) => {
+                // Rewrite the pid only once the lock is ours: truncating
+                // at open would blank a live holder's pid.
+                let _ = file.set_len(0);
+                let _ = file.write_all(std::process::id().to_string().as_bytes());
+                Ok(LockFile { _file: file })
             }
+            Err(TryLockError::WouldBlock) => {
+                let holder = std::fs::read_to_string(&path).unwrap_or_default();
+                Err(Ok(holder.trim().parse().unwrap_or(0)))
+            }
+            Err(TryLockError::Error(e)) => Err(Err(e)),
         }
-        unreachable!("second acquire attempt always returns");
-    }
-}
-
-impl Drop for LockFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("store-lock-{tag}-{}", std::process::id()));
@@ -99,8 +77,7 @@ mod tests {
     #[test]
     fn stale_lock_from_dead_pid_is_reclaimed() {
         let dir = tmpdir("stale");
-        // Pid 0 is the idle task — never a real journal owner, and
-        // /proc/0 does not exist.
+        // A pid no live process has, in a file nobody holds a lock on.
         std::fs::write(dir.join("LOCK"), b"0").unwrap();
         LockFile::acquire(&dir).expect("stale lock reclaimed");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -111,6 +88,19 @@ mod tests {
         let dir = tmpdir("garbage");
         std::fs::write(dir.join("LOCK"), b"not a pid").unwrap();
         LockFile::acquire(&dir).expect("garbage lock reclaimed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_refusal_names_a_garbage_holder_as_zero() {
+        let dir = tmpdir("garbage-holder");
+        let lock = LockFile::acquire(&dir).unwrap();
+        std::fs::write(dir.join("LOCK"), b"not a pid").unwrap();
+        match LockFile::acquire(&dir) {
+            Err(Ok(pid)) => assert_eq!(pid, 0),
+            other => panic!("expected busy lock, got {other:?}"),
+        }
+        drop(lock);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -76,8 +76,8 @@ fn truncation_sweep_recovers_exactly_the_committed_prefix() {
     assert_eq!(*boundaries.last().unwrap(), pristine.len());
 
     for cut in 0..=pristine.len() {
-        // Restore pristine bytes, then cut. (The LOCK file is gone
-        // between opens: Store::drop releases it.)
+        // Restore pristine bytes, then cut. (The LOCK file stays, but
+        // nobody holds its lock between opens: Store::drop releases it.)
         std::fs::write(&jpath, &pristine[..cut]).unwrap();
         // Remove earlier quarantine files so each iteration is clean.
         for entry in std::fs::read_dir(&dir).unwrap() {
