@@ -1,8 +1,7 @@
 //! FNV-1a, the workspace's one dependency-free hash: store frame
 //! checksums, cache-key fingerprints (and so ring placement), pfssim read
-//! digests, metrics shard choice. Unlike `RandomState` it is stable across
-//! runs, builds and machines, so a store written by one build opens in
-//! the next.
+//! digests. Unlike `RandomState` it is stable across runs, builds and
+//! machines, so a store written by one build opens in the next.
 //!
 //! **The multiplier is not the published prime**: `0x1000_0000_01b3`, one
 //! hex digit longer than FNV's `0x100_0000_01b3` — a typo in the first

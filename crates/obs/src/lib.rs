@@ -7,15 +7,15 @@
 //! pipeline, and the report runner — emits into one shared substrate:
 //!
 //! * **Spans** ([`span()`]) — hierarchical timed regions with
-//!   deterministic per-thread ids, collected into a lock-sharded buffer
-//!   and exported as Chrome trace-event JSON ([`trace`]) loadable in
+//!   deterministic per-thread ids, collected into one locked buffer and
+//!   exported as Chrome trace-event JSON ([`trace`]) loadable in
 //!   Perfetto. Analysis-side spans run on the wall clock; mpisim's events
 //!   carry *simulated* timestamps under one pseudo-pid per rank, flushed
 //!   once per run ([`span::push_bulk`]).
-//! * **Metrics** ([`metrics()`]) — a lock-sharded registry of named
-//!   counters and fixed-bucket (log2) histograms. Counters record
-//!   deterministic event counts (ops, messages, retries, faults), so
-//!   totals are identical across thread counts and across runs.
+//! * **Metrics** ([`metrics()`]) — a registry of named counters and
+//!   fixed-bucket (log2) histograms. Counters record deterministic event
+//!   counts (ops, messages, retries, faults), so totals are identical
+//!   across thread counts and across runs.
 //! * **Logging** ([`mod@log`]) — a leveled stderr logger behind one atomic,
 //!   replacing scattered `eprintln!` progress lines.
 //! * **Flight recorder** ([`flight()`]) — an always-on ring of recent
@@ -32,12 +32,13 @@
 //!   They live here because every crate but `cluster` and `simrng`
 //!   already depends on this one.
 //!
-//! The flight ring and the SLO window each sit behind one `Mutex` around
-//! plain data: the serving path touches them three times per request,
-//! tens of microseconds apart, too seldom for the lock to contend. Every
-//! histogram here — the registry's and the SLO window's — files a value
-//! by one log2 bucket rule (`metrics.rs`: bucket `floor(log2 v)`,
-//! inclusive bound `2^(i+1) - 1`).
+//! Every collector — the span buffer, the metrics registry, the flight
+//! ring and the SLO window — is one `Mutex` around plain data: the
+//! serving path touches them a few times per request, microseconds
+//! apart, too seldom for a lock to contend. Every histogram here — the
+//! registry's and the SLO window's — files a value by one log2 bucket
+//! rule (`metrics.rs`: bucket `floor(log2 v)`, inclusive bound
+//! `2^(i+1) - 1`).
 //!
 //! Everything is disabled by default. The hot-path check is a single
 //! relaxed atomic load ([`tracing_enabled`] / [`metrics_enabled`]), and
@@ -64,7 +65,7 @@ pub use flight::{
     dump_postmortem, flight, set_postmortem_path, FlightEvent, FlightKind, FlightRecorder,
 };
 pub use log::Level;
-pub use metrics::{metrics, Counter, Histogram, Registry};
+pub use metrics::{metrics, Counter, Registry};
 pub use slo::{class_of, parse_exposition, Sample, SloRow, SloWindow};
 pub use span::{
     alloc_sim_pids, instant, process_name, span, wall_ns, wall_ns_at, Arg, Phase, SpanGuard,

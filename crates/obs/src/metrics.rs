@@ -1,24 +1,20 @@
-//! The lock-sharded metrics registry: named counters and fixed-bucket
-//! histograms.
+//! The metrics registry: named counters and fixed-bucket histograms,
+//! plain `u64`s in two maps behind one `Mutex`.
 //!
-//! Names hash to one of 16 (`SHARDS`) independently-locked maps, so
-//! concurrent recorders (per-config worker threads, rank threads) rarely
-//! contend; the cell behind a name is an `Arc<AtomicU64>` (or an atomic
-//! bucket array), so a handle obtained once increments lock-free
-//! thereafter. Counters are reserved for *deterministic* quantities —
-//! simulated ops, messages, bytes, retries, faults — which is what makes
-//! the metrics dump comparable across runs and thread counts; wall-time
-//! measurements go into histograms, which the determinism tests exclude.
+//! Recorders name a series on every call (`add`, `set_max`, `observe`);
+//! the lookup borrows the `&str`, so only a name's first use allocates.
+//! The serving path records four series per request, microseconds apart,
+//! too seldom for the one lock to contend. Counters are reserved for
+//! *deterministic* quantities — simulated ops, messages, bytes, retries,
+//! faults — which is what makes the metrics dump comparable across runs
+//! and thread counts; wall-time measurements go into histograms, which
+//! the determinism tests exclude.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-use crate::fnv::{fnv1a64, FNV_OFFSET};
 use crate::json::Escaped;
-
-/// Number of independently-locked name maps.
-const SHARDS: usize = 16;
+use crate::lock;
 
 /// Number of log2 histogram buckets: bucket `i` holds values in
 /// `[2^i, 2^(i+1))` (bucket 0 also holds 0), so 64 cover every `u64`.
@@ -36,179 +32,123 @@ pub(crate) fn bucket_bound(i: usize) -> u64 {
     u64::MAX >> (63 - i)
 }
 
-/// A lock-free counter handle. Cloning shares the underlying cell.
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+/// A counter's value as read by [`Registry::counter`].
+#[derive(Debug, Clone, Copy)]
+pub struct Counter(u64);
 
 impl Counter {
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise the counter to `v` if it is currently lower — a high-water
-    /// mark (peak live tasks, peak memory) rather than an accumulator.
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0
     }
 }
 
-/// A fixed-bucket log2 histogram. All mutation is relaxed-atomic; the
-/// snapshot is a consistent-enough view for reporting (the registry is
-/// quiesced before dumps).
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+/// A log2 histogram: count, sum and one count per bucket.
+struct Histogram {
+    count: u64,
+    sum: u64,
+    buckets: [u64; BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            count: 0,
+            sum: 0,
+            buckets: [0; BUCKETS],
+        }
+    }
 }
 
 impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    pub fn observe(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+    fn observe(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
     }
 
     /// `(bucket_floor, count)` for every non-empty bucket, low to high.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (if i == 0 { 0 } else { 1u64 << i }, n))
-            })
+            .filter_map(|(i, &n)| (n > 0).then(|| (if i == 0 { 0 } else { 1u64 << i }, n)))
             .collect()
     }
 }
 
-struct Shard {
-    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<HashMap<String, Arc<Histogram>>>,
+#[derive(Default)]
+struct Series {
+    counters: HashMap<String, u64>,
+    histograms: HashMap<String, Histogram>,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            counters: Mutex::new(HashMap::new()),
-            histograms: Mutex::new(HashMap::new()),
-        }
+/// Apply `f` to the value registered under `name`, inserting a default
+/// one on the name's first use: the one allocation a series makes.
+fn update<V: Default>(map: &mut HashMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
     }
 }
 
-/// A sharded registry instance. The process-global one is [`metrics`];
-/// tests may build private instances.
+/// A registry instance. The process-global one is [`metrics`]; tests may
+/// build private instances.
+#[derive(Default)]
 pub struct Registry {
-    shards: Vec<Shard>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
+    series: Mutex<Series>,
 }
 
 impl Registry {
     pub fn new() -> Self {
-        Registry {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-        }
+        Self::default()
     }
 
-    fn shard(&self, name: &str) -> &Shard {
-        // FNV-1a rather than `RandomState`: shard assignment is stable
-        // across runs, like everything else here.
-        &self.shards[(fnv1a64(FNV_OFFSET, name.as_bytes()) as usize) % SHARDS]
-    }
-
-    /// The counter registered under `name`, creating it at zero. The
-    /// returned handle increments lock-free; hold it across a hot loop
-    /// instead of re-resolving the name.
+    /// The value of the counter registered under `name`, registering it
+    /// at zero if it is unseen (so a dump lists it).
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.shard(name).counters.lock().unwrap();
-        Counter(Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        ))
+        let mut value = 0;
+        update(&mut lock(&self.series).counters, name, |c| value = *c);
+        Counter(value)
     }
 
-    /// One-shot `counter(name).add(n)`.
+    /// Add `n` to the counter `name`.
     pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
+        update(&mut lock(&self.series).counters, name, |c| *c += n);
     }
 
-    /// One-shot `counter(name).set_max(v)` — record a high-water mark.
+    /// Raise the counter `name` to `v` if it is lower — a high-water mark
+    /// (peak live tasks, peak memory) rather than an accumulator.
     pub fn set_max(&self, name: &str, v: u64) {
-        self.counter(name).set_max(v);
+        update(&mut lock(&self.series).counters, name, |c| *c = (*c).max(v));
     }
 
-    /// The histogram registered under `name`, creating it empty.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.shard(name).histograms.lock().unwrap();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    }
-
-    /// One-shot `histogram(name).observe(v)`.
+    /// File `v` in the histogram `name`.
     pub fn observe(&self, name: &str, v: u64) {
-        self.histogram(name).observe(v);
+        update(&mut lock(&self.series).histograms, name, |h| h.observe(v));
     }
 
     /// All counters, sorted by name — the deterministic projection.
     pub fn snapshot_counters(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (k, v) in shard.counters.lock().unwrap().iter() {
-                out.insert(k.clone(), v.load(Ordering::Relaxed));
-            }
-        }
-        out
+        lock(&self.series)
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect()
     }
 
     /// All histograms, sorted by name, as `(count, sum, nonzero buckets)`.
     pub fn snapshot_histograms(&self) -> BTreeMap<String, (u64, u64, Vec<(u64, u64)>)> {
-        let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (k, h) in shard.histograms.lock().unwrap().iter() {
-                out.insert(k.clone(), (h.count(), h.sum(), h.nonzero_buckets()));
-            }
-        }
-        out
+        lock(&self.series)
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.clone(), (h.count, h.sum, h.nonzero_buckets())))
+            .collect()
     }
 
-    /// Drop every registered counter and histogram. Outstanding handles
-    /// keep their (now-orphaned) cells; fresh lookups start at zero.
+    /// Drop every registered counter and histogram; the next use of a
+    /// name starts at zero.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.counters.lock().unwrap().clear();
-            shard.histograms.lock().unwrap().clear();
-        }
+        *lock(&self.series) = Series::default();
     }
 
     /// Deterministic flat JSON dump: `{"counters": {...sorted...},
@@ -276,9 +216,8 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let c = reg.counter("ops");
                     for _ in 0..1000 {
-                        c.inc();
+                        reg.add("ops", 1);
                     }
                 });
             }
@@ -288,17 +227,46 @@ mod tests {
     }
 
     #[test]
+    fn histograms_accumulate_across_threads() {
+        let values = |t: u64| (0..500u64).map(move |i| t * 1_000_003 + i * i);
+        let parallel = Registry::new();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let reg = &parallel;
+                s.spawn(move || values(t).for_each(|v| reg.observe("lat", v)));
+            }
+        });
+        let serial = Registry::new();
+        (0..4)
+            .flat_map(values)
+            .for_each(|v| serial.observe("lat", v));
+        let got = parallel.snapshot_histograms();
+        assert_eq!(got, serial.snapshot_histograms());
+        let (count, sum, _) = &got["lat"];
+        assert_eq!(*count, 2000);
+        assert_eq!(*sum, (0..4).flat_map(values).sum::<u64>());
+    }
+
+    #[test]
     fn histogram_buckets_are_log2() {
-        let h = Histogram::new();
-        h.observe(0);
-        h.observe(1);
-        h.observe(2);
-        h.observe(3);
-        h.observe(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
+        let reg = Registry::new();
+        for v in [0, 1, 2, 3, 1024] {
+            reg.observe("h", v);
+        }
         // 0 and 1 share bucket 0; 2 and 3 share bucket 1 (floor 2).
-        assert_eq!(h.nonzero_buckets(), vec![(0, 2), (2, 2), (1024, 1)]);
+        assert_eq!(
+            reg.snapshot_histograms()["h"],
+            (5, 1030, vec![(0, 2), (2, 2), (1024, 1)])
+        );
+    }
+
+    #[test]
+    fn an_unseen_counter_reads_zero_and_is_listed() {
+        let reg = Registry::new();
+        assert_eq!(reg.counter("fresh").get(), 0);
+        assert_eq!(reg.snapshot_counters().get("fresh"), Some(&0));
+        reg.add("fresh", 3);
+        assert_eq!(reg.counter("fresh").get(), 3);
     }
 
     #[test]
@@ -314,6 +282,7 @@ mod tests {
         assert!(dump.contains("\"lat\""));
         reg.reset();
         assert!(reg.snapshot_counters().is_empty());
+        assert!(reg.snapshot_histograms().is_empty());
         assert_eq!(reg.counter("alpha").get(), 0);
     }
 
@@ -325,13 +294,5 @@ mod tests {
         assert_eq!(reg.counter("peak").get(), 10);
         reg.set_max("peak", 12);
         assert_eq!(reg.counter("peak").get(), 12);
-    }
-
-    #[test]
-    fn shard_assignment_is_stable() {
-        // Same name, same registry, same cell — across lookups.
-        let reg = Registry::new();
-        reg.counter("x").add(7);
-        assert_eq!(reg.counter("x").get(), 7);
     }
 }

@@ -25,7 +25,7 @@
 //!   request lands in depends on when it finished, so they are outside
 //!   the determinism contract.
 //!
-//! Quantiles follow the [`crate::metrics::Histogram`] convention, with
+//! Quantiles follow the metrics registry's histogram convention, with
 //! its bucket rule: the inclusive upper bound of the log2 bucket
 //! containing the requested rank — conservative, never under-reporting.
 

@@ -17,15 +17,18 @@
 //!   timeline shows per-rank run/blocked tracks in simulated time next to
 //!   the analysis threads in wall time.
 //!
-//! The collector is lock-sharded by thread; an emission is one uncontended
-//! mutex push. When tracing is disabled every entry point returns after a
-//! single relaxed atomic load.
+//! The collector is one `Mutex<Vec<TraceEvent>>`: an emission is one
+//! locked push, and the hot emitters (the mpisim scheduler) batch theirs
+//! into one [`push_bulk`] per run. When tracing is disabled every entry
+//! point returns after a single relaxed atomic load.
 
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::lock;
 
 /// The pseudo-pid of the analysis/report process in exported traces.
 /// Simulated ranks get pids from [`alloc_sim_pids`], starting above it.
@@ -107,20 +110,8 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, Arg)>,
 }
 
-const COLLECTOR_SHARDS: usize = 16;
-
-struct Collector {
-    shards: Vec<Mutex<Vec<TraceEvent>>>,
-}
-
-fn collector() -> &'static Collector {
-    static GLOBAL: OnceLock<Collector> = OnceLock::new();
-    GLOBAL.get_or_init(|| Collector {
-        shards: (0..COLLECTOR_SHARDS)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect(),
-    })
-}
+/// Every collected event, in push order until [`drain`] sorts them.
+static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
 /// The monotonic anchor all wall timestamps are relative to.
 fn anchor() -> Instant {
@@ -170,11 +161,10 @@ pub fn alloc_sim_pids(n: u32) -> u64 {
 }
 
 fn push(ev: TraceEvent) {
-    let shard = (thread_tid() as usize) % COLLECTOR_SHARDS;
-    collector().shards[shard].lock().unwrap().push(ev);
+    lock(&EVENTS).push(ev);
 }
 
-/// Append a batch of pre-built events under one shard-lock acquisition.
+/// Append a batch of pre-built events under one lock acquisition.
 /// Emitters on hot paths (the mpisim scheduler) buffer events locally and
 /// flush once per run through this, so the per-event cost inside their
 /// critical sections is a plain `Vec` push.
@@ -182,8 +172,7 @@ pub fn push_bulk(events: &mut Vec<TraceEvent>) {
     if events.is_empty() {
         return;
     }
-    let shard = (thread_tid() as usize) % COLLECTOR_SHARDS;
-    collector().shards[shard].lock().unwrap().append(events);
+    lock(&EVENTS).append(events);
 }
 
 /// Name a pseudo-pid in the exported trace (Perfetto's process label).
@@ -326,10 +315,7 @@ pub fn span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> SpanGuard 
 /// Drain every collected event, sorted by `(pid, tid, ts, dur desc)` so
 /// the export is stable and outer spans precede inner ones.
 pub fn drain() -> Vec<TraceEvent> {
-    let mut out = Vec::new();
-    for shard in &collector().shards {
-        out.append(&mut shard.lock().unwrap());
-    }
+    let mut out = std::mem::take(&mut *lock(&EVENTS));
     out.sort_by(|a, b| {
         (a.pid, a.tid, a.ts_ns, std::cmp::Reverse(a.dur_ns)).cmp(&(
             b.pid,
@@ -343,9 +329,7 @@ pub fn drain() -> Vec<TraceEvent> {
 
 /// Discard every collected event (between benchmark repetitions).
 pub fn clear() {
-    for shard in &collector().shards {
-        shard.lock().unwrap().clear();
-    }
+    lock(&EVENTS).clear();
 }
 
 #[cfg(test)]

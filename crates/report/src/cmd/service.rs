@@ -183,9 +183,7 @@ pub(super) fn serve(p: &Parsed) -> Result<i32, String> {
         "serve: {workers} workers, {cache_entries}-entry cache, queue cap {queue_cap} \
          (SIGTERM/ctrl-c to drain)"
     );
-    while !serve::signal::shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    serve::signal::wait_for_shutdown();
     handle.shutdown();
     println!("serve: shutdown complete");
     Ok(0)

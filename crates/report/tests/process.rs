@@ -3,7 +3,7 @@
 //! ends it the way an operator (SIGTERM) or a crash (SIGKILL) would:
 //!
 //! * warm == cold bytes, the observability surface and a clean SIGTERM
-//!   drain over one process;
+//!   drain over one process; SIGINT (ctrl-c) drains the same way;
 //! * `kill -9` mid-traffic, then a restart on the same `--store-dir`
 //!   answers warm from the recovered store;
 //! * a two-process fleet serves identical bytes through every entry node,
@@ -116,18 +116,26 @@ impl Server {
     }
 
     fn sigterm(&self) {
+        self.signal(15);
+    }
+
+    /// What ctrl-c sends.
+    fn sigint(&self) {
+        self.signal(2);
+    }
+
+    fn signal(&self, sig: i32) {
         extern "C" {
             fn kill(pid: i32, sig: i32) -> i32;
         }
-        const SIGTERM: i32 = 15;
         // SAFETY: kill(2) touches no memory of ours, and the pid is our
         // own child, not yet waited on, so it cannot have been reused.
-        let rc = unsafe { kill(self.child.id() as i32, SIGTERM) };
-        assert_eq!(rc, 0, "kill -TERM");
+        let rc = unsafe { kill(self.child.id() as i32, sig) };
+        assert_eq!(rc, 0, "kill -{sig}");
     }
 
-    /// After [`Server::sigterm`]: the process must drain, say so, and
-    /// exit 0.
+    /// After [`Server::sigterm`] or [`Server::sigint`]: the process must
+    /// drain, say so, and exit 0.
     fn drained(mut self) {
         let mut rest = String::new();
         self.stdout
@@ -193,6 +201,14 @@ fn warm_equals_cold_and_sigterm_drains() {
     assert!(dump.contains("sigterm-drain"), "postmortem: {dump}");
     std::fs::remove_file(&postmortem).ok();
     std::fs::remove_file(&raw).ok();
+}
+
+#[test]
+fn sigint_drains_like_sigterm() {
+    let server = Server::spawn(&["--port", "0", "--workers", "1"]);
+    server.get("/healthz");
+    server.sigint();
+    server.drained();
 }
 
 #[test]

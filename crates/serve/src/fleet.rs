@@ -103,10 +103,10 @@ struct PeerClient {
     id: u32,
     addr: String,
     idle: Mutex<Vec<HttpClient>>,
-    /// `cluster.forward_to.{id}` / `cluster.redirect_to.{id}`, resolved
+    /// `cluster.forward_to.{id}` / `cluster.redirect_to.{id}`, formatted
     /// once so the forward path does not format a name per request.
-    forward_to: obs::Counter,
-    redirect_to: obs::Counter,
+    forward_to: String,
+    redirect_to: String,
 }
 
 impl PeerClient {
@@ -177,12 +177,18 @@ impl ClusterRuntime {
             .peers()
             .iter()
             .filter(|p| p.id != cfg.node_id)
-            .map(|p| PeerClient {
-                id: p.id,
-                addr: p.addr.clone(),
-                idle: Mutex::new(Vec::new()),
-                forward_to: obs::metrics().counter(&format!("cluster.forward_to.{}", p.id)),
-                redirect_to: obs::metrics().counter(&format!("cluster.redirect_to.{}", p.id)),
+            .map(|p| {
+                let peer = PeerClient {
+                    id: p.id,
+                    addr: p.addr.clone(),
+                    idle: Mutex::new(Vec::new()),
+                    forward_to: format!("cluster.forward_to.{}", p.id),
+                    redirect_to: format!("cluster.redirect_to.{}", p.id),
+                };
+                // Listed at 0 in `/metricsz` before the first forward.
+                obs::metrics().add(&peer.forward_to, 0);
+                obs::metrics().add(&peer.redirect_to, 0);
+                peer
             })
             .collect();
         Ok(ClusterRuntime {
@@ -293,7 +299,7 @@ impl ClusterRuntime {
                 );
                 if obs::metrics_enabled() {
                     obs::metrics().add("cluster.redirects", 1);
-                    peer.redirect_to.inc();
+                    obs::metrics().add(&peer.redirect_to, 1);
                 }
                 let body = Json::obj()
                     .field("redirect", "owner")
@@ -334,7 +340,7 @@ impl ClusterRuntime {
                         );
                         if obs::metrics_enabled() {
                             obs::metrics().add("cluster.forwarded", 1);
-                            peer.forward_to.inc();
+                            obs::metrics().add(&peer.forward_to, 1);
                         }
                         RouteDecision::Respond(client_to_response(owner, resp))
                     }

@@ -35,7 +35,7 @@
 //!   channel (a full one is answered 503 + `Retry-After` at the door:
 //!   explicit backpressure), connection lifecycle, and the one stop flag
 //!   a drain reads, set only by the handle (`report serve` calls it on
-//!   SIGTERM/ctrl-c, which [`signal`] records); a drain answers every
+//!   SIGTERM/ctrl-c, which [`signal`] waits for); a drain answers every
 //!   connection made before the stop.
 //! * [`client`] — the minimal blocking client `report`, the peer client
 //!   and the tests use; it reads responses with [`http`]'s reader.

@@ -74,6 +74,13 @@ impl Backend for GatedBackend {
     }
 }
 
+/// Both tests read `serve.coalesced_waiters` from the process-global
+/// registry, so one must not run while the other adds to it.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn counter(name: &str) -> u64 {
     obs::metrics().counter(name).get()
 }
@@ -90,6 +97,7 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn n_concurrent_misses_run_one_analysis() {
+    let _serial = serial();
     obs::set_metrics(true);
     let backend = Arc::new(GatedBackend::new(0));
     let router = Arc::new(Router::new(Arc::clone(&backend) as Arc<dyn Backend>, 16));
@@ -135,6 +143,7 @@ fn n_concurrent_misses_run_one_analysis() {
 
 #[test]
 fn leader_panic_wakes_followers_into_their_own_attempts() {
+    let _serial = serial();
     obs::set_metrics(true);
     // First analyze call panics; retries succeed.
     let backend = Arc::new(GatedBackend::new(1));
